@@ -415,16 +415,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         out_dir = args.out or f"runs/{args.command}_{config_hash(cfg)}"
         os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.command](cfg, m, torus, out_dir, args.seed)
+    # EvaluationError subclasses ValueError, so this clause must come first
+    except (ConvergenceError, StabilityError, ExplosionGuardError,
+            EvaluationError) as e:
+        print(f"runtime failure: {e}", file=sys.stderr)
+        return _RUNTIME_EXIT
     except (ConfigError, ModelError, SizeLimitError, ValueError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return _CONFIG_EXIT
     except InfeasibleRegimeError as e:
         print(f"infeasible regime: {e}", file=sys.stderr)
         return _INFEASIBLE_EXIT
-    except (ConvergenceError, StabilityError, ExplosionGuardError,
-            EvaluationError) as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return _RUNTIME_EXIT
 
 
 if __name__ == "__main__":

@@ -34,7 +34,10 @@ class StabilityError(RuntimeError):
 
 
 class ExplosionGuardError(RuntimeError):
-    """The event budget was exhausted before the horizon."""
+    """The event budget or the population cap was exceeded before the horizon.
+
+    time_reached and events say where the run stopped.
+    """
 
     def __init__(self, message, time_reached=None, events=None):
         super().__init__(message)

@@ -216,15 +216,12 @@ def _rebased_triple_integral(k3: np.ndarray, weights: np.ndarray, di: np.ndarray
     """out[j, l] = sum_r weights[r] * k3[di[l, j], di[r, j]].
 
     This is the base-shift of the third-order table needed when the removed
-    point is the table's base point.
+    point is the table's base point.  Substituting b = offset[r] - offset[j]
+    turns the sum into one matrix product, out[j, l] = (k3 @ S)[di[l, j], j],
+    where S[b, j] = weights at offset[b] + offset[j] (di[0, j] is -offset[j]).
     """
-    p = k3.shape[0]
-    out = np.empty((p, p))
-    for j in range(p):
-        rows = di[:, j]
-        block = k3[np.ix_(rows, rows)]
-        out[j, :] = block @ weights
-    return out
+    shifted = weights[di[:, di[0]]]
+    return (k3 @ shifted)[di.T, np.arange(k3.shape[0])[:, None]]
 
 
 def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,

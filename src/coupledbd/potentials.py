@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ModelError
 
@@ -117,9 +116,17 @@ class PotentialFunctionals:
 
 
 def _radial_integral(fn, pot: Potential, dim: int) -> float:
-    """Surface-weighted integral of fn(f(r)) r^{d-1} dr over [0, cutoff]."""
+    """Surface-weighted integral of fn(f(r)) r^{d-1} dr over [0, cutoff].
+
+    Zero and step profiles are constant on their support and take the closed
+    form; scipy is imported only for the profiles that need quadrature.
+    """
     if pot.cutoff == 0.0:
         return 0.0
+    if pot.kind == "step":
+        return _SURFACE[dim] * fn(pot.height) * pot.cutoff ** dim / dim
+    from scipy import integrate
+
     pts = None
     if pot.kind == "table":
         pts = [r for r in pot.radii if 0 < r < pot.cutoff]

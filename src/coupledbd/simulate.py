@@ -198,7 +198,8 @@ def simulate(
         events += 1
         if events > settings.max_events:
             raise ExplosionGuardError(
-                f"event budget {settings.max_events} exhausted at t={t:.6g}")
+                f"event budget {settings.max_events} exhausted at t={t:.6g}",
+                time_reached=t, events=events)
 
         u = rng.uniform(0.0, total)
         if u < r_sd:
@@ -244,7 +245,9 @@ def simulate(
 
         if gp.size + gm.size > settings.max_particles:
             raise ExplosionGuardError(
-                f"population {gp.size + gm.size} exceeds {settings.max_particles}")
+                f"population {gp.size + gm.size} exceeds {settings.max_particles} "
+                f"at t={t:.6g} after {events} events",
+                time_reached=t, events=events)
 
     return TrajectoryRecord(
         times=rec_times.copy(),

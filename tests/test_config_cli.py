@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coupledbd import cli
 from coupledbd.cli import main
 from coupledbd.config import (
     config_hash,
@@ -13,7 +14,7 @@ from coupledbd.config import (
     torus_from_config,
     validate_config,
 )
-from coupledbd.errors import ConfigError
+from coupledbd.errors import ConfigError, EvaluationError
 from coupledbd.models import BdlpInGlauber, BranchingInGlauber, GlauberGlauber, TwoBdlp
 
 
@@ -203,6 +204,17 @@ def test_cli_rejects_broken_configs(tmp_path):
     too_small["torus"]["side"] = 1.5
     assert main(["check", _write(tmp_path, too_small, "b.json"),
                  "--out", str(tmp_path / "o3")]) == 2
+
+
+def test_cli_maps_evaluation_errors_to_the_runtime_exit(tmp_path, monkeypatch):
+    # EvaluationError subclasses ValueError but is a runtime failure (exit 4)
+    def broken(*args):
+        raise EvaluationError("acceptance 1.5 exceeds 1; dominating bound is wrong")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+    code = main(["simulate", _write(tmp_path, _gg_config()),
+                 "--out", str(tmp_path / "out")])
+    assert code == 4
 
 
 def test_cli_invariant_writes_summary_and_correlations(tmp_path):

@@ -10,6 +10,7 @@ from coupledbd.errors import ConvergenceError, ModelError, StabilityError
 from coupledbd.geometry import Torus
 from coupledbd.hierarchy import (
     ComponentForm,
+    _rebased_triple_integral,
     build_stencils,
     component_form,
     evolve_hierarchy,
@@ -66,6 +67,30 @@ def test_fixed_point_annihilates_the_evolution_operator():
     assert abs(lk.k1) <= 1e-9
     assert np.max(np.abs(lk.k2)) <= 1e-9
     assert np.max(np.abs(lk.k3)) <= 1e-9
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
+def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
+    # out[j, l] = sum_r w[r] * k3[offset[l] - offset[j], offset[r] - offset[j]],
+    # with the offset differences taken on the lattice, not from diff_index
+    grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
+    p = grid.num_cells
+    rng = np.random.default_rng(dim)
+    k3 = rng.normal(size=(p, p))
+    w = rng.normal(size=p)
+    shape = (n,) * dim
+    lat = np.array(np.unravel_index(np.arange(p), shape)).T
+
+    def diff(a, b):
+        return int(np.ravel_multi_index(tuple(np.mod(lat[a] - lat[b], n)), shape))
+
+    expected = np.zeros((p, p))
+    for j in range(p):
+        for l in range(p):
+            a = diff(l, j)
+            expected[j, l] = sum(w[r] * k3[a, diff(r, j)] for r in range(p))
+    got = _rebased_triple_integral(k3, w, grid.diff_index)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_evolution_conserves_the_order_zero_entry():

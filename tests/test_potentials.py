@@ -1,12 +1,17 @@
 """Radial profiles and their integral functionals."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coupledbd
 from coupledbd.errors import ModelError
 from coupledbd.geometry import FiniteConfiguration, Torus, ball_volume
 from coupledbd.potentials import (
@@ -38,6 +43,51 @@ def test_step_functionals_match_closed_forms(dim):
     assert f.beta_neg == pytest.approx(math.expm1(h) * vol, abs=1e-8)
     assert f.l1 == pytest.approx(h * vol, abs=1e-8)
     assert f.linf == h
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_step_closed_forms_equal_adaptive_quadrature(dim):
+    from scipy import integrate
+
+    pot = Potential.step(height=0.7, cutoff=1.3)
+    surface = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
+
+    def quad(fn):
+        val, _ = integrate.quad(lambda r: fn(float(pot(r))) * r ** (dim - 1),
+                                0.0, pot.cutoff, limit=200, epsabs=1e-13, epsrel=1e-11)
+        return surface * val
+
+    f = potential_functionals(pot, dim)
+    assert f.beta == pytest.approx(quad(lambda v: 1.0 - math.exp(-v)), rel=1e-12)
+    assert f.beta_neg == pytest.approx(quad(math.expm1), rel=1e-12)
+    assert f.l1 == pytest.approx(quad(lambda v: v), rel=1e-12)
+
+
+def test_step_potential_configs_do_not_import_scipy(tmp_path):
+    step = {"kind": "step", "height": 0.5, "cutoff": 1.0}
+    cfg = {
+        "model": {"variant": "glauber_glauber",
+                  "params": {"z_minus": 0.3, "z_plus": 0.3, "psi": step,
+                             "phi_minus": step, "phi_plus": step}},
+        "torus": {"side": 10.0, "dim": 2},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    script = (
+        "import sys\n"
+        "import coupledbd.cli as cli\n"
+        "from coupledbd.potentials import potential_functionals\n"
+        f"cfg = cli.load_config({str(path)!r})\n"
+        "m = cli.model_from_config(cfg)\n"
+        "cli.validate_model_on_torus(m, cli.torus_from_config(cfg))\n"
+        "potential_functionals(m.psi, 2)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(coupledbd.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

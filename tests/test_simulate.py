@@ -118,6 +118,22 @@ def test_population_guard_trips():
                  components=("environment",))
 
 
+def test_guard_errors_report_where_the_run_stopped():
+    s = SimulationSettings(t_end=50.0, master_seed=1, max_events=20)
+    with pytest.raises(ExplosionGuardError) as info:
+        simulate(_free_env(z_minus=2.0), TORUS1, _empty(), s,
+                 components=("environment",))
+    assert info.value.events == 21
+    assert 0.0 < info.value.time_reached < s.t_end
+
+    s = SimulationSettings(t_end=50.0, master_seed=1, max_particles=5)
+    with pytest.raises(ExplosionGuardError) as info:
+        simulate(_free_env(z_minus=2.0), TORUS1, _empty(), s,
+                 components=("environment",))
+    assert info.value.events >= 6
+    assert 0.0 < info.value.time_reached < s.t_end
+
+
 def test_environment_clock_scales_with_epsilon():
     # free environment at stationarity: event rate 2 z V / epsilon
     z = 0.5
