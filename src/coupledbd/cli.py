@@ -96,23 +96,21 @@ def _manifest(out_dir: str, command: str, cfg: dict, outputs: List[str],
     _write_json(os.path.join(out_dir, "manifest.json"), man)
 
 
-def _solve_component(cfg: dict, m, torus, section: dict):
-    """KS fixed point for the requested component; 'averaged' first solves
-    the environment and integrates it out."""
+def _solver_args(section: dict) -> tuple:
+    """(order, tol, max_iter, closure) of a hierarchy section, in ks_solve order."""
+    return (int(section.get("order", 3)), float(section.get("tol", 1e-12)),
+            int(section.get("max_iter", 500)), section.get("closure", "poisson"))
+
+
+def _section_form(m, torus, section: dict):
+    """(form, grid) of the component a hierarchy section names; 'averaged'
+    first solves the environment and integrates it out."""
     grid = GridSpec(torus=torus, points_per_axis=int(section.get("grid_points", 64)))
-    order = int(section.get("order", 3))
-    tol = float(section.get("tol", 1e-12))
-    max_iter = int(section.get("max_iter", 500))
-    closure = section.get("closure", "poisson")
-    component = section.get("component", "environment")
-    if component == "environment":
-        form = component_form(m, "environment")
-        return ks_solve(form, grid, order, tol, max_iter, closure), grid, form
-    env_form = component_form(m, "environment")
-    env_sol = ks_solve(env_form, grid, order, tol, max_iter, closure)
-    am = build_averaged_model(m, env_sol.table, torus)
-    form = component_form(am, "system")
-    return ks_solve(form, grid, order, tol, max_iter, closure), grid, form
+    form = component_form(m, "environment")
+    if section.get("component", "environment") != "environment":
+        env_sol = ks_solve(form, grid, *_solver_args(section))
+        form = component_form(build_averaged_model(m, env_sol.table, torus), "system")
+    return form, grid
 
 
 def _cmd_check(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
@@ -171,7 +169,8 @@ def _cmd_check(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
 
 def _cmd_invariant(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
     section = cfg.get("invariant", {})
-    sol, grid, _form = _solve_component(cfg, m, torus, section)
+    form, grid = _section_form(m, torus, section)
+    sol = ks_solve(form, grid, *_solver_args(section))
     summ = invariant_summary(sol.table)
     lenard = lenard_spot_check(sol.table)
     rows = list(zip(summ.pair_r, summ.pair_g))
@@ -199,17 +198,8 @@ def _cmd_invariant(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> in
 
 def _cmd_evolve(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
     section = cfg.get("evolve", {})
-    grid = GridSpec(torus=torus, points_per_axis=int(section.get("grid_points", 64)))
-    order = int(section.get("order", 3))
-    closure = section.get("closure", "poisson")
-    component = section.get("component", "environment")
-    if component == "environment":
-        form = component_form(m, "environment")
-    else:
-        env_sol, grid, _ = _solve_component(cfg, m, torus,
-                                            {**section, "component": "environment"})
-        am = build_averaged_model(m, env_sol.table, torus)
-        form = component_form(am, "system")
+    form, grid = _section_form(m, torus, section)
+    order, _tol, _max_iter, closure = _solver_args(section)
     rho0 = float(section.get("initial_density", 1.0))
     initial = CorrelationTable.poisson(grid, order, rho0)
     traj = evolve_hierarchy(initial, form, float(section["t_final"]),

@@ -43,6 +43,7 @@ from .models import (
     GlauberGlauber,
     RateModel,
     TwoBdlp,
+    component_form,
     env_death_vector,
     model_potentials,
     sys_death_vector,
@@ -111,25 +112,29 @@ class ComponentConstants:
     details: Dict[str, float] = field(default_factory=dict)
 
 
+# The environment of every variant has one of two shapes: a constant death
+# rate with births damped by an exponential pair energy psi (the Glauber
+# family), or additive death and birth kernels a_minus, a_plus (TwoBdlp).  The
+# environment functions below branch on that shape of component_form(m).
+
 def env_constants(m: RateModel, c_minus: float, dim: int) -> ComponentConstants:
     if c_minus <= 0:
         raise ConfigError("weight c_minus must be positive")
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-        beta_psi = potential_functionals(m.psi, dim).beta
-        a = 1.0 + _mass_term(m.z_minus / c_minus, c_minus * beta_psi)
-        return ComponentConstants(a=a, m_star=1.0, feasible=a < 2.0,
+    f = component_form(m)
+    if f.birth_pot is not None:
+        beta_psi = potential_functionals(f.birth_pot, dim).beta
+        a = 1.0 + _mass_term(f.birth_const / c_minus / f.death_const, c_minus * beta_psi)
+        return ComponentConstants(a=a, m_star=f.death_const, feasible=a < 2.0,
                                   details={"beta_psi": beta_psi})
-    if isinstance(m, TwoBdlp):
-        l1_am = potential_functionals(m.a_minus, dim).l1
-        l1_ap = potential_functionals(m.a_plus, dim).l1
-        vt2 = domination_ratio(m.a_plus, m.a_minus)
-        bulk = (c_minus * l1_am + m.z / c_minus + l1_ap) / m.m_minus
-        a = 1.0 + max(bulk, vt2 / c_minus) if math.isfinite(vt2) else math.inf
-        feasible = math.isfinite(a) and a < 2.0 and vt2 < c_minus
-        return ComponentConstants(a=a, m_star=m.m_minus, feasible=feasible,
-                                  details={"l1_a_minus": l1_am, "l1_a_plus": l1_ap,
-                                           "vartheta2": vt2})
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    l1_am = potential_functionals(f.death_kernel, dim).l1
+    l1_ap = potential_functionals(f.birth_kernel, dim).l1
+    vt2 = domination_ratio(f.birth_kernel, f.death_kernel)
+    bulk = (c_minus * l1_am + f.birth_const / c_minus + l1_ap) / f.death_const
+    a = 1.0 + max(bulk, vt2 / c_minus) if math.isfinite(vt2) else math.inf
+    feasible = math.isfinite(a) and a < 2.0 and vt2 < c_minus
+    return ComponentConstants(a=a, m_star=f.death_const, feasible=feasible,
+                              details={"l1_a_minus": l1_am, "l1_a_plus": l1_ap,
+                                       "vartheta2": vt2})
 
 
 def sys_constants(m: RateModel, c_minus: float, c_plus: float, dim: int) -> ComponentConstants:
@@ -349,23 +354,22 @@ def c_minus_closed(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float,
     environments."""
     n = eta_minus.size
     dim = torus.dim
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-        beta_psi = potential_functionals(m.psi, dim).beta
-        tot = float(n)
-        pref = _mass_term(m.z_minus / c_minus, c_minus * beta_psi)
+    f = component_form(m)
+    if f.birth_pot is not None:
+        beta_psi = potential_functionals(f.birth_pot, dim).beta
+        tot = n * f.death_const
+        pref = _mass_term(f.birth_const / c_minus, c_minus * beta_psi)
         for i in range(n):
             rest = eta_minus.remove_index(i)
-            tot += pref * math.exp(-relative_energy(eta_minus.points[i], rest, m.psi, torus))
+            tot += pref * math.exp(-relative_energy(eta_minus.points[i], rest, f.birth_pot, torus))
         return tot, True
-    if isinstance(m, TwoBdlp):
-        l1_am = potential_functionals(m.a_minus, dim).l1
-        l1_ap = potential_functionals(m.a_plus, dim).l1
-        s_am = _pair_sums(eta_minus, m.a_minus, torus)
-        s_ap = _pair_sums(eta_minus, m.a_plus, torus)
-        death = float(np.sum(m.m_minus + s_am + c_minus * l1_am)) if n else 0.0
-        birth = float(np.sum(m.z + s_ap + c_minus * l1_ap)) / c_minus if n else 0.0
-        return death + birth, True
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    l1_am = potential_functionals(f.death_kernel, dim).l1
+    l1_ap = potential_functionals(f.birth_kernel, dim).l1
+    s_am = _pair_sums(eta_minus, f.death_kernel, torus)
+    s_ap = _pair_sums(eta_minus, f.birth_kernel, torus)
+    death = float(np.sum(f.death_const + s_am + c_minus * l1_am)) if n else 0.0
+    birth = float(np.sum(f.birth_const + s_ap + c_minus * l1_ap)) / c_minus if n else 0.0
+    return death + birth, True
 
 
 def c_plus_closed(m: RateModel, eta: MarkedConfiguration, c_minus: float,
@@ -486,43 +490,43 @@ def _env_expansion_batch(m: RateModel, x: np.ndarray, rest: FiniteConfiguration,
                          torus: Torus):
     """Batch evaluators (death, birth) of |sum over subsets of rest of the
     environment kernel at (x, subset + candidates)| for candidate blocks."""
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
+    f = component_form(m)
+    if f.birth_pot is not None:
+        psi = f.birth_pot
         if rest.size:
-            t_rest = mayer(m.psi, pairwise_distances(x[None, :], rest.points, torus)[0])
+            t_rest = mayer(psi, pairwise_distances(x[None, :], rest.points, torus)[0])
             s0 = _subset_product_sum(t_rest)
         else:
             s0 = 1.0
 
         def death(block: np.ndarray) -> np.ndarray:
             S, n = block.shape[0], block.shape[1]
-            return np.full(S, 1.0) if n == 0 else np.zeros(S)
+            return np.full(S, f.death_const) if n == 0 else np.zeros(S)
 
         def birth(block: np.ndarray) -> np.ndarray:
-            t = mayer(m.psi, _dists_to(x, block, torus))
-            return np.abs(m.z_minus * s0 * np.prod(t, axis=1))
+            t = mayer(psi, _dists_to(x, block, torus))
+            return np.abs(f.birth_const * s0 * np.prod(t, axis=1))
 
         return death, birth
-    if isinstance(m, TwoBdlp):
-        if rest.size:
-            r = pairwise_distances(x[None, :], rest.points, torus)[0]
-            base_d = m.m_minus + float(np.sum(m.a_minus(r)))
-            base_b = m.z + float(np.sum(m.a_plus(r)))
-        else:
-            base_d = m.m_minus
-            base_b = m.z
+    if rest.size:
+        r = pairwise_distances(x[None, :], rest.points, torus)[0]
+        base_d = f.death_const + float(np.sum(f.death_kernel(r)))
+        base_b = f.birth_const + float(np.sum(f.birth_kernel(r)))
+    else:
+        base_d = f.death_const
+        base_b = f.birth_const
 
-        def _additive(base: float, pot: Potential):
-            def fn(block: np.ndarray) -> np.ndarray:
-                S, n = block.shape[0], block.shape[1]
-                if n == 0:
-                    return np.full(S, abs(base))
-                if n == 1:
-                    return np.abs(pot(_dists_to(x, block, torus)[:, 0]))
-                return np.zeros(S)
-            return fn
+    def _additive(base: float, pot: Potential):
+        def fn(block: np.ndarray) -> np.ndarray:
+            S, n = block.shape[0], block.shape[1]
+            if n == 0:
+                return np.full(S, abs(base))
+            if n == 1:
+                return np.abs(pot(_dists_to(x, block, torus)[:, 0]))
+            return np.zeros(S)
+        return fn
 
-        return _additive(base_d, m.a_minus), _additive(base_b, m.a_plus)
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return _additive(base_d, f.death_kernel), _additive(base_b, f.birth_kernel)
 
 
 def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfiguration,
@@ -712,6 +716,7 @@ def c_minus_numeric(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float
     Monte Carlo noise.
     """
     dim = torus.dim
+    f = component_form(m)
     total = 0.0
     var = 0.0
     tail = 0.0
@@ -719,19 +724,20 @@ def c_minus_numeric(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float
         x = eta_minus.points[i]
         rest = eta_minus.remove_index(i)
         death_fn, birth_fn = _env_expansion_batch(m, x, rest, torus)
-        if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-            beta_psi = potential_functionals(m.psi, dim).beta
-            cap_b = 0 if m.psi.is_zero else order_cap
+        if f.birth_pot is not None:
+            psi = f.birth_pot
+            beta_psi = potential_functionals(psi, dim).beta
+            cap_b = 0 if psi.is_zero else order_cap
             parts = [(death_fn, 1.0, 0, 0.0), (birth_fn, 1.0 / c_minus, cap_b,
-                                               _capped_radius(m.psi.cutoff, torus))]
-            tail += (m.z_minus / c_minus) * _abs_mayer_products(x, rest, m.psi, torus) \
+                                               _capped_radius(psi.cutoff, torus))]
+            tail += (f.birth_const / c_minus) * _abs_mayer_products(x, rest, psi, torus) \
                 * _remainder_exp(c_minus * beta_psi, cap_b)
         else:
             parts = [
-                (death_fn, 1.0, 0 if m.a_minus.is_zero else 1,
-                 _capped_radius(m.a_minus.cutoff, torus)),
-                (birth_fn, 1.0 / c_minus, 0 if m.a_plus.is_zero else 1,
-                 _capped_radius(m.a_plus.cutoff, torus)),
+                (death_fn, 1.0, 0 if f.death_kernel.is_zero else 1,
+                 _capped_radius(f.death_kernel.cutoff, torus)),
+                (birth_fn, 1.0 / c_minus, 0 if f.birth_kernel.is_zero else 1,
+                 _capped_radius(f.birth_kernel.cutoff, torus)),
             ]
         for p, (fn, w, cap, radius) in enumerate(parts):
             v, e = _single_mc(fn, c_minus, cap, torus, x, radius, samples,

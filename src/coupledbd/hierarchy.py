@@ -3,7 +3,10 @@
 Both the environment of every model variant and the averaged system are
 one-component birth-death dynamics, so a single reduced description covers
 them: a ComponentForm holds the death and birth structure (constant,
-additive kernel, or exponential pair interaction).
+additive kernel, or exponential pair interaction).  ComponentForm and
+component_form live in models.py, where the pointwise rates, death vectors
+and birth proposals of these dynamics are derived from the same form; they
+are re-exported here.  The stencils below are derived from it too.
 
 The generator dual acting on correlation functions is discretized on
 translation-reduced tables (orders up to 3).  Expansion terms with at most
@@ -30,23 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, ModelError, StabilityError
-from .models import (
-    AveragedModel,
-    BdlpInGlauber,
-    BranchingInGlauber,
-    GlauberGlauber,
-    RateModel,
-    TwoBdlp,
-)
-from .potentials import Potential
+from .errors import ConfigError, ConvergenceError, StabilityError
+from .models import ComponentForm, component_form
 from .tables import (
     CorrelationTable,
     GridSpec,
+    _triple_sum,
     kernel_stencil,
     mayer_stencil,
     pointwise_stencil,
@@ -56,86 +52,6 @@ from .tables import (
 )
 
 _CLOSURES = ("poisson", "zero")
-
-
-@dataclass(frozen=True)
-class ComponentForm:
-    """One-component birth-death structure.
-
-    death rate:  death_const * exp(sum of death_pot over neighbours)
-                 or death_const + sum of death_kernel over neighbours
-    birth rate:  birth_const * exp(-sum of birth_pot over neighbours)
-                 or birth_const + birth_kernel_scale * sum of birth_kernel
-    """
-
-    death_const: float
-    birth_const: float
-    death_kernel: Optional[Potential] = None
-    death_pot: Optional[Potential] = None
-    birth_kernel: Optional[Potential] = None
-    birth_pot: Optional[Potential] = None
-    birth_kernel_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.death_const <= 0:
-            raise ModelError("death_const must be positive")
-        if self.birth_const < 0:
-            raise ModelError("birth_const must be nonnegative")
-        if self.death_kernel is not None and self.death_pot is not None:
-            raise ModelError("death part cannot be both additive and exponential")
-        if self.birth_kernel is not None and self.birth_pot is not None:
-            raise ModelError("birth part cannot be both additive and exponential")
-
-    def potentials(self) -> dict:
-        out = {}
-        for name in ("death_kernel", "death_pot", "birth_kernel", "birth_pot"):
-            p = getattr(self, name)
-            if p is not None:
-                out[name] = p
-        return out
-
-
-def component_form(m: Union[RateModel, AveragedModel], component: str = "environment") -> ComponentForm:
-    """Extract the autonomous one-component structure.
-
-    component="environment" works for every full model; the system of a full
-    model is not autonomous, so component="system" requires an AveragedModel.
-    """
-    if isinstance(m, AveragedModel):
-        if component != "system":
-            raise ModelError("an averaged model only has a system component")
-        base = m.base
-        if isinstance(base, GlauberGlauber):
-            return ComponentForm(death_const=1.0,
-                                 birth_const=base.z_plus * m.lambda_bar,
-                                 birth_pot=base.phi_plus)
-        if isinstance(base, BdlpInGlauber):
-            return ComponentForm(death_const=base.m_plus + m.m_bar,
-                                 birth_const=m.lambda_bar,
-                                 death_kernel=base.a_minus,
-                                 birth_kernel=base.a_plus)
-        if isinstance(base, BranchingInGlauber):
-            return ComponentForm(death_const=base.m_plus,
-                                 birth_const=0.0,
-                                 death_pot=base.kappa,
-                                 birth_kernel=base.a_plus,
-                                 birth_kernel_scale=m.lambda_bar)
-        if isinstance(base, TwoBdlp):
-            return ComponentForm(death_const=base.m_plus + m.phi_bar_minus,
-                                 birth_const=m.phi_bar_plus,
-                                 death_kernel=base.b_minus,
-                                 birth_kernel=base.b_plus)
-        raise ModelError(f"unknown model type {type(base).__name__}")
-    if component == "system":
-        raise ModelError("the system component is not autonomous; build an averaged model first")
-    if component != "environment":
-        raise ValueError(f"component must be 'system' or 'environment', got {component!r}")
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-        return ComponentForm(death_const=1.0, birth_const=m.z_minus, birth_pot=m.psi)
-    if isinstance(m, TwoBdlp):
-        return ComponentForm(death_const=m.m_minus, birth_const=m.z,
-                             death_kernel=m.a_minus, birth_kernel=m.a_plus)
-    raise ModelError(f"unknown model type {type(m).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +179,7 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
             else:
                 out1 -= rho_c * k1 * bundle.am_mass
     # birth
-    if bundle.t_p is not None or (f.birth_pot is not None):
+    if f.birth_pot is not None:
         out1 += z * (k0 + k1 * bundle.t_mass)
     else:
         out1 += z * k0 + k1 * bundle.ab_mass
@@ -532,7 +448,6 @@ def _pairing_values(table: CorrelationTable) -> list:
     side = grid.torus.side
     di = grid.diff_index
     k2m = table.k2[di]               # k2 at offset_j - offset_l
-    neg = di[0]
     rng = np.random.default_rng(20240117)
     for target in _PAIRING_MASSES:
         width = rng.uniform(0.08, 0.45) * side
@@ -547,9 +462,7 @@ def _pairing_values(table: CorrelationTable) -> list:
         s = float(table.k0) + rho * float(np.sum(g)) * dv
         s += 0.5 * float(g @ k2m @ g) * dv ** 2
         if table.order >= 3:
-            shifted = g[di[:, neg]]  # shifted[a, j] = g(offset_a + offset_j)
-            triple = (shifted * g[:, None]).T @ shifted
-            s += float(np.sum(triple * table.k3)) * dv ** 3 / 6.0
+            s += _triple_sum(table.k3, g, di) * dv ** 3 / 6.0
         vals.append(s)
     return vals
 

@@ -11,6 +11,15 @@ reads the environment but never writes it.
   parent's interaction with the environment; death amplified by crowding.
 * TwoBdlp: additive-kernel birth and death in both components.
 
+The environment of every variant, and the system of an AveragedModel, is an
+autonomous one-component birth-death dynamics.  ComponentForm, defined here,
+describes such a dynamics (constant, additive-kernel or exponential death and
+birth parts) and component_form returns it; hierarchy.py re-exports both.  The
+environment rules (env_rates, env_death_vector, the environment birth
+proposal and the minus decomposition kernels) and the averaged-system rules
+(averaged_rates, averaged_death_vector and its birth proposal) are all
+derived from the form; the coupled-system rules keep one branch per variant.
+
 For each model the birth/death rates admit a finite-difference kernel
 expansion d(x, gamma) = sum over finite eta inside gamma of D(x, eta) (and
 likewise b against B); decomposition_kernels evaluates those kernels.  The
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -29,6 +39,51 @@ from .errors import ModelError
 from .geometry import FiniteConfiguration, MarkedConfiguration, Torus, pairwise_distances
 from .potentials import Potential, mayer, potential_functionals, relative_energy, sample_kernel_offsets
 
+
+@dataclass(frozen=True)
+class ComponentForm:
+    """One-component birth-death structure.
+
+    death rate:  death_const * exp(sum of death_pot over neighbours)
+                 or death_const + sum of death_kernel over neighbours
+    birth rate:  birth_const * exp(-sum of birth_pot over neighbours)
+                 or birth_const + birth_kernel_scale * sum of birth_kernel
+    """
+
+    death_const: float
+    birth_const: float
+    death_kernel: Optional[Potential] = None
+    death_pot: Optional[Potential] = None
+    birth_kernel: Optional[Potential] = None
+    birth_pot: Optional[Potential] = None
+    birth_kernel_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.death_const <= 0:
+            raise ModelError("death_const must be positive")
+        if self.birth_const < 0 or self.birth_kernel_scale < 0:
+            raise ModelError("birth_const and birth_kernel_scale must be nonnegative")
+        if self.death_kernel is not None and self.death_pot is not None:
+            raise ModelError("death part cannot be both additive and exponential")
+        if self.birth_kernel is not None and self.birth_pot is not None:
+            raise ModelError("birth part cannot be both additive and exponential")
+
+    def potentials(self) -> dict:
+        out = {}
+        for name in ("death_kernel", "death_pot", "birth_kernel", "birth_pot"):
+            p = getattr(self, name)
+            if p is not None:
+                out[name] = p
+        return out
+
+
+def _heat_bath_environment(m) -> ComponentForm:
+    """Environment of the Glauber family: unit death, births damped by psi."""
+    return ComponentForm(death_const=1.0, birth_const=m.z_minus, birth_pot=m.psi)
+
+
+# Each model derives its environment form once (_env_form); the event loop
+# reads it on every rebuild.
 
 @dataclass(frozen=True)
 class GlauberGlauber:
@@ -41,6 +96,8 @@ class GlauberGlauber:
     def __post_init__(self):
         if self.z_minus < 0 or self.z_plus < 0:
             raise ModelError("activities must be nonnegative")
+
+    _env_form = cached_property(_heat_bath_environment)
 
 
 @dataclass(frozen=True)
@@ -59,6 +116,8 @@ class BdlpInGlauber:
         if self.m_plus <= 0:
             raise ModelError("intrinsic death rate m_plus must be positive")
 
+    _env_form = cached_property(_heat_bath_environment)
+
 
 @dataclass(frozen=True)
 class BranchingInGlauber:
@@ -74,6 +133,8 @@ class BranchingInGlauber:
             raise ModelError("activity must be nonnegative")
         if self.m_plus <= 0:
             raise ModelError("intrinsic death rate m_plus must be positive")
+
+    _env_form = cached_property(_heat_bath_environment)
 
 
 @dataclass(frozen=True)
@@ -93,6 +154,11 @@ class TwoBdlp:
             raise ModelError("immigration activity must be nonnegative")
         if self.m_minus <= 0 or self.m_plus <= 0:
             raise ModelError("intrinsic death rates must be positive")
+
+    @cached_property
+    def _env_form(self) -> ComponentForm:
+        return ComponentForm(death_const=self.m_minus, birth_const=self.z,
+                             death_kernel=self.a_minus, birth_kernel=self.a_plus)
 
 
 RateModel = Union[GlauberGlauber, BdlpInGlauber, BranchingInGlauber, TwoBdlp]
@@ -145,22 +211,29 @@ def _cross_sum(x, cfg: FiniteConfiguration, pot: Potential, torus: Torus) -> flo
     return float(np.sum(pot(d)))
 
 
+def _form_rates(x, cfg: FiniteConfiguration, f: ComponentForm, torus: Torus) -> Tuple[float, float]:
+    """(death, birth) rate at x of the one-component dynamics f given cfg."""
+    x = np.asarray(x, dtype=float)
+    death = f.death_const
+    if f.death_pot is not None:
+        death *= math.exp(relative_energy(x, cfg, f.death_pot, torus))
+    elif f.death_kernel is not None:
+        death += _cross_sum(x, cfg, f.death_kernel, torus)
+    birth = f.birth_const
+    if f.birth_pot is not None:
+        birth *= math.exp(-relative_energy(x, cfg, f.birth_pot, torus))
+    elif f.birth_kernel is not None:
+        birth += f.birth_kernel_scale * _cross_sum(x, cfg, f.birth_kernel, torus)
+    return death, birth
+
+
 def env_rates(x, gamma_minus: FiniteConfiguration, m: RateModel, torus: Torus) -> Tuple[float, float]:
     """(death, birth) rate of the environment at x given gamma_minus.
 
     For the death rate of an existing particle the caller passes the
     configuration with that particle removed.
     """
-    x = np.asarray(x, dtype=float)
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-        death = 1.0
-        birth = m.z_minus * math.exp(-relative_energy(x, gamma_minus, m.psi, torus))
-        return death, birth
-    if isinstance(m, TwoBdlp):
-        death = m.m_minus + _cross_sum(x, gamma_minus, m.a_minus, torus)
-        birth = m.z + _cross_sum(x, gamma_minus, m.a_plus, torus)
-        return death, birth
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return _form_rates(x, gamma_minus, component_form(m), torus)
 
 
 def sys_rates(x, gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> Tuple[float, float]:
@@ -215,15 +288,29 @@ def _positive_mayer_product(x, cfg: FiniteConfiguration, pot: Potential, torus: 
     return float(np.prod(np.expm1(pot(d))))
 
 
-def _additive_pair(x, eta: FiniteConfiguration, const: float, pot: Potential, torus: Torus) -> float:
-    """Kernel of an additive rate: const on the empty set, pot(|x-y|) on
-    singletons, 0 on larger sets."""
+def _additive_pair(x, eta: FiniteConfiguration, const: float, pot: Optional[Potential],
+                   torus: Torus, scale: float = 1.0) -> float:
+    """Kernel of the additive rate const + scale * sum of pot: const on the
+    empty set, scale * pot(|x-y|) on singletons, 0 on larger sets."""
     if eta.size == 0:
         return const
-    if eta.size == 1:
-        r = pairwise_distances(np.asarray(x, dtype=float)[None, :], eta.points, torus)[0, 0]
-        return float(pot(np.array([r]))[0])
-    return 0.0
+    if eta.size > 1 or pot is None:
+        return 0.0
+    r = pairwise_distances(np.asarray(x, dtype=float)[None, :], eta.points, torus)[0, 0]
+    return scale * float(pot(np.array([r]))[0])
+
+
+def _form_kernels(x, eta: FiniteConfiguration, f: ComponentForm, torus: Torus) -> Tuple[float, float]:
+    """(D, B) kernels of the one-component dynamics f at x and eta."""
+    if f.death_pot is not None:
+        death = f.death_const * _positive_mayer_product(x, eta, f.death_pot, torus)
+    else:
+        death = _additive_pair(x, eta, f.death_const, f.death_kernel, torus)
+    if f.birth_pot is not None:
+        birth = f.birth_const * _mayer_product(x, eta, f.birth_pot, torus)
+    else:
+        birth = _additive_pair(x, eta, f.birth_const, f.birth_kernel, torus, f.birth_kernel_scale)
+    return death, birth
 
 
 def decomposition_kernels(m: RateModel, x, eta: MarkedConfiguration, torus: Torus):
@@ -235,15 +322,7 @@ def decomposition_kernels(m: RateModel, x, eta: MarkedConfiguration, torus: Toru
     """
     x = np.asarray(x, dtype=float)
     ep, em = eta.plus, eta.minus
-
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-        d_minus = 1.0 if em.size == 0 else 0.0
-        b_minus = m.z_minus * _mayer_product(x, em, m.psi, torus)
-    elif isinstance(m, TwoBdlp):
-        d_minus = _additive_pair(x, em, m.m_minus, m.a_minus, torus)
-        b_minus = _additive_pair(x, em, m.z, m.a_plus, torus)
-    else:
-        raise ModelError(f"unknown model type {type(m).__name__}")
+    d_minus, b_minus = _form_kernels(x, em, component_form(m), torus)
 
     if isinstance(m, GlauberGlauber):
         d_plus = 1.0 if (ep.size == 0 and em.size == 0) else 0.0
@@ -298,14 +377,18 @@ def _row_interaction(points_a: np.ndarray, points_b, pot: Potential, torus: Toru
     return np.sum(vals, axis=1)
 
 
+def _form_death_vector(cfg: FiniteConfiguration, f: ComponentForm, torus: Torus) -> np.ndarray:
+    """Death rate of each particle of cfg under the one-component dynamics f."""
+    pts = cfg.points
+    if f.death_pot is not None:
+        return f.death_const * np.exp(_row_interaction(pts, pts, f.death_pot, torus, exclude_self=True))
+    if f.death_kernel is None:
+        return np.full(cfg.size, f.death_const)
+    return f.death_const + _row_interaction(pts, pts, f.death_kernel, torus, exclude_self=True)
+
+
 def env_death_vector(gamma_minus: FiniteConfiguration, m: RateModel, torus: Torus) -> np.ndarray:
-    n = gamma_minus.size
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-        return np.ones(n)
-    if isinstance(m, TwoBdlp):
-        return m.m_minus + _row_interaction(
-            gamma_minus.points, gamma_minus.points, m.a_minus, torus, exclude_self=True)
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return _form_death_vector(gamma_minus, component_form(m), torus)
 
 
 def sys_death_vector(gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> np.ndarray:
@@ -410,34 +493,32 @@ def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) 
     invalid.  Acceptance closures snapshot the configuration handed in here.
     """
     if isinstance(m, AveragedModel):
-        if component != "system":
-            raise ModelError("averaged models have no environment component")
-        return _averaged_proposal(gamma.plus, m, torus)
+        return _form_proposal(gamma.plus, component_form(m, component), torus)
     if component == "environment":
-        return _env_proposal(gamma.minus, m, torus)
+        return _form_proposal(gamma.minus, component_form(m), torus)
     if component == "system":
         return _sys_proposal(gamma, m, torus)
     raise ValueError(f"component must be 'system' or 'environment', got {component!r}")
 
 
-def _env_proposal(gamma_minus: FiniteConfiguration, m: RateModel, torus: Torus) -> BirthProposal:
-    if isinstance(m, (GlauberGlauber, BdlpInGlauber, BranchingInGlauber)):
-        comps = []
-        if m.z_minus > 0:
-            comps.append(ProposalComponent(kind="uniform", mass=m.z_minus * torus.volume))
-        psi = m.psi
+def _form_proposal(cfg: FiniteConfiguration, f: ComponentForm, torus: Torus) -> BirthProposal:
+    """Dominating birth mechanism of the one-component dynamics f: uniform
+    immigration at birth_const, thinned by the damping of an exponential
+    birth part, plus one kernel component per particle for an additive one."""
+    comps = []
+    if f.birth_const > 0:
+        comps.append(ProposalComponent(kind="uniform", mass=f.birth_const * torus.volume))
+    if f.birth_pot is not None:
+        pot = f.birth_pot
 
-        def accept(x, _g=gamma_minus):
-            return math.exp(-relative_energy(x, _g, psi, torus))
+        def accept(x, _g=cfg):
+            return math.exp(-relative_energy(x, _g, pot, torus))
 
         return BirthProposal(torus=torus, components=tuple(comps), acceptance=accept)
-    if isinstance(m, TwoBdlp):
-        comps = []
-        if m.z > 0:
-            comps.append(ProposalComponent(kind="uniform", mass=m.z * torus.volume))
-        comps.extend(_kernel_components(gamma_minus.points, m.a_plus, torus))
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    if f.birth_kernel is not None:
+        comps.extend(_kernel_components(cfg.points, f.birth_kernel, torus,
+                                        weights=np.full(cfg.size, f.birth_kernel_scale)))
+    return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
 
 
 def _sys_proposal(gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> BirthProposal:
@@ -493,6 +574,52 @@ class AveragedModel:
     phi_bar_minus: float = 0.0
     phi_bar_plus: float = 0.0
 
+    @cached_property
+    def _system_form(self) -> ComponentForm:
+        base = self.base
+        if isinstance(base, GlauberGlauber):
+            return ComponentForm(death_const=1.0,
+                                 birth_const=base.z_plus * self.lambda_bar,
+                                 birth_pot=base.phi_plus)
+        if isinstance(base, BdlpInGlauber):
+            return ComponentForm(death_const=base.m_plus + self.m_bar,
+                                 birth_const=self.lambda_bar,
+                                 death_kernel=base.a_minus,
+                                 birth_kernel=base.a_plus)
+        if isinstance(base, BranchingInGlauber):
+            return ComponentForm(death_const=base.m_plus,
+                                 birth_const=0.0,
+                                 death_pot=base.kappa,
+                                 birth_kernel=base.a_plus,
+                                 birth_kernel_scale=self.lambda_bar)
+        if isinstance(base, TwoBdlp):
+            return ComponentForm(death_const=base.m_plus + self.phi_bar_minus,
+                                 birth_const=self.phi_bar_plus,
+                                 death_kernel=base.b_minus,
+                                 birth_kernel=base.b_plus)
+        raise ModelError(f"unknown model type {type(base).__name__}")
+
+
+def component_form(m: Union[RateModel, AveragedModel], component: str = "environment") -> ComponentForm:
+    """Extract the autonomous one-component structure.
+
+    component="environment" works for every full model; the system of a full
+    model is not autonomous, so component="system" requires an AveragedModel.
+    The form is derived once per model object and then reused.
+    """
+    if isinstance(m, AveragedModel):
+        if component != "system":
+            raise ModelError("an averaged model only has a system component")
+        return m._system_form
+    if component == "system":
+        raise ModelError("the system component is not autonomous; build an averaged model first")
+    if component != "environment":
+        raise ValueError(f"component must be 'system' or 'environment', got {component!r}")
+    try:
+        return m._env_form
+    except AttributeError:
+        raise ModelError(f"unknown model type {type(m).__name__}") from None
+
 
 def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
     """Average the environment-dependent parts of the system rates against
@@ -500,7 +627,8 @@ def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
 
     Exponential damping factors are computed by the truncated expansion in
     the table's order; additive couplings reduce exactly to rho_inv times
-    the kernel mass.
+    the kernel mass.  A negative averaged birth factor, which a truncated
+    expansion can produce for strong coupling, raises ModelError.
     """
     from .tables import exp_mayer_functional
 
@@ -510,90 +638,33 @@ def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
     dim = torus.dim
     if isinstance(m, GlauberGlauber):
         lam, tail = exp_mayer_functional(k_inv, m.phi_minus)
-        return AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail)
-    if isinstance(m, BdlpInGlauber):
+        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail)
+    elif isinstance(m, BdlpInGlauber):
         m_bar = rho * potential_functionals(m.b_minus, dim).l1
         lam = rho * potential_functionals(m.b_plus, dim).l1
-        return AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, m_bar=m_bar)
-    if isinstance(m, BranchingInGlauber):
+        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, m_bar=m_bar)
+    elif isinstance(m, BranchingInGlauber):
         lam, tail = exp_mayer_functional(k_inv, m.phi)
-        return AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail)
-    if isinstance(m, TwoBdlp):
+        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail)
+    elif isinstance(m, TwoBdlp):
         pbm = rho * potential_functionals(m.vphi_minus, dim).l1
         pbp = rho * potential_functionals(m.vphi_plus, dim).l1
-        return AveragedModel(base=m, rho_inv=rho, lambda_bar=pbp,
-                             phi_bar_minus=pbm, phi_bar_plus=pbp)
-    raise ModelError(f"unknown model type {type(m).__name__}")
+        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=pbp,
+                           phi_bar_minus=pbm, phi_bar_plus=pbp)
+    else:
+        raise ModelError(f"unknown model type {type(m).__name__}")
+    if am.lambda_bar < 0:
+        raise ModelError(
+            f"averaged birth factor lambda_bar = {am.lambda_bar:.6g} is negative "
+            f"(truncation tail bound {am.lambda_bar_tail:.3g}); the order-{k_inv.order} "
+            f"expansion does not resolve this coupling")
+    return am
 
 
 def averaged_rates(x, gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> Tuple[float, float]:
     """(death, birth) rate of the averaged system at x."""
-    x = np.asarray(x, dtype=float)
-    m = am.base
-    if isinstance(m, GlauberGlauber):
-        death = 1.0
-        birth = m.z_plus * am.lambda_bar * math.exp(-relative_energy(x, gamma_plus, m.phi_plus, torus))
-        return death, birth
-    if isinstance(m, BdlpInGlauber):
-        death = m.m_plus + am.m_bar + _cross_sum(x, gamma_plus, m.a_minus, torus)
-        birth = am.lambda_bar + _cross_sum(x, gamma_plus, m.a_plus, torus)
-        return death, birth
-    if isinstance(m, BranchingInGlauber):
-        death = m.m_plus * math.exp(relative_energy(x, gamma_plus, m.kappa, torus))
-        birth = am.lambda_bar * _cross_sum(x, gamma_plus, m.a_plus, torus)
-        return death, birth
-    if isinstance(m, TwoBdlp):
-        death = m.m_plus + am.phi_bar_minus + _cross_sum(x, gamma_plus, m.b_minus, torus)
-        birth = am.phi_bar_plus + _cross_sum(x, gamma_plus, m.b_plus, torus)
-        return death, birth
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return _form_rates(x, gamma_plus, component_form(am, "system"), torus)
 
 
 def averaged_death_vector(gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> np.ndarray:
-    m = am.base
-    gp = gamma_plus
-    n = gp.size
-    if isinstance(m, GlauberGlauber):
-        return np.ones(n)
-    if isinstance(m, BdlpInGlauber):
-        return (m.m_plus + am.m_bar
-                + _row_interaction(gp.points, gp.points, m.a_minus, torus, exclude_self=True))
-    if isinstance(m, BranchingInGlauber):
-        e = _row_interaction(gp.points, gp.points, m.kappa, torus, exclude_self=True)
-        return m.m_plus * np.exp(e)
-    if isinstance(m, TwoBdlp):
-        return (m.m_plus + am.phi_bar_minus
-                + _row_interaction(gp.points, gp.points, m.b_minus, torus, exclude_self=True))
-    raise ModelError(f"unknown model type {type(m).__name__}")
-
-
-def _averaged_proposal(gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> BirthProposal:
-    m = am.base
-    if isinstance(m, GlauberGlauber):
-        comps = []
-        mass = m.z_plus * am.lambda_bar * torus.volume
-        if mass > 0:
-            comps.append(ProposalComponent(kind="uniform", mass=mass))
-        phi_p = m.phi_plus
-
-        def accept(x, _gp=gamma_plus):
-            return math.exp(-relative_energy(x, _gp, phi_p, torus))
-
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=accept)
-    if isinstance(m, BdlpInGlauber):
-        comps = []
-        if am.lambda_bar > 0:
-            comps.append(ProposalComponent(kind="uniform", mass=am.lambda_bar * torus.volume))
-        comps.extend(_kernel_components(gamma_plus.points, m.a_plus, torus))
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-    if isinstance(m, BranchingInGlauber):
-        weights = np.full(gamma_plus.size, am.lambda_bar)
-        comps = _kernel_components(gamma_plus.points, m.a_plus, torus, weights=weights)
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-    if isinstance(m, TwoBdlp):
-        comps = []
-        if am.phi_bar_plus > 0:
-            comps.append(ProposalComponent(kind="uniform", mass=am.phi_bar_plus * torus.volume))
-        comps.extend(_kernel_components(gamma_plus.points, m.b_plus, torus))
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return _form_death_vector(gamma_plus, component_form(am, "system"), torus)

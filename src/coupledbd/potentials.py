@@ -181,31 +181,33 @@ def mayer(pot: Potential, r):
     return np.expm1(-pot(r))
 
 
-@lru_cache(maxsize=None)
-def _radial_cdf_table(pot: Potential, dim: int, n: int = 4096):
-    """Cumulative radial mass of the kernel, for offset sampling."""
-    r = np.linspace(0.0, pot.cutoff, n)
-    dens = pot(r) * r ** (dim - 1)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(r))])
-    total = cdf[-1]
-    if total <= 0:
-        raise ModelError("cannot sample offsets from a kernel with zero mass")
-    return r, cdf / total
+# Largest number of radii drawn in one rejection round, to bound memory for
+# kernels whose mass fills little of their support ball.
+_MAX_DRAWS = 1 << 20
 
 
 def sample_kernel_offsets(pot: Potential, dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n displacement vectors with density proportional to pot(|u|), shape (n, dim).
 
-    Step kernels use the exact power-law radius; other profiles invert a
-    dense tabulated radial distribution function.
+    Sampling is exact for every kind of kernel.  Step kernels use the exact
+    power-law radius of the uniform ball.  Other profiles draw from that
+    ball (the step envelope of height max_value) and accept a radius r with
+    probability pot(r) / max_value, repeating until n radii are accepted;
+    each round draws about as many as the acceptance ratio says it needs.
     """
     if pot.is_zero:
         raise ModelError("cannot sample offsets from a zero kernel")
     if pot.kind == "step":
         radius = pot.cutoff * rng.uniform(size=n) ** (1.0 / dim)
     else:
-        grid, cdf = _radial_cdf_table(pot, dim)
-        radius = np.interp(rng.uniform(size=n), cdf, grid)
+        envelope = pot.max_value * _SURFACE[dim] * pot.cutoff ** dim / dim
+        ratio = potential_functionals(pot, dim).l1 / envelope
+        radius = np.zeros(0)
+        while len(radius) < n:
+            size = min(_MAX_DRAWS, math.ceil((n - len(radius)) / ratio))
+            r = pot.cutoff * rng.uniform(size=size) ** (1.0 / dim)
+            keep = r[rng.uniform(size=size) * pot.max_value < pot(r)]
+            radius = np.concatenate([radius, keep])[:n]
     if dim == 1:
         direction = np.where(rng.uniform(size=(n, 1)) < 0.5, -1.0, 1.0)
     else:

@@ -299,6 +299,17 @@ def radial_profile(grid: GridSpec, values: np.ndarray, bins: int = 32):
 # ---------------------------------------------------------------------------
 # exponential Mayer functional
 
+def _triple_sum(k3: np.ndarray, w: np.ndarray, di: np.ndarray) -> float:
+    """sum over cells p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1].
+
+    Substituting p2 = p1 + j, p3 = p1 + l gives sum_jl k3[j, l] T[j, l] with
+    T[j, l] = sum_a w[a] w[a + j] w[a + l], one gather and one matrix product.
+    """
+    shifted = w[di[:, di[0]]]        # shifted[a, j] = w(offset_a + offset_j)
+    triple = (shifted * w[:, None]).T @ shifted
+    return float(np.sum(triple * k3))
+
+
 def exp_mayer_functional(table: CorrelationTable, pot: Potential) -> Tuple[float, float]:
     """Averaged damping factor: the expansion of
     E[prod over environment points y of exp(-pot(x - y))] in correlation
@@ -320,15 +331,7 @@ def exp_mayer_functional(table: CorrelationTable, pot: Potential) -> Tuple[float
         m2 = table.k2[grid.diff_index]
         value += 0.5 * float(w @ m2 @ w)
     if table.order >= 3:
-        di = grid.diff_index
-        acc = 0.0
-        for j in range(grid.num_cells):
-            if w[j] == 0.0:
-                continue
-            rows = di[:, j]
-            block = table.k3[np.ix_(rows, rows)]
-            acc += w[j] * float(w @ block @ w)
-        value += acc / 6.0
+        value += _triple_sum(table.k3, w, grid.diff_index) / 6.0
 
     sups = table.sup_by_order()
     c = 0.0

@@ -17,8 +17,12 @@ from coupledbd.geometry import (
     pairwise_distances,
 )
 from coupledbd.models import (
+    AveragedModel,
+    GlauberGlauber,
+    _form_kernels,
     birth_proposal,
     build_averaged_model,
+    component_form,
     averaged_rates,
     averaged_death_vector,
     decomposition_kernels,
@@ -278,3 +282,45 @@ def test_averaged_model_requires_normalized_table():
     bad = CorrelationTable(grid, 1, 0.5, 1.0, None, None)
     with pytest.raises(ModelError):
         build_averaged_model(gg_model(), bad, TORUS1)
+
+
+def test_negative_averaged_birth_factor_is_rejected():
+    # a dense environment and a strong coupling drive the order-3 expansion
+    # of the damping factor to about -1.65, which no birth rate can use
+    m = GlauberGlauber(z_minus=3.0, psi=Potential.zero(), z_plus=0.3,
+                       phi_minus=Potential.step(3.0, 0.5), phi_plus=Potential.zero())
+    with pytest.raises(ModelError, match="lambda_bar"):
+        build_averaged_model(m, _poisson_table(3.0, points=64), TORUS1)
+
+
+@pytest.mark.parametrize("build", ALL_MODELS, ids=lambda b: b.__name__)
+def test_form_kernel_subset_sums_reproduce_the_averaged_rates(build):
+    am = build_averaged_model(build(), _poisson_table(0.5), TORUS1)
+    form = component_form(am, "system")
+    rng = np.random.default_rng(19)
+    for n in range(4):
+        gp = random_marked(rng, TORUS1, n, 0).plus
+        x = TORUS1.uniform(rng, 1)[0]
+        sums = np.zeros(2)
+        for k in range(1 << n):
+            sums += _form_kernels(x, gp.subset([i for i in range(n) if k >> i & 1]),
+                                  form, TORUS1)
+        want = averaged_rates(x, gp, am, TORUS1)
+        assert sums == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_component_forms_are_derived_once_per_model():
+    for build in ALL_MODELS:
+        m = build()
+        assert component_form(m) is component_form(m)
+        am = build_averaged_model(m, _poisson_table(0.5), TORUS1)
+        assert component_form(am, "system") is component_form(am, "system")
+
+
+def test_averaged_model_with_a_negative_kernel_scale_fails_loudly():
+    # a branching averaged model scales its parent kernel by lambda_bar; a
+    # negative scale would silently drop every parent from the proposal
+    am = AveragedModel(base=branching_model(), rho_inv=0.5, lambda_bar=-0.5)
+    gamma = random_marked(np.random.default_rng(1), TORUS1, 3, 0)
+    with pytest.raises(ModelError):
+        birth_proposal("system", gamma, am, TORUS1)

@@ -188,6 +188,15 @@ def test_exponential_kernel_offsets_match_radial_mean():
     assert abs(np.mean(r) - expected) <= 5.0 * se
 
 
+def test_table_kernel_offsets_land_where_the_kernel_is_positive():
+    # a narrow spike on a wide support: most of the support carries no mass,
+    # so an exact sampler never returns an offset there
+    pot = Potential.table([0.0, 1e-4, 1.0], [1.0, 0.0, 0.0])
+    offs = sample_kernel_offsets(pot, 1, np.random.default_rng(3), 200)
+    assert offs.shape == (200, 1)
+    assert np.all(pot(np.abs(offs[:, 0])) > 0.0)
+
+
 def test_sampling_from_zero_kernel_is_rejected():
     with pytest.raises(ModelError):
         sample_kernel_offsets(Potential.zero(), 1, np.random.default_rng(0), 10)

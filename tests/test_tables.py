@@ -13,6 +13,7 @@ from coupledbd.potentials import Potential, potential_functionals
 from coupledbd.tables import (
     CorrelationTable,
     GridSpec,
+    _triple_sum,
     exp_mayer_functional,
     kernel_stencil,
     mayer_stencil,
@@ -147,3 +148,24 @@ def test_exp_mayer_on_empty_state_is_exact():
     val, tail = exp_mayer_functional(t, Potential.step(2.0, 1.0))
     assert val == 1.0
     assert tail == 0.0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
+def test_triple_sum_matches_the_brute_force_sum(dim, n):
+    # sum over p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1], with the
+    # offset differences taken on the lattice, not from diff_index
+    grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
+    p = grid.num_cells
+    rng = np.random.default_rng(10 + dim)
+    k3 = rng.normal(size=(p, p))
+    w = rng.normal(size=p)
+    shape = (n,) * dim
+    lat = np.array(np.unravel_index(np.arange(p), shape)).T
+
+    def diff(a, b):
+        return int(np.ravel_multi_index(tuple(np.mod(lat[a] - lat[b], n)), shape))
+
+    expected = sum(w[p1] * w[p2] * w[p3] * k3[diff(p2, p1), diff(p3, p1)]
+                   for p1 in range(p) for p2 in range(p) for p3 in range(p))
+    got = _triple_sum(k3, w, grid.diff_index)
+    assert abs(got - expected) <= 1e-12 * abs(expected)
