@@ -57,6 +57,8 @@ from .hierarchy import (
 )
 from .models import build_averaged_model, validate_model_on_torus
 from .simulate import (
+    COMPONENTS,
+    EVENT_KINDS,
     SimulationSettings,
     estimate_density,
     poisson_configuration,
@@ -253,7 +255,10 @@ def _cmd_simulate(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int
                         est.mean_minus, est.se_minus)))
     events = {"total_events": int(sum(r.events for r in records)),
               "virtual_events": int(sum(r.virtual_events for r in records)),
-              "n_replicas": est.n_replicas}
+              "n_replicas": est.n_replicas,
+              "components": {c: {k: sum(r.counts[c][k] for r in records) for k in EVENT_KINDS}
+                             for c in COMPONENTS},
+              "peak_population": max(r.peak_population for r in records)}
     _write_json(os.path.join(out_dir, "events.json"), events)
     _manifest(out_dir, "simulate", cfg, ["densities.csv", "events.json"], {
         "final_mean_plus": float(est.mean_plus[-1]),

@@ -78,6 +78,14 @@ def torus_distance(p, q, torus: Torus) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
+def distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.ndarray:
+    """Minimal-image distances from the point x to each row of pts; the
+    row of pairwise_distances for x, without its broadcasting overhead."""
+    half = 0.5 * torus.side
+    d = np.mod(x - pts + half, torus.side) - half  # min_image_diff, inlined
+    return np.sqrt((d * d).sum(axis=-1))
+
+
 def pairwise_distances(a: np.ndarray, b: np.ndarray, torus: Torus) -> np.ndarray:
     """Matrix of minimal-image distances, shape (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=float))

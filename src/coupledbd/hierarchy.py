@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, StabilityError
+from .errors import ConfigError, ConvergenceError, ModelError, StabilityError
 from .models import ComponentForm, component_form
 from .tables import (
     CorrelationTable,
@@ -90,6 +90,8 @@ class StencilBundle:
 
 
 def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBundle:
+    if not form.autonomous:
+        raise ModelError("the hierarchy needs an autonomous form, without cross terms")
     validate_grid_for_model(grid, form.potentials())
     cw = grid.cell_volume
     b = StencilBundle(grid=grid, form=form, order=order)

@@ -11,14 +11,16 @@ reads the environment but never writes it.
   parent's interaction with the environment; death amplified by crowding.
 * TwoBdlp: additive-kernel birth and death in both components.
 
-The environment of every variant, and the system of an AveragedModel, is an
-autonomous one-component birth-death dynamics.  ComponentForm, defined here,
-describes such a dynamics (constant, additive-kernel or exponential death and
-birth parts) and component_form returns it; hierarchy.py re-exports both.  The
-environment rules (env_rates, env_death_vector, the environment birth
-proposal and the minus decomposition kernels) and the averaged-system rules
-(averaged_rates, averaged_death_vector and its birth proposal) are all
-derived from the form; the coupled-system rules keep one branch per variant.
+ComponentForm, defined here, describes the rates of one component: constant,
+additive-kernel or exponential death and birth parts, plus cross terms that
+read the other component.  The environment of every variant, and the system
+of an AveragedModel, have none and so are autonomous one-component dynamics;
+component_form returns those forms and hierarchy.py re-exports both.  The
+system of a full model has cross terms; rate_form returns every form.  The
+pointwise rates, the death vectors and the birth proposals of every
+component are derived from its form, and the event loop updates its rates
+by the same terms; only the plus decomposition kernels and the averaging keep
+one branch per variant.
 
 For each model the birth/death rates admit a finite-difference kernel
 expansion d(x, gamma) = sum over finite eta inside gamma of D(x, eta) (and
@@ -31,23 +33,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ModelError
-from .geometry import FiniteConfiguration, MarkedConfiguration, Torus, pairwise_distances
-from .potentials import Potential, mayer, potential_functionals, relative_energy, sample_kernel_offsets
+from .geometry import (
+    FiniteConfiguration,
+    MarkedConfiguration,
+    Torus,
+    distances_from,
+    pairwise_distances,
+)
+from .potentials import Potential, mayer, potential_functionals, sample_kernel_offsets
 
 
 @dataclass(frozen=True)
 class ComponentForm:
-    """One-component birth-death structure.
+    """Birth-death structure of one component.
 
-    death rate:  death_const * exp(sum of death_pot over neighbours)
-                 or death_const + sum of death_kernel over neighbours
-    birth rate:  birth_const * exp(-sum of birth_pot over neighbours)
-                 or birth_const + birth_kernel_scale * sum of birth_kernel
+    death rate:  death_const * exp(sum of death_pot over own neighbours)
+                 or death_const + sum of death_kernel over own neighbours
+                    + sum of cross_death_kernel over the other component
+    birth rate:  birth_const * exp(-sum of birth_pot over own neighbours
+                                   - sum of cross_birth_pot over the other component)
+                 or birth_const + birth_kernel_scale * sum over own parents y of
+                    birth_kernel(|x - y|) * exp(-sum of parent_pot around y
+                                                 over the other component)
+                    + sum of cross_birth_kernel over the other component
+
+    The cross terms read the other component; a form without them is
+    autonomous.  Environments and averaged systems are autonomous, the
+    system of a full model is not.
     """
 
     death_const: float
@@ -57,16 +74,28 @@ class ComponentForm:
     birth_kernel: Optional[Potential] = None
     birth_pot: Optional[Potential] = None
     birth_kernel_scale: float = 1.0
+    cross_death_kernel: Optional[Potential] = None
+    cross_birth_pot: Optional[Potential] = None
+    cross_birth_kernel: Optional[Potential] = None
+    parent_pot: Optional[Potential] = None
 
     def __post_init__(self):
         if self.death_const <= 0:
             raise ModelError("death_const must be positive")
         if self.birth_const < 0 or self.birth_kernel_scale < 0:
             raise ModelError("birth_const and birth_kernel_scale must be nonnegative")
-        if self.death_kernel is not None and self.death_pot is not None:
+        if self.death_pot is not None and (self.death_kernel is not None
+                                           or self.cross_death_kernel is not None):
             raise ModelError("death part cannot be both additive and exponential")
-        if self.birth_kernel is not None and self.birth_pot is not None:
+        if ((self.birth_pot is not None or self.cross_birth_pot is not None)
+                and (self.birth_kernel is not None or self.cross_birth_kernel is not None)):
             raise ModelError("birth part cannot be both additive and exponential")
+        if self.parent_pot is not None and self.birth_kernel is None:
+            raise ModelError("parent_pot weights the birth kernel, which is missing")
+
+    @property
+    def autonomous(self) -> bool:
+        return all(getattr(self, n) is None for n in _CROSS_TERMS)
 
     def potentials(self) -> dict:
         out = {}
@@ -77,13 +106,16 @@ class ComponentForm:
         return out
 
 
+_CROSS_TERMS = ("cross_death_kernel", "cross_birth_pot", "cross_birth_kernel", "parent_pot")
+
+
 def _heat_bath_environment(m) -> ComponentForm:
     """Environment of the Glauber family: unit death, births damped by psi."""
     return ComponentForm(death_const=1.0, birth_const=m.z_minus, birth_pot=m.psi)
 
 
-# Each model derives its environment form once (_env_form); the event loop
-# reads it on every rebuild.
+# Each model derives its environment form (_env_form) and its system form
+# (_sys_form, with the cross terms that read the environment) once.
 
 @dataclass(frozen=True)
 class GlauberGlauber:
@@ -98,6 +130,11 @@ class GlauberGlauber:
             raise ModelError("activities must be nonnegative")
 
     _env_form = cached_property(_heat_bath_environment)
+
+    @cached_property
+    def _sys_form(self) -> ComponentForm:
+        return ComponentForm(death_const=1.0, birth_const=self.z_plus,
+                             birth_pot=self.phi_plus, cross_birth_pot=self.phi_minus)
 
 
 @dataclass(frozen=True)
@@ -118,6 +155,12 @@ class BdlpInGlauber:
 
     _env_form = cached_property(_heat_bath_environment)
 
+    @cached_property
+    def _sys_form(self) -> ComponentForm:
+        return ComponentForm(death_const=self.m_plus, birth_const=0.0,
+                             death_kernel=self.a_minus, birth_kernel=self.a_plus,
+                             cross_death_kernel=self.b_minus, cross_birth_kernel=self.b_plus)
+
 
 @dataclass(frozen=True)
 class BranchingInGlauber:
@@ -135,6 +178,12 @@ class BranchingInGlauber:
             raise ModelError("intrinsic death rate m_plus must be positive")
 
     _env_form = cached_property(_heat_bath_environment)
+
+    @cached_property
+    def _sys_form(self) -> ComponentForm:
+        return ComponentForm(death_const=self.m_plus, birth_const=0.0,
+                             death_pot=self.kappa, birth_kernel=self.a_plus,
+                             parent_pot=self.phi)
 
 
 @dataclass(frozen=True)
@@ -159,6 +208,13 @@ class TwoBdlp:
     def _env_form(self) -> ComponentForm:
         return ComponentForm(death_const=self.m_minus, birth_const=self.z,
                              death_kernel=self.a_minus, birth_kernel=self.a_plus)
+
+    @cached_property
+    def _sys_form(self) -> ComponentForm:
+        return ComponentForm(death_const=self.m_plus, birth_const=0.0,
+                             death_kernel=self.b_minus, birth_kernel=self.b_plus,
+                             cross_death_kernel=self.vphi_minus,
+                             cross_birth_kernel=self.vphi_plus)
 
 
 RateModel = Union[GlauberGlauber, BdlpInGlauber, BranchingInGlauber, TwoBdlp]
@@ -195,7 +251,10 @@ def model_potentials(m: RateModel) -> dict:
 
 def validate_model_on_torus(m: RateModel, torus: Torus):
     """Every cutoff must fit inside half the box, else the minimal-image
-    interaction differs from the full-space one."""
+    interaction differs from the full-space one.  An AveragedModel is checked
+    through its base model."""
+    if isinstance(m, AveragedModel):
+        m = m.base
     for name, pot in model_potentials(m).items():
         if pot.cutoff > torus.side / 2 + 1e-12:
             raise ModelError(
@@ -203,27 +262,39 @@ def validate_model_on_torus(m: RateModel, torus: Torus):
             )
 
 
-def _cross_sum(x, cfg: FiniteConfiguration, pot: Potential, torus: Torus) -> float:
-    """Sum of pot(|x-y|) over y in cfg."""
-    if cfg.size == 0 or pot.is_zero:
+def _live(pot: Optional[Potential]) -> Optional[Potential]:
+    """pot, or None when the term is absent or zero."""
+    return None if pot is None or pot.is_zero else pot
+
+
+def _energy(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) -> float:
+    """Sum of pot(|x-y|) over the rows y of pts; 0 for an absent term."""
+    if not _live(pot) or len(pts) == 0:
         return 0.0
-    d = pairwise_distances(np.asarray(x, dtype=float)[None, :], cfg.points, torus)[0]
-    return float(np.sum(pot(d)))
+    return float(pot(distances_from(np.asarray(x, dtype=float), pts, torus)).sum())
 
 
-def _form_rates(x, cfg: FiniteConfiguration, f: ComponentForm, torus: Torus) -> Tuple[float, float]:
-    """(death, birth) rate at x of the one-component dynamics f given cfg."""
+def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
+                torus: Torus) -> Tuple[float, float]:
+    """(death, birth) rate at x of a component with form f, given the points
+    own of that component and other of the other one."""
     x = np.asarray(x, dtype=float)
     death = f.death_const
     if f.death_pot is not None:
-        death *= math.exp(relative_energy(x, cfg, f.death_pot, torus))
-    elif f.death_kernel is not None:
-        death += _cross_sum(x, cfg, f.death_kernel, torus)
+        death *= math.exp(_energy(x, own, f.death_pot, torus))
+    else:
+        death += _energy(x, own, f.death_kernel, torus)
+        death += _energy(x, other, f.cross_death_kernel, torus)
     birth = f.birth_const
-    if f.birth_pot is not None:
-        birth *= math.exp(-relative_energy(x, cfg, f.birth_pot, torus))
-    elif f.birth_kernel is not None:
-        birth += f.birth_kernel_scale * _cross_sum(x, cfg, f.birth_kernel, torus)
+    if f.birth_pot is not None or f.cross_birth_pot is not None:
+        birth *= math.exp(-(_energy(x, own, f.birth_pot, torus)
+                            + _energy(x, other, f.cross_birth_pot, torus)))
+    else:
+        if _live(f.birth_kernel) and len(own):
+            d = distances_from(x, own, torus)
+            weights = np.exp(-_row_interaction(own, other, f.parent_pot, torus))
+            birth += f.birth_kernel_scale * float(np.sum(weights * f.birth_kernel(d)))
+        birth += _energy(x, other, f.cross_birth_kernel, torus)
     return death, birth
 
 
@@ -233,7 +304,8 @@ def env_rates(x, gamma_minus: FiniteConfiguration, m: RateModel, torus: Torus) -
     For the death rate of an existing particle the caller passes the
     configuration with that particle removed.
     """
-    return _form_rates(x, gamma_minus, component_form(m), torus)
+    pts = gamma_minus.points
+    return _form_rates(x, pts, pts[:0], component_form(m), torus)
 
 
 def sys_rates(x, gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> Tuple[float, float]:
@@ -242,34 +314,7 @@ def sys_rates(x, gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> Tupl
     Same removal convention as env_rates: for a death rate, gamma.plus has
     the particle at x already removed.
     """
-    x = np.asarray(x, dtype=float)
-    gp, gm = gamma.plus, gamma.minus
-    if isinstance(m, GlauberGlauber):
-        death = 1.0
-        birth = m.z_plus * math.exp(
-            -relative_energy(x, gm, m.phi_minus, torus)
-            - relative_energy(x, gp, m.phi_plus, torus)
-        )
-        return death, birth
-    if isinstance(m, BdlpInGlauber):
-        death = m.m_plus + _cross_sum(x, gp, m.a_minus, torus) + _cross_sum(x, gm, m.b_minus, torus)
-        birth = _cross_sum(x, gp, m.a_plus, torus) + _cross_sum(x, gm, m.b_plus, torus)
-        return death, birth
-    if isinstance(m, BranchingInGlauber):
-        death = m.m_plus * math.exp(relative_energy(x, gp, m.kappa, torus))
-        birth = 0.0
-        if gp.size and not m.a_plus.is_zero:
-            disp = pairwise_distances(x[None, :], gp.points, torus)[0]
-            weights = np.array([
-                math.exp(-relative_energy(y, gm, m.phi, torus)) for y in gp.points
-            ])
-            birth = float(np.sum(weights * m.a_plus(disp)))
-        return death, birth
-    if isinstance(m, TwoBdlp):
-        death = m.m_plus + _cross_sum(x, gp, m.b_minus, torus) + _cross_sum(x, gm, m.vphi_minus, torus)
-        birth = _cross_sum(x, gp, m.b_plus, torus) + _cross_sum(x, gm, m.vphi_plus, torus)
-        return death, birth
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return _form_rates(x, gamma.plus.points, gamma.minus.points, rate_form(m, "system"), torus)
 
 
 def _mayer_product(x, cfg: FiniteConfiguration, pot: Potential, torus: Torus) -> float:
@@ -362,13 +407,13 @@ def decomposition_kernels(m: RateModel, x, eta: MarkedConfiguration, torus: Toru
 # ---------------------------------------------------------------------------
 # vectorized rate vectors for the event loop (equal to the pointwise contract)
 
-def _row_interaction(points_a: np.ndarray, points_b, pot: Potential, torus: Torus,
+def _row_interaction(points_a: np.ndarray, points_b, pot: Optional[Potential], torus: Torus,
                      exclude_self: bool = False) -> np.ndarray:
     """For each x in points_a: sum of pot(|x-y|) over y in points_b."""
     n = len(points_a)
     if n == 0:
         return np.zeros(0)
-    if pot.is_zero or len(points_b) == 0:
+    if not _live(pot) or len(points_b) == 0:
         return np.zeros(n)
     d = pairwise_distances(points_a, points_b, torus)
     vals = pot(d)
@@ -377,112 +422,138 @@ def _row_interaction(points_a: np.ndarray, points_b, pot: Potential, torus: Toru
     return np.sum(vals, axis=1)
 
 
-def _form_death_vector(cfg: FiniteConfiguration, f: ComponentForm, torus: Torus) -> np.ndarray:
-    """Death rate of each particle of cfg under the one-component dynamics f."""
-    pts = cfg.points
+def _form_death_vector(f: ComponentForm, own: np.ndarray, other: np.ndarray,
+                       torus: Torus) -> np.ndarray:
+    """Death rate of each point of own under the form f."""
     if f.death_pot is not None:
-        return f.death_const * np.exp(_row_interaction(pts, pts, f.death_pot, torus, exclude_self=True))
-    if f.death_kernel is None:
-        return np.full(cfg.size, f.death_const)
-    return f.death_const + _row_interaction(pts, pts, f.death_kernel, torus, exclude_self=True)
+        return f.death_const * np.exp(_row_interaction(own, own, f.death_pot, torus, exclude_self=True))
+    return (f.death_const
+            + _row_interaction(own, own, f.death_kernel, torus, exclude_self=True)
+            + _row_interaction(own, other, f.cross_death_kernel, torus))
 
 
 def env_death_vector(gamma_minus: FiniteConfiguration, m: RateModel, torus: Torus) -> np.ndarray:
-    return _form_death_vector(gamma_minus, component_form(m), torus)
+    pts = gamma_minus.points
+    return _form_death_vector(component_form(m), pts, pts[:0], torus)
 
 
 def sys_death_vector(gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> np.ndarray:
-    gp, gm = gamma.plus, gamma.minus
-    n = gp.size
-    if isinstance(m, GlauberGlauber):
-        return np.ones(n)
-    if isinstance(m, BdlpInGlauber):
-        return (m.m_plus
-                + _row_interaction(gp.points, gp.points, m.a_minus, torus, exclude_self=True)
-                + _row_interaction(gp.points, gm.points, m.b_minus, torus))
-    if isinstance(m, BranchingInGlauber):
-        e = _row_interaction(gp.points, gp.points, m.kappa, torus, exclude_self=True)
-        return m.m_plus * np.exp(e)
-    if isinstance(m, TwoBdlp):
-        return (m.m_plus
-                + _row_interaction(gp.points, gp.points, m.b_minus, torus, exclude_self=True)
-                + _row_interaction(gp.points, gm.points, m.vphi_minus, torus))
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return _form_death_vector(rate_form(m, "system"), gamma.plus.points, gamma.minus.points, torus)
 
 
 # ---------------------------------------------------------------------------
 # birth proposals
 
-@dataclass(frozen=True)
-class ProposalComponent:
-    kind: str                      # "uniform" | "kernel"
-    mass: float
-    parent: Optional[tuple] = None
-    kernel: Optional[Potential] = None
-    kernel_l1: float = 0.0
+class KernelGroup(NamedTuple):
+    """Candidates placed around parents: parent i is picked with weight
+    masses[i] and the offset is drawn with density proportional to kernel.
+    An empty group has no kernel."""
+
+    kernel: Optional[Potential]
+    parents: np.ndarray
+    masses: np.ndarray
 
 
 @dataclass(frozen=True)
 class BirthProposal:
-    """Dominating birth mechanism: a mixture of candidate generators plus a
-    pointwise acceptance probability.
+    """Dominating birth mechanism: uniform immigration of total mass
+    uniform_mass plus kernel groups, and a pointwise acceptance probability.
 
     acceptance(x) * dominating_intensity(x) equals the true birth rate
     density at x for the frozen configuration the proposal was built from.
     """
 
     torus: Torus
-    components: Tuple[ProposalComponent, ...]
+    uniform_mass: float
+    groups: Tuple[KernelGroup, ...]
     acceptance: Callable[[np.ndarray], float]
+
+    @cached_property
+    def _masses(self) -> np.ndarray:
+        """Candidate masses in selection order: the uniform part when it is
+        present, then the parents of each group."""
+        parts = [g.masses for g in self.groups if len(g.masses)]
+        if self.uniform_mass > 0:
+            parts.insert(0, np.array([self.uniform_mass]))
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        return np.cumsum(self._masses)
 
     @property
     def total_mass(self) -> float:
-        return float(sum(c.mass for c in self.components))
+        c = self._cumulative
+        return float(c[-1]) if len(c) else 0.0
 
     def dominating_intensity(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        total = 0.0
-        for c in self.components:
-            if c.kind == "uniform":
-                total += c.mass / self.torus.volume
-            else:
-                p = np.asarray(c.parent, dtype=float)
-                r = pairwise_distances(x[None, :], p[None, :], self.torus)[0, 0]
-                total += (c.mass / c.kernel_l1) * float(c.kernel(np.array([r]))[0])
+        total = self.uniform_mass / self.torus.volume
+        for g in self.groups:
+            if len(g.parents):
+                l1 = potential_functionals(g.kernel, self.torus.dim).l1
+                d = distances_from(x, g.parents, self.torus)
+                total += float(np.sum(g.masses / l1 * g.kernel(d)))
         return total
 
     def sample_candidate(self, rng: np.random.Generator) -> Optional[np.ndarray]:
-        masses = np.array([c.mass for c in self.components])
+        masses = self._masses
         total = masses.sum()
         if total <= 0.0:
             return None
-        i = int(np.searchsorted(np.cumsum(masses), rng.uniform(0.0, total), side="right"))
-        i = min(i, len(self.components) - 1)
-        c = self.components[i]
-        if c.kind == "uniform":
-            return self.torus.uniform(rng, 1)[0]
-        off = sample_kernel_offsets(c.kernel, self.torus.dim, rng, 1)[0]
-        return self.torus.wrap(np.asarray(c.parent, dtype=float) + off)
+        i = int(self._cumulative.searchsorted(rng.uniform(0.0, total), side="right"))
+        i = min(i, len(masses) - 1)
+        if self.uniform_mass > 0:
+            if i == 0:
+                return self.torus.uniform(rng, 1)[0]
+            i -= 1
+        for g in self.groups:
+            if i < len(g.masses):
+                off = sample_kernel_offsets(g.kernel, self.torus.dim, rng, 1)[0]
+                return self.torus.wrap(g.parents[i] + off)
+            i -= len(g.masses)
 
 
 def _always_accept(_x) -> float:
     return 1.0
 
 
-def _kernel_components(parents: np.ndarray, pot: Potential, torus: Torus,
-                       weights=None) -> list:
-    if pot.is_zero or len(parents) == 0:
-        return []
-    l1 = potential_functionals(pot, torus.dim).l1
-    if l1 <= 0:
-        return []
-    if weights is None:
-        weights = np.ones(len(parents))
-    return [
-        ProposalComponent(kind="kernel", mass=float(w) * l1,
-                          parent=tuple(p), kernel=pot, kernel_l1=l1)
-        for p, w in zip(parents, weights) if w > 0
-    ]
+def _parent_masses(f: ComponentForm, own: np.ndarray, other: np.ndarray,
+                   torus: Torus) -> np.ndarray:
+    """Masses of the kernel group around the component's own points."""
+    unit = f.birth_kernel_scale * potential_functionals(f.birth_kernel, torus.dim).l1
+    if _live(f.parent_pot):
+        return unit * np.exp(-_row_interaction(own, other, f.parent_pot, torus))
+    return np.full(len(own), unit)
+
+
+def _form_proposal(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: Torus,
+                   own_masses: Optional[np.ndarray] = None) -> BirthProposal:
+    """Dominating birth mechanism of a component with form f, given the
+    points own of that component and other of the other one.
+
+    Uniform immigration at birth_const, thinned by the acceptance when the
+    birth part is exponential.  An additive birth part adds groups[0] around
+    the own points (with own_masses, computed here when not given) and
+    groups[1] around the other points; either is empty without its kernel.
+    """
+    groups = []
+    for kernel, parents in ((f.birth_kernel, own), (f.cross_birth_kernel, other)):
+        if not _live(kernel):
+            groups.append(KernelGroup(None, parents[:0], np.zeros(0)))
+        elif parents is own:
+            masses = _parent_masses(f, own, other, torus) if own_masses is None else own_masses
+            groups.append(KernelGroup(kernel, own, masses))
+        else:
+            l1 = potential_functionals(kernel, torus.dim).l1
+            groups.append(KernelGroup(kernel, other, np.full(len(other), l1)))
+    accept = _always_accept
+    if f.birth_pot is not None or f.cross_birth_pot is not None:
+        def accept(x):
+            return math.exp(-(_energy(x, own, f.birth_pot, torus)
+                              + _energy(x, other, f.cross_birth_pot, torus)))
+    return BirthProposal(torus=torus, uniform_mass=f.birth_const * torus.volume,
+                         groups=tuple(groups), acceptance=accept)
 
 
 def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) -> BirthProposal:
@@ -490,66 +561,13 @@ def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) 
 
     component is "system" or "environment"; m may also be an AveragedModel,
     in which case the averaged system rates are used and "environment" is
-    invalid.  Acceptance closures snapshot the configuration handed in here.
+    invalid.  The acceptance closure snapshots the configuration handed in
+    here.
     """
-    if isinstance(m, AveragedModel):
-        return _form_proposal(gamma.plus, component_form(m, component), torus)
-    if component == "environment":
-        return _form_proposal(gamma.minus, component_form(m), torus)
+    f = rate_form(m, component)
     if component == "system":
-        return _sys_proposal(gamma, m, torus)
-    raise ValueError(f"component must be 'system' or 'environment', got {component!r}")
-
-
-def _form_proposal(cfg: FiniteConfiguration, f: ComponentForm, torus: Torus) -> BirthProposal:
-    """Dominating birth mechanism of the one-component dynamics f: uniform
-    immigration at birth_const, thinned by the damping of an exponential
-    birth part, plus one kernel component per particle for an additive one."""
-    comps = []
-    if f.birth_const > 0:
-        comps.append(ProposalComponent(kind="uniform", mass=f.birth_const * torus.volume))
-    if f.birth_pot is not None:
-        pot = f.birth_pot
-
-        def accept(x, _g=cfg):
-            return math.exp(-relative_energy(x, _g, pot, torus))
-
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=accept)
-    if f.birth_kernel is not None:
-        comps.extend(_kernel_components(cfg.points, f.birth_kernel, torus,
-                                        weights=np.full(cfg.size, f.birth_kernel_scale)))
-    return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-
-
-def _sys_proposal(gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> BirthProposal:
-    gp, gm = gamma.plus, gamma.minus
-    if isinstance(m, GlauberGlauber):
-        comps = []
-        if m.z_plus > 0:
-            comps.append(ProposalComponent(kind="uniform", mass=m.z_plus * torus.volume))
-        phi_m, phi_p = m.phi_minus, m.phi_plus
-
-        def accept(x, _gp=gp, _gm=gm):
-            return math.exp(-relative_energy(x, _gm, phi_m, torus)
-                            - relative_energy(x, _gp, phi_p, torus))
-
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=accept)
-    if isinstance(m, BdlpInGlauber):
-        comps = _kernel_components(gp.points, m.a_plus, torus)
-        comps.extend(_kernel_components(gm.points, m.b_plus, torus))
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-    if isinstance(m, BranchingInGlauber):
-        # parent weight damped by the environment, evaluated at build time
-        weights = np.array([
-            math.exp(-relative_energy(y, gm, m.phi, torus)) for y in gp.points
-        ]) if gp.size else np.zeros(0)
-        comps = _kernel_components(gp.points, m.a_plus, torus, weights=weights)
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-    if isinstance(m, TwoBdlp):
-        comps = _kernel_components(gp.points, m.b_plus, torus)
-        comps.extend(_kernel_components(gm.points, m.vphi_plus, torus))
-        return BirthProposal(torus=torus, components=tuple(comps), acceptance=_always_accept)
-    raise ModelError(f"unknown model type {type(m).__name__}")
+        return _form_proposal(f, gamma.plus.points, gamma.minus.points, torus)
+    return _form_proposal(f, gamma.minus.points, gamma.plus.points, torus)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +639,18 @@ def component_form(m: Union[RateModel, AveragedModel], component: str = "environ
         raise ModelError(f"unknown model type {type(m).__name__}") from None
 
 
+def rate_form(m: Union[RateModel, "AveragedModel"], component: str) -> ComponentForm:
+    """Rate description of one component of m.  Unlike component_form this
+    also returns the system of a full model, whose form has cross terms that
+    read the environment."""
+    if component == "system" and not isinstance(m, AveragedModel):
+        try:
+            return m._sys_form
+        except AttributeError:
+            raise ModelError(f"unknown model type {type(m).__name__}") from None
+    return component_form(m, component)
+
+
 def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
     """Average the environment-dependent parts of the system rates against
     an invariant correlation table.
@@ -663,8 +693,10 @@ def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
 
 def averaged_rates(x, gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> Tuple[float, float]:
     """(death, birth) rate of the averaged system at x."""
-    return _form_rates(x, gamma_plus, component_form(am, "system"), torus)
+    pts = gamma_plus.points
+    return _form_rates(x, pts, pts[:0], component_form(am, "system"), torus)
 
 
 def averaged_death_vector(gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> np.ndarray:
-    return _form_death_vector(gamma_plus, component_form(am, "system"), torus)
+    pts = gamma_plus.points
+    return _form_death_vector(component_form(am, "system"), pts, pts[:0], torus)

@@ -95,7 +95,7 @@ class Potential:
     def __call__(self, r):
         """Profile value at radius r; vectorized; r must be nonnegative."""
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
+        if (r < 0).any():
             raise ValueError("radius must be nonnegative")
         if self.kind == "zero":
             return np.zeros_like(r)
@@ -186,28 +186,68 @@ def mayer(pot: Potential, r):
 _MAX_DRAWS = 1 << 20
 
 
+def _table_shells(pot: Potential, dim: int):
+    """Radial-shell envelope of a table profile: shell i spans [lo_i, hi_i]
+    at height max(v_i, v_{i+1}), which bounds the linear interpolation on
+    it.  The first shell is the ball inside radii[0], where the table holds
+    values[0].  Returns (lo, hi, height, mass), mass being height times the
+    shell volume."""
+    r = np.asarray(pot.radii)
+    v = np.asarray(pot.values)
+    lo = np.concatenate([[0.0], r[:-1]])
+    height = np.concatenate([[v[0]], np.maximum(v[:-1], v[1:])])
+    mass = height * _SURFACE[dim] / dim * (r ** dim - lo ** dim)
+    return lo, r, height, mass
+
+
+def _rejection_radii(pot: Potential, propose, ratio: float,
+                     rng: np.random.Generator, n: int) -> np.ndarray:
+    """n radii with density proportional to pot(r) r^{d-1}: propose(size)
+    returns radii drawn from an envelope and the envelope height at each,
+    and a radius is kept with probability pot(r) / height.  Each round draws
+    about as many as the acceptance ratio says it needs."""
+    radius = np.zeros(0)
+    while len(radius) < n:
+        size = min(_MAX_DRAWS, math.ceil((n - len(radius)) / ratio))
+        r, height = propose(size)
+        keep = r[rng.uniform(size=size) * height < pot(r)]
+        radius = np.concatenate([radius, keep])[:n]
+    return radius
+
+
 def sample_kernel_offsets(pot: Potential, dim: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n displacement vectors with density proportional to pot(|u|), shape (n, dim).
 
     Sampling is exact for every kind of kernel.  Step kernels use the exact
-    power-law radius of the uniform ball.  Other profiles draw from that
-    ball (the step envelope of height max_value) and accept a radius r with
-    probability pot(r) / max_value, repeating until n radii are accepted;
-    each round draws about as many as the acceptance ratio says it needs.
+    power-law radius of the uniform ball.  Exponential kernels draw from
+    that ball (the step envelope of height max_value) and table kernels
+    from the radial shells between their radii (_table_shells), each shell
+    picked by its mass and the radius drawn uniformly in its volume; a
+    radius r is then accepted with probability pot(r) / envelope height.
     """
     if pot.is_zero:
         raise ModelError("cannot sample offsets from a zero kernel")
     if pot.kind == "step":
         radius = pot.cutoff * rng.uniform(size=n) ** (1.0 / dim)
+    elif pot.kind == "table":
+        lo, hi, height, mass = _table_shells(pot, dim)
+        cum = np.cumsum(mass)
+
+        def propose(size):
+            i = np.searchsorted(cum, rng.uniform(0.0, cum[-1], size=size), side="right")
+            i = np.minimum(i, len(cum) - 1)
+            inner = lo[i] ** dim
+            r = (inner + rng.uniform(size=size) * (hi[i] ** dim - inner)) ** (1.0 / dim)
+            return r, height[i]
+
+        ratio = potential_functionals(pot, dim).l1 / cum[-1]
+        radius = _rejection_radii(pot, propose, ratio, rng, n)
     else:
         envelope = pot.max_value * _SURFACE[dim] * pot.cutoff ** dim / dim
         ratio = potential_functionals(pot, dim).l1 / envelope
-        radius = np.zeros(0)
-        while len(radius) < n:
-            size = min(_MAX_DRAWS, math.ceil((n - len(radius)) / ratio))
-            r = pot.cutoff * rng.uniform(size=size) ** (1.0 / dim)
-            keep = r[rng.uniform(size=size) * pot.max_value < pot(r)]
-            radius = np.concatenate([radius, keep])[:n]
+        radius = _rejection_radii(
+            pot, lambda size: (pot.cutoff * rng.uniform(size=size) ** (1.0 / dim), pot.max_value),
+            ratio, rng, n)
     if dim == 1:
         direction = np.where(rng.uniform(size=(n, 1)) < 0.5, -1.0, 1.0)
     else:

@@ -6,29 +6,54 @@ ratio of the true birth density to the dominating one.  Rejected candidates
 are virtual jumps: time advances, the state does not.  With the environment
 clock speeded up by 1/epsilon the scheme stays exact because both waiting
 times and selection weights carry the same factor.
+
+The loop keeps its state in arrays (_PairState): the points of each
+component, the death rates of each evolving one and the masses of its
+parent-kernel proposal.  An accepted event updates them from one distance
+row per population, between the changed point and that population, so each
+event costs O(n) numpy work.  The update rules come from the rate form of
+each component (models.rate_form), so the loop has no per-variant branch.
+Everything is recomputed from scratch through the public rate functions
+once the accepted events since the last recompute reach the population
+size, which bounds round-off drift at amortised O(n) per event.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import EvaluationError, ExplosionGuardError, ModelError
-from .geometry import FiniteConfiguration, MarkedConfiguration, Torus, pairwise_distances
+from .errors import EvaluationError, ExplosionGuardError
+from .geometry import (
+    FiniteConfiguration,
+    MarkedConfiguration,
+    Torus,
+    distances_from,
+    pairwise_distances,
+)
 from .models import (
     AveragedModel,
+    BirthProposal,
+    ComponentForm,
     RateModel,
+    _form_proposal,
+    _live,
     averaged_death_vector,
     birth_proposal,
     env_death_vector,
+    rate_form,
     sys_death_vector,
     validate_model_on_torus,
 )
+from .potentials import Potential, potential_functionals
 
 _ACCEPT_SLACK = 1e-9  # tolerated overshoot before declaring the bound wrong
+
+COMPONENTS = ("system", "environment")
+EVENT_KINDS = ("births", "deaths", "virtual")
 
 
 @dataclass(frozen=True)
@@ -64,7 +89,12 @@ class SimulationSettings:
 @dataclass
 class TrajectoryRecord:
     """One replica's output: counts (and optionally configurations) at the
-    record times plus the final state and event statistics."""
+    record times plus the final state and event statistics.
+
+    counts[component][kind] counts that component's births, deaths and
+    virtual (rejected) events; events also counts the virtual ones.
+    peak_population is the largest total size the pair reached.
+    """
 
     times: np.ndarray
     plus_counts: np.ndarray
@@ -74,6 +104,8 @@ class TrajectoryRecord:
     virtual_events: int
     replica: int
     snapshots: Optional[List[MarkedConfiguration]] = None
+    counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    peak_population: int = 0
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -92,9 +124,159 @@ def poisson_configuration(rng: np.random.Generator, torus: Torus,
 
 def _pick_index(rng: np.random.Generator, weights: np.ndarray, total: float) -> int:
     u = rng.uniform(0.0, total)
-    c = np.cumsum(weights)
-    i = int(np.searchsorted(c, u, side="right"))
+    i = int(weights.cumsum().searchsorted(u, side="right"))
     return min(i, len(weights) - 1)
+
+
+def _drop(a: np.ndarray, i: int) -> np.ndarray:
+    return np.concatenate([a[:i], a[i + 1:]])
+
+
+class _Terms(NamedTuple):
+    """The pair terms of one evolving component's form, zero profiles
+    dropped.  unit_mass is the mass of one parent in the proposal's group
+    around the component's own points before damping, None without that
+    group; grouped says whether the proposal has kernel groups, whose mass
+    moves with the points."""
+
+    death_const: float
+    death_pot: Optional[Potential]
+    death_kernel: Optional[Potential]
+    cross_death_kernel: Optional[Potential]
+    parent_pot: Optional[Potential]
+    unit_mass: Optional[float]
+    grouped: bool
+
+    @classmethod
+    def of(cls, f: ComponentForm, dim: int) -> "_Terms":
+        kernel = _live(f.birth_kernel)
+        unit = f.birth_kernel_scale * potential_functionals(kernel, dim).l1 if kernel else None
+        return cls(f.death_const, _live(f.death_pot), _live(f.death_kernel),
+                   _live(f.cross_death_kernel), _live(f.parent_pot) if kernel else None, unit,
+                   kernel is not None or _live(f.cross_birth_kernel) is not None)
+
+    @property
+    def reads_other(self) -> bool:
+        return self.cross_death_kernel is not None or self.parent_pot is not None
+
+
+class _PairState:
+    """Array state of the event loop.
+
+    points[k] holds the points of component k (0 system, 1 environment).
+    For each evolving component k it also holds death[k], the death rate of
+    each point, masses[k], the masses of the proposal's kernel group around
+    the component's own points, their totals, and the birth proposal, built
+    when first asked for after a change.  add and remove keep all of it
+    current with O(n) work; recompute rebuilds it from scratch with the
+    public rate functions.
+    """
+
+    def __init__(self, m, torus: Torus, initial: MarkedConfiguration,
+                 components: Sequence[str]):
+        self.m, self.torus = m, torus
+        self.points = [initial.plus.points, initial.minus.points]
+        self.forms = [rate_form(m, c) if c in components else None for c in COMPONENTS]
+        self.terms = [f and _Terms.of(f, torus.dim) for f in self.forms]
+        # components whose rates read the other component
+        self.coupled = [f is not None and not f.autonomous for f in self.forms]
+        self.death = [np.zeros(0), np.zeros(0)]
+        self.masses = [np.zeros(0), np.zeros(0)]
+        self.death_total = [0.0, 0.0]
+        self.birth_mass = [0.0, 0.0]
+        self._proposals: List[Optional[BirthProposal]] = [None, None]
+        self.recompute()
+
+    @property
+    def size(self) -> int:
+        return len(self.points[0]) + len(self.points[1])
+
+    def configuration(self) -> MarkedConfiguration:
+        return MarkedConfiguration(plus=FiniteConfiguration._unchecked(self.points[0]),
+                                   minus=FiniteConfiguration._unchecked(self.points[1]))
+
+    def recompute(self):
+        pair = self.configuration()
+        for k, f in enumerate(self.forms):
+            if f is None:
+                continue
+            if k == 1:
+                self.death[k] = env_death_vector(pair.minus, self.m, self.torus)
+            elif f.autonomous:  # an averaged system reads no environment
+                self.death[k] = averaged_death_vector(pair.plus, self.m, self.torus)
+            else:
+                self.death[k] = sys_death_vector(pair, self.m, self.torus)
+            prop = self._proposals[k] = birth_proposal(COMPONENTS[k], pair, self.m, self.torus)
+            self.masses[k] = prop.groups[0].masses
+            self.birth_mass[k] = prop.total_mass
+            self.death_total[k] = float(self.death[k].sum())
+
+    def proposal(self, k: int) -> BirthProposal:
+        prop = self._proposals[k]
+        if prop is None:
+            prop = self._proposals[k] = _form_proposal(
+                self.forms[k], self.points[k], self.points[1 - k], self.torus, self.masses[k])
+        return prop
+
+    def _apply(self, k: int, x: np.ndarray, sign: float) -> Tuple[float, float]:
+        """Apply the pair terms between x, just added to component k (sign
+        +1) or removed from it (sign -1), and the points present now.
+
+        Returns the death rate and the own-group mass of a point at x.
+        """
+        t, u = self.terms[k], self.terms[1 - k]
+        death, mass = t.death_const, t.unit_mass
+        if t.death_pot is not None:
+            v = t.death_pot(distances_from(x, self.points[k], self.torus))
+            self.death[k] = self.death[k] * np.exp(sign * v)
+            death *= math.exp(float(v.sum()))
+        elif t.death_kernel is not None:
+            v = t.death_kernel(distances_from(x, self.points[k], self.torus))
+            self.death[k] = self.death[k] + sign * v
+            death += float(v.sum())
+        other_reads = u is not None and u.reads_other
+        if (sign > 0 and t.reads_other) or other_reads:
+            row = distances_from(x, self.points[1 - k], self.torus)
+            if t.cross_death_kernel is not None:
+                death += float(t.cross_death_kernel(row).sum())
+            if t.parent_pot is not None:
+                mass *= math.exp(-float(t.parent_pot(row).sum()))
+            if other_reads and u.cross_death_kernel is not None:
+                self.death[1 - k] = self.death[1 - k] + sign * u.cross_death_kernel(row)
+            if other_reads and u.parent_pot is not None:
+                self.masses[1 - k] = self.masses[1 - k] * np.exp(-sign * u.parent_pot(row))
+        return death, mass
+
+    def _changed(self, k: int):
+        """Refresh the totals of component k and of the other component when
+        its rates read k; drop their proposals."""
+        for j in (k, 1 - k):
+            if j != k and not self.coupled[j]:
+                continue
+            self._proposals[j] = None
+            if self.terms[j].grouped:
+                self.birth_mass[j] = self.proposal(j).total_mass
+            self.death_total[j] = float(self.death[j].sum())
+
+    def add(self, k: int, x: np.ndarray):
+        own = self.points[k]
+        if (own == x).all(axis=1).any():
+            raise ValueError("configuration contains coincident points")
+        death, mass = self._apply(k, x, 1.0)
+        self.death[k] = np.concatenate([self.death[k], [death]])
+        if self.terms[k].unit_mass is not None:
+            self.masses[k] = np.concatenate([self.masses[k], [mass]])
+        self.points[k] = np.concatenate([own, x[None, :]])
+        self._changed(k)
+
+    def remove(self, k: int, i: int):
+        x = self.points[k][i]
+        self.points[k] = _drop(self.points[k], i)
+        self.death[k] = _drop(self.death[k], i)
+        if self.terms[k].unit_mass is not None:
+            self.masses[k] = _drop(self.masses[k], i)
+        self._apply(k, x, -1.0)
+        self._changed(k)
 
 
 def simulate(
@@ -102,7 +284,7 @@ def simulate(
     torus: Torus,
     initial: MarkedConfiguration,
     settings: SimulationSettings,
-    components: Tuple[str, ...] = ("system", "environment"),
+    components: Tuple[str, ...] = COMPONENTS,
     replica: int = 0,
 ) -> TrajectoryRecord:
     """Run one exact trajectory.
@@ -111,21 +293,13 @@ def simulate(
     frozen at its initial value.  An AveragedModel only supports
     ("system",).
     """
-    averaged = isinstance(m, AveragedModel)
-    if averaged:
-        if components != ("system",):
-            raise ModelError("averaged models evolve only the system component")
-        validate_model_on_torus(m.base, torus)
-    else:
-        validate_model_on_torus(m, torus)
     for c in components:
-        if c not in ("system", "environment"):
+        if c not in COMPONENTS:
             raise ValueError(f"unknown component {c!r}")
-    do_sys = "system" in components
-    do_env = "environment" in components and not averaged
+    validate_model_on_torus(m, torus)
+    state = _PairState(m, torus, initial, components)
 
     rng = replica_rng(settings.master_seed, replica)
-    gp, gm = initial.plus, initial.minus
     eps = settings.epsilon
 
     rec_times = np.asarray(settings.record_times, dtype=float)
@@ -138,49 +312,23 @@ def simulate(
     def record_upto(limit: float):
         nonlocal rec_idx
         while rec_idx < n_rec and rec_times[rec_idx] <= limit + 1e-12:
-            rec_plus[rec_idx] = gp.size
-            rec_minus[rec_idx] = gm.size
+            rec_plus[rec_idx] = len(state.points[0])
+            rec_minus[rec_idx] = len(state.points[1])
             if snapshots is not None:
-                snapshots.append(MarkedConfiguration(plus=gp, minus=gm))
+                snapshots.append(state.configuration())
             rec_idx += 1
 
     record_upto(0.0)
 
     t = 0.0
     events = 0
-    virtual = 0
-    sys_dirty = True
-    env_dirty = True
-    dv_sys = np.zeros(0)
-    dv_env = np.zeros(0)
-    prop_sys = None
-    prop_env = None
-    sum_ds = 0.0
-    sum_de = 0.0
-    mass_bs = 0.0
-    mass_be = 0.0
+    counts = {c: dict.fromkeys(EVENT_KINDS, 0) for c in COMPONENTS}
+    peak = state.size
+    since_recompute = 0
 
     while True:
-        if do_sys and sys_dirty:
-            pair = MarkedConfiguration(plus=gp, minus=gm)
-            dv_sys = averaged_death_vector(gp, m, torus) if averaged \
-                else sys_death_vector(pair, m, torus)
-            prop_sys = birth_proposal("system", pair, m, torus)
-            sum_ds = float(np.sum(dv_sys))
-            mass_bs = prop_sys.total_mass
-            sys_dirty = False
-        if do_env and env_dirty:
-            pair = MarkedConfiguration(plus=gp, minus=gm)
-            dv_env = env_death_vector(gm, m, torus)
-            prop_env = birth_proposal("environment", pair, m, torus)
-            sum_de = float(np.sum(dv_env))
-            mass_be = prop_env.total_mass
-            env_dirty = False
-
-        r_sd = sum_ds if do_sys else 0.0
-        r_sb = mass_bs if do_sys else 0.0
-        r_ed = sum_de / eps if do_env else 0.0
-        r_eb = mass_be / eps if do_env else 0.0
+        r_sd, r_sb = state.death_total[0], state.birth_mass[0]
+        r_ed, r_eb = state.death_total[1] / eps, state.birth_mass[1] / eps
         total = r_sd + r_sb + r_ed + r_eb
 
         if total <= 0.0:
@@ -203,61 +351,58 @@ def simulate(
 
         u = rng.uniform(0.0, total)
         if u < r_sd:
-            i = _pick_index(rng, dv_sys, sum_ds)
-            gp = gp.remove_index(i)
-            sys_dirty = True
+            k, birth = 0, False
         elif u < r_sd + r_sb:
-            x = prop_sys.sample_candidate(rng)
-            if x is None:
-                virtual += 1
-                continue
-            acc = float(prop_sys.acceptance(x))
-            if acc > 1.0 + _ACCEPT_SLACK:
-                raise EvaluationError(
-                    f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
-            if rng.uniform() < acc:
-                gp = gp.add_point(x)
-                sys_dirty = True
-            else:
-                virtual += 1
-                continue
+            k, birth = 0, True
         elif u < r_sd + r_sb + r_ed:
-            i = _pick_index(rng, dv_env, sum_de)
-            gm = gm.remove_index(i)
-            env_dirty = True
-            sys_dirty = True
+            k, birth = 1, False
         else:
-            x = prop_env.sample_candidate(rng)
+            k, birth = 1, True
+        tally = counts[COMPONENTS[k]]
+
+        if not birth:
+            state.remove(k, _pick_index(rng, state.death[k], state.death_total[k]))
+            tally["deaths"] += 1
+        else:
+            prop = state.proposal(k)
+            x = prop.sample_candidate(rng)
             if x is None:
-                virtual += 1
+                tally["virtual"] += 1
                 continue
-            acc = float(prop_env.acceptance(x))
+            acc = float(prop.acceptance(x))
             if acc > 1.0 + _ACCEPT_SLACK:
                 raise EvaluationError(
                     f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
             if rng.uniform() < acc:
-                gm = gm.add_point(x)
-                env_dirty = True
-                sys_dirty = True
+                state.add(k, x)
+                tally["births"] += 1
             else:
-                virtual += 1
+                tally["virtual"] += 1
                 continue
 
-        if gp.size + gm.size > settings.max_particles:
+        n = state.size
+        peak = max(peak, n)
+        if n > settings.max_particles:
             raise ExplosionGuardError(
-                f"population {gp.size + gm.size} exceeds {settings.max_particles} "
+                f"population {n} exceeds {settings.max_particles} "
                 f"at t={t:.6g} after {events} events",
                 time_reached=t, events=events)
+        since_recompute += 1
+        if since_recompute >= n:
+            state.recompute()
+            since_recompute = 0
 
     return TrajectoryRecord(
         times=rec_times.copy(),
         plus_counts=rec_plus,
         minus_counts=rec_minus,
-        final=MarkedConfiguration(plus=gp, minus=gm),
+        final=state.configuration(),
         events=events,
-        virtual_events=virtual,
+        virtual_events=sum(c["virtual"] for c in counts.values()),
         replica=replica,
         snapshots=snapshots,
+        counts=counts,
+        peak_population=peak,
     )
 
 

@@ -269,6 +269,23 @@ def test_cli_simulate_artifacts_and_seed_override(tmp_path):
     assert ev["n_replicas"] == 3 and ev["total_events"] > 0
 
 
+def test_cli_simulate_reports_counts_per_component(tmp_path):
+    cfg = _gg_config()
+    cfg["simulate"] = {"t_end": 2.0, "n_replicas": 3, "n_times": 5,
+                       "sys_density": 0.3, "env_density": 0.3, "seed": 5}
+    out = tmp_path / "out"
+    assert main(["simulate", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    ev = json.loads((out / "events.json").read_text())
+    comps = ev["components"]
+    assert set(comps) == {"system", "environment"}
+    assert sum(sum(c.values()) for c in comps.values()) == ev["total_events"]
+    assert sum(c["virtual"] for c in comps.values()) == ev["virtual_events"]
+    assert comps["environment"]["births"] > 0 and ev["peak_population"] > 0
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["components"] == comps
+    assert summary["peak_population"] == ev["peak_population"]
+
+
 def test_cli_ergodicity_fits_the_free_rate(tmp_path):
     cfg = {
         "model": {"variant": "glauber_glauber",

@@ -19,7 +19,7 @@ from coupledbd.hierarchy import (
     l_delta_apply,
     lenard_spot_check,
 )
-from coupledbd.models import GlauberGlauber, build_averaged_model
+from coupledbd.models import GlauberGlauber, build_averaged_model, rate_form
 from coupledbd.potentials import Potential, potential_functionals
 from coupledbd.tables import CorrelationTable, GridSpec
 
@@ -178,6 +178,15 @@ def test_system_component_requires_averaging_first():
     form = component_form(am, "system")
     assert form.birth_const == pytest.approx(
         gg_model().z_plus * am.lambda_bar, rel=1e-12)
+
+
+def test_hierarchy_rejects_a_form_that_reads_another_component():
+    # the system of a full model reads the environment; the one-component
+    # hierarchy cannot represent that
+    form = rate_form(bdlp_model(), "system")
+    assert not form.autonomous
+    with pytest.raises(ModelError):
+        build_stencils(GRID, form, 2)
 
 
 def test_component_form_rejects_mixed_structures():

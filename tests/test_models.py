@@ -18,6 +18,8 @@ from coupledbd.geometry import (
 )
 from coupledbd.models import (
     AveragedModel,
+    BdlpInGlauber,
+    ComponentForm,
     GlauberGlauber,
     _form_kernels,
     birth_proposal,
@@ -28,6 +30,7 @@ from coupledbd.models import (
     decomposition_kernels,
     env_death_vector,
     env_rates,
+    rate_form,
     sys_death_vector,
     sys_rates,
     validate_model_on_torus,
@@ -42,6 +45,7 @@ from conftest import (
     bdlp_model,
     branching_model,
     gg_model,
+    marked,
     random_marked,
     two_bdlp_model,
 )
@@ -156,6 +160,28 @@ def test_empty_proposal_yields_no_candidate():
     prop = birth_proposal("system", gamma, m, TORUS1)
     assert prop.total_mass == 0.0
     assert prop.sample_candidate(np.random.default_rng(0)) is None
+
+
+def test_candidates_pick_groups_and_parents_by_mass():
+    # two groups (system parents under a_plus, environment parents under
+    # b_plus) with unequal masses; parents lie apart by more than twice the
+    # kernel range, so each candidate names its parent
+    m = BdlpInGlauber(z_minus=0.3, psi=Potential.step(0.5, 1.0), m_plus=1.0,
+                      a_minus=Potential.zero(), a_plus=Potential.step(0.5, 0.5),
+                      b_minus=Potential.zero(), b_plus=Potential.step(0.2, 0.4))
+    gamma = marked([1.0, 3.0, 5.0], [7.0, 9.0])
+    prop = birth_proposal("system", gamma, m, TORUS1)
+    assert [len(g.masses) for g in prop.groups] == [3, 2]
+    parents = np.concatenate([gamma.plus.points, gamma.minus.points])
+    masses = np.concatenate([g.masses for g in prop.groups])
+    rng = np.random.default_rng(2024)
+    n = 20_000
+    xs = np.array([prop.sample_candidate(rng) for _ in range(n)])
+    which = np.argmin(pairwise_distances(xs, parents, TORUS1), axis=1)
+    observed = np.bincount(which, minlength=len(parents))
+    expected = n * masses / masses.sum()
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2 < 18.47  # 0.999 quantile of chi-square with 4 degrees of freedom
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 10**6))
@@ -307,6 +333,19 @@ def test_form_kernel_subset_sums_reproduce_the_averaged_rates(build):
                                   form, TORUS1)
         want = averaged_rates(x, gp, am, TORUS1)
         assert sums == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_system_forms_reject_cross_terms_that_mix_structures():
+    s = Potential.step(0.5, 1.0)
+    with pytest.raises(ModelError):
+        ComponentForm(death_const=1.0, birth_const=0.0, death_pot=s, cross_death_kernel=s)
+    with pytest.raises(ModelError):
+        ComponentForm(death_const=1.0, birth_const=0.0, birth_kernel=s, cross_birth_pot=s)
+    with pytest.raises(ModelError):
+        ComponentForm(death_const=1.0, birth_const=0.0, parent_pot=s)
+    for build in ALL_MODELS:
+        assert component_form(build()).autonomous
+        assert not rate_form(build(), "system").autonomous
 
 
 def test_component_forms_are_derived_once_per_model():

@@ -188,6 +188,21 @@ def test_exponential_kernel_offsets_match_radial_mean():
     assert abs(np.mean(r) - expected) <= 5.0 * se
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_table_kernel_offsets_match_radial_mean(dim):
+    # a non-monotone table whose first radius is positive, so the shell
+    # envelope also covers the inner ball where the table holds values[0]
+    pot = Potential.table([0.2, 0.5, 0.7, 1.0], [0.6, 1.0, 0.1, 0.4])
+    rng = np.random.default_rng(5)
+    offs = sample_kernel_offsets(pot, dim, rng, 40_000)
+    r = np.linalg.norm(offs, axis=1)
+    grid = np.linspace(0.0, 1.0, 40_001)
+    dens = pot(grid) * grid ** (dim - 1)
+    expected = float(np.trapezoid(grid * dens, grid) / np.trapezoid(dens, grid))
+    se = np.std(r) / math.sqrt(len(r))
+    assert abs(np.mean(r) - expected) <= 5.0 * se
+
+
 def test_table_kernel_offsets_land_where_the_kernel_is_positive():
     # a narrow spike on a wide support: most of the support carries no mass,
     # so an exact sampler never returns an offset there

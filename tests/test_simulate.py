@@ -1,17 +1,30 @@
 """Event-driven sampler: determinism, exact laws on solvable cases, clock
-scaling, guards, and the ensemble estimators."""
+scaling, guards, event statistics, the loop's incremental state, and the
+ensemble estimators."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coupledbd.errors import ExplosionGuardError, ModelError
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration, Torus
-from coupledbd.models import GlauberGlauber, build_averaged_model
+from coupledbd.models import (
+    AveragedModel,
+    GlauberGlauber,
+    averaged_death_vector,
+    birth_proposal,
+    build_averaged_model,
+    env_death_vector,
+    sys_death_vector,
+)
 from coupledbd.potentials import Potential
 from coupledbd.simulate import (
+    COMPONENTS,
     SimulationSettings,
+    _PairState,
     estimate_density,
     estimate_pair_correlation,
     poisson_configuration,
@@ -22,7 +35,7 @@ from coupledbd.simulate import (
 )
 from coupledbd.tables import CorrelationTable, GridSpec
 
-from conftest import TORUS1, gg_model, marked
+from conftest import ALL_MODELS, TORUS1, gg_model, marked, random_marked
 
 
 def _free_env(z_minus=0.5, z_plus=0.3):
@@ -262,3 +275,77 @@ def test_replicate_assigns_replica_indices():
     for a, b in zip(recs, again):
         assert a.events == b.events
         assert np.array_equal(a.final.minus.points, b.final.minus.points)
+
+
+def test_records_count_events_per_component():
+    init = marked([1.0, 4.0, 6.0], [2.0, 8.0])
+    s = SimulationSettings(t_end=6.0, master_seed=13)
+    rec = simulate(gg_model(), TORUS1, init, s)
+    c = rec.counts
+    assert sum(sum(k.values()) for k in c.values()) == rec.events
+    assert c["system"]["virtual"] + c["environment"]["virtual"] == rec.virtual_events
+    assert c["system"]["births"] - c["system"]["deaths"] == rec.final.plus.size - 3
+    assert (c["environment"]["births"] - c["environment"]["deaths"]
+            == rec.final.minus.size - 2)
+    assert rec.peak_population >= max(5, rec.final.total_size)
+    frozen = simulate(gg_model(), TORUS1, init, s, components=("environment",))
+    assert frozen.counts["system"] == {"births": 0, "deaths": 0, "virtual": 0}
+
+
+# ---------------------------------------------------------------------------
+# the loop's array state against a full recompute
+
+def _averaged(build):
+    grid = GridSpec(torus=TORUS1, points_per_axis=32)
+    return build_averaged_model(build(), CorrelationTable.poisson(grid, 2, 0.5), TORUS1)
+
+
+STATE_MODELS = ALL_MODELS + [lambda b=b: _averaged(b) for b in ALL_MODELS]
+STATE_IDS = [b.__name__ for b in ALL_MODELS] + [f"averaged_{b.__name__}" for b in ALL_MODELS]
+
+
+def _assert_state_matches_recompute(state, m, torus):
+    pair = state.configuration()
+    for k, name in enumerate(COMPONENTS):
+        if state.forms[k] is None:
+            continue
+        if k == 1:
+            want = env_death_vector(pair.minus, m, torus)
+        elif isinstance(m, AveragedModel):
+            want = averaged_death_vector(pair.plus, m, torus)
+        else:
+            want = sys_death_vector(pair, m, torus)
+        np.testing.assert_allclose(state.death[k], want, rtol=1e-12, atol=0.0)
+        assert state.death_total[k] == pytest.approx(float(np.sum(want)), rel=1e-12)
+        prop = birth_proposal(name, pair, m, torus)
+        got = state.proposal(k)
+        assert got.total_mass == pytest.approx(prop.total_mass, rel=1e-12)
+        assert state.birth_mass[k] == pytest.approx(prop.total_mass, rel=1e-12)
+        for g, h in zip(got.groups, prop.groups):
+            np.testing.assert_allclose(g.masses, h.masses, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(g.parents, h.parents)
+
+
+@pytest.mark.parametrize("build", STATE_MODELS, ids=STATE_IDS)
+@given(dim=st.sampled_from([1, 2]),
+       steps=st.lists(st.tuples(st.booleans(), st.integers(0, 1), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=30),
+       seed=st.integers(0, 10**6))
+def test_incremental_state_matches_a_full_recompute(build, dim, steps, seed):
+    # a small box keeps most pairs within interaction range
+    torus = Torus(dim=dim, side=2.5)
+    m = build()
+    averaged = isinstance(m, AveragedModel)
+    rng = np.random.default_rng(seed)
+    init = random_marked(rng, torus, 4, 4)
+    components = ("system",) if averaged else COMPONENTS
+    state = _PairState(m, torus, init, components)
+    for add, k, frac in steps:
+        if averaged:
+            k = 0
+        n = len(state.points[k])
+        if add or n == 0:
+            state.add(k, torus.uniform(rng, 1)[0])
+        else:
+            state.remove(k, min(int(frac * n), n - 1))
+        _assert_state_matches_recompute(state, m, torus)
