@@ -93,9 +93,31 @@ class ComponentForm:
         if self.parent_pot is not None and self.birth_kernel is None:
             raise ModelError("parent_pot weights the birth kernel, which is missing")
 
-    @property
+    @cached_property
     def autonomous(self) -> bool:
         return all(getattr(self, n) is None for n in _CROSS_TERMS)
+
+    @cached_property
+    def pair_terms(self) -> Tuple[Tuple[Optional[Potential], Optional[Potential]], ...]:
+        """Potentials through which a neighbour enters the death sum and the
+        parent sum of a point: pair_terms[0] for a neighbour in the point's
+        own component, pair_terms[1] for one in the other component; None
+        where there is no such term.
+
+        The death sum is the exponent under death_pot, otherwise the pair
+        part of the additive death rate.  The parent sum damps the mass of
+        the point as a parent of births.
+        """
+        own = (_live(self.death_kernel if self.death_pot is None else self.death_pot), None)
+        other = (_live(self.cross_death_kernel),
+                 _live(self.parent_pot) if _live(self.birth_kernel) else None)
+        return own, other
+
+    @cached_property
+    def kernel_births(self) -> bool:
+        """Whether births are placed around parents, so that the birth mass
+        moves with the points."""
+        return _live(self.birth_kernel) is not None or _live(self.cross_birth_kernel) is not None
 
     def potentials(self) -> dict:
         out = {}
@@ -422,14 +444,28 @@ def _row_interaction(points_a: np.ndarray, points_b, pot: Optional[Potential], t
     return np.sum(vals, axis=1)
 
 
+def _death_sums(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: Torus) -> np.ndarray:
+    """Death sum (ComponentForm.pair_terms) of each point of own under f."""
+    (same, _), (cross, _) = f.pair_terms
+    return (_row_interaction(own, own, same, torus, exclude_self=True)
+            + _row_interaction(own, other, cross, torus))
+
+
+def _parent_sums(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: Torus) -> np.ndarray:
+    """Parent sum (ComponentForm.pair_terms) of each point of own under f."""
+    return _row_interaction(own, other, f.pair_terms[1][1], torus)
+
+
+def _death_rates(f: ComponentForm, death_sums: np.ndarray) -> np.ndarray:
+    if f.death_pot is not None:
+        return f.death_const * np.exp(death_sums)
+    return f.death_const + death_sums
+
+
 def _form_death_vector(f: ComponentForm, own: np.ndarray, other: np.ndarray,
                        torus: Torus) -> np.ndarray:
     """Death rate of each point of own under the form f."""
-    if f.death_pot is not None:
-        return f.death_const * np.exp(_row_interaction(own, own, f.death_pot, torus, exclude_self=True))
-    return (f.death_const
-            + _row_interaction(own, own, f.death_kernel, torus, exclude_self=True)
-            + _row_interaction(own, other, f.cross_death_kernel, torus))
+    return _death_rates(f, _death_sums(f, own, other, torus))
 
 
 def env_death_vector(gamma_minus: FiniteConfiguration, m: RateModel, torus: Torus) -> np.ndarray:
@@ -518,42 +554,47 @@ def _always_accept(_x) -> float:
     return 1.0
 
 
-def _parent_masses(f: ComponentForm, own: np.ndarray, other: np.ndarray,
-                   torus: Torus) -> np.ndarray:
+def _parent_masses(f: ComponentForm, parent_sums: np.ndarray, dim: int) -> np.ndarray:
     """Masses of the kernel group around the component's own points."""
-    unit = f.birth_kernel_scale * potential_functionals(f.birth_kernel, torus.dim).l1
-    if _live(f.parent_pot):
-        return unit * np.exp(-_row_interaction(own, other, f.parent_pot, torus))
-    return np.full(len(own), unit)
+    unit = f.birth_kernel_scale * potential_functionals(f.birth_kernel, dim).l1
+    return unit * np.exp(-parent_sums)
+
+
+def _no_group(parents: np.ndarray) -> KernelGroup:
+    return KernelGroup(None, parents[:0], np.zeros(0))
 
 
 def _form_proposal(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: Torus,
-                   own_masses: Optional[np.ndarray] = None) -> BirthProposal:
+                   parent_sums: Optional[np.ndarray] = None) -> BirthProposal:
     """Dominating birth mechanism of a component with form f, given the
     points own of that component and other of the other one.
 
     Uniform immigration at birth_const, thinned by the acceptance when the
     birth part is exponential.  An additive birth part adds groups[0] around
-    the own points (with own_masses, computed here when not given) and
-    groups[1] around the other points; either is empty without its kernel.
+    the own points, with masses from their parent sums (computed here when
+    not given), and groups[1] around the other points; either is empty
+    without its kernel.
     """
-    groups = []
-    for kernel, parents in ((f.birth_kernel, own), (f.cross_birth_kernel, other)):
-        if not _live(kernel):
-            groups.append(KernelGroup(None, parents[:0], np.zeros(0)))
-        elif parents is own:
-            masses = _parent_masses(f, own, other, torus) if own_masses is None else own_masses
-            groups.append(KernelGroup(kernel, own, masses))
-        else:
-            l1 = potential_functionals(kernel, torus.dim).l1
-            groups.append(KernelGroup(kernel, other, np.full(len(other), l1)))
+    kernel = _live(f.birth_kernel)
+    if kernel is None:
+        around_own = _no_group(own)
+    else:
+        if parent_sums is None:
+            parent_sums = _parent_sums(f, own, other, torus)
+        around_own = KernelGroup(kernel, own, _parent_masses(f, parent_sums, torus.dim))
+    kernel = _live(f.cross_birth_kernel)
+    if kernel is None:
+        around_other = _no_group(other)
+    else:
+        l1 = potential_functionals(kernel, torus.dim).l1
+        around_other = KernelGroup(kernel, other, np.full(len(other), l1))
     accept = _always_accept
     if f.birth_pot is not None or f.cross_birth_pot is not None:
         def accept(x):
             return math.exp(-(_energy(x, own, f.birth_pot, torus)
                               + _energy(x, other, f.cross_birth_pot, torus)))
     return BirthProposal(torus=torus, uniform_mass=f.birth_const * torus.volume,
-                         groups=tuple(groups), acceptance=accept)
+                         groups=(around_own, around_other), acceptance=accept)
 
 
 def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) -> BirthProposal:

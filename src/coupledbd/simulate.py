@@ -8,11 +8,14 @@ clock speeded up by 1/epsilon the scheme stays exact because both waiting
 times and selection weights carry the same factor.
 
 The loop keeps its state in arrays (_PairState): the points of each
-component, the death rates of each evolving one and the masses of its
-parent-kernel proposal.  An accepted event updates them from one distance
-row per population, between the changed point and that population, so each
-event costs O(n) numpy work.  The update rules come from the rate form of
-each component (models.rate_form), so the loop has no per-variant branch.
+component and, for each evolving one, the pair sums of its points, from
+which its death rates and parent masses follow.  An accepted event moves
+the sums by one distance row per population, between the changed point and
+that population, so each event costs O(n) numpy work.  The sums are kept
+rather than the rates because they change additively; an exponential rate
+can overflow or underflow and could not be divided back out.  The pair
+terms come from the rate form of each component (models.rate_form), so the
+loop has no per-variant branch.
 Everything is recomputed from scratch through the public rate functions
 once the accepted events since the last recompute reach the population
 size, which bounds round-off drift at amortised O(n) per event.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,10 +40,11 @@ from .geometry import (
 from .models import (
     AveragedModel,
     BirthProposal,
-    ComponentForm,
     RateModel,
+    _death_rates,
+    _death_sums,
     _form_proposal,
-    _live,
+    _parent_sums,
     averaged_death_vector,
     birth_proposal,
     env_death_vector,
@@ -48,7 +52,6 @@ from .models import (
     sys_death_vector,
     validate_model_on_torus,
 )
-from .potentials import Potential, potential_functionals
 
 _ACCEPT_SLACK = 1e-9  # tolerated overshoot before declaring the bound wrong
 
@@ -132,44 +135,20 @@ def _drop(a: np.ndarray, i: int) -> np.ndarray:
     return np.concatenate([a[:i], a[i + 1:]])
 
 
-class _Terms(NamedTuple):
-    """The pair terms of one evolving component's form, zero profiles
-    dropped.  unit_mass is the mass of one parent in the proposal's group
-    around the component's own points before damping, None without that
-    group; grouped says whether the proposal has kernel groups, whose mass
-    moves with the points."""
-
-    death_const: float
-    death_pot: Optional[Potential]
-    death_kernel: Optional[Potential]
-    cross_death_kernel: Optional[Potential]
-    parent_pot: Optional[Potential]
-    unit_mass: Optional[float]
-    grouped: bool
-
-    @classmethod
-    def of(cls, f: ComponentForm, dim: int) -> "_Terms":
-        kernel = _live(f.birth_kernel)
-        unit = f.birth_kernel_scale * potential_functionals(kernel, dim).l1 if kernel else None
-        return cls(f.death_const, _live(f.death_pot), _live(f.death_kernel),
-                   _live(f.cross_death_kernel), _live(f.parent_pot) if kernel else None, unit,
-                   kernel is not None or _live(f.cross_birth_kernel) is not None)
-
-    @property
-    def reads_other(self) -> bool:
-        return self.cross_death_kernel is not None or self.parent_pot is not None
+# columns of the per-point table of an evolving component
+_DEATH_SUM, _PARENT_SUM, _DEATH = range(3)
 
 
 class _PairState:
     """Array state of the event loop.
 
     points[k] holds the points of component k (0 system, 1 environment).
-    For each evolving component k it also holds death[k], the death rate of
-    each point, masses[k], the masses of the proposal's kernel group around
-    the component's own points, their totals, and the birth proposal, built
-    when first asked for after a change.  add and remove keep all of it
-    current with O(n) work; recompute rebuilds it from scratch with the
-    public rate functions.
+    For each evolving component k, table[k] has one row per point: its
+    death sum and parent sum (ComponentForm.pair_terms) and the death rate
+    that follows from the death sum.  The state also keeps the totals and
+    the birth proposal, built when first asked for after a change.  add and
+    remove move the sums by one row of pair terms per population, with O(n)
+    work; recompute rebuilds everything from scratch.
     """
 
     def __init__(self, m, torus: Torus, initial: MarkedConfiguration,
@@ -177,11 +156,18 @@ class _PairState:
         self.m, self.torus = m, torus
         self.points = [initial.plus.points, initial.minus.points]
         self.forms = [rate_form(m, c) if c in components else None for c in COMPONENTS]
-        self.terms = [f and _Terms.of(f, torus.dim) for f in self.forms]
-        # components whose rates read the other component
-        self.coupled = [f is not None and not f.autonomous for f in self.forms]
-        self.death = [np.zeros(0), np.zeros(0)]
-        self.masses = [np.zeros(0), np.zeros(0)]
+        none = (None, None)
+        # rows[k]: for a point of component k that comes or goes, each
+        # population j it has pair terms with, the potentials of the sums
+        # of j's points and those of the point's own sums
+        self.rows = [[], []]
+        for k in (0, 1):
+            for j in (k, 1 - k):
+                theirs = none if self.forms[j] is None else self.forms[j].pair_terms[j != k]
+                its = none if self.forms[k] is None else self.forms[k].pair_terms[j != k]
+                if any(p is not None for p in theirs + its):
+                    self.rows[k].append((j, theirs, its))
+        self.table = [np.zeros((0, 3)), np.zeros((0, 3))]
         self.death_total = [0.0, 0.0]
         self.birth_mass = [0.0, 0.0]
         self._proposals: List[Optional[BirthProposal]] = [None, None]
@@ -191,90 +177,90 @@ class _PairState:
     def size(self) -> int:
         return len(self.points[0]) + len(self.points[1])
 
+    @property
+    def death(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.table[0][:, _DEATH], self.table[1][:, _DEATH]
+
     def configuration(self) -> MarkedConfiguration:
         return MarkedConfiguration(plus=FiniteConfiguration._unchecked(self.points[0]),
                                    minus=FiniteConfiguration._unchecked(self.points[1]))
 
     def recompute(self):
+        """Rebuild the sums from scratch, and the rates and proposals through
+        the public rate functions."""
         pair = self.configuration()
         for k, f in enumerate(self.forms):
             if f is None:
                 continue
+            own, other = self.points[k], self.points[1 - k]
+            table = self.table[k] = np.empty((len(own), 3))
+            table[:, _DEATH_SUM] = _death_sums(f, own, other, self.torus)
+            table[:, _PARENT_SUM] = _parent_sums(f, own, other, self.torus)
             if k == 1:
-                self.death[k] = env_death_vector(pair.minus, self.m, self.torus)
+                table[:, _DEATH] = env_death_vector(pair.minus, self.m, self.torus)
             elif f.autonomous:  # an averaged system reads no environment
-                self.death[k] = averaged_death_vector(pair.plus, self.m, self.torus)
+                table[:, _DEATH] = averaged_death_vector(pair.plus, self.m, self.torus)
             else:
-                self.death[k] = sys_death_vector(pair, self.m, self.torus)
+                table[:, _DEATH] = sys_death_vector(pair, self.m, self.torus)
             prop = self._proposals[k] = birth_proposal(COMPONENTS[k], pair, self.m, self.torus)
-            self.masses[k] = prop.groups[0].masses
             self.birth_mass[k] = prop.total_mass
-            self.death_total[k] = float(self.death[k].sum())
+            self.death_total[k] = float(table[:, _DEATH].sum())
 
     def proposal(self, k: int) -> BirthProposal:
         prop = self._proposals[k]
         if prop is None:
             prop = self._proposals[k] = _form_proposal(
-                self.forms[k], self.points[k], self.points[1 - k], self.torus, self.masses[k])
+                self.forms[k], self.points[k], self.points[1 - k], self.torus,
+                self.table[k][:, _PARENT_SUM])
         return prop
 
-    def _apply(self, k: int, x: np.ndarray, sign: float) -> Tuple[float, float]:
-        """Apply the pair terms between x, just added to component k (sign
-        +1) or removed from it (sign -1), and the points present now.
+    def _apply(self, k: int, x: np.ndarray, sign: float) -> np.ndarray:
+        """Move the sums of the points present now by their pair terms with
+        x, just added to component k (sign +1) or removed from it (sign -1),
+        and rederive the death rates whose sums moved.
 
-        Returns the death rate and the own-group mass of a point at x.
+        Returns a table row for a point at x, with its sums.
         """
-        t, u = self.terms[k], self.terms[1 - k]
-        death, mass = t.death_const, t.unit_mass
-        if t.death_pot is not None:
-            v = t.death_pot(distances_from(x, self.points[k], self.torus))
-            self.death[k] = self.death[k] * np.exp(sign * v)
-            death *= math.exp(float(v.sum()))
-        elif t.death_kernel is not None:
-            v = t.death_kernel(distances_from(x, self.points[k], self.torus))
-            self.death[k] = self.death[k] + sign * v
-            death += float(v.sum())
-        other_reads = u is not None and u.reads_other
-        if (sign > 0 and t.reads_other) or other_reads:
-            row = distances_from(x, self.points[1 - k], self.torus)
-            if t.cross_death_kernel is not None:
-                death += float(t.cross_death_kernel(row).sum())
-            if t.parent_pot is not None:
-                mass *= math.exp(-float(t.parent_pot(row).sum()))
-            if other_reads and u.cross_death_kernel is not None:
-                self.death[1 - k] = self.death[1 - k] + sign * u.cross_death_kernel(row)
-            if other_reads and u.parent_pot is not None:
-                self.masses[1 - k] = self.masses[1 - k] * np.exp(-sign * u.parent_pot(row))
-        return death, mass
+        x_row = np.zeros(3)
+        for j, theirs, its in self.rows[k]:
+            d = distances_from(x, self.points[j], self.torus)
+            table = self.table[j]
+            for col, pot, x_pot in zip((_DEATH_SUM, _PARENT_SUM), theirs, its):
+                v = None if pot is None else pot(d)
+                if v is not None:
+                    table[:, col] += sign * v
+                if sign > 0 and x_pot is not None:
+                    x_row[col] += float((v if x_pot is pot else x_pot(d)).sum())
+            if theirs[0] is not None:
+                table[:, _DEATH] = _death_rates(self.forms[j], table[:, _DEATH_SUM])
+        return x_row
 
     def _changed(self, k: int):
         """Refresh the totals of component k and of the other component when
         its rates read k; drop their proposals."""
         for j in (k, 1 - k):
-            if j != k and not self.coupled[j]:
+            f = self.forms[j]
+            if f is None or (j != k and f.autonomous):
                 continue
+            self.death_total[j] = float(self.table[j][:, _DEATH].sum())
             self._proposals[j] = None
-            if self.terms[j].grouped:
+            if f.kernel_births:
                 self.birth_mass[j] = self.proposal(j).total_mass
-            self.death_total[j] = float(self.death[j].sum())
 
     def add(self, k: int, x: np.ndarray):
         own = self.points[k]
         if (own == x).all(axis=1).any():
             raise ValueError("configuration contains coincident points")
-        death, mass = self._apply(k, x, 1.0)
-        self.death[k] = np.concatenate([self.death[k], [death]])
-        if self.terms[k].unit_mass is not None:
-            self.masses[k] = np.concatenate([self.masses[k], [mass]])
+        x_row = self._apply(k, x, 1.0)
+        x_row[_DEATH] = _death_rates(self.forms[k], x_row[_DEATH_SUM])
+        self.table[k] = np.concatenate([self.table[k], x_row[None, :]])
         self.points[k] = np.concatenate([own, x[None, :]])
         self._changed(k)
 
     def remove(self, k: int, i: int):
         x = self.points[k][i]
         self.points[k] = _drop(self.points[k], i)
-        self.death[k] = _drop(self.death[k], i)
-        if self.terms[k].unit_mass is not None:
-            self.masses[k] = _drop(self.masses[k], i)
+        self.table[k] = _drop(self.table[k], i)
         self._apply(k, x, -1.0)
         self._changed(k)
 
@@ -361,7 +347,7 @@ def simulate(
         tally = counts[COMPONENTS[k]]
 
         if not birth:
-            state.remove(k, _pick_index(rng, state.death[k], state.death_total[k]))
+            state.remove(k, _pick_index(rng, state.table[k][:, _DEATH], state.death_total[k]))
             tally["deaths"] += 1
         else:
             prop = state.proposal(k)

@@ -13,6 +13,7 @@ from coupledbd.errors import ExplosionGuardError, ModelError
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration, Torus
 from coupledbd.models import (
     AveragedModel,
+    BranchingInGlauber,
     GlauberGlauber,
     averaged_death_vector,
     birth_proposal,
@@ -300,8 +301,19 @@ def _averaged(build):
     return build_averaged_model(build(), CorrelationTable.poisson(grid, 2, 0.5), TORUS1)
 
 
-STATE_MODELS = ALL_MODELS + [lambda b=b: _averaged(b) for b in ALL_MODELS]
-STATE_IDS = [b.__name__ for b in ALL_MODELS] + [f"averaged_{b.__name__}" for b in ALL_MODELS]
+def _branching_past_the_float_range():
+    # exp(800) overflows and exp(-800) underflows: a system point crowded by
+    # a neighbour (kappa) or damped by an environment point (phi) must get
+    # its plain rates back once that neighbour leaves
+    big = Potential.step(800.0, 1.0)
+    return BranchingInGlauber(z_minus=0.3, psi=Potential.step(0.5, 1.0), m_plus=2.0,
+                              kappa=big, phi=big, a_plus=Potential.step(1.0, 1.0))
+
+
+STATE_MODELS = (ALL_MODELS + [lambda b=b: _averaged(b) for b in ALL_MODELS]
+                + [_branching_past_the_float_range])
+STATE_IDS = ([b.__name__ for b in ALL_MODELS] + [f"averaged_{b.__name__}" for b in ALL_MODELS]
+             + ["branching_past_the_float_range"])
 
 
 def _assert_state_matches_recompute(state, m, torus):
