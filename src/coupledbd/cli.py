@@ -60,6 +60,7 @@ from .simulate import (
     COMPONENTS,
     EVENT_KINDS,
     SimulationSettings,
+    acceptance_ratio,
     estimate_density,
     poisson_configuration,
     replicate,
@@ -253,12 +254,15 @@ def _cmd_simulate(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int
                ["t", "mean_plus", "se_plus", "mean_minus", "se_minus"],
                list(zip(est.times, est.mean_plus, est.se_plus,
                         est.mean_minus, est.se_minus)))
+    tallies = {c: {k: sum(r.counts[c][k] for r in records) for k in EVENT_KINDS}
+               for c in COMPONENTS}
     events = {"total_events": int(sum(r.events for r in records)),
               "virtual_events": int(sum(r.virtual_events for r in records)),
               "n_replicas": est.n_replicas,
-              "components": {c: {k: sum(r.counts[c][k] for r in records) for k in EVENT_KINDS}
-                             for c in COMPONENTS},
-              "peak_population": max(r.peak_population for r in records)}
+              "components": tallies,
+              "peak_population": max(r.peak_population for r in records),
+              "acceptance": {c: acceptance_ratio(t) for c, t in tallies.items()},
+              "recomputes": sum(r.recomputes for r in records)}
     _write_json(os.path.join(out_dir, "events.json"), events)
     _manifest(out_dir, "simulate", cfg, ["densities.csv", "events.json"], {
         "final_mean_plus": float(est.mean_plus[-1]),

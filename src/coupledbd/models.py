@@ -114,10 +114,12 @@ class ComponentForm:
         return own, other
 
     @cached_property
-    def kernel_births(self) -> bool:
-        """Whether births are placed around parents, so that the birth mass
-        moves with the points."""
-        return _live(self.birth_kernel) is not None or _live(self.cross_birth_kernel) is not None
+    def birth_groups(self) -> Tuple[Optional[Potential], Optional[Potential]]:
+        """Kernels of the births placed around parents: birth_groups[0]
+        around the points of the own component, birth_groups[1] around those
+        of the other one; None where there is no such term.  The birth mass
+        moves with the parents of each group."""
+        return _live(self.birth_kernel), _live(self.cross_birth_kernel)
 
     def potentials(self) -> dict:
         out = {}
@@ -532,7 +534,17 @@ class BirthProposal:
                 total += float(np.sum(g.masses / l1 * g.kernel(d)))
         return total
 
+    @cached_property
+    def _grouped(self) -> bool:
+        return any(len(g.masses) for g in self.groups)
+
     def sample_candidate(self, rng: np.random.Generator) -> Optional[np.ndarray]:
+        if not self._grouped:
+            if self.uniform_mass <= 0.0:
+                return None
+            # the selection draw of the grouped path, so the stream is the same
+            rng.uniform(0.0, self.uniform_mass)
+            return self.torus.uniform(rng, 1)[0]
         masses = self._masses
         total = masses.sum()
         if total <= 0.0:
@@ -550,8 +562,15 @@ class BirthProposal:
             i -= len(g.masses)
 
 
-def _always_accept(_x) -> float:
-    return 1.0
+def _birth_acceptance(f: ComponentForm, x, own: np.ndarray, other: np.ndarray,
+                      torus: Torus) -> float:
+    """Acceptance at x of the proposal of _form_proposal, given the points
+    own and other now: the exponential damping of the birth rate, 1 when the
+    birth part is additive (the proposal is then the birth rate itself)."""
+    if f.birth_pot is None and f.cross_birth_pot is None:
+        return 1.0
+    return math.exp(-(_energy(x, own, f.birth_pot, torus)
+                      + _energy(x, other, f.cross_birth_pot, torus)))
 
 
 def _parent_masses(f: ComponentForm, parent_sums: np.ndarray, dim: int) -> np.ndarray:
@@ -573,28 +592,24 @@ def _form_proposal(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: 
     birth part is exponential.  An additive birth part adds groups[0] around
     the own points, with masses from their parent sums (computed here when
     not given), and groups[1] around the other points; either is empty
-    without its kernel.
+    without its kernel.  The acceptance is _birth_acceptance on own and
+    other as handed in here.
     """
-    kernel = _live(f.birth_kernel)
-    if kernel is None:
+    own_kernel, other_kernel = f.birth_groups
+    if own_kernel is None:
         around_own = _no_group(own)
     else:
         if parent_sums is None:
             parent_sums = _parent_sums(f, own, other, torus)
-        around_own = KernelGroup(kernel, own, _parent_masses(f, parent_sums, torus.dim))
-    kernel = _live(f.cross_birth_kernel)
-    if kernel is None:
+        around_own = KernelGroup(own_kernel, own, _parent_masses(f, parent_sums, torus.dim))
+    if other_kernel is None:
         around_other = _no_group(other)
     else:
-        l1 = potential_functionals(kernel, torus.dim).l1
-        around_other = KernelGroup(kernel, other, np.full(len(other), l1))
-    accept = _always_accept
-    if f.birth_pot is not None or f.cross_birth_pot is not None:
-        def accept(x):
-            return math.exp(-(_energy(x, own, f.birth_pot, torus)
-                              + _energy(x, other, f.cross_birth_pot, torus)))
+        l1 = potential_functionals(other_kernel, torus.dim).l1
+        around_other = KernelGroup(other_kernel, other, np.full(len(other), l1))
     return BirthProposal(torus=torus, uniform_mass=f.birth_const * torus.volume,
-                         groups=(around_own, around_other), acceptance=accept)
+                         groups=(around_own, around_other),
+                         acceptance=lambda x: _birth_acceptance(f, x, own, other, torus))
 
 
 def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) -> BirthProposal:

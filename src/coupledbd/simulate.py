@@ -16,9 +16,15 @@ rather than the rates because they change additively; an exponential rate
 can overflow or underflow and could not be divided back out.  The pair
 terms come from the rate form of each component (models.rate_form), so the
 loop has no per-variant branch.
+An event refreshes only the death totals and birth proposals whose terms
+it moved.  A proposal is rebuilt only when its masses move, that is for
+births around parents; an exponential birth part keeps its uniform
+proposal, and its acceptance is evaluated on the current points.
 Everything is recomputed from scratch through the public rate functions
 once the accepted events since the last recompute reach the population
-size, which bounds round-off drift at amortised O(n) per event.
+size or _RECOMPUTE_FLOOR, whichever is larger.  That bounds round-off drift
+at amortised O(n) per event, and the floor keeps a small population from
+being rebuilt every few events.  None of this changes a random draw.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .models import (
     AveragedModel,
     BirthProposal,
     RateModel,
+    _birth_acceptance,
     _death_rates,
     _death_sums,
     _form_proposal,
@@ -96,7 +103,9 @@ class TrajectoryRecord:
 
     counts[component][kind] counts that component's births, deaths and
     virtual (rejected) events; events also counts the virtual ones.
-    peak_population is the largest total size the pair reached.
+    peak_population is the largest total size the pair reached, and
+    recomputes the number of full rebuilds of the loop state, the initial
+    one included.
     """
 
     times: np.ndarray
@@ -109,6 +118,19 @@ class TrajectoryRecord:
     snapshots: Optional[List[MarkedConfiguration]] = None
     counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
     peak_population: int = 0
+    recomputes: int = 0
+
+    @property
+    def acceptance(self) -> Dict[str, Optional[float]]:
+        """acceptance_ratio of each component's counts."""
+        return {c: acceptance_ratio(self.counts[c]) for c in COMPONENTS}
+
+
+def acceptance_ratio(tally: Dict[str, int]) -> Optional[float]:
+    """Share of one component's birth candidates that were accepted,
+    births / (births + virtual); None when there was no candidate."""
+    tried = tally["births"] + tally["virtual"]
+    return tally["births"] / tried if tried else None
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -138,6 +160,10 @@ def _drop(a: np.ndarray, i: int) -> np.ndarray:
 # columns of the per-point table of an evolving component
 _DEATH_SUM, _PARENT_SUM, _DEATH = range(3)
 
+# Accepted events between two full recomputes: the population size, but at
+# least this many, so that a small population is not rebuilt every few events.
+_RECOMPUTE_FLOOR = 32
+
 
 class _PairState:
     """Array state of the event loop.
@@ -145,10 +171,14 @@ class _PairState:
     points[k] holds the points of component k (0 system, 1 environment).
     For each evolving component k, table[k] has one row per point: its
     death sum and parent sum (ComponentForm.pair_terms) and the death rate
-    that follows from the death sum.  The state also keeps the totals and
-    the birth proposal, built when first asked for after a change.  add and
-    remove move the sums by one row of pair terms per population, with O(n)
-    work; recompute rebuilds everything from scratch.
+    that follows from the death sum.  The state also keeps the death totals,
+    the birth masses and the birth proposals.  add and remove move the sums
+    by one row of pair terms per population, with O(n) work, and refresh
+    only the totals and proposals whose terms moved; recompute rebuilds
+    all of it from the points alone.
+
+    A proposal is rebuilt only when its masses move, so its own acceptance
+    may read an older configuration; acceptance(k, x) reads the points now.
     """
 
     def __init__(self, m, torus: Torus, initial: MarkedConfiguration,
@@ -161,16 +191,27 @@ class _PairState:
         # population j it has pair terms with, the potentials of the sums
         # of j's points and those of the point's own sums
         self.rows = [[], []]
+        # moves[k]: for a point of component k that comes or goes, the
+        # evolving components whose death totals and whose birth masses move
+        self.moves = [([], []), ([], [])]
         for k in (0, 1):
             for j in (k, 1 - k):
                 theirs = none if self.forms[j] is None else self.forms[j].pair_terms[j != k]
                 its = none if self.forms[k] is None else self.forms[k].pair_terms[j != k]
                 if any(p is not None for p in theirs + its):
                     self.rows[k].append((j, theirs, its))
+                if self.forms[j] is None:
+                    continue
+                deaths, masses = self.moves[k]
+                if j == k or theirs[0] is not None:
+                    deaths.append(j)
+                if theirs[1] is not None or self.forms[j].birth_groups[j != k] is not None:
+                    masses.append(j)
         self.table = [np.zeros((0, 3)), np.zeros((0, 3))]
         self.death_total = [0.0, 0.0]
         self.birth_mass = [0.0, 0.0]
-        self._proposals: List[Optional[BirthProposal]] = [None, None]
+        self.proposals: List[Optional[BirthProposal]] = [None, None]
+        self.recomputes = 0
         self.recompute()
 
     @property
@@ -188,6 +229,7 @@ class _PairState:
     def recompute(self):
         """Rebuild the sums from scratch, and the rates and proposals through
         the public rate functions."""
+        self.recomputes += 1
         pair = self.configuration()
         for k, f in enumerate(self.forms):
             if f is None:
@@ -202,17 +244,14 @@ class _PairState:
                 table[:, _DEATH] = averaged_death_vector(pair.plus, self.m, self.torus)
             else:
                 table[:, _DEATH] = sys_death_vector(pair, self.m, self.torus)
-            prop = self._proposals[k] = birth_proposal(COMPONENTS[k], pair, self.m, self.torus)
+            prop = self.proposals[k] = birth_proposal(COMPONENTS[k], pair, self.m, self.torus)
             self.birth_mass[k] = prop.total_mass
             self.death_total[k] = float(table[:, _DEATH].sum())
 
-    def proposal(self, k: int) -> BirthProposal:
-        prop = self._proposals[k]
-        if prop is None:
-            prop = self._proposals[k] = _form_proposal(
-                self.forms[k], self.points[k], self.points[1 - k], self.torus,
-                self.table[k][:, _PARENT_SUM])
-        return prop
+    def acceptance(self, k: int, x: np.ndarray) -> float:
+        """Acceptance at x of the proposal of component k, on the points now."""
+        return _birth_acceptance(self.forms[k], x, self.points[k], self.points[1 - k],
+                                 self.torus)
 
     def _apply(self, k: int, x: np.ndarray, sign: float) -> np.ndarray:
         """Move the sums of the points present now by their pair terms with
@@ -236,16 +275,16 @@ class _PairState:
         return x_row
 
     def _changed(self, k: int):
-        """Refresh the totals of component k and of the other component when
-        its rates read k; drop their proposals."""
-        for j in (k, 1 - k):
-            f = self.forms[j]
-            if f is None or (j != k and f.autonomous):
-                continue
+        """Refresh the death totals and the proposals that a point of
+        component k coming or going moved."""
+        deaths, masses = self.moves[k]
+        for j in deaths:
             self.death_total[j] = float(self.table[j][:, _DEATH].sum())
-            self._proposals[j] = None
-            if f.kernel_births:
-                self.birth_mass[j] = self.proposal(j).total_mass
+        for j in masses:
+            prop = self.proposals[j] = _form_proposal(
+                self.forms[j], self.points[j], self.points[1 - j], self.torus,
+                self.table[j][:, _PARENT_SUM])
+            self.birth_mass[j] = prop.total_mass
 
     def add(self, k: int, x: np.ndarray):
         own = self.points[k]
@@ -350,12 +389,11 @@ def simulate(
             state.remove(k, _pick_index(rng, state.table[k][:, _DEATH], state.death_total[k]))
             tally["deaths"] += 1
         else:
-            prop = state.proposal(k)
-            x = prop.sample_candidate(rng)
+            x = state.proposals[k].sample_candidate(rng)
             if x is None:
                 tally["virtual"] += 1
                 continue
-            acc = float(prop.acceptance(x))
+            acc = state.acceptance(k, x)
             if acc > 1.0 + _ACCEPT_SLACK:
                 raise EvaluationError(
                     f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
@@ -374,7 +412,7 @@ def simulate(
                 f"at t={t:.6g} after {events} events",
                 time_reached=t, events=events)
         since_recompute += 1
-        if since_recompute >= n:
+        if since_recompute >= max(n, _RECOMPUTE_FLOOR):
             state.recompute()
             since_recompute = 0
 
@@ -389,6 +427,7 @@ def simulate(
         snapshots=snapshots,
         counts=counts,
         peak_population=peak,
+        recomputes=state.recomputes,
     )
 
 

@@ -281,9 +281,14 @@ def test_cli_simulate_reports_counts_per_component(tmp_path):
     assert sum(sum(c.values()) for c in comps.values()) == ev["total_events"]
     assert sum(c["virtual"] for c in comps.values()) == ev["virtual_events"]
     assert comps["environment"]["births"] > 0 and ev["peak_population"] > 0
+    env = comps["environment"]
+    assert ev["acceptance"]["environment"] == env["births"] / (env["births"] + env["virtual"])
+    assert ev["recomputes"] >= ev["n_replicas"]
     summary = json.loads((out / "manifest.json").read_text())["summary"]
     assert summary["components"] == comps
     assert summary["peak_population"] == ev["peak_population"]
+    assert summary["acceptance"] == ev["acceptance"]
+    assert summary["recomputes"] == ev["recomputes"]
 
 
 def test_cli_ergodicity_fits_the_free_rate(tmp_path):

@@ -155,6 +155,19 @@ def test_solver_reports_nonconvergence_honestly():
                  tol=1e-12, max_iter=1)
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="order-3 Picard overshoots when additive pair death "
+                          "terms outweigh the constant death rate")
+def test_order3_solve_of_the_averaged_additive_system_converges():
+    # averaged bdlp_model: death_const 1.097 against a step(0.6, 0.5) death
+    # kernel; orders 1 and 2 converge, order 3 diverges under plain Picard
+    m = bdlp_model()
+    k_inv = ks_solve(component_form(m, "environment"), GRID, order=3).table
+    form = component_form(build_averaged_model(m, k_inv, TORUS1), "system")
+    assert ks_solve(form, GRID, order=2).converged
+    ks_solve(form, GRID, order=3)
+
+
 def test_solver_guards_against_runaway_expansions():
     wild = GlauberGlauber(z_minus=50.0, psi=Potential.step(3.0, 2.0),
                           z_plus=0.1, phi_minus=Potential.zero(),

@@ -162,6 +162,21 @@ def test_empty_proposal_yields_no_candidate():
     assert prop.sample_candidate(np.random.default_rng(0)) is None
 
 
+def test_uniform_proposal_draws_like_the_grouped_path():
+    # without kernel groups the selection over one mass is skipped, but its
+    # uniform draw is still made, so the stream is that of the grouped path
+    m = gg_model()
+    prop = birth_proposal("environment", random_marked(np.random.default_rng(3), TORUS1, 2, 4),
+                          m, TORUS1)
+    assert not any(len(g.masses) for g in prop.groups)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(5):
+        x = prop.sample_candidate(rng)
+        ref.uniform(0.0, prop.total_mass)
+        np.testing.assert_array_equal(x, TORUS1.uniform(ref, 1)[0])
+    assert rng.uniform() == ref.uniform()
+
+
 def test_candidates_pick_groups_and_parents_by_mass():
     # two groups (system parents under a_plus, environment parents under
     # b_plus) with unequal masses; parents lie apart by more than twice the

@@ -25,7 +25,9 @@ from coupledbd.potentials import Potential
 from coupledbd.simulate import (
     COMPONENTS,
     SimulationSettings,
+    _RECOMPUTE_FLOOR,
     _PairState,
+    acceptance_ratio,
     estimate_density,
     estimate_pair_correlation,
     poisson_configuration,
@@ -291,6 +293,23 @@ def test_records_count_events_per_component():
     assert rec.peak_population >= max(5, rec.final.total_size)
     frozen = simulate(gg_model(), TORUS1, init, s, components=("environment",))
     assert frozen.counts["system"] == {"births": 0, "deaths": 0, "virtual": 0}
+    assert frozen.acceptance["system"] is None
+    env = rec.acceptance["environment"]
+    assert env == c["environment"]["births"] / (c["environment"]["births"]
+                                                + c["environment"]["virtual"])
+    assert 0.0 < env < 1.0
+    assert acceptance_ratio({"births": 0, "deaths": 3, "virtual": 0}) is None
+
+
+def test_small_populations_recompute_at_the_floor():
+    # about six particles: a full recompute waits for _RECOMPUTE_FLOOR
+    # accepted events rather than for the population size
+    init = marked([1.0, 4.0, 7.0], [2.0, 5.0, 8.0])
+    rec = simulate(gg_model(), TORUS1, init, SimulationSettings(t_end=150.0, master_seed=3))
+    accepted = rec.events - rec.virtual_events
+    assert rec.peak_population < _RECOMPUTE_FLOOR < accepted // 10
+    # the initial build plus one per floor's worth of accepted events
+    assert rec.recomputes == accepted // _RECOMPUTE_FLOOR + 1
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +335,7 @@ STATE_IDS = ([b.__name__ for b in ALL_MODELS] + [f"averaged_{b.__name__}" for b 
              + ["branching_past_the_float_range"])
 
 
-def _assert_state_matches_recompute(state, m, torus):
+def _assert_state_matches_recompute(state, m, torus, rng):
     pair = state.configuration()
     for k, name in enumerate(COMPONENTS):
         if state.forms[k] is None:
@@ -330,12 +349,17 @@ def _assert_state_matches_recompute(state, m, torus):
         np.testing.assert_allclose(state.death[k], want, rtol=1e-12, atol=0.0)
         assert state.death_total[k] == pytest.approx(float(np.sum(want)), rel=1e-12)
         prop = birth_proposal(name, pair, m, torus)
-        got = state.proposal(k)
+        got = state.proposals[k]
         assert got.total_mass == pytest.approx(prop.total_mass, rel=1e-12)
         assert state.birth_mass[k] == pytest.approx(prop.total_mass, rel=1e-12)
         for g, h in zip(got.groups, prop.groups):
             np.testing.assert_allclose(g.masses, h.masses, rtol=1e-12, atol=0.0)
             np.testing.assert_array_equal(g.parents, h.parents)
+        # the loop keeps a proposal until its masses move, so its acceptance
+        # must read the points now, not those the proposal was built from
+        for x in torus.uniform(rng, 3):
+            assert state.acceptance(k, x) == pytest.approx(prop.acceptance(x),
+                                                           rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("build", STATE_MODELS, ids=STATE_IDS)
@@ -360,4 +384,54 @@ def test_incremental_state_matches_a_full_recompute(build, dim, steps, seed):
             state.add(k, torus.uniform(rng, 1)[0])
         else:
             state.remove(k, min(int(frac * n), n - 1))
-        _assert_state_matches_recompute(state, m, torus)
+        _assert_state_matches_recompute(state, m, torus, rng)
+
+
+# ---------------------------------------------------------------------------
+# fixed-seed trajectories, pinned
+#
+# The loop's bookkeeping (when it recomputes, which proposals it rebuilds)
+# may change without moving a single random draw, so these values hold
+# across such changes.  Keying the replica streams differently moves them.
+
+PIN_TORI = {1: TORUS1, 2: Torus(dim=2, side=3.0)}
+PIN_MODELS = {b.__name__: b for b in ALL_MODELS}
+# (events, virtual_events, final system size, final environment size,
+#  {component: (births, deaths, virtual)})
+PINNED_TRAJECTORIES = {
+    'gg_model_1d': (316, 39, 3, 4, {'system': (64, 66, 26), 'environment': (73, 74, 13)}),
+    'gg_model_2d': (289, 60, 3, 0, {'system': (39, 41, 35), 'environment': (72, 77, 25)}),
+    'averaged_gg_model_1d': (104, 6, 1, 0, {'system': (47, 51, 6), 'environment': (0, 0, 0)}),
+    'averaged_gg_model_2d': (85, 4, 0, 0, {'system': (38, 43, 4), 'environment': (0, 0, 0)}),
+    'bdlp_model_1d': (214, 17, 0, 3, {'system': (28, 33, 0), 'environment': (67, 69, 17)}),
+    'bdlp_model_2d': (220, 37, 0, 3, {'system': (32, 37, 0), 'environment': (56, 58, 37)}),
+    'averaged_bdlp_model_1d': (154, 0, 1, 0, {'system': (75, 79, 0), 'environment': (0, 0, 0)}),
+    'averaged_bdlp_model_2d': (93, 0, 2, 0, {'system': (45, 48, 0), 'environment': (0, 0, 0)}),
+    'branching_model_1d': (141, 16, 0, 1, {'system': (0, 5, 0), 'environment': (58, 62, 16)}),
+    'branching_model_2d': (147, 17, 0, 2, {'system': (0, 5, 0), 'environment': (61, 64, 17)}),
+    'averaged_branching_model_1d': (7, 0, 0, 0, {'system': (1, 6, 0), 'environment': (0, 0, 0)}),
+    'averaged_branching_model_2d': (7, 0, 0, 0, {'system': (1, 6, 0), 'environment': (0, 0, 0)}),
+    'two_bdlp_model_1d': (462, 0, 3, 9, {'system': (42, 44, 0), 'environment': (190, 186, 0)}),
+    'two_bdlp_model_2d': (378, 0, 2, 8, {'system': (28, 31, 0), 'environment': (161, 158, 0)}),
+    'averaged_two_bdlp_model_1d': (67, 0, 2, 0, {'system': (32, 35, 0), 'environment': (0, 0, 0)}),
+    'averaged_two_bdlp_model_2d': (67, 0, 0, 0, {'system': (31, 36, 0), 'environment': (0, 0, 0)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRAJECTORIES))
+def test_fixed_seed_trajectories_are_pinned(case):
+    averaged = case.startswith("averaged_")
+    name, dim = case.removeprefix("averaged_").rsplit("_", 1)
+    dim = int(dim[0])
+    torus = PIN_TORI[dim]
+    m = PIN_MODELS[name]()
+    components = COMPONENTS
+    if averaged:
+        grid = GridSpec(torus=torus, points_per_axis=16)
+        m = build_averaged_model(m, CorrelationTable.poisson(grid, 2, 0.5), torus)
+        components = ("system",)
+    init = random_marked(np.random.default_rng(dim), torus, 5, 0 if averaged else 5)
+    rec = simulate(m, torus, init, SimulationSettings(t_end=30.0, master_seed=77), components)
+    got = (rec.events, rec.virtual_events, rec.final.plus.size, rec.final.minus.size,
+           {c: tuple(rec.counts[c].values()) for c in COMPONENTS})
+    assert got == PINNED_TRAJECTORIES[case]
