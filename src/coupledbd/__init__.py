@@ -6,200 +6,9 @@ truncated correlation-function hierarchies (fixed point and evolution),
 closed-form contraction constants for four model families with an
 independent numeric spot check, and ensemble experiments for exponential
 relaxation and the averaged small-epsilon limit.
+
+The API is imported from the submodules (coupledbd.models,
+coupledbd.simulate, ...); the package root holds only __version__.
 """
 
-from .conditions import (
-    ComponentConstants,
-    RegimeReport,
-    ScanResult,
-    SpotCheckReport,
-    SpotCheckSettings,
-    averaged_constants,
-    c_minus_closed,
-    c_minus_numeric,
-    c_plus_closed,
-    c_plus_numeric,
-    check_regime,
-    domination_ratio,
-    env_constants,
-    growth_bounds,
-    scan_feasible,
-    sector_angle,
-    spectral_gap,
-    spot_check_regime,
-    sys_constants,
-)
-from .config import (
-    config_hash,
-    load_config,
-    model_from_config,
-    potential_from_config,
-    torus_from_config,
-    validate_config,
-)
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    EvaluationError,
-    ExplosionGuardError,
-    InfeasibleRegimeError,
-    ModelError,
-    SizeLimitError,
-    StabilityError,
-)
-from .experiments import (
-    AveragingResult,
-    ErgodicityResult,
-    RateFit,
-    averaging_experiment,
-    ergodicity_experiment,
-    fit_exponential_rate,
-)
-from .geometry import (
-    FiniteConfiguration,
-    MarkedConfiguration,
-    QuadratureSpec,
-    Torus,
-    k_inverse,
-    lp_integral,
-    min_image_diff,
-    pairwise_distances,
-    subsets_sum,
-    torus_distance,
-)
-from .hierarchy import (
-    ComponentForm,
-    HierarchyTrajectory,
-    InvariantSummary,
-    KsSolution,
-    LenardCheck,
-    component_form,
-    evolve_hierarchy,
-    invariant_summary,
-    ks_solve,
-    lenard_spot_check,
-)
-from .models import (
-    AveragedModel,
-    BdlpInGlauber,
-    BranchingInGlauber,
-    GlauberGlauber,
-    RateModel,
-    TwoBdlp,
-    build_averaged_model,
-    decomposition_kernels,
-    env_rates,
-    sys_rates,
-    validate_model_on_torus,
-    variant_name,
-)
-from .potentials import Potential, mayer, potential_functionals, relative_energy
-from .simulate import (
-    DensityEstimate,
-    PairCorrelationEstimate,
-    SimulationSettings,
-    TrajectoryRecord,
-    estimate_density,
-    estimate_pair_correlation,
-    poisson_configuration,
-    pooled_snapshots,
-    replicate,
-    replica_rng,
-    simulate,
-)
-from .tables import CorrelationTable, GridSpec, exp_mayer_functional, radial_profile
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AveragedModel",
-    "AveragingResult",
-    "BdlpInGlauber",
-    "BranchingInGlauber",
-    "ComponentConstants",
-    "ComponentForm",
-    "ConfigError",
-    "ConvergenceError",
-    "CorrelationTable",
-    "DensityEstimate",
-    "ErgodicityResult",
-    "EvaluationError",
-    "ExplosionGuardError",
-    "FiniteConfiguration",
-    "GlauberGlauber",
-    "GridSpec",
-    "HierarchyTrajectory",
-    "InfeasibleRegimeError",
-    "InvariantSummary",
-    "KsSolution",
-    "LenardCheck",
-    "MarkedConfiguration",
-    "ModelError",
-    "PairCorrelationEstimate",
-    "Potential",
-    "QuadratureSpec",
-    "RateFit",
-    "RateModel",
-    "RegimeReport",
-    "ScanResult",
-    "SimulationSettings",
-    "SizeLimitError",
-    "SpotCheckReport",
-    "SpotCheckSettings",
-    "StabilityError",
-    "Torus",
-    "TrajectoryRecord",
-    "TwoBdlp",
-    "averaged_constants",
-    "averaging_experiment",
-    "build_averaged_model",
-    "c_minus_closed",
-    "c_minus_numeric",
-    "c_plus_closed",
-    "c_plus_numeric",
-    "check_regime",
-    "component_form",
-    "config_hash",
-    "decomposition_kernels",
-    "domination_ratio",
-    "env_constants",
-    "env_rates",
-    "ergodicity_experiment",
-    "estimate_density",
-    "estimate_pair_correlation",
-    "evolve_hierarchy",
-    "exp_mayer_functional",
-    "fit_exponential_rate",
-    "growth_bounds",
-    "invariant_summary",
-    "k_inverse",
-    "ks_solve",
-    "lenard_spot_check",
-    "load_config",
-    "lp_integral",
-    "mayer",
-    "min_image_diff",
-    "model_from_config",
-    "pairwise_distances",
-    "poisson_configuration",
-    "pooled_snapshots",
-    "potential_from_config",
-    "potential_functionals",
-    "radial_profile",
-    "relative_energy",
-    "replica_rng",
-    "replicate",
-    "scan_feasible",
-    "sector_angle",
-    "simulate",
-    "spectral_gap",
-    "spot_check_regime",
-    "subsets_sum",
-    "sys_constants",
-    "sys_rates",
-    "torus_distance",
-    "torus_from_config",
-    "validate_config",
-    "validate_model_on_torus",
-    "variant_name",
-]

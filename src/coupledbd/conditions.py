@@ -38,14 +38,14 @@ from .geometry import (
     pairwise_distances,
 )
 from .models import (
-    BdlpInGlauber,
-    BranchingInGlauber,
-    GlauberGlauber,
+    ComponentForm,
     RateModel,
     TwoBdlp,
+    _row_interaction,
     component_form,
     env_death_vector,
     model_potentials,
+    rate_form,
     sys_death_vector,
     validate_model_on_torus,
     variant_name,
@@ -114,8 +114,13 @@ class ComponentConstants:
 
 # The environment of every variant has one of two shapes: a constant death
 # rate with births damped by an exponential pair energy psi (the Glauber
-# family), or additive death and birth kernels a_minus, a_plus (TwoBdlp).  The
-# environment functions below branch on that shape of component_form(m).
+# family), or additive death and birth kernels a_minus, a_plus (TwoBdlp).
+# The system has one of three: births damped by exponential own and cross
+# energies (GlauberGlauber), additive own and cross kernels for death and
+# birth (BdlpInGlauber, TwoBdlp), or death amplified by an exponential own
+# energy with births around parents damped by the environment
+# (BranchingInGlauber).  The functions below branch on the shape of
+# component_form(m) and rate_form(m, "system"), not on the variant.
 
 def env_constants(m: RateModel, c_minus: float, dim: int) -> ComponentConstants:
     if c_minus <= 0:
@@ -137,125 +142,120 @@ def env_constants(m: RateModel, c_minus: float, dim: int) -> ComponentConstants:
                                        "vartheta2": vt2})
 
 
+# The model field behind each term of the system form, which names the term
+# in the regime details, and the names of the domination ratios.
+_LABELS = {
+    "glauber_glauber": {"birth_pot": "phi_plus", "cross_birth_pot": "phi_minus"},
+    "bdlp_in_glauber": {"death_kernel": "a_minus", "birth_kernel": "a_plus",
+                        "cross_death_kernel": "b_minus", "cross_birth_kernel": "b_plus",
+                        "ratios": ("theta", "vartheta")},
+    "branching_in_glauber": {"death_pot": "kappa", "parent_pot": "phi",
+                             "birth_kernel": "a_plus", "ratios": ("vartheta",)},
+    "two_bdlp": {"death_kernel": "b_minus", "birth_kernel": "b_plus",
+                 "cross_death_kernel": "vphi_minus", "cross_birth_kernel": "vphi_plus",
+                 "ratios": ("vartheta1", "vartheta3")},
+}
+
+# the terms of an additive form, in the order of the regime details
+_ADDITIVE = ("death_kernel", "birth_kernel", "cross_death_kernel", "cross_birth_kernel")
+
+
+def _system(m: RateModel) -> Tuple[ComponentForm, dict]:
+    """System form of a full model and the labels of its terms."""
+    return rate_form(m, "system"), _LABELS[variant_name(m)]
+
+
+def _functionals(f: ComponentForm, term: str, dim: int):
+    return potential_functionals(getattr(f, term), dim)
+
+
+def _ratio_term(v: float, c: float) -> float:
+    return v / c if math.isfinite(v) else math.inf
+
+
+def _additive_ratios(f: ComponentForm) -> Tuple[float, float]:
+    """Domination of the death kernels over the birth kernels, own and cross."""
+    return (domination_ratio(f.birth_kernel, f.death_kernel),
+            domination_ratio(f.cross_birth_kernel, f.cross_death_kernel))
+
+
 def sys_constants(m: RateModel, c_minus: float, c_plus: float, dim: int) -> ComponentConstants:
     if c_minus <= 0 or c_plus <= 0:
         raise ConfigError("weights must be positive")
-    if isinstance(m, GlauberGlauber):
-        bp = potential_functionals(m.phi_plus, dim).beta
-        bm = potential_functionals(m.phi_minus, dim).beta
-        a = 1.0 + _mass_term(m.z_plus / c_plus, c_plus * bp + c_minus * bm)
-        return ComponentConstants(a=a, m_star=1.0, feasible=a < 2.0,
-                                  details={"beta_phi_plus": bp, "beta_phi_minus": bm})
-    if isinstance(m, BdlpInGlauber):
-        l1 = {n: potential_functionals(p, dim).l1
-              for n, p in (("a_minus", m.a_minus), ("a_plus", m.a_plus),
-                           ("b_minus", m.b_minus), ("b_plus", m.b_plus))}
-        theta = domination_ratio(m.a_plus, m.a_minus)
-        vth = domination_ratio(m.b_plus, m.b_minus)
-        bulk = (c_minus * l1["b_minus"] + c_plus * l1["a_minus"] + l1["a_plus"]
-                + (c_minus / c_plus) * l1["b_plus"]) / m.m_plus
-        terms = [bulk]
-        for v in (theta, vth):
-            terms.append(v / c_plus if math.isfinite(v) else math.inf)
-        a = 1.0 + max(terms)
-        feasible = math.isfinite(a) and a < 2.0 and theta < c_plus and vth < c_plus
-        det = dict(l1)
-        det.update({"theta": theta, "vartheta": vth})
-        return ComponentConstants(a=a, m_star=m.m_plus, feasible=feasible, details=det)
-    if isinstance(m, BranchingInGlauber):
-        fk = potential_functionals(m.kappa, dim)
+    f, names = _system(m)
+    if f.birth_pot is not None:
+        bp = _functionals(f, "birth_pot", dim).beta
+        bm = _functionals(f, "cross_birth_pot", dim).beta
+        a = 1.0 + _mass_term(f.birth_const / c_plus, c_plus * bp + c_minus * bm)
+        return ComponentConstants(a=a, m_star=f.death_const, feasible=a < 2.0,
+                                  details={"beta_" + names["birth_pot"]: bp,
+                                           "beta_" + names["cross_birth_pot"]: bm})
+    if f.death_pot is not None:
+        fk = _functionals(f, "death_pot", dim)
+        kappa = "beta_neg_" + names["death_pot"]
         if not math.isfinite(fk.beta_neg):
-            return ComponentConstants(a=math.inf, m_star=m.m_plus, feasible=False,
-                                      details={"beta_neg_kappa": math.inf})
-        bphi = potential_functionals(m.phi, dim).beta
-        l1a = potential_functionals(m.a_plus, dim).l1
-        vth = domination_ratio(m.a_plus, m.kappa)
+            return ComponentConstants(a=math.inf, m_star=f.death_const, feasible=False,
+                                      details={kappa: math.inf})
+        bphi = _functionals(f, "parent_pot", dim).beta
+        l1a = _functionals(f, "birth_kernel", dim).l1
+        vth = domination_ratio(f.birth_kernel, f.death_pot)
         if math.isfinite(vth):
             a = _safe_exp(c_plus * fk.beta_neg) + _mass_term(
-                max(c_plus * l1a, vth) / (m.m_plus * c_plus), c_minus * bphi)
+                max(c_plus * l1a, vth) / (f.death_const * c_plus), c_minus * bphi)
         else:
             a = math.inf
-        return ComponentConstants(a=a, m_star=m.m_plus,
+        return ComponentConstants(a=a, m_star=f.death_const,
                                   feasible=math.isfinite(a) and a < 2.0,
-                                  details={"beta_neg_kappa": fk.beta_neg,
-                                           "beta_phi": bphi, "l1_a_plus": l1a,
-                                           "vartheta": vth})
-    if isinstance(m, TwoBdlp):
-        l1 = {n: potential_functionals(p, dim).l1
-              for n, p in (("b_minus", m.b_minus), ("b_plus", m.b_plus),
-                           ("vphi_minus", m.vphi_minus), ("vphi_plus", m.vphi_plus))}
-        vt1 = domination_ratio(m.b_plus, m.b_minus)
-        vt3 = domination_ratio(m.vphi_plus, m.vphi_minus)
-        bulk = (c_plus * l1["b_minus"] + c_minus * l1["vphi_minus"] + l1["b_plus"]
-                + (c_minus / c_plus) * l1["vphi_plus"]) / m.m_plus
-        terms = [bulk]
-        for v in (vt1, vt3):
-            terms.append(v / c_plus if math.isfinite(v) else math.inf)
-        a = 1.0 + max(terms)
-        feasible = math.isfinite(a) and a < 2.0 and vt1 < c_plus and vt3 < c_plus
-        det = dict(l1)
-        det.update({"vartheta1": vt1, "vartheta3": vt3})
-        return ComponentConstants(a=a, m_star=m.m_plus, feasible=feasible, details=det)
-    raise ModelError(f"unknown model type {type(m).__name__}")
+                                  details={kappa: fk.beta_neg,
+                                           "beta_" + names["parent_pot"]: bphi,
+                                           "l1_" + names["birth_kernel"]: l1a,
+                                           names["ratios"][0]: vth})
+    l1 = {t: _functionals(f, t, dim).l1 for t in _ADDITIVE}
+    ratios = _additive_ratios(f)
+    bulk = (c_plus * l1["death_kernel"] + c_minus * l1["cross_death_kernel"]
+            + l1["birth_kernel"] + (c_minus / c_plus) * l1["cross_birth_kernel"]) / f.death_const
+    a = 1.0 + max([bulk] + [_ratio_term(v, c_plus) for v in ratios])
+    feasible = math.isfinite(a) and a < 2.0 and all(v < c_plus for v in ratios)
+    det = {names[t]: l1[t] for t in _ADDITIVE}
+    det.update(zip(names["ratios"], ratios))
+    return ComponentConstants(a=a, m_star=f.death_const, feasible=feasible, details=det)
 
 
 def averaged_constants(m: RateModel, c_minus: float, c_plus: float, dim: int,
                        rho_inv: Optional[float] = None) -> ComponentConstants:
     """Contraction constant of the system with the environment integrated
-    out.  For the additive-cross variant the exact constant needs the
-    invariant density; without it a density-free upper bound is returned."""
-    if isinstance(m, GlauberGlauber):
-        out = sys_constants(m, c_minus, c_plus, dim)
-        out.m_star = 1.0
-        return out
-    if isinstance(m, BdlpInGlauber):
-        l1_am = potential_functionals(m.a_minus, dim).l1
-        l1_ap = potential_functionals(m.a_plus, dim).l1
-        theta = domination_ratio(m.a_plus, m.a_minus)
-        vth = domination_ratio(m.b_plus, m.b_minus)
-        terms = [(c_plus * l1_am + l1_ap) / m.m_plus]
-        for v in (theta, vth):
-            terms.append(v / c_plus if math.isfinite(v) else math.inf)
-        a = 1.0 + max(terms)
-        m_bar = 0.0
-        if rho_inv is not None:
-            m_bar = rho_inv * potential_functionals(m.b_minus, dim).l1
-        return ComponentConstants(a=a, m_star=m.m_plus + m_bar,
-                                  feasible=math.isfinite(a) and a < 2.0,
-                                  details={"theta": theta, "vartheta": vth})
-    if isinstance(m, BranchingInGlauber):
-        fk = potential_functionals(m.kappa, dim)
-        l1a = potential_functionals(m.a_plus, dim).l1
-        vth = domination_ratio(m.a_plus, m.kappa)
+    out.  For TwoBdlp the exact constant needs the invariant density; without
+    it a density-free upper bound is returned."""
+    f, names = _system(m)
+    if f.birth_pot is not None:
+        return sys_constants(m, c_minus, c_plus, dim)
+    if f.death_pot is not None:
+        fk = _functionals(f, "death_pot", dim)
+        l1a = _functionals(f, "birth_kernel", dim).l1
+        vth = domination_ratio(f.birth_kernel, f.death_pot)
         if math.isfinite(fk.beta_neg) and math.isfinite(vth):
-            a = _safe_exp(c_plus * fk.beta_neg) + max(l1a, vth / c_plus) / m.m_plus
+            a = _safe_exp(c_plus * fk.beta_neg) + max(l1a, vth / c_plus) / f.death_const
         else:
             a = math.inf
-        return ComponentConstants(a=a, m_star=m.m_plus,
+        return ComponentConstants(a=a, m_star=f.death_const,
                                   feasible=math.isfinite(a) and a < 2.0,
-                                  details={"vartheta": vth})
-    if isinstance(m, TwoBdlp):
-        l1_bm = potential_functionals(m.b_minus, dim).l1
-        l1_bp = potential_functionals(m.b_plus, dim).l1
-        vt1 = domination_ratio(m.b_plus, m.b_minus)
-        vt3 = domination_ratio(m.vphi_plus, m.vphi_minus)
-        if rho_inv is None:
-            terms = [(c_plus * l1_bm + l1_bp) / m.m_plus]
-            for v in (vt1, vt3):
-                terms.append(v / c_plus if math.isfinite(v) else math.inf)
-            a = 1.0 + max(terms)
-            m_star = m.m_plus
-        else:
-            pbm = rho_inv * potential_functionals(m.vphi_minus, dim).l1
-            pbp = rho_inv * potential_functionals(m.vphi_plus, dim).l1
-            terms = [(c_plus * l1_bm + pbp / c_plus + l1_bp) / (m.m_plus + pbm)]
-            terms.append(vt1 / c_plus if math.isfinite(vt1) else math.inf)
-            a = 1.0 + max(terms)
-            m_star = m.m_plus + pbm
-        return ComponentConstants(a=a, m_star=m_star,
-                                  feasible=math.isfinite(a) and a < 2.0,
-                                  details={"vartheta1": vt1, "vartheta3": vt3})
-    raise ModelError(f"unknown model type {type(m).__name__}")
+                                  details={names["ratios"][0]: vth})
+    l1_dk = _functionals(f, "death_kernel", dim).l1
+    l1_bk = _functionals(f, "birth_kernel", dim).l1
+    ratios = _additive_ratios(f)
+    m_star = f.death_const
+    if rho_inv is not None:
+        m_star += rho_inv * _functionals(f, "cross_death_kernel", dim).l1
+    if rho_inv is not None and isinstance(m, TwoBdlp):
+        lam = rho_inv * _functionals(f, "cross_birth_kernel", dim).l1
+        terms = [(c_plus * l1_dk + lam / c_plus + l1_bk) / m_star,
+                 _ratio_term(ratios[0], c_plus)]
+    else:
+        terms = [(c_plus * l1_dk + l1_bk) / f.death_const] + [_ratio_term(v, c_plus)
+                                                             for v in ratios]
+    a = 1.0 + max(terms)
+    return ComponentConstants(a=a, m_star=m_star, feasible=math.isfinite(a) and a < 2.0,
+                              details=dict(zip(names["ratios"], ratios)))
 
 
 def spectral_gap(a: float, m_star: float) -> float:
@@ -294,23 +294,16 @@ def growth_bounds(m: RateModel, dim: int) -> Dict[str, GrowthBound]:
             raise ModelError("unbounded kernel has no growth envelope")
         return v
 
-    if isinstance(m, GlauberGlauber):
-        return {"environment": GrowthBound(max(1.0, m.z_minus) + 1.0, 0, 0.0),
-                "system": GrowthBound(max(1.0, m.z_plus) + 1.0, 0, 0.0)}
-    if isinstance(m, BdlpInGlauber):
-        amp = m.m_plus + sup(m.a_minus) + sup(m.a_plus) + sup(m.b_minus) + sup(m.b_plus)
-        return {"environment": GrowthBound(max(1.0, m.z_minus) + 1.0, 0, 0.0),
-                "system": GrowthBound(amp, 1, 0.0)}
-    if isinstance(m, BranchingInGlauber):
-        amp = m.m_plus + sup(m.a_plus)
-        return {"environment": GrowthBound(max(1.0, m.z_minus) + 1.0, 0, 0.0),
-                "system": GrowthBound(amp, 1, sup(m.kappa))}
-    if isinstance(m, TwoBdlp):
-        amp_e = m.m_minus + m.z + sup(m.a_minus) + sup(m.a_plus)
-        amp_s = m.m_plus + sup(m.b_minus) + sup(m.b_plus) + sup(m.vphi_minus) + sup(m.vphi_plus)
-        return {"environment": GrowthBound(amp_e, 1, 0.0),
-                "system": GrowthBound(amp_s, 1, 0.0)}
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    def bound(f: ComponentForm) -> GrowthBound:
+        if f.birth_pot is not None:
+            return GrowthBound(max(1.0, f.birth_const) + f.death_const, 0, 0.0)
+        amp = f.death_const + f.birth_const
+        for t in _ADDITIVE:
+            if getattr(f, t) is not None:
+                amp += sup(getattr(f, t))
+        return GrowthBound(amp, 1, 0.0 if f.death_pot is None else sup(f.death_pot))
+
+    return {"environment": bound(component_form(m)), "system": bound(_system(m)[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -324,26 +317,36 @@ def m_plus_value(m: RateModel, eta: MarkedConfiguration, torus: Torus) -> float:
     return float(np.sum(sys_death_vector(eta, m, torus)))
 
 
-def _pair_sums(cfg: FiniteConfiguration, pot: Potential, torus: Torus) -> np.ndarray:
-    """For each x in cfg: sum of pot over the other points."""
-    n = cfg.size
+def _closed_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfiguration,
+                 c_own: float, c_other: float, torus: Torus) -> float:
+    """Closed-form weighted expansion mass of the kernels of f around own,
+    the other component being other, for a form with an exponential birth
+    part or additive death and birth parts."""
+    n = own.size
+    dim = torus.dim
+    if f.birth_pot is not None:
+        bo = _functionals(f, "birth_pot", dim).beta
+        bc = 0.0 if f.cross_birth_pot is None else _functionals(f, "cross_birth_pot", dim).beta
+        tot = n * f.death_const
+        pref = _mass_term(f.birth_const / c_own, c_own * bo + c_other * bc)
+        for i in range(n):
+            x = own.points[i]
+            tot += pref * math.exp(-relative_energy(x, own.remove_index(i), f.birth_pot, torus)
+                                   - relative_energy(x, other, f.cross_birth_pot, torus))
+        return tot
     if n == 0:
-        return np.zeros(0)
-    if pot.is_zero or n == 1:
-        return np.zeros(n)
-    d = pairwise_distances(cfg.points, cfg.points, torus)
-    v = pot(d)
-    np.fill_diagonal(v, 0.0)
-    return np.sum(v, axis=1)
+        return 0.0
+    l1 = {t: 0.0 if getattr(f, t) is None else _functionals(f, t, dim).l1 for t in _ADDITIVE}
+    pts, opts = own.points, other.points
 
+    def part(own_term: str, cross_term: str, const: float) -> float:
+        own_pot, cross_pot = getattr(f, own_term), getattr(f, cross_term)
+        return float(np.sum(const + _row_interaction(pts, pts, own_pot, torus, exclude_self=True)
+                            + _row_interaction(pts, opts, cross_pot, torus)
+                            + c_own * l1[own_term] + c_other * l1[cross_term]))
 
-def _cross_sums(a: FiniteConfiguration, b: FiniteConfiguration, pot: Potential,
-                torus: Torus) -> np.ndarray:
-    if a.size == 0:
-        return np.zeros(0)
-    if pot.is_zero or b.size == 0:
-        return np.zeros(a.size)
-    return np.sum(pot(pairwise_distances(a.points, b.points, torus)), axis=1)
+    return (part("death_kernel", "cross_death_kernel", f.death_const)
+            + part("birth_kernel", "cross_birth_kernel", f.birth_const) / c_own)
 
 
 def c_minus_closed(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float,
@@ -352,24 +355,8 @@ def c_minus_closed(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float,
 
     Returns (value, exact); exact is always True for the supported
     environments."""
-    n = eta_minus.size
-    dim = torus.dim
-    f = component_form(m)
-    if f.birth_pot is not None:
-        beta_psi = potential_functionals(f.birth_pot, dim).beta
-        tot = n * f.death_const
-        pref = _mass_term(f.birth_const / c_minus, c_minus * beta_psi)
-        for i in range(n):
-            rest = eta_minus.remove_index(i)
-            tot += pref * math.exp(-relative_energy(eta_minus.points[i], rest, f.birth_pot, torus))
-        return tot, True
-    l1_am = potential_functionals(f.death_kernel, dim).l1
-    l1_ap = potential_functionals(f.birth_kernel, dim).l1
-    s_am = _pair_sums(eta_minus, f.death_kernel, torus)
-    s_ap = _pair_sums(eta_minus, f.birth_kernel, torus)
-    death = float(np.sum(f.death_const + s_am + c_minus * l1_am)) if n else 0.0
-    birth = float(np.sum(f.birth_const + s_ap + c_minus * l1_ap)) / c_minus if n else 0.0
-    return death + birth, True
+    empty = FiniteConfiguration.empty(torus.dim)
+    return _closed_mass(component_form(m), eta_minus, empty, c_minus, 1.0, torus), True
 
 
 def c_plus_closed(m: RateModel, eta: MarkedConfiguration, c_minus: float,
@@ -381,65 +368,31 @@ def c_plus_closed(m: RateModel, eta: MarkedConfiguration, c_minus: float,
     upper bound, flagged exact=False.
     """
     ep, em = eta.plus, eta.minus
+    f, _ = _system(m)
+    if f.death_pot is None:
+        return _closed_mass(f, ep, em, c_plus, c_minus, torus), True
     n = ep.size
     dim = torus.dim
-    if isinstance(m, GlauberGlauber):
-        bp = potential_functionals(m.phi_plus, dim).beta
-        bm = potential_functionals(m.phi_minus, dim).beta
-        tot = float(n)
-        pref = _mass_term(m.z_plus / c_plus, c_plus * bp + c_minus * bm)
-        for i in range(n):
-            rest = ep.remove_index(i)
-            x = ep.points[i]
-            tot += pref * math.exp(
-                -relative_energy(x, rest, m.phi_plus, torus)
-                - relative_energy(x, em, m.phi_minus, torus))
-        return tot, True
-    if isinstance(m, BdlpInGlauber):
-        l1 = {n_: potential_functionals(p, dim).l1
-              for n_, p in (("am", m.a_minus), ("ap", m.a_plus),
-                            ("bm", m.b_minus), ("bp", m.b_plus))}
-        s_am = _pair_sums(ep, m.a_minus, torus)
-        s_bm = _cross_sums(ep, em, m.b_minus, torus)
-        s_ap = _pair_sums(ep, m.a_plus, torus)
-        s_bp = _cross_sums(ep, em, m.b_plus, torus)
-        death = float(np.sum(m.m_plus + s_am + s_bm + c_plus * l1["am"] + c_minus * l1["bm"])) if n else 0.0
-        birth = float(np.sum(s_ap + s_bp + c_plus * l1["ap"] + c_minus * l1["bp"])) / c_plus if n else 0.0
-        return death + birth, True
-    if isinstance(m, BranchingInGlauber):
-        fk = potential_functionals(m.kappa, dim)
-        bphi = potential_functionals(m.phi, dim).beta
-        l1a = potential_functionals(m.a_plus, dim).l1
-        exact = em.size == 0
-        tot = 0.0
-        damp = np.array([
-            math.exp(-relative_energy(y, em, m.phi, torus)) for y in ep.points
-        ]) if n else np.zeros(0)
-        x_phi = c_minus * bphi
-        for i in range(n):
-            x = ep.points[i]
-            rest = ep.remove_index(i)
-            tot += m.m_plus * _safe_exp(c_plus * fk.beta_neg) * math.exp(
-                relative_energy(x, rest, m.kappa, torus))
-            if n > 1 and not m.a_plus.is_zero:
-                d = pairwise_distances(x[None, :], rest.points, torus)[0]
-                w = np.delete(damp, i)
-                tot += _mass_term(float(np.sum(w * m.a_plus(d))) / c_plus, x_phi)
-            # candidate-parent integral; exact only without environment points
-            tot += _mass_term(l1a, x_phi)
-        return tot, exact
-    if isinstance(m, TwoBdlp):
-        l1 = {n_: potential_functionals(p, dim).l1
-              for n_, p in (("bm", m.b_minus), ("bp", m.b_plus),
-                            ("pm", m.vphi_minus), ("pp", m.vphi_plus))}
-        s_bm = _pair_sums(ep, m.b_minus, torus)
-        s_pm = _cross_sums(ep, em, m.vphi_minus, torus)
-        s_bp = _pair_sums(ep, m.b_plus, torus)
-        s_pp = _cross_sums(ep, em, m.vphi_plus, torus)
-        death = float(np.sum(m.m_plus + s_bm + s_pm + c_plus * l1["bm"] + c_minus * l1["pm"])) if n else 0.0
-        birth = float(np.sum(s_bp + s_pp + c_plus * l1["bp"] + c_minus * l1["pp"])) / c_plus if n else 0.0
-        return death + birth, True
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    fk = _functionals(f, "death_pot", dim)
+    bphi = _functionals(f, "parent_pot", dim).beta
+    l1a = _functionals(f, "birth_kernel", dim).l1
+    tot = 0.0
+    damp = np.array([
+        math.exp(-relative_energy(y, em, f.parent_pot, torus)) for y in ep.points
+    ]) if n else np.zeros(0)
+    x_phi = c_minus * bphi
+    for i in range(n):
+        x = ep.points[i]
+        rest = ep.remove_index(i)
+        tot += f.death_const * _safe_exp(c_plus * fk.beta_neg) * math.exp(
+            relative_energy(x, rest, f.death_pot, torus))
+        if n > 1 and not f.birth_kernel.is_zero:
+            d = pairwise_distances(x[None, :], rest.points, torus)[0]
+            w = np.delete(damp, i)
+            tot += _mass_term(float(np.sum(w * f.birth_kernel(d))) / c_plus, x_phi)
+        # candidate-parent integral; exact only without environment points
+        tot += _mass_term(l1a, x_phi)
+    return tot, em.size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -534,40 +487,36 @@ def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfigura
     """Batch evaluators (death, birth) mapping candidate blocks
     (xi_plus (S,nP,dim), xi_minus (S,nM,dim)) to
     |sum over subset pairs of the system kernel|."""
-    if isinstance(m, GlauberGlauber):
-        s0p = _subset_product_sum(
-            mayer(m.phi_plus, pairwise_distances(x[None, :], rest_plus.points, torus)[0])
-        ) if rest_plus.size else 1.0
-        s0m = _subset_product_sum(
-            mayer(m.phi_minus, pairwise_distances(x[None, :], em.points, torus)[0])
-        ) if em.size else 1.0
+    f, _ = _system(m)
+
+    def subset_sum(pot: Potential, y: np.ndarray, cfg: FiniteConfiguration) -> float:
+        if not cfg.size:
+            return 1.0
+        return _subset_product_sum(mayer(pot, pairwise_distances(y[None, :], cfg.points, torus)[0]))
+
+    if f.birth_pot is not None:
+        s0p = subset_sum(f.birth_pot, x, rest_plus)
+        s0m = subset_sum(f.cross_birth_pot, x, em)
 
         def death(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
             S = xp.shape[0]
-            return np.full(S, 1.0) if (xp.shape[1] == 0 and xm.shape[1] == 0) else np.zeros(S)
+            return (np.full(S, f.death_const) if (xp.shape[1] == 0 and xm.shape[1] == 0)
+                    else np.zeros(S))
 
         def birth(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-            tp = mayer(m.phi_plus, _dists_to(x, xp, torus))
-            tm = mayer(m.phi_minus, _dists_to(x, xm, torus))
-            return np.abs(m.z_plus * s0p * s0m * np.prod(tp, axis=1) * np.prod(tm, axis=1))
+            tp = mayer(f.birth_pot, _dists_to(x, xp, torus))
+            tm = mayer(f.cross_birth_pot, _dists_to(x, xm, torus))
+            return np.abs(f.birth_const * s0p * s0m * np.prod(tp, axis=1) * np.prod(tm, axis=1))
 
         return death, birth
 
-    if isinstance(m, (BdlpInGlauber, TwoBdlp)):
-        if isinstance(m, BdlpInGlauber):
-            dp_pot, dm_pot = m.a_minus, m.b_minus
-            bp_pot, bm_pot = m.a_plus, m.b_plus
-            const = m.m_plus
-        else:
-            dp_pot, dm_pot = m.b_minus, m.vphi_minus
-            bp_pot, bm_pot = m.b_plus, m.vphi_plus
-            const = m.m_plus
+    if f.death_pot is None:
         rp = pairwise_distances(x[None, :], rest_plus.points, torus)[0] if rest_plus.size else np.zeros(0)
         rm = pairwise_distances(x[None, :], em.points, torus)[0] if em.size else np.zeros(0)
-        base_d = const + float(np.sum(dp_pot(rp))) + float(np.sum(dm_pot(rm)))
-        base_b = float(np.sum(bp_pot(rp))) + float(np.sum(bm_pot(rm)))
 
-        def _additive(base: float, pot_p: Potential, pot_m: Potential):
+        def _additive(const: float, pot_p: Potential, pot_m: Potential):
+            base = const + float(np.sum(pot_p(rp))) + float(np.sum(pot_m(rm)))
+
             def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
                 S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
                 if nP == 0 and nM == 0:
@@ -579,54 +528,50 @@ def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfigura
                 return np.zeros(S)
             return fn
 
-        return _additive(base_d, dp_pot, dm_pot), _additive(base_b, bp_pot, bm_pot)
+        return (_additive(f.death_const, f.death_kernel, f.cross_death_kernel),
+                _additive(f.birth_const, f.birth_kernel, f.cross_birth_kernel))
 
-    if isinstance(m, BranchingInGlauber):
-        su0 = _subset_product_sum(
-            np.expm1(m.kappa(pairwise_distances(x[None, :], rest_plus.points, torus)[0]))
-        ) if rest_plus.size else 1.0
-        # per fixed parent y in rest: damping subset sum over em and kernel value
-        parents = rest_plus.points
-        a_vals = m.a_plus(pairwise_distances(x[None, :], parents, torus)[0]) if rest_plus.size else np.zeros(0)
-        sphi = np.array([
-            _subset_product_sum(mayer(m.phi, pairwise_distances(y[None, :], em.points, torus)[0]))
-            if em.size else 1.0
-            for y in parents
-        ]) if rest_plus.size else np.zeros(0)
+    kappa, phi, a_plus = f.death_pot, f.parent_pot, f.birth_kernel
+    su0 = _subset_product_sum(
+        np.expm1(kappa(pairwise_distances(x[None, :], rest_plus.points, torus)[0]))
+    ) if rest_plus.size else 1.0
+    # per fixed parent y in rest: damping subset sum over em and kernel value
+    parents = rest_plus.points
+    a_vals = a_plus(pairwise_distances(x[None, :], parents, torus)[0]) if rest_plus.size else np.zeros(0)
+    sphi = np.array([subset_sum(phi, y, em) for y in parents]) if rest_plus.size else np.zeros(0)
 
-        def death(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-            S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
-            if nM > 0:
-                return np.zeros(S)
-            u = np.expm1(m.kappa(_dists_to(x, xp, torus)))
-            return np.abs(m.m_plus * su0 * np.prod(u, axis=1))
+    def death(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
+        S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
+        if nM > 0:
+            return np.zeros(S)
+        u = np.expm1(kappa(_dists_to(x, xp, torus)))
+        return np.abs(f.death_const * su0 * np.prod(u, axis=1))
 
-        def birth(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-            S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
-            if nP > 1:
-                return np.zeros(S)
-            if nP == 0:
-                tot = np.zeros(S)
-                for j in range(len(parents)):
-                    if a_vals[j] == 0.0:
-                        continue
-                    tphi = mayer(m.phi, _dists_to(parents[j], xm, torus))
-                    tot = tot + a_vals[j] * sphi[j] * np.prod(tphi, axis=1)
-                return np.abs(tot)
-            y = xp[:, 0, :]  # candidate parent per sample
-            av = m.a_plus(_dists_to(x, xp, torus)[:, 0])
-            if em.size:
-                dye = pairwise_distances(y, em.points, torus)
-                sy = _subset_product_sum_batch(mayer(m.phi, dye))
-            else:
-                sy = np.ones(S)
-            prod_t = np.ones(S)
-            for j in range(nM):
-                prod_t = prod_t * mayer(m.phi, _rowwise_dist(y, xm[:, j, :], torus))
-            return np.abs(av * sy * prod_t)
+    def birth(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
+        S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
+        if nP > 1:
+            return np.zeros(S)
+        if nP == 0:
+            tot = np.zeros(S)
+            for j in range(len(parents)):
+                if a_vals[j] == 0.0:
+                    continue
+                tphi = mayer(phi, _dists_to(parents[j], xm, torus))
+                tot = tot + a_vals[j] * sphi[j] * np.prod(tphi, axis=1)
+            return np.abs(tot)
+        y = xp[:, 0, :]  # candidate parent per sample
+        av = a_plus(_dists_to(x, xp, torus)[:, 0])
+        if em.size:
+            dye = pairwise_distances(y, em.points, torus)
+            sy = _subset_product_sum_batch(mayer(phi, dye))
+        else:
+            sy = np.ones(S)
+        prod_t = np.ones(S)
+        for j in range(nM):
+            prod_t = prod_t * mayer(phi, _rowwise_dist(y, xm[:, j, :], torus))
+        return np.abs(av * sy * prod_t)
 
-        return death, birth
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    return death, birth
 
 
 def _remainder_exp(u: float, cap: int) -> float:
@@ -753,62 +698,59 @@ def c_plus_numeric(m: RateModel, eta: MarkedConfiguration, c_minus: float,
     """System expansion mass by truncated Monte Carlo; see c_minus_numeric."""
     dim = torus.dim
     ep, em = eta.plus, eta.minus
+    f, _ = _system(m)
     total = 0.0
     var = 0.0
     tail = 0.0
     weights = (c_plus, c_minus)
+
+    def cap(pot: Potential, order: int = 1) -> int:
+        return 0 if pot.is_zero else order
+
+    def radius(pot: Potential) -> Optional[float]:
+        return _capped_radius(pot.cutoff, torus)
+
     for i in range(ep.size):
         x = ep.points[i]
         rest = ep.remove_index(i)
         death_fn, birth_fn = _sys_expansion_batch(m, x, rest, em, torus)
-        if isinstance(m, GlauberGlauber):
-            bp = potential_functionals(m.phi_plus, dim).beta
-            bm = potential_functionals(m.phi_minus, dim).beta
-            cp = 0 if m.phi_plus.is_zero else order_cap
-            cm = 0 if m.phi_minus.is_zero else order_cap
+        if f.birth_pot is not None:
+            own, cross = f.birth_pot, f.cross_birth_pot
+            bp = potential_functionals(own, dim).beta
+            bm = potential_functionals(cross, dim).beta
+            cp, cm = cap(own, order_cap), cap(cross, order_cap)
             specs = [(death_fn, 1.0, (0, 0), 0.0, 0.0),
-                     (birth_fn, 1.0 / c_plus, (cp, cm),
-                      _capped_radius(m.phi_plus.cutoff, torus),
-                      _capped_radius(m.phi_minus.cutoff, torus))]
+                     (birth_fn, 1.0 / c_plus, (cp, cm), radius(own), radius(cross))]
             partial = sum((c_plus * bp) ** a / math.factorial(a)
                           * (c_minus * bm) ** b / math.factorial(b)
                           for a in range(cp + 1) for b in range(cm + 1))
-            pref = (m.z_plus / c_plus) * _abs_mayer_products(x, rest, m.phi_plus, torus) \
-                * _abs_mayer_products(x, em, m.phi_minus, torus)
+            pref = (f.birth_const / c_plus) * _abs_mayer_products(x, rest, own, torus) \
+                * _abs_mayer_products(x, em, cross, torus)
             tail += pref * max(0.0, math.exp(c_plus * bp + c_minus * bm) - partial)
-        elif isinstance(m, (BdlpInGlauber, TwoBdlp)):
-            if isinstance(m, BdlpInGlauber):
-                dp, dm, bp_, bm_ = m.a_minus, m.b_minus, m.a_plus, m.b_plus
-            else:
-                dp, dm, bp_, bm_ = m.b_minus, m.vphi_minus, m.b_plus, m.vphi_plus
-            specs = [
-                (death_fn, 1.0,
-                 (0 if dp.is_zero else 1, 0 if dm.is_zero else 1),
-                 _capped_radius(dp.cutoff, torus), _capped_radius(dm.cutoff, torus)),
-                (birth_fn, 1.0 / c_plus,
-                 (0 if bp_.is_zero else 1, 0 if bm_.is_zero else 1),
-                 _capped_radius(bp_.cutoff, torus), _capped_radius(bm_.cutoff, torus)),
-            ]
+        elif f.death_pot is None:
+            specs = [(fn, w, (cap(own), cap(cross)), radius(own), radius(cross))
+                     for fn, w, own, cross in (
+                         (death_fn, 1.0, f.death_kernel, f.cross_death_kernel),
+                         (birth_fn, 1.0 / c_plus, f.birth_kernel, f.cross_birth_kernel))]
         else:
-            fk = potential_functionals(m.kappa, dim)
-            bphi = potential_functionals(m.phi, dim).beta
-            l1a = potential_functionals(m.a_plus, dim).l1
-            cp_d = 0 if m.kappa.is_zero else order_cap
-            cm_b = 0 if (m.phi.is_zero or m.a_plus.is_zero) else order_cap
+            kappa, phi, a_plus = f.death_pot, f.parent_pot, f.birth_kernel
+            fk = potential_functionals(kappa, dim)
+            bphi = potential_functionals(phi, dim).beta
+            l1a = potential_functionals(a_plus, dim).l1
+            cp_d = cap(kappa, order_cap)
+            cm_b = 0 if (phi.is_zero or a_plus.is_zero) else order_cap
             specs = [
-                (death_fn, 1.0, (cp_d, 0), _capped_radius(m.kappa.cutoff, torus), 0.0),
-                (birth_fn, 1.0 / c_plus,
-                 (0 if m.a_plus.is_zero else 1, cm_b),
-                 _capped_radius(m.a_plus.cutoff, torus),
-                 _capped_radius(m.a_plus.cutoff + m.phi.cutoff, torus)),
+                (death_fn, 1.0, (cp_d, 0), radius(kappa), 0.0),
+                (birth_fn, 1.0 / c_plus, (cap(a_plus), cm_b), radius(a_plus),
+                 _capped_radius(a_plus.cutoff + phi.cutoff, torus)),
             ]
-            tail += m.m_plus * _abs_mayer_products(x, rest, m.kappa, torus, positive=True) \
+            tail += f.death_const * _abs_mayer_products(x, rest, kappa, torus, positive=True) \
                 * _remainder_exp(c_plus * fk.beta_neg, cp_d)
-            if not m.a_plus.is_zero:
+            if not a_plus.is_zero:
                 env_prod = 2.0 ** em.size
                 rem = _remainder_exp(c_minus * bphi, cm_b)
                 rr = pairwise_distances(x[None, :], rest.points, torus)[0] if rest.size else np.zeros(0)
-                parent_mass = float(np.sum(m.a_plus(rr)))
+                parent_mass = float(np.sum(a_plus(rr)))
                 tail += (parent_mass * env_prod * rem
                          + c_plus * l1a * env_prod * rem) / c_plus
         for p, (fn, w, caps, r_p, r_m) in enumerate(specs):

@@ -34,7 +34,9 @@ class StabilityError(RuntimeError):
 
 
 class ExplosionGuardError(RuntimeError):
-    """The event budget or the population cap was exceeded before the horizon.
+    """The event budget or the population cap was exceeded before the
+    horizon, or the rates stopped being finite (a rate total that overflowed
+    to inf, or a nan).
 
     time_reached and events say where the run stopped.
     """

@@ -19,8 +19,9 @@ component_form returns those forms and hierarchy.py re-exports both.  The
 system of a full model has cross terms; rate_form returns every form.  The
 pointwise rates, the death vectors and the birth proposals of every
 component are derived from its form, and the event loop updates its rates
-by the same terms; only the plus decomposition kernels and the averaging keep
-one branch per variant.
+by the same terms, and the averaged model replaces the cross terms of the
+system form by their averages; only the plus decomposition kernels keep one
+branch per variant.
 
 For each model the birth/death rates admit a finite-difference kernel
 expansion d(x, gamma) = sum over finite eta inside gamma of D(x, eta) (and
@@ -31,7 +32,7 @@ subset-sum identity tying kernels to rates is enforced by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
@@ -260,17 +261,9 @@ def variant_name(m: RateModel) -> str:
 
 def model_potentials(m: RateModel) -> dict:
     """All radial profiles the model uses, keyed by field name."""
-    if isinstance(m, GlauberGlauber):
-        return {"psi": m.psi, "phi_minus": m.phi_minus, "phi_plus": m.phi_plus}
-    if isinstance(m, BdlpInGlauber):
-        return {"psi": m.psi, "a_minus": m.a_minus, "a_plus": m.a_plus,
-                "b_minus": m.b_minus, "b_plus": m.b_plus}
-    if isinstance(m, BranchingInGlauber):
-        return {"psi": m.psi, "kappa": m.kappa, "phi": m.phi, "a_plus": m.a_plus}
-    if isinstance(m, TwoBdlp):
-        return {"a_minus": m.a_minus, "a_plus": m.a_plus, "b_minus": m.b_minus,
-                "b_plus": m.b_plus, "vphi_minus": m.vphi_minus, "vphi_plus": m.vphi_plus}
-    raise ModelError(f"unknown model type {type(m).__name__}")
+    variant_name(m)  # ModelError for anything but the four variants
+    return {f.name: getattr(m, f.name) for f in fields(m)
+            if isinstance(getattr(m, f.name), Potential)}
 
 
 def validate_model_on_torus(m: RateModel, torus: Torus):
@@ -633,11 +626,13 @@ def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) 
 class AveragedModel:
     """System dynamics with the environment integrated out.
 
-    lambda_bar is the averaged environment factor; its meaning depends on
-    the base variant (exponential damping factor for the Glauber and
-    branching families, an additive immigration intensity for the additive
-    families).  rho_inv is the invariant one-point density the averaging was
-    computed against.
+    The system form of the base model loses its cross terms: an additive
+    cross death kernel adds m_bar to death_const and an additive cross birth
+    kernel adds lambda_bar to birth_const, both rho_inv times the kernel
+    mass; an exponential cross damping multiplies birth_const by the
+    averaged factor lambda_bar, and parent damping becomes the kernel scale
+    lambda_bar.  rho_inv is the invariant one-point density the averaging
+    was computed against.
     """
 
     base: RateModel
@@ -645,33 +640,21 @@ class AveragedModel:
     lambda_bar: float
     lambda_bar_tail: float = 0.0
     m_bar: float = 0.0
-    phi_bar_minus: float = 0.0
-    phi_bar_plus: float = 0.0
 
     @cached_property
     def _system_form(self) -> ComponentForm:
-        base = self.base
-        if isinstance(base, GlauberGlauber):
-            return ComponentForm(death_const=1.0,
-                                 birth_const=base.z_plus * self.lambda_bar,
-                                 birth_pot=base.phi_plus)
-        if isinstance(base, BdlpInGlauber):
-            return ComponentForm(death_const=base.m_plus + self.m_bar,
-                                 birth_const=self.lambda_bar,
-                                 death_kernel=base.a_minus,
-                                 birth_kernel=base.a_plus)
-        if isinstance(base, BranchingInGlauber):
-            return ComponentForm(death_const=base.m_plus,
-                                 birth_const=0.0,
-                                 death_pot=base.kappa,
-                                 birth_kernel=base.a_plus,
-                                 birth_kernel_scale=self.lambda_bar)
-        if isinstance(base, TwoBdlp):
-            return ComponentForm(death_const=base.m_plus + self.phi_bar_minus,
-                                 birth_const=self.phi_bar_plus,
-                                 death_kernel=base.b_minus,
-                                 birth_kernel=base.b_plus)
-        raise ModelError(f"unknown model type {type(base).__name__}")
+        f = rate_form(self.base, "system")
+        death_const, birth_const, scale = f.death_const, f.birth_const, f.birth_kernel_scale
+        if f.cross_death_kernel is not None:
+            death_const += self.m_bar
+        if f.cross_birth_kernel is not None:
+            birth_const += self.lambda_bar
+        if f.cross_birth_pot is not None:
+            birth_const *= self.lambda_bar
+        if f.parent_pot is not None:
+            scale = self.lambda_bar
+        return replace(f, death_const=death_const, birth_const=birth_const,
+                       birth_kernel_scale=scale, **dict.fromkeys(_CROSS_TERMS))
 
 
 def component_form(m: Union[RateModel, AveragedModel], component: str = "environment") -> ComponentForm:
@@ -720,25 +703,17 @@ def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
 
     if abs(k_inv.k0 - 1.0) > 1e-9:
         raise ModelError("invariant table must have order-0 entry 1")
+    variant_name(m)  # ModelError for anything but the four variants
     rho = k_inv.k1
-    dim = torus.dim
-    if isinstance(m, GlauberGlauber):
-        lam, tail = exp_mayer_functional(k_inv, m.phi_minus)
-        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail)
-    elif isinstance(m, BdlpInGlauber):
-        m_bar = rho * potential_functionals(m.b_minus, dim).l1
-        lam = rho * potential_functionals(m.b_plus, dim).l1
-        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, m_bar=m_bar)
-    elif isinstance(m, BranchingInGlauber):
-        lam, tail = exp_mayer_functional(k_inv, m.phi)
-        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail)
-    elif isinstance(m, TwoBdlp):
-        pbm = rho * potential_functionals(m.vphi_minus, dim).l1
-        pbp = rho * potential_functionals(m.vphi_plus, dim).l1
-        am = AveragedModel(base=m, rho_inv=rho, lambda_bar=pbp,
-                           phi_bar_minus=pbm, phi_bar_plus=pbp)
+    f = rate_form(m, "system")
+    mass = lambda pot: rho * potential_functionals(pot, torus.dim).l1
+    m_bar = 0.0 if f.cross_death_kernel is None else mass(f.cross_death_kernel)
+    if f.cross_birth_kernel is not None:
+        lam, tail = mass(f.cross_birth_kernel), 0.0
     else:
-        raise ModelError(f"unknown model type {type(m).__name__}")
+        damping = f.parent_pot if f.cross_birth_pot is None else f.cross_birth_pot
+        lam, tail = exp_mayer_functional(k_inv, damping)
+    am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail, m_bar=m_bar)
     if am.lambda_bar < 0:
         raise ModelError(
             f"averaged birth factor lambda_bar = {am.lambda_bar:.6g} is negative "

@@ -41,7 +41,6 @@ from .geometry import (
     MarkedConfiguration,
     Torus,
     distances_from,
-    pairwise_distances,
 )
 from .models import (
     AveragedModel,
@@ -355,6 +354,10 @@ def simulate(
         r_sd, r_sb = state.death_total[0], state.birth_mass[0]
         r_ed, r_eb = state.death_total[1] / eps, state.birth_mass[1] / eps
         total = r_sd + r_sb + r_ed + r_eb
+        if not math.isfinite(total):
+            raise ExplosionGuardError(
+                f"rate total {total} is not finite at t={t:.6g} after {events} events",
+                time_reached=t, events=events)
 
         if total <= 0.0:
             record_upto(settings.t_end)
@@ -484,81 +487,3 @@ def estimate_density(records: Sequence[TrajectoryRecord], torus: Torus) -> Densi
         se_minus=se(minus),
         n_replicas=n,
     )
-
-
-@dataclass
-class PairCorrelationEstimate:
-    bin_centers: np.ndarray
-    g: np.ndarray
-    se: np.ndarray
-    density: float
-    n_configs: int
-
-
-def _shell_volume(dim: int, r_lo: float, r_hi: float) -> float:
-    if dim == 1:
-        return 2.0 * (r_hi - r_lo)
-    if dim == 2:
-        return math.pi * (r_hi ** 2 - r_lo ** 2)
-    return 4.0 * math.pi / 3.0 * (r_hi ** 3 - r_lo ** 3)
-
-
-def estimate_pair_correlation(
-    configs: Sequence[FiniteConfiguration],
-    torus: Torus,
-    bin_edges: np.ndarray,
-    density: Optional[float] = None,
-) -> PairCorrelationEstimate:
-    """Radial pair correlation from pooled configurations.
-
-    Counts ordered pairs per distance shell; normalization uses the pooled
-    mean density unless one is supplied.  Standard errors are across
-    configurations.
-    """
-    edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges must be increasing with at least two entries")
-    if edges[-1] > torus.max_distance + 1e-9:
-        raise ValueError("bin edges exceed the largest torus distance")
-    n_cfg = len(configs)
-    if n_cfg == 0:
-        raise ValueError("no configurations")
-    vol = torus.volume
-    if density is None:
-        density = float(np.mean([c.size for c in configs])) / vol
-    if density <= 0:
-        raise ValueError("density must be positive to normalize")
-    dim = torus.dim
-    shells = np.array([_shell_volume(dim, edges[i], edges[i + 1])
-                       for i in range(len(edges) - 1)])
-    per_cfg = np.zeros((n_cfg, len(shells)))
-    for ci, cfg in enumerate(configs):
-        if cfg.size < 2:
-            continue
-        d = pairwise_distances(cfg.points, cfg.points, torus)
-        iu = np.triu_indices(cfg.size, k=1)
-        counts, _ = np.histogram(d[iu], bins=edges)
-        per_cfg[ci] = 2.0 * counts  # ordered pairs
-    norm = density ** 2 * vol * shells
-    g_cfg = per_cfg / norm[None, :]
-    g = np.mean(g_cfg, axis=0)
-    se = np.std(g_cfg, axis=0, ddof=1) / math.sqrt(n_cfg) if n_cfg > 1 else np.zeros_like(g)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return PairCorrelationEstimate(bin_centers=centers, g=g, se=se,
-                                   density=density, n_configs=n_cfg)
-
-
-def pooled_snapshots(records: Sequence[TrajectoryRecord],
-                     time_indices: Sequence[int],
-                     component: str = "plus") -> List[FiniteConfiguration]:
-    """Collect stored configurations at the given record-time indices."""
-    if component not in ("plus", "minus"):
-        raise ValueError("component must be 'plus' or 'minus'")
-    out: List[FiniteConfiguration] = []
-    for r in records:
-        if r.snapshots is None:
-            raise ValueError("records were run without keep_snapshots")
-        for i in time_indices:
-            snap = r.snapshots[i]
-            out.append(snap.plus if component == "plus" else snap.minus)
-    return out

@@ -37,6 +37,7 @@ from conftest import (
     marked,
     two_bdlp_model,
 )
+from regime_golden import FACTORIES, REGIME, SPOT
 
 
 def _free_gg(z_minus, z_plus=0.1):
@@ -248,3 +249,36 @@ def test_scan_reports_infeasible_models_without_a_best_row():
     assert res.best is None
     assert res.feasible_count == 0
     assert all(not r["feasible"] for r in res.rows)
+
+
+def _assert_matches(actual, expected, where="report"):
+    """Equal structure, key order and values, floats to 1e-12."""
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), where
+        for k in expected:
+            _assert_matches(actual[k], expected[k], f"{where}.{k}")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_matches(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float) and not isinstance(actual, bool):
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=1e-12), where
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+@pytest.mark.parametrize("key", list(REGIME), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}-{k[3]}")
+def test_regime_report_is_pinned(key):
+    name, c_minus, c_plus, rho_inv = key
+    build = {b.__name__: b for b in FACTORIES}[name]
+    got = check_regime(build(), c_minus, c_plus, dim=1, rho_inv=rho_inv).as_dict()
+    _assert_matches(got, REGIME[key])
+
+
+@pytest.mark.parametrize("build", FACTORIES, ids=lambda b: b.__name__)
+def test_spot_check_rows_are_pinned(build):
+    spot = SpotCheckSettings(samples=200, max_points=2, configs_per_size=1)
+    rows = check_regime(build(), 0.8, 1.5, torus=TORUS1, spot=spot).spot.rows
+    got = [(r.component, r.n_plus, r.n_minus, r.numeric, r.stderr, r.tail,
+            r.closed, r.closed_exact) for r in rows]
+    _assert_matches(got, SPOT[build.__name__])

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from coupledbd import cli
@@ -214,6 +215,20 @@ def test_cli_maps_evaluation_errors_to_the_runtime_exit(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
     code = main(["simulate", _write(tmp_path, _gg_config()),
                  "--out", str(tmp_path / "out")])
+    assert code == 4
+
+
+def test_cli_maps_non_finite_rates_to_the_runtime_exit(tmp_path):
+    # exp(800) overflows for any two system points closer than 1
+    cfg = {
+        "model": {"variant": "branching_in_glauber", "params": {
+            "z_minus": 0.3, "m_plus": 1.0, "kappa": _step(800.0, 1.0)}},
+        "torus": {"side": 10.0, "dim": 1},
+        "simulate": {"t_end": 1.0, "n_replicas": 1, "n_times": 3,
+                     "sys_density": 2.0, "env_density": 0.3, "seed": 5},
+    }
+    with np.errstate(over="ignore"):
+        code = main(["simulate", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == 4
 
 

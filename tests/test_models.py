@@ -37,7 +37,7 @@ from coupledbd.models import (
     variant_name,
 )
 from coupledbd.potentials import Potential, potential_functionals
-from coupledbd.tables import CorrelationTable, GridSpec
+from coupledbd.tables import CorrelationTable, GridSpec, exp_mayer_functional
 
 from conftest import (
     ALL_MODELS,
@@ -245,10 +245,38 @@ def test_additive_averaging_is_exact_in_the_density():
         rho * potential_functionals(m.b_plus, 1).l1, rel=1e-12)
     t = two_bdlp_model()
     at = build_averaged_model(t, table, TORUS1)
-    assert at.phi_bar_minus == pytest.approx(
+    assert at.m_bar == pytest.approx(
         rho * potential_functionals(t.vphi_minus, 1).l1, rel=1e-12)
-    assert at.phi_bar_plus == pytest.approx(
+    assert at.lambda_bar == pytest.approx(
         rho * potential_functionals(t.vphi_plus, 1).l1, rel=1e-12)
+
+
+def test_averaged_forms_replace_the_cross_terms_by_their_averages():
+    table = _poisson_table(0.7)
+    rho = table.k1
+    l1 = lambda p: rho * potential_functionals(p, 1).l1
+    g, b, r, t = gg_model(), bdlp_model(), branching_model(), two_bdlp_model()
+    g_bar, g_tail = exp_mayer_functional(table, g.phi_minus)
+    r_bar, r_tail = exp_mayer_functional(table, r.phi)
+    expected = {
+        g: (ComponentForm(death_const=1.0, birth_const=g.z_plus * g_bar,
+                          birth_pot=g.phi_plus), g_bar, g_tail, 0.0),
+        b: (ComponentForm(death_const=b.m_plus + l1(b.b_minus), birth_const=l1(b.b_plus),
+                          death_kernel=b.a_minus, birth_kernel=b.a_plus),
+            l1(b.b_plus), 0.0, l1(b.b_minus)),
+        r: (ComponentForm(death_const=r.m_plus, birth_const=0.0, death_pot=r.kappa,
+                          birth_kernel=r.a_plus, birth_kernel_scale=r_bar),
+            r_bar, r_tail, 0.0),
+        t: (ComponentForm(death_const=t.m_plus + l1(t.vphi_minus),
+                          birth_const=l1(t.vphi_plus),
+                          death_kernel=t.b_minus, birth_kernel=t.b_plus),
+            l1(t.vphi_plus), 0.0, l1(t.vphi_minus)),
+    }
+    for m, (form, lambda_bar, tail, m_bar) in expected.items():
+        am = build_averaged_model(m, table, TORUS1)
+        assert component_form(am, "system") == form, variant_name(m)
+        assert (am.rho_inv, am.lambda_bar, am.lambda_bar_tail, am.m_bar) == (
+            rho, lambda_bar, tail, m_bar), variant_name(m)
 
 
 def test_exponential_averaging_matches_poisson_closed_form():

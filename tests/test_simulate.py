@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coupledbd.errors import ExplosionGuardError, ModelError
-from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration, Torus
+from coupledbd.geometry import MarkedConfiguration, Torus
 from coupledbd.models import (
     AveragedModel,
     BranchingInGlauber,
@@ -29,9 +29,7 @@ from coupledbd.simulate import (
     _PairState,
     acceptance_ratio,
     estimate_density,
-    estimate_pair_correlation,
     poisson_configuration,
-    pooled_snapshots,
     replica_rng,
     replicate,
     simulate,
@@ -150,6 +148,19 @@ def test_guard_errors_report_where_the_run_stopped():
     assert 0.0 < info.value.time_reached < s.t_end
 
 
+def test_non_finite_rates_trip_the_guard():
+    # exp(800) overflows: the two system points 0.2 apart have infinite
+    # death rates, so the rate total is not finite before the first event
+    zero = Potential.zero()
+    m = BranchingInGlauber(z_minus=0.3, psi=zero, m_plus=1.0,
+                           kappa=Potential.step(800, 1.0), phi=zero, a_plus=zero)
+    with np.errstate(over="ignore"), pytest.raises(ExplosionGuardError) as info:
+        simulate(m, TORUS1, marked([4.0, 4.2], []), SimulationSettings(t_end=1.0))
+    assert "not finite" in str(info.value)
+    assert info.value.time_reached == 0.0
+    assert info.value.events == 0
+
+
 def test_environment_clock_scales_with_epsilon():
     # free environment at stationarity: event rate 2 z V / epsilon
     z = 0.5
@@ -214,27 +225,6 @@ def test_poisson_configuration_sampling():
         poisson_configuration(rng, TORUS1, -1.0)
 
 
-def test_pair_correlation_is_flat_for_poisson():
-    rng = np.random.default_rng(42)
-    configs = [poisson_configuration(rng, TORUS1, 1.5) for _ in range(60)]
-    edges = np.linspace(0.0, 2.5, 6)
-    est = estimate_pair_correlation(configs, TORUS1, edges)
-    assert np.all(np.abs(est.g - 1.0) <= 4.0 * est.se + 0.05)
-    known = estimate_pair_correlation(configs, TORUS1, edges, density=1.5)
-    assert np.allclose(known.g, est.g * (est.density / 1.5) ** 2, rtol=1e-9)
-
-
-def test_pair_correlation_input_validation():
-    rng = np.random.default_rng(0)
-    cfgs = [poisson_configuration(rng, TORUS1, 1.0)]
-    with pytest.raises(ValueError):
-        estimate_pair_correlation([], TORUS1, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        estimate_pair_correlation(cfgs, TORUS1, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        estimate_pair_correlation(cfgs, TORUS1, np.array([0.0, 9.0]))
-
-
 def test_estimate_density_rejects_mismatched_records():
     s1 = SimulationSettings(t_end=1.0, master_seed=1, record_times=(0.5, 1.0))
     s2 = SimulationSettings(t_end=1.0, master_seed=1, record_times=(0.2, 1.0))
@@ -258,16 +248,6 @@ def test_snapshots_match_recorded_counts():
         for j, snap in enumerate(r.snapshots):
             assert snap.minus.size == r.minus_counts[j]
             assert snap.plus.size == r.plus_counts[j]
-    pooled = pooled_snapshots(recs, [1, 2], component="minus")
-    assert len(pooled) == 6
-    assert all(isinstance(c, FiniteConfiguration) for c in pooled)
-    bare = simulate(_free_env(), TORUS1, _empty(),
-                    SimulationSettings(t_end=1.0, record_times=(1.0,)),
-                    components=("environment",))
-    with pytest.raises(ValueError):
-        pooled_snapshots([bare], [0])
-    with pytest.raises(ValueError):
-        pooled_snapshots(recs, [0], component="both")
 
 
 def test_replicate_assigns_replica_indices():
