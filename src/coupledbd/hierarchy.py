@@ -25,8 +25,10 @@ balance equation: with M(eta) = |eta| * death_const,
     k = k + (L k) / M  + forcing,     forcing = birth_const/death_const on
                                       singletons, from the order-0 pin k0=1.
 
-Picard iteration starts at the forcing; for the free (non-interacting) case
-the iteration terminates exactly within `order` steps.
+ks_solve finds this fixed point by Anderson mixing of the map, starting
+at the forcing after two plain Picard steps.  For the free
+(non-interacting) case Picard is exact after `order` steps, so the solve
+still stops within `order` iterations there.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ class StencilBundle:
     u_cw2: Optional[np.ndarray] = None
     t_cw2: Optional[np.ndarray] = None
     ab_cw2: Optional[np.ndarray] = None
+    # table-independent order-3 factors, indexed [j, l] (built for order 3)
+    e3: Optional[np.ndarray] = None        # exponential death of the three points
+    pair3: Optional[np.ndarray] = None     # 3 death_const + additive pair death
+    t_f3: Optional[Tuple[np.ndarray, ...]] = None   # (f_l, f_j, f_0): exponential birth
+    ab_s3: Optional[Tuple[np.ndarray, ...]] = None  # (s_l, s_j, s_0): additive birth
+    t_rebase: Optional[Tuple[np.ndarray, np.ndarray]] = None   # _rebase_factors of t_cw
+    ab_rebase: Optional[Tuple[np.ndarray, np.ndarray]] = None  # _rebase_factors of ab_cw
 
 
 def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBundle:
@@ -121,6 +130,21 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
             v = getattr(b, src)
             if v is not None:
                 setattr(b, dst, v[di])
+    if order >= 3:
+        if b.u_p is not None:
+            e, e2 = 1.0 + b.u_p, 1.0 + b.u_p2
+            b.e3 = e[:, None] * e[None, :] + e[:, None] * e2 + e[None, :] * e2
+        elif b.am_p is not None:
+            am = b.am_p
+            b.pair3 = 3.0 * form.death_const + 2.0 * (am[:, None] + am[None, :] + b.am_p2)
+        if b.t_p is not None:
+            t, t2 = 1.0 + b.t_p, 1.0 + b.t_p2
+            b.t_f3 = (t[None, :] * t2, t[:, None] * t2, t[:, None] * t)
+            b.t_rebase = _rebase_factors(b.t_cw, di)
+        if b.ab_p is not None:
+            z, ab = form.birth_const, b.ab_p
+            b.ab_s3 = (z + ab[None, :] + b.ab_p2, z + ab[:, None] + b.ab_p2, z + ab[:, None] + ab)
+            b.ab_rebase = _rebase_factors(b.ab_cw, di)
     return b
 
 
@@ -130,16 +154,24 @@ def _closure_rho(table: CorrelationTable, closure: str) -> float:
     return 0.0
 
 
-def _rebased_triple_integral(k3: np.ndarray, weights: np.ndarray, di: np.ndarray) -> np.ndarray:
-    """out[j, l] = sum_r weights[r] * k3[di[l, j], di[r, j]].
+def _rebase_factors(weights: np.ndarray, di: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(S, gather) for _rebased_triple_integral: S[b, j] = weights at
+    offset[b] + offset[j] (di[0, j] is -offset[j]), and gather[j, l] the
+    flat index of (j, di[l, j]) in a P x P array."""
+    p = di.shape[0]
+    return weights[di[:, di[0]]], np.arange(p)[:, None] * p + di.T
+
+
+def _rebased_triple_integral(k3: np.ndarray, shifted: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """out[j, l] = sum_r weights[r] * k3[di[l, j], di[r, j]], given
+    (shifted, gather) = _rebase_factors(weights, di).
 
     This is the base-shift of the third-order table needed when the removed
     point is the table's base point.  Substituting b = offset[r] - offset[j]
-    turns the sum into one matrix product, out[j, l] = (k3 @ S)[di[l, j], j],
-    where S[b, j] = weights at offset[b] + offset[j] (di[0, j] is -offset[j]).
+    turns the sum into one matrix product, out[j, l] = (k3 @ S)[di[l, j], j].
+    The product is formed transposed so that the gather reads along rows.
     """
-    shifted = weights[di[:, di[0]]]
-    return (k3 @ shifted)[di.T, np.arange(k3.shape[0])[:, None]]
+    return np.take(shifted.T @ k3.T, gather)
 
 
 def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
@@ -229,46 +261,29 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     # ----- order 3 --------------------------------------------------------
     if n_ord >= 3:
         out3 = np.zeros((p, p))
-        k2j = k2[:, None] * np.ones((1, p))       # k2[j] broadcast over l
-        k2l = k2[None, :] * np.ones((p, 1))
+        k2j = k2[:, None]                         # k2[j] broadcast over l
+        k2l = k2[None, :]
         k2base = k2mat.T                          # k2 at offset[l]-offset[j]
         # death
         if bundle.u_p is not None:
-            up = bundle.u_p
-            e0 = (1.0 + up)[:, None] * (1.0 + up)[None, :]
-            ej = (1.0 + up)[:, None] * (1.0 + bundle.u_p2)
-            el = (1.0 + up)[None, :] * (1.0 + bundle.u_p2)
-            out3 -= m * (1.0 + rho_c * bundle.u_mass) * (e0 + ej + el) * k3
+            out3 -= m * (1.0 + rho_c * bundle.u_mass) * bundle.e3 * k3
         else:
-            pair = np.zeros((p, p))
-            if bundle.am_p is not None:
-                pair = 2.0 * (bundle.am_p[:, None] + bundle.am_p[None, :] + bundle.am_p2)
-            out3 -= (3.0 * m + pair) * k3
+            out3 -= (3.0 * m if bundle.pair3 is None else bundle.pair3) * k3
             if bundle.am_p is not None:
                 out3 -= 3.0 * rho_c * bundle.am_mass * k3
         # birth
-        if f.birth_pot is not None:
-            if bundle.t_p is not None:
-                tp = bundle.t_p
-                r1 = k3 @ bundle.t_cw2.T          # r1[j, l] = sum_r k3[j, r] t_cw at offset[l]-offset[r]
-                x0 = _rebased_triple_integral(k3, bundle.t_cw, di)
-                f_l = (1.0 + tp)[None, :] * (1.0 + bundle.t_p2)
-                f_j = (1.0 + tp)[:, None] * (1.0 + bundle.t_p2)
-                f_0 = (1.0 + tp)[:, None] * (1.0 + tp)[None, :]
-                out3 += z * (f_l * (k2j + r1) + f_j * (k2l + r1.T) + f_0 * (k2base + x0))
-            else:
-                out3 += z * (k2j + k2l + k2base)
+        if bundle.t_p is not None:
+            f_l, f_j, f_0 = bundle.t_f3
+            r1 = k3 @ bundle.t_cw2.T              # r1[j, l] = sum_r k3[j, r] t_cw at offset[l]-offset[r]
+            x0 = _rebased_triple_integral(k3, *bundle.t_rebase)
+            out3 += z * (f_l * (k2j + r1) + f_j * (k2l + r1.T) + f_0 * (k2base + x0))
+        elif bundle.ab_p is not None:
+            s_l, s_j, s_0 = bundle.ab_s3
+            r1 = k3 @ bundle.ab_cw2.T
+            x0 = _rebased_triple_integral(k3, *bundle.ab_rebase)
+            out3 += s_l * k2j + s_j * k2l + s_0 * k2base + r1 + r1.T + x0
         else:
-            abp = bundle.ab_p
-            if abp is not None:
-                s_l = z + abp[None, :] * np.ones((p, 1)) + bundle.ab_p2
-                s_j = z + abp[:, None] * np.ones((1, p)) + bundle.ab_p2
-                s_0 = z + abp[:, None] + abp[None, :]
-                r1 = k3 @ bundle.ab_cw2.T
-                x0 = _rebased_triple_integral(k3, bundle.ab_cw, di)
-                out3 += s_l * k2j + s_j * k2l + s_0 * k2base + r1 + r1.T + x0
-            else:
-                out3 += z * (k2j + k2l + k2base)
+            out3 += z * (k2j + k2l + k2base)
 
     return CorrelationTable(grid, n_ord, 0.0, out1, out2, out3)
 
@@ -301,38 +316,66 @@ class KsSolution:
     converged: bool
 
 
+# Each history vector of the mixing holds all P^2 + P + 2 table entries, so
+# the depth is kept small for peak memory.
+_MIX_DEPTH = 3
+_WARMUP_STEPS = 2
+
+
 def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
              tol: float = 1e-12, max_iter: int = 500,
              closure: str = "poisson", guard: float = 1e8) -> KsSolution:
-    """Invariant correlation table by Picard iteration from the forcing."""
+    """Invariant correlation table: the fixed point of G(x) = ks_apply(x) +
+    forcing, by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011).
+
+    Each step evaluates g = G(x) and f = g - x and records max|f| in
+    residuals.  The first _WARMUP_STEPS steps are plain Picard steps x = g,
+    so the free case, where Picard is exact after `order` steps, still
+    stops within `order` iterations.  After them x = g - dG gamma, where dF
+    and dG hold the differences of f and g over the last _MIX_DEPTH steps
+    and gamma solves (dF^T dF) gamma = dF^T f.  StabilityError is raised
+    when g or the mixed x is not finite or exceeds guard.
+    """
     bundle = build_stencils(grid, form, order)
     forcing = form.birth_const / form.death_const
-    cur = CorrelationTable(grid, order, 0.0, forcing)
+    template = CorrelationTable(grid, order, 0.0, forcing)
+    x = template.as_vector()
+    d_f = np.empty((x.size, _MIX_DEPTH), order="F")
+    d_g = np.empty((x.size, _MIX_DEPTH), order="F")
+    f_prev = g_prev = None
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
-        nxt = ks_apply(cur, bundle, closure=closure)
-        nxt = CorrelationTable(grid, order, 0.0, nxt.k1 + forcing, nxt.k2, nxt.k3)
-        res = _table_gap(cur, nxt)
-        residuals.append(res)
-        cur = nxt
-        if cur.max_abs() > guard:
-            raise StabilityError(
-                f"balance iteration left the stable range after {it} steps")
-        if res <= tol:
-            out = CorrelationTable(grid, order, 1.0, cur.k1, cur.k2, cur.k3)
-            return KsSolution(table=out, iterations=it, residuals=residuals, converged=True)
+        g = ks_apply(CorrelationTable.from_vector(template, x), bundle, closure=closure).as_vector()
+        g[1] += forcing
+        f = g - x
+        residuals.append(float(np.max(np.abs(f))))
+        _check_stable(g, guard, it)
+        if residuals[-1] <= tol:
+            g[0] = 1.0
+            return KsSolution(table=CorrelationTable.from_vector(template, g),
+                              iterations=it, residuals=residuals, converged=True)
+        if f_prev is not None:
+            slot = (it - 2) % _MIX_DEPTH
+            np.subtract(f, f_prev, out=d_f[:, slot])
+            np.subtract(g, g_prev, out=d_g[:, slot])
+        f_prev, g_prev = f, g
+        if it <= _WARMUP_STEPS:
+            x = g
+            continue
+        df = d_f[:, :min(it - 1, _MIX_DEPTH)]
+        gamma = np.linalg.lstsq(df.T @ df, df.T @ f, rcond=1e-14)[0]
+        x = g - d_g[:, :gamma.size] @ gamma
+        _check_stable(x, guard, it)
     raise ConvergenceError(
         f"balance iteration did not reach tol={tol} in {max_iter} steps "
         f"(last residual {residuals[-1]:.3e})")
 
 
-def _table_gap(a: CorrelationTable, b: CorrelationTable) -> float:
-    gap = max(abs(a.k0 - b.k0), abs(a.k1 - b.k1))
-    if a.order >= 2:
-        gap = max(gap, float(np.max(np.abs(a.k2 - b.k2))) if a.k2.size else 0.0)
-    if a.order >= 3:
-        gap = max(gap, float(np.max(np.abs(a.k3 - b.k3))) if a.k3.size else 0.0)
-    return gap
+def _check_stable(vec: np.ndarray, guard: float, it: int) -> None:
+    # written so that a NaN entry fails the comparison too
+    if not float(np.max(np.abs(vec))) <= guard:
+        raise StabilityError(
+            f"balance iteration left the stable range after {it} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,17 @@ def _gg_config(**check):
     return cfg
 
 
+def _bdlp_config():
+    # the parameters of conftest.bdlp_model
+    return {
+        "model": {"variant": "bdlp_in_glauber", "params": {
+            "z_minus": 0.3, "m_plus": 1.0, "psi": _step(0.5, 1.0),
+            "a_minus": _step(0.6, 0.5), "a_plus": _step(0.5, 0.5),
+            "b_minus": _step(0.4, 0.5), "b_plus": _step(0.3, 0.5)}},
+        "torus": {"side": 10.0, "dim": 1},
+    }
+
+
 def _write(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -102,12 +113,7 @@ def test_potential_from_config_covers_all_kinds():
 def test_model_from_config_builds_every_variant():
     m = model_from_config(_gg_config())
     assert isinstance(m, GlauberGlauber) and m.z_minus == 0.3
-    b = model_from_config({
-        "model": {"variant": "bdlp_in_glauber", "params": {
-            "z_minus": 0.3, "m_plus": 1.0, "psi": _step(0.5, 1.0),
-            "a_minus": _step(0.6, 0.5), "a_plus": _step(0.5, 0.5),
-            "b_minus": _step(0.4, 0.5), "b_plus": _step(0.3, 0.5)}},
-        "torus": {"side": 10.0, "dim": 1}})
+    b = model_from_config(_bdlp_config())
     assert isinstance(b, BdlpInGlauber) and b.a_minus.kind == "step"
     r = model_from_config({
         "model": {"variant": "branching_in_glauber", "params": {
@@ -246,6 +252,16 @@ def test_cli_invariant_writes_summary_and_correlations(tmp_path):
     lines = (out / "correlations.csv").read_text().strip().splitlines()
     assert lines[0] == "r,pair_correlation"
     assert len(lines) > 2
+
+
+def test_cli_invariant_of_the_averaged_additive_system_at_order3(tmp_path):
+    cfg = _bdlp_config()
+    cfg["invariant"] = {"component": "averaged", "order": 3, "grid_points": 64}
+    out = tmp_path / "out"
+    code = main(["invariant", _write(tmp_path, cfg), "--out", str(out)])
+    assert code == 0
+    summ = json.loads((out / "summary.json").read_text())
+    assert summ["converged"] is True
 
 
 def test_cli_evolve_writes_a_trajectory(tmp_path):

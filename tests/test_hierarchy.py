@@ -6,15 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from coupledbd import hierarchy
 from coupledbd.errors import ConvergenceError, ModelError, StabilityError
 from coupledbd.geometry import Torus
 from coupledbd.hierarchy import (
     ComponentForm,
+    _rebase_factors,
     _rebased_triple_integral,
     build_stencils,
     component_form,
     evolve_hierarchy,
     invariant_summary,
+    ks_apply,
     ks_solve,
     l_delta_apply,
     lenard_spot_check,
@@ -89,8 +92,58 @@ def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
         for l in range(p):
             a = diff(l, j)
             expected[j, l] = sum(w[r] * k3[a, diff(r, j)] for r in range(p))
-    got = _rebased_triple_integral(k3, w, grid.diff_index)
+    got = _rebased_triple_integral(k3, *_rebase_factors(w, grid.diff_index))
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# l_delta_apply on a fixed random symmetric order-3 table, one form per
+# combination of death and birth paths.  Per form: the order-1 output, the
+# sum and a weighted sum of the order-2 output, and the same of the order-3
+# output; captured before the table-independent factors moved into
+# build_stencils.
+_STEP = Potential.step
+_GOLDEN_FORMS = {
+    "exp_death_exp_birth": (
+        ComponentForm(1.2, 0.4, death_pot=_STEP(0.3, 1.0), birth_pot=_STEP(0.5, 1.0)),
+        (-2.405661905412222, -365.2219625193517, -336.06092447145295,
+         -32790.056417395586, -32914.50352147348)),
+    "add_death_add_birth": (
+        ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0),
+                      birth_kernel=_STEP(0.2, 1.0), birth_kernel_scale=0.7),
+        (-1.2443477648014758, -182.13449749956368, -167.5638135468966,
+         -14526.782001534473, -14575.664577704349)),
+    "exp_death_add_birth": (
+        ComponentForm(1.2, 0.4, death_pot=_STEP(0.3, 1.0),
+                      birth_kernel=_STEP(0.2, 1.0), birth_kernel_scale=0.7),
+        (-1.6582450037750889, -245.8044499424628, -226.22002672874697,
+         -20808.988905066923, -20881.471108329737)),
+    "add_death_exp_birth": (
+        ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0), birth_pot=_STEP(0.5, 1.0)),
+        (-1.9917646664386088, -301.5520100764526, -277.4047112896025,
+         -26507.849513863133, -26608.696990848097)),
+    "const_birth": (
+        ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0)),
+        (-1.5962061420035325, -240.85823568486379, -221.57824789927548,
+         -20620.28231911819, -20695.57593525322)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FORMS))
+def test_order3_apply_matches_its_golden_sums(name):
+    form, want = _GOLDEN_FORMS[name]
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=8)
+    p = grid.num_cells
+    rng = np.random.default_rng(7)
+    k2 = rng.uniform(0.5, 1.5, p)
+    k2 = 0.5 * (k2 + k2[grid.diff_index[0]])
+    k3 = rng.uniform(0.5, 1.5, (p, p))
+    k3 = 0.5 * (k3 + k3.T)
+    w2 = rng.uniform(0.5, 1.5, p)
+    w3 = rng.uniform(0.5, 1.5, (p, p))
+    out = l_delta_apply(CorrelationTable(grid, 3, 1.0, 0.8, k2, k3),
+                        build_stencils(grid, form, 3))
+    got = (out.k1, np.sum(out.k2), w2 @ out.k2, np.sum(out.k3), np.sum(w3 * out.k3))
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_evolution_conserves_the_order_zero_entry():
@@ -155,17 +208,60 @@ def test_solver_reports_nonconvergence_honestly():
                  tol=1e-12, max_iter=1)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="order-3 Picard overshoots when additive pair death "
-                          "terms outweigh the constant death rate")
 def test_order3_solve_of_the_averaged_additive_system_converges():
     # averaged bdlp_model: death_const 1.097 against a step(0.6, 0.5) death
-    # kernel; orders 1 and 2 converge, order 3 diverges under plain Picard
+    # kernel; plain Picard steps overshoot at order 3, Anderson mixing does not
     m = bdlp_model()
     k_inv = ks_solve(component_form(m, "environment"), GRID, order=3).table
     form = component_form(build_averaged_model(m, k_inv, TORUS1), "system")
     assert ks_solve(form, GRID, order=2).converged
-    ks_solve(form, GRID, order=3)
+    sol = ks_solve(form, GRID, order=3)
+    assert sol.converged
+    assert sol.table.k1 == pytest.approx(0.0894009928834, rel=1e-8)
+
+
+def _picard(form, grid, order, tol=1e-13, max_iter=1000):
+    """Plain Picard iteration of the map ks_solve mixes: the oracle."""
+    bundle = build_stencils(grid, form, order)
+    forcing = form.birth_const / form.death_const
+    cur = CorrelationTable(grid, order, 0.0, forcing)
+    for _ in range(max_iter):
+        nxt = ks_apply(cur, bundle)
+        nxt.k1 += forcing
+        if np.max(np.abs(nxt.as_vector() - cur.as_vector())) <= tol:
+            return nxt
+        cur = nxt
+    raise AssertionError("Picard oracle did not converge")
+
+
+@pytest.mark.parametrize("model,grid", [
+    (gg_model(), GRID),
+    # the hierarchy benchmark's table: 2D 16x16, order 3
+    (GlauberGlauber(z_minus=0.5, psi=Potential.step(0.5, 1.0), z_plus=0.3,
+                    phi_minus=Potential.zero(), phi_plus=Potential.zero()),
+     GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)),
+])
+def test_mixed_solve_reaches_the_picard_fixed_point(model, grid):
+    form = component_form(model, "environment")
+    sol = ks_solve(form, grid, order=3)
+    ref = _picard(form, grid, 3)
+    got = sol.table.as_vector()
+    assert got[0] == 1.0
+    scale = sol.table.max_abs()
+    assert np.max(np.abs(got[1:] - ref.as_vector()[1:])) <= 1e-10 * scale
+
+
+def test_solver_stops_on_a_non_finite_iterate(monkeypatch):
+    real = hierarchy.l_delta_apply
+
+    def poisoned(table, bundle, closure="poisson"):
+        out = real(table, bundle, closure=closure)
+        out.k1 = math.nan
+        return out
+
+    monkeypatch.setattr(hierarchy, "l_delta_apply", poisoned)
+    with pytest.raises(StabilityError):
+        ks_solve(component_form(gg_model(), "environment"), GRID, order=2)
 
 
 def test_solver_guards_against_runaway_expansions():
