@@ -99,6 +99,11 @@ class ComponentForm:
         return all(getattr(self, n) is None for n in _CROSS_TERMS)
 
     @cached_property
+    def free(self) -> bool:
+        """No live pair term at all: births and deaths at constant rates."""
+        return self.autonomous and not any(map(_live, self.potentials().values()))
+
+    @cached_property
     def pair_terms(self) -> Tuple[Tuple[Optional[Potential], Optional[Potential]], ...]:
         """Potentials through which a neighbour enters the death sum and the
         parent sum of a point: pair_terms[0] for a neighbour in the point's

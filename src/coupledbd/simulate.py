@@ -24,7 +24,18 @@ Everything is recomputed from scratch through the public rate functions
 once the accepted events since the last recompute reach the population
 size or _RECOMPUTE_FLOOR, whichever is larger.  That bounds round-off drift
 at amortised O(n) per event, and the floor keeps a small population from
-being rebuilt every few events.  None of this changes a random draw.
+being rebuilt every few events.  None of this changes a random draw.  The
+arrays have spare room, so an event writes or shifts rows in place.
+
+A free environment (ComponentForm.free: constant rates, no pair term)
+coupled to an evolving system does not go through the loop.  Its whole
+path is drawn at once (_EnvPath), and the loop runs the system alone
+against it: given the path, the system's rates change only at its own
+events and at the path's changes, and its clock is memoryless.  Where the
+environment enters the system's death or parent sums or kernel groups, the
+loop applies each change as its clock passes it; where it enters only the
+birth acceptance, the acceptance reads the points alive at the candidate's
+time.  A run of the environment alone keeps the joint loop and its draws.
 """
 
 from __future__ import annotations
@@ -152,8 +163,11 @@ def _pick_index(rng: np.random.Generator, weights: np.ndarray, total: float) -> 
     return min(i, len(weights) - 1)
 
 
-def _drop(a: np.ndarray, i: int) -> np.ndarray:
-    return np.concatenate([a[:i], a[i + 1:]])
+def _with_room(a: np.ndarray) -> np.ndarray:
+    """A buffer twice as long as a (at least 16 rows) that starts with a."""
+    buf = np.zeros((max(2 * len(a), 16), a.shape[1]))
+    buf[:len(a)] = a
+    return buf
 
 
 # columns of the per-point table of an evolving component
@@ -167,7 +181,8 @@ _RECOMPUTE_FLOOR = 32
 class _PairState:
     """Array state of the event loop.
 
-    points[k] holds the points of component k (0 system, 1 environment).
+    points[k] holds the points of component k (0 system, 1 environment),
+    a view of the first n[k] rows of a buffer with spare room.
     For each evolving component k, table[k] has one row per point: its
     death sum and parent sum (ComponentForm.pair_terms) and the death rate
     that follows from the death sum.  The state also keeps the death totals,
@@ -183,7 +198,6 @@ class _PairState:
     def __init__(self, m, torus: Torus, initial: MarkedConfiguration,
                  components: Sequence[str]):
         self.m, self.torus = m, torus
-        self.points = [initial.plus.points, initial.minus.points]
         self.forms = [rate_form(m, c) if c in components else None for c in COMPONENTS]
         none = (None, None)
         # rows[k]: for a point of component k that comes or goes, each
@@ -206,7 +220,12 @@ class _PairState:
                     deaths.append(j)
                 if theirs[1] is not None or self.forms[j].birth_groups[j != k] is not None:
                     masses.append(j)
-        self.table = [np.zeros((0, 3)), np.zeros((0, 3))]
+        self.n = [initial.plus.size, initial.minus.size]
+        self._pts = [_with_room(initial.plus.points), _with_room(initial.minus.points)]
+        self._tab = [np.zeros((len(p), 3)) for p in self._pts]
+        self.points, self.table = [None, None], [None, None]
+        for k in (0, 1):
+            self._view(k)
         self.death_total = [0.0, 0.0]
         self.birth_mass = [0.0, 0.0]
         self.proposals: List[Optional[BirthProposal]] = [None, None]
@@ -221,9 +240,15 @@ class _PairState:
     def death(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.table[0][:, _DEATH], self.table[1][:, _DEATH]
 
-    def configuration(self) -> MarkedConfiguration:
-        return MarkedConfiguration(plus=FiniteConfiguration._unchecked(self.points[0]),
-                                   minus=FiniteConfiguration._unchecked(self.points[1]))
+    def _view(self, k: int):
+        self.points[k] = self._pts[k][:self.n[k]]
+        self.table[k] = self._tab[k][:self.n[k]]
+
+    def configuration(self, minus: Optional[np.ndarray] = None) -> MarkedConfiguration:
+        """The pair now; minus replaces the environment's points when given."""
+        return MarkedConfiguration(
+            plus=FiniteConfiguration._unchecked(self.points[0]),
+            minus=FiniteConfiguration._unchecked(self.points[1] if minus is None else minus))
 
     def recompute(self):
         """Rebuild the sums from scratch, and the rates and proposals through
@@ -234,7 +259,7 @@ class _PairState:
             if f is None:
                 continue
             own, other = self.points[k], self.points[1 - k]
-            table = self.table[k] = np.empty((len(own), 3))
+            table = self.table[k]
             table[:, _DEATH_SUM] = _death_sums(f, own, other, self.torus)
             table[:, _PARENT_SUM] = _parent_sums(f, own, other, self.torus)
             if k == 1:
@@ -247,10 +272,11 @@ class _PairState:
             self.birth_mass[k] = prop.total_mass
             self.death_total[k] = float(table[:, _DEATH].sum())
 
-    def acceptance(self, k: int, x: np.ndarray) -> float:
-        """Acceptance at x of the proposal of component k, on the points now."""
-        return _birth_acceptance(self.forms[k], x, self.points[k], self.points[1 - k],
-                                 self.torus)
+    def acceptance(self, k: int, x: np.ndarray, other: Optional[np.ndarray] = None) -> float:
+        """Acceptance at x of the proposal of component k, on the points now
+        (other replaces those of the other component when given)."""
+        return _birth_acceptance(self.forms[k], x, self.points[k],
+                                 self.points[1 - k] if other is None else other, self.torus)
 
     def _apply(self, k: int, x: np.ndarray, sign: float) -> np.ndarray:
         """Move the sums of the points present now by their pair terms with
@@ -286,21 +312,100 @@ class _PairState:
             self.birth_mass[j] = prop.total_mass
 
     def add(self, k: int, x: np.ndarray):
-        own = self.points[k]
-        if (own == x).all(axis=1).any():
+        n = self.n[k]
+        if (self.points[k] == x).all(axis=1).any():
             raise ValueError("configuration contains coincident points")
         x_row = self._apply(k, x, 1.0)
-        x_row[_DEATH] = _death_rates(self.forms[k], x_row[_DEATH_SUM])
-        self.table[k] = np.concatenate([self.table[k], x_row[None, :]])
-        self.points[k] = np.concatenate([own, x[None, :]])
+        if self.forms[k] is not None:
+            x_row[_DEATH] = _death_rates(self.forms[k], x_row[_DEATH_SUM])
+        if n == len(self._pts[k]):
+            self._pts[k], self._tab[k] = _with_room(self._pts[k]), _with_room(self._tab[k])
+        self._pts[k][n], self._tab[k][n] = x, x_row
+        self.n[k] += 1
+        self._view(k)
         self._changed(k)
 
     def remove(self, k: int, i: int):
-        x = self.points[k][i]
-        self.points[k] = _drop(self.points[k], i)
-        self.table[k] = _drop(self.table[k], i)
+        n = self.n[k]
+        x = self._pts[k][i].copy()
+        for buf in (self._pts[k], self._tab[k]):
+            buf[i:n - 1] = buf[i + 1:n]
+        self.n[k] -= 1
+        self._view(k)
         self._apply(k, x, -1.0)
         self._changed(k)
+
+
+def _guard_index(sizes: np.ndarray, events: int, settings: SimulationSettings) -> int:
+    """Index of the first of a run of changes that trips a guard, given the total
+    sizes after them and the events before them; len(sizes) when none does."""
+    over = np.flatnonzero(sizes > settings.max_particles)
+    return min(len(sizes), settings.max_events - events, *over[:1])
+
+
+def _guard_error(settings: SimulationSettings, t: float, events: int,
+                 n: int) -> ExplosionGuardError:
+    if events > settings.max_events:
+        msg = f"event budget {settings.max_events} exhausted at t={t:.6g}"
+    else:
+        msg = (f"population {n} exceeds {settings.max_particles} "
+               f"at t={t:.6g} after {events} events")
+    return ExplosionGuardError(msg, time_reached=t, events=events)
+
+
+# Arrivals of a free environment's path drawn at once, doubling thereafter.
+_PATH_CHUNK = 4096
+
+
+class _EnvPath:
+    """The path of a free environment (ComponentForm.free), drawn in bulk.
+
+    A free environment is an immigration-death process on a clock sped up
+    by 1/epsilon.  Each point present at time 0 and each arrival lives an
+    Exp(death_const / epsilon) time, and Poisson(birth_const |Lambda| t_end
+    / epsilon) arrivals come at uniform times and places.  The arrival times
+    are drawn in increasing order (Renyi's representation of uniform order
+    statistics), a chunk at a time, and drawing stops at the first change at
+    which the environment alone trips a guard: the run trips one there or
+    earlier.  Positions are drawn last, for the arrivals drawn.
+
+    points, born and dies hold the points with their birth and death times,
+    those present at time 0 first and then the arrivals in time order, the
+    order the joint loop keeps them in.  times, who and signs list the
+    changes up to the horizon in time order (+1 a birth, -1 a death), and
+    sizes[i] is the environment's size after the first i of them.
+    """
+
+    def __init__(self, f, torus: Torus, initial: np.ndarray, settings: SimulationSettings,
+                 rng: np.random.Generator):
+        t_end, life = settings.t_end, settings.epsilon / f.death_const
+        n0 = len(initial)
+        n_arr = int(rng.poisson(f.birth_const * torus.volume * t_end / settings.epsilon))
+        born, dies = [np.zeros(n0)], [rng.exponential(life, n0)]
+        drawn, tail = 0, 0.0
+        while True:
+            if drawn < n_arr:
+                c = min(n_arr - drawn, max(drawn, _PATH_CHUNK))
+                s = tail + np.cumsum(rng.exponential(size=c) / (n_arr - drawn - np.arange(c)))
+                tail, drawn = s[-1], drawn + c
+                born.append(-t_end * np.expm1(-s))
+                dies.append(born[-1] + rng.exponential(life, c))
+            horizon = t_end if drawn == n_arr else born[-1][-1]
+            self.born, self.dies = np.concatenate(born), np.concatenate(dies)
+            deaths = np.flatnonzero(self.dies <= horizon)
+            when = np.concatenate([self.born[n0:], self.dies[deaths]])
+            order = when.argsort(kind="stable")
+            self.times = when[order]
+            self.who = np.concatenate([np.arange(n0, n0 + drawn), deaths])[order]
+            self.signs = np.where(order < drawn, 1, -1)
+            self.sizes = n0 + np.concatenate([[0], np.cumsum(self.signs)])
+            if drawn == n_arr or _guard_index(self.sizes[1:], 0, settings) < len(self.times):
+                break
+        self.points = np.concatenate([initial, torus.uniform(rng, drawn)])
+
+    def alive(self, t: float) -> np.ndarray:
+        """The environment's points at time t."""
+        return self.points[(self.born <= t) & (self.dies > t)]
 
 
 def simulate(
@@ -315,16 +420,31 @@ def simulate(
 
     components selects which populations evolve; the inactive one stays
     frozen at its initial value.  An AveragedModel only supports
-    ("system",).
+    ("system",).  A free environment evolving with the system is drawn as
+    a whole path (_EnvPath), and only the system runs the loop, against it.
     """
     for c in components:
         if c not in COMPONENTS:
             raise ValueError(f"unknown component {c!r}")
     validate_model_on_torus(m, torus)
-    state = _PairState(m, torus, initial, components)
-
     rng = replica_rng(settings.master_seed, replica)
+    path = None
+    if set(components) == set(COMPONENTS) and rate_form(m, "environment").free:
+        path = _EnvPath(rate_form(m, "environment"), torus, initial.minus.points, settings, rng)
+        components = ("system",)
+    return _loop(m, torus, initial, settings, components, replica, rng, path)
+
+
+def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSettings,
+          components: Tuple[str, ...], replica: int, rng: np.random.Generator,
+          path: Optional[_EnvPath] = None) -> TrajectoryRecord:
+    """The thinned event loop of the evolving components or, given a free
+    environment's path, of the system against it.  The loop walks the path
+    (a clock that would pass the next change moves to it and is drawn
+    again) when the changes move the system's death totals or birth masses."""
+    state = _PairState(m, torus, initial, components)
     eps = settings.epsilon
+    walk = path is not None and bool(state.rows[1] or any(state.moves[1]))
 
     rec_times = np.asarray(settings.record_times, dtype=float)
     n_rec = len(rec_times)
@@ -336,10 +456,11 @@ def simulate(
     def record_upto(limit: float):
         nonlocal rec_idx
         while rec_idx < n_rec and rec_times[rec_idx] <= limit + 1e-12:
+            env = state.points[1] if path is None else path.alive(rec_times[rec_idx])
             rec_plus[rec_idx] = len(state.points[0])
-            rec_minus[rec_idx] = len(state.points[1])
+            rec_minus[rec_idx] = len(env)
             if snapshots is not None:
-                snapshots.append(state.configuration())
+                snapshots.append(state.configuration(env))
             rec_idx += 1
 
     record_upto(0.0)
@@ -349,6 +470,22 @@ def simulate(
     counts = {c: dict.fromkeys(EVENT_KINDS, 0) for c in COMPONENTS}
     peak = state.size
     since_recompute = 0
+    passed = 0  # changes of the path passed
+
+    def pass_env(limit: float):
+        """Count the path's changes up to limit, checking the guards at each."""
+        nonlocal passed, events, peak
+        upto = passed if path is None else int(path.times.searchsorted(limit, side="right"))
+        if upto == passed:
+            return
+        sizes = path.sizes[passed + 1:upto + 1] + len(state.points[0])
+        top = int(sizes.max())
+        if top > settings.max_particles or events + len(sizes) > settings.max_events:
+            w = _guard_index(sizes, events, settings)
+            raise _guard_error(settings, path.times[passed + w], events + w + 1, sizes[w])
+        peak = max(peak, top)
+        events += upto - passed
+        passed = upto
 
     while True:
         r_sd, r_sb = state.death_total[0], state.birth_mass[0]
@@ -358,72 +495,77 @@ def simulate(
             raise ExplosionGuardError(
                 f"rate total {total} is not finite at t={t:.6g} after {events} events",
                 time_reached=t, events=events)
-
-        if total <= 0.0:
-            record_upto(settings.t_end)
-            t = settings.t_end
-            break
-
-        t_new = t + rng.exponential(1.0 / total)
-        record_upto(min(t_new, settings.t_end))
-        if t_new >= settings.t_end:
-            t = settings.t_end
-            break
-        t = t_new
-
-        events += 1
-        if events > settings.max_events:
-            raise ExplosionGuardError(
-                f"event budget {settings.max_events} exhausted at t={t:.6g}",
-                time_reached=t, events=events)
-
-        u = rng.uniform(0.0, total)
-        if u < r_sd:
-            k, birth = 0, False
-        elif u < r_sd + r_sb:
-            k, birth = 0, True
-        elif u < r_sd + r_sb + r_ed:
-            k, birth = 1, False
+        t_new = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
+        if walk and passed < len(path.times) and path.times[passed] < min(t_new, settings.t_end):
+            t, first = path.times[passed], passed
+            record_upto(t)
+            pass_env(t)
+            for i in range(first, passed):
+                x = path.points[path.who[i]]
+                if path.signs[i] > 0:
+                    state.add(1, x)
+                else:
+                    state.remove(1, int(np.flatnonzero((state.points[1] == x).all(axis=1))[0]))
         else:
-            k, birth = 1, True
-        tally = counts[COMPONENTS[k]]
+            record_upto(min(t_new, settings.t_end))
+            pass_env(min(t_new, settings.t_end))
+            if t_new >= settings.t_end:
+                t = settings.t_end
+                break
+            t = t_new
 
-        if not birth:
-            state.remove(k, _pick_index(rng, state.table[k][:, _DEATH], state.death_total[k]))
-            tally["deaths"] += 1
-        else:
-            x = state.proposals[k].sample_candidate(rng)
-            if x is None:
-                tally["virtual"] += 1
-                continue
-            acc = state.acceptance(k, x)
-            if acc > 1.0 + _ACCEPT_SLACK:
-                raise EvaluationError(
-                    f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
-            if rng.uniform() < acc:
-                state.add(k, x)
-                tally["births"] += 1
+            events += 1
+            if events > settings.max_events:
+                raise _guard_error(settings, t, events, state.size)
+
+            u = rng.uniform(0.0, total)
+            if u < r_sd:
+                k, birth = 0, False
+            elif u < r_sd + r_sb:
+                k, birth = 0, True
+            elif u < r_sd + r_sb + r_ed:
+                k, birth = 1, False
             else:
-                tally["virtual"] += 1
-                continue
+                k, birth = 1, True
+            tally = counts[COMPONENTS[k]]
 
-        n = state.size
+            if not birth:
+                state.remove(k, _pick_index(rng, state.table[k][:, _DEATH], state.death_total[k]))
+                tally["deaths"] += 1
+            else:
+                x = state.proposals[k].sample_candidate(rng)
+                if x is None:
+                    tally["virtual"] += 1
+                    continue
+                acc = state.acceptance(k, x, None if path is None else path.alive(t))
+                if acc > 1.0 + _ACCEPT_SLACK:
+                    raise EvaluationError(
+                        f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
+                if rng.uniform() < acc:
+                    state.add(k, x)
+                    tally["births"] += 1
+                else:
+                    tally["virtual"] += 1
+                    continue
+
+        n = state.size if path is None else len(state.points[0]) + int(path.sizes[passed])
         peak = max(peak, n)
         if n > settings.max_particles:
-            raise ExplosionGuardError(
-                f"population {n} exceeds {settings.max_particles} "
-                f"at t={t:.6g} after {events} events",
-                time_reached=t, events=events)
+            raise _guard_error(settings, t, events, n)
         since_recompute += 1
         if since_recompute >= max(n, _RECOMPUTE_FLOOR):
             state.recompute()
             since_recompute = 0
 
+    final = state.configuration(None if path is None else path.alive(t))
+    if path is not None:
+        births = int(np.count_nonzero(path.signs[:passed] > 0))
+        counts["environment"].update(births=births, deaths=passed - births)
     return TrajectoryRecord(
         times=rec_times.copy(),
         plus_counts=rec_plus,
         minus_counts=rec_minus,
-        final=state.configuration(),
+        final=final,
         events=events,
         virtual_events=sum(c["virtual"] for c in counts.values()),
         replica=replica,
@@ -442,8 +584,10 @@ def replicate(
     n_replicas: int,
     components: Tuple[str, ...] = ("system", "environment"),
 ) -> List[TrajectoryRecord]:
-    """Independent replicas; replica r uses the stream master_seed ^ r and
-    draws its initial state from initial_factory with a derived stream."""
+    """Independent replicas, each one run of simulate: replica r uses the
+    stream master_seed ^ r, from which a free environment's path is drawn
+    before the loop runs, and draws its initial state from initial_factory
+    with a derived stream."""
     out = []
     for r in range(n_replicas):
         init_rng = replica_rng(settings.master_seed ^ 0x5DEECE66D, r)

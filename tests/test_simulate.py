@@ -3,11 +3,14 @@ scaling, guards, event statistics, the loop's incremental state, and the
 ensemble estimators."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from coupledbd.errors import ExplosionGuardError, ModelError
 from coupledbd.geometry import MarkedConfiguration, Torus
@@ -27,6 +30,7 @@ from coupledbd.simulate import (
     SimulationSettings,
     _RECOMPUTE_FLOOR,
     _PairState,
+    _loop,
     acceptance_ratio,
     estimate_density,
     poisson_configuration,
@@ -36,7 +40,7 @@ from coupledbd.simulate import (
 )
 from coupledbd.tables import CorrelationTable, GridSpec
 
-from conftest import ALL_MODELS, TORUS1, gg_model, marked, random_marked
+from conftest import ALL_MODELS, TORUS1, bdlp_model, gg_model, marked, random_marked
 
 
 def _free_env(z_minus=0.5, z_plus=0.3):
@@ -368,14 +372,146 @@ def test_incremental_state_matches_a_full_recompute(build, dim, steps, seed):
 
 
 # ---------------------------------------------------------------------------
+# a free environment coupled to the system: its path is drawn in bulk and
+# only the system runs the loop, against it
+
+def free_gg_model():
+    # the system reads the environment only in its birth acceptance
+    return gg_model(psi_height=0.0)
+
+
+def free_bdlp_model():
+    # the environment enters the system's death sums and kernel groups
+    return replace(bdlp_model(), psi=Potential.zero())
+
+
+def _joint(m, torus, init, s, replica=0):
+    """The joint loop, in which every environment event is a loop event."""
+    return _loop(m, torus, init, s, COMPONENTS, replica, replica_rng(s.master_seed, replica))
+
+
+def _poisson_gof(counts, mu):
+    """Chi-square p-value of counts against Poisson(mu), bins merged until
+    each expects at least 5."""
+    upper = max(int(counts.max()) + 1, int(mu + 10 * math.sqrt(mu)))
+    probs = stats.poisson.pmf(np.arange(upper + 1), mu)
+    probs[-1] += stats.poisson.sf(upper, mu)
+    obs = np.bincount(counts, minlength=upper + 1)
+    bins, acc_o, acc_e = [], 0.0, 0.0
+    for o, e in zip(obs, probs * counts.size):
+        acc_o, acc_e = acc_o + o, acc_e + e
+        if acc_e >= 5.0:
+            bins.append([acc_o, acc_e])
+            acc_o = acc_e = 0.0
+    bins[-1][0] += acc_o
+    bins[-1][1] += acc_e
+    o, e = np.array(bins).T
+    return float(stats.chi2.sf(np.sum((o - e) ** 2 / e), len(bins) - 1))
+
+
+def _two_sample_p(a, b):
+    """Chi-square p-value that two integer samples share one law, on bins
+    cut at the pooled sextiles."""
+    edges = np.unique(np.quantile(np.concatenate([a, b]), np.linspace(0, 1, 7)[1:-1]))
+    table = np.array([np.bincount(np.searchsorted(edges, x, side="right"),
+                                  minlength=len(edges) + 1) for x in (a, b)])
+    return float(stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1])
+
+
+@pytest.mark.parametrize("build,z_minus", [(free_gg_model, 1.0), (free_bdlp_model, 0.4)])
+def test_bulk_path_and_joint_loop_agree_in_law(build, z_minus):
+    # the environment fills an empty box, so reading it at the wrong time
+    # moves the system's law
+    m = replace(build(), z_minus=z_minus)
+    init = marked([1.0, 4.0, 6.0], [])
+    bulk_s = SimulationSettings(t_end=2.0, epsilon=0.5, master_seed=8100)
+    joint_s = replace(bulk_s, master_seed=8200)
+    bulk = [simulate(m, TORUS1, init, bulk_s, replica=r) for r in range(250)]
+    joint = [_joint(m, TORUS1, init, joint_s, r) for r in range(250)]
+    env = [np.array([r.final.minus.size for r in recs]) for recs in (bulk, joint)]
+    assert _two_sample_p(*env) > 1e-3
+    sys_b, sys_j = (np.array([r.final.plus.size for r in recs], float) for recs in (bulk, joint))
+    se = math.sqrt(sys_b.var(ddof=1) / sys_b.size + sys_j.var(ddof=1) / sys_j.size)
+    assert abs(sys_b.mean() - sys_j.mean()) <= 4.0 * se
+    # the environment draws no virtual event on either path
+    assert all(r.counts["environment"]["virtual"] == 0 for r in bulk + joint)
+
+
+def test_bulk_path_reproduces_the_poisson_law_of_the_environment():
+    # criterion 4's model, with the system evolving too: the environment
+    # still ignores it, so its count is Poisson(z V (1 - exp(-t))) at every t
+    zero = Potential.zero()
+    m = GlauberGlauber(z_minus=1.0, psi=zero, z_plus=0.1, phi_minus=zero, phi_plus=zero)
+    times = (30.0, 35.0, 40.0, 45.0, 50.0)
+    s = SimulationSettings(t_end=50.0, master_seed=424242, record_times=times)
+    recs = replicate(m, TORUS1, lambda rng: _empty(), s, n_replicas=200)
+    counts = np.concatenate([r.minus_counts for r in recs])
+    assert _poisson_gof(counts, 10.0 * (1.0 - math.exp(-30.0))) > 0.01
+
+
+def test_joint_loop_reproduces_the_poisson_law_of_a_free_environment():
+    # simulate sends this coupled run to the bulk path; the joint loop,
+    # which environment-only runs still take, must draw the same law
+    zero = Potential.zero()
+    m = GlauberGlauber(z_minus=1.0, psi=zero, z_plus=0.1, phi_minus=zero, phi_plus=zero)
+    s = SimulationSettings(t_end=12.0, master_seed=424243, record_times=(8.0, 10.0, 12.0))
+    counts = np.concatenate([_joint(m, TORUS1, _empty(), s, r).minus_counts
+                             for r in range(150)])
+    assert _poisson_gof(counts, 10.0 * (1.0 - math.exp(-8.0))) > 0.01
+
+
+def test_bulk_path_records_keep_their_meaning():
+    init = marked([1.0, 4.0, 6.0], [2.0, 8.0])
+    s = SimulationSettings(t_end=6.0, epsilon=0.2, master_seed=13,
+                           record_times=(0.0, 2.0, 4.0, 6.0), keep_snapshots=True)
+    for m in (free_gg_model(), free_bdlp_model()):
+        rec = simulate(m, TORUS1, init, s)
+        c = rec.counts
+        assert sum(sum(k.values()) for k in c.values()) == rec.events
+        assert c["environment"]["virtual"] == 0
+        assert c["environment"]["births"] > 0 and c["environment"]["deaths"] > 0
+        assert (c["environment"]["births"] - c["environment"]["deaths"]
+                == rec.final.minus.size - 2)
+        assert c["system"]["births"] - c["system"]["deaths"] == rec.final.plus.size - 3
+        for j, snap in enumerate(rec.snapshots):
+            assert (snap.plus.size, snap.minus.size) == (rec.plus_counts[j], rec.minus_counts[j])
+        assert np.array_equal(rec.snapshots[-1].minus.points, rec.final.minus.points)
+        assert rec.peak_population >= max(rec.plus_counts + rec.minus_counts)
+
+
+@pytest.mark.parametrize("build", [free_gg_model, free_bdlp_model])
+def test_bulk_path_guards_trip_before_the_whole_path_is_drawn(build):
+    # about 5e14 arrivals by t_end: the path could not be drawn whole
+    m = replace(build(), z_minus=1e12)
+    tracemalloc.start()
+    try:
+        s = SimulationSettings(t_end=50.0, master_seed=1, max_events=20)
+        with pytest.raises(ExplosionGuardError) as info:
+            simulate(m, TORUS1, _empty(), s)
+        assert info.value.events == 21
+        assert 0.0 < info.value.time_reached < 1e-9
+        s = SimulationSettings(t_end=50.0, master_seed=1, max_particles=30)
+        with pytest.raises(ExplosionGuardError) as info:
+            simulate(m, TORUS1, _empty(), s)
+        assert info.value.events >= 31
+        assert 0.0 < info.value.time_reached < 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
 # fixed-seed trajectories, pinned
 #
-# The loop's bookkeeping (when it recomputes, which proposals it rebuilds)
-# may change without moving a single random draw, so these values hold
-# across such changes.  Keying the replica streams differently moves them.
+# The loop's bookkeeping (when it recomputes, which proposals it rebuilds,
+# how its arrays are stored) may change without moving a single random
+# draw, so these values hold across such changes.  Keying the replica
+# streams differently moves them, and drawing a free environment's path in
+# another order moves the free_* entries.
 
 PIN_TORI = {1: TORUS1, 2: Torus(dim=2, side=3.0)}
-PIN_MODELS = {b.__name__: b for b in ALL_MODELS}
+PIN_MODELS = {b.__name__: b for b in ALL_MODELS + [free_gg_model, free_bdlp_model]}
 # (events, virtual_events, final system size, final environment size,
 #  {component: (births, deaths, virtual)})
 PINNED_TRAJECTORIES = {
@@ -395,6 +531,11 @@ PINNED_TRAJECTORIES = {
     'two_bdlp_model_2d': (378, 0, 2, 8, {'system': (28, 31, 0), 'environment': (161, 158, 0)}),
     'averaged_two_bdlp_model_1d': (67, 0, 2, 0, {'system': (32, 35, 0), 'environment': (0, 0, 0)}),
     'averaged_two_bdlp_model_2d': (67, 0, 0, 0, {'system': (31, 36, 0), 'environment': (0, 0, 0)}),
+    # a free environment's path is drawn in bulk before the system's loop
+    'free_gg_model_1d': (315, 24, 1, 2, {'system': (41, 45, 24), 'environment': (101, 104, 0)}),
+    'free_gg_model_2d': (311, 44, 1, 2, {'system': (38, 42, 44), 'environment': (92, 95, 0)}),
+    'free_bdlp_model_1d': (349, 0, 3, 2, {'system': (71, 73, 0), 'environment': (101, 104, 0)}),
+    'free_bdlp_model_2d': (284, 0, 2, 2, {'system': (47, 50, 0), 'environment': (92, 95, 0)}),
 }
 
 
