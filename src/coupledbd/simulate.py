@@ -28,14 +28,13 @@ being rebuilt every few events.  None of this changes a random draw.  The
 arrays have spare room, so an event writes or shifts rows in place.
 
 A free environment (ComponentForm.free: constant rates, no pair term)
-coupled to an evolving system does not go through the loop.  Its whole
-path is drawn at once (_EnvPath), and the loop runs the system alone
-against it: given the path, the system's rates change only at its own
-events and at the path's changes, and its clock is memoryless.  Where the
-environment enters the system's death or parent sums or kernel groups, the
-loop applies each change as its clock passes it; where it enters only the
-birth acceptance, the acceptance reads the points alive at the candidate's
-time.  A run of the environment alone keeps the joint loop and its draws.
+coupled to a system that reads it only in its birth acceptance does not
+go through the loop.  Its whole path is drawn at once (_EnvPath), and the
+loop runs the system alone against it: the system's death totals and
+birth masses change only at its own events, and its acceptance reads the
+path's points alive at the candidate's time.  A system whose sums or
+kernel groups read the environment, and a run of the environment alone,
+keep the joint loop.
 """
 
 from __future__ import annotations
@@ -316,8 +315,7 @@ class _PairState:
         if (self.points[k] == x).all(axis=1).any():
             raise ValueError("configuration contains coincident points")
         x_row = self._apply(k, x, 1.0)
-        if self.forms[k] is not None:
-            x_row[_DEATH] = _death_rates(self.forms[k], x_row[_DEATH_SUM])
+        x_row[_DEATH] = _death_rates(self.forms[k], x_row[_DEATH_SUM])
         if n == len(self._pts[k]):
             self._pts[k], self._tab[k] = _with_room(self._pts[k]), _with_room(self._tab[k])
         self._pts[k][n], self._tab[k][n] = x, x_row
@@ -353,7 +351,7 @@ def _guard_error(settings: SimulationSettings, t: float, events: int,
     return ExplosionGuardError(msg, time_reached=t, events=events)
 
 
-# Arrivals of a free environment's path drawn at once, doubling thereafter.
+# Arrival gaps of a free environment's path drawn at once, doubling thereafter.
 _PATH_CHUNK = 4096
 
 
@@ -361,51 +359,58 @@ class _EnvPath:
     """The path of a free environment (ComponentForm.free), drawn in bulk.
 
     A free environment is an immigration-death process on a clock sped up
-    by 1/epsilon.  Each point present at time 0 and each arrival lives an
-    Exp(death_const / epsilon) time, and Poisson(birth_const |Lambda| t_end
-    / epsilon) arrivals come at uniform times and places.  The arrival times
-    are drawn in increasing order (Renyi's representation of uniform order
-    statistics), a chunk at a time, and drawing stops at the first change at
-    which the environment alone trips a guard: the run trips one there or
-    earlier.  Positions are drawn last, for the arrivals drawn.
+    by 1/epsilon.  Arrivals come as a Poisson process of rate birth_const
+    |Lambda| / epsilon at uniform places, and each of them and each point
+    present at time 0 lives an Exp(death_const / epsilon) time.  The
+    arrival times are cumulative sums of exponential gaps, drawn a chunk at
+    a time, and drawing stops at the first change at which the environment
+    alone trips a guard: the run trips one there or earlier.  Positions are
+    drawn last, for the arrivals drawn.
 
     points, born and dies hold the points with their birth and death times,
-    those present at time 0 first and then the arrivals in time order, the
-    order the joint loop keeps them in.  times, who and signs list the
-    changes up to the horizon in time order (+1 a birth, -1 a death), and
-    sizes[i] is the environment's size after the first i of them.
+    those present at time 0 first and then the arrivals in time order.
+    times and signs list the changes up to the horizon in time order (+1 a
+    birth, -1 a death), and sizes[i] is the environment's size after the
+    first i of them.
     """
 
     def __init__(self, f, torus: Torus, initial: np.ndarray, settings: SimulationSettings,
                  rng: np.random.Generator):
         t_end, life = settings.t_end, settings.epsilon / f.death_const
+        rate = f.birth_const * torus.volume / settings.epsilon
+        if not math.isfinite(rate):
+            raise ExplosionGuardError(f"environment birth rate {rate} is not finite at t=0",
+                                      time_reached=0.0, events=0)
         n0 = len(initial)
-        n_arr = int(rng.poisson(f.birth_const * torus.volume * t_end / settings.epsilon))
         born, dies = [np.zeros(n0)], [rng.exponential(life, n0)]
-        drawn, tail = 0, 0.0
+        drawn, tail = 0, (0.0 if rate > 0.0 else math.inf)  # tail: the last arrival
         while True:
-            if drawn < n_arr:
-                c = min(n_arr - drawn, max(drawn, _PATH_CHUNK))
-                s = tail + np.cumsum(rng.exponential(size=c) / (n_arr - drawn - np.arange(c)))
-                tail, drawn = s[-1], drawn + c
-                born.append(-t_end * np.expm1(-s))
-                dies.append(born[-1] + rng.exponential(life, c))
-            horizon = t_end if drawn == n_arr else born[-1][-1]
+            if tail <= t_end:
+                s = tail + np.cumsum(rng.exponential(1.0 / rate, max(drawn, _PATH_CHUNK)))
+                tail, s = s[-1], s[s <= t_end]
+                drawn += len(s)
+                born.append(s)
+                dies.append(s + rng.exponential(life, len(s)))
+            horizon = min(t_end, tail)
             self.born, self.dies = np.concatenate(born), np.concatenate(dies)
             deaths = np.flatnonzero(self.dies <= horizon)
             when = np.concatenate([self.born[n0:], self.dies[deaths]])
             order = when.argsort(kind="stable")
             self.times = when[order]
-            self.who = np.concatenate([np.arange(n0, n0 + drawn), deaths])[order]
             self.signs = np.where(order < drawn, 1, -1)
             self.sizes = n0 + np.concatenate([[0], np.cumsum(self.signs)])
-            if drawn == n_arr or _guard_index(self.sizes[1:], 0, settings) < len(self.times):
+            if tail > t_end or _guard_index(self.sizes[1:], 0, settings) < len(self.times):
                 break
         self.points = np.concatenate([initial, torus.uniform(rng, drawn)])
+        # reach[i] is the latest death among the first i + 1 points, so the
+        # points alive at t lie from the first with reach > t to the last born
+        self._reach = np.maximum.accumulate(self.dies)
 
     def alive(self, t: float) -> np.ndarray:
         """The environment's points at time t."""
-        return self.points[(self.born <= t) & (self.dies > t)]
+        lo = int(self._reach.searchsorted(t, side="right"))
+        hi = int(self.born.searchsorted(t, side="right"))
+        return self.points[lo:hi][self.dies[lo:hi] > t]
 
 
 def simulate(
@@ -420,8 +425,9 @@ def simulate(
 
     components selects which populations evolve; the inactive one stays
     frozen at its initial value.  An AveragedModel only supports
-    ("system",).  A free environment evolving with the system is drawn as
-    a whole path (_EnvPath), and only the system runs the loop, against it.
+    ("system",).  A free environment evolving with a system that reads it
+    only in its birth acceptance is drawn as a whole path (_EnvPath), and
+    only the system runs the loop, against it.
     """
     for c in components:
         if c not in COMPONENTS:
@@ -430,8 +436,12 @@ def simulate(
     rng = replica_rng(settings.master_seed, replica)
     path = None
     if set(components) == set(COMPONENTS) and rate_form(m, "environment").free:
-        path = _EnvPath(rate_form(m, "environment"), torus, initial.minus.points, settings, rng)
-        components = ("system",)
+        own = rate_form(m, "system")
+        # the environment moves none of the system's sums or kernel groups
+        if all(p is None for p in own.pair_terms[1] + own.birth_groups[1:]):
+            path = _EnvPath(rate_form(m, "environment"), torus, initial.minus.points,
+                            settings, rng)
+            components = ("system",)
     return _loop(m, torus, initial, settings, components, replica, rng, path)
 
 
@@ -439,12 +449,10 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
           components: Tuple[str, ...], replica: int, rng: np.random.Generator,
           path: Optional[_EnvPath] = None) -> TrajectoryRecord:
     """The thinned event loop of the evolving components or, given a free
-    environment's path, of the system against it.  The loop walks the path
-    (a clock that would pass the next change moves to it and is drawn
-    again) when the changes move the system's death totals or birth masses."""
+    environment's path, of the system against it: the system's acceptance
+    reads the path's points alive at the candidate's time."""
     state = _PairState(m, torus, initial, components)
     eps = settings.epsilon
-    walk = path is not None and bool(state.rows[1] or any(state.moves[1]))
 
     rec_times = np.asarray(settings.record_times, dtype=float)
     n_rec = len(rec_times)
@@ -479,11 +487,10 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
         if upto == passed:
             return
         sizes = path.sizes[passed + 1:upto + 1] + len(state.points[0])
-        top = int(sizes.max())
-        if top > settings.max_particles or events + len(sizes) > settings.max_events:
-            w = _guard_index(sizes, events, settings)
+        w = _guard_index(sizes, events, settings)
+        if w < len(sizes):
             raise _guard_error(settings, path.times[passed + w], events + w + 1, sizes[w])
-        peak = max(peak, top)
+        peak = max(peak, int(sizes.max()))
         events += upto - passed
         passed = upto
 
@@ -495,58 +502,54 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
             raise ExplosionGuardError(
                 f"rate total {total} is not finite at t={t:.6g} after {events} events",
                 time_reached=t, events=events)
-        t_new = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
-        if walk and passed < len(path.times) and path.times[passed] < min(t_new, settings.t_end):
-            t, first = path.times[passed], passed
-            record_upto(t)
-            pass_env(t)
-            for i in range(first, passed):
-                x = path.points[path.who[i]]
-                if path.signs[i] > 0:
-                    state.add(1, x)
-                else:
-                    state.remove(1, int(np.flatnonzero((state.points[1] == x).all(axis=1))[0]))
+
+        if total <= 0.0:
+            record_upto(settings.t_end)
+            pass_env(settings.t_end)
+            t = settings.t_end
+            break
+
+        t_new = t + rng.exponential(1.0 / total)
+        record_upto(min(t_new, settings.t_end))
+        pass_env(min(t_new, settings.t_end))
+        if t_new >= settings.t_end:
+            t = settings.t_end
+            break
+        t = t_new
+
+        events += 1
+        if events > settings.max_events:
+            raise _guard_error(settings, t, events, state.size)
+
+        u = rng.uniform(0.0, total)
+        if u < r_sd:
+            k, birth = 0, False
+        elif u < r_sd + r_sb:
+            k, birth = 0, True
+        elif u < r_sd + r_sb + r_ed:
+            k, birth = 1, False
         else:
-            record_upto(min(t_new, settings.t_end))
-            pass_env(min(t_new, settings.t_end))
-            if t_new >= settings.t_end:
-                t = settings.t_end
-                break
-            t = t_new
+            k, birth = 1, True
+        tally = counts[COMPONENTS[k]]
 
-            events += 1
-            if events > settings.max_events:
-                raise _guard_error(settings, t, events, state.size)
-
-            u = rng.uniform(0.0, total)
-            if u < r_sd:
-                k, birth = 0, False
-            elif u < r_sd + r_sb:
-                k, birth = 0, True
-            elif u < r_sd + r_sb + r_ed:
-                k, birth = 1, False
+        if not birth:
+            state.remove(k, _pick_index(rng, state.table[k][:, _DEATH], state.death_total[k]))
+            tally["deaths"] += 1
+        else:
+            x = state.proposals[k].sample_candidate(rng)
+            if x is None:
+                tally["virtual"] += 1
+                continue
+            acc = state.acceptance(k, x, None if path is None else path.alive(t))
+            if acc > 1.0 + _ACCEPT_SLACK:
+                raise EvaluationError(
+                    f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
+            if rng.uniform() < acc:
+                state.add(k, x)
+                tally["births"] += 1
             else:
-                k, birth = 1, True
-            tally = counts[COMPONENTS[k]]
-
-            if not birth:
-                state.remove(k, _pick_index(rng, state.table[k][:, _DEATH], state.death_total[k]))
-                tally["deaths"] += 1
-            else:
-                x = state.proposals[k].sample_candidate(rng)
-                if x is None:
-                    tally["virtual"] += 1
-                    continue
-                acc = state.acceptance(k, x, None if path is None else path.alive(t))
-                if acc > 1.0 + _ACCEPT_SLACK:
-                    raise EvaluationError(
-                        f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
-                if rng.uniform() < acc:
-                    state.add(k, x)
-                    tally["births"] += 1
-                else:
-                    tally["virtual"] += 1
-                    continue
+                tally["virtual"] += 1
+                continue
 
         n = state.size if path is None else len(state.points[0]) + int(path.sizes[passed])
         peak = max(peak, n)
@@ -557,7 +560,6 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
             state.recompute()
             since_recompute = 0
 
-    final = state.configuration(None if path is None else path.alive(t))
     if path is not None:
         births = int(np.count_nonzero(path.signs[:passed] > 0))
         counts["environment"].update(births=births, deaths=passed - births)
@@ -565,7 +567,7 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
         times=rec_times.copy(),
         plus_counts=rec_plus,
         minus_counts=rec_minus,
-        final=final,
+        final=state.configuration(None if path is None else path.alive(t)),
         events=events,
         virtual_events=sum(c["virtual"] for c in counts.values()),
         replica=replica,
@@ -584,10 +586,9 @@ def replicate(
     n_replicas: int,
     components: Tuple[str, ...] = ("system", "environment"),
 ) -> List[TrajectoryRecord]:
-    """Independent replicas, each one run of simulate: replica r uses the
-    stream master_seed ^ r, from which a free environment's path is drawn
-    before the loop runs, and draws its initial state from initial_factory
-    with a derived stream."""
+    """Independent runs of simulate; replica r uses the stream master_seed ^ r
+    (for a free environment's path, then the loop) and draws its initial
+    state from initial_factory with a derived stream."""
     out = []
     for r in range(n_replicas):
         init_rng = replica_rng(settings.master_seed ^ 0x5DEECE66D, r)

@@ -22,12 +22,14 @@ from coupledbd.models import (
     birth_proposal,
     build_averaged_model,
     env_death_vector,
+    rate_form,
     sys_death_vector,
 )
 from coupledbd.potentials import Potential
 from coupledbd.simulate import (
     COMPONENTS,
     SimulationSettings,
+    _EnvPath,
     _RECOMPUTE_FLOOR,
     _PairState,
     _loop,
@@ -372,17 +374,12 @@ def test_incremental_state_matches_a_full_recompute(build, dim, steps, seed):
 
 
 # ---------------------------------------------------------------------------
-# a free environment coupled to the system: its path is drawn in bulk and
-# only the system runs the loop, against it
+# a free environment coupled to a system that reads it only in its birth
+# acceptance: its path is drawn in bulk and only the system runs the loop,
+# against it
 
 def free_gg_model():
-    # the system reads the environment only in its birth acceptance
     return gg_model(psi_height=0.0)
-
-
-def free_bdlp_model():
-    # the environment enters the system's death sums and kernel groups
-    return replace(bdlp_model(), psi=Potential.zero())
 
 
 def _joint(m, torus, init, s, replica=0):
@@ -418,11 +415,10 @@ def _two_sample_p(a, b):
     return float(stats.chi2_contingency(table[:, table.sum(axis=0) > 0])[1])
 
 
-@pytest.mark.parametrize("build,z_minus", [(free_gg_model, 1.0), (free_bdlp_model, 0.4)])
-def test_bulk_path_and_joint_loop_agree_in_law(build, z_minus):
+def test_bulk_path_and_joint_loop_agree_in_law():
     # the environment fills an empty box, so reading it at the wrong time
     # moves the system's law
-    m = replace(build(), z_minus=z_minus)
+    m = replace(free_gg_model(), z_minus=1.0)
     init = marked([1.0, 4.0, 6.0], [])
     bulk_s = SimulationSettings(t_end=2.0, epsilon=0.5, master_seed=8100)
     joint_s = replace(bulk_s, master_seed=8200)
@@ -464,25 +460,47 @@ def test_bulk_path_records_keep_their_meaning():
     init = marked([1.0, 4.0, 6.0], [2.0, 8.0])
     s = SimulationSettings(t_end=6.0, epsilon=0.2, master_seed=13,
                            record_times=(0.0, 2.0, 4.0, 6.0), keep_snapshots=True)
-    for m in (free_gg_model(), free_bdlp_model()):
-        rec = simulate(m, TORUS1, init, s)
-        c = rec.counts
-        assert sum(sum(k.values()) for k in c.values()) == rec.events
-        assert c["environment"]["virtual"] == 0
-        assert c["environment"]["births"] > 0 and c["environment"]["deaths"] > 0
-        assert (c["environment"]["births"] - c["environment"]["deaths"]
-                == rec.final.minus.size - 2)
-        assert c["system"]["births"] - c["system"]["deaths"] == rec.final.plus.size - 3
-        for j, snap in enumerate(rec.snapshots):
-            assert (snap.plus.size, snap.minus.size) == (rec.plus_counts[j], rec.minus_counts[j])
-        assert np.array_equal(rec.snapshots[-1].minus.points, rec.final.minus.points)
-        assert rec.peak_population >= max(rec.plus_counts + rec.minus_counts)
+    rec = simulate(free_gg_model(), TORUS1, init, s)
+    c = rec.counts
+    assert sum(sum(k.values()) for k in c.values()) == rec.events
+    assert c["environment"]["virtual"] == 0
+    assert c["environment"]["births"] > 0 and c["environment"]["deaths"] > 0
+    assert (c["environment"]["births"] - c["environment"]["deaths"]
+            == rec.final.minus.size - 2)
+    assert c["system"]["births"] - c["system"]["deaths"] == rec.final.plus.size - 3
+    for j, snap in enumerate(rec.snapshots):
+        assert (snap.plus.size, snap.minus.size) == (rec.plus_counts[j], rec.minus_counts[j])
+    assert np.array_equal(rec.snapshots[-1].minus.points, rec.final.minus.points)
+    assert rec.peak_population >= max(rec.plus_counts + rec.minus_counts)
 
 
-@pytest.mark.parametrize("build", [free_gg_model, free_bdlp_model])
-def test_bulk_path_guards_trip_before_the_whole_path_is_drawn(build):
-    # about 5e14 arrivals by t_end: the path could not be drawn whole
-    m = replace(build(), z_minus=1e12)
+def test_path_points_alive_are_those_born_and_not_yet_dead():
+    m = replace(free_gg_model(), z_minus=3.0)
+    s = SimulationSettings(t_end=8.0, epsilon=0.3)
+    path = _EnvPath(rate_form(m, "environment"), TORUS1, np.array([[2.0], [8.0]]), s,
+                    np.random.default_rng(5))
+    assert np.all(np.diff(path.born) >= 0) and path.born[-1] <= s.t_end
+    for t in np.concatenate([[0.0], path.times[::7], path.dies[:3], [s.t_end]]):
+        mask = (path.born <= t) & (path.dies > t)
+        assert np.array_equal(path.alive(t), path.points[mask])
+        assert len(path.alive(t)) == path.sizes[path.times.searchsorted(t, side="right")]
+
+
+def test_a_system_that_reads_the_environment_in_its_sums_keeps_the_joint_loop():
+    # the free environment enters the bdlp system's death sums and kernel
+    # groups, so simulate runs both components through the loop
+    m = replace(bdlp_model(), psi=Potential.zero())
+    init = marked([1.0, 4.0, 6.0], [2.0, 8.0])
+    s = SimulationSettings(t_end=5.0, master_seed=21)
+    a, b = simulate(m, TORUS1, init, s), _joint(m, TORUS1, init, s)
+    assert (a.events, a.counts) == (b.events, b.counts)
+    assert np.array_equal(a.final.minus.points, b.final.minus.points)
+
+
+@pytest.mark.parametrize("z_minus", [1e12, 1e20])
+def test_bulk_path_guards_trip_before_the_whole_path_is_drawn(z_minus):
+    # 5e14 arrivals by t_end or more: the path could not be drawn whole
+    m = replace(free_gg_model(), z_minus=z_minus)
     tracemalloc.start()
     try:
         s = SimulationSettings(t_end=50.0, master_seed=1, max_events=20)
@@ -501,6 +519,13 @@ def test_bulk_path_guards_trip_before_the_whole_path_is_drawn(build):
     assert peak < 16 * 2 ** 20
 
 
+def test_bulk_path_trips_the_guard_on_an_infinite_activity():
+    m = replace(free_gg_model(), z_minus=math.inf)
+    with pytest.raises(ExplosionGuardError) as info:
+        simulate(m, TORUS1, _empty(), SimulationSettings(t_end=5.0, master_seed=1))
+    assert (info.value.time_reached, info.value.events) == (0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # fixed-seed trajectories, pinned
 #
@@ -511,7 +536,7 @@ def test_bulk_path_guards_trip_before_the_whole_path_is_drawn(build):
 # another order moves the free_* entries.
 
 PIN_TORI = {1: TORUS1, 2: Torus(dim=2, side=3.0)}
-PIN_MODELS = {b.__name__: b for b in ALL_MODELS + [free_gg_model, free_bdlp_model]}
+PIN_MODELS = {b.__name__: b for b in ALL_MODELS + [free_gg_model]}
 # (events, virtual_events, final system size, final environment size,
 #  {component: (births, deaths, virtual)})
 PINNED_TRAJECTORIES = {
@@ -532,10 +557,8 @@ PINNED_TRAJECTORIES = {
     'averaged_two_bdlp_model_1d': (67, 0, 2, 0, {'system': (32, 35, 0), 'environment': (0, 0, 0)}),
     'averaged_two_bdlp_model_2d': (67, 0, 0, 0, {'system': (31, 36, 0), 'environment': (0, 0, 0)}),
     # a free environment's path is drawn in bulk before the system's loop
-    'free_gg_model_1d': (315, 24, 1, 2, {'system': (41, 45, 24), 'environment': (101, 104, 0)}),
-    'free_gg_model_2d': (311, 44, 1, 2, {'system': (38, 42, 44), 'environment': (92, 95, 0)}),
-    'free_bdlp_model_1d': (349, 0, 3, 2, {'system': (71, 73, 0), 'environment': (101, 104, 0)}),
-    'free_bdlp_model_2d': (284, 0, 2, 2, {'system': (47, 50, 0), 'environment': (92, 95, 0)}),
+    'free_gg_model_1d': (332, 24, 3, 3, {'system': (58, 60, 24), 'environment': (94, 96, 0)}),
+    'free_gg_model_2d': (276, 42, 0, 2, {'system': (32, 37, 42), 'environment': (81, 84, 0)}),
 }
 
 
