@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 from typing import Optional
-
-import jsonschema
 
 from .errors import ConfigError
 from .geometry import Torus
@@ -213,14 +213,97 @@ CONFIG_SCHEMA = {
 }
 
 
+def _is_number(value) -> bool:
+    # bool subclasses int but is no JSON number; NaN and the infinities that
+    # json.load accepts are rejected too
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+_BOUNDS = {
+    "minimum": (operator.ge, "at least"),
+    "exclusiveMinimum": (operator.gt, "above"),
+    "maximum": (operator.le, "at most"),
+}
+_KEYWORDS = {"type", "enum", "properties", "required", "additionalProperties",
+             "items", "minItems", "uniqueItems", *_BOUNDS}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: 1 equals 1.0, but True equals neither 1 nor 1.0."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _fail(path: str, reason: str):
+    where = f"{path}: " if path else ""
+    raise ConfigError(f"invalid configuration: {where}{reason}")
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """Raise ConfigError, naming the dotted key path, where value breaks schema.
+
+    Implements the JSON Schema (Draft 2020-12) keywords the schemas above
+    use, with one deliberate difference: a number must be finite.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if schema.get("type", "object") not in _TYPES:
+        unknown.add("type")
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise NotImplementedError(
+            f"schema at {path!r} uses {sorted(unknown)} beyond what _check implements")
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        finite = "finite " if kind in ("number", "integer") else ""
+        _fail(path, f"expected {finite}{kind}, got {value!r}")
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        _fail(path, f"{value!r} is not one of {schema['enum']}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        prefix = f"{path}." if path else ""
+        for key in schema.get("required", ()):
+            if key not in value:
+                _fail(prefix + key, "required key is missing")
+        for key, item in value.items():
+            if key in props:
+                _check(item, props[key], prefix + key)
+            elif "additionalProperties" in schema:
+                _fail(prefix + key, "unknown key")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            _fail(path, f"needs at least {schema['minItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{path}[{i}]")
+        if schema.get("uniqueItems") and any(
+                _equal(a, b) for i, a in enumerate(value) for b in value[i + 1:]):
+            _fail(path, f"items of {value!r} are not unique")
+    elif _is_number(value):
+        for key, (holds, words) in _BOUNDS.items():
+            if key in schema and not holds(value, schema[key]):
+                _fail(path, f"{value!r} is not {words} {schema[key]}")
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema-check a configuration dict, including the variant parameters."""
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-        variant = cfg["model"]["variant"]
-        jsonschema.validate(cfg["model"]["params"], _variant_schema(variant))
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"invalid configuration: {e.message}") from e
+    _check(cfg, CONFIG_SCHEMA, "")
+    model = cfg["model"]
+    _check(model["params"], _variant_schema(model["variant"]), "model.params")
     return cfg
 
 

@@ -1,6 +1,7 @@
 """Configuration schema, object construction, and the CLI end to end."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,59 @@ def test_validate_rejects_out_of_range_values():
     cfg = _gg_config()
     del cfg["torus"]
     with pytest.raises(ConfigError):
+        validate_config(cfg)
+
+
+_NON_FINITE = [
+    ("simulate.t_end", float("nan")),
+    ("simulate.t_end", float("inf")),
+    ("model.params.z_minus", float("nan")),
+    ("model.params.z_minus", float("inf")),
+    ("averaging.epsilons[1]", float("inf")),
+]
+
+
+def _with_non_finite(key, value):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    cfg = _gg_config()
+    cfg["simulate"] = {"t_end": 1.0, "n_replicas": 1, "n_times": 3,
+                       "sys_density": 0.3, "env_density": 0.3, "seed": 5,
+                       "max_events": 2000}
+    cfg["averaging"] = {"epsilons": [1.0, 0.5], "n_replicas": 2, "t_end": 1.0,
+                        "sys_density": 0.3}
+    *parents, leaf = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", key)]
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    return cfg
+
+
+@pytest.mark.parametrize("key, value", _NON_FINITE)
+def test_load_config_rejects_non_finite_numbers(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(_write(tmp_path, _with_non_finite(key, value)))
+
+
+@pytest.mark.parametrize("key, value", _NON_FINITE)
+def test_cli_exits_2_on_non_finite_numbers(tmp_path, key, value):
+    path = _write(tmp_path, _with_non_finite(key, value))
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_names_the_dotted_path_of_the_offending_key():
+    cfg = _gg_config()
+    cfg["simulate"] = {"t_end": -1.0}
+    with pytest.raises(ConfigError, match=r"simulate\.t_end"):
+        validate_config(cfg)
+    cfg = _gg_config()
+    cfg["model"]["params"]["psi"]["radii"] = [0.0]
+    with pytest.raises(ConfigError, match=r"model\.params\.psi\.radii"):
+        validate_config(cfg)
+    cfg = _gg_config()
+    del cfg["model"]["params"]["z_plus"]
+    with pytest.raises(ConfigError, match=r"model\.params\.z_plus"):
         validate_config(cfg)
 
 
