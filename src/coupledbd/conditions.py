@@ -21,19 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, EvaluationError, ModelError
 from .geometry import (
     FiniteConfiguration,
     MarkedConfiguration,
-    QuadratureSpec,
     Torus,
     _sample_ball,
     ball_volume,
-    lp_integral,
     min_image_diff,
     pairwise_distances,
 )
@@ -384,7 +382,7 @@ def c_plus_closed(m: RateModel, eta: MarkedConfiguration, c_minus: float,
     for i in range(n):
         x = ep.points[i]
         rest = ep.remove_index(i)
-        tot += f.death_const * _safe_exp(c_plus * fk.beta_neg) * math.exp(
+        tot += f.death_const * _safe_exp(c_plus * fk.beta_neg) * _safe_exp(
             relative_energy(x, rest, f.death_pot, torus))
         if n > 1 and not f.birth_kernel.is_zero:
             d = pairwise_distances(x[None, :], rest.points, torus)[0]
@@ -413,21 +411,9 @@ def _rowwise_dist(a: np.ndarray, b: np.ndarray, torus: Torus) -> np.ndarray:
     return np.sqrt(np.sum(delta ** 2, axis=-1))
 
 
-def _subset_product_sum(vals: np.ndarray) -> float:
-    """Sum over all subsets of the product of the selected entries."""
-    k = len(vals)
-    tot = 0.0
-    for mask in range(1 << k):
-        p = 1.0
-        for i in range(k):
-            if mask >> i & 1:
-                p *= vals[i]
-        tot += p
-    return tot
-
-
-def _subset_product_sum_batch(vals: np.ndarray) -> np.ndarray:
-    """(S, k) -> (S,) subset-product sums per row."""
+def _subset_product_sum(vals: np.ndarray) -> np.ndarray:
+    """(S, k) -> (S,): per row, the sum over all subsets of the product of
+    the selected entries."""
     S, k = vals.shape
     tot = np.zeros(S)
     for mask in range(1 << k):
@@ -439,64 +425,32 @@ def _subset_product_sum_batch(vals: np.ndarray) -> np.ndarray:
     return tot
 
 
-def _env_expansion_batch(m: RateModel, x: np.ndarray, rest: FiniteConfiguration,
-                         torus: Torus):
-    """Batch evaluators (death, birth) of |sum over subsets of rest of the
-    environment kernel at (x, subset + candidates)| for candidate blocks."""
-    f = component_form(m)
-    if f.birth_pot is not None:
-        psi = f.birth_pot
-        if rest.size:
-            t_rest = mayer(psi, pairwise_distances(x[None, :], rest.points, torus)[0])
-            s0 = _subset_product_sum(t_rest)
-        else:
-            s0 = 1.0
-
-        def death(block: np.ndarray) -> np.ndarray:
-            S, n = block.shape[0], block.shape[1]
-            return np.full(S, f.death_const) if n == 0 else np.zeros(S)
-
-        def birth(block: np.ndarray) -> np.ndarray:
-            t = mayer(psi, _dists_to(x, block, torus))
-            return np.abs(f.birth_const * s0 * np.prod(t, axis=1))
-
-        return death, birth
-    if rest.size:
-        r = pairwise_distances(x[None, :], rest.points, torus)[0]
-        base_d = f.death_const + float(np.sum(f.death_kernel(r)))
-        base_b = f.birth_const + float(np.sum(f.birth_kernel(r)))
-    else:
-        base_d = f.death_const
-        base_b = f.birth_const
-
-    def _additive(base: float, pot: Potential):
-        def fn(block: np.ndarray) -> np.ndarray:
-            S, n = block.shape[0], block.shape[1]
-            if n == 0:
-                return np.full(S, abs(base))
-            if n == 1:
-                return np.abs(pot(_dists_to(x, block, torus)[:, 0]))
-            return np.zeros(S)
-        return fn
-
-    return _additive(base_d, f.death_kernel), _additive(base_b, f.birth_kernel)
+_ZERO = Potential.zero()
 
 
-def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfiguration,
-                         em: FiniteConfiguration, torus: Torus):
+def _term(f: ComponentForm, term: str) -> Potential:
+    """The potential of a term of f; an absent cross term is a zero potential."""
+    pot = getattr(f, term)
+    return _ZERO if pot is None else pot
+
+
+def _expansion_batch(f: ComponentForm, x: np.ndarray, rest: FiniteConfiguration,
+                     other: FiniteConfiguration, torus: Torus):
     """Batch evaluators (death, birth) mapping candidate blocks
-    (xi_plus (S,nP,dim), xi_minus (S,nM,dim)) to
-    |sum over subset pairs of the system kernel|."""
-    f, _ = _system(m)
+    (xi_own (S,nO,dim), xi_other (S,nX,dim)) to |sum over subset pairs of
+    the kernel of f at x|, rest being the rest of x's component and other
+    the other component."""
 
     def subset_sum(pot: Potential, y: np.ndarray, cfg: FiniteConfiguration) -> float:
         if not cfg.size:
             return 1.0
-        return _subset_product_sum(mayer(pot, pairwise_distances(y[None, :], cfg.points, torus)[0]))
+        return _subset_product_sum(
+            mayer(pot, pairwise_distances(y[None, :], cfg.points, torus)))[0]
 
     if f.birth_pot is not None:
-        s0p = subset_sum(f.birth_pot, x, rest_plus)
-        s0m = subset_sum(f.cross_birth_pot, x, em)
+        cross = _term(f, "cross_birth_pot")
+        s0p = subset_sum(f.birth_pot, x, rest)
+        s0m = subset_sum(cross, x, other)
 
         def death(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
             S = xp.shape[0]
@@ -505,14 +459,14 @@ def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfigura
 
         def birth(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
             tp = mayer(f.birth_pot, _dists_to(x, xp, torus))
-            tm = mayer(f.cross_birth_pot, _dists_to(x, xm, torus))
+            tm = mayer(cross, _dists_to(x, xm, torus))
             return np.abs(f.birth_const * s0p * s0m * np.prod(tp, axis=1) * np.prod(tm, axis=1))
 
         return death, birth
 
     if f.death_pot is None:
-        rp = pairwise_distances(x[None, :], rest_plus.points, torus)[0] if rest_plus.size else np.zeros(0)
-        rm = pairwise_distances(x[None, :], em.points, torus)[0] if em.size else np.zeros(0)
+        rp = pairwise_distances(x[None, :], rest.points, torus)[0] if rest.size else np.zeros(0)
+        rm = pairwise_distances(x[None, :], other.points, torus)[0] if other.size else np.zeros(0)
 
         def _additive(const: float, pot_p: Potential, pot_m: Potential):
             base = const + float(np.sum(pot_p(rp))) + float(np.sum(pot_m(rm)))
@@ -528,17 +482,17 @@ def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfigura
                 return np.zeros(S)
             return fn
 
-        return (_additive(f.death_const, f.death_kernel, f.cross_death_kernel),
-                _additive(f.birth_const, f.birth_kernel, f.cross_birth_kernel))
+        return (_additive(f.death_const, f.death_kernel, _term(f, "cross_death_kernel")),
+                _additive(f.birth_const, f.birth_kernel, _term(f, "cross_birth_kernel")))
 
     kappa, phi, a_plus = f.death_pot, f.parent_pot, f.birth_kernel
     su0 = _subset_product_sum(
-        np.expm1(kappa(pairwise_distances(x[None, :], rest_plus.points, torus)[0]))
-    ) if rest_plus.size else 1.0
-    # per fixed parent y in rest: damping subset sum over em and kernel value
-    parents = rest_plus.points
-    a_vals = a_plus(pairwise_distances(x[None, :], parents, torus)[0]) if rest_plus.size else np.zeros(0)
-    sphi = np.array([subset_sum(phi, y, em) for y in parents]) if rest_plus.size else np.zeros(0)
+        np.expm1(kappa(pairwise_distances(x[None, :], rest.points, torus)))
+    )[0] if rest.size else 1.0
+    # per fixed parent y in rest: damping subset sum over other and kernel value
+    parents = rest.points
+    a_vals = a_plus(pairwise_distances(x[None, :], parents, torus)[0]) if rest.size else np.zeros(0)
+    sphi = np.array([subset_sum(phi, y, other) for y in parents]) if rest.size else np.zeros(0)
 
     def death(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
         S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
@@ -561,9 +515,9 @@ def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfigura
             return np.abs(tot)
         y = xp[:, 0, :]  # candidate parent per sample
         av = a_plus(_dists_to(x, xp, torus)[:, 0])
-        if em.size:
-            dye = pairwise_distances(y, em.points, torus)
-            sy = _subset_product_sum_batch(mayer(phi, dye))
+        if other.size:
+            dye = pairwise_distances(y, other.points, torus)
+            sy = _subset_product_sum(mayer(phi, dye))
         else:
             sy = np.ones(S)
         prod_t = np.ones(S)
@@ -577,7 +531,7 @@ def _sys_expansion_batch(m: RateModel, x: np.ndarray, rest_plus: FiniteConfigura
 def _remainder_exp(u: float, cap: int) -> float:
     """exp(u) minus its Taylor polynomial through order cap (nonnegative)."""
     s = sum(u ** n / math.factorial(n) for n in range(cap + 1))
-    return max(0.0, math.exp(u) - s)
+    return max(0.0, _safe_exp(u) - s)
 
 
 def _capped_radius(r: float, torus: Torus) -> Optional[float]:
@@ -589,31 +543,20 @@ def _capped_radius(r: float, torus: Torus) -> Optional[float]:
     return r
 
 
-def _single_mc(fn, weight_c: float, cap: int, torus: Torus, x: np.ndarray,
-               radius: Optional[float], samples: int, seed: int) -> Tuple[float, float]:
-    """Truncated candidate-space integral of fn with weight_c**order."""
-    if radius == 0.0:
-        cap = 0
-
-    def G(cfg: FiniteConfiguration) -> float:
-        return float(fn(cfg.points[None, :, :])[0]) * weight_c ** cfg.size
-
-    def batch(pts: np.ndarray) -> np.ndarray:
-        return fn(pts) * weight_c ** pts.shape[1]
-
-    region = None if (radius is None or cap == 0) else (tuple(x), radius)
-    quad = QuadratureSpec(method="mc", samples=samples, seed=seed, region=region)
-    res = lp_integral(G, cap, torus, quad, batch=batch)
-    return res.value, res.stderr
+def _finite(vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("integrand returned a non-finite value")
+    return vals
 
 
 def _marked_mc(fn, caps: Tuple[int, int], weights: Tuple[float, float],
-               torus: Torus, x: np.ndarray, r_plus: Optional[float],
-               r_minus: Optional[float], samples: int, seed: int) -> Tuple[float, float]:
+               torus: Torus, x: np.ndarray, r_own: Optional[float],
+               r_other: Optional[float], samples: int, seed: int) -> Tuple[float, float]:
     """Two-component truncated candidate-space integral of fn with weights
-    weights[0]**order_plus * weights[1]**order_minus."""
-    cap_p = 0 if r_plus == 0.0 else caps[0]
-    cap_m = 0 if r_minus == 0.0 else caps[1]
+    weights[0]**order_own * weights[1]**order_other."""
+    cap_p = 0 if r_own == 0.0 else caps[0]
+    cap_m = 0 if r_other == 0.0 else caps[1]
     rng = np.random.default_rng(np.random.Philox(key=seed))
     d = torus.dim
 
@@ -624,15 +567,15 @@ def _marked_mc(fn, caps: Tuple[int, int], weights: Tuple[float, float],
             return torus.uniform(rng, samples * n).reshape(samples, n, d), torus.volume
         return _sample_ball(rng, x, radius, (samples, n), torus), ball_volume(d, radius)
 
-    total = float(fn(np.zeros((1, 0, d)), np.zeros((1, 0, d)))[0])
+    total = float(_finite(fn(np.zeros((1, 0, d)), np.zeros((1, 0, d))))[0])
     var = 0.0
     for n_p in range(cap_p + 1):
         for n_m in range(cap_m + 1):
             if n_p == 0 and n_m == 0:
                 continue
-            xp, vol_p = draw(n_p, r_plus)
-            xm, vol_m = draw(n_m, r_minus)
-            vals = np.asarray(fn(xp, xm), dtype=float)
+            xp, vol_p = draw(n_p, r_own)
+            xm, vol_m = draw(n_m, r_other)
+            vals = _finite(fn(xp, xm))
             scale = (vol_p ** n_p * vol_m ** n_m
                      / (math.factorial(n_p) * math.factorial(n_m))
                      * weights[0] ** n_p * weights[1] ** n_m)
@@ -651,58 +594,17 @@ def _abs_mayer_products(x: np.ndarray, cfg: FiniteConfiguration, pot: Potential,
     return float(np.prod(1.0 + np.abs(f)))
 
 
-def c_minus_numeric(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float,
-                    torus: Torus, order_cap: int = 3, samples: int = 4000,
-                    seed: int = 0) -> Tuple[float, float, float]:
-    """Environment expansion mass by truncated Monte Carlo.
-
-    Returns (value, stderr, truncation_tail); the tail is an upper bound on
-    the dropped higher-order mass, so value <= exact <= value + tail up to
-    Monte Carlo noise.
-    """
+def _numeric_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfiguration,
+                  c_own: float, c_other: float, torus: Torus, order_cap: int,
+                  samples: int, seeds: Callable[[int, int], int]) -> Tuple[float, float, float]:
+    """Truncated Monte Carlo weighted expansion mass of the kernels of f
+    around own, the other component being other; seeds(i, p) seeds part p
+    (0 death, 1 birth) of the point i of own."""
     dim = torus.dim
-    f = component_form(m)
     total = 0.0
     var = 0.0
     tail = 0.0
-    for i in range(eta_minus.size):
-        x = eta_minus.points[i]
-        rest = eta_minus.remove_index(i)
-        death_fn, birth_fn = _env_expansion_batch(m, x, rest, torus)
-        if f.birth_pot is not None:
-            psi = f.birth_pot
-            beta_psi = potential_functionals(psi, dim).beta
-            cap_b = 0 if psi.is_zero else order_cap
-            parts = [(death_fn, 1.0, 0, 0.0), (birth_fn, 1.0 / c_minus, cap_b,
-                                               _capped_radius(psi.cutoff, torus))]
-            tail += (f.birth_const / c_minus) * _abs_mayer_products(x, rest, psi, torus) \
-                * _remainder_exp(c_minus * beta_psi, cap_b)
-        else:
-            parts = [
-                (death_fn, 1.0, 0 if f.death_kernel.is_zero else 1,
-                 _capped_radius(f.death_kernel.cutoff, torus)),
-                (birth_fn, 1.0 / c_minus, 0 if f.birth_kernel.is_zero else 1,
-                 _capped_radius(f.birth_kernel.cutoff, torus)),
-            ]
-        for p, (fn, w, cap, radius) in enumerate(parts):
-            v, e = _single_mc(fn, c_minus, cap, torus, x, radius, samples,
-                              seed + 17 * i + 5 * p + 1)
-            total += w * v
-            var += (w * e) ** 2
-    return total, math.sqrt(var), tail
-
-
-def c_plus_numeric(m: RateModel, eta: MarkedConfiguration, c_minus: float,
-                   c_plus: float, torus: Torus, order_cap: int = 3,
-                   samples: int = 4000, seed: int = 0) -> Tuple[float, float, float]:
-    """System expansion mass by truncated Monte Carlo; see c_minus_numeric."""
-    dim = torus.dim
-    ep, em = eta.plus, eta.minus
-    f, _ = _system(m)
-    total = 0.0
-    var = 0.0
-    tail = 0.0
-    weights = (c_plus, c_minus)
+    weights = (c_own, c_other)
 
     def cap(pot: Potential, order: int = 1) -> int:
         return 0 if pot.is_zero else order
@@ -710,28 +612,28 @@ def c_plus_numeric(m: RateModel, eta: MarkedConfiguration, c_minus: float,
     def radius(pot: Potential) -> Optional[float]:
         return _capped_radius(pot.cutoff, torus)
 
-    for i in range(ep.size):
-        x = ep.points[i]
-        rest = ep.remove_index(i)
-        death_fn, birth_fn = _sys_expansion_batch(m, x, rest, em, torus)
+    for i in range(own.size):
+        x = own.points[i]
+        rest = own.remove_index(i)
+        death_fn, birth_fn = _expansion_batch(f, x, rest, other, torus)
         if f.birth_pot is not None:
-            own, cross = f.birth_pot, f.cross_birth_pot
-            bp = potential_functionals(own, dim).beta
+            own_pot, cross = f.birth_pot, _term(f, "cross_birth_pot")
+            bp = potential_functionals(own_pot, dim).beta
             bm = potential_functionals(cross, dim).beta
-            cp, cm = cap(own, order_cap), cap(cross, order_cap)
+            cp, cm = cap(own_pot, order_cap), cap(cross, order_cap)
             specs = [(death_fn, 1.0, (0, 0), 0.0, 0.0),
-                     (birth_fn, 1.0 / c_plus, (cp, cm), radius(own), radius(cross))]
-            partial = sum((c_plus * bp) ** a / math.factorial(a)
-                          * (c_minus * bm) ** b / math.factorial(b)
+                     (birth_fn, 1.0 / c_own, (cp, cm), radius(own_pot), radius(cross))]
+            partial = sum((c_own * bp) ** a / math.factorial(a)
+                          * (c_other * bm) ** b / math.factorial(b)
                           for a in range(cp + 1) for b in range(cm + 1))
-            pref = (f.birth_const / c_plus) * _abs_mayer_products(x, rest, own, torus) \
-                * _abs_mayer_products(x, em, cross, torus)
-            tail += pref * max(0.0, math.exp(c_plus * bp + c_minus * bm) - partial)
+            pref = (f.birth_const / c_own) * _abs_mayer_products(x, rest, own_pot, torus) \
+                * _abs_mayer_products(x, other, cross, torus)
+            tail += pref * max(0.0, _safe_exp(c_own * bp + c_other * bm) - partial)
         elif f.death_pot is None:
-            specs = [(fn, w, (cap(own), cap(cross)), radius(own), radius(cross))
-                     for fn, w, own, cross in (
-                         (death_fn, 1.0, f.death_kernel, f.cross_death_kernel),
-                         (birth_fn, 1.0 / c_plus, f.birth_kernel, f.cross_birth_kernel))]
+            specs = [(fn, w, (cap(own_pot), cap(cross)), radius(own_pot), radius(cross))
+                     for fn, w, own_pot, cross in (
+                         (death_fn, 1.0, f.death_kernel, _term(f, "cross_death_kernel")),
+                         (birth_fn, 1.0 / c_own, f.birth_kernel, _term(f, "cross_birth_kernel")))]
         else:
             kappa, phi, a_plus = f.death_pot, f.parent_pot, f.birth_kernel
             fk = potential_functionals(kappa, dim)
@@ -741,24 +643,45 @@ def c_plus_numeric(m: RateModel, eta: MarkedConfiguration, c_minus: float,
             cm_b = 0 if (phi.is_zero or a_plus.is_zero) else order_cap
             specs = [
                 (death_fn, 1.0, (cp_d, 0), radius(kappa), 0.0),
-                (birth_fn, 1.0 / c_plus, (cap(a_plus), cm_b), radius(a_plus),
+                (birth_fn, 1.0 / c_own, (cap(a_plus), cm_b), radius(a_plus),
                  _capped_radius(a_plus.cutoff + phi.cutoff, torus)),
             ]
             tail += f.death_const * _abs_mayer_products(x, rest, kappa, torus, positive=True) \
-                * _remainder_exp(c_plus * fk.beta_neg, cp_d)
+                * _remainder_exp(c_own * fk.beta_neg, cp_d)
             if not a_plus.is_zero:
-                env_prod = 2.0 ** em.size
-                rem = _remainder_exp(c_minus * bphi, cm_b)
+                env_prod = 2.0 ** other.size
+                rem = _remainder_exp(c_other * bphi, cm_b)
                 rr = pairwise_distances(x[None, :], rest.points, torus)[0] if rest.size else np.zeros(0)
                 parent_mass = float(np.sum(a_plus(rr)))
                 tail += (parent_mass * env_prod * rem
-                         + c_plus * l1a * env_prod * rem) / c_plus
+                         + c_own * l1a * env_prod * rem) / c_own
         for p, (fn, w, caps, r_p, r_m) in enumerate(specs):
-            v, e = _marked_mc(fn, caps, weights, torus, x, r_p, r_m, samples,
-                              seed + 29 * i + 7 * p + 3)
+            v, e = _marked_mc(fn, caps, weights, torus, x, r_p, r_m, samples, seeds(i, p))
             total += w * v
             var += (w * e) ** 2
     return total, math.sqrt(var), tail
+
+
+def c_minus_numeric(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float,
+                    torus: Torus, order_cap: int = 3, samples: int = 4000,
+                    seed: int = 0) -> Tuple[float, float, float]:
+    """Environment expansion mass by truncated Monte Carlo.
+
+    Returns (value, stderr, truncation_tail); the tail is an upper bound on
+    the dropped higher-order mass, so value <= exact <= value + tail up to
+    Monte Carlo noise.
+    """
+    return _numeric_mass(component_form(m), eta_minus, FiniteConfiguration.empty(torus.dim),
+                         c_minus, 1.0, torus, order_cap, samples,
+                         lambda i, p: seed + 17 * i + 5 * p + 1)
+
+
+def c_plus_numeric(m: RateModel, eta: MarkedConfiguration, c_minus: float,
+                   c_plus: float, torus: Torus, order_cap: int = 3,
+                   samples: int = 4000, seed: int = 0) -> Tuple[float, float, float]:
+    """System expansion mass by truncated Monte Carlo; see c_minus_numeric."""
+    return _numeric_mass(_system(m)[0], eta.plus, eta.minus, c_plus, c_minus, torus,
+                         order_cap, samples, lambda i, p: seed + 29 * i + 7 * p + 3)
 
 
 # ---------------------------------------------------------------------------

@@ -282,15 +282,12 @@ def lp_integral(
     order_cap: int,
     torus: Torus,
     quadrature: QuadratureSpec = QuadratureSpec(),
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> LpIntegralResult:
     """Truncated configuration-space integral of G.
 
     Computes sum over n = 0..order_cap of (1/n!) * integral of
     G({x_1..x_n}) over the n-fold box (or restricted region).  The order-0
-    term is G evaluated at the empty configuration.  batch, if given, must
-    map an (S, n, dim) array of point tuples to the S values of G and is
-    used by the Monte Carlo path in place of per-sample calls.
+    term is G evaluated at the empty configuration.
     """
     if order_cap < 0 or order_cap > MAX_LP_ORDER:
         raise SizeLimitError(
@@ -336,14 +333,9 @@ def lp_integral(
                 pts = torus.uniform(rng, S * n).reshape(S, n, torus.dim)
             else:
                 pts = _sample_ball(rng, center, radius, (S, n), torus)
-            if batch is not None:
-                vals = np.asarray(batch(pts), dtype=float)
-                if vals.shape != (S,):
-                    raise EvaluationError("batch evaluator returned a wrong shape")
-            else:
-                vals = np.array(
-                    [G(FiniteConfiguration._unchecked(pts[s])) for s in range(S)]
-                )
+            vals = np.array(
+                [G(FiniteConfiguration._unchecked(pts[s])) for s in range(S)]
+            )
             if not np.all(np.isfinite(vals)):
                 raise EvaluationError("integrand returned a non-finite value")
             scale = vol1 ** n / math.factorial(n)

@@ -37,7 +37,7 @@ from conftest import (
     marked,
     two_bdlp_model,
 )
-from regime_golden import FACTORIES, REGIME, SPOT
+from regime_golden import FACTORIES, REGIME, SPOT, SPOT_2D, SPOT_3D, SPOT_TORI
 
 
 def _free_gg(z_minus, z_plus=0.1):
@@ -275,10 +275,13 @@ def test_regime_report_is_pinned(key):
     _assert_matches(got, REGIME[key])
 
 
-@pytest.mark.parametrize("build", FACTORIES, ids=lambda b: b.__name__)
-def test_spot_check_rows_are_pinned(build):
+@pytest.mark.parametrize(
+    "build, dim",
+    [pytest.param(b, 1, id=b.__name__) for b in FACTORIES]
+    + [pytest.param(b, d, id=f"{b.__name__}-{d}d") for d in (2, 3) for b in FACTORIES])
+def test_spot_check_rows_are_pinned(build, dim):
     spot = SpotCheckSettings(samples=200, max_points=2, configs_per_size=1)
-    rows = check_regime(build(), 0.8, 1.5, torus=TORUS1, spot=spot).spot.rows
+    rows = check_regime(build(), 0.8, 1.5, torus=SPOT_TORI[dim], spot=spot).spot.rows
     got = [(r.component, r.n_plus, r.n_minus, r.numeric, r.stderr, r.tail,
             r.closed, r.closed_exact) for r in rows]
-    _assert_matches(got, SPOT[build.__name__])
+    _assert_matches(got, {1: SPOT, 2: SPOT_2D, 3: SPOT_3D}[dim][build.__name__])

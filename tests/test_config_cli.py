@@ -292,6 +292,35 @@ def test_cli_maps_non_finite_rates_to_the_runtime_exit(tmp_path):
     assert code == 4
 
 
+def _branching_check_config(kappa_height):
+    return {
+        "model": {"variant": "branching_in_glauber", "params": {
+            "z_minus": 0.3, "m_plus": 2.0, "psi": _step(0.5, 1.0),
+            "kappa": _step(kappa_height, 0.5), "phi": _step(0.1, 0.5),
+            "a_plus": _step(0.1, 0.5)}},
+        "torus": {"side": 10.0, "dim": 1},
+        "check": {"c_minus": 1.0, "c_plus": 1.0, "spot_check": {"samples": 100}},
+    }
+
+
+def test_cli_check_reports_an_overflowing_death_energy_as_infeasible(tmp_path):
+    # c_plus * beta_neg(kappa) is about 2.2e4, past the range of math.exp
+    out = tmp_path / "out"
+    code = main(["check", _write(tmp_path, _branching_check_config(10.0)), "--out", str(out)])
+    assert code == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["system"]["feasible"] is False
+    assert report["spot_check"]["ok"] is True
+
+
+def test_cli_check_maps_a_non_finite_spot_check_integrand_to_the_runtime_exit(tmp_path):
+    # exp(800) overflows in the integrand of the Monte Carlo system mass
+    with np.errstate(over="ignore"):
+        code = main(["check", _write(tmp_path, _branching_check_config(800.0)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+
+
 def test_cli_invariant_writes_summary_and_correlations(tmp_path):
     cfg = _gg_config()
     cfg["invariant"] = {"grid_points": 32, "order": 2}
