@@ -16,6 +16,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -80,9 +81,21 @@ def _write_csv(path: str, header: List[str], rows) -> None:
             w.writerow(row)
 
 
+def _strict(obj):
+    """obj with each non-finite float replaced by "inf", "-inf" or "nan",
+    which strict JSON can hold."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(_strict(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 

@@ -44,11 +44,12 @@ from .models import (
     env_death_vector,
     model_potentials,
     rate_form,
+    relative_energy,
     sys_death_vector,
     validate_model_on_torus,
     variant_name,
 )
-from .potentials import _EXP_CLIP, Potential, mayer, potential_functionals, relative_energy
+from .potentials import _EXP_CLIP, Potential, mayer, potential_functionals
 
 _RATIO_SAMPLES = 4096
 
@@ -118,49 +119,41 @@ class ComponentConstants:
 # birth (BdlpInGlauber, TwoBdlp), or death amplified by an exponential own
 # energy with births around parents damped by the environment
 # (BranchingInGlauber).  The functions below branch on the shape of
-# component_form(m) and rate_form(m, "system"), not on the variant.
+# component_form(m) and rate_form(m, "system"), not on the variant, and name
+# each term in the details by the model field behind it (m.ENV_TERMS,
+# m.SYS_TERMS).
 
 def env_constants(m: RateModel, c_minus: float, dim: int) -> ComponentConstants:
     if c_minus <= 0:
         raise ConfigError("weight c_minus must be positive")
-    f = component_form(m)
+    f, names = component_form(m), m.ENV_TERMS
     if f.birth_pot is not None:
-        beta_psi = potential_functionals(f.birth_pot, dim).beta
-        a = 1.0 + _mass_term(f.birth_const / c_minus / f.death_const, c_minus * beta_psi)
+        beta = potential_functionals(f.birth_pot, dim).beta
+        a = 1.0 + _mass_term(f.birth_const / c_minus / f.death_const, c_minus * beta)
         return ComponentConstants(a=a, m_star=f.death_const, feasible=a < 2.0,
-                                  details={"beta_psi": beta_psi})
-    l1_am = potential_functionals(f.death_kernel, dim).l1
-    l1_ap = potential_functionals(f.birth_kernel, dim).l1
+                                  details={"beta_" + names["birth_pot"]: beta})
+    l1_dk = potential_functionals(f.death_kernel, dim).l1
+    l1_bk = potential_functionals(f.birth_kernel, dim).l1
     vt2 = domination_ratio(f.birth_kernel, f.death_kernel)
-    bulk = (c_minus * l1_am + f.birth_const / c_minus + l1_ap) / f.death_const
+    bulk = (c_minus * l1_dk + f.birth_const / c_minus + l1_bk) / f.death_const
     a = 1.0 + max(bulk, vt2 / c_minus) if math.isfinite(vt2) else math.inf
     feasible = math.isfinite(a) and a < 2.0 and vt2 < c_minus
     return ComponentConstants(a=a, m_star=f.death_const, feasible=feasible,
-                              details={"l1_a_minus": l1_am, "l1_a_plus": l1_ap,
+                              details={"l1_" + names["death_kernel"]: l1_dk,
+                                       "l1_" + names["birth_kernel"]: l1_bk,
                                        "vartheta2": vt2})
 
-
-# The model field behind each term of the system form, which names the term
-# in the regime details, and the names of the domination ratios.
-_LABELS = {
-    "glauber_glauber": {"birth_pot": "phi_plus", "cross_birth_pot": "phi_minus"},
-    "bdlp_in_glauber": {"death_kernel": "a_minus", "birth_kernel": "a_plus",
-                        "cross_death_kernel": "b_minus", "cross_birth_kernel": "b_plus",
-                        "ratios": ("theta", "vartheta")},
-    "branching_in_glauber": {"death_pot": "kappa", "parent_pot": "phi",
-                             "birth_kernel": "a_plus", "ratios": ("vartheta",)},
-    "two_bdlp": {"death_kernel": "b_minus", "birth_kernel": "b_plus",
-                 "cross_death_kernel": "vphi_minus", "cross_birth_kernel": "vphi_plus",
-                 "ratios": ("vartheta1", "vartheta3")},
-}
 
 # the terms of an additive form, in the order of the regime details
 _ADDITIVE = ("death_kernel", "birth_kernel", "cross_death_kernel", "cross_birth_kernel")
 
 
 def _system(m: RateModel) -> Tuple[ComponentForm, dict]:
-    """System form of a full model and the labels of its terms."""
-    return rate_form(m, "system"), _LABELS[variant_name(m)]
+    """System form of a full model and the labels of its terms: the model
+    field behind each term, which names it in the regime details, and under
+    "ratios" the names of the domination ratios."""
+    variant_name(m)  # ModelError for anything but the four variants
+    return rate_form(m, "system"), {**m.SYS_TERMS, "ratios": m.RATIOS}
 
 
 def _functionals(f: ComponentForm, term: str, dim: int):
@@ -329,8 +322,9 @@ def _closed_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfig
         pref = _mass_term(f.birth_const / c_own, c_own * bo + c_other * bc)
         for i in range(n):
             x = own.points[i]
-            tot += pref * math.exp(-relative_energy(x, own.remove_index(i), f.birth_pot, torus)
-                                   - relative_energy(x, other, f.cross_birth_pot, torus))
+            rest = own.remove_index(i).points
+            tot += pref * math.exp(-relative_energy(x, rest, f.birth_pot, torus)
+                                   - relative_energy(x, other.points, f.cross_birth_pot, torus))
         return tot
     if n == 0:
         return 0.0
@@ -376,14 +370,14 @@ def c_plus_closed(m: RateModel, eta: MarkedConfiguration, c_minus: float,
     l1a = _functionals(f, "birth_kernel", dim).l1
     tot = 0.0
     damp = np.array([
-        math.exp(-relative_energy(y, em, f.parent_pot, torus)) for y in ep.points
+        math.exp(-relative_energy(y, em.points, f.parent_pot, torus)) for y in ep.points
     ]) if n else np.zeros(0)
     x_phi = c_minus * bphi
     for i in range(n):
         x = ep.points[i]
         rest = ep.remove_index(i)
         tot += f.death_const * _safe_exp(c_plus * fk.beta_neg) * _safe_exp(
-            relative_energy(x, rest, f.death_pot, torus))
+            relative_energy(x, rest.points, f.death_pot, torus))
         if n > 1 and not f.birth_kernel.is_zero:
             d = pairwise_distances(x[None, :], rest.points, torus)[0]
             w = np.delete(damp, i)

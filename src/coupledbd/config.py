@@ -6,17 +6,12 @@ import hashlib
 import json
 import math
 import operator
+from dataclasses import fields
 from typing import Optional
 
 from .errors import ConfigError
 from .geometry import Torus
-from .models import (
-    BdlpInGlauber,
-    BranchingInGlauber,
-    GlauberGlauber,
-    RateModel,
-    TwoBdlp,
-)
+from .models import VARIANTS, RateModel
 from .potentials import Potential
 
 _POTENTIAL_SCHEMA = {
@@ -34,36 +29,18 @@ _POTENTIAL_SCHEMA = {
     "additionalProperties": False,
 }
 
-_PARAMS = {
-    "glauber_glauber": {
-        "activities": ["z_minus", "z_plus"],
-        "masses": [],
-        "potentials": ["psi", "phi_minus", "phi_plus"],
-    },
-    "bdlp_in_glauber": {
-        "activities": ["z_minus"],
-        "masses": ["m_plus"],
-        "potentials": ["psi", "a_minus", "a_plus", "b_minus", "b_plus"],
-    },
-    "branching_in_glauber": {
-        "activities": ["z_minus"],
-        "masses": ["m_plus"],
-        "potentials": ["psi", "kappa", "phi", "a_plus"],
-    },
-    "two_bdlp": {
-        "activities": ["z"],
-        "masses": ["m_minus", "m_plus"],
-        "potentials": ["a_minus", "a_plus", "b_minus", "b_plus",
-                       "vphi_minus", "vphi_plus"],
-    },
-}
+def _params(cls) -> dict:
+    """Config parameters of a variant, in field order: the activities fill
+    a birth_const, the masses a death_const, and the rest are potentials."""
+    kinds = {terms[t]: kind for terms in (cls.ENV_TERMS, cls.SYS_TERMS)
+             for t, kind in (("birth_const", "activities"), ("death_const", "masses"))}
+    out = {"activities": [], "masses": [], "potentials": []}
+    for f in fields(cls):
+        out[kinds.get(f.name, "potentials")].append(f.name)
+    return out
 
-_MODEL_CLASSES = {
-    "glauber_glauber": GlauberGlauber,
-    "bdlp_in_glauber": BdlpInGlauber,
-    "branching_in_glauber": BranchingInGlauber,
-    "two_bdlp": TwoBdlp,
-}
+
+_PARAMS = {name: _params(cls) for name, cls in VARIANTS.items()}
 
 
 def _variant_schema(variant: str) -> dict:
@@ -350,7 +327,7 @@ def model_from_config(cfg: dict) -> RateModel:
     for name in meta["potentials"]:
         kwargs[name] = potential_from_config(params.get(name))
     try:
-        return _MODEL_CLASSES[variant](**kwargs)
+        return VARIANTS[variant](**kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

@@ -24,6 +24,13 @@ from .simulate import (
 )
 from .tables import GridSpec
 
+# Noise floor of the relaxation fit, in late-time standard errors.
+_FLOOR_SIGMA = 2.0
+# Slack of the averaging sweep, in standard errors of the distance: for a
+# rise between neighbouring epsilons, and for the smallest epsilon's gap.
+_MONOTONE_SIGMA = 2.0
+_FINAL_SIGMA = 3.0
+
 
 @dataclass
 class RateFit:
@@ -113,16 +120,13 @@ def ergodicity_experiment(
     target_density: float,
     n_times: int = 21,
     master_seed: int = 2024,
-    discard_frac: float = 0.1,
-    floor_sigma: float = 2.0,
-    min_points: int = 8,
     lambda_0: Optional[float] = None,
 ) -> ErgodicityResult:
     """Relaxation of the environment density toward its invariant value.
 
     Runs an environment-only ensemble started away from equilibrium, fits
     the exponential decay rate of |density(t) - target| and compares with
-    the proven gap when given.  The noise floor is floor_sigma times the
+    the proven gap when given.  The noise floor is _FLOOR_SIGMA times the
     median late-time standard error.
     """
     times = tuple(np.linspace(0.0, t_end, n_times))
@@ -140,9 +144,8 @@ def ergodicity_experiment(
     est = estimate_density(records, torus)
     gaps = np.abs(est.mean_minus - target_density)
     late = est.se_minus[len(times) // 2:]
-    floor = floor_sigma * float(np.median(late))
-    fit = fit_exponential_rate(est.times, gaps, discard_frac=discard_frac,
-                               noise_floor=floor, min_points=min_points)
+    floor = _FLOOR_SIGMA * float(np.median(late))
+    fit = fit_exponential_rate(est.times, gaps, noise_floor=floor)
     return ErgodicityResult(times=est.times, gaps=gaps, density=est,
                             target_density=target_density, fit=fit,
                             lambda_0=lambda_0, noise_floor=floor)
@@ -175,15 +178,12 @@ def averaging_experiment(
     n_times: int = 21,
     master_seed: int = 77,
     grid_points: int = 64,
-    ks_order: int = 3,
-    monotone_sigma: float = 2.0,
-    final_sigma: float = 3.0,
 ) -> AveragingResult:
     """Distance between the coupled system density and the averaged one.
 
     The averaged model is built from the invariant environment correlations
-    (fixed-point solve on a lattice of grid_points per axis).  Both the
-    averaged reference and every coupled ensemble are simulated; the
+    (order-3 fixed-point solve on a lattice of grid_points per axis).  Both
+    the averaged reference and every coupled ensemble are simulated; the
     distance at each epsilon is the largest absolute density gap over the
     record times, with the standard error taken at the maximizing time.
     """
@@ -192,7 +192,7 @@ def averaging_experiment(
         raise ValueError("epsilons must be positive")
     grid = GridSpec(torus=torus, points_per_axis=grid_points)
     form = component_form(m, "environment")
-    k_inv = ks_solve(form, grid, order=ks_order).table
+    k_inv = ks_solve(form, grid, order=3).table
     env_density = invariant_summary(k_inv).density
     am = build_averaged_model(m, k_inv, torus)
     if env_density0 is None:
@@ -238,10 +238,10 @@ def averaging_experiment(
 
     monotone_ok = True
     for i in range(eps.size - 1):
-        slack = monotone_sigma * math.sqrt(ses[i] ** 2 + ses[i + 1] ** 2)
+        slack = _MONOTONE_SIGMA * math.sqrt(ses[i] ** 2 + ses[i + 1] ** 2)
         if distances[i + 1] > distances[i] + slack:
             monotone_ok = False
-    smallest_ok = bool(distances[-1] <= final_sigma * ses[-1])
+    smallest_ok = bool(distances[-1] <= _FINAL_SIGMA * ses[-1])
 
     return AveragingResult(
         epsilons=eps,

@@ -320,11 +320,15 @@ class KsSolution:
 # the depth is kept small for peak memory.
 _MIX_DEPTH = 3
 _WARMUP_STEPS = 2
+# Largest entry a balance iterate may reach before StabilityError.
+_GUARD = 1e8
+# Largest entry a hierarchy state may reach before StabilityError.
+_STABILITY_CAP = 1e9
 
 
 def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
              tol: float = 1e-12, max_iter: int = 500,
-             closure: str = "poisson", guard: float = 1e8) -> KsSolution:
+             closure: str = "poisson") -> KsSolution:
     """Invariant correlation table: the fixed point of G(x) = ks_apply(x) +
     forcing, by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011).
 
@@ -334,7 +338,7 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
     stops within `order` iterations.  After them x = g - dG gamma, where dF
     and dG hold the differences of f and g over the last _MIX_DEPTH steps
     and gamma solves (dF^T dF) gamma = dF^T f.  StabilityError is raised
-    when g or the mixed x is not finite or exceeds guard.
+    when g or the mixed x is not finite or exceeds _GUARD.
     """
     bundle = build_stencils(grid, form, order)
     forcing = form.birth_const / form.death_const
@@ -349,7 +353,7 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
         g[1] += forcing
         f = g - x
         residuals.append(float(np.max(np.abs(f))))
-        _check_stable(g, guard, it)
+        _check_stable(g, it)
         if residuals[-1] <= tol:
             g[0] = 1.0
             return KsSolution(table=CorrelationTable.from_vector(template, g),
@@ -365,15 +369,15 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
         df = d_f[:, :min(it - 1, _MIX_DEPTH)]
         gamma = np.linalg.lstsq(df.T @ df, df.T @ f, rcond=1e-14)[0]
         x = g - d_g[:, :gamma.size] @ gamma
-        _check_stable(x, guard, it)
+        _check_stable(x, it)
     raise ConvergenceError(
         f"balance iteration did not reach tol={tol} in {max_iter} steps "
         f"(last residual {residuals[-1]:.3e})")
 
 
-def _check_stable(vec: np.ndarray, guard: float, it: int) -> None:
+def _check_stable(vec: np.ndarray, it: int) -> None:
     # written so that a NaN entry fails the comparison too
-    if not float(np.max(np.abs(vec))) <= guard:
+    if not float(np.max(np.abs(vec))) <= _GUARD:
         raise StabilityError(
             f"balance iteration left the stable range after {it} steps")
 
@@ -396,8 +400,8 @@ class HierarchyTrajectory:
 
 def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
                      t_final: float, dt: float = 0.01,
-                     record_every: int = 10, closure: str = "poisson",
-                     stability_cap: float = 1e9) -> HierarchyTrajectory:
+                     record_every: int = 10,
+                     closure: str = "poisson") -> HierarchyTrajectory:
     """Integrate the truncated hierarchy with classical fourth-order
     Runge-Kutta steps.  The order-0 entry is conserved.
 
@@ -427,7 +431,7 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
         d4 = deriv(v + h * d3)
         v = v + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         t = step * dt
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > stability_cap:
+        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > _STABILITY_CAP:
             raise StabilityError(
                 f"hierarchy blew past the stability cap at t={t:.4g}")
         if step % record_every == 0 or step == n_steps:

@@ -13,15 +13,21 @@ reads the environment but never writes it.
 
 ComponentForm, defined here, describes the rates of one component: constant,
 additive-kernel or exponential death and birth parts, plus cross terms that
-read the other component.  The environment of every variant, and the system
-of an AveragedModel, have none and so are autonomous one-component dynamics;
-component_form returns those forms and hierarchy.py re-exports both.  The
-system of a full model has cross terms; rate_form returns every form.  The
-pointwise rates, the death vectors and the birth proposals of every
-component are derived from its form, and the event loop updates its rates
-by the same terms, and the averaged model replaces the cross terms of the
-system form by their averages; only the plus decomposition kernels keep one
-branch per variant.
+read the other component.  Each variant is declared once: its NAME, the
+terms of its environment and system forms (ENV_TERMS, SYS_TERMS, each term
+mapped to the model field that fills it or to a constant) and the names of
+its domination ratios (RATIOS).  Both forms, the checks of the activities
+and death masses, the config parameters (config.py) and the regime labels
+(conditions.py) follow from it; VARIANTS maps each NAME to its class.
+
+The environment of every variant, and the system of an AveragedModel, have
+no cross terms and so are autonomous one-component dynamics; component_form
+returns those forms and hierarchy.py re-exports both.  The system of a full
+model has cross terms; rate_form returns every form.  The pointwise rates,
+the death vectors and the birth proposals of every component are derived
+from its form, the event loop updates its rates by the same terms, and the
+averaged model replaces the cross terms of the system form by their
+averages; only the plus decomposition kernels keep one branch per variant.
 
 For each model the birth/death rates admit a finite-difference kernel
 expansion d(x, gamma) = sum over finite eta inside gamma of D(x, eta) (and
@@ -139,36 +145,55 @@ class ComponentForm:
 _CROSS_TERMS = ("cross_death_kernel", "cross_birth_pot", "cross_birth_kernel", "parent_pot")
 
 
-def _heat_bath_environment(m) -> ComponentForm:
-    """Environment of the Glauber family: unit death, births damped by psi."""
-    return ComponentForm(death_const=1.0, birth_const=m.z_minus, birth_pot=m.psi)
+class _Variant:
+    """Base of the model variants, each declared by the class attributes
+    NAME, ENV_TERMS, SYS_TERMS and RATIOS (see the module docstring).  A
+    field behind a death_const must be positive, one behind a birth_const
+    nonnegative."""
+
+    def __post_init__(self):
+        for terms in (self.ENV_TERMS, self.SYS_TERMS):
+            for term, words, bad in (("death_const", "positive", lambda v: v <= 0),
+                                     ("birth_const", "nonnegative", lambda v: v < 0)):
+                name = terms[term]
+                if isinstance(name, str) and bad(getattr(self, name)):
+                    raise ModelError(f"{name} must be {words}, got {getattr(self, name)!r}")
+
+    def _form(self, terms: dict) -> ComponentForm:
+        return ComponentForm(**{term: getattr(self, v) if isinstance(v, str) else v
+                                for term, v in terms.items()})
+
+    @cached_property
+    def _env_form(self) -> ComponentForm:
+        return self._form(self.ENV_TERMS)
+
+    @cached_property
+    def _sys_form(self) -> ComponentForm:
+        """System form, with the cross terms that read the environment."""
+        return self._form(self.SYS_TERMS)
 
 
-# Each model derives its environment form (_env_form) and its system form
-# (_sys_form, with the cross terms that read the environment) once.
+# Environment of the Glauber family: unit death, births damped by psi.
+_HEAT_BATH = {"death_const": 1.0, "birth_const": "z_minus", "birth_pot": "psi"}
+
 
 @dataclass(frozen=True)
-class GlauberGlauber:
+class GlauberGlauber(_Variant):
     z_minus: float
     psi: Potential
     z_plus: float
     phi_minus: Potential
     phi_plus: Potential
 
-    def __post_init__(self):
-        if self.z_minus < 0 or self.z_plus < 0:
-            raise ModelError("activities must be nonnegative")
-
-    _env_form = cached_property(_heat_bath_environment)
-
-    @cached_property
-    def _sys_form(self) -> ComponentForm:
-        return ComponentForm(death_const=1.0, birth_const=self.z_plus,
-                             birth_pot=self.phi_plus, cross_birth_pot=self.phi_minus)
+    NAME = "glauber_glauber"
+    ENV_TERMS = _HEAT_BATH
+    SYS_TERMS = {"death_const": 1.0, "birth_const": "z_plus", "birth_pot": "phi_plus",
+                 "cross_birth_pot": "phi_minus"}
+    RATIOS = ()
 
 
 @dataclass(frozen=True)
-class BdlpInGlauber:
+class BdlpInGlauber(_Variant):
     z_minus: float
     psi: Potential
     m_plus: float
@@ -177,23 +202,16 @@ class BdlpInGlauber:
     b_minus: Potential   # environment-induced death
     b_plus: Potential    # environment-induced birth
 
-    def __post_init__(self):
-        if self.z_minus < 0:
-            raise ModelError("activity must be nonnegative")
-        if self.m_plus <= 0:
-            raise ModelError("intrinsic death rate m_plus must be positive")
-
-    _env_form = cached_property(_heat_bath_environment)
-
-    @cached_property
-    def _sys_form(self) -> ComponentForm:
-        return ComponentForm(death_const=self.m_plus, birth_const=0.0,
-                             death_kernel=self.a_minus, birth_kernel=self.a_plus,
-                             cross_death_kernel=self.b_minus, cross_birth_kernel=self.b_plus)
+    NAME = "bdlp_in_glauber"
+    ENV_TERMS = _HEAT_BATH
+    SYS_TERMS = {"death_const": "m_plus", "birth_const": 0.0, "death_kernel": "a_minus",
+                 "birth_kernel": "a_plus", "cross_death_kernel": "b_minus",
+                 "cross_birth_kernel": "b_plus"}
+    RATIOS = ("theta", "vartheta")
 
 
 @dataclass(frozen=True)
-class BranchingInGlauber:
+class BranchingInGlauber(_Variant):
     z_minus: float
     psi: Potential
     m_plus: float
@@ -201,23 +219,15 @@ class BranchingInGlauber:
     phi: Potential       # parent damping by the environment
     a_plus: Potential    # dispersal kernel
 
-    def __post_init__(self):
-        if self.z_minus < 0:
-            raise ModelError("activity must be nonnegative")
-        if self.m_plus <= 0:
-            raise ModelError("intrinsic death rate m_plus must be positive")
-
-    _env_form = cached_property(_heat_bath_environment)
-
-    @cached_property
-    def _sys_form(self) -> ComponentForm:
-        return ComponentForm(death_const=self.m_plus, birth_const=0.0,
-                             death_pot=self.kappa, birth_kernel=self.a_plus,
-                             parent_pot=self.phi)
+    NAME = "branching_in_glauber"
+    ENV_TERMS = _HEAT_BATH
+    SYS_TERMS = {"death_const": "m_plus", "birth_const": 0.0, "death_pot": "kappa",
+                 "birth_kernel": "a_plus", "parent_pot": "phi"}
+    RATIOS = ("vartheta",)
 
 
 @dataclass(frozen=True)
-class TwoBdlp:
+class TwoBdlp(_Variant):
     z: float
     m_minus: float
     a_minus: Potential   # environment competition (death)
@@ -228,40 +238,24 @@ class TwoBdlp:
     vphi_minus: Potential  # environment-induced system death
     vphi_plus: Potential   # environment-induced system birth
 
-    def __post_init__(self):
-        if self.z < 0:
-            raise ModelError("immigration activity must be nonnegative")
-        if self.m_minus <= 0 or self.m_plus <= 0:
-            raise ModelError("intrinsic death rates must be positive")
-
-    @cached_property
-    def _env_form(self) -> ComponentForm:
-        return ComponentForm(death_const=self.m_minus, birth_const=self.z,
-                             death_kernel=self.a_minus, birth_kernel=self.a_plus)
-
-    @cached_property
-    def _sys_form(self) -> ComponentForm:
-        return ComponentForm(death_const=self.m_plus, birth_const=0.0,
-                             death_kernel=self.b_minus, birth_kernel=self.b_plus,
-                             cross_death_kernel=self.vphi_minus,
-                             cross_birth_kernel=self.vphi_plus)
+    NAME = "two_bdlp"
+    ENV_TERMS = {"death_const": "m_minus", "birth_const": "z", "death_kernel": "a_minus",
+                 "birth_kernel": "a_plus"}
+    SYS_TERMS = {"death_const": "m_plus", "birth_const": 0.0, "death_kernel": "b_minus",
+                 "birth_kernel": "b_plus", "cross_death_kernel": "vphi_minus",
+                 "cross_birth_kernel": "vphi_plus"}
+    RATIOS = ("vartheta1", "vartheta3")
 
 
 RateModel = Union[GlauberGlauber, BdlpInGlauber, BranchingInGlauber, TwoBdlp]
 
-_VARIANT_NAMES = {
-    GlauberGlauber: "glauber_glauber",
-    BdlpInGlauber: "bdlp_in_glauber",
-    BranchingInGlauber: "branching_in_glauber",
-    TwoBdlp: "two_bdlp",
-}
+VARIANTS = {cls.NAME: cls for cls in (GlauberGlauber, BdlpInGlauber, BranchingInGlauber, TwoBdlp)}
 
 
 def variant_name(m: RateModel) -> str:
-    try:
-        return _VARIANT_NAMES[type(m)]
-    except KeyError:
+    if not isinstance(m, _Variant):
         raise ModelError(f"unknown model type {type(m).__name__}")
+    return m.NAME
 
 
 def model_potentials(m: RateModel) -> dict:
@@ -289,8 +283,9 @@ def _live(pot: Optional[Potential]) -> Optional[Potential]:
     return None if pot is None or pot.is_zero else pot
 
 
-def _energy(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) -> float:
-    """Sum of pot(|x-y|) over the rows y of pts; 0 for an absent term."""
+def relative_energy(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) -> float:
+    """Sum of pot(|x - y|) over the rows y of pts (minimal image); 0 for an
+    absent or zero term."""
     if not _live(pot) or len(pts) == 0:
         return 0.0
     return float(pot(distances_from(np.asarray(x, dtype=float), pts, torus)).sum())
@@ -303,20 +298,20 @@ def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
     x = np.asarray(x, dtype=float)
     death = f.death_const
     if f.death_pot is not None:
-        death *= math.exp(_energy(x, own, f.death_pot, torus))
+        death *= math.exp(relative_energy(x, own, f.death_pot, torus))
     else:
-        death += _energy(x, own, f.death_kernel, torus)
-        death += _energy(x, other, f.cross_death_kernel, torus)
+        death += relative_energy(x, own, f.death_kernel, torus)
+        death += relative_energy(x, other, f.cross_death_kernel, torus)
     birth = f.birth_const
     if f.birth_pot is not None or f.cross_birth_pot is not None:
-        birth *= math.exp(-(_energy(x, own, f.birth_pot, torus)
-                            + _energy(x, other, f.cross_birth_pot, torus)))
+        birth *= math.exp(-(relative_energy(x, own, f.birth_pot, torus)
+                            + relative_energy(x, other, f.cross_birth_pot, torus)))
     else:
         if _live(f.birth_kernel) and len(own):
             d = distances_from(x, own, torus)
             weights = np.exp(-_row_interaction(own, other, f.parent_pot, torus))
             birth += f.birth_kernel_scale * float(np.sum(weights * f.birth_kernel(d)))
-        birth += _energy(x, other, f.cross_birth_kernel, torus)
+        birth += relative_energy(x, other, f.cross_birth_kernel, torus)
     return death, birth
 
 
@@ -458,7 +453,10 @@ def _parent_sums(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: To
 
 def _death_rates(f: ComponentForm, death_sums: np.ndarray) -> np.ndarray:
     if f.death_pot is not None:
-        return f.death_const * np.exp(death_sums)
+        # past the float range the rate is infinite, which the event loop's
+        # guard reports
+        with np.errstate(over="ignore"):
+            return f.death_const * np.exp(death_sums)
     return f.death_const + death_sums
 
 
@@ -567,8 +565,8 @@ def _birth_acceptance(f: ComponentForm, x, own: np.ndarray, other: np.ndarray,
     birth part is additive (the proposal is then the birth rate itself)."""
     if f.birth_pot is None and f.cross_birth_pot is None:
         return 1.0
-    return math.exp(-(_energy(x, own, f.birth_pot, torus)
-                      + _energy(x, other, f.cross_birth_pot, torus)))
+    return math.exp(-(relative_energy(x, own, f.birth_pot, torus)
+                      + relative_energy(x, other, f.cross_birth_pot, torus)))
 
 
 def _parent_masses(f: ComponentForm, parent_sums: np.ndarray, dim: int) -> np.ndarray:

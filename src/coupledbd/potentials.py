@@ -166,16 +166,6 @@ def beta_integral(pot: Potential, dim: int, sign: str = "+") -> float:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def relative_energy(x, cfg, pot: Potential, torus) -> float:
-    """Sum of pot(|x - y|) over the points y of cfg (minimal image)."""
-    from .geometry import pairwise_distances
-
-    if cfg.size == 0 or pot.is_zero:
-        return 0.0
-    d = pairwise_distances(np.asarray(x, dtype=float)[None, :], cfg.points, torus)[0]
-    return float(np.sum(pot(d)))
-
-
 def mayer(pot: Potential, r):
     """exp(-f(r)) - 1, vectorized; lies in [exp(-max)-1, 0] for f >= 0."""
     return np.expm1(-pot(r))

@@ -64,10 +64,6 @@ class GridSpec:
         """diff_index[j, l] is the flat index of offset[j] - offset[l]."""
         return _diff_index(self)
 
-    def index_of(self, lattice_point) -> int:
-        m = np.mod(np.asarray(lattice_point, dtype=int), self.points_per_axis)
-        return int(np.ravel_multi_index(tuple(m), (self.points_per_axis,) * self.torus.dim))
-
 
 @lru_cache(maxsize=64)
 def _lattice(grid: GridSpec) -> np.ndarray:
@@ -266,7 +262,11 @@ class CorrelationTable:
         return max(self.sup_by_order())
 
 
-def radial_profile(grid: GridSpec, values: np.ndarray, bins: int = 32):
+# Number of equal-width shells of radial_profile past the exact grouping.
+_PROFILE_BINS = 32
+
+
+def radial_profile(grid: GridSpec, values: np.ndarray):
     """Average a lattice field over shells of equal separation distance.
 
     Returns (r, mean, count) arrays for the nonempty shells, sorted by r.
@@ -275,7 +275,7 @@ def radial_profile(grid: GridSpec, values: np.ndarray, bins: int = 32):
     d = grid.distances
     vals = np.asarray(values, dtype=float)
     uniq = np.unique(np.round(d, 12))
-    if len(uniq) <= bins:
+    if len(uniq) <= _PROFILE_BINS:
         r, mean, count = [], [], []
         for u in uniq:
             sel = np.isclose(d, u, atol=1e-10)
@@ -283,10 +283,10 @@ def radial_profile(grid: GridSpec, values: np.ndarray, bins: int = 32):
             mean.append(float(np.mean(vals[sel])))
             count.append(int(np.sum(sel)))
         return np.array(r), np.array(mean), np.array(count)
-    edges = np.linspace(0.0, float(np.max(d)) + 1e-12, bins + 1)
-    idx = np.clip(np.digitize(d, edges) - 1, 0, bins - 1)
+    edges = np.linspace(0.0, float(np.max(d)) + 1e-12, _PROFILE_BINS + 1)
+    idx = np.clip(np.digitize(d, edges) - 1, 0, _PROFILE_BINS - 1)
     r, mean, count = [], [], []
-    for b in range(bins):
+    for b in range(_PROFILE_BINS):
         sel = idx == b
         if not np.any(sel):
             continue

@@ -308,8 +308,15 @@ def test_cli_check_reports_an_overflowing_death_energy_as_infeasible(tmp_path):
     out = tmp_path / "out"
     code = main(["check", _write(tmp_path, _branching_check_config(10.0)), "--out", str(out)])
     assert code == 3
+
+    def no_constant(token):
+        raise AssertionError(f"an artifact holds the non-JSON token {token}")
+
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=no_constant)
     report = json.loads((out / "report.json").read_text())
     assert report["system"]["feasible"] is False
+    assert report["system"]["a"] == "inf"
     assert report["spot_check"]["ok"] is True
 
 

@@ -235,3 +235,32 @@ def test_compound_mutants_agree_with_jsonschema(variant, data):
             mutant = paths[data.draw(st.integers(0, len(paths) - 1))], data.draw(_VALUES)
         cfg = _apply(cfg, mutant)
     assert _agree(jsonschema, cfg)
+
+
+def test_variant_parameters_are_the_declared_table():
+    # the schema of every variant follows from this table, in this order
+    assert list(_PARAMS) == ["glauber_glauber", "bdlp_in_glauber",
+                             "branching_in_glauber", "two_bdlp"]
+    assert _PARAMS == {
+        "glauber_glauber": {
+            "activities": ["z_minus", "z_plus"],
+            "masses": [],
+            "potentials": ["psi", "phi_minus", "phi_plus"],
+        },
+        "bdlp_in_glauber": {
+            "activities": ["z_minus"],
+            "masses": ["m_plus"],
+            "potentials": ["psi", "a_minus", "a_plus", "b_minus", "b_plus"],
+        },
+        "branching_in_glauber": {
+            "activities": ["z_minus"],
+            "masses": ["m_plus"],
+            "potentials": ["psi", "kappa", "phi", "a_plus"],
+        },
+        "two_bdlp": {
+            "activities": ["z"],
+            "masses": ["m_minus", "m_plus"],
+            "potentials": ["a_minus", "a_plus", "b_minus", "b_plus",
+                           "vphi_minus", "vphi_plus"],
+        },
+    }

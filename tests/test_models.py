@@ -3,6 +3,8 @@ and the environment-averaged reduction."""
 
 import itertools
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from coupledbd.geometry import (
 from coupledbd.models import (
     AveragedModel,
     BdlpInGlauber,
+    BranchingInGlauber,
     ComponentForm,
     GlauberGlauber,
     _form_kernels,
@@ -113,6 +116,19 @@ def test_death_vectors_match_pointwise_rates(build):
                                    minus=gamma.minus)
         d, _ = sys_rates(gamma.plus.points[i], rest, m, TORUS1)
         assert dp[i] == pytest.approx(d, rel=1e-12)
+
+
+def test_a_death_energy_past_the_float_range_gives_infinite_rates_silently():
+    # exp(800) overflows; the infinite rate is what the event loop's guard
+    # reads, so the overflow is intended and must not warn
+    zero = Potential.zero()
+    m = BranchingInGlauber(z_minus=0.3, psi=zero, m_plus=1.0,
+                           kappa=Potential.step(800.0, 1.0), phi=zero, a_plus=zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        death = sys_death_vector(marked([4.0, 4.2, 7.0], []), m, TORUS1)
+    assert death[0] == death[1] == math.inf
+    assert death[2] == 1.0
 
 
 @pytest.mark.parametrize("build", ALL_MODELS, ids=lambda b: b.__name__)
@@ -223,6 +239,48 @@ def test_variant_names_are_stable():
     names = [variant_name(b()) for b in ALL_MODELS]
     assert names == ["glauber_glauber", "bdlp_in_glauber",
                      "branching_in_glauber", "two_bdlp"]
+
+
+def test_rate_forms_are_the_declared_terms():
+    g, b, r, t = gg_model(), bdlp_model(), branching_model(), two_bdlp_model()
+    expected = {
+        g: (ComponentForm(death_const=1.0, birth_const=g.z_minus, birth_pot=g.psi),
+            ComponentForm(death_const=1.0, birth_const=g.z_plus,
+                          birth_pot=g.phi_plus, cross_birth_pot=g.phi_minus)),
+        b: (ComponentForm(death_const=1.0, birth_const=b.z_minus, birth_pot=b.psi),
+            ComponentForm(death_const=b.m_plus, birth_const=0.0,
+                          death_kernel=b.a_minus, birth_kernel=b.a_plus,
+                          cross_death_kernel=b.b_minus, cross_birth_kernel=b.b_plus)),
+        r: (ComponentForm(death_const=1.0, birth_const=r.z_minus, birth_pot=r.psi),
+            ComponentForm(death_const=r.m_plus, birth_const=0.0, death_pot=r.kappa,
+                          birth_kernel=r.a_plus, parent_pot=r.phi)),
+        t: (ComponentForm(death_const=t.m_minus, birth_const=t.z,
+                          death_kernel=t.a_minus, birth_kernel=t.a_plus),
+            ComponentForm(death_const=t.m_plus, birth_const=0.0,
+                          death_kernel=t.b_minus, birth_kernel=t.b_plus,
+                          cross_death_kernel=t.vphi_minus,
+                          cross_birth_kernel=t.vphi_plus)),
+    }
+    for m, (env, sys) in expected.items():
+        assert rate_form(m, "environment") == env, variant_name(m)
+        assert rate_form(m, "system") == sys, variant_name(m)
+        for form in (rate_form(m, "environment"), rate_form(m, "system")):
+            assert type(form.death_const) is float and type(form.birth_const) is float
+
+
+@pytest.mark.parametrize("build, name, value", [
+    (gg_model, "z_minus", -0.1),
+    (gg_model, "z_plus", -1e-9),
+    (bdlp_model, "z_minus", -1.0),
+    (bdlp_model, "m_plus", 0.0),
+    (branching_model, "m_plus", -2.0),
+    (two_bdlp_model, "z", -0.5),
+    (two_bdlp_model, "m_minus", 0.0),
+    (two_bdlp_model, "m_plus", -1.0),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_an_invalid_activity_or_mass_raises_naming_the_field(build, name, value):
+    with pytest.raises(ModelError, match=rf"^{name} must be "):
+        replace(build(), **{name: value})
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 import coupledbd
 from coupledbd.errors import ModelError
 from coupledbd.geometry import FiniteConfiguration, Torus, ball_volume
+from coupledbd.models import relative_energy
 from coupledbd.potentials import (
     Potential,
     beta_integral,
     mayer,
     potential_functionals,
-    relative_energy,
     sample_kernel_offsets,
 )
 
@@ -142,24 +142,24 @@ def test_relative_energy_is_additive_and_order_free():
     pts = TORUS1.uniform(rng, 6)
     x = TORUS1.uniform(rng, 1)[0]
     cfg = FiniteConfiguration(pts)
-    total = relative_energy(x, cfg, pot, TORUS1)
-    parts = sum(relative_energy(x, FiniteConfiguration(pts[i:i + 1]), pot, TORUS1)
+    total = relative_energy(x, cfg.points, pot, TORUS1)
+    parts = sum(relative_energy(x, pts[i:i + 1], pot, TORUS1)
                 for i in range(6))
     assert total == pytest.approx(parts, abs=1e-12)
     perm = rng.permutation(6)
     assert total == pytest.approx(
-        relative_energy(x, cfg.reordered(perm), pot, TORUS1), abs=1e-12)
+        relative_energy(x, cfg.reordered(perm).points, pot, TORUS1), abs=1e-12)
 
 
 def test_relative_energy_is_translation_invariant_on_the_torus():
     pot = Potential.step(height=1.0, cutoff=1.5)
     cfg = FiniteConfiguration([[9.5], [0.4]])
-    e0 = relative_energy([9.8], cfg, pot, TORUS1)
+    e0 = relative_energy([9.8], cfg.points, pot, TORUS1)
     shift = 3.7
     shifted = FiniteConfiguration(TORUS1.wrap(cfg.points + shift))
     x_shift = TORUS1.wrap(np.array([[9.8 + shift]]))[0]
     assert e0 == pytest.approx(
-        relative_energy(x_shift, shifted, pot, TORUS1), abs=1e-9)
+        relative_energy(x_shift, shifted.points, pot, TORUS1), abs=1e-9)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
