@@ -60,7 +60,7 @@ def main():
     print()
     for line in rep.summary_lines():
         print(line)
-    n_bad = sum(not r.ok_inequality for r in rep.spot.rows)
+    n_bad = sum(r.ok_inequality is False for r in rep.spot.rows)
     print(f"spot check: {len(rep.spot.rows)} sampled masses, "
           f"{n_bad} above their bound")
     return 0

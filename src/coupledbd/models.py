@@ -291,6 +291,14 @@ def relative_energy(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) 
     return float(pot(distances_from(np.asarray(x, dtype=float), pts, torus)).sum())
 
 
+def _exp(v: float) -> float:
+    """math.exp, inf past the float range like np.exp."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
                 torus: Torus) -> Tuple[float, float]:
     """(death, birth) rate at x of a component with form f, given the points
@@ -298,7 +306,7 @@ def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
     x = np.asarray(x, dtype=float)
     death = f.death_const
     if f.death_pot is not None:
-        death *= math.exp(relative_energy(x, own, f.death_pot, torus))
+        death *= _exp(relative_energy(x, own, f.death_pot, torus))
     else:
         death += relative_energy(x, own, f.death_kernel, torus)
         death += relative_energy(x, other, f.cross_death_kernel, torus)

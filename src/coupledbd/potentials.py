@@ -151,21 +151,6 @@ def potential_functionals(pot: Potential, dim: int) -> PotentialFunctionals:
     return PotentialFunctionals(beta=beta, beta_neg=beta_neg, l1=l1, linf=pot.max_value)
 
 
-def beta_integral(pot: Potential, dim: int, sign: str = "+") -> float:
-    """Mayer mass of the profile over R^d.
-
-    sign "+" gives integral of |exp(-f)-1| (repulsive direction), sign "-"
-    gives integral of (exp(f)-1), which is the quantity that must stay
-    finite for birth kernels entering through a positive exponent.
-    """
-    fns = potential_functionals(pot, dim)
-    if sign == "+":
-        return fns.beta
-    if sign == "-":
-        return fns.beta_neg
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
 def mayer(pot: Potential, r):
     """exp(-f(r)) - 1, vectorized; lies in [exp(-max)-1, 0] for f >= 0."""
     return np.expm1(-pot(r))

@@ -541,7 +541,7 @@ def test_criterion_7_regime_checker():
                 SpotCheckSettings(samples=500, order_cap=3,
                                   configs_per_size=1, max_points=2,
                                   seed=9000 + k))
-            bad = [r for r in spot.rows if not r.ok_inequality]
+            bad = [r for r in spot.rows if r.ok_inequality is False]
             if bad:
                 problems.append(
                     f"{variant}#{i}: sampled mass above its bound on "

@@ -2,6 +2,7 @@
 of the weighted expansion masses."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,6 @@ from coupledbd.conditions import (
     domination_ratio,
     env_constants,
     growth_bounds,
-    m_minus_value,
-    m_plus_value,
     scan_feasible,
     sector_angle,
     spectral_gap,
@@ -25,7 +24,7 @@ from coupledbd.conditions import (
 )
 from coupledbd.errors import ConfigError
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration
-from coupledbd.models import GlauberGlauber
+from coupledbd.models import GlauberGlauber, env_death_vector, sys_death_vector
 from coupledbd.potentials import Potential
 
 from conftest import (
@@ -133,11 +132,11 @@ def test_growth_bounds_shapes():
 
 def test_death_masses_count_weighted_particles():
     eta = marked([1.0, 2.0], [4.0, 6.0, 8.0])
-    assert m_minus_value(gg_model(), eta.minus, TORUS1) == 3.0
-    assert m_plus_value(gg_model(), eta, TORUS1) == 2.0
+    assert np.sum(env_death_vector(eta.minus, gg_model(), TORUS1)) == 3.0
+    assert np.sum(sys_death_vector(eta, gg_model(), TORUS1)) == 2.0
     t = two_bdlp_model()
     # additive death: m + pair interactions, summed over the particles
-    val = m_minus_value(t, marked([], [0.0, 0.2]).minus, TORUS1)
+    val = np.sum(env_death_vector(marked([], [0.0, 0.2]).minus, t, TORUS1))
     assert val == pytest.approx(2.0 * t.m_minus + 2.0 * 0.3, rel=1e-9)
 
 
@@ -181,6 +180,22 @@ def test_numeric_masses_confirm_the_closed_forms(build):
         if r.closed_exact:
             assert abs(r.numeric - r.closed) <= (
                 settings.sigma * r.stderr + r.tail + 1e-9 * (1 + abs(r.closed)))
+
+
+def test_spot_rows_with_an_infinite_bound_are_unchecked():
+    # c_plus * beta_neg(kappa) is about 2.2e4, so a_sys, every system bound
+    # and closed mass are infinite and no system row can be verified
+    m = replace(branching_model(), kappa=Potential.step(10.0, 0.5))
+    rep = check_regime(m, 1.0, 1.0, torus=TORUS1, spot=SpotCheckSettings(samples=100))
+    env = [r for r in rep.spot.rows if r.component == "environment"]
+    sys_ = [r for r in rep.spot.rows if r.component == "system"]
+    assert len(env) == 6 and len(sys_) == 8
+    assert all(r.ok_inequality is True and r.ok_equality is True for r in env)
+    for r in sys_:
+        assert r.bound == math.inf and math.isfinite(r.numeric)
+        assert r.ok_inequality is None and r.ok_equality is None
+    assert rep.spot.ok
+    assert rep.summary_lines()[-1] == "spot check: ok (14 rows, 0 violations, 8 unchecked)"
 
 
 def test_regime_report_aggregates_feasibility():

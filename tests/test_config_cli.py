@@ -303,11 +303,12 @@ def _branching_check_config(kappa_height):
     }
 
 
-def test_cli_check_reports_an_overflowing_death_energy_as_infeasible(tmp_path):
+def test_cli_check_reports_an_overflowing_death_energy_as_infeasible(tmp_path, capsys):
     # c_plus * beta_neg(kappa) is about 2.2e4, past the range of math.exp
     out = tmp_path / "out"
     code = main(["check", _write(tmp_path, _branching_check_config(10.0)), "--out", str(out)])
     assert code == 3
+    assert "spot check: ok (14 rows, 0 violations, 8 unchecked)" in capsys.readouterr().out
 
     def no_constant(token):
         raise AssertionError(f"an artifact holds the non-JSON token {token}")
@@ -318,6 +319,9 @@ def test_cli_check_reports_an_overflowing_death_energy_as_infeasible(tmp_path):
     assert report["system"]["feasible"] is False
     assert report["system"]["a"] == "inf"
     assert report["spot_check"]["ok"] is True
+    # no system row has a finite bound to check against
+    rows = report["spot_check"]["rows"]
+    assert [r["ok_inequality"] for r in rows if r["component"] == "system"] == [None] * 8
 
 
 def test_cli_check_maps_a_non_finite_spot_check_integrand_to_the_runtime_exit(tmp_path):

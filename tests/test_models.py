@@ -131,6 +131,15 @@ def test_a_death_energy_past_the_float_range_gives_infinite_rates_silently():
     assert death[2] == 1.0
 
 
+def test_pointwise_death_rates_past_the_float_range_match_the_death_vector():
+    zero = Potential.zero()
+    m = BranchingInGlauber(z_minus=0.3, psi=zero, m_plus=1.0,
+                           kappa=Potential.step(800.0, 1.0), phi=zero, a_plus=zero)
+    assert list(sys_death_vector(marked([4.0, 4.2], []), m, TORUS1)) == [math.inf] * 2
+    death, birth = sys_rates([4.0], marked([4.2], []), m, TORUS1)
+    assert (death, birth) == (math.inf, 0.0)
+
+
 @pytest.mark.parametrize("build", ALL_MODELS, ids=lambda b: b.__name__)
 @pytest.mark.parametrize("component", ["environment", "system"])
 def test_proposal_times_acceptance_equals_birth_density(build, component):

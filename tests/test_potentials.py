@@ -17,7 +17,6 @@ from coupledbd.geometry import FiniteConfiguration, Torus, ball_volume
 from coupledbd.models import relative_energy
 from coupledbd.potentials import (
     Potential,
-    beta_integral,
     mayer,
     potential_functionals,
     sample_kernel_offsets,
@@ -118,8 +117,9 @@ def test_zero_potential_has_trivial_functionals():
 
 def test_beta_neg_diverges_past_the_overflow_guard():
     pot = Potential.step(height=800.0, cutoff=1.0)
-    assert beta_integral(pot, 1, sign="-") == math.inf
-    assert math.isfinite(beta_integral(pot, 1, sign="+"))
+    f = potential_functionals(pot, 1)
+    assert f.beta_neg == math.inf
+    assert math.isfinite(f.beta)
 
 
 @given(st.floats(0.01, 5.0), st.floats(0.1, 2.0), st.integers(1, 3))
