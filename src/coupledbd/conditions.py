@@ -37,7 +37,6 @@ import numpy as np
 from .errors import ConfigError, EvaluationError, ModelError
 from .geometry import (
     FiniteConfiguration,
-    MarkedConfiguration,
     Torus,
     _sample_ball,
     ball_volume,
@@ -363,21 +362,6 @@ def _closed_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfig
         # candidate-parent integral; exact only without other points
         tot += _mass_term(l1a, x_phi)
     return tot, other.size == 0
-
-
-def c_minus_closed(m: RateModel, eta_minus: FiniteConfiguration, c_minus: float,
-                   torus: Torus) -> Tuple[float, bool]:
-    """Closed-form weighted expansion mass of the environment kernels;
-    returns (value, exact), exact always True for an environment."""
-    return _closed_mass(component_form(m), eta_minus, FiniteConfiguration.empty(torus.dim),
-                        c_minus, 1.0, torus)
-
-
-def c_plus_closed(m: RateModel, eta: MarkedConfiguration, c_minus: float,
-                  c_plus: float, torus: Torus) -> Tuple[float, bool]:
-    """Closed-form weighted expansion mass of the system kernels; returns
-    (value, exact) as _closed_mass."""
-    return _closed_mass(_system(m)[0], eta.plus, eta.minus, c_plus, c_minus, torus)
 
 
 # ---------------------------------------------------------------------------

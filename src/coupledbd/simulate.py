@@ -35,11 +35,20 @@ birth masses change only at its own events, and its acceptance reads the
 path's points alive at the candidate's time.  A system whose sums or
 kernel groups read the environment, and a run of the environment alone,
 keep the joint loop.
+
+replicate runs an ensemble across the CPUs the process may use: replica r
+goes to worker r mod W, the calling process and W - 1 forked children.
+Each replica draws only from its own streams, so the records do not depend
+on W and equal those of a run on one CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -588,13 +597,96 @@ def replicate(
 ) -> List[TrajectoryRecord]:
     """Independent runs of simulate; replica r uses the stream master_seed ^ r
     (for a free environment's path, then the loop) and draws its initial
-    state from initial_factory with a derived stream."""
-    out = []
-    for r in range(n_replicas):
-        init_rng = replica_rng(settings.master_seed ^ 0x5DEECE66D, r)
-        initial = initial_factory(init_rng)
-        out.append(simulate(m, torus, initial, settings, components, replica=r))
-    return out
+    state from initial_factory with a derived stream.
+
+    The replicas run in W = min(CPUs in the affinity set, n_replicas)
+    processes: W - 1 children forked here and this process, worker w
+    running the replicas r = w mod W.  No replica's draws depend on W, so
+    the records equal those of a run on one CPU.  When a replica raises,
+    the error of the lowest failing index is raised, as in a serial run.
+    With one CPU, one replica, no os.fork or os.sched_getaffinity, or other
+    Python threads running (which fork would not copy), the replicas run
+    here one after another.
+    """
+    def run(r: int) -> TrajectoryRecord:
+        initial = initial_factory(replica_rng(settings.master_seed ^ 0x5DEECE66D, r))
+        return simulate(m, torus, initial, settings, components, replica=r)
+
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        workers = min(len(os.sched_getaffinity(0)), n_replicas)
+    if workers < 2:
+        return [run(r) for r in range(n_replicas)]
+    return _fork_join(run, n_replicas, workers)
+
+
+def _run_share(run: Callable[[int], TrajectoryRecord], share: range) -> tuple:
+    """(True, records) of the replicas in share, or (False, (r, error)) for
+    the first replica r that raised."""
+    records = []
+    for r in share:
+        try:
+            records.append(run(r))
+        except Exception as e:
+            return False, (r, e)
+    return True, records
+
+
+def _fork_join(run: Callable[[int], TrajectoryRecord], n: int,
+               workers: int) -> List[TrajectoryRecord]:
+    """run(r) for r < n: worker w runs the share r = w mod workers, this
+    process share 0 and a forked child each other share.  A child pickles
+    its _run_share outcome to a pipe and leaves through os._exit, so it
+    never returns into its caller's stack."""
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(rfd)
+                    data = pickle.dumps(_run_share(run, range(w, n, workers)),
+                                        pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(wfd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            children.append((pid, rfd))
+        outcomes = [_run_share(run, range(0, n, workers))]
+        for pid, rfd in children:
+            with os.fdopen(rfd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                outcomes.append(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"replica worker {pid} exited without a result") from None
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, rfd in children:
+            os.close(rfd)
+            os.waitpid(pid, 0)
+    records: List[Optional[TrajectoryRecord]] = [None] * n
+    failures = []
+    for w, (ok, value) in enumerate(outcomes):
+        if ok:
+            records[w::workers] = value
+        else:
+            failures.append(value)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return records
 
 
 # ---------------------------------------------------------------------------

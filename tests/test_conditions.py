@@ -9,9 +9,8 @@ import pytest
 
 from coupledbd.conditions import (
     SpotCheckSettings,
+    _closed_mass,
     averaged_constants,
-    c_minus_closed,
-    c_plus_closed,
     check_regime,
     domination_ratio,
     env_constants,
@@ -24,7 +23,7 @@ from coupledbd.conditions import (
 )
 from coupledbd.errors import ConfigError
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration
-from coupledbd.models import GlauberGlauber, env_death_vector, sys_death_vector
+from coupledbd.models import GlauberGlauber, env_death_vector, rate_form, sys_death_vector
 from coupledbd.potentials import Potential
 
 from conftest import (
@@ -140,20 +139,29 @@ def test_death_masses_count_weighted_particles():
     assert val == pytest.approx(2.0 * t.m_minus + 2.0 * 0.3, rel=1e-9)
 
 
+def _env_closed(m, eta_minus, c_minus):
+    return _closed_mass(rate_form(m, "environment"), eta_minus,
+                        FiniteConfiguration.empty(TORUS1.dim), c_minus, 1.0, TORUS1)
+
+
+def _sys_closed(m, eta, c_minus, c_plus):
+    return _closed_mass(rate_form(m, "system"), eta.plus, eta.minus, c_plus, c_minus, TORUS1)
+
+
 def test_closed_masses_match_manual_formulas_on_singletons():
     x = FiniteConfiguration([[5.0]])
     m = gg_model()
     beta = 2.0 * (1.0 - math.exp(-0.5))
-    got, exact = c_minus_closed(m, x, 3.0, TORUS1)
+    got, exact = _env_closed(m, x, 3.0)
     assert exact
     assert got == pytest.approx(1.0 + 0.1 * math.exp(3.0 * beta), rel=1e-9)
     t = two_bdlp_model()
-    got, exact = c_minus_closed(t, x, 2.0, TORUS1)
+    got, exact = _env_closed(t, x, 2.0)
     assert exact
     assert got == pytest.approx((1.0 + 2.0 * 0.3) + (0.5 + 2.0 * 0.2) / 2.0,
                                 rel=1e-9)
     eta = MarkedConfiguration(plus=x, minus=FiniteConfiguration.empty(1))
-    got, exact = c_plus_closed(bdlp_model(), eta, 2.0, 2.0, TORUS1)
+    got, exact = _sys_closed(bdlp_model(), eta, 2.0, 2.0)
     assert exact
     assert got == pytest.approx((1.0 + 2.0 * 0.6 + 2.0 * 0.4)
                                 + (2.0 * 0.5 + 2.0 * 0.3) / 2.0, rel=1e-9)
@@ -162,10 +170,10 @@ def test_closed_masses_match_manual_formulas_on_singletons():
 def test_branching_closed_mass_is_flagged_inexact_with_environment():
     m = branching_model()
     eta = marked([1.0], [1.3])
-    _, exact = c_plus_closed(m, eta, 1.0, 1.0, TORUS1)
+    _, exact = _sys_closed(m, eta, 1.0, 1.0)
     assert not exact
     bare = marked([1.0, 1.4], [])
-    _, exact = c_plus_closed(m, bare, 1.0, 1.0, TORUS1)
+    _, exact = _sys_closed(m, bare, 1.0, 1.0)
     assert exact
 
 

@@ -1,8 +1,12 @@
 """Event-driven sampler: determinism, exact laws on solvable cases, clock
-scaling, guards, event statistics, the loop's incremental state, and the
-ensemble estimators."""
+scaling, guards, event statistics, the loop's incremental state, the
+ensemble estimators, and the replica runner."""
 
+import inspect
 import math
+import os
+import pickle
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from coupledbd import errors
 from coupledbd.errors import ExplosionGuardError, ModelError
 from coupledbd.geometry import MarkedConfiguration, Torus
 from coupledbd.models import (
@@ -579,3 +584,149 @@ def test_fixed_seed_trajectories_are_pinned(case):
     got = (rec.events, rec.virtual_events, rec.final.plus.size, rec.final.minus.size,
            {c: tuple(rec.counts[c].values()) for c in COMPONENTS})
     assert got == PINNED_TRAJECTORIES[case]
+
+
+# ---------------------------------------------------------------------------
+# the replica runner: replicas split across forked workers give the records
+# of per-replica simulate calls, whatever the number of CPUs
+
+def _by_hand(m, factory, s, n, components=COMPONENTS):
+    return [simulate(m, TORUS1, factory(replica_rng(s.master_seed ^ 0x5DEECE66D, r)), s,
+                     components, replica=r) for r in range(n)]
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("times", "plus_counts", "minus_counts"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("events", "virtual_events", "replica", "counts", "peak_population",
+                     "recomputes"):
+            assert getattr(a, name) == getattr(b, name)
+        for x, y in zip([a.final] + a.snapshots, [b.final] + b.snapshots):
+            assert np.array_equal(x.plus.points, y.plus.points)
+            assert np.array_equal(x.minus.points, y.minus.points)
+        assert len(a.snapshots) == len(b.snapshots)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _random_start(rng):
+    return random_marked(rng, TORUS1, 4, 4)
+
+
+RUNNER_CASES = {
+    "joint_loop": (gg_model, COMPONENTS),
+    "bulk_path": (free_gg_model, COMPONENTS),
+    "averaged": (lambda: _averaged(gg_model), ("system",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNNER_CASES))
+def test_replicate_equals_per_replica_simulate_calls(case):
+    build, components = RUNNER_CASES[case]
+    m = build()
+    s = SimulationSettings(t_end=6.0, epsilon=0.5, master_seed=61,
+                           record_times=(0.0, 2.0, 4.0, 6.0), keep_snapshots=True)
+    want = _by_hand(m, _random_start, s, 5, components)
+    _assert_same_records(replicate(m, TORUS1, _random_start, s, 5, components), want)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_replicate_on_one_cpu_gives_the_same_records():
+    s = SimulationSettings(t_end=6.0, master_seed=62, record_times=(3.0, 6.0),
+                           keep_snapshots=True)
+    spread = replicate(gg_model(), TORUS1, _random_start, s, 4)
+    cpus = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {min(cpus)})
+        one = replicate(gg_model(), TORUS1, _random_start, s, 4)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    _assert_same_records(spread, one)
+    _assert_no_child_left()
+
+
+def test_replicate_raises_the_lowest_failing_replicas_error():
+    # at seed 18 a budget of 100 events stops some replicas but not replica 0
+    s = SimulationSettings(t_end=10.0, master_seed=18, max_events=100)
+    failing = []
+    for r in range(5):
+        init = _random_start(replica_rng(s.master_seed ^ 0x5DEECE66D, r))
+        try:
+            simulate(gg_model(), TORUS1, init, s, replica=r)
+        except ExplosionGuardError as e:
+            failing.append((r, e))
+    assert 0 < failing[0][0] and len(failing) < 5
+    want = failing[0][1]
+    with pytest.raises(ExplosionGuardError) as got:
+        replicate(gg_model(), TORUS1, _random_start, s, 5)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
+    assert (got.value.time_reached, got.value.events) == (want.time_reached, want.events)
+    _assert_no_child_left()
+
+
+def test_replicate_interrupted_in_this_process_leaves_no_child():
+    parent = os.getpid()
+
+    def factory(rng):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return _empty()
+
+    with pytest.raises(KeyboardInterrupt):
+        replicate(gg_model(), TORUS1, factory, SimulationSettings(t_end=50.0), 4)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="the replicas run in this process")
+def test_replicate_reports_a_worker_that_died_without_a_result():
+    parent = os.getpid()
+
+    def factory(rng):
+        if os.getpid() != parent:
+            os._exit(3)
+        return _empty()
+
+    with pytest.raises(RuntimeError, match="without a result"):
+        replicate(gg_model(), TORUS1, factory, SimulationSettings(t_end=1.0), 4)
+    _assert_no_child_left()
+
+
+def test_replicate_runs_serially_while_other_threads_run(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked with another thread running")
+
+    s = SimulationSettings(t_end=4.0, master_seed=63, record_times=(4.0,),
+                           keep_snapshots=True)
+    want = _by_hand(gg_model(), _random_start, s, 3)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(30.0,))
+    other.start()
+    try:
+        monkeypatch.setattr(os, "fork", no_fork)
+        got = replicate(gg_model(), TORUS1, _random_start, s, 3)
+    finally:
+        stop.set()
+        other.join(timeout=30.0)
+    assert not other.is_alive()
+    _assert_same_records(got, want)
+
+
+def test_errors_survive_a_pickle_round_trip():
+    # a replica's error crosses from its worker process as a pickle
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if c.__module__ == errors.__name__]
+    assert errors.ExplosionGuardError in classes
+    for cls in classes:
+        back = pickle.loads(pickle.dumps(cls("went wrong at t=1.5")))
+        assert type(back) is cls and back.args == ("went wrong at t=1.5",)
+    guard = pickle.loads(pickle.dumps(
+        errors.ExplosionGuardError("budget exhausted", time_reached=2.5, events=40)))
+    assert (str(guard), guard.time_reached, guard.events) == ("budget exhausted", 2.5, 40)
