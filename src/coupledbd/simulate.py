@@ -44,6 +44,7 @@ on W and equal those of a run on one CPU.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
@@ -604,9 +605,9 @@ def replicate(
     running the replicas r = w mod W.  No replica's draws depend on W, so
     the records equal those of a run on one CPU.  When a replica raises,
     the error of the lowest failing index is raised, as in a serial run.
-    With one CPU, one replica, no os.fork or os.sched_getaffinity, or other
-    Python threads running (which fork would not copy), the replicas run
-    here one after another.
+    W is 1, and no process is forked, without os.fork or
+    os.sched_getaffinity or while other Python threads run (which fork
+    would not copy).
     """
     def run(r: int) -> TrajectoryRecord:
         initial = initial_factory(replica_rng(settings.master_seed ^ 0x5DEECE66D, r))
@@ -614,9 +615,7 @@ def replicate(
 
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = min(len(os.sched_getaffinity(0)), n_replicas)
-    if workers < 2:
-        return [run(r) for r in range(n_replicas)]
+        workers = max(1, min(len(os.sched_getaffinity(0)), n_replicas))
     return _fork_join(run, n_replicas, workers)
 
 
@@ -632,54 +631,88 @@ def _run_share(run: Callable[[int], TrajectoryRecord], share: range) -> tuple:
     return True, records
 
 
+_PR_SET_PDEATHSIG = 1  # linux/prctl.h
+
+
+def _end_with(parent: int) -> None:
+    """Have the kernel SIGKILL this forked worker once the process that
+    forked it ends, however it ends (Linux prctl PR_SET_PDEATHSIG), and
+    leave now if it has already ended.  Without prctl a worker whose
+    parent is gone ends when it writes to its pipe."""
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL))
+    except (OSError, AttributeError):
+        pass
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _fork_worker(run: Callable[[int], TrajectoryRecord],
+                 share: range) -> Optional[Tuple[int, int]]:
+    """(pid, read end of its pipe) of a forked child that pickles the
+    _run_share outcome of share to the pipe and leaves through os._exit,
+    so it never returns into its caller's stack; None when no pipe or
+    process can be made."""
+    parent = os.getpid()
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            _end_with(parent)
+            data = pickle.dumps(_run_share(run, share), pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(wfd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    return pid, rfd
+
+
 def _fork_join(run: Callable[[int], TrajectoryRecord], n: int,
                workers: int) -> List[TrajectoryRecord]:
-    """run(r) for r < n: worker w runs the share r = w mod workers, this
-    process share 0 and a forked child each other share.  A child pickles
-    its _run_share outcome to a pipe and leaves through os._exit, so it
-    never returns into its caller's stack."""
-    children = []  # (pid, read end of its pipe)
+    """run(r) for r < n: worker w runs the share r = w mod workers, a forked
+    child each share w > 0 and this process share 0, and also every share
+    for which no child could be forked (a shortage of processes costs
+    speed, not the run)."""
+    here = [0]
+    children = []  # (share, pid, read end of its pipe)
     try:
         for w in range(1, workers):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(rfd)
-                    data = pickle.dumps(_run_share(run, range(w, n, workers)),
-                                        pickle.HIGHEST_PROTOCOL)
-                    with os.fdopen(wfd, "wb") as pipe:
-                        pipe.write(data)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(wfd)
-            children.append((pid, rfd))
-        outcomes = [_run_share(run, range(0, n, workers))]
-        for pid, rfd in children:
+            child = _fork_worker(run, range(w, n, workers))
+            if child is None:
+                here.extend(range(w, workers))
+                break
+            children.append((w, *child))
+        outcomes = {w: _run_share(run, range(w, n, workers)) for w in here}
+        for w, pid, rfd in children:
             with os.fdopen(rfd, "rb", closefd=False) as pipe:
                 data = pipe.read()
             try:
-                outcomes.append(pickle.loads(data))
+                outcomes[w] = pickle.loads(data)
             except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"replica worker {pid} exited without a result") from None
     except BaseException:
-        for pid, _ in children:
+        for _, pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, rfd in children:
+        for _, pid, rfd in children:
             os.close(rfd)
             os.waitpid(pid, 0)
     records: List[Optional[TrajectoryRecord]] = [None] * n
     failures = []
-    for w, (ok, value) in enumerate(outcomes):
+    for w, (ok, value) in outcomes.items():
         if ok:
             records[w::workers] = value
         else:

@@ -6,7 +6,11 @@ import inspect
 import math
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+import coupledbd
 from coupledbd import errors
 from coupledbd.errors import ExplosionGuardError, ModelError
 from coupledbd.geometry import MarkedConfiguration, Torus
@@ -697,6 +702,76 @@ def test_replicate_reports_a_worker_that_died_without_a_result():
     with pytest.raises(RuntimeError, match="without a result"):
         replicate(gg_model(), TORUS1, factory, SimulationSettings(t_end=1.0), 4)
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_replicate_runs_the_shares_of_workers_it_could_not_fork(monkeypatch, forks):
+    # three workers; fork gives out after `forks` children, as under a
+    # process limit, and this process runs the shares left over
+    real_fork, calls = os.fork, []
+
+    def fork():
+        calls.append(None)
+        if len(calls) > forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    s = SimulationSettings(t_end=4.0, master_seed=64, record_times=(2.0, 4.0),
+                           keep_snapshots=True)
+    want = _by_hand(gg_model(), _random_start, s, 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", fork)
+    _assert_same_records(replicate(gg_model(), TORUS1, _random_start, s, 5), want)
+    assert len(calls) == forks + 1
+    _assert_no_child_left()
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2
+                    or not os.path.isdir("/proc/self"),
+                    reason="the replicas run in this process, or no process table to read")
+def test_a_worker_ends_when_the_process_that_forked_it_is_killed(tmp_path):
+    # replica 1 runs in a forked worker and would run for hours; killing
+    # the command process must end it too
+    script = (
+        "import os\n"
+        "from conftest import TORUS1, gg_model, random_marked\n"
+        "from coupledbd.simulate import SimulationSettings, replicate\n"
+        "parent = os.getpid()\n"
+        "def start(rng):\n"
+        "    if os.getpid() != parent:\n"
+        "        print(os.getpid(), flush=True)\n"
+        "    return random_marked(rng, TORUS1, 4, 4)\n"
+        "replicate(gg_model(), TORUS1, start,\n"
+        "          SimulationSettings(t_end=1e9, max_events=10**15), 2)\n"
+    )
+    src = os.path.dirname(os.path.dirname(coupledbd.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            text=True, env=dict(os.environ, PYTHONPATH=path))
+    try:
+        worker = int(proc.stdout.readline())
+        assert _running(worker)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while _running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert not _running(worker)
+    finally:
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_replicate_runs_serially_while_other_threads_run(monkeypatch):
