@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import importlib
 import json
 import math
 import os
@@ -24,13 +25,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .conditions import (
-    SpotCheckSettings,
-    check_regime,
-    env_constants,
-    scan_feasible,
-    spectral_gap,
-)
 from .config import (
     config_hash,
     load_config,
@@ -47,26 +41,45 @@ from .errors import (
     SizeLimitError,
     StabilityError,
 )
-from .experiments import averaging_experiment, ergodicity_experiment
 from .geometry import MarkedConfiguration
-from .hierarchy import (
-    component_form,
-    evolve_hierarchy,
-    invariant_summary,
-    ks_solve,
-    lenard_spot_check,
-)
 from .models import build_averaged_model, validate_model_on_torus
-from .simulate import (
-    COMPONENTS,
-    EVENT_KINDS,
-    SimulationSettings,
-    acceptance_ratio,
-    estimate_density,
-    poisson_configuration,
-    replicate,
-)
-from .tables import CorrelationTable, GridSpec
+
+# The names the commands call from the modules only some commands run.  A
+# command imports its modules when it is dispatched (_bind), so a fresh
+# command pays for no module it does not run.  A name not yet bound resolves
+# on first access (PEP 562 __getattr__), so cli.ks_solve and the rest read as
+# they would from a top-level import.  Binding keeps a name already bound:
+# a wrapper put in its place (a tracer's, a test's) is what the commands call.
+_LAZY = {
+    "conditions": ("SpotCheckSettings", "check_regime", "env_constants",
+                   "scan_feasible", "spectral_gap"),
+    "experiments": ("averaging_experiment", "ergodicity_experiment"),
+    "hierarchy": ("component_form", "evolve_hierarchy", "invariant_summary",
+                  "ks_solve", "lenard_spot_check"),
+    "simulate": ("COMPONENTS", "EVENT_KINDS", "SimulationSettings",
+                 "acceptance_ratio", "estimate_density",
+                 "poisson_configuration", "replicate"),
+    "tables": ("CorrelationTable", "GridSpec"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind the names of it listed in _LAZY that are
+    not bound yet."""
+    names = globals()
+    for module in modules:
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            names.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _CONFIG_EXIT = 2
 _INFEASIBLE_EXIT = 3
@@ -130,6 +143,7 @@ def _section_form(m, torus, section: dict):
 
 
 def _cmd_check(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+    _bind("conditions")
     section = cfg.get("check", {})
     rho_inv = section.get("rho_inv")
     outputs = []
@@ -184,6 +198,7 @@ def _cmd_check(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
 
 
 def _cmd_invariant(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+    _bind("hierarchy", "tables")
     section = cfg.get("invariant", {})
     form, grid = _section_form(m, torus, section)
     sol = ks_solve(form, grid, *_solver_args(section))
@@ -213,6 +228,7 @@ def _cmd_invariant(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> in
 
 
 def _cmd_evolve(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+    _bind("hierarchy", "tables")
     section = cfg.get("evolve", {})
     form, grid = _section_form(m, torus, section)
     order, _tol, _max_iter, closure = _solver_args(section)
@@ -238,6 +254,7 @@ def _cmd_evolve(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
 
 
 def _cmd_simulate(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+    _bind("simulate")
     section = cfg.get("simulate", {})
     t_end = float(section["t_end"])
     n_times = int(section.get("n_times", 21))
@@ -294,14 +311,17 @@ def _cmd_ergodicity(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> i
     section = cfg["ergodicity"] if "ergodicity" in cfg else {}
     if not section:
         raise ConfigError("ergodicity section is required for this command")
+    _bind("experiments")
     target = section.get("target_density")
     if target is None:
+        _bind("hierarchy", "tables")
         grid = GridSpec(torus=torus,
                         points_per_axis=int(section.get("grid_points", 64)))
         sol = ks_solve(component_form(m, "environment"), grid)
         target = invariant_summary(sol.table).density
     lambda_0 = None
     if "c_minus" in section:
+        _bind("conditions")
         env = env_constants(m, float(section["c_minus"]), torus.dim)
         lambda_0 = spectral_gap(env.a, env.m_star)
     result = ergodicity_experiment(
@@ -340,6 +360,7 @@ def _cmd_averaging(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> in
     section = cfg["averaging"] if "averaging" in cfg else {}
     if not section:
         raise ConfigError("averaging section is required for this command")
+    _bind("experiments")
     result = averaging_experiment(
         m, torus,
         epsilons=tuple(section.get("epsilons", (1.0, 0.5, 0.2, 0.1))),
@@ -394,6 +415,17 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, as the config's seeds are."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("--seed must be a nonnegative integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coupledbd",
@@ -412,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=h)
         q.add_argument("config", help="JSON configuration file")
         q.add_argument("--out", default=None, help="artifact directory")
-        q.add_argument("--seed", type=int, default=None,
+        q.add_argument("--seed", type=_seed, default=None,
                        help="override the configured seed")
     return p
 

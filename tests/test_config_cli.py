@@ -1,7 +1,10 @@
 """Configuration schema, object construction, and the CLI end to end."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -458,3 +461,91 @@ def test_cli_averaging_runs_a_small_sweep(tmp_path):
     assert lines[0] == "t,averaged_mean,averaged_se,eps1_mean,eps1_se,eps0.5_mean,eps0.5_se"
     assert len(lines) == 6
     assert (out / "distances.csv").exists()
+
+
+def _every_command_config():
+    """A config small enough for all six commands; ergodicity derives its
+    target density by a hierarchy solve and its bound from c_minus."""
+    cfg = _gg_config(c_minus=0.5, c_plus=1.0)
+    cfg["invariant"] = {"grid_points": 32, "order": 1}
+    cfg["evolve"] = {"t_final": 0.1, "dt": 0.05, "grid_points": 32, "order": 1}
+    cfg["simulate"] = {"t_end": 0.5, "n_replicas": 1, "n_times": 3, "seed": 5}
+    cfg["ergodicity"] = {"n_replicas": 10, "t_end": 2.0, "n_times": 17,
+                         "initial_density": 3.0, "grid_points": 32,
+                         "c_minus": 0.5, "seed": 1}
+    cfg["averaging"] = {"epsilons": [1.0, 0.5], "n_replicas": 2, "t_end": 0.5,
+                        "sys_density": 0.3, "n_times": 3, "seed": 3,
+                        "grid_points": 32}
+    return cfg
+
+
+# Package modules a command must not import, because it runs none of them.
+_MODULES_NOT_RUN = {
+    "check": {"simulate", "hierarchy", "tables", "experiments"},
+    "invariant": {"conditions", "simulate", "experiments"},
+    "evolve": {"conditions", "simulate", "experiments"},
+    "simulate": {"conditions", "hierarchy", "tables", "experiments"},
+    "ergodicity": set(),
+    "averaging": {"conditions"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_MODULES_NOT_RUN))
+def test_each_command_runs_in_a_fresh_interpreter_without_the_modules_it_does_not_run(
+        tmp_path, command):
+    # A fresh interpreter sees a name the command never bound, which an
+    # in-process run can miss when an earlier test bound it.
+    argv = [command, _write(tmp_path, _every_command_config()),
+            "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from coupledbd.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, *sorted(m.split('.')[1] for m in sys.modules\n"
+        "                    if m.startswith('coupledbd.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    code, *modules = out.stdout.strip().splitlines()[-1].split()
+    assert code == "0", out.stderr
+    assert not _MODULES_NOT_RUN[command] & set(modules)
+
+
+def test_span_targets_resolve_on_cli_and_their_rebinding_is_what_the_commands_call(
+        tmp_path, monkeypatch):
+    # perfbench/trace_run.py looks these names up on cli and rebinds them
+    calls = []
+    for name in ("ks_solve", "evolve_hierarchy", "scan_feasible"):
+        fn = getattr(cli, name)
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    assert getattr(cli, "no_such_name", None) is None
+    cfg = _every_command_config()
+    del cfg["check"]  # no weights: check scans for them
+    path = _write(tmp_path, cfg)
+    for command, expected in (("invariant", "ks_solve"),
+                              ("evolve", "evolve_hierarchy"),
+                              ("check", "scan_feasible")):
+        calls.clear()
+        main([command, path, "--out", str(tmp_path / command)])
+        assert calls == [expected]
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "ergodicity", "averaging"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_cli_rejects_a_seed_that_is_not_a_nonnegative_integer_when_parsing(
+        tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, _write(tmp_path, _every_command_config()),
+              "--out", str(out), "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
