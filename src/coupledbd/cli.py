@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    SEED_MAX,
     config_hash,
     load_config,
     model_from_config,
@@ -416,13 +417,14 @@ _COMMANDS = {
 
 
 def _seed(text: str) -> int:
-    """A --seed value: a nonnegative integer, as the config's seeds are."""
+    """A --seed value: an integer from 0 to SEED_MAX, as the config's seeds are."""
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError("--seed must be a nonnegative integer")
+    if not 0 <= value <= SEED_MAX:
+        raise argparse.ArgumentTypeError(
+            f"--seed must be a nonnegative integer of at most {SEED_MAX}")
     return value
 
 

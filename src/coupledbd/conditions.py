@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, ModelError
+from .forkjoin import fork_join
 from .geometry import (
     FiniteConfiguration,
     Torus,
@@ -701,7 +702,13 @@ def _check_row(component, n_plus, n_minus, numeric, err, tail, closed, exact,
 def spot_check_regime(m: RateModel, c_minus: float, c_plus: float, torus: Torus,
                       settings: SpotCheckSettings = SpotCheckSettings()) -> SpotCheckReport:
     """Evaluate the expansion masses numerically on sampled configurations
-    and compare them against the closed forms and the a * M bounds."""
+    and compare them against the closed forms and the a * M bounds.
+
+    The configurations are drawn here, in row order; the rows are then
+    evaluated across the CPUs the process may use (forkjoin.fork_join),
+    each from its own seeds, so the report equals that of a run on one
+    CPU, and when rows raise, the error of the lowest failing row is raised.
+    """
     validate_model_on_torus(m, torus)
     dim = torus.dim
     a_env = env_constants(m, c_minus, dim).a
@@ -720,23 +727,28 @@ def spot_check_regime(m: RateModel, c_minus: float, c_plus: float, torus: Torus,
                    (101, 0, 17, 5, 1)),
                   ("system", rate_form(m, "system"), (c_plus, c_minus), a_sys, sys_sizes,
                    (997, 31, 29, 7, 3))]
-    rows: List[SpotCheckRow] = []
+    jobs = []
     base = settings.seed * 1000 + 11
-    for component, f, (c_own, c_other), a, sizes, (k_own, k_other, k_i, k_p, k_0) in components:
+    for component, f, weights, a, sizes, (k_own, k_other, k_i, k_p, k_0) in components:
         for n_own, n_other in sizes:
             for rep in range(settings.configs_per_size):
                 pts = _cluster_points(rng, torus, n_own + n_other, cluster)
                 own, other = FiniteConfiguration(pts[:n_own]), FiniteConfiguration(pts[n_own:])
                 seed = base + k_own * n_own + k_other * n_other + rep + k_0
-                num, err, tail = _numeric_mass(
-                    f, own, other, c_own, c_other, torus, settings.order_cap,
-                    settings.samples, lambda i, p: seed + k_i * i + k_p * p)
-                closed, exact = _closed_mass(f, own, other, c_own, c_other, torus)
-                mass = float(np.sum(_form_death_vector(f, own.points, other.points, torus)))
-                n_plus, n_minus = (n_own, n_other) if component == "system" else (0, n_own)
-                rows.append(_check_row(component, n_plus, n_minus, num, err, tail, closed,
-                                       exact, mass, a, settings.sigma))
+                jobs.append((component, f, weights, a, own, other, (seed, k_i, k_p)))
 
+    def row(r: int) -> SpotCheckRow:
+        component, f, (c_own, c_other), a, own, other, (seed, k_i, k_p) = jobs[r]
+        num, err, tail = _numeric_mass(
+            f, own, other, c_own, c_other, torus, settings.order_cap,
+            settings.samples, lambda i, p: seed + k_i * i + k_p * p)
+        closed, exact = _closed_mass(f, own, other, c_own, c_other, torus)
+        mass = float(np.sum(_form_death_vector(f, own.points, other.points, torus)))
+        n_plus, n_minus = (own.size, other.size) if component == "system" else (0, own.size)
+        return _check_row(component, n_plus, n_minus, num, err, tail, closed,
+                          exact, mass, a, settings.sigma)
+
+    rows = fork_join(row, len(jobs))
     ok = all(r.ok_inequality is not False and r.ok_equality is not False for r in rows)
     return SpotCheckReport(rows=rows, ok=ok)
 

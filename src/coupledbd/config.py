@@ -14,6 +14,26 @@ from .geometry import Torus
 from .models import VARIANTS, RateModel
 from .potentials import Potential
 
+# Largest seed.  Every stream key derived from a seed (the spot check's
+# seed * 1000 + ..., the averaging sweep's seed + 7919 * (i + 1)) then stays
+# below 2**128, the bound of numpy's Philox keys.
+SEED_MAX = 2 ** 64 - 1
+_SEED_SCHEMA = {"type": "integer", "minimum": 0, "maximum": SEED_MAX}
+
+# The relaxation fit (experiments.fit_exponential_rate) drops the first
+# FIT_DISCARD_FRAC of the time range and needs FIT_MIN_POINTS points after it.
+FIT_DISCARD_FRAC = 0.1
+FIT_MIN_POINTS = 8
+
+
+def _fewest_record_times(discard_frac: float, min_points: int) -> int:
+    """Fewest evenly spaced record times over [0, t_end] that leave
+    min_points of them at or after discard_frac * t_end."""
+    n = min_points
+    while n - math.ceil(discard_frac * (n - 1)) < min_points:
+        n += 1
+    return n
+
 _POTENTIAL_SCHEMA = {
     "type": "object",
     "properties": {
@@ -94,7 +114,7 @@ CONFIG_SCHEMA = {
                         "order_cap": {"type": "integer", "minimum": 0, "maximum": 6},
                         "configs_per_size": {"type": "integer", "minimum": 1},
                         "max_points": {"type": "integer", "minimum": 1, "maximum": 4},
-                        "seed": {"type": "integer", "minimum": 0},
+                        "seed": _SEED_SCHEMA,
                         "sigma": {"type": "number", "exclusiveMinimum": 0},
                     },
                     "additionalProperties": False,
@@ -138,7 +158,7 @@ CONFIG_SCHEMA = {
                 "n_times": {"type": "integer", "minimum": 2},
                 "sys_density": {"type": "number", "minimum": 0},
                 "env_density": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": _SEED_SCHEMA,
                 "components": {
                     "type": "array",
                     "items": {"enum": ["system", "environment"]},
@@ -157,8 +177,9 @@ CONFIG_SCHEMA = {
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
                 "initial_density": {"type": "number", "minimum": 0},
                 "target_density": {"type": "number", "minimum": 0},
-                "n_times": {"type": "integer", "minimum": 3},
-                "seed": {"type": "integer", "minimum": 0},
+                "n_times": {"type": "integer",
+                            "minimum": _fewest_record_times(FIT_DISCARD_FRAC, FIT_MIN_POINTS)},
+                "seed": _SEED_SCHEMA,
                 "c_minus": {"type": "number", "exclusiveMinimum": 0},
                 "grid_points": {"type": "integer", "minimum": 2},
             },
@@ -178,7 +199,7 @@ CONFIG_SCHEMA = {
                 "sys_density": {"type": "number", "minimum": 0},
                 "env_density": {"type": "number", "minimum": 0},
                 "n_times": {"type": "integer", "minimum": 3},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": _SEED_SCHEMA,
                 "grid_points": {"type": "integer", "minimum": 2},
             },
             "required": ["n_replicas", "t_end", "sys_density"],

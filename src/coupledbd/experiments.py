@@ -11,6 +11,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from .config import FIT_DISCARD_FRAC, FIT_MIN_POINTS
 from .errors import ConvergenceError
 from .geometry import FiniteConfiguration, MarkedConfiguration, Torus
 from .hierarchy import component_form, invariant_summary, ks_solve
@@ -47,9 +48,9 @@ class RateFit:
 def fit_exponential_rate(
     times: np.ndarray,
     gaps: np.ndarray,
-    discard_frac: float = 0.1,
+    discard_frac: float = FIT_DISCARD_FRAC,
     noise_floor: float = 0.0,
-    min_points: int = 8,
+    min_points: int = FIT_MIN_POINTS,
 ) -> RateFit:
     """Least-squares slope of log(gap) over the usable window.
 

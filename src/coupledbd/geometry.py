@@ -53,7 +53,11 @@ class Torus:
         arr = np.asarray(coords, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("coordinates must be finite")
-        return np.mod(arr, self.side)
+        folded = arr - self.side * np.floor(arr / self.side)
+        # arr / side rounds, so within an ulp of a multiple of side the fold
+        # can land an ulp outside [0, side); the nearer edge is within an
+        # ulp of the true point on the torus
+        return np.minimum(np.maximum(folded, 0.0), math.nextafter(self.side, 0.0))
 
     def uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n points uniform on the box, shape (n, dim)."""
@@ -61,9 +65,14 @@ class Torus:
 
 
 def min_image_diff(delta, side: float) -> np.ndarray:
-    """Signed componentwise difference folded into [-side/2, side/2)."""
+    """Signed componentwise difference folded into [-side/2, side/2).
+
+    delta / side rounds, so a difference within an ulp of +-side/2 can fold
+    to an ulp below -side/2, the same point on the torus (the distance is
+    what every caller reads).
+    """
     delta = np.asarray(delta, dtype=float)
-    return np.mod(delta + 0.5 * side, side) - 0.5 * side
+    return delta - side * np.floor(delta / side + 0.5)
 
 
 def torus_distance(p, q, torus: Torus) -> float:
@@ -78,20 +87,30 @@ def torus_distance(p, q, torus: Torus) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
+def squared_distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.ndarray:
+    """Squared minimal-image distances from the point x to each row of pts;
+    the row of squared_pairwise_distances for x, without its broadcasting
+    overhead."""
+    d = min_image_diff(x - pts, torus.side)
+    return (d * d).sum(axis=-1)
+
+
 def distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.ndarray:
-    """Minimal-image distances from the point x to each row of pts; the
-    row of pairwise_distances for x, without its broadcasting overhead."""
-    half = 0.5 * torus.side
-    d = np.mod(x - pts + half, torus.side) - half  # min_image_diff, inlined
-    return np.sqrt((d * d).sum(axis=-1))
+    """Minimal-image distances from the point x to each row of pts."""
+    return np.sqrt(squared_distances_from(x, pts, torus))
+
+
+def squared_pairwise_distances(a: np.ndarray, b: np.ndarray, torus: Torus) -> np.ndarray:
+    """Matrix of squared minimal-image distances, shape (len(a), len(b))."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    d = min_image_diff(a[:, None, :] - b[None, :, :], torus.side)
+    return (d * d).sum(axis=-1)
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray, torus: Torus) -> np.ndarray:
     """Matrix of minimal-image distances, shape (len(a), len(b))."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    d = min_image_diff(a[:, None, :] - b[None, :, :], torus.side)
-    return np.sqrt(np.sum(d * d, axis=-1))
+    return np.sqrt(squared_pairwise_distances(a, b, torus))
 
 
 class FiniteConfiguration:

@@ -51,6 +51,8 @@ from .geometry import (
     Torus,
     distances_from,
     pairwise_distances,
+    squared_distances_from,
+    squared_pairwise_distances,
 )
 from .potentials import Potential, mayer, potential_functionals, sample_kernel_offsets
 
@@ -288,7 +290,7 @@ def relative_energy(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) 
     absent or zero term."""
     if not _live(pot) or len(pts) == 0:
         return 0.0
-    return float(pot(distances_from(np.asarray(x, dtype=float), pts, torus)).sum())
+    return float(pot.sum_squared(squared_distances_from(np.asarray(x, dtype=float), pts, torus)))
 
 
 def _exp(v: float) -> float:
@@ -440,10 +442,11 @@ def _row_interaction(points_a: np.ndarray, points_b, pot: Optional[Potential], t
         return np.zeros(0)
     if not _live(pot) or len(points_b) == 0:
         return np.zeros(n)
-    d = pairwise_distances(points_a, points_b, torus)
-    vals = pot(d)
-    if exclude_self:
-        np.fill_diagonal(vals, 0.0)
+    d2 = squared_pairwise_distances(points_a, points_b, torus)
+    if not exclude_self:
+        return pot.sum_squared(d2, axis=1)
+    vals = pot.at_squared(d2)
+    np.fill_diagonal(vals, 0.0)
     return np.sum(vals, axis=1)
 
 

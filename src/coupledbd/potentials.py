@@ -97,6 +97,23 @@ class Potential:
         r = np.asarray(r, dtype=float)
         if (r < 0).any():
             raise ValueError("radius must be nonnegative")
+        return self._radial(r)
+
+    def at_squared(self, d2: np.ndarray) -> np.ndarray:
+        """Profile values at the radii sqrt(d2), from squared distances."""
+        if self.kind == "step":
+            return self.height * (d2 <= self.cutoff * self.cutoff)
+        return self._radial(np.sqrt(d2))
+
+    def sum_squared(self, d2: np.ndarray, axis=None):
+        """Sum of the profile over the radii sqrt(d2) (along axis, or all of
+        them); a step counts the squared distances within cutoff**2."""
+        if self.kind == "step":
+            return self.height * np.count_nonzero(d2 <= self.cutoff * self.cutoff, axis=axis)
+        return self._radial(np.sqrt(d2)).sum(axis=axis)
+
+    def _radial(self, r: np.ndarray) -> np.ndarray:
+        """The radial formula at the radii r, taken as nonnegative."""
         if self.kind == "zero":
             return np.zeros_like(r)
         if self.kind == "step":

@@ -44,23 +44,19 @@ on W and equal those of a run on one CPU.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import EvaluationError, ExplosionGuardError
+from .forkjoin import fork_join
 from .geometry import (
     FiniteConfiguration,
     MarkedConfiguration,
     Torus,
-    distances_from,
+    squared_distances_from,
 )
 from .models import (
     AveragedModel,
@@ -296,14 +292,14 @@ class _PairState:
         """
         x_row = np.zeros(3)
         for j, theirs, its in self.rows[k]:
-            d = distances_from(x, self.points[j], self.torus)
+            d2 = squared_distances_from(x, self.points[j], self.torus)
             table = self.table[j]
             for col, pot, x_pot in zip((_DEATH_SUM, _PARENT_SUM), theirs, its):
-                v = None if pot is None else pot(d)
+                v = None if pot is None else pot.at_squared(d2)
                 if v is not None:
                     table[:, col] += sign * v
                 if sign > 0 and x_pot is not None:
-                    x_row[col] += float((v if x_pot is pot else x_pot(d)).sum())
+                    x_row[col] += float(v.sum() if x_pot is pot else x_pot.sum_squared(d2))
             if theirs[0] is not None:
                 table[:, _DEATH] = _death_rates(self.forms[j], table[:, _DEATH_SUM])
         return x_row
@@ -600,126 +596,17 @@ def replicate(
     (for a free environment's path, then the loop) and draws its initial
     state from initial_factory with a derived stream.
 
-    The replicas run in W = min(CPUs in the affinity set, n_replicas)
-    processes: W - 1 children forked here and this process, worker w
-    running the replicas r = w mod W.  No replica's draws depend on W, so
-    the records equal those of a run on one CPU.  When a replica raises,
-    the error of the lowest failing index is raised, as in a serial run.
-    W is 1, and no process is forked, without os.fork or
-    os.sched_getaffinity or while other Python threads run (which fork
-    would not copy).
+    The replicas run across the CPUs the process may use
+    (forkjoin.fork_join).  No replica's draws depend on the worker that
+    runs it, so the records equal those of a run on one CPU.  When a
+    replica raises, the error of the lowest failing index is raised, as in
+    a serial run.
     """
     def run(r: int) -> TrajectoryRecord:
         initial = initial_factory(replica_rng(settings.master_seed ^ 0x5DEECE66D, r))
         return simulate(m, torus, initial, settings, components, replica=r)
 
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        workers = max(1, min(len(os.sched_getaffinity(0)), n_replicas))
-    return _fork_join(run, n_replicas, workers)
-
-
-def _run_share(run: Callable[[int], TrajectoryRecord], share: range) -> tuple:
-    """(True, records) of the replicas in share, or (False, (r, error)) for
-    the first replica r that raised."""
-    records = []
-    for r in share:
-        try:
-            records.append(run(r))
-        except Exception as e:
-            return False, (r, e)
-    return True, records
-
-
-_PR_SET_PDEATHSIG = 1  # linux/prctl.h
-
-
-def _end_with(parent: int) -> None:
-    """Have the kernel SIGKILL this forked worker once the process that
-    forked it ends, however it ends (Linux prctl PR_SET_PDEATHSIG), and
-    leave now if it has already ended.  Without prctl a worker whose
-    parent is gone ends when it writes to its pipe."""
-    try:
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL))
-    except (OSError, AttributeError):
-        pass
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _fork_worker(run: Callable[[int], TrajectoryRecord],
-                 share: range) -> Optional[Tuple[int, int]]:
-    """(pid, read end of its pipe) of a forked child that pickles the
-    _run_share outcome of share to the pipe and leaves through os._exit,
-    so it never returns into its caller's stack; None when no pipe or
-    process can be made."""
-    parent = os.getpid()
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(rfd)
-            _end_with(parent)
-            data = pickle.dumps(_run_share(run, share), pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(wfd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wfd)
-    return pid, rfd
-
-
-def _fork_join(run: Callable[[int], TrajectoryRecord], n: int,
-               workers: int) -> List[TrajectoryRecord]:
-    """run(r) for r < n: worker w runs the share r = w mod workers, a forked
-    child each share w > 0 and this process share 0, and also every share
-    for which no child could be forked (a shortage of processes costs
-    speed, not the run)."""
-    here = [0]
-    children = []  # (share, pid, read end of its pipe)
-    try:
-        for w in range(1, workers):
-            child = _fork_worker(run, range(w, n, workers))
-            if child is None:
-                here.extend(range(w, workers))
-                break
-            children.append((w, *child))
-        outcomes = {w: _run_share(run, range(w, n, workers)) for w in here}
-        for w, pid, rfd in children:
-            with os.fdopen(rfd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            try:
-                outcomes[w] = pickle.loads(data)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"replica worker {pid} exited without a result") from None
-    except BaseException:
-        for _, pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for _, pid, rfd in children:
-            os.close(rfd)
-            os.waitpid(pid, 0)
-    records: List[Optional[TrajectoryRecord]] = [None] * n
-    failures = []
-    for w, (ok, value) in outcomes.items():
-        if ok:
-            records[w::workers] = value
-        else:
-            failures.append(value)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return records
+    return fork_join(run, n_replicas)
 
 
 # ---------------------------------------------------------------------------

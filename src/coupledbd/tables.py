@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, EvaluationError
-from .geometry import Torus, min_image_diff
+from .geometry import Torus
 from .potentials import Potential, potential_functionals
 
 
@@ -84,7 +84,10 @@ def _offsets(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _distances(grid: GridSpec) -> np.ndarray:
-    delta = min_image_diff(_offsets(grid), grid.torus.side)
+    # fold the integer offsets into [-n/2, n/2) before scaling, so that the
+    # offsets k and -k have the same distance to the last bit
+    n = grid.points_per_axis
+    delta = ((_lattice(grid) + n // 2) % n - n // 2) * grid.h
     out = np.sqrt(np.sum(delta * delta, axis=1))
     out.flags.writeable = False
     return out

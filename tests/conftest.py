@@ -5,7 +5,10 @@ torus; they keep every expansion inside its convergence window so closed
 forms, numeric routes, and simulations can be cross-checked quickly.
 """
 
+import os
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration, Torus
@@ -69,3 +72,9 @@ def marked(plus_pts, minus_pts, dim=1):
 def random_marked(rng, torus, n_plus, n_minus):
     return marked(torus.uniform(rng, n_plus), torus.uniform(rng, n_minus),
                   dim=torus.dim)
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,7 +1,9 @@
 """Contraction constants, regime feasibility, and the numeric cross-checks
 of the weighted expansion masses."""
 
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -21,14 +23,16 @@ from coupledbd.conditions import (
     spot_check_regime,
     sys_constants,
 )
-from coupledbd.errors import ConfigError
+from coupledbd.errors import ConfigError, EvaluationError
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration
 from coupledbd.models import GlauberGlauber, env_death_vector, rate_form, sys_death_vector
 from coupledbd.potentials import Potential
 
+from coupledbd import conditions
 from conftest import (
     ALL_MODELS,
     TORUS1,
+    assert_no_child_left,
     bdlp_model,
     branching_model,
     gg_model,
@@ -308,3 +312,54 @@ def test_spot_check_rows_are_pinned(build, dim):
     got = [(r.component, r.n_plus, r.n_minus, r.numeric, r.stderr, r.tail,
             r.closed, r.closed_exact) for r in rows]
     _assert_matches(got, {1: SPOT, 2: SPOT_2D, 3: SPOT_3D}[dim][build.__name__])
+
+
+def _spot_on_cpus(monkeypatch, cpus):
+    """The spot report of gg_model with the rows spread over cpus workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    settings = SpotCheckSettings(samples=300, seed=4)
+    return spot_check_regime(gg_model(), 2.0, 2.0, TORUS1, settings)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the rows run in this process")
+def test_spot_check_report_is_the_same_on_one_and_two_workers(monkeypatch):
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    one = _spot_on_cpus(monkeypatch, 1).as_dict()
+    assert not forks
+    two = _spot_on_cpus(monkeypatch, 2).as_dict()
+    assert len(forks) == 1
+    assert len(one["rows"]) == 14
+    assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+    assert_no_child_left()
+
+
+def test_spot_check_raises_the_error_of_the_lowest_failing_row(monkeypatch):
+    # the rows are told apart by the first seed of their Monte Carlo parts
+    real, seeds = conditions._numeric_mass, []
+
+    def recording(*args):
+        seeds.append(args[-1](0, 0))
+        return real(*args)
+
+    monkeypatch.setattr(conditions, "_numeric_mass", recording)
+    _spot_on_cpus(monkeypatch, 1)
+    assert len(set(seeds)) == len(seeds) == 14
+    failing = {seeds[3], seeds[4], seeds[9]}
+
+    def failing_rows(*args):
+        seed = args[-1](0, 0)
+        if seed in failing:
+            raise EvaluationError(f"row seeded {seed} failed")
+        return real(*args)
+
+    monkeypatch.setattr(conditions, "_numeric_mass", failing_rows)
+    for cpus in (1, 2, 3):
+        with pytest.raises(EvaluationError, match=f"^row seeded {seeds[3]} failed$"):
+            _spot_on_cpus(monkeypatch, cpus)
+        assert_no_child_left()

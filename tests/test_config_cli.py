@@ -12,6 +12,7 @@ import pytest
 from coupledbd import cli
 from coupledbd.cli import main
 from coupledbd.config import (
+    SEED_MAX,
     config_hash,
     load_config,
     model_from_config,
@@ -539,7 +540,7 @@ def test_span_targets_resolve_on_cli_and_their_rebinding_is_what_the_commands_ca
 
 
 @pytest.mark.parametrize("command", ["simulate", "check", "ergodicity", "averaging"])
-@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize("seed", ["-1", "x", str(2 ** 128)])
 def test_cli_rejects_a_seed_that_is_not_a_nonnegative_integer_when_parsing(
         tmp_path, capsys, command, seed):
     out = tmp_path / "out"
@@ -549,3 +550,60 @@ def test_cli_rejects_a_seed_that_is_not_a_nonnegative_integer_when_parsing(
     assert exc.value.code == 2
     assert "--seed must be a nonnegative integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SEED_KEYS = {"check": ("check", "spot_check", "seed"), "simulate": ("simulate", "seed"),
+              "ergodicity": ("ergodicity", "seed"), "averaging": ("averaging", "seed")}
+
+
+def _with_seed(command, seed):
+    cfg = _every_command_config()
+    cfg["check"]["spot_check"] = {"samples": 50}
+    *path, key = _SEED_KEYS[command]
+    section = cfg
+    for name in path:
+        section = section[name]
+    section[key] = seed
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(_SEED_KEYS))
+def test_cli_rejects_a_configured_seed_of_2_to_the_128_at_validation(tmp_path, capsys, command):
+    # numpy's Philox takes keys below 2**128; a larger seed used to pass
+    # validation and fail at the model build with numpy's message
+    code = main([command, _write(tmp_path, _with_seed(command, 2 ** 128)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"invalid configuration: {'.'.join(_SEED_KEYS[command])}: "
+            f"{2 ** 128} is not at most {SEED_MAX}") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "averaging"])
+def test_the_largest_accepted_seed_runs(tmp_path, command):
+    # every stream key derived from it (the spot check's seed * 1000 + ...,
+    # the sweep's seed + 7919 * (i + 1)) stays a valid Philox key
+    path = _write(tmp_path, _with_seed(command, SEED_MAX))
+    assert main([command, path, "--out", str(tmp_path / "a")]) == 0
+    assert main([command, path, "--out", str(tmp_path / "b"), "--seed", str(SEED_MAX)]) == 0
+    with pytest.raises(ConfigError):
+        validate_config(_with_seed(command, SEED_MAX + 1))
+
+
+@pytest.mark.parametrize("n_times, code", [(8, 2), (9, 0)])
+def test_cli_ergodicity_rejects_fewer_record_times_than_the_rate_fit_needs(
+        tmp_path, capsys, n_times, code):
+    # the fit drops the first 10% of the time range and needs 8 points
+    # after it; 8 record times leave 7, which used to exit 4 after the run
+    cfg = {
+        "model": {"variant": "glauber_glauber",
+                  "params": {"z_minus": 0.5, "z_plus": 0.1}},
+        "torus": {"side": 10.0, "dim": 1},
+        "ergodicity": {"n_replicas": 100, "t_end": 4.0, "n_times": n_times,
+                       "initial_density": 5.0, "target_density": 0.5, "seed": 1},
+    }
+    assert main(["ergodicity", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == code
+    if code == 2:
+        assert ("invalid configuration: ergodicity.n_times: 8 is not at least 9"
+                in capsys.readouterr().err)

@@ -103,7 +103,7 @@ _SECTIONS = {
                  "sys_density": 0.3, "env_density": 0.3, "seed": 0,
                  "components": ["system", "environment"], "max_events": 1000},
     "ergodicity": {"n_replicas": 10, "t_end": 1.0, "initial_density": 1.5,
-                   "target_density": 0.5, "n_times": 5, "seed": 2,
+                   "target_density": 0.5, "n_times": 9, "seed": 2,
                    "c_minus": 10.0, "grid_points": 32},
     "averaging": {"epsilons": [1.0, 0.5], "n_replicas": 4, "t_end": 1.0,
                   "sys_density": 0.3, "env_density": 0.3, "n_times": 3,

@@ -17,6 +17,7 @@ from coupledbd.geometry import (
     ball_volume,
     k_inverse,
     lp_integral,
+    min_image_diff,
     pairwise_distances,
     subsets_sum,
     torus_distance,
@@ -134,6 +135,59 @@ def test_pairwise_distances_matches_scalar_route():
         for j in range(6):
             assert mat[i, j] == pytest.approx(
                 torus_distance(a[i], b[j], t), abs=1e-12)
+
+
+# sides whose multiples and halves are and are not exact in binary
+_FOLD_SIDES = (1.0, 3.0, 10.0, 0.3, 7.1, 100.0 / 3.0)
+
+
+def _within_ulps(base, k=4):
+    """base and the k floats on either side of each of its entries."""
+    out = [base]
+    for direction in (-np.inf, np.inf):
+        x = base
+        for _ in range(k):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def _torus_gap(a, b, side):
+    """Distance between a and b on the circle of circumference side."""
+    d = np.abs(a - b)
+    return np.minimum(d, np.abs(side - d))
+
+
+@pytest.mark.parametrize("side", _FOLD_SIDES)
+def test_wrap_matches_np_mod_within_an_ulp_and_stays_in_range(side):
+    # wrap sees a point plus an offset of at most side/2, so inputs from
+    # -side to 2 side; near a multiple of side the fold's division rounds
+    rng = np.random.default_rng(11)
+    x = np.concatenate([_within_ulps(np.array([-1.0, 0.0, 1.0, 2.0]) * side),
+                        rng.uniform(-side, 2.0 * side, 500)])
+    got = Torus(1, side).wrap(x[:, None])[:, 0]
+    assert np.all((got >= 0.0) & (got < side))
+    assert np.all(_torus_gap(got, np.mod(x, side), side) <= np.spacing(side))
+
+
+@pytest.mark.parametrize("side", _FOLD_SIDES)
+def test_min_image_diff_matches_np_mod_within_an_ulp_and_keeps_its_range(side):
+    # differences of wrapped points lie in (-side, side)
+    half = 0.5 * side
+    rng = np.random.default_rng(12)
+    inner = np.concatenate([_within_ulps(np.array([-1.0, 0.0, 1.0]) * side),
+                            rng.uniform(-side, side, 500)])
+    edges = _within_ulps(np.array([-half, half]))
+    for d in (inner, edges):
+        got = min_image_diff(d, side)
+        reference = np.mod(d + half, side) - half
+        assert np.all(_torus_gap(got, reference, side) <= np.spacing(side))
+    assert np.all((min_image_diff(inner, side) >= -half) & (min_image_diff(inner, side) < half))
+    # within ulps of +-side/2 the fold may land an ulp below -side/2, the
+    # same point on the torus (np.mod lands on +side/2 there)
+    got = min_image_diff(edges, side)
+    assert np.all((got >= -half - np.spacing(half)) & (got < half))
+    assert list(min_image_diff(np.array([half, -half]), side)) == [-half, -half]
 
 
 def test_marked_configuration_counts_components():

@@ -13,8 +13,15 @@ from hypothesis import strategies as st
 
 import coupledbd
 from coupledbd.errors import ModelError
-from coupledbd.geometry import FiniteConfiguration, Torus, ball_volume
-from coupledbd.models import relative_energy
+from coupledbd.geometry import (
+    FiniteConfiguration,
+    Torus,
+    ball_volume,
+    distances_from,
+    squared_distances_from,
+    squared_pairwise_distances,
+)
+from coupledbd.models import _row_interaction, relative_energy
 from coupledbd.potentials import (
     Potential,
     mayer,
@@ -224,3 +231,36 @@ def test_invalid_profiles_are_rejected():
         Potential.table(radii=[0.0, 1.0], values=[1.0])
     with pytest.raises(ModelError):
         Potential.table(radii=[1.0, 0.5], values=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("pot", [Potential.step(0.5, 0.5), Potential.step(0.7, 0.375),
+                                 Potential.exponential(1.5, 2.0, 0.5),
+                                 Potential.table([0.0, 0.25, 0.5], [1.0, 0.5, 0.25])],
+                         ids=["step", "step_inexact_height", "exponential", "table"])
+def test_sums_on_squared_distances_equal_the_radial_sums_at_the_cutoff(dim, pot):
+    # a dyadic lattice of spacing 1/8 on a side-4 torus: the distances are
+    # exact, and many lattice points lie exactly at the cutoff from x
+    torus = Torus(dim, 4.0)
+    axes = [np.arange(32) / 8.0] * dim
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    x = pts[len(pts) // 3]
+    r = distances_from(x, pts, torus)
+    assert np.any(r == pot.cutoff)
+    d2 = squared_distances_from(x, pts, torus)
+    assert np.array_equal(pot.at_squared(d2), pot(r))
+    want = float(pot(r).sum())
+    # height times a count sums the same terms in another order
+    assert float(pot.sum_squared(d2)) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert relative_energy(x, pts, pot, torus) == float(pot.sum_squared(d2))
+    if pot.kind == "step" and pot.height == 0.5:
+        assert relative_energy(x, pts, pot, torus) == want
+    rows = pts[:: max(1, len(pts) // 40)]
+    mat = pot(np.sqrt(squared_pairwise_distances(rows, pts, torus)))
+    assert _row_interaction(rows, pts, pot, torus) == pytest.approx(
+        mat.sum(axis=1), rel=1e-14, abs=0.0)
+    near = pts[np.argsort(r)[:50]]
+    mat = pot(np.sqrt(squared_pairwise_distances(near, near, torus)))
+    np.fill_diagonal(mat, 0.0)
+    assert _row_interaction(near, near, pot, torus, exclude_self=True) == pytest.approx(
+        mat.sum(axis=1), rel=1e-14, abs=0.0)

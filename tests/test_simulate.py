@@ -52,7 +52,15 @@ from coupledbd.simulate import (
 )
 from coupledbd.tables import CorrelationTable, GridSpec
 
-from conftest import ALL_MODELS, TORUS1, bdlp_model, gg_model, marked, random_marked
+from conftest import (
+    ALL_MODELS,
+    TORUS1,
+    assert_no_child_left,
+    bdlp_model,
+    gg_model,
+    marked,
+    random_marked,
+)
 
 
 def _free_env(z_minus=0.5, z_plus=0.3):
@@ -614,11 +622,6 @@ def _assert_same_records(got, want):
         assert len(a.snapshots) == len(b.snapshots)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _random_start(rng):
     return random_marked(rng, TORUS1, 4, 4)
 
@@ -638,7 +641,7 @@ def test_replicate_equals_per_replica_simulate_calls(case):
                            record_times=(0.0, 2.0, 4.0, 6.0), keep_snapshots=True)
     want = _by_hand(m, _random_start, s, 5, components)
     _assert_same_records(replicate(m, TORUS1, _random_start, s, 5, components), want)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
@@ -653,7 +656,7 @@ def test_replicate_on_one_cpu_gives_the_same_records():
     finally:
         os.sched_setaffinity(0, cpus)
     _assert_same_records(spread, one)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_replicate_raises_the_lowest_failing_replicas_error():
@@ -673,7 +676,7 @@ def test_replicate_raises_the_lowest_failing_replicas_error():
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
     assert (got.value.time_reached, got.value.events) == (want.time_reached, want.events)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_replicate_interrupted_in_this_process_leaves_no_child():
@@ -686,7 +689,7 @@ def test_replicate_interrupted_in_this_process_leaves_no_child():
 
     with pytest.raises(KeyboardInterrupt):
         replicate(gg_model(), TORUS1, factory, SimulationSettings(t_end=50.0), 4)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
@@ -701,7 +704,7 @@ def test_replicate_reports_a_worker_that_died_without_a_result():
 
     with pytest.raises(RuntimeError, match="without a result"):
         replicate(gg_model(), TORUS1, factory, SimulationSettings(t_end=1.0), 4)
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("forks", [0, 1])
@@ -723,7 +726,7 @@ def test_replicate_runs_the_shares_of_workers_it_could_not_fork(monkeypatch, for
     monkeypatch.setattr(os, "fork", fork)
     _assert_same_records(replicate(gg_model(), TORUS1, _random_start, s, 5), want)
     assert len(calls) == forks + 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _running(pid):

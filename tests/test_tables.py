@@ -38,6 +38,19 @@ def test_diff_index_encodes_lattice_subtraction():
         assert np.allclose(min_image_diff(got - want, g.torus.side), 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("side, n", [(3.0, 30), (10.0, 7), (4.0, 16)])
+def test_lattice_offsets_k_and_minus_k_have_the_same_distance(side, n):
+    # a cell spacing that binary floats do not hold exactly (side 3, n 30)
+    # used to give offsets k and -k distances an ulp apart, which moved
+    # cells at a cutoff on one side only
+    g = GridSpec(torus=Torus(dim=2, side=side), points_per_axis=n)
+    lat = np.rint(g.offsets / g.h).astype(int)
+    minus = np.ravel_multi_index(tuple(((-lat) % n).T), (n, n))
+    assert np.array_equal(g.distances, g.distances[minus])
+    assert np.allclose(g.distances, np.linalg.norm(min_image_diff(g.offsets, side), axis=1),
+                       rtol=0.0, atol=1e-12)
+
+
 def test_poisson_factory_fills_constant_powers():
     t = CorrelationTable.poisson(GRID, 3, 0.8)
     assert t.k0 == 1.0 and t.k1 == 0.8
