@@ -319,7 +319,7 @@ def _cmd_ergodicity(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> i
         grid = GridSpec(torus=torus,
                         points_per_axis=int(section.get("grid_points", 64)))
         sol = ks_solve(component_form(m, "environment"), grid)
-        target = invariant_summary(sol.table).density
+        target = sol.table.k1
     lambda_0 = None
     if "c_minus" in section:
         _bind("conditions")

@@ -97,7 +97,8 @@ def domination_ratio(num: Potential, den: Potential) -> float:
             rs.append(np.asarray(p.radii))
         if p.cutoff > 0:
             rs.append(np.array([p.cutoff * (1 - 1e-9)]))
-    r = np.unique(np.concatenate(rs))
+    # repeated radii do not change the maximum (np.unique would import numpy.ma)
+    r = np.concatenate(rs)
     nv = num(r)
     dv = den(r)
     active = nv > 0

@@ -14,7 +14,7 @@ import numpy as np
 from .config import FIT_DISCARD_FRAC, FIT_MIN_POINTS
 from .errors import ConvergenceError
 from .geometry import FiniteConfiguration, MarkedConfiguration, Torus
-from .hierarchy import component_form, invariant_summary, ks_solve
+from .hierarchy import component_form, ks_solve
 from .models import RateModel, build_averaged_model
 from .simulate import (
     DensityEstimate,
@@ -194,7 +194,7 @@ def averaging_experiment(
     grid = GridSpec(torus=torus, points_per_axis=grid_points)
     form = component_form(m, "environment")
     k_inv = ks_solve(form, grid, order=3).table
-    env_density = invariant_summary(k_inv).density
+    env_density = k_inv.k1
     am = build_averaged_model(m, k_inv, torus)
     if env_density0 is None:
         env_density0 = env_density

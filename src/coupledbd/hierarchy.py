@@ -29,6 +29,17 @@ ks_solve finds this fixed point by Anderson mixing of the map, starting
 at the forcing after two plain Picard steps.  For the free
 (non-interacting) case Picard is exact after `order` steps, so the solve
 still stops within `order` iterations there.
+
+Memory layout.  ks_solve and evolve_hierarchy keep their state as one flat
+vector in the CorrelationTable layout [k0, k1, k2, k3 row-major] and hand
+l_delta_apply tables whose entries are views into it
+(CorrelationTable.from_vector).  Each l_delta_apply call allocates one
+vector, its result; every other array it touches is preallocated.
+build_stencils computes the table-independent order-3 factors once (the
+birth factors already scaled by the activity z) and keeps two P x P
+scratch arrays, the workspace the order-3 step assembles its terms in.
+The solvers update their iterates, mixing histories and Runge-Kutta
+stages in place, and copy a state only when they record or return it.
 """
 
 from __future__ import annotations
@@ -80,22 +91,18 @@ class StencilBundle:
     ab_p: Optional[np.ndarray] = None
     ab_cw: Optional[np.ndarray] = None
     ab_mass: float = 0.0
-    # pair matrices at difference offsets (built for order >= 2)
-    am_p2: Optional[np.ndarray] = None
-    u_p2: Optional[np.ndarray] = None
-    t_p2: Optional[np.ndarray] = None
-    ab_p2: Optional[np.ndarray] = None
+    # weights at difference offsets, [j, l] -> offset[j] - offset[l] (order >= 2)
     am_cw2: Optional[np.ndarray] = None
     u_cw2: Optional[np.ndarray] = None
     t_cw2: Optional[np.ndarray] = None
     ab_cw2: Optional[np.ndarray] = None
-    # table-independent order-3 factors, indexed [j, l] (built for order 3)
-    e3: Optional[np.ndarray] = None        # exponential death of the three points
-    pair3: Optional[np.ndarray] = None     # 3 death_const + additive pair death
-    t_f3: Optional[Tuple[np.ndarray, ...]] = None   # (f_l, f_j, f_0): exponential birth
-    ab_s3: Optional[Tuple[np.ndarray, ...]] = None  # (s_l, s_j, s_0): additive birth
-    t_rebase: Optional[Tuple[np.ndarray, np.ndarray]] = None   # _rebase_factors of t_cw
-    ab_rebase: Optional[Tuple[np.ndarray, np.ndarray]] = None  # _rebase_factors of ab_cw
+    # table-independent order-3 factors, indexed [j, l] (order 3)
+    death3: Optional[np.ndarray] = None    # minus the death factor: exponential or additive pair
+    t_f3: Optional[Tuple[np.ndarray, np.ndarray]] = None   # z * (f_j, f_0): exponential birth
+    ab_s3: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (s_j, s_0): additive birth
+    gather3: Optional[np.ndarray] = None   # _rebase_gather of diff_index
+    # two P x P scratch arrays the order-3 step writes into (order 3)
+    work: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
 def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBundle:
@@ -125,26 +132,30 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
 
     if order >= 2:
         di = grid.diff_index
-        for src, dst in (("am_p", "am_p2"), ("u_p", "u_p2"), ("t_p", "t_p2"), ("ab_p", "ab_p2"),
-                         ("am_cw", "am_cw2"), ("u_cw", "u_cw2"), ("t_cw", "t_cw2"), ("ab_cw", "ab_cw2")):
+        for src in ("am_cw", "u_cw", "t_cw", "ab_cw"):
             v = getattr(b, src)
             if v is not None:
-                setattr(b, dst, v[di])
+                setattr(b, src + "2", v[di])
     if order >= 3:
+        # Every stencil is radial, so its values at offsets k and -k are
+        # equal to the last bit: the [j, l] factors below are symmetric or
+        # come in transposed pairs, which the kernel relies on.
         if b.u_p is not None:
-            e, e2 = 1.0 + b.u_p, 1.0 + b.u_p2
-            b.e3 = e[:, None] * e[None, :] + e[:, None] * e2 + e[None, :] * e2
+            e, e2 = 1.0 + b.u_p, 1.0 + b.u_p[di]
+            e3 = e[:, None] * e[None, :] + e[:, None] * e2 + e[None, :] * e2
+            b.death3 = -form.death_const * e3
         elif b.am_p is not None:
             am = b.am_p
-            b.pair3 = 3.0 * form.death_const + 2.0 * (am[:, None] + am[None, :] + b.am_p2)
+            b.death3 = -(3.0 * form.death_const + 2.0 * (am[:, None] + am[None, :] + am[di]))
         if b.t_p is not None:
-            t, t2 = 1.0 + b.t_p, 1.0 + b.t_p2
-            b.t_f3 = (t[None, :] * t2, t[:, None] * t2, t[:, None] * t)
-            b.t_rebase = _rebase_factors(b.t_cw, di)
-        if b.ab_p is not None:
+            z, t = form.birth_const, 1.0 + b.t_p
+            b.t_f3 = (z * t[:, None] * t[di], z * t[:, None] * t)
+        elif b.ab_p is not None:
             z, ab = form.birth_const, b.ab_p
-            b.ab_s3 = (z + ab[None, :] + b.ab_p2, z + ab[:, None] + b.ab_p2, z + ab[:, None] + ab)
-            b.ab_rebase = _rebase_factors(b.ab_cw, di)
+            b.ab_s3 = (z + ab[:, None] + ab[di], z + ab[:, None] + ab)
+        b.gather3 = _rebase_gather(di)
+        p = grid.num_cells
+        b.work = (np.empty((p, p)), np.empty((p, p)))
     return b
 
 
@@ -154,32 +165,42 @@ def _closure_rho(table: CorrelationTable, closure: str) -> float:
     return 0.0
 
 
-def _rebase_factors(weights: np.ndarray, di: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(S, gather) for _rebased_triple_integral: S[b, j] = weights at
-    offset[b] + offset[j] (di[0, j] is -offset[j]), and gather[j, l] the
-    flat index of (j, di[l, j]) in a P x P array."""
+def _rebase_gather(di: np.ndarray) -> np.ndarray:
+    """gather[j, l], the flat index of (di[0, j], di[l, j]) in a P x P array;
+    di[0, j] is the index of -offset[j]."""
     p = di.shape[0]
-    return weights[di[:, di[0]]], np.arange(p)[:, None] * p + di.T
+    return di[0].astype(np.intp)[:, None] * p + di.T.astype(np.intp, order="C")
 
 
-def _rebased_triple_integral(k3: np.ndarray, shifted: np.ndarray, gather: np.ndarray) -> np.ndarray:
+def _rebase_factors(weights: np.ndarray, di: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(weights[di], _rebase_gather(di)): the factors _rebased_triple_integral
+    takes.  weights[di][c, r] is weights at offset[c] - offset[r]."""
+    return weights[di], _rebase_gather(di)
+
+
+def _rebased_triple_integral(k3: np.ndarray, w2: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """out[j, l] = sum_r weights[r] * k3[di[l, j], di[r, j]], given
-    (shifted, gather) = _rebase_factors(weights, di).
+    (w2, gather) = _rebase_factors(weights, di).
 
     This is the base-shift of the third-order table needed when the removed
     point is the table's base point.  Substituting b = offset[r] - offset[j]
-    turns the sum into one matrix product, out[j, l] = (k3 @ S)[di[l, j], j].
-    The product is formed transposed so that the gather reads along rows.
+    gives sum_b k3[di[l, j], b] * weights at offset[b] + offset[j], which is
+    (k3 @ w2.T)[di[l, j], c] at the cell c with offset[c] = -offset[j]: one
+    matrix product and one gather.  The product is formed transposed, as
+    w2 @ k3.T for radial weights, so that the gather reads along rows;
+    l_delta_apply gathers from the same product, which is also its r1 term.
     """
-    return np.take(shifted.T @ k3.T, gather)
+    return np.take(w2.T @ k3.T, gather)
 
 
 def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
                   closure: str = "poisson") -> CorrelationTable:
     """Apply the truncated generator dual to a correlation table.
 
-    The output's order-0 slot is zero: the empty-configuration entry is
-    conserved by the dynamics.
+    Returns a new table; its order-0 slot is zero, since the
+    empty-configuration entry is conserved by the dynamics.  The order-3
+    step works in the bundle's scratch arrays, so one bundle serves one
+    call at a time.
     """
     if closure not in _CLOSURES:
         raise ConfigError(f"closure must be one of {_CLOSURES}")
@@ -188,14 +209,14 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     if grid is not bundle.grid and grid != bundle.grid:
         raise ConfigError("table and stencil bundle use different grids")
     n_ord = table.order
+    if n_ord > bundle.order:
+        raise ConfigError(f"an order-{n_ord} table needs a bundle of order {n_ord}")
     rho_c = _closure_rho(table, closure)
     m = f.death_const
     z = f.birth_const
 
-    k0, k1 = table.k0, table.k1
-    k2 = table.k2 if n_ord >= 2 else None
-    k3 = table.k3 if n_ord >= 3 else None
-    di = grid.diff_index if n_ord >= 2 else None
+    k0, k1, k2, k3 = table.k0, table.k1, table.k2, table.k3
+    out = CorrelationTable.from_vector(table, np.empty_like(table.vec))
 
     # ----- order 1 --------------------------------------------------------
     out1 = 0.0
@@ -217,75 +238,99 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
         out1 += z * (k0 + k1 * bundle.t_mass)
     else:
         out1 += z * k0 + k1 * bundle.ab_mass
-
-    out2 = None
-    out3 = None
+    out.k0 = 0.0
+    out.k1 = out1
+    if n_ord == 1:
+        return out
 
     # ----- order 2 --------------------------------------------------------
-    if n_ord >= 2:
-        p = grid.num_cells
-        out2 = np.zeros(p)
-        k2mat = k2[di]            # k2mat[j, l] = k2 at offset[j]-offset[l]
-        # death
-        if bundle.u_p is not None:
-            bracket = 2.0 * k2
+    # Radial weights w give sum_l k2 at offset[l]-offset[j] times w[l] as
+    # (w2 @ k2)[-j], where w2 @ k2 is the other birth term.
+    neg = grid.diff_index[0]                  # index of -offset[j]
+    out2 = out.k2
+    # death
+    if bundle.u_p is not None:
+        bracket = 2.0 * k2
+        if n_ord >= 3:
+            rows = np.multiply(bundle.u_cw2, k3, out=bundle.work[1]).sum(axis=1)
+            bracket = bracket + k3 @ bundle.u_cw + rows
+        else:
+            bracket = bracket + 2.0 * rho_c * bundle.u_mass * k2
+        np.multiply(-m * (1.0 + bundle.u_p), bracket, out=out2)
+    else:
+        np.multiply(k2, -2.0 * m, out=out2)
+        if bundle.am_p is not None:
+            out2 -= 2.0 * bundle.am_p * k2
             if n_ord >= 3:
-                bracket = bracket + k3 @ bundle.u_cw + np.sum(bundle.u_cw2 * k3, axis=1)
+                rows = np.multiply(bundle.am_cw2, k3, out=bundle.work[1]).sum(axis=1)
+                out2 -= k3 @ bundle.am_cw + rows
             else:
-                bracket = bracket + 2.0 * rho_c * bundle.u_mass * k2
-            out2 -= m * (1.0 + bundle.u_p) * bracket
+                out2 -= 2.0 * rho_c * bundle.am_mass * k2
+    # birth
+    if f.birth_pot is not None:
+        if bundle.t_p is not None:
+            v = bundle.t_cw2 @ k2
+            out2 += z * (1.0 + bundle.t_p) * ((k1 + v) + (k1 + v[neg]))
         else:
-            out2 -= 2.0 * m * k2
-            if bundle.am_p is not None:
-                out2 -= 2.0 * bundle.am_p * k2
-                if n_ord >= 3:
-                    out2 -= k3 @ bundle.am_cw + np.sum(bundle.am_cw2 * k3, axis=1)
-                else:
-                    out2 -= 2.0 * rho_c * bundle.am_mass * k2
-        # birth
-        if f.birth_pot is not None:
-            br1 = np.full(p, k1)
-            br2 = np.full(p, k1)
-            fac = np.ones(p)
-            if bundle.t_p is not None:
-                fac = 1.0 + bundle.t_p
-                br1 = br1 + bundle.t_cw2 @ k2
-                br2 = br2 + k2mat.T @ bundle.t_cw
-            out2 += z * fac * (br1 + br2)
-        else:
-            base = z if bundle.ab_p is None else z + bundle.ab_p
-            out2 += 2.0 * base * k1
-            if bundle.ab_p is not None:
-                out2 += bundle.ab_cw2 @ k2 + k2mat.T @ bundle.ab_cw
+            out2 += z * (k1 + k1)
+    else:
+        base = z if bundle.ab_p is None else z + bundle.ab_p
+        out2 += 2.0 * base * k1
+        if bundle.ab_p is not None:
+            v = bundle.ab_cw2 @ k2
+            out2 += v + v[neg]
+    if n_ord == 2:
+        return out
 
     # ----- order 3 --------------------------------------------------------
-    if n_ord >= 3:
-        out3 = np.zeros((p, p))
-        k2j = k2[:, None]                         # k2[j] broadcast over l
-        k2l = k2[None, :]
-        k2base = k2mat.T                          # k2 at offset[l]-offset[j]
-        # death
-        if bundle.u_p is not None:
-            out3 -= m * (1.0 + rho_c * bundle.u_mass) * bundle.e3 * k3
-        else:
-            out3 -= (3.0 * m if bundle.pair3 is None else bundle.pair3) * k3
-            if bundle.am_p is not None:
-                out3 -= 3.0 * rho_c * bundle.am_mass * k3
-        # birth
-        if bundle.t_p is not None:
-            f_l, f_j, f_0 = bundle.t_f3
-            r1 = k3 @ bundle.t_cw2.T              # r1[j, l] = sum_r k3[j, r] t_cw at offset[l]-offset[r]
-            x0 = _rebased_triple_integral(k3, *bundle.t_rebase)
-            out3 += z * (f_l * (k2j + r1) + f_j * (k2l + r1.T) + f_0 * (k2base + x0))
-        elif bundle.ab_p is not None:
-            s_l, s_j, s_0 = bundle.ab_s3
-            r1 = k3 @ bundle.ab_cw2.T
-            x0 = _rebased_triple_integral(k3, *bundle.ab_rebase)
-            out3 += s_l * k2j + s_j * k2l + s_0 * k2base + r1 + r1.T + x0
-        else:
-            out3 += z * (k2j + k2l + k2base)
-
-    return CorrelationTable(grid, n_ord, 0.0, out1, out2, out3)
+    # out3 collects the death term, then the birth terms.  The two birth
+    # terms that put the new point next to point j or point l are
+    # transposes of each other, Y and Y.T.  k2 at offset[l]-offset[j] and
+    # the rebased integral x0 both come out of one gather of r1.T + k2[None, :],
+    # where r1[j, l] = sum_r k3[j, r] w at offset[r]-offset[l].
+    out3 = out.k3
+    r, scratch = bundle.work
+    k2l = k2[None, :]                         # k2[l] broadcast over j
+    # death
+    if bundle.death3 is None:
+        np.multiply(k3, -3.0 * m, out=out3)
+    elif bundle.u_p is not None:
+        np.multiply(bundle.death3, k3, out=out3)
+        out3 *= 1.0 + rho_c * bundle.u_mass
+    else:
+        np.subtract(bundle.death3, 3.0 * rho_c * bundle.am_mass, out=out3)
+        out3 *= k3
+    # birth; every gather index is in range, and a mode other than "raise"
+    # lets np.take write into its out array without a buffer
+    if bundle.t_p is not None:
+        zf_j, zf_0 = bundle.t_f3
+        np.matmul(bundle.t_cw2, k3.T, out=r)  # r1.T
+        r += k2l
+        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j], plus x0
+        scratch *= zf_0
+        out3 += scratch
+        r *= zf_j                             # Y.T
+        out3 += r
+        out3 += r.T
+    elif bundle.ab_p is not None:
+        s_j, s_0 = bundle.ab_s3
+        np.matmul(bundle.ab_cw2, k3.T, out=r)
+        out3 += np.take(r, bundle.gather3, out=scratch, mode="wrap")   # x0
+        r += np.multiply(s_j, k2l, out=scratch)                        # Y.T
+        out3 += r
+        out3 += r.T
+        np.copyto(r, k2l)
+        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j]
+        scratch *= s_0
+        out3 += scratch
+    else:
+        np.copyto(r, k2l)
+        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j]
+        scratch += k2[:, None]
+        scratch += k2l
+        scratch *= z
+        out3 += scratch
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +345,14 @@ def ks_apply(table: CorrelationTable, bundle: StencilBundle,
     """
     work = table if table.k0 == 0.0 else CorrelationTable(
         table.grid, table.order, 0.0, table.k1, table.k2, table.k3)
-    lk = l_delta_apply(work, bundle, closure=closure)
+    out = l_delta_apply(work, bundle, closure=closure)
     m = bundle.form.death_const
-    k1 = work.k1 + lk.k1 / m
-    k2 = None if work.order < 2 else work.k2 + lk.k2 / (2.0 * m)
-    k3 = None if work.order < 3 else work.k3 + lk.k3 / (3.0 * m)
-    return CorrelationTable(table.grid, table.order, 0.0, k1, k2, k3)
+    out.k1 = work.k1 + out.k1 / m
+    for n, lk, k in ((2, out.k2, work.k2), (3, out.k3, work.k3)):
+        if n <= work.order:
+            lk /= n * m
+            lk += k
+    return out
 
 
 @dataclass
@@ -343,41 +390,50 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
     bundle = build_stencils(grid, form, order)
     forcing = form.birth_const / form.death_const
     template = CorrelationTable(grid, order, 0.0, forcing)
-    x = template.as_vector()
+    x = template.vec
     d_f = np.empty((x.size, _MIX_DEPTH), order="F")
     d_g = np.empty((x.size, _MIX_DEPTH), order="F")
-    f_prev = g_prev = None
+    f, f_prev, mixed, scratch = (np.empty_like(x) for _ in range(4))
+    g_prev = None
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
-        g = ks_apply(CorrelationTable.from_vector(template, x), bundle, closure=closure).as_vector()
+        # g is a new vector on every step, so g_prev and the returned table
+        # never share memory with a later step
+        g = ks_apply(CorrelationTable.from_vector(template, x), bundle, closure=closure).vec
         g[1] += forcing
-        f = g - x
-        residuals.append(float(np.max(np.abs(f))))
-        _check_stable(g, it)
+        np.subtract(g, x, out=f)
+        residuals.append(_max_abs(f, scratch))
+        _check_stable(g, it, scratch)
         if residuals[-1] <= tol:
             g[0] = 1.0
             return KsSolution(table=CorrelationTable.from_vector(template, g),
                               iterations=it, residuals=residuals, converged=True)
-        if f_prev is not None:
+        if g_prev is not None:
             slot = (it - 2) % _MIX_DEPTH
             np.subtract(f, f_prev, out=d_f[:, slot])
             np.subtract(g, g_prev, out=d_g[:, slot])
-        f_prev, g_prev = f, g
+        g_prev = g
         if it <= _WARMUP_STEPS:
             x = g
-            continue
-        df = d_f[:, :min(it - 1, _MIX_DEPTH)]
-        gamma = np.linalg.lstsq(df.T @ df, df.T @ f, rcond=1e-14)[0]
-        x = g - d_g[:, :gamma.size] @ gamma
-        _check_stable(x, it)
+        else:
+            df = d_f[:, :min(it - 1, _MIX_DEPTH)]
+            gamma = np.linalg.lstsq(df.T @ df, df.T @ f, rcond=1e-14)[0]
+            np.matmul(d_g[:, :gamma.size], gamma, out=mixed)
+            x = np.subtract(g, mixed, out=mixed)
+            _check_stable(x, it, scratch)
+        f, f_prev = f_prev, f
     raise ConvergenceError(
         f"balance iteration did not reach tol={tol} in {max_iter} steps "
         f"(last residual {residuals[-1]:.3e})")
 
 
-def _check_stable(vec: np.ndarray, it: int) -> None:
+def _max_abs(vec: np.ndarray, scratch: np.ndarray) -> float:
+    return float(np.max(np.abs(vec, out=scratch)))
+
+
+def _check_stable(vec: np.ndarray, it: int, scratch: np.ndarray) -> None:
     # written so that a NaN entry fails the comparison too
-    if not float(np.max(np.abs(vec))) <= _GUARD:
+    if not _max_abs(vec, scratch) <= _GUARD:
         raise StabilityError(
             f"balance iteration left the stable range after {it} steps")
 
@@ -413,30 +469,37 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         n_steps = math.ceil(t_final / dt)
-    template = initial
 
     def deriv(vec: np.ndarray) -> np.ndarray:
-        t = CorrelationTable.from_vector(template, vec)
-        return l_delta_apply(t, bundle, closure=closure).as_vector()
+        t = CorrelationTable.from_vector(initial, vec)
+        return l_delta_apply(t, bundle, closure=closure).vec
 
+    # v is the state; each stage input is formed in `stage`, and the
+    # weighted sum of the four derivatives builds up in the first one
     v = initial.as_vector()
+    stage = np.empty_like(v)
     times = [0.0]
     tables = [initial.copy()]
-    t = 0.0
+    h = dt
     for step in range(1, n_steps + 1):
-        h = dt
-        d1 = deriv(v)
-        d2 = deriv(v + 0.5 * h * d1)
-        d3 = deriv(v + 0.5 * h * d2)
-        d4 = deriv(v + h * d3)
-        v = v + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        acc = deriv(v)
+        np.add(v, np.multiply(acc, 0.5 * h, out=stage), out=stage)
+        d = deriv(stage)
+        np.add(v, np.multiply(d, 0.5 * h, out=stage), out=stage)
+        acc += np.multiply(d, 2.0, out=d)
+        d = deriv(stage)
+        np.add(v, np.multiply(d, h, out=stage), out=stage)
+        acc += np.multiply(d, 2.0, out=d)
+        acc += deriv(stage)
+        acc *= h / 6.0
+        v += acc
         t = step * dt
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > _STABILITY_CAP:
+        if not _max_abs(v, stage) <= _STABILITY_CAP:
             raise StabilityError(
                 f"hierarchy blew past the stability cap at t={t:.4g}")
         if step % record_every == 0 or step == n_steps:
             times.append(t)
-            tables.append(CorrelationTable.from_vector(template, v))
+            tables.append(CorrelationTable.from_vector(initial, v.copy()))
     return HierarchyTrajectory(times=np.array(times), tables=tables)
 
 

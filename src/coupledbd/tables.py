@@ -169,33 +169,60 @@ def positive_mayer_stencil(grid: GridSpec, pot: Potential) -> np.ndarray:
 # correlation tables
 
 class CorrelationTable:
-    """Translation-reduced correlation data up to a fixed order (1..3)."""
+    """Translation-reduced correlation data up to a fixed order (1..3).
 
-    __slots__ = ("grid", "order", "k0", "k1", "k2", "k3")
+    The entries live in one flat vector ``vec`` laid out as
+    [k0, k1, k2 (P entries), k3 (P*P entries, row-major)].  k0 and k1 read
+    and write its first two entries; k2 and k3 are views into it.  The
+    constructor copies the arrays it is given; from_vector wraps a vector
+    without copying.
+    """
+
+    __slots__ = ("grid", "order", "vec", "k2", "k3")
 
     def __init__(self, grid: GridSpec, order: int, k0: float, k1: float,
                  k2: Optional[np.ndarray] = None, k3: Optional[np.ndarray] = None):
         if order not in (1, 2, 3):
             raise ConfigError("table order must be 1, 2 or 3")
         p = grid.num_cells
-        self.grid = grid
-        self.order = order
-        self.k0 = float(k0)
-        self.k1 = float(k1)
-        if order >= 2:
-            k2 = np.zeros(p) if k2 is None else np.asarray(k2, dtype=float)
+        size = 2 + (p if order >= 2 else 0) + (p * p if order >= 3 else 0)
+        self._wrap(grid, order, np.zeros(size))
+        self.vec[0] = k0
+        self.vec[1] = k1
+        if order >= 2 and k2 is not None:
+            k2 = np.asarray(k2, dtype=float)
             if k2.shape != (p,):
                 raise ConfigError(f"k2 must have shape ({p},)")
-            self.k2 = k2
-        else:
-            self.k2 = None
-        if order >= 3:
-            k3 = np.zeros((p, p)) if k3 is None else np.asarray(k3, dtype=float)
+            self.k2[...] = k2
+        if order >= 3 and k3 is not None:
+            k3 = np.asarray(k3, dtype=float)
             if k3.shape != (p, p):
                 raise ConfigError(f"k3 must have shape ({p}, {p})")
-            self.k3 = k3
-        else:
-            self.k3 = None
+            self.k3[...] = k3
+
+    def _wrap(self, grid: GridSpec, order: int, vec: np.ndarray) -> None:
+        p = grid.num_cells
+        self.grid = grid
+        self.order = order
+        self.vec = vec
+        self.k2 = vec[2:2 + p] if order >= 2 else None
+        self.k3 = vec[2 + p:].reshape(p, p) if order >= 3 else None
+
+    @property
+    def k0(self) -> float:
+        return float(self.vec[0])
+
+    @k0.setter
+    def k0(self, value: float) -> None:
+        self.vec[0] = value
+
+    @property
+    def k1(self) -> float:
+        return float(self.vec[1])
+
+    @k1.setter
+    def k1(self, value: float) -> None:
+        self.vec[1] = value
 
     # -- factories ---------------------------------------------------------
 
@@ -210,41 +237,31 @@ class CorrelationTable:
 
     @classmethod
     def poisson(cls, grid: GridSpec, order: int, rho: float) -> "CorrelationTable":
-        p = grid.num_cells
-        k2 = np.full(p, rho ** 2) if order >= 2 else None
-        k3 = np.full((p, p), rho ** 3) if order >= 3 else None
-        return cls(grid, order, k0=1.0, k1=rho, k2=k2, k3=k3)
+        t = cls(grid, order, k0=1.0, k1=rho)
+        if order >= 2:
+            t.k2.fill(rho ** 2)
+        if order >= 3:
+            t.k3.fill(rho ** 3)
+        return t
 
     # -- plumbing ----------------------------------------------------------
 
     def copy(self) -> "CorrelationTable":
-        return CorrelationTable(
-            self.grid, self.order, self.k0, self.k1,
-            None if self.k2 is None else self.k2.copy(),
-            None if self.k3 is None else self.k3.copy(),
-        )
+        return CorrelationTable.from_vector(self, self.vec.copy())
 
     def as_vector(self) -> np.ndarray:
-        parts = [np.array([self.k0, self.k1])]
-        if self.order >= 2:
-            parts.append(self.k2.ravel())
-        if self.order >= 3:
-            parts.append(self.k3.ravel())
-        return np.concatenate(parts)
+        """A copy of the flat vector."""
+        return self.vec.copy()
 
     @classmethod
     def from_vector(cls, template: "CorrelationTable", vec: np.ndarray) -> "CorrelationTable":
-        p = template.grid.num_cells
-        k0, k1 = float(vec[0]), float(vec[1])
-        pos = 2
-        k2 = k3 = None
-        if template.order >= 2:
-            k2 = vec[pos:pos + p].copy()
-            pos += p
-        if template.order >= 3:
-            k3 = vec[pos:pos + p * p].reshape(p, p).copy()
-            pos += p * p
-        return cls(template.grid, template.order, k0, k1, k2, k3)
+        """The table of template's grid and order whose entries are views
+        into vec, a float vector in the as_vector layout."""
+        if vec.shape != template.vec.shape or vec.dtype != np.float64:
+            raise ConfigError(f"vector must be float with shape {template.vec.shape}")
+        t = cls.__new__(cls)
+        t._wrap(template.grid, template.order, vec)
+        return t
 
     def sup_by_order(self) -> Tuple[float, ...]:
         out = [abs(self.k0), abs(self.k1)]
@@ -277,7 +294,9 @@ def radial_profile(grid: GridSpec, values: np.ndarray):
     """
     d = grid.distances
     vals = np.asarray(values, dtype=float)
-    uniq = np.unique(np.round(d, 12))
+    # sort and dedupe: np.unique imports numpy.ma, tens of ms per command
+    rounded = np.sort(np.round(d, 12))
+    uniq = rounded[np.concatenate(([True], rounded[1:] != rounded[:-1]))]
     if len(uniq) <= _PROFILE_BINS:
         r, mean, count = [], [], []
         for u in uniq:

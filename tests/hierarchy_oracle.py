@@ -1,0 +1,150 @@
+"""Reference implementation of the truncated generator dual.
+
+These are the order-1, order-2 and order-3 formulas of
+``hierarchy.l_delta_apply`` written out directly, each term from its own
+stencil, with fresh arrays and no precomputed factors.  The production
+kernel folds factors together and works in place; the differential tests
+compare it with this oracle entry by entry.
+"""
+
+import numpy as np
+
+from coupledbd.tables import (
+    CorrelationTable,
+    kernel_stencil,
+    mayer_stencil,
+    pointwise_stencil,
+    positive_mayer_stencil,
+)
+
+
+def _rebased_triple_integral(k3, weights, di):
+    """out[j, l] = sum_r weights[r] * k3[di[l, j], di[r, j]]."""
+    p = di.shape[0]
+    shifted = weights[di[:, di[0]]]
+    gather = np.arange(p)[:, None] * p + di.T
+    return np.take(shifted.T @ k3.T, gather)
+
+
+def oracle_l_delta_apply(table, form, closure="poisson"):
+    grid = table.grid
+    cw = grid.cell_volume
+    n_ord = table.order
+    rho_c = table.k1 if closure == "poisson" else 0.0
+    m, z = form.death_const, form.birth_const
+
+    am_p = am_cw = u_p = u_cw = t_p = t_cw = ab_p = ab_cw = None
+    am_mass = u_mass = t_mass = ab_mass = 0.0
+    if form.death_kernel is not None and not form.death_kernel.is_zero:
+        am_p = pointwise_stencil(grid, form.death_kernel)
+        am_cw = kernel_stencil(grid, form.death_kernel) * cw
+        am_mass = float(np.sum(am_cw))
+    if form.death_pot is not None and not form.death_pot.is_zero:
+        u_p = np.expm1(form.death_pot(grid.distances))
+        u_cw = positive_mayer_stencil(grid, form.death_pot) * cw
+        u_mass = float(np.sum(u_cw))
+    if form.birth_pot is not None and not form.birth_pot.is_zero:
+        t_p = np.expm1(-form.birth_pot(grid.distances))
+        t_cw = mayer_stencil(grid, form.birth_pot) * cw
+        t_mass = float(np.sum(t_cw))
+    if (form.birth_kernel is not None and not form.birth_kernel.is_zero
+            and form.birth_kernel_scale != 0.0):
+        s = form.birth_kernel_scale
+        ab_p = pointwise_stencil(grid, form.birth_kernel) * s
+        ab_cw = kernel_stencil(grid, form.birth_kernel) * cw * s
+        ab_mass = float(np.sum(ab_cw))
+
+    k0, k1 = table.k0, table.k1
+    k2, k3 = table.k2, table.k3
+
+    # order 1
+    out1 = 0.0
+    if u_p is not None:
+        if n_ord >= 2:
+            out1 -= m * (k1 + float(u_cw @ k2))
+        else:
+            out1 -= m * k1 * (1.0 + rho_c * u_mass)
+    else:
+        out1 -= m * k1
+        if am_p is not None:
+            if n_ord >= 2:
+                out1 -= float(am_cw @ k2)
+            else:
+                out1 -= rho_c * k1 * am_mass
+    if form.birth_pot is not None:
+        out1 += z * (k0 + k1 * t_mass)
+    else:
+        out1 += z * k0 + k1 * ab_mass
+    if n_ord == 1:
+        return CorrelationTable(grid, 1, 0.0, out1)
+
+    # order 2
+    di = grid.diff_index
+    p = grid.num_cells
+    k2mat = k2[di]                      # k2 at offset[j] - offset[l]
+    out2 = np.zeros(p)
+    if u_p is not None:
+        bracket = 2.0 * k2
+        if n_ord >= 3:
+            bracket = bracket + k3 @ u_cw + np.sum(u_cw[di] * k3, axis=1)
+        else:
+            bracket = bracket + 2.0 * rho_c * u_mass * k2
+        out2 -= m * (1.0 + u_p) * bracket
+    else:
+        out2 -= 2.0 * m * k2
+        if am_p is not None:
+            out2 -= 2.0 * am_p * k2
+            if n_ord >= 3:
+                out2 -= k3 @ am_cw + np.sum(am_cw[di] * k3, axis=1)
+            else:
+                out2 -= 2.0 * rho_c * am_mass * k2
+    if form.birth_pot is not None:
+        br1 = np.full(p, k1)
+        br2 = np.full(p, k1)
+        fac = np.ones(p)
+        if t_p is not None:
+            fac = 1.0 + t_p
+            br1 = br1 + t_cw[di] @ k2
+            br2 = br2 + k2mat.T @ t_cw
+        out2 += z * fac * (br1 + br2)
+    else:
+        base = z if ab_p is None else z + ab_p
+        out2 += 2.0 * base * k1
+        if ab_p is not None:
+            out2 += ab_cw[di] @ k2 + k2mat.T @ ab_cw
+    if n_ord == 2:
+        return CorrelationTable(grid, 2, 0.0, out1, out2)
+
+    # order 3
+    out3 = np.zeros((p, p))
+    k2j = k2[:, None]
+    k2l = k2[None, :]
+    k2base = k2mat.T                    # k2 at offset[l] - offset[j]
+    if u_p is not None:
+        e, e2 = 1.0 + u_p, 1.0 + u_p[di]
+        e3 = e[:, None] * e[None, :] + e[:, None] * e2 + e[None, :] * e2
+        out3 -= m * (1.0 + rho_c * u_mass) * e3 * k3
+    else:
+        if am_p is None:
+            out3 -= 3.0 * m * k3
+        else:
+            pair3 = 3.0 * m + 2.0 * (am_p[:, None] + am_p[None, :] + am_p[di])
+            out3 -= pair3 * k3
+            out3 -= 3.0 * rho_c * am_mass * k3
+    if t_p is not None:
+        t, t2 = 1.0 + t_p, 1.0 + t_p[di]
+        f_l, f_j, f_0 = t[None, :] * t2, t[:, None] * t2, t[:, None] * t
+        r1 = k3 @ t_cw[di].T
+        x0 = _rebased_triple_integral(k3, t_cw, di)
+        out3 += z * (f_l * (k2j + r1) + f_j * (k2l + r1.T) + f_0 * (k2base + x0))
+    elif ab_p is not None:
+        ab2 = ab_p[di]
+        s_l = z + ab_p[None, :] + ab2
+        s_j = z + ab_p[:, None] + ab2
+        s_0 = z + ab_p[:, None] + ab_p
+        r1 = k3 @ ab_cw[di].T
+        x0 = _rebased_triple_integral(k3, ab_cw, di)
+        out3 += s_l * k2j + s_j * k2l + s_0 * k2base + r1 + r1.T + x0
+    else:
+        out3 += z * (k2j + k2l + k2base)
+    return CorrelationTable(grid, 3, 0.0, out1, out2, out3)

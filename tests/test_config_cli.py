@@ -491,19 +491,14 @@ _MODULES_NOT_RUN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_MODULES_NOT_RUN))
-def test_each_command_runs_in_a_fresh_interpreter_without_the_modules_it_does_not_run(
-        tmp_path, command):
-    # A fresh interpreter sees a name the command never bound, which an
-    # in-process run can miss when an earlier test bound it.
-    argv = [command, _write(tmp_path, _every_command_config()),
-            "--out", str(tmp_path / "out")]
+def _run_fresh(argv):
+    """Run cli.main(argv) in a fresh interpreter; (exit code, the names in
+    sys.modules afterwards)."""
     script = (
         "import sys\n"
         "from coupledbd.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(code, *sorted(m.split('.')[1] for m in sys.modules\n"
-        "                    if m.startswith('coupledbd.')))\n"
+        "print(code, *sorted(sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -511,8 +506,36 @@ def test_each_command_runs_in_a_fresh_interpreter_without_the_modules_it_does_no
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     code, *modules = out.stdout.strip().splitlines()[-1].split()
-    assert code == "0", out.stderr
-    assert not _MODULES_NOT_RUN[command] & set(modules)
+    return code, set(modules), out.stderr
+
+
+@pytest.mark.parametrize("command", sorted(_MODULES_NOT_RUN))
+def test_each_command_runs_in_a_fresh_interpreter_without_the_modules_it_does_not_run(
+        tmp_path, command):
+    # A fresh interpreter sees a name the command never bound, which an
+    # in-process run can miss when an earlier test bound it.
+    code, modules, err = _run_fresh([command, _write(tmp_path, _every_command_config()),
+                                     "--out", str(tmp_path / "out")])
+    assert code == "0", err
+    modules = {m.split('.')[1] for m in modules if m.startswith('coupledbd.')}
+    assert not _MODULES_NOT_RUN[command] & modules
+
+
+@pytest.mark.parametrize("command,exit_code", [("invariant", "0"), ("averaging", "0"),
+                                               ("check", "3")])
+def test_no_command_imports_numpy_ma(tmp_path, command, exit_code):
+    # np.unique imports numpy.ma, 13-22 ms of a fresh command; the radial
+    # profile (invariant, averaging) and the domination ratios of an
+    # additive variant (check) used to call it
+    cfg = _bdlp_config()
+    cfg["invariant"] = {"grid_points": 32, "order": 2}
+    cfg["check"] = {"scan": True}
+    cfg["averaging"] = {"epsilons": [1.0, 0.5], "n_replicas": 2, "t_end": 0.2,
+                        "sys_density": 0.3, "n_times": 3, "seed": 1, "grid_points": 32}
+    code, modules, err = _run_fresh([command, _write(tmp_path, cfg),
+                                     "--out", str(tmp_path / "out")])
+    assert code == exit_code, err
+    assert "numpy.ma" not in modules
 
 
 def test_span_targets_resolve_on_cli_and_their_rebinding_is_what_the_commands_call(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coupledbd import hierarchy
-from coupledbd.errors import ConvergenceError, ModelError, StabilityError
+from coupledbd.errors import ConfigError, ConvergenceError, ModelError, StabilityError
 from coupledbd.geometry import Torus
 from coupledbd.hierarchy import (
     ComponentForm,
@@ -27,6 +27,7 @@ from coupledbd.potentials import Potential, potential_functionals
 from coupledbd.tables import CorrelationTable, GridSpec
 
 from conftest import TORUS1, bdlp_model, gg_model, two_bdlp_model
+from hierarchy_oracle import oracle_l_delta_apply
 
 GRID = GridSpec(torus=TORUS1, points_per_axis=64)
 
@@ -144,6 +145,81 @@ def test_order3_apply_matches_its_golden_sums(name):
                         build_stencils(grid, form, 3))
     got = (out.k1, np.sum(out.k2), w2 @ out.k2, np.sum(out.k3), np.sum(w3 * out.k3))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("closure", ["poisson", "zero"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FORMS))
+@pytest.mark.parametrize("dim,side,n", [(2, 4.0, 8), (1, 4.5, 9)])
+def test_apply_matches_the_reference_formulas_entry_by_entry(dim, side, n, name, order,
+                                                             closure):
+    form = _GOLDEN_FORMS[name][0]
+    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+    p = grid.num_cells
+    rng = np.random.default_rng(11)
+    # neither k2 nor k3 has the exchange symmetries of correlation data
+    k2 = rng.uniform(0.5, 1.5, p) if order >= 2 else None
+    k3 = rng.uniform(0.5, 1.5, (p, p)) if order >= 3 else None
+    table = CorrelationTable(grid, order, 1.0, 0.8, k2, k3)
+    got = l_delta_apply(table, build_stencils(grid, form, order), closure=closure)
+    want = oracle_l_delta_apply(table, form, closure)
+    assert got.order == order
+    # entries where death and birth cancel are held to 1e-12 of the largest
+    want = want.as_vector()
+    np.testing.assert_allclose(got.as_vector(), want, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_results_stay_independent_of_later_calls():
+    # the order-3 step works in scratch arrays the bundle keeps; no result
+    # may share memory with them, with its input or with another result
+    form = _GOLDEN_FORMS["exp_death_exp_birth"][0]
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=8)
+    bundle = build_stencils(grid, form, 3)
+    first_in = CorrelationTable.poisson(grid, 3, 0.6)
+    first = l_delta_apply(first_in, bundle)
+    first_vec = first.as_vector()
+    second = l_delta_apply(CorrelationTable.poisson(grid, 3, 0.9), bundle)
+    assert np.array_equal(first.as_vector(), first_vec)
+    assert not np.array_equal(second.as_vector(), first_vec)
+    assert np.array_equal(first_in.as_vector(), CorrelationTable.poisson(grid, 3, 0.6).as_vector())
+
+    init = CorrelationTable.poisson(grid, 3, 0.6)
+    traj = evolve_hierarchy(init, form, t_final=0.3, dt=0.05, record_every=1)
+    short = evolve_hierarchy(init, form, t_final=0.1, dt=0.05, record_every=1)
+    sol = ks_solve(form, grid, order=3)
+    kept = [t.as_vector() for t in traj.tables] + [sol.table.as_vector()]
+    l_delta_apply(sol.table, bundle)
+    ks_solve(component_form(gg_model(), "environment"), grid, order=3)
+    evolve_hierarchy(CorrelationTable.poisson(grid, 3, 0.9), form, t_final=0.1, dt=0.05)
+    tables = traj.tables + [sol.table]
+    for t, vec in zip(tables, kept):
+        assert np.array_equal(t.as_vector(), vec)
+    for a in range(len(tables)):
+        for b in range(a + 1, len(tables)):
+            assert not np.shares_memory(tables[a].k3, tables[b].k3)
+    for t, s in zip(traj.tables, short.tables):
+        assert np.array_equal(t.as_vector(), s.as_vector())
+    assert np.array_equal(init.as_vector(), CorrelationTable.poisson(grid, 3, 0.6).as_vector())
+
+
+def test_solve_and_evolve_call_the_module_kernel_once_per_evaluation(monkeypatch):
+    # perfbench/trace_run.py times the kernel by rebinding this name
+    calls = []
+    real = hierarchy.l_delta_apply
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "l_delta_apply", counted)
+    form = component_form(gg_model(), "environment")
+    sol = ks_solve(form, GRID, order=3)
+    assert len(calls) == sol.iterations
+    calls.clear()
+    evolve_hierarchy(CorrelationTable.poisson(GRID, 3, 0.5), form, t_final=0.3, dt=0.05)
+    assert len(calls) == 4 * 6
+    assert all(t.order == 3 for t in calls)
 
 
 def test_evolution_conserves_the_order_zero_entry():
@@ -287,6 +363,12 @@ def test_system_component_requires_averaging_first():
     form = component_form(am, "system")
     assert form.birth_const == pytest.approx(
         gg_model().z_plus * am.lambda_bar, rel=1e-12)
+
+
+def test_apply_rejects_a_table_above_the_bundle_order():
+    form = component_form(gg_model(), "environment")
+    with pytest.raises(ConfigError):
+        l_delta_apply(CorrelationTable.poisson(GRID, 3, 0.5), build_stencils(GRID, form, 2))
 
 
 def test_hierarchy_rejects_a_form_that_reads_another_component():

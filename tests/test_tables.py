@@ -86,6 +86,25 @@ def test_vector_roundtrip_is_identity(order, seed):
         assert np.array_equal(back.k3, t.k3)
 
 
+def test_a_table_is_a_view_of_one_flat_vector():
+    g = GridSpec(torus=TORUS1, points_per_axis=8)
+    p = g.num_cells
+    k2, k3 = np.arange(p, dtype=float), np.ones((p, p))
+    t = CorrelationTable(g, 3, 1.0, 0.5, k2, k3)
+    assert not np.shares_memory(t.k2, k2) and not np.shares_memory(t.k3, k3)
+    vec = t.as_vector()
+    assert vec.shape == (2 + p + p * p,) and not np.shares_memory(vec, t.vec)
+    view = CorrelationTable.from_vector(t, vec)
+    view.k0, view.k1 = 0.0, 2.0
+    view.k2[1] = -1.0
+    view.k3[2, 3] = 7.0
+    assert vec[0] == 0.0 and vec[1] == 2.0 and vec[3] == -1.0
+    assert vec[2 + p + 2 * p + 3] == 7.0
+    assert t.k0 == 1.0 and t.k2[1] == 1.0
+    with pytest.raises(ConfigError):
+        CorrelationTable.from_vector(t, vec[:-1])
+
+
 def test_kc_norm_weights_orders_geometrically():
     t = CorrelationTable.poisson(GRID, 3, 2.0)
     for c in (0.5, 1.0, 4.0):
