@@ -87,12 +87,31 @@ def torus_distance(p, q, torus: Torus) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
+def _fold_squared(delta: np.ndarray, side: float) -> np.ndarray:
+    """Squared lengths along the last axis of the differences delta, folded
+    by min_image_diff; delta is overwritten.  The operations and their order
+    are those of min_image_diff and (d * d).sum(axis=-1), so the values are
+    equal bit for bit: one coordinate needs no sum, and a sum of two terms
+    has one rounding whatever the order."""
+    f = delta / side
+    f += 0.5
+    np.floor(f, out=f)
+    f *= side
+    delta -= f
+    delta *= delta
+    dim = delta.shape[-1]
+    if dim == 1:
+        return delta[..., 0]
+    if dim == 2:
+        return delta[..., 0] + delta[..., 1]
+    return delta.sum(axis=-1)
+
+
 def squared_distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.ndarray:
     """Squared minimal-image distances from the point x to each row of pts;
     the row of squared_pairwise_distances for x, without its broadcasting
     overhead."""
-    d = min_image_diff(x - pts, torus.side)
-    return (d * d).sum(axis=-1)
+    return _fold_squared(x - pts, torus.side)
 
 
 def distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.ndarray:
@@ -102,10 +121,11 @@ def distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.ndarray:
 
 def squared_pairwise_distances(a: np.ndarray, b: np.ndarray, torus: Torus) -> np.ndarray:
     """Matrix of squared minimal-image distances, shape (len(a), len(b))."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    d = min_image_diff(a[:, None, :] - b[None, :, :], torus.side)
-    return (d * d).sum(axis=-1)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim < 2 or b.ndim < 2:
+        a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return _fold_squared(a[:, None] - b, torus.side)
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray, torus: Torus) -> np.ndarray:
@@ -147,8 +167,19 @@ class FiniteConfiguration:
 
     @classmethod
     def _unchecked(cls, points: np.ndarray) -> "FiniteConfiguration":
-        """Internal: wrap quadrature node tuples without the coincidence check."""
+        """Internal: a configuration of a copy of points, without the
+        coincidence check."""
         return cls(points, check=False)
+
+    @classmethod
+    def _adopt(cls, points: np.ndarray) -> "FiniteConfiguration":
+        """Internal: wrap a float array of shape (n, dim) without a copy or a
+        check.  The array is made read-only; it must be one the caller built
+        and writes no more, never a view of a buffer that changes."""
+        points.setflags(write=False)
+        cfg = object.__new__(cls)
+        cfg.points = points
+        return cfg
 
     @property
     def size(self) -> int:
@@ -214,15 +245,31 @@ def _check_enumeration_size(n: int):
         )
 
 
-def subsets_sum(eta: FiniteConfiguration, f: Callable[[FiniteConfiguration], float]) -> float:
-    """Sum of f over all 2^n subconfigurations of eta, empty set included."""
+# bit masks turned into membership rows at a time by _subconfigurations
+_MASK_BLOCK = 4096
+
+
+def _subconfigurations(eta: FiniteConfiguration):
+    """Every subconfiguration of eta, in the order of the bit masks 0 to
+    2^n - 1 (bit i keeps point i), with its points in eta's order."""
     n = eta.size
     _check_enumeration_size(n)
-    pts = eta.points
+    pts, bits = eta.points, np.arange(n)
+    for start in range(0, 1 << n, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, 1 << n))
+        keep = (masks[:, None] >> bits & 1).astype(bool)
+        # the points of each subconfiguration of the block, one after another
+        rows = pts[keep.nonzero()[1]]
+        ends = keep.sum(axis=1).cumsum().tolist()
+        for lo, hi in zip([0] + ends, ends):
+            yield FiniteConfiguration._adopt(rows[lo:hi])
+
+
+def subsets_sum(eta: FiniteConfiguration, f: Callable[[FiniteConfiguration], float]) -> float:
+    """Sum of f over all 2^n subconfigurations of eta, empty set included."""
     total = 0.0
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        total += f(FiniteConfiguration(pts[idx], check=False))
+    for xi in _subconfigurations(eta):
+        total += f(xi)
     return total
 
 
@@ -232,14 +279,10 @@ def k_inverse(big_f: Callable[[FiniteConfiguration], float], eta: FiniteConfigur
     Returns sum over subsets xi of eta of (-1)^{|eta \\ xi|} F(xi); applied to
     F = subset-sum of G it recovers G(eta).
     """
-    n = eta.size
-    _check_enumeration_size(n)
-    pts = eta.points
     total = 0.0
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        sign = -1.0 if (n - len(idx)) % 2 else 1.0
-        total += sign * big_f(FiniteConfiguration(pts[idx], check=False))
+    for xi in _subconfigurations(eta):
+        sign = -1.0 if (eta.size - xi.size) % 2 else 1.0
+        total += sign * big_f(xi)
     return total
 
 
@@ -330,7 +373,7 @@ def lp_integral(
         for n in range(1, order_cap + 1):
             total = 0.0
             for tup in itertools.product(range(len(nodes)), repeat=n):
-                cfg = FiniteConfiguration._unchecked(nodes[list(tup)])
+                cfg = FiniteConfiguration._adopt(nodes[list(tup)])
                 val = float(G(cfg))
                 if not math.isfinite(val):
                     raise EvaluationError("integrand returned a non-finite value")
@@ -352,9 +395,8 @@ def lp_integral(
                 pts = torus.uniform(rng, S * n).reshape(S, n, torus.dim)
             else:
                 pts = _sample_ball(rng, center, radius, (S, n), torus)
-            vals = np.array(
-                [G(FiniteConfiguration._unchecked(pts[s])) for s in range(S)]
-            )
+            pts.setflags(write=False)  # each sample is handed out as a view
+            vals = np.array([G(FiniteConfiguration._adopt(pts[s])) for s in range(S)])
             if not np.all(np.isfinite(vals)):
                 raise EvaluationError("integrand returned a non-finite value")
             scale = vol1 ** n / math.factorial(n)

@@ -167,30 +167,17 @@ def _closure_rho(table: CorrelationTable, closure: str) -> float:
 
 def _rebase_gather(di: np.ndarray) -> np.ndarray:
     """gather[j, l], the flat index of (di[0, j], di[l, j]) in a P x P array;
-    di[0, j] is the index of -offset[j]."""
+    di[0, j] is the index of -offset[j].
+
+    It rebases the third-order table onto a removed base point:
+    sum_r w[r] * k3[di[l, j], di[r, j]] is, with b = offset[r] - offset[j],
+    (k3 @ w[di].T)[di[l, j], c] at the cell c with offset[c] = -offset[j],
+    so one matrix product and this gather give it for every (j, l).
+    l_delta_apply forms the product transposed, w[di] @ k3.T for radial
+    weights, so that the gather reads along rows.
+    """
     p = di.shape[0]
     return di[0].astype(np.intp)[:, None] * p + di.T.astype(np.intp, order="C")
-
-
-def _rebase_factors(weights: np.ndarray, di: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(weights[di], _rebase_gather(di)): the factors _rebased_triple_integral
-    takes.  weights[di][c, r] is weights at offset[c] - offset[r]."""
-    return weights[di], _rebase_gather(di)
-
-
-def _rebased_triple_integral(k3: np.ndarray, w2: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """out[j, l] = sum_r weights[r] * k3[di[l, j], di[r, j]], given
-    (w2, gather) = _rebase_factors(weights, di).
-
-    This is the base-shift of the third-order table needed when the removed
-    point is the table's base point.  Substituting b = offset[r] - offset[j]
-    gives sum_b k3[di[l, j], b] * weights at offset[b] + offset[j], which is
-    (k3 @ w2.T)[di[l, j], c] at the cell c with offset[c] = -offset[j]: one
-    matrix product and one gather.  The product is formed transposed, as
-    w2 @ k3.T for radial weights, so that the gather reads along rows;
-    l_delta_apply gathers from the same product, which is also its r1 term.
-    """
-    return np.take(w2.T @ k3.T, gather)
 
 
 def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,

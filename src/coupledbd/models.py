@@ -128,6 +128,14 @@ class ComponentForm:
         return own, other
 
     @cached_property
+    def damping(self) -> Optional[Tuple[Optional[Potential], Optional[Potential]]]:
+        """Potentials of an exponential birth part, (birth_pot, cross_birth_pot),
+        each None when absent or zero; None for an additive birth part."""
+        if self.birth_pot is None and self.cross_birth_pot is None:
+            return None
+        return _live(self.birth_pot), _live(self.cross_birth_pot)
+
+    @cached_property
     def birth_groups(self) -> Tuple[Optional[Potential], Optional[Potential]]:
         """Kernels of the births placed around parents: birth_groups[0]
         around the points of the own component, birth_groups[1] around those
@@ -546,21 +554,25 @@ class BirthProposal:
         return any(len(g.masses) for g in self.groups)
 
     def sample_candidate(self, rng: np.random.Generator) -> Optional[np.ndarray]:
+        """A candidate drawn from the dominating mechanism, None when its mass
+        is zero.  Uniforms on [0, b) are drawn as b * rng.random(), which
+        equals rng.uniform(0, b) bit for bit; a uniform point is
+        torus.uniform(rng, 1)[0]."""
         if not self._grouped:
             if self.uniform_mass <= 0.0:
                 return None
             # the selection draw of the grouped path, so the stream is the same
-            rng.uniform(0.0, self.uniform_mass)
-            return self.torus.uniform(rng, 1)[0]
+            rng.random()
+            return self.torus.side * rng.random(self.torus.dim)
         masses = self._masses
         total = masses.sum()
         if total <= 0.0:
             return None
-        i = int(self._cumulative.searchsorted(rng.uniform(0.0, total), side="right"))
+        i = int(self._cumulative.searchsorted(total * rng.random(), side="right"))
         i = min(i, len(masses) - 1)
         if self.uniform_mass > 0:
             if i == 0:
-                return self.torus.uniform(rng, 1)[0]
+                return self.torus.side * rng.random(self.torus.dim)
             i -= 1
         for g in self.groups:
             if i < len(g.masses):
@@ -569,15 +581,28 @@ class BirthProposal:
             i -= len(g.masses)
 
 
-def _birth_acceptance(f: ComponentForm, x, own: np.ndarray, other: np.ndarray,
-                      torus: Torus) -> float:
+def _birth_acceptance(f: ComponentForm, x: np.ndarray, own: np.ndarray, other: np.ndarray,
+                      torus: Torus) -> Tuple[float, Optional[np.ndarray]]:
     """Acceptance at x of the proposal of _form_proposal, given the points
     own and other now: the exponential damping of the birth rate, 1 when the
-    birth part is additive (the proposal is then the birth rate itself)."""
-    if f.birth_pot is None and f.cross_birth_pot is None:
-        return 1.0
-    return math.exp(-(relative_energy(x, own, f.birth_pot, torus)
-                      + relative_energy(x, other, f.cross_birth_pot, torus)))
+    birth part is additive (the proposal is then the birth rate itself).
+
+    Returned with the squared distances from x to own, or None when the
+    damping did not need them.  The energies are those of relative_energy;
+    both populations are folded in one pass.
+    """
+    if f.damping is None:
+        return 1.0, None
+    own_pot, other_pot = f.damping
+    n = 0 if own_pot is None else len(own)
+    n_other = 0 if other_pot is None else len(other)
+    if not (n or n_other):
+        return 1.0, None
+    pts = np.concatenate((own, other)) if n and n_other else (own if n else other)
+    d2 = squared_distances_from(x, pts, torus)
+    energy = float(own_pot.sum_squared(d2[:n])) if n else 0.0
+    cross = float(other_pot.sum_squared(d2[n:])) if n_other else 0.0
+    return math.exp(-(energy + cross)), (d2[:n] if n else None)
 
 
 def _parent_masses(f: ComponentForm, parent_sums: np.ndarray, dim: int) -> np.ndarray:
@@ -616,7 +641,7 @@ def _form_proposal(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: 
         around_other = KernelGroup(other_kernel, other, np.full(len(other), l1))
     return BirthProposal(torus=torus, uniform_mass=f.birth_const * torus.volume,
                          groups=(around_own, around_other),
-                         acceptance=lambda x: _birth_acceptance(f, x, own, other, torus))
+                         acceptance=lambda x: _birth_acceptance(f, x, own, other, torus)[0])
 
 
 def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) -> BirthProposal:

@@ -34,7 +34,18 @@ loop runs the system alone against it: the system's death totals and
 birth masses change only at its own events, and its acceptance reads the
 path's points alive at the candidate's time.  A system whose sums or
 kernel groups read the environment, and a run of the environment alone,
-keep the joint loop.
+keep the joint loop.  The path's changes between two system events form a
+stretch; the guards are checked at each change of a stretch only when one
+can trip in it (the system's size plus the path's peak so far exceeds
+max_particles, or the stretch runs past max_events), so the errors are
+those of a check at every change.  The peak population over the stretches
+is taken once, at the end of the run.
+
+Draws: a uniform on [0, b) is drawn as b * rng.random(), one draw of the
+stream.  numpy computes rng.uniform(0, b) as 0 + b * random(), so the two
+are equal bit for bit and a run draws what it drew with rng.uniform.
+Every scalar uniform the loop and BirthProposal.sample_candidate take
+follows this rule.
 
 replicate runs an ensemble across the CPUs the process may use: replica r
 goes to worker r mod W, the calling process and W - 1 forked children.
@@ -159,12 +170,11 @@ def poisson_configuration(rng: np.random.Generator, torus: Torus,
     if intensity < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(rng.poisson(intensity * torus.volume))
-    return FiniteConfiguration._unchecked(torus.uniform(rng, n))
+    return FiniteConfiguration._adopt(torus.uniform(rng, n))
 
 
 def _pick_index(rng: np.random.Generator, weights: np.ndarray, total: float) -> int:
-    u = rng.uniform(0.0, total)
-    i = int(weights.cumsum().searchsorted(u, side="right"))
+    i = int(weights.cumsum().searchsorted(total * rng.random(), side="right"))
     return min(i, len(weights) - 1)
 
 
@@ -277,9 +287,11 @@ class _PairState:
             self.birth_mass[k] = prop.total_mass
             self.death_total[k] = float(table[:, _DEATH].sum())
 
-    def acceptance(self, k: int, x: np.ndarray, other: Optional[np.ndarray] = None) -> float:
+    def acceptance(self, k: int, x: np.ndarray,
+                   other: Optional[np.ndarray] = None) -> Tuple[float, Optional[np.ndarray]]:
         """Acceptance at x of the proposal of component k, on the points now
-        (other replaces those of the other component when given)."""
+        (other replaces those of the other component when given), with the
+        squared distances from x to the points of k when it computed them."""
         return _birth_acceptance(self.forms[k], x, self.points[k],
                                  self.points[1 - k] if other is None else other, self.torus)
 
@@ -316,9 +328,12 @@ class _PairState:
                 self.table[j][:, _PARENT_SUM])
             self.birth_mass[j] = prop.total_mass
 
-    def add(self, k: int, x: np.ndarray):
+    def add(self, k: int, x: np.ndarray, row: Optional[np.ndarray] = None):
+        """Add x to component k.  row, when given, holds the squared distances
+        from x to the points of k now: a point equal to x is at distance 0,
+        so the exact check runs only when row has a zero."""
         n = self.n[k]
-        if (self.points[k] == x).all(axis=1).any():
+        if (row is None or (row == 0.0).any()) and (self.points[k] == x).all(axis=1).any():
             raise ValueError("configuration contains coincident points")
         x_row = self._apply(k, x, 1.0)
         x_row[_DEATH] = _death_rates(self.forms[k], x_row[_DEATH_SUM])
@@ -376,8 +391,8 @@ class _EnvPath:
     points, born and dies hold the points with their birth and death times,
     those present at time 0 first and then the arrivals in time order.
     times and signs list the changes up to the horizon in time order (+1 a
-    birth, -1 a death), and sizes[i] is the environment's size after the
-    first i of them.
+    birth, -1 a death), sizes[i] is the environment's size after the first
+    i of them, and peaks[i] the largest of sizes[:i + 1].
     """
 
     def __init__(self, f, torus: Torus, initial: np.ndarray, settings: SimulationSettings,
@@ -389,10 +404,17 @@ class _EnvPath:
                                       time_reached=0.0, events=0)
         n0 = len(initial)
         born, dies = [np.zeros(n0)], [rng.exponential(life, n0)]
-        drawn, tail = 0, (0.0 if rate > 0.0 else math.inf)  # tail: the last arrival
+        drawn, tail = 0, (0.0 if rate > 0.0 else math.inf)  # tail: the last arrival summed
         while True:
             if tail <= t_end:
-                s = tail + np.cumsum(rng.exponential(1.0 / rate, max(drawn, _PATH_CHUNK)))
+                gaps = rng.exponential(1.0 / rate, max(drawn, _PATH_CHUNK))
+                # only the arrivals up to t_end are kept: sum about twice as
+                # many gaps as expected first, and all of them only when that
+                # falls short
+                head = int(min(2.0 * rate * (t_end - tail) + 64, len(gaps)))
+                s = tail + np.cumsum(gaps[:head])
+                if s[-1] <= t_end and head < len(gaps):
+                    s = tail + np.cumsum(gaps)
                 tail, s = s[-1], s[s <= t_end]
                 drawn += len(s)
                 born.append(s)
@@ -407,6 +429,7 @@ class _EnvPath:
             self.sizes = n0 + np.concatenate([[0], np.cumsum(self.signs)])
             if tail > t_end or _guard_index(self.sizes[1:], 0, settings) < len(self.times):
                 break
+        self.peaks = np.maximum.accumulate(self.sizes)
         self.points = np.concatenate([initial, torus.uniform(rng, drawn)])
         # reach[i] is the latest death among the first i + 1 points, so the
         # points alive at t lie from the first with reach > t to the last born
@@ -414,8 +437,8 @@ class _EnvPath:
 
     def alive(self, t: float) -> np.ndarray:
         """The environment's points at time t."""
-        lo = int(self._reach.searchsorted(t, side="right"))
-        hi = int(self.born.searchsorted(t, side="right"))
+        lo = self._reach.searchsorted(t, side="right")
+        hi = self.born.searchsorted(t, side="right")
         return self.points[lo:hi][self.dies[lo:hi] > t]
 
 
@@ -458,7 +481,7 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
     environment's path, of the system against it: the system's acceptance
     reads the path's points alive at the candidate's time."""
     state = _PairState(m, torus, initial, components)
-    eps = settings.epsilon
+    eps, t_end = settings.epsilon, settings.t_end
 
     rec_times = np.asarray(settings.record_times, dtype=float)
     n_rec = len(rec_times)
@@ -466,9 +489,10 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
     rec_minus = np.zeros(n_rec, dtype=int)
     snapshots: Optional[List[MarkedConfiguration]] = [] if settings.keep_snapshots else None
     rec_idx = 0
+    next_rec = rec_times[0] if n_rec else math.inf  # the next record time
 
     def record_upto(limit: float):
-        nonlocal rec_idx
+        nonlocal rec_idx, next_rec
         while rec_idx < n_rec and rec_times[rec_idx] <= limit + 1e-12:
             env = state.points[1] if path is None else path.alive(rec_times[rec_idx])
             rec_plus[rec_idx] = len(state.points[0])
@@ -476,6 +500,7 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
             if snapshots is not None:
                 snapshots.append(state.configuration(env))
             rec_idx += 1
+        next_rec = rec_times[rec_idx] if rec_idx < n_rec else math.inf
 
     record_upto(0.0)
 
@@ -485,18 +510,29 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
     peak = state.size
     since_recompute = 0
     passed = 0  # changes of the path passed
+    # the stretches of the path passed: the index in path.sizes of the size
+    # after the first change of each, and the system's size along it
+    starts: List[int] = []
+    sys_sizes: List[int] = []
 
     def pass_env(limit: float):
-        """Count the path's changes up to limit, checking the guards at each."""
-        nonlocal passed, events, peak
-        upto = passed if path is None else int(path.times.searchsorted(limit, side="right"))
+        """Pass the path's changes up to limit.  The guards are checked at
+        each change only when one can trip in the stretch: the system's size
+        plus the path's peak so far exceeds max_particles, or the stretch
+        runs past the event budget."""
+        nonlocal passed, events
+        upto = int(path.times.searchsorted(limit, side="right"))
         if upto == passed:
             return
-        sizes = path.sizes[passed + 1:upto + 1] + len(state.points[0])
-        w = _guard_index(sizes, events, settings)
-        if w < len(sizes):
-            raise _guard_error(settings, path.times[passed + w], events + w + 1, sizes[w])
-        peak = max(peak, int(sizes.max()))
+        n_sys = len(state.points[0])
+        if (n_sys + path.peaks[upto] > settings.max_particles
+                or events + upto - passed > settings.max_events):
+            sizes = path.sizes[passed + 1:upto + 1] + n_sys
+            w = _guard_index(sizes, events, settings)
+            if w < len(sizes):
+                raise _guard_error(settings, path.times[passed + w], events + w + 1, sizes[w])
+        starts.append(passed + 1)
+        sys_sizes.append(n_sys)
         events += upto - passed
         passed = upto
 
@@ -510,16 +546,20 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
                 time_reached=t, events=events)
 
         if total <= 0.0:
-            record_upto(settings.t_end)
-            pass_env(settings.t_end)
-            t = settings.t_end
+            record_upto(t_end)
+            if path is not None:
+                pass_env(t_end)
+            t = t_end
             break
 
         t_new = t + rng.exponential(1.0 / total)
-        record_upto(min(t_new, settings.t_end))
-        pass_env(min(t_new, settings.t_end))
-        if t_new >= settings.t_end:
-            t = settings.t_end
+        limit = min(t_new, t_end)
+        if next_rec <= limit + 1e-12:
+            record_upto(limit)
+        if path is not None:
+            pass_env(limit)
+        if t_new >= t_end:
+            t = t_end
             break
         t = t_new
 
@@ -527,7 +567,7 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
         if events > settings.max_events:
             raise _guard_error(settings, t, events, state.size)
 
-        u = rng.uniform(0.0, total)
+        u = total * rng.random()
         if u < r_sd:
             k, birth = 0, False
         elif u < r_sd + r_sb:
@@ -546,12 +586,12 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
             if x is None:
                 tally["virtual"] += 1
                 continue
-            acc = state.acceptance(k, x, None if path is None else path.alive(t))
+            acc, row = state.acceptance(k, x, None if path is None else path.alive(t))
             if acc > 1.0 + _ACCEPT_SLACK:
                 raise EvaluationError(
                     f"acceptance {acc:.6g} exceeds 1; dominating bound is wrong")
-            if rng.uniform() < acc:
-                state.add(k, x)
+            if rng.random() < acc:
+                state.add(k, x, row)
                 tally["births"] += 1
             else:
                 tally["virtual"] += 1
@@ -567,6 +607,9 @@ def _loop(m, torus: Torus, initial: MarkedConfiguration, settings: SimulationSet
             since_recompute = 0
 
     if path is not None:
+        if starts:
+            stretch_peaks = np.maximum.reduceat(path.sizes[:passed + 1], starts) + sys_sizes
+            peak = max(peak, int(stretch_peaks.max()))
         births = int(np.count_nonzero(path.signs[:passed] > 0))
         counts["environment"].update(births=births, deaths=passed - births)
     return TrajectoryRecord(

@@ -11,8 +11,7 @@ from coupledbd.errors import ConfigError, ConvergenceError, ModelError, Stabilit
 from coupledbd.geometry import Torus
 from coupledbd.hierarchy import (
     ComponentForm,
-    _rebase_factors,
-    _rebased_triple_integral,
+    _rebase_gather,
     build_stencils,
     component_form,
     evolve_hierarchy,
@@ -27,7 +26,7 @@ from coupledbd.potentials import Potential, potential_functionals
 from coupledbd.tables import CorrelationTable, GridSpec
 
 from conftest import TORUS1, bdlp_model, gg_model, two_bdlp_model
-from hierarchy_oracle import oracle_l_delta_apply
+from hierarchy_oracle import _rebased_triple_integral, oracle_l_delta_apply
 
 GRID = GridSpec(torus=TORUS1, points_per_axis=64)
 
@@ -73,6 +72,12 @@ def test_fixed_point_annihilates_the_evolution_operator():
     assert np.max(np.abs(lk.k3)) <= 1e-9
 
 
+def _gathered_triple_integral(k3, w, di):
+    """out[j, l] = sum_r w[r] * k3[di[l, j], di[r, j]] the way l_delta_apply
+    forms it: one matrix product and one gather (_rebase_gather)."""
+    return np.take(w[di].T @ k3.T, _rebase_gather(di))
+
+
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
 def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
     # out[j, l] = sum_r w[r] * k3[offset[l] - offset[j], offset[r] - offset[j]],
@@ -93,8 +98,9 @@ def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
         for l in range(p):
             a = diff(l, j)
             expected[j, l] = sum(w[r] * k3[a, diff(r, j)] for r in range(p))
-    got = _rebased_triple_integral(k3, *_rebase_factors(w, grid.diff_index))
-    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    for rebased in (_gathered_triple_integral, _rebased_triple_integral):
+        got = rebased(k3, w, grid.diff_index)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # l_delta_apply on a fixed random symmetric order-3 table, one form per

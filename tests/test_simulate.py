@@ -97,6 +97,20 @@ def test_replicas_use_distinct_streams():
     assert r1 == r2
 
 
+def test_scalar_uniforms_are_scaled_standard_draws():
+    # the loop and the proposals draw a uniform on [0, b) as b * random();
+    # numpy computes uniform(0, b) as 0 + b * random(), so both are one
+    # draw of the stream with the same value, and the draws do not move
+    for b in (1e-300, 0.3, 7.0, 1e12):
+        rng, ref = replica_rng(101, 3), replica_rng(101, 3)
+        for _ in range(200):
+            assert b * rng.random() == ref.uniform(0.0, b)
+        for dim in (1, 2, 3):
+            np.testing.assert_array_equal(b * rng.random(dim),
+                                          ref.uniform(0.0, b, size=(1, dim))[0])
+        assert rng.random() == ref.uniform()
+
+
 def test_immigration_death_relaxation_curve():
     # environment alone with no interaction: counts are Poisson with mean
     # z * volume * (1 - exp(-t)) at every time
@@ -362,8 +376,26 @@ def _assert_state_matches_recompute(state, m, torus, rng):
         # the loop keeps a proposal until its masses move, so its acceptance
         # must read the points now, not those the proposal was built from
         for x in torus.uniform(rng, 3):
-            assert state.acceptance(k, x) == pytest.approx(prop.acceptance(x),
-                                                           rel=1e-12, abs=0.0)
+            assert state.acceptance(k, x)[0] == pytest.approx(prop.acceptance(x),
+                                                              rel=1e-12, abs=0.0)
+
+
+def test_a_birth_on_a_point_is_refused_exactly_with_the_acceptance_row():
+    # add reads the acceptance's squared distances for its coincidence check:
+    # a zero there is not enough (1e-170 apart squares to 0), equality is
+    state = _PairState(gg_model(), TORUS1, marked([0.0, 4.0], [6.0]), COMPONENTS)
+    near = np.array([1e-170])
+    _, row = state.acceptance(0, near)
+    assert row is not None and row[0] == 0.0
+    state.add(0, near, row)
+    assert len(state.points[0]) == 3
+    for x in (np.array([4.0]), near):
+        _, row = state.acceptance(0, x)
+        with pytest.raises(ValueError, match="coincident"):
+            state.add(0, x, row)
+        with pytest.raises(ValueError, match="coincident"):
+            state.add(0, x)
+    assert len(state.points[0]) == 3
 
 
 @pytest.mark.parametrize("build", STATE_MODELS, ids=STATE_IDS)
@@ -535,6 +567,96 @@ def test_bulk_path_guards_trip_before_the_whole_path_is_drawn(z_minus):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+# Guards on the bulk path, pinned: a busy free environment (about 30 path
+# changes between two system events) with seeds 0-19.  The population guard
+# trips at a change of the path, inside a stretch of it; the event budget
+# trips after 300 events; and the peaks of unguarded runs.
+BULK_POPULATION_TRIPS = {
+    1: (0.40567024667394885, 67),
+    3: (2.9665352523540762, 610),
+    4: (1.4244316538056954, 253),
+    5: (1.657352464155636, 314),
+    8: (1.6331579287085725, 316),
+    10: (0.9154766704026474, 159),
+    11: (1.603973693304226, 335),
+    12: (1.634778369944668, 335),
+    14: (1.0873764469033584, 194),
+    16: (0.9649326349565961, 188),
+    17: (0.934410735292639, 161),
+    18: (2.25401718578809, 423),
+    19: (0.936191227563877, 185),
+}
+BULK_BUDGET_TRIPS = (
+    1.8379980413788235, 1.5811669723470974, 1.5045903943216399,
+    1.6209965954151975, 1.6059598705703904, 1.560821687104581,
+    1.5769259065782713, 1.5390528574491393, 1.5756109663568874,
+    1.5576964682943222, 1.5197513216997025, 1.4852920949157336,
+    1.5218913791073445, 1.5396802165914942, 1.526059319273644,
+    1.617023821211755, 1.4332324680818609, 1.532425268371578,
+    1.7482894636762223, 1.5143695271299982,
+)
+# (peak_population, events) to t_end
+BULK_PEAKS = (
+    (29, 523), (32, 609), (30, 582), (31, 614), (34, 603),
+    (32, 589), (27, 580), (27, 605), (31, 588), (26, 576),
+    (31, 584), (40, 664), (35, 621), (25, 532), (34, 554),
+    (29, 545), (35, 610), (33, 562), (31, 578), (32, 588),
+)
+
+
+def test_bulk_path_guards_and_peaks_are_pinned():
+    m = replace(free_gg_model(), z_minus=2.0)
+    init = marked([1.0, 4.0, 6.0], [2.0, 5.0, 8.0])
+    base = SimulationSettings(t_end=3.0, epsilon=0.2)
+
+    def trip(s):
+        try:
+            simulate(m, TORUS1, init, s)
+        except ExplosionGuardError as e:
+            return str(e), e.time_reached, e.events
+        return None
+
+    for seed in range(20):
+        s = replace(base, master_seed=seed, max_particles=30)
+        got = trip(s)
+        if seed not in BULK_POPULATION_TRIPS:
+            assert got is None
+        else:
+            t, events = BULK_POPULATION_TRIPS[seed]
+            assert got == (f"population 31 exceeds 30 at t={t:.6g} after {events} events",
+                           t, events)
+            path = _EnvPath(rate_form(m, "environment"), TORUS1, init.minus.points, s,
+                            replica_rng(seed, 0))
+            assert t in path.times  # at a change of the path, not at a system event
+        t = BULK_BUDGET_TRIPS[seed]
+        assert trip(replace(base, master_seed=seed, max_events=300)) == (
+            f"event budget 300 exhausted at t={t:.6g}", t, 301)
+        rec = simulate(m, TORUS1, init, replace(base, master_seed=seed))
+        assert (rec.peak_population, rec.events) == BULK_PEAKS[seed]
+
+
+def test_bulk_path_guards_trip_at_their_bound_wherever_it_falls():
+    # every budget and every cap below the peak, so some bounds fall on the
+    # last change of a stretch of the path and some inside one
+    m = replace(free_gg_model(), z_minus=2.0)
+    init = marked([1.0, 4.0, 6.0], [2.0, 5.0, 8.0])
+    base = SimulationSettings(t_end=0.6, epsilon=0.2, master_seed=2)
+    free = simulate(m, TORUS1, init, base)
+    assert sum(free.counts["system"].values()) >= 5  # so the path runs in stretches
+    times = []
+    for budget in range(1, free.events):
+        with pytest.raises(ExplosionGuardError) as info:
+            simulate(m, TORUS1, init, replace(base, max_events=budget))
+        assert info.value.events == budget + 1
+        times.append(info.value.time_reached)
+    assert times == sorted(times)
+    for cap in range(6, free.peak_population):
+        with pytest.raises(ExplosionGuardError) as info:
+            simulate(m, TORUS1, init, replace(base, max_particles=cap))
+        assert str(info.value).startswith(f"population {cap + 1} exceeds {cap} ")
+    simulate(m, TORUS1, init, replace(base, max_particles=free.peak_population))
 
 
 def test_bulk_path_trips_the_guard_on_an_infinite_activity():
