@@ -3,7 +3,7 @@
 Subcommands: check, invariant, evolve, simulate, ergodicity, averaging.
 Each reads a JSON configuration, runs, writes artifacts into the output
 directory (CSV data, JSON summaries and a run manifest with the config
-hash) and prints a short report.
+hash and the resolved config) and prints a short report.
 
 Exit codes: 0 success, 2 configuration or model errors, 3 no feasible
 contraction regime, 4 runtime failures (divergence, instability, explosion
@@ -30,6 +30,7 @@ from .config import (
     config_hash,
     load_config,
     model_from_config,
+    resolve_config,
     torus_from_config,
 )
 from .errors import (
@@ -113,43 +114,44 @@ def _write_json(path: str, obj) -> None:
         f.write("\n")
 
 
-def _manifest(out_dir: str, command: str, cfg: dict, outputs: List[str],
-              summary: dict) -> None:
-    man = {
-        "command": command,
-        "config_hash": config_hash(cfg),
-        "package_version": __version__,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": sorted(outputs),
-        "summary": summary,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), man)
+def _section(cfg: dict, name: str) -> dict:
+    """The section a command reads (check's and invariant's default to {})."""
+    if name not in cfg:
+        raise ConfigError(f"{name} section is required for this command")
+    return cfg[name]
 
 
-def _solver_args(section: dict) -> tuple:
-    """(order, tol, max_iter, closure) of a hierarchy section, in ks_solve order."""
-    return (int(section.get("order", 3)), float(section.get("tol", 1e-12)),
-            int(section.get("max_iter", 500)), section.get("closure", "poisson"))
+def _seeded(cfg: dict, command: str) -> Optional[dict]:
+    """The section whose seed the command draws, if it draws one and cfg has it."""
+    section = cfg["check"].get("spot_check") if command == "check" else cfg.get(command)
+    return None if command in ("invariant", "evolve") else section
+
+
+def _solve(form, grid, section: dict):
+    """ks_solve with the solver options of a hierarchy section (evolve has no
+    tol or max_iter: it takes ks_solve's)."""
+    keys = ("order", "tol", "max_iter", "closure")
+    return ks_solve(form, grid, **{k: section[k] for k in keys if k in section})
 
 
 def _section_form(m, torus, section: dict):
     """(form, grid) of the component a hierarchy section names; 'averaged'
     first solves the environment and integrates it out."""
-    grid = GridSpec(torus=torus, points_per_axis=int(section.get("grid_points", 64)))
+    grid = GridSpec(torus=torus, points_per_axis=section["grid_points"])
     form = component_form(m, "environment")
-    if section.get("component", "environment") != "environment":
-        env_sol = ks_solve(form, grid, *_solver_args(section))
+    if section["component"] != "environment":
+        env_sol = _solve(form, grid, section)
         form = component_form(build_averaged_model(m, env_sol.table, torus), "system")
     return form, grid
 
 
-def _cmd_check(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+def _cmd_check(cfg: dict, m, torus, out_dir: str):
     _bind("conditions")
-    section = cfg.get("check", {})
+    section = _section(cfg, "check")
     rho_inv = section.get("rho_inv")
     outputs = []
     scanned = None
-    if section.get("scan") or "c_minus" not in section or "c_plus" not in section:
+    if section["scan"] or "c_minus" not in section or "c_plus" not in section:
         scanned = scan_feasible(m, torus.dim, rho_inv=rho_inv)
         path = os.path.join(out_dir, "scan.csv")
         _write_csv(path, ["c_minus", "c_plus", "a_env", "a_sys", "a_avg",
@@ -159,24 +161,17 @@ def _cmd_check(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
                     for r in scanned.rows])
         outputs.append("scan.csv")
         if scanned.best is None:
-            _manifest(out_dir, "check", cfg, outputs,
-                      {"feasible": False, "scanned": scanned.evaluated})
             print(f"scanned {scanned.evaluated} weight pairs: none feasible")
-            return _INFEASIBLE_EXIT
+            return (_INFEASIBLE_EXIT, outputs,
+                    {"feasible": False, "scanned": scanned.evaluated})
         c_minus = scanned.best["c_minus"]
         c_plus = scanned.best["c_plus"]
         print(f"scan: best weights c_minus={c_minus:.6g} c_plus={c_plus:.6g} "
               f"({scanned.feasible_count}/{scanned.evaluated} feasible)")
     else:
-        c_minus = float(section["c_minus"])
-        c_plus = float(section["c_plus"])
+        c_minus, c_plus = section["c_minus"], section["c_plus"]
 
-    spot = None
-    if "spot_check" in section:
-        kw = dict(section["spot_check"])
-        if seed is not None:
-            kw["seed"] = seed
-        spot = SpotCheckSettings(**kw)
+    spot = SpotCheckSettings(**section["spot_check"]) if "spot_check" in section else None
     report = check_regime(m, c_minus, c_plus, torus=torus, rho_inv=rho_inv,
                           spot=spot)
     _write_json(os.path.join(out_dir, "report.json"), report.as_dict())
@@ -186,23 +181,20 @@ def _cmd_check(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
                "a_sys": report.system.a,
                "a_avg": report.averaged.a,
                "gap_env": report.gap_env}
-    _manifest(out_dir, "check", cfg, outputs, summary)
     for line in report.summary_lines():
         print(line)
     if report.spot is not None and not report.spot.ok:
         print("numeric spot check contradicts the closed-form bounds",
               file=sys.stderr)
-        return _RUNTIME_EXIT
-    if not report.feasible:
-        return _INFEASIBLE_EXIT
-    return 0
+        return _RUNTIME_EXIT, outputs, summary
+    return (0 if report.feasible else _INFEASIBLE_EXIT), outputs, summary
 
 
-def _cmd_invariant(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+def _cmd_invariant(cfg: dict, m, torus, out_dir: str):
     _bind("hierarchy", "tables")
-    section = cfg.get("invariant", {})
+    section = _section(cfg, "invariant")
     form, grid = _section_form(m, torus, section)
-    sol = ks_solve(form, grid, *_solver_args(section))
+    sol = _solve(form, grid, section)
     summ = invariant_summary(sol.table)
     lenard = lenard_spot_check(sol.table)
     rows = list(zip(summ.pair_r, summ.pair_g))
@@ -220,66 +212,51 @@ def _cmd_invariant(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> in
         "min_pairing": lenard.min_pairing,
     }
     _write_json(os.path.join(out_dir, "summary.json"), out)
-    _manifest(out_dir, "invariant", cfg, ["correlations.csv", "summary.json"],
-              {"density": summ.density, "iterations": sol.iterations})
     print(f"invariant density: {summ.density:.8g} "
           f"({sol.iterations} iterations, residual {out['final_residual']:.3e})")
     print(f"positivity check: {'ok' if lenard.ok else 'FAILED'}")
-    return 0
+    return (0, ["correlations.csv", "summary.json"],
+            {"density": summ.density, "iterations": sol.iterations})
 
 
-def _cmd_evolve(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+def _cmd_evolve(cfg: dict, m, torus, out_dir: str):
     _bind("hierarchy", "tables")
-    section = cfg.get("evolve", {})
+    section = _section(cfg, "evolve")
     form, grid = _section_form(m, torus, section)
-    order, _tol, _max_iter, closure = _solver_args(section)
-    rho0 = float(section.get("initial_density", 1.0))
-    initial = CorrelationTable.poisson(grid, order, rho0)
-    traj = evolve_hierarchy(initial, form, float(section["t_final"]),
-                            dt=float(section.get("dt", 0.01)),
-                            record_every=int(section.get("record_every", 10)),
-                            closure=closure)
+    initial = CorrelationTable.poisson(grid, section["order"], section["initial_density"])
+    traj = evolve_hierarchy(initial, form, section["t_final"], dt=section["dt"],
+                            record_every=section["record_every"],
+                            closure=section["closure"])
     _write_csv(os.path.join(out_dir, "trajectory.csv"), ["t", "density"],
                list(zip(traj.times, traj.density)))
     final = traj.final()
     _write_json(os.path.join(out_dir, "summary.json"), {
         "t_final": float(traj.times[-1]),
         "final_density": final.k1,
-        "initial_density": rho0,
+        "initial_density": section["initial_density"],
         "records": len(traj.times),
     })
-    _manifest(out_dir, "evolve", cfg, ["trajectory.csv", "summary.json"],
-              {"final_density": final.k1})
     print(f"evolved to t={traj.times[-1]:.6g}: density {final.k1:.8g}")
-    return 0
+    return 0, ["trajectory.csv", "summary.json"], {"final_density": final.k1}
 
 
-def _cmd_simulate(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
+def _cmd_simulate(cfg: dict, m, torus, out_dir: str):
     _bind("simulate")
-    section = cfg.get("simulate", {})
-    t_end = float(section["t_end"])
-    n_times = int(section.get("n_times", 21))
-    times = tuple(np.linspace(0.0, t_end, n_times))
-    components = tuple(section.get("components", ["system", "environment"]))
-    master_seed = int(section.get("seed", 12345)) if seed is None else seed
+    section = _section(cfg, "simulate")
+    t_end = section["t_end"]
+    components = tuple(section["components"])
     settings = SimulationSettings(
-        t_end=t_end,
-        epsilon=float(section.get("epsilon", 1.0)),
-        master_seed=master_seed,
-        record_times=times,
-        max_events=int(section.get("max_events", 10_000_000)),
-    )
-    sys_rho = float(section.get("sys_density", 1.0))
-    env_rho = float(section.get("env_density", 1.0))
+        t_end=t_end, epsilon=section["epsilon"], master_seed=section["seed"],
+        record_times=tuple(np.linspace(0.0, t_end, section["n_times"])),
+        max_events=section["max_events"])
+    sys_rho = section["sys_density"] if "system" in components else 0.0
+    env_rho = section["env_density"] if "environment" in components else 0.0
 
     def factory(rng):
-        return MarkedConfiguration(
-            plus=poisson_configuration(rng, torus, sys_rho if "system" in components else 0.0),
-            minus=poisson_configuration(rng, torus, env_rho if "environment" in components else 0.0),
-        )
+        return MarkedConfiguration(plus=poisson_configuration(rng, torus, sys_rho),
+                                   minus=poisson_configuration(rng, torus, env_rho))
 
-    records = replicate(m, torus, factory, settings,
-                        int(section.get("n_replicas", 10)), components)
+    records = replicate(m, torus, factory, settings, section["n_replicas"], components)
     est = estimate_density(records, torus)
     _write_csv(os.path.join(out_dir, "densities.csv"),
                ["t", "mean_plus", "se_plus", "mean_minus", "se_minus"],
@@ -295,46 +272,35 @@ def _cmd_simulate(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int
               "acceptance": {c: acceptance_ratio(t) for c, t in tallies.items()},
               "recomputes": sum(r.recomputes for r in records)}
     _write_json(os.path.join(out_dir, "events.json"), events)
-    _manifest(out_dir, "simulate", cfg, ["densities.csv", "events.json"], {
-        "final_mean_plus": float(est.mean_plus[-1]),
-        "final_mean_minus": float(est.mean_minus[-1]),
-        **events,
-    })
     print(f"simulated {est.n_replicas} replicas to t={t_end:.6g} "
           f"({events['total_events']} events, {events['virtual_events']} virtual)")
     print(f"final densities: system {est.mean_plus[-1]:.6g} "
           f"+- {est.se_plus[-1]:.2g}, environment {est.mean_minus[-1]:.6g} "
           f"+- {est.se_minus[-1]:.2g}")
-    return 0
+    return 0, ["densities.csv", "events.json"], {
+        "final_mean_plus": float(est.mean_plus[-1]),
+        "final_mean_minus": float(est.mean_minus[-1]),
+        **events,
+    }
 
 
-def _cmd_ergodicity(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
-    section = cfg["ergodicity"] if "ergodicity" in cfg else {}
-    if not section:
-        raise ConfigError("ergodicity section is required for this command")
+def _cmd_ergodicity(cfg: dict, m, torus, out_dir: str):
+    section = _section(cfg, "ergodicity")
     _bind("experiments")
     target = section.get("target_density")
     if target is None:
         _bind("hierarchy", "tables")
-        grid = GridSpec(torus=torus,
-                        points_per_axis=int(section.get("grid_points", 64)))
-        sol = ks_solve(component_form(m, "environment"), grid)
-        target = sol.table.k1
+        grid = GridSpec(torus=torus, points_per_axis=section["grid_points"])
+        target = float(ks_solve(component_form(m, "environment"), grid).table.k1)
     lambda_0 = None
     if "c_minus" in section:
         _bind("conditions")
-        env = env_constants(m, float(section["c_minus"]), torus.dim)
+        env = env_constants(m, section["c_minus"], torus.dim)
         lambda_0 = spectral_gap(env.a, env.m_star)
     result = ergodicity_experiment(
-        m, torus,
-        n_replicas=int(section["n_replicas"]),
-        t_end=float(section["t_end"]),
-        initial_density=float(section["initial_density"]),
-        target_density=float(target),
-        n_times=int(section.get("n_times", 21)),
-        master_seed=int(section.get("seed", 2024)) if seed is None else seed,
-        lambda_0=lambda_0,
-    )
+        m, torus, n_replicas=section["n_replicas"], t_end=section["t_end"],
+        initial_density=section["initial_density"], target_density=target,
+        n_times=section["n_times"], master_seed=section["seed"], lambda_0=lambda_0)
     _write_csv(os.path.join(out_dir, "gaps.csv"), ["t", "gap", "se"],
                list(zip(result.times, result.gaps, result.density.se_minus)))
     fit = {
@@ -347,32 +313,22 @@ def _cmd_ergodicity(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> i
         "rate_consistent_with_gap": result.rate_consistent_with_gap,
     }
     _write_json(os.path.join(out_dir, "fit.json"), fit)
-    _manifest(out_dir, "ergodicity", cfg, ["gaps.csv", "fit.json"],
-              {"rate": result.fit.rate, "lambda_0": lambda_0})
     print(f"fitted relaxation rate: {result.fit.rate:.4f} "
           f"+- {result.fit.stderr:.4f} ({result.fit.n_used} points)")
     if lambda_0 is not None:
         verdict = "consistent" if result.rate_consistent_with_gap else "INCONSISTENT"
         print(f"proven lower bound {lambda_0:.4f}: {verdict}")
-    return 0
+    return 0, ["gaps.csv", "fit.json"], {"rate": result.fit.rate, "lambda_0": lambda_0}
 
 
-def _cmd_averaging(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> int:
-    section = cfg["averaging"] if "averaging" in cfg else {}
-    if not section:
-        raise ConfigError("averaging section is required for this command")
+def _cmd_averaging(cfg: dict, m, torus, out_dir: str):
+    section = _section(cfg, "averaging")
     _bind("experiments")
     result = averaging_experiment(
-        m, torus,
-        epsilons=tuple(section.get("epsilons", (1.0, 0.5, 0.2, 0.1))),
-        n_replicas=int(section["n_replicas"]),
-        t_end=float(section["t_end"]),
-        sys_density0=float(section["sys_density"]),
-        env_density0=section.get("env_density"),
-        n_times=int(section.get("n_times", 21)),
-        master_seed=int(section.get("seed", 77)) if seed is None else seed,
-        grid_points=int(section.get("grid_points", 64)),
-    )
+        m, torus, epsilons=section["epsilons"], n_replicas=section["n_replicas"],
+        t_end=section["t_end"], sys_density0=section["sys_density"],
+        env_density0=section.get("env_density"), n_times=section["n_times"],
+        master_seed=section["seed"], grid_points=section["grid_points"])
     _write_csv(os.path.join(out_dir, "distances.csv"),
                ["epsilon", "distance", "se", "argmax_time"],
                list(zip(result.epsilons, result.distances, result.distance_ses,
@@ -395,17 +351,17 @@ def _cmd_averaging(cfg: dict, m, torus, out_dir: str, seed: Optional[int]) -> in
         "env_density": result.env_density,
     }
     _write_json(os.path.join(out_dir, "result.json"), out)
-    _manifest(out_dir, "averaging", cfg,
-              ["distances.csv", "densities.csv", "result.json"],
-              {"distances": out["distances"], "monotone_ok": result.monotone_ok})
     for e, d, s in zip(result.epsilons, result.distances, result.distance_ses):
         print(f"epsilon={e:g}: sup density gap {d:.6g} +- {s:.2g}")
     print(f"gap decreasing with epsilon: {'yes' if result.monotone_ok else 'NO'}")
     print(f"smallest epsilon within noise: "
           f"{'yes' if result.smallest_within_se else 'NO'}")
-    return 0
+    return (0, ["distances.csv", "densities.csv", "result.json"],
+            {"distances": out["distances"], "monotone_ok": result.monotone_ok})
 
 
+# Each command runs on the resolved config, writes its artifacts into
+# out_dir and returns (exit code, the artifacts written, manifest summary).
 _COMMANDS = {
     "check": _cmd_check,
     "invariant": _cmd_invariant,
@@ -455,12 +411,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        m = model_from_config(cfg)
-        torus = torus_from_config(cfg)
+        run = resolve_config(cfg)
+        seeded = _seeded(run, args.command)
+        if args.seed is not None and seeded is not None:
+            seeded["seed"] = args.seed
+        m = model_from_config(run)
+        torus = torus_from_config(run)
         validate_model_on_torus(m, torus)
         out_dir = args.out or f"runs/{args.command}_{config_hash(cfg)}"
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, m, torus, out_dir, args.seed)
+        code, outputs, summary = _COMMANDS[args.command](run, m, torus, out_dir)
+        _write_json(os.path.join(out_dir, "manifest.json"), {
+            "command": args.command,
+            "config_hash": config_hash(cfg),
+            "config": run,
+            "package_version": __version__,
+            "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "outputs": sorted(outputs),
+            "summary": summary,
+        })
+        return code
     # EvaluationError subclasses ValueError, so this clause must come first
     except (ConvergenceError, StabilityError, ExplosionGuardError,
             EvaluationError) as e:

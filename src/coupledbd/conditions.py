@@ -106,7 +106,8 @@ def domination_ratio(num: Potential, den: Potential) -> float:
         return 0.0
     if np.any(dv[active] <= 0):
         return math.inf
-    return float(np.max(nv[active] / dv[active]))
+    with np.errstate(over="ignore"):  # a quotient past the float range is inf
+        return float(np.max(nv[active] / dv[active]))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,16 @@ def _variant_schema(variant: str) -> dict:
             "additionalProperties": False}
 
 
+# The options of both hierarchy sections (invariant, evolve).
+_HIERARCHY = {
+    "component": {"enum": ["environment", "averaged"], "default": "environment"},
+    "grid_points": {"type": "integer", "minimum": 2, "default": 64},
+    "order": {"type": "integer", "enum": [1, 2, 3], "default": 3},
+    "closure": {"enum": ["poisson", "zero"], "default": "poisson"},
+}
+
+# The one home of each option's default (resolve_config fills them in).  An
+# optional key without one means "not given" (spot_check's: SpotCheckSettings).
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
@@ -105,7 +115,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "c_minus": {"type": "number", "exclusiveMinimum": 0},
                 "c_plus": {"type": "number", "exclusiveMinimum": 0},
-                "scan": {"type": "boolean"},
+                "scan": {"type": "boolean", "default": False},
                 "rho_inv": {"type": "number", "minimum": 0},
                 "spot_check": {
                     "type": "object",
@@ -121,30 +131,26 @@ CONFIG_SCHEMA = {
                 },
             },
             "additionalProperties": False,
+            "default": {},
         },
         "invariant": {
             "type": "object",
             "properties": {
-                "component": {"enum": ["environment", "averaged"]},
-                "grid_points": {"type": "integer", "minimum": 2},
-                "order": {"enum": [1, 2, 3]},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
-                "closure": {"enum": ["poisson", "zero"]},
+                **_HIERARCHY,
+                "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-12},
+                "max_iter": {"type": "integer", "minimum": 1, "default": 500},
             },
             "additionalProperties": False,
+            "default": {},
         },
         "evolve": {
             "type": "object",
             "properties": {
-                "component": {"enum": ["environment", "averaged"]},
-                "grid_points": {"type": "integer", "minimum": 2},
-                "order": {"enum": [1, 2, 3]},
+                **_HIERARCHY,
                 "t_final": {"type": "number", "exclusiveMinimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "record_every": {"type": "integer", "minimum": 1},
-                "closure": {"enum": ["poisson", "zero"]},
-                "initial_density": {"type": "number", "minimum": 0},
+                "dt": {"type": "number", "exclusiveMinimum": 0, "default": 0.01},
+                "record_every": {"type": "integer", "minimum": 1, "default": 10},
+                "initial_density": {"type": "number", "minimum": 0, "default": 1.0},
             },
             "required": ["t_final"],
             "additionalProperties": False,
@@ -152,20 +158,21 @@ CONFIG_SCHEMA = {
         "simulate": {
             "type": "object",
             "properties": {
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
+                "epsilon": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
-                "n_replicas": {"type": "integer", "minimum": 1},
-                "n_times": {"type": "integer", "minimum": 2},
-                "sys_density": {"type": "number", "minimum": 0},
-                "env_density": {"type": "number", "minimum": 0},
-                "seed": _SEED_SCHEMA,
+                "n_replicas": {"type": "integer", "minimum": 1, "default": 10},
+                "n_times": {"type": "integer", "minimum": 2, "default": 21},
+                "sys_density": {"type": "number", "minimum": 0, "default": 1.0},
+                "env_density": {"type": "number", "minimum": 0, "default": 1.0},
+                "seed": {**_SEED_SCHEMA, "default": 12345},
                 "components": {
                     "type": "array",
                     "items": {"enum": ["system", "environment"]},
                     "minItems": 1,
                     "uniqueItems": True,
+                    "default": ["system", "environment"],
                 },
-                "max_events": {"type": "integer", "minimum": 1},
+                "max_events": {"type": "integer", "minimum": 1, "default": 10_000_000},
             },
             "required": ["t_end"],
             "additionalProperties": False,
@@ -177,11 +184,11 @@ CONFIG_SCHEMA = {
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
                 "initial_density": {"type": "number", "minimum": 0},
                 "target_density": {"type": "number", "minimum": 0},
-                "n_times": {"type": "integer",
+                "n_times": {"type": "integer", "default": 21,
                             "minimum": _fewest_record_times(FIT_DISCARD_FRAC, FIT_MIN_POINTS)},
-                "seed": _SEED_SCHEMA,
+                "seed": {**_SEED_SCHEMA, "default": 2024},
                 "c_minus": {"type": "number", "exclusiveMinimum": 0},
-                "grid_points": {"type": "integer", "minimum": 2},
+                "grid_points": {"type": "integer", "minimum": 2, "default": 64},
             },
             "required": ["n_replicas", "t_end", "initial_density"],
             "additionalProperties": False,
@@ -193,14 +200,15 @@ CONFIG_SCHEMA = {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
                     "minItems": 2,
+                    "default": [1.0, 0.5, 0.2, 0.1],
                 },
                 "n_replicas": {"type": "integer", "minimum": 2},
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
                 "sys_density": {"type": "number", "minimum": 0},
                 "env_density": {"type": "number", "minimum": 0},
-                "n_times": {"type": "integer", "minimum": 3},
-                "seed": _SEED_SCHEMA,
-                "grid_points": {"type": "integer", "minimum": 2},
+                "n_times": {"type": "integer", "minimum": 3, "default": 21},
+                "seed": {**_SEED_SCHEMA, "default": 77},
+                "grid_points": {"type": "integer", "minimum": 2, "default": 64},
             },
             "required": ["n_replicas", "t_end", "sys_density"],
             "additionalProperties": False,
@@ -232,7 +240,7 @@ _BOUNDS = {
     "maximum": (operator.le, "at most"),
 }
 _KEYWORDS = {"type", "enum", "properties", "required", "additionalProperties",
-             "items", "minItems", "uniqueItems", *_BOUNDS}
+             "items", "minItems", "uniqueItems", "default", *_BOUNDS}
 
 
 def _equal(a, b) -> bool:
@@ -251,11 +259,14 @@ def _fail(path: str, reason: str):
     raise ConfigError(f"invalid configuration: {where}{reason}")
 
 
-def _check(value, schema: dict, path: str) -> None:
-    """Raise ConfigError, naming the dotted key path, where value breaks schema.
+def _check(value, schema: dict, path: str):
+    """value resolved against schema: a copy with each absent key that has a
+    default filled in, integers as int and numbers as float.  Raise
+    ConfigError, naming the dotted key path, where value breaks schema.
 
     Implements the JSON Schema (Draft 2020-12) keywords the schemas above
-    use, with one deliberate difference: a number must be finite.
+    use, with one deliberate difference: a number must be finite.  A
+    default is resolved as if the config had given it.
     """
     unknown = schema.keys() - _KEYWORDS
     if schema.get("type", "object") not in _TYPES:
@@ -277,31 +288,44 @@ def _check(value, schema: dict, path: str) -> None:
         for key in schema.get("required", ()):
             if key not in value:
                 _fail(prefix + key, "required key is missing")
+        out = {}
         for key, item in value.items():
-            if key in props:
-                _check(item, props[key], prefix + key)
-            elif "additionalProperties" in schema:
+            if key not in props and "additionalProperties" in schema:
                 _fail(prefix + key, "unknown key")
-    elif isinstance(value, list):
+            out[key] = _check(item, props.get(key, {}), prefix + key)
+        for key, sub in props.items():
+            if key not in value and "default" in sub:
+                out[key] = _check(sub["default"], sub, prefix + key)
+        return out
+    if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             _fail(path, f"needs at least {schema['minItems']} items")
-        if "items" in schema:
-            for i, item in enumerate(value):
-                _check(item, schema["items"], f"{path}[{i}]")
+        items = [_check(item, schema.get("items", {}), f"{path}[{i}]")
+                 for i, item in enumerate(value)]
         if schema.get("uniqueItems") and any(
                 _equal(a, b) for i, a in enumerate(value) for b in value[i + 1:]):
             _fail(path, f"items of {value!r} are not unique")
-    elif _is_number(value):
+        return items
+    if _is_number(value):
         for key, (holds, words) in _BOUNDS.items():
             if key in schema and not holds(value, schema[key]):
                 _fail(path, f"{value!r} is not {words} {schema[key]}")
+        return int(value) if kind == "integer" else float(value) if kind == "number" else value
+    return value
+
+
+def resolve_config(cfg: dict) -> dict:
+    """Check cfg as validate_config does; return a resolved copy (_check)."""
+    run = _check(cfg, CONFIG_SCHEMA, "")
+    model = run["model"]
+    model["params"] = _check(model["params"], _variant_schema(model["variant"]),
+                             "model.params")
+    return run
 
 
 def validate_config(cfg: dict) -> dict:
     """Schema-check a configuration dict, including the variant parameters."""
-    _check(cfg, CONFIG_SCHEMA, "")
-    model = cfg["model"]
-    _check(model["params"], _variant_schema(model["variant"]), "model.params")
+    resolve_config(cfg)
     return cfg
 
 

@@ -119,8 +119,8 @@ def ergodicity_experiment(
     t_end: float,
     initial_density: float,
     target_density: float,
-    n_times: int = 21,
-    master_seed: int = 2024,
+    n_times: int,
+    master_seed: int,
     lambda_0: Optional[float] = None,
 ) -> ErgodicityResult:
     """Relaxation of the environment density toward its invariant value.
@@ -171,7 +171,7 @@ def averaging_experiment(
     m: RateModel,
     torus: Torus,
     *,
-    epsilons: Sequence[float] = (1.0, 0.5, 0.2, 0.1),
+    epsilons: Sequence[float],
     n_replicas: int,
     t_end: float,
     sys_density0: float,

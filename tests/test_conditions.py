@@ -119,6 +119,15 @@ def test_domination_ratio_cases():
     assert domination_ratio(e, s(1.0, 1.0)) == pytest.approx(1.0, rel=1e-6)
 
 
+def test_domination_ratio_past_the_float_range_is_infinite_without_a_warning():
+    # a subnormal denominator value (a table entry of 5e-324) used to raise
+    # "overflow encountered in divide", which -W error::RuntimeWarning makes
+    # a traceback of the check command
+    den = Potential.table(radii=[0.0, 0.5, 1.0], values=[1.0, 5e-324, 1.0])
+    with np.errstate(all="raise"):
+        assert domination_ratio(Potential.step(1.0, 1.0), den) == math.inf
+
+
 def test_domination_violation_blocks_feasibility():
     m = bdlp_model()                  # theta = 0.833
     c = sys_constants(m, 0.5, 0.5, 1)

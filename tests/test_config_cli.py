@@ -5,18 +5,25 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledbd import cli
 from coupledbd.cli import main
 from coupledbd.config import (
+    _PARAMS,
+    CONFIG_SCHEMA,
     SEED_MAX,
+    _variant_schema,
     config_hash,
     load_config,
     model_from_config,
     potential_from_config,
+    resolve_config,
     torus_from_config,
     validate_config,
 )
@@ -398,6 +405,34 @@ def test_cli_simulate_artifacts_and_seed_override(tmp_path):
     assert ev["n_replicas"] == 3 and ev["total_events"] > 0
 
 
+@pytest.mark.parametrize("command, seed_at", [
+    ("simulate", ("simulate",)),
+    ("check", ("check", "spot_check")),
+    ("invariant", None),
+])
+def test_the_manifest_writes_the_resolved_config_with_the_seed_override(
+        tmp_path, command, seed_at):
+    cfg = _gg_config(c_minus=0.5, c_plus=1.0, spot_check={"samples": 50})
+    cfg["invariant"] = {"grid_points": 32, "order": 1}
+    cfg["simulate"] = {"t_end": 1, "n_replicas": 2.0}
+    out = tmp_path / "out"
+    assert main([command, _write(tmp_path, cfg), "--out", str(out), "--seed", "99"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert set(man) == {"command", "config_hash", "config", "package_version",
+                        "created_utc", "outputs", "summary"}
+    assert man["config_hash"] == config_hash(cfg)
+    want = resolve_config(cfg)
+    if seed_at is not None:
+        section = want
+        for key in seed_at:
+            section = section[key]
+        section["seed"] = 99
+    assert man["config"] == want
+    assert man["config"]["simulate"]["t_end"] == 1.0
+    assert man["config"]["simulate"]["n_replicas"] == 2
+    assert man["config"]["invariant"]["tol"] == 1e-12
+
+
 def test_cli_simulate_reports_counts_per_component(tmp_path):
     cfg = _gg_config()
     cfg["simulate"] = {"t_end": 2.0, "n_replicas": 3, "n_times": 5,
@@ -444,6 +479,16 @@ def test_cli_ergodicity_requires_its_section(tmp_path):
     cfg = _gg_config()
     assert main(["ergodicity", _write(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["evolve", "simulate", "ergodicity", "averaging"])
+def test_cli_exits_2_naming_the_section_a_command_needs_when_it_is_missing(
+        tmp_path, capsys, command):
+    # evolve and simulate used to read t_final and t_end from the absent
+    # section and escape with a KeyError traceback (exit 1)
+    code = main([command, _write(tmp_path, _gg_config()), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"configuration error: {command} section is required" in capsys.readouterr().err
 
 
 def test_cli_averaging_runs_a_small_sweep(tmp_path):
@@ -630,3 +675,129 @@ def test_cli_ergodicity_rejects_fewer_record_times_than_the_rate_fit_needs(
     if code == 2:
         assert ("invalid configuration: ergodicity.n_times: 8 is not at least 9"
                 in capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# Schema-driven configs: every command exits 0, 2, 3 or 4 and never raises
+
+# Strategies for the keys that set a run's cost, so each drawn command stays
+# small: few replicas, short horizons, coarse grids, few spot-check samples.
+# Every other key is drawn from its schema.
+_SMALL = {
+    "simulate.t_end": st.floats(0.01, 0.5),
+    "simulate.n_replicas": st.integers(1, 3),
+    "simulate.n_times": st.integers(2, 5),
+    "simulate.epsilon": st.floats(0.3, 2.0),
+    "simulate.max_events": st.integers(1, 3000),
+    "evolve.t_final": st.floats(0.01, 0.2),
+    "evolve.dt": st.floats(0.05, 0.2),
+    "ergodicity.n_replicas": st.integers(2, 3),
+    "ergodicity.t_end": st.floats(0.05, 0.5),
+    "ergodicity.n_times": st.integers(9, 11),
+    "averaging.epsilons": st.lists(st.floats(0.3, 2.0), min_size=2, max_size=3),
+    "averaging.n_replicas": st.integers(2, 3),
+    "averaging.t_end": st.floats(0.05, 0.3),
+    "averaging.n_times": st.integers(3, 4),
+    "check.spot_check.samples": st.integers(2, 30),
+    "check.spot_check.configs_per_size": st.integers(1, 2),
+    "check.spot_check.max_points": st.integers(1, 2),
+    "check.spot_check.order_cap": st.integers(0, 2),
+    "max_iter": st.integers(1, 30),
+    "grid_points": st.integers(2, 5),
+    "density": st.floats(0.0, 1.0),
+    "torus": st.sampled_from([1, 2, 3]).flatmap(lambda dim: st.fixed_dictionaries(
+        {"dim": st.just(dim), "side": st.floats(2.0, {1: 12.0, 2: 5.0, 3: 3.0}[dim])})),
+    "potential": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("step"), "height": st.floats(0.0, 2.0),
+                               "cutoff": st.floats(0.05, 1.2)}),
+        st.fixed_dictionaries({"kind": st.just("exponential"), "amplitude": st.floats(0.0, 2.0),
+                               "decay": st.floats(0.5, 4.0), "cutoff": st.floats(0.05, 1.2)}),
+        st.builds(lambda values: {"kind": "table", "radii": [0.0, 0.5, 1.0], "values": values},
+                  st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3)),
+        st.just({"kind": "zero"})),
+    "rate": st.floats(0.05, 1.0),
+}
+
+
+def _small(path):
+    """The budget strategy of a dotted path, by full path or by last key."""
+    key = path.rsplit(".", 1)[-1]
+    if path in _SMALL or key in _SMALL:
+        return _SMALL.get(path, _SMALL.get(key))
+    if key.endswith("density"):
+        return _SMALL["density"]
+    return None
+
+
+@st.composite
+def _from_schema(draw, schema, path=""):
+    """A value valid under schema; an optional key is present or absent."""
+    small = _small(path)
+    if small is not None:
+        return draw(small)
+    if "enum" in schema:
+        return draw(st.sampled_from(schema["enum"]))
+    kind = schema.get("type")
+    if kind == "object":
+        out = {}
+        for key, sub in schema.get("properties", {}).items():
+            if key in schema.get("required", ()) or draw(st.booleans()):
+                out[key] = draw(_from_schema(sub, f"{path}.{key}" if path else key))
+        return out
+    if kind == "array":
+        return draw(st.lists(_from_schema(schema["items"], f"{path}[]"),
+                             min_size=schema.get("minItems", 0), max_size=2,
+                             unique=schema.get("uniqueItems", False)))
+    if kind == "boolean":
+        return draw(st.booleans())
+    low = schema.get("minimum", schema.get("exclusiveMinimum", 0))
+    if kind == "integer":
+        return draw(st.integers(low + ("exclusiveMinimum" in schema),
+                                schema.get("maximum", low + 20)))
+    return draw(st.floats(low, low + 20.0, exclude_min="exclusiveMinimum" in schema))
+
+
+@st.composite
+def _cli_configs(draw, command):
+    """A valid config that holds the command's own section 7 times in 8."""
+    cfg = draw(_from_schema(CONFIG_SCHEMA))
+    if command not in cfg and draw(st.integers(0, 3)):
+        cfg[command] = draw(_from_schema(CONFIG_SCHEMA["properties"][command], command))
+    variant = cfg["model"]["variant"]
+    params = {}
+    for name, sub in _variant_schema(variant)["properties"].items():
+        if name in _PARAMS[variant]["potentials"]:
+            if draw(st.booleans()):
+                params[name] = draw(_SMALL["potential"])
+        else:
+            params[name] = draw(_SMALL["rate"] if "minimum" in sub
+                                else st.floats(0.2, 2.0))
+    cfg["model"]["params"] = params
+    if cfg["torus"]["dim"] > 1:
+        # the default grid, 64 points per axis, makes an order-3 table of
+        # 64**(2 * dim) entries: too large in 2D and 3D
+        for name in ("invariant", "evolve", "ergodicity", "averaging"):
+            if name in cfg or name == "invariant":
+                cfg.setdefault(name, {}).setdefault("grid_points",
+                                                   draw(_SMALL["grid_points"]))
+    return cfg
+
+
+_EXITS = {0, 2, 3, 4}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@settings(max_examples=6, derandomize=True)
+@given(data=st.data(), seed=st.none() | st.integers(0, SEED_MAX))
+def test_every_command_on_a_schema_drawn_config_exits_with_a_documented_code(
+        command, data, seed):
+    cfg = data.draw(_cli_configs(command))
+    validate_config(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        argv = [command, path, "--out", os.path.join(tmp, "out")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert main(argv) in _EXITS

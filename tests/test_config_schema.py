@@ -1,6 +1,8 @@
 """The config validator against its schema, and against jsonschema as oracle."""
 
+import ast
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -264,3 +266,147 @@ def test_variant_parameters_are_the_declared_table():
                            "vphi_minus", "vphi_plus"],
         },
     }
+
+
+# ---------------------------------------------------------------------------
+# Defaults: the schema is the one home of every option's default
+
+def _paths(schema, path=""):
+    """(dotted path, subschema) for every subschema of schema."""
+    yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from _paths(sub, f"{path}.{key}" if path else key)
+    if "items" in schema:
+        yield from _paths(schema["items"], f"{path}[]")
+
+
+_DEFAULTS = [(path, sub) for path, sub in _paths(CONFIG_SCHEMA) if "default" in sub]
+
+
+@pytest.mark.parametrize("path, sub", _DEFAULTS, ids=[p for p, _ in _DEFAULTS])
+def test_every_default_passes_its_own_subschema(path, sub):
+    resolved = config._check(sub["default"], sub, path)
+    assert config._check(resolved, sub, path) == resolved
+
+
+def _assert_resolved_types(value, schema, path=""):
+    """Integers are int and numbers float, everywhere the schema types them."""
+    kind = schema.get("type")
+    if kind == "integer":
+        assert type(value) is int, (path, value)
+    elif kind == "number":
+        assert type(value) is float, (path, value)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _assert_resolved_types(item, schema.get("properties", {}).get(key, {}),
+                                   f"{path}.{key}")
+    elif isinstance(value, list):
+        for item in value:
+            _assert_resolved_types(item, schema.get("items", {}), f"{path}[]")
+
+
+def _integer_valued(cfg):
+    """cfg with each integer-valued float written as an int and each int as
+    a float, which the schema accepts alike."""
+    if isinstance(cfg, dict):
+        return {k: _integer_valued(v) for k, v in cfg.items()}
+    if isinstance(cfg, list):
+        return [_integer_valued(v) for v in cfg]
+    if isinstance(cfg, float) and cfg.is_integer():
+        return int(cfg)
+    if isinstance(cfg, int) and not isinstance(cfg, bool):
+        return float(cfg)
+    return cfg
+
+
+def _same_types(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_types(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_types, a, b))
+    return type(a) is type(b)
+
+
+_RESOLVE_CASES = [(v, sections, retyped) for v in sorted(_PARAMS)
+                  for sections in (False, True) for retyped in (False, True)]
+
+
+@pytest.mark.parametrize("variant, sections, retyped", _RESOLVE_CASES)
+def test_resolving_leaves_the_input_alone_is_idempotent_and_types_every_number(
+        variant, sections, retyped):
+    cfg = _valid_config(variant, sections)
+    if retyped:
+        cfg = _integer_valued(cfg)
+    before = copy.deepcopy(cfg)
+    run = config.resolve_config(cfg)
+    assert cfg == before and _same_types(cfg, before)
+    assert validate_config(cfg) is cfg
+    assert config.resolve_config(run) == run
+    _assert_resolved_types(run, CONFIG_SCHEMA)
+    _assert_resolved_types(run["model"]["params"], _variant_schema(variant))
+    # the resolved config is a new tree: changing it changes neither cfg
+    # nor a default in the schema
+    run["check"]["probe"] = 1
+    run["model"]["params"]["probe"] = 1
+    assert cfg == before
+    assert CONFIG_SCHEMA["properties"]["check"]["default"] == {}
+
+
+def test_a_given_value_wins_over_the_default_and_an_absent_one_takes_it():
+    cfg = _valid_config("glauber_glauber", sections=False)
+    cfg["simulate"] = {"t_end": 1, "n_replicas": 3.0}
+    run = config.resolve_config(cfg)
+    sim = run["simulate"]
+    assert sim["t_end"] == 1.0 and type(sim["t_end"]) is float
+    assert sim["n_replicas"] == 3 and type(sim["n_replicas"]) is int
+    assert sim["seed"] == 12345 and sim["components"] == ["system", "environment"]
+    assert run["check"] == {"scan": False}
+    assert run["invariant"] == {"component": "environment", "grid_points": 64, "order": 3,
+                                "closure": "poisson", "tol": 1e-12, "max_iter": 500}
+    assert "evolve" not in run and "ergodicity" not in run and "averaging" not in run
+
+
+# The smallest section of each command: its required keys only.  check and
+# invariant need none and default to {}.
+_MINIMAL = {
+    "check": None,
+    "invariant": None,
+    "evolve": {"t_final": 1.0},
+    "simulate": {"t_end": 1.0},
+    "ergodicity": {"n_replicas": 2, "t_end": 1.0, "initial_density": 1.0},
+    "averaging": {"n_replicas": 2, "t_end": 1.0, "sys_density": 0.3},
+}
+
+# Options whose absence means "not given": a command reads them with
+# section.get(key), or with section[key] only where the key is present.
+_NOT_GIVEN = {
+    "check": {"c_minus", "c_plus", "rho_inv", "spot_check"},
+    "ergodicity": {"target_density", "c_minus"},
+    "averaging": {"env_density"},
+}
+
+
+def _section_reads(*functions):
+    """The string keys read as section["key"] in the named cli functions."""
+    from coupledbd import cli
+    tree = ast.parse(inspect.getsource(cli))
+    keys = set()
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in functions):
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "section" and isinstance(node.slice, ast.Constant)):
+                keys.add(node.slice.value)
+    return keys
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL))
+def test_a_minimal_config_resolves_every_key_its_command_reads(command):
+    cfg = _valid_config("glauber_glauber", sections=False)
+    if _MINIMAL[command] is not None:
+        cfg[command] = dict(_MINIMAL[command])
+    section = config.resolve_config(cfg)[command]
+    props = CONFIG_SCHEMA["properties"][command]["properties"]
+    assert section.keys() == props.keys() - _NOT_GIVEN.get(command, set())
+    helpers = ("_section_form",) if command in ("invariant", "evolve") else ()
+    reads = _section_reads(f"_cmd_{command}", *helpers) - _NOT_GIVEN.get(command, set())
+    assert reads and reads <= section.keys()
