@@ -55,11 +55,11 @@ from .models import ComponentForm, component_form
 from .tables import (
     CorrelationTable,
     GridSpec,
-    _triple_sum,
     kernel_stencil,
     mayer_stencil,
     pointwise_stencil,
     positive_mayer_stencil,
+    product_expectation,
     radial_profile,
     validate_grid_for_model,
 )
@@ -525,10 +525,8 @@ _PAIRING_MASSES = (-1.2, -1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0, 1.2)
 
 
 def _pairing_values(table: CorrelationTable) -> list:
-    """Truncated expectations of product observables prod (1 + g(x)) over
-    sampled radial profiles g >= -0.9:
-
-        S(g) = k0 + sum g k1 dv + (1/2) sum g(x) g(y) k2(y-x) dv^2 + ...
+    """Truncated expectations S(g) (tables.product_expectation) of product
+    observables prod (1 + g(x)) over sampled radial profiles g >= -0.9.
 
     Each profile is a Gaussian bump of random width scaled so the first
     order mass sum g k1 dv lands on a fixed ladder of values; amplitudes
@@ -544,12 +542,10 @@ def _pairing_values(table: CorrelationTable) -> list:
     grid = table.grid
     dv = grid.cell_volume
     r = grid.distances
-    side = grid.torus.side
-    di = grid.diff_index
-    k2m = table.k2[di]               # k2 at offset_j - offset_l
+    k2m = table.k2[grid.diff_index]  # k2 at offset_j - offset_l
     rng = np.random.default_rng(20240117)
     for target in _PAIRING_MASSES:
-        width = rng.uniform(0.08, 0.45) * side
+        width = rng.uniform(0.08, 0.45) * grid.torus.side
         raw = np.exp(-((r / width) ** 2))
         u0 = rho * float(np.sum(raw)) * dv
         if u0 <= 0:
@@ -557,12 +553,7 @@ def _pairing_values(table: CorrelationTable) -> list:
         c = target / u0
         if c < -0.9:                 # keep 1 + g(x) >= 0.1 pointwise
             c = -0.9
-        g = c * raw
-        s = float(table.k0) + rho * float(np.sum(g)) * dv
-        s += 0.5 * float(g @ k2m @ g) * dv ** 2
-        if table.order >= 3:
-            s += _triple_sum(table.k3, g, di) * dv ** 3 / 6.0
-        vals.append(s)
+        vals.append(product_expectation(table, c * raw, dv, k2m))
     return vals
 
 

@@ -24,15 +24,16 @@ The environment of every variant, and the system of an AveragedModel, have
 no cross terms and so are autonomous one-component dynamics; component_form
 returns those forms and hierarchy.py re-exports both.  The system of a full
 model has cross terms; rate_form returns every form.  The pointwise rates,
-the death vectors and the birth proposals of every component are derived
-from its form, the event loop updates its rates by the same terms, and the
-averaged model replaces the cross terms of the system form by their
-averages; only the plus decomposition kernels keep one branch per variant.
+their kernel expansions, the death vectors and the birth proposals of every
+component are derived from its form, the event loop updates its rates by
+the same terms, and the averaged model replaces the cross terms of the
+system form by their averages.
 
 For each model the birth/death rates admit a finite-difference kernel
 expansion d(x, gamma) = sum over finite eta inside gamma of D(x, eta) (and
-likewise b against B); decomposition_kernels evaluates those kernels.  The
-subset-sum identity tying kernels to rates is enforced by tests.
+likewise b against B); _form_kernels expands any form into those kernels
+and decomposition_kernels applies it to both components.  The subset-sum
+identity tying kernels to rates is enforced by tests.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ from .geometry import (
     MarkedConfiguration,
     Torus,
     distances_from,
-    pairwise_distances,
     squared_distances_from,
     squared_pairwise_distances,
 )
-from .potentials import Potential, mayer, potential_functionals, sample_kernel_offsets
+from .potentials import Potential, potential_functionals, sample_kernel_offsets
 
 
 @dataclass(frozen=True)
@@ -352,90 +352,59 @@ def sys_rates(x, gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> Tupl
     return _form_rates(x, gamma.plus.points, gamma.minus.points, rate_form(m, "system"), torus)
 
 
-def _mayer_product(x, cfg: FiniteConfiguration, pot: Potential, torus: Torus) -> float:
-    """Product of (exp(-pot(|x-y|)) - 1) over y in cfg; 1 on the empty set."""
-    if cfg.size == 0:
+def _mayer_product(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus,
+                   sign: float = -1.0) -> float:
+    """Product of (exp(sign * pot(|x - y|)) - 1) over the rows y of pts: 1 on
+    the empty set, 0 on a nonempty one when the term is absent."""
+    if len(pts) == 0:
         return 1.0
-    d = pairwise_distances(np.asarray(x, dtype=float)[None, :], cfg.points, torus)[0]
-    return float(np.prod(mayer(pot, d)))
-
-
-def _positive_mayer_product(x, cfg: FiniteConfiguration, pot: Potential, torus: Torus) -> float:
-    """Product of (exp(+pot(|x-y|)) - 1) over y in cfg; 1 on the empty set."""
-    if cfg.size == 0:
-        return 1.0
-    d = pairwise_distances(np.asarray(x, dtype=float)[None, :], cfg.points, torus)[0]
-    return float(np.prod(np.expm1(pot(d))))
-
-
-def _additive_pair(x, eta: FiniteConfiguration, const: float, pot: Optional[Potential],
-                   torus: Torus, scale: float = 1.0) -> float:
-    """Kernel of the additive rate const + scale * sum of pot: const on the
-    empty set, scale * pot(|x-y|) on singletons, 0 on larger sets."""
-    if eta.size == 0:
-        return const
-    if eta.size > 1 or pot is None:
+    if pot is None:
         return 0.0
-    r = pairwise_distances(np.asarray(x, dtype=float)[None, :], eta.points, torus)[0, 0]
-    return scale * float(pot(np.array([r]))[0])
+    return float(np.prod(np.expm1(sign * pot(distances_from(x, pts, torus)))))
 
 
-def _form_kernels(x, eta: FiniteConfiguration, f: ComponentForm, torus: Torus) -> Tuple[float, float]:
-    """(D, B) kernels of the one-component dynamics f at x and eta."""
+def _singleton(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) -> float:
+    """pot(|x - y|) when pts holds one point y; 0 otherwise or without pot."""
+    if pot is None or len(pts) != 1:
+        return 0.0
+    return float(pot(distances_from(x, pts, torus))[0])
+
+
+def _form_kernels(x, eta: FiniteConfiguration, f: ComponentForm, torus: Torus,
+                  other: Optional[FiniteConfiguration] = None) -> Tuple[float, float]:
+    """(D, B) kernels at x of form f on eta, its own points, and other, the
+    other component's (empty when not given).  An exponential part gives
+    Mayer products, an additive one its constant on the empty pair and its
+    kernels on singletons, a parent's weighted by its damping's Mayer
+    product over the other points."""
+    x = np.asarray(x, dtype=float)
+    own = eta.points
+    other = own[:0] if other is None else other.points
+    if len(own) + len(other) == 0:
+        return f.death_const, f.birth_const
     if f.death_pot is not None:
-        death = f.death_const * _positive_mayer_product(x, eta, f.death_pot, torus)
+        death = 0.0 if len(other) else f.death_const * _mayer_product(x, own, f.death_pot, torus, 1.0)
+    elif len(other):
+        death = 0.0 if len(own) else _singleton(x, other, f.cross_death_kernel, torus)
     else:
-        death = _additive_pair(x, eta, f.death_const, f.death_kernel, torus)
-    if f.birth_pot is not None:
-        birth = f.birth_const * _mayer_product(x, eta, f.birth_pot, torus)
+        death = _singleton(x, own, f.death_kernel, torus)
+    if f.damping is not None:
+        birth = (f.birth_const * _mayer_product(x, own, f.birth_pot, torus)
+                 * _mayer_product(x, other, f.cross_birth_pot, torus))
+    elif len(own) == 1:
+        birth = (f.birth_kernel_scale * _singleton(x, own, f.birth_kernel, torus)
+                 * _mayer_product(own[0], other, f.parent_pot, torus))
     else:
-        birth = _additive_pair(x, eta, f.birth_const, f.birth_kernel, torus, f.birth_kernel_scale)
+        birth = 0.0 if len(own) else _singleton(x, other, f.cross_birth_kernel, torus)
     return death, birth
 
 
 def decomposition_kernels(m: RateModel, x, eta: MarkedConfiguration, torus: Torus):
-    """(D_minus, B_minus, D_plus, B_plus) evaluated at x and eta.
-
-    The minus kernels are functions of eta.minus alone; the plus kernels see
-    the whole pair.  Summed over all subconfigurations they reproduce the
-    rates, which is the defining property.
-    """
-    x = np.asarray(x, dtype=float)
-    ep, em = eta.plus, eta.minus
-    d_minus, b_minus = _form_kernels(x, em, component_form(m), torus)
-
-    if isinstance(m, GlauberGlauber):
-        d_plus = 1.0 if (ep.size == 0 and em.size == 0) else 0.0
-        b_plus = m.z_plus * _mayer_product(x, ep, m.phi_plus, torus) * _mayer_product(x, em, m.phi_minus, torus)
-    elif isinstance(m, BdlpInGlauber):
-        if em.size == 0:
-            d_plus = _additive_pair(x, ep, m.m_plus, m.a_minus, torus)
-            b_plus = _additive_pair(x, ep, 0.0, m.a_plus, torus)
-        elif ep.size == 0:
-            d_plus = _additive_pair(x, em, 0.0, m.b_minus, torus)
-            b_plus = _additive_pair(x, em, 0.0, m.b_plus, torus)
-        else:
-            d_plus = 0.0
-            b_plus = 0.0
-    elif isinstance(m, BranchingInGlauber):
-        d_plus = m.m_plus * _positive_mayer_product(x, ep, m.kappa, torus) if em.size == 0 else 0.0
-        if ep.size == 1:
-            y = ep.points[0]
-            disp = float(pairwise_distances(x[None, :], ep.points, torus)[0, 0])
-            b_plus = float(m.a_plus(np.array([disp]))[0]) * _mayer_product(y, em, m.phi, torus)
-        else:
-            b_plus = 0.0
-    elif isinstance(m, TwoBdlp):
-        if em.size == 0:
-            d_plus = _additive_pair(x, ep, m.m_plus, m.b_minus, torus)
-            b_plus = _additive_pair(x, ep, 0.0, m.b_plus, torus)
-        elif ep.size == 0:
-            d_plus = _additive_pair(x, em, 0.0, m.vphi_minus, torus)
-            b_plus = _additive_pair(x, em, 0.0, m.vphi_plus, torus)
-        else:
-            d_plus = 0.0
-            b_plus = 0.0
-
+    """(D_minus, B_minus, D_plus, B_plus) at x and eta: the minus kernels read
+    eta.minus alone, the plus kernels the whole pair.  Summed over all
+    subconfigurations they reproduce the rates, their defining property."""
+    d_minus, b_minus = _form_kernels(x, eta.minus, component_form(m), torus)
+    d_plus, b_plus = _form_kernels(x, eta.plus, rate_form(m, "system"), torus, eta.minus)
     return d_minus, b_minus, d_plus, b_plus
 
 

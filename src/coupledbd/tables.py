@@ -24,9 +24,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, SizeLimitError
 from .geometry import Torus
 from .potentials import Potential, potential_functionals
+
+# Most cells P a grid may have: its difference index has P x P entries and
+# an order-3 table P^2 values, 134 MB at the 2D default of 64 points per axis.
+MAX_GRID_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,10 @@ class GridSpec:
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ConfigError("points_per_axis must be at least 2")
+        if self.num_cells > MAX_GRID_CELLS:
+            raise SizeLimitError(
+                f"grid_points {self.points_per_axis} in {self.torus.dim}D gives "
+                f"P = {self.num_cells} cells, above the cap of {MAX_GRID_CELLS}")
 
     @property
     def h(self) -> float:
@@ -332,6 +340,25 @@ def _triple_sum(k3: np.ndarray, w: np.ndarray, di: np.ndarray) -> float:
     return float(np.sum(triple * k3))
 
 
+def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0,
+                        k2m: Optional[np.ndarray] = None) -> float:
+    """Expectation of the product over the points x of (1 + g(x)) for a
+    lattice field g of cell weight dv, truncated at the table's order:
+
+        k0 + k1 sum g dv + (1/2) sum g(x) g(y) k2(y - x) dv^2
+           + (1/6) sum g(x) g(y) g(z) k3(y - x, z - x) dv^3
+
+    k2m, table.k2[grid.diff_index], is gathered here unless given."""
+    value = table.k0 + table.k1 * float(np.sum(g)) * dv
+    if table.order >= 2:
+        if k2m is None:
+            k2m = table.k2[table.grid.diff_index]
+        value += 0.5 * float(g @ k2m @ g) * dv ** 2
+    if table.order >= 3:
+        value += _triple_sum(table.k3, g, table.grid.diff_index) * dv ** 3 / 6.0
+    return value
+
+
 def exp_mayer_functional(table: CorrelationTable, pot: Potential) -> Tuple[float, float]:
     """Averaged damping factor: the expansion of
     E[prod over environment points y of exp(-pot(x - y))] in correlation
@@ -346,14 +373,7 @@ def exp_mayer_functional(table: CorrelationTable, pot: Potential) -> Tuple[float
         return 1.0, 0.0
     w = mayer_stencil(grid, pot) * grid.cell_volume
     beta_hat = abs(float(np.sum(w)))
-
-    value = table.k0
-    value += table.k1 * float(np.sum(w))
-    if table.order >= 2:
-        m2 = table.k2[grid.diff_index]
-        value += 0.5 * float(w @ m2 @ w)
-    if table.order >= 3:
-        value += _triple_sum(table.k3, w, grid.diff_index) / 6.0
+    value = product_expectation(table, w)
 
     sups = table.sup_by_order()
     c = 0.0

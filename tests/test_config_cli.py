@@ -491,6 +491,40 @@ def test_cli_exits_2_naming_the_section_a_command_needs_when_it_is_missing(
     assert f"configuration error: {command} section is required" in capsys.readouterr().err
 
 
+def test_grids_too_large_for_a_table_exit_2_naming_grid_points(tmp_path):
+    # The default grid_points (64 per axis) on a 3D torus is P = 262144 cells,
+    # whose P x P difference index alone needs 1.5 TiB: numpy's MemoryError
+    # used to escape as a traceback (exit 1).  The commands run in a fresh
+    # interpreter under an address-space limit, so that a regression fails
+    # here instead of asking the machine for that memory.
+    cfg = _gg_config()
+    cfg["torus"] = {"side": 4.0, "dim": 3}
+    cfg["evolve"] = {"t_final": 0.1}
+    cfg["ergodicity"] = {"n_replicas": 2, "t_end": 0.1, "initial_density": 0.0}
+    cfg["averaging"] = {"n_replicas": 2, "t_end": 0.1, "sys_density": 0.1}
+    commands = ["invariant", "evolve", "ergodicity", "averaging"]
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))\n"
+        "from coupledbd.cli import main\n"
+        f"for command in {commands!r}:\n"
+        f"    print(main([command, {_write(tmp_path, cfg)!r}, '--out', {str(tmp_path)!r}]),"
+        " flush=True)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2"] * len(commands)
+    errors = out.stderr.strip().splitlines()
+    assert len(errors) == len(commands)
+    for line in errors:
+        assert line.startswith("configuration error: grid_points 64")
+        assert "262144 cells" in line
+
+
 def test_cli_averaging_runs_a_small_sweep(tmp_path):
     cfg = _gg_config()
     cfg["averaging"] = {"epsilons": [1.0, 0.5], "n_replicas": 8,

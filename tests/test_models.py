@@ -64,24 +64,40 @@ def _marked_subsets(eta):
                                       minus=eta.minus.subset(im))
 
 
+def _clustered_cases(rng, sizes):
+    """(torus, x, eta) with every point of eta within 0.3 of x, on TORUS1 and
+    on a small 2D torus.  Every pair term of the fixture models (cutoffs 0.5
+    and 1) is then live, which points spread over TORUS1 rarely make them."""
+    for torus in (TORUS1, Torus(dim=2, side=3.0)):
+        half = 0.3 / math.sqrt(torus.dim)
+        for n_plus, n_minus in sizes:
+            x = torus.uniform(rng, 1)[0]
+            plus, minus = (torus.wrap(x + rng.uniform(-half, half, (n, torus.dim)))
+                           for n in (n_plus, n_minus))
+            yield torus, x, marked(plus, minus, dim=torus.dim)
+
+
 @pytest.mark.parametrize("build", ALL_MODELS, ids=lambda b: b.__name__)
 def test_kernel_subset_sums_reproduce_the_rates(build):
     m = build()
     rng = np.random.default_rng(31)
+    cases = []
     for n_plus, n_minus in [(0, 0), (1, 0), (0, 2), (2, 1), (2, 2), (1, 3)]:
         eta = random_marked(rng, TORUS1, n_plus, n_minus)
-        x = TORUS1.uniform(rng, 1)[0]
+        cases.append((TORUS1, TORUS1.uniform(rng, 1)[0], eta))
+    cases += _clustered_cases(rng, [(0, 1), (1, 0), (1, 1), (2, 1), (1, 3), (3, 2)])
+    for torus, x, eta in cases:
         sums = np.zeros(4)
         for xi in _marked_subsets(eta):
-            k = decomposition_kernels(m, x, xi, TORUS1)
+            k = decomposition_kernels(m, x, xi, torus)
             # minus kernels must not double count over system subsets
             if xi.plus.size == 0:
                 sums[0] += k[0]
                 sums[1] += k[1]
             sums[2] += k[2]
             sums[3] += k[3]
-        d_env, b_env = env_rates(x, eta.minus, m, TORUS1)
-        d_sys, b_sys = sys_rates(x, eta, m, TORUS1)
+        d_env, b_env = env_rates(x, eta.minus, m, torus)
+        d_sys, b_sys = sys_rates(x, eta, m, torus)
         for got, want in zip(sums, (d_env, b_env, d_sys, b_sys)):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -434,14 +450,19 @@ def test_form_kernel_subset_sums_reproduce_the_averaged_rates(build):
     am = build_averaged_model(build(), _poisson_table(0.5), TORUS1)
     form = component_form(am, "system")
     rng = np.random.default_rng(19)
+    cases = []
     for n in range(4):
         gp = random_marked(rng, TORUS1, n, 0).plus
-        x = TORUS1.uniform(rng, 1)[0]
+        cases.append((TORUS1, TORUS1.uniform(rng, 1)[0], gp))
+    cases += ((torus, x, eta.plus)
+              for torus, x, eta in _clustered_cases(rng, [(1, 0), (2, 0), (3, 0)]))
+    for torus, x, gp in cases:
+        n = gp.size
         sums = np.zeros(2)
         for k in range(1 << n):
             sums += _form_kernels(x, gp.subset([i for i in range(n) if k >> i & 1]),
-                                  form, TORUS1)
-        want = averaged_rates(x, gp, am, TORUS1)
+                                  form, torus)
+        want = averaged_rates(x, gp, am, torus)
         assert sums == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 

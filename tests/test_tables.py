@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupledbd.errors import ConfigError
+from coupledbd.errors import ConfigError, SizeLimitError
 from coupledbd.geometry import Torus, min_image_diff
 from coupledbd.potentials import Potential, potential_functionals
 from coupledbd.tables import (
+    MAX_GRID_CELLS,
     CorrelationTable,
     GridSpec,
     _triple_sum,
@@ -18,6 +19,7 @@ from coupledbd.tables import (
     kernel_stencil,
     mayer_stencil,
     pointwise_stencil,
+    product_expectation,
     radial_profile,
     validate_grid_for_model,
 )
@@ -201,3 +203,39 @@ def test_triple_sum_matches_the_brute_force_sum(dim, n):
                    for p1 in range(p) for p2 in range(p) for p3 in range(p))
     got = _triple_sum(k3, w, grid.diff_index)
     assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_product_expectation_matches_the_brute_force_sums():
+    # k0 + k1 sum g dv + 1/2 sum g g k2 dv^2 + 1/6 sum g g g k3 dv^3, with
+    # the offset differences taken on the lattice, not from diff_index
+    n, dv = 4, 0.3
+    grid = GridSpec(torus=Torus(dim=2, side=float(n)), points_per_axis=n)
+    p = grid.num_cells
+    rng = np.random.default_rng(5)
+    table = CorrelationTable(grid, 3, 1.0, 0.7, rng.normal(size=p), rng.normal(size=(p, p)))
+    g = rng.normal(size=p)
+    lat = np.array(np.unravel_index(np.arange(p), (n, n))).T
+
+    def diff(a, b):
+        return int(np.ravel_multi_index(tuple(np.mod(lat[a] - lat[b], n)), (n, n)))
+
+    pair = sum(g[a] * g[b] * table.k2[diff(b, a)] for a in range(p) for b in range(p))
+    triple = sum(g[a] * g[b] * g[c] * table.k3[diff(b, a), diff(c, a)]
+                 for a in range(p) for b in range(p) for c in range(p))
+    partial = [1.0, 0.7 * g.sum() * dv, pair * dv ** 2 / 2, triple * dv ** 3 / 6]
+    for order in (1, 2, 3):
+        t = CorrelationTable(grid, order, 1.0, 0.7, table.k2, table.k3)
+        got = product_expectation(t, g, dv)
+        assert got == pytest.approx(sum(partial[:order + 1]), rel=1e-12)
+        if order >= 2:
+            assert product_expectation(t, g, dv, t.k2[grid.diff_index]) == got
+
+
+def test_a_grid_above_the_cell_cap_is_refused_naming_grid_points():
+    # the default 64 points per axis is the cap in 2D; in 3D it asks for a
+    # P x P index of 1.5 TiB
+    assert GridSpec(torus=Torus(dim=2, side=10.0), points_per_axis=64).num_cells == MAX_GRID_CELLS
+    with pytest.raises(SizeLimitError, match="grid_points 64 in 3D gives P = 262144 cells"):
+        GridSpec(torus=Torus(dim=3, side=4.0), points_per_axis=64)
+    with pytest.raises(SizeLimitError, match=f"above the cap of {MAX_GRID_CELLS}"):
+        GridSpec(torus=TORUS1, points_per_axis=MAX_GRID_CELLS + 1)
