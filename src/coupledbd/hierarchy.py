@@ -19,6 +19,16 @@ closed by the mean-field substitution
 or by zero.  The dropped terms carry products of two or more Mayer masses,
 below the closure error for the activity ranges of interest.
 
+Beyond its constants a form has at most one death and one birth part,
+additive (a kernel) or exponential (const * (e^{+-pot} - 1)).  An
+exponential part is the additive one with that kernel, each term that
+carries a fixed pair multiplied by the dressing e^{+-pot}.  A StencilPart
+holds one part with its constant (death_const, birth_const or
+birth_kernel_scale) folded in, so orders 1 and 2 have one death path and
+one birth path.  With a constant death rate the order-n output reads only
+k0..kn, and the density z / (death_const + z beta) is the same at every
+order.
+
 The invariant state is computed as the fixed point of the rearranged
 balance equation: with M(eta) = |eta| * death_const,
 
@@ -36,8 +46,8 @@ l_delta_apply tables whose entries are views into it
 (CorrelationTable.from_vector).  Each l_delta_apply call allocates one
 vector, its result; every other array it touches is preallocated.
 build_stencils computes the table-independent order-3 factors once (the
-birth factors already scaled by the activity z) and keeps two P x P
-scratch arrays, the workspace the order-3 step assembles its terms in.
+dressings or shifted rates of each part) and keeps two P x P scratch
+arrays, the workspace the order-3 step assembles its terms in.
 The solvers update their iterates, mixing histories and Runge-Kutta
 stages in place, and copy a state only when they record or return it.
 """
@@ -52,6 +62,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, ModelError, StabilityError
 from .models import ComponentForm, component_form
+from .potentials import Potential
 from .tables import (
     CorrelationTable,
     GridSpec,
@@ -71,98 +82,85 @@ _CLOSURES = ("poisson", "zero")
 # stencil bundle
 
 @dataclass(eq=False)
+class StencilPart:
+    """The death or the birth part of a form on the grid, its constant
+    folded in (see the module docstring)."""
+    p: np.ndarray                         # pair factor at the offsets
+    cw: np.ndarray                        # mass-corrected factor * cell volume
+    dress: Optional[np.ndarray] = None    # e^{+-pot} at the offsets; None if additive
+    cw2: Optional[np.ndarray] = None      # cw at offset[j] - offset[l], [j, l] (order >= 2)
+
+    def __post_init__(self):
+        self.mass = float(np.sum(self.cw))
+
+
+@dataclass(eq=False)
 class StencilBundle:
+    """A form's death and birth parts on a grid (None where the term is
+    absent, zero, or scaled by 0), plus the order-3 factors and workspace."""
     grid: GridSpec
     form: ComponentForm
     order: int
-    # additive death
-    am_p: Optional[np.ndarray] = None      # pointwise kernel values
-    am_cw: Optional[np.ndarray] = None     # mass-corrected values * cell volume
-    am_mass: float = 0.0
-    # exponential death
-    u_p: Optional[np.ndarray] = None       # pointwise exp(pot)-1
-    u_cw: Optional[np.ndarray] = None
-    u_mass: float = 0.0
-    # exponential birth
-    t_p: Optional[np.ndarray] = None       # pointwise exp(-pot)-1
-    t_cw: Optional[np.ndarray] = None
-    t_mass: float = 0.0
-    # additive birth (scale folded in)
-    ab_p: Optional[np.ndarray] = None
-    ab_cw: Optional[np.ndarray] = None
-    ab_mass: float = 0.0
-    # weights at difference offsets, [j, l] -> offset[j] - offset[l] (order >= 2)
-    am_cw2: Optional[np.ndarray] = None
-    u_cw2: Optional[np.ndarray] = None
-    t_cw2: Optional[np.ndarray] = None
-    ab_cw2: Optional[np.ndarray] = None
+    death: Optional[StencilPart] = None   # constant m folded into an exponential death
+    birth: Optional[StencilPart] = None   # z (exponential) or birth_kernel_scale folded in
     # table-independent order-3 factors, indexed [j, l] (order 3)
-    death3: Optional[np.ndarray] = None    # minus the death factor: exponential or additive pair
-    t_f3: Optional[Tuple[np.ndarray, np.ndarray]] = None   # z * (f_j, f_0): exponential birth
-    ab_s3: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (s_j, s_0): additive birth
-    gather3: Optional[np.ndarray] = None   # _rebase_gather of diff_index
+    death3: Optional[np.ndarray] = None   # minus the pair factor: dressings or additive rates
+    birth3: Optional[Tuple[np.ndarray, np.ndarray]] = None  # dressings (f_j, f_0) or rates (s_j, s_0)
+    gather3: Optional[np.ndarray] = None  # _rebase_gather of diff_index
     # two P x P scratch arrays the order-3 step writes into (order 3)
     work: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+
+def _part(grid: GridSpec, pot: Optional[Potential], scale: float, sign: float = 0.0) -> Optional[StencilPart]:
+    """The additive part scale * pot (sign 0), or the exponential part
+    scale * (e^{sign pot} - 1) dressed by e^{sign pot}; None when pot is
+    absent or zero, or scale is 0."""
+    if pot is None or pot.is_zero or scale == 0.0:
+        return None
+    cw = grid.cell_volume
+    if not sign:
+        return StencilPart(pointwise_stencil(grid, pot) * scale, kernel_stencil(grid, pot) * cw * scale)
+    mayer = np.expm1(sign * pot(grid.distances))
+    corrected = positive_mayer_stencil(grid, pot) if sign > 0 else mayer_stencil(grid, pot)
+    return StencilPart(scale * mayer, scale * corrected * cw, 1.0 + mayer)
 
 
 def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBundle:
     if not form.autonomous:
         raise ModelError("the hierarchy needs an autonomous form, without cross terms")
     validate_grid_for_model(grid, form.potentials())
-    cw = grid.cell_volume
+    m, z = form.death_const, form.birth_const
     b = StencilBundle(grid=grid, form=form, order=order)
-
-    if form.death_kernel is not None and not form.death_kernel.is_zero:
-        b.am_p = pointwise_stencil(grid, form.death_kernel)
-        b.am_cw = kernel_stencil(grid, form.death_kernel) * cw
-        b.am_mass = float(np.sum(b.am_cw))
-    if form.death_pot is not None and not form.death_pot.is_zero:
-        b.u_p = np.expm1(form.death_pot(grid.distances))
-        b.u_cw = positive_mayer_stencil(grid, form.death_pot) * cw
-        b.u_mass = float(np.sum(b.u_cw))
-    if form.birth_pot is not None and not form.birth_pot.is_zero:
-        b.t_p = np.expm1(-form.birth_pot(grid.distances))
-        b.t_cw = mayer_stencil(grid, form.birth_pot) * cw
-        b.t_mass = float(np.sum(b.t_cw))
-    if form.birth_kernel is not None and not form.birth_kernel.is_zero and form.birth_kernel_scale != 0.0:
-        s = form.birth_kernel_scale
-        b.ab_p = pointwise_stencil(grid, form.birth_kernel) * s
-        b.ab_cw = kernel_stencil(grid, form.birth_kernel) * cw * s
-        b.ab_mass = float(np.sum(b.ab_cw))
+    b.death = (_part(grid, form.death_kernel, 1.0) if form.death_pot is None
+               else _part(grid, form.death_pot, m, +1.0))
+    b.birth = (_part(grid, form.birth_kernel, form.birth_kernel_scale) if form.birth_pot is None
+               else _part(grid, form.birth_pot, z, -1.0))
 
     if order >= 2:
         di = grid.diff_index
-        for src in ("am_cw", "u_cw", "t_cw", "ab_cw"):
-            v = getattr(b, src)
-            if v is not None:
-                setattr(b, src + "2", v[di])
+        for part in (b.death, b.birth):
+            if part is not None:
+                part.cw2 = part.cw[di]
     if order >= 3:
         # Every stencil is radial, so its values at offsets k and -k are
         # equal to the last bit: the [j, l] factors below are symmetric or
         # come in transposed pairs, which the kernel relies on.
-        if b.u_p is not None:
-            e, e2 = 1.0 + b.u_p, 1.0 + b.u_p[di]
-            e3 = e[:, None] * e[None, :] + e[:, None] * e2 + e[None, :] * e2
-            b.death3 = -form.death_const * e3
-        elif b.am_p is not None:
-            am = b.am_p
-            b.death3 = -(3.0 * form.death_const + 2.0 * (am[:, None] + am[None, :] + am[di]))
-        if b.t_p is not None:
-            z, t = form.birth_const, 1.0 + b.t_p
-            b.t_f3 = (z * t[:, None] * t[di], z * t[:, None] * t)
-        elif b.ab_p is not None:
-            z, ab = form.birth_const, b.ab_p
-            b.ab_s3 = (z + ab[:, None] + ab[di], z + ab[:, None] + ab)
+        if b.death is not None and b.death.dress is not None:
+            e, e2 = b.death.dress, b.death.dress[di]
+            b.death3 = -(e[:, None] * e[None, :] + e[:, None] * e2 + e[None, :] * e2)
+        elif b.death is not None:
+            a = b.death.p
+            b.death3 = -(3.0 * m + 2.0 * (a[:, None] + a[None, :] + a[di]))
+        if b.birth is not None and b.birth.dress is not None:
+            t = b.birth.dress
+            b.birth3 = (t[:, None] * t[di], t[:, None] * t)
+        elif b.birth is not None:
+            a = b.birth.p
+            b.birth3 = (z + a[:, None] + a[di], z + a[:, None] + a)
         b.gather3 = _rebase_gather(di)
         p = grid.num_cells
         b.work = (np.empty((p, p)), np.empty((p, p)))
     return b
-
-
-def _closure_rho(table: CorrelationTable, closure: str) -> float:
-    if closure == "poisson":
-        return table.k1
-    return 0.0
 
 
 def _rebase_gather(di: np.ndarray) -> np.ndarray:
@@ -191,40 +189,25 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     """
     if closure not in _CLOSURES:
         raise ConfigError(f"closure must be one of {_CLOSURES}")
-    f = bundle.form
     grid = table.grid
     if grid is not bundle.grid and grid != bundle.grid:
         raise ConfigError("table and stencil bundle use different grids")
     n_ord = table.order
     if n_ord > bundle.order:
         raise ConfigError(f"an order-{n_ord} table needs a bundle of order {n_ord}")
-    rho_c = _closure_rho(table, closure)
-    m = f.death_const
-    z = f.birth_const
+    rho = table.k1 if closure == "poisson" else 0.0
+    m, z = bundle.form.death_const, bundle.form.birth_const
+    death, birth = bundle.death, bundle.birth
 
     k0, k1, k2, k3 = table.k0, table.k1, table.k2, table.k3
     out = CorrelationTable.from_vector(table, np.empty_like(table.vec))
 
     # ----- order 1 --------------------------------------------------------
-    out1 = 0.0
-    # death
-    if bundle.u_p is not None:
-        if n_ord >= 2:
-            out1 -= m * (k1 + float(bundle.u_cw @ k2))
-        else:
-            out1 -= m * k1 * (1.0 + rho_c * bundle.u_mass)
-    else:
-        out1 -= m * k1
-        if bundle.am_p is not None:
-            if n_ord >= 2:
-                out1 -= float(bundle.am_cw @ k2)
-            else:
-                out1 -= rho_c * k1 * bundle.am_mass
-    # birth
-    if f.birth_pot is not None:
-        out1 += z * (k0 + k1 * bundle.t_mass)
-    else:
-        out1 += z * k0 + k1 * bundle.ab_mass
+    out1 = z * k0 - m * k1
+    if death is not None:
+        out1 -= float(death.cw @ k2) if n_ord >= 2 else rho * k1 * death.mass
+    if birth is not None:
+        out1 += k1 * birth.mass
     out.k0 = 0.0
     out.k1 = out1
     if n_ord == 1:
@@ -235,37 +218,27 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     # (w2 @ k2)[-j], where w2 @ k2 is the other birth term.
     neg = grid.diff_index[0]                  # index of -offset[j]
     out2 = out.k2
-    # death
-    if bundle.u_p is not None:
-        bracket = 2.0 * k2
-        if n_ord >= 3:
-            rows = np.multiply(bundle.u_cw2, k3, out=bundle.work[1]).sum(axis=1)
-            bracket = bracket + k3 @ bundle.u_cw + rows
-        else:
-            bracket = bracket + 2.0 * rho_c * bundle.u_mass * k2
-        np.multiply(-m * (1.0 + bundle.u_p), bracket, out=out2)
-    else:
+    if death is None:
         np.multiply(k2, -2.0 * m, out=out2)
-        if bundle.am_p is not None:
-            out2 -= 2.0 * bundle.am_p * k2
-            if n_ord >= 3:
-                rows = np.multiply(bundle.am_cw2, k3, out=bundle.work[1]).sum(axis=1)
-                out2 -= k3 @ bundle.am_cw + rows
-            else:
-                out2 -= 2.0 * rho_c * bundle.am_mass * k2
-    # birth
-    if f.birth_pot is not None:
-        if bundle.t_p is not None:
-            v = bundle.t_cw2 @ k2
-            out2 += z * (1.0 + bundle.t_p) * ((k1 + v) + (k1 + v[neg]))
-        else:
-            out2 += z * (k1 + k1)
     else:
-        base = z if bundle.ab_p is None else z + bundle.ab_p
-        out2 += 2.0 * base * k1
-        if bundle.ab_p is not None:
-            v = bundle.ab_cw2 @ k2
-            out2 += v + v[neg]
+        np.multiply(m + death.p, -2.0 * k2, out=out2)
+        if n_ord >= 3:
+            rows = np.multiply(death.cw2, k3, out=bundle.work[1]).sum(axis=1)
+            integrated = k3 @ death.cw + rows
+        else:
+            integrated = 2.0 * rho * death.mass * k2
+        if death.dress is not None:
+            integrated *= death.dress
+        out2 -= integrated
+    if birth is None:
+        out2 += 2.0 * z * k1
+    else:
+        v = birth.cw2 @ k2
+        v += v[neg]
+        if birth.dress is not None:
+            v *= birth.dress
+        out2 += 2.0 * k1 * (z + birth.p)
+        out2 += v
     if n_ord == 2:
         return out
 
@@ -273,35 +246,43 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     # out3 collects the death term, then the birth terms.  The two birth
     # terms that put the new point next to point j or point l are
     # transposes of each other, Y and Y.T.  k2 at offset[l]-offset[j] and
-    # the rebased integral x0 both come out of one gather of r1.T + k2[None, :],
+    # the rebased integral x0 both come out of one gather of r1.T + z k2[None, :],
     # where r1[j, l] = sum_r k3[j, r] w at offset[r]-offset[l].
     out3 = out.k3
     r, scratch = bundle.work
     k2l = k2[None, :]                         # k2[l] broadcast over j
-    # death
-    if bundle.death3 is None:
+    # death: an exponential closure scales the dressings, an additive one
+    # shifts the rates
+    if death is None:
         np.multiply(k3, -3.0 * m, out=out3)
-    elif bundle.u_p is not None:
+    elif death.dress is not None:
         np.multiply(bundle.death3, k3, out=out3)
-        out3 *= 1.0 + rho_c * bundle.u_mass
+        out3 *= m + rho * death.mass
     else:
-        np.subtract(bundle.death3, 3.0 * rho_c * bundle.am_mass, out=out3)
+        np.subtract(bundle.death3, 3.0 * rho * death.mass, out=out3)
         out3 *= k3
     # birth; every gather index is in range, and a mode other than "raise"
     # lets np.take write into its out array without a buffer
-    if bundle.t_p is not None:
-        zf_j, zf_0 = bundle.t_f3
-        np.matmul(bundle.t_cw2, k3.T, out=r)  # r1.T
-        r += k2l
-        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j], plus x0
-        scratch *= zf_0
+    if birth is None:
+        np.copyto(r, k2l)
+        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j]
+        scratch += k2[:, None]
+        scratch += k2l
+        scratch *= z
         out3 += scratch
-        r *= zf_j                             # Y.T
+    elif birth.dress is not None:
+        f_j, f_0 = bundle.birth3
+        np.matmul(birth.cw2, k3.T, out=r)     # r1.T
+        r += z * k2l
+        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # z k2 at offset[l]-offset[j], plus x0
+        scratch *= f_0
+        out3 += scratch
+        r *= f_j                              # Y.T
         out3 += r
         out3 += r.T
-    elif bundle.ab_p is not None:
-        s_j, s_0 = bundle.ab_s3
-        np.matmul(bundle.ab_cw2, k3.T, out=r)
+    else:
+        s_j, s_0 = bundle.birth3
+        np.matmul(birth.cw2, k3.T, out=r)
         out3 += np.take(r, bundle.gather3, out=scratch, mode="wrap")   # x0
         r += np.multiply(s_j, k2l, out=scratch)                        # Y.T
         out3 += r
@@ -309,13 +290,6 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
         np.copyto(r, k2l)
         np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j]
         scratch *= s_0
-        out3 += scratch
-    else:
-        np.copyto(r, k2l)
-        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j]
-        scratch += k2[:, None]
-        scratch += k2l
-        scratch *= z
         out3 += scratch
     return out
 
@@ -449,13 +423,19 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
     Runge-Kutta steps.  The order-0 entry is conserved.
 
     Records the state every record_every steps (and always the endpoints).
+    When dt does not divide t_final, the last step is shortened so the run
+    ends at t_final.
     """
     if dt <= 0 or t_final < 0:
         raise ConfigError("need dt > 0 and t_final >= 0")
+    if record_every < 1:
+        raise ConfigError("record_every must be at least 1")
     bundle = build_stencils(initial.grid, form, initial.order)
     n_steps = int(round(t_final / dt))
+    last_h, t_end = dt, n_steps * dt
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         n_steps = math.ceil(t_final / dt)
+        last_h, t_end = t_final - (n_steps - 1) * dt, t_final
 
     def deriv(vec: np.ndarray) -> np.ndarray:
         t = CorrelationTable.from_vector(initial, vec)
@@ -467,8 +447,8 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
     stage = np.empty_like(v)
     times = [0.0]
     tables = [initial.copy()]
-    h = dt
     for step in range(1, n_steps + 1):
+        h = dt if step < n_steps else last_h
         acc = deriv(v)
         np.add(v, np.multiply(acc, 0.5 * h, out=stage), out=stage)
         d = deriv(stage)
@@ -480,7 +460,7 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
         acc += deriv(stage)
         acc *= h / 6.0
         v += acc
-        t = step * dt
+        t = step * dt if step < n_steps else t_end
         if not _max_abs(v, stage) <= _STABILITY_CAP:
             raise StabilityError(
                 f"hierarchy blew past the stability cap at t={t:.4g}")

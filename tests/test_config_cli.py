@@ -388,6 +388,16 @@ def test_cli_evolve_writes_a_trajectory(tmp_path):
     assert summ["final_density"] == pytest.approx(last[1], rel=1e-9)
 
 
+def test_cli_evolve_ends_at_a_t_final_the_step_does_not_divide(tmp_path):
+    cfg = _gg_config()
+    cfg["evolve"] = {"t_final": 0.123, "grid_points": 32, "order": 1}
+    out = tmp_path / "out"
+    assert main(["evolve", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    last = (out / "trajectory.csv").read_text().strip().splitlines()[-1]
+    assert float(last.split(",")[0]) == 0.123
+    assert json.loads((out / "summary.json").read_text())["t_final"] == 0.123
+
+
 def test_cli_simulate_artifacts_and_seed_override(tmp_path):
     cfg = _gg_config()
     cfg["simulate"] = {"t_end": 2.0, "n_replicas": 3, "n_times": 5,

@@ -153,13 +153,27 @@ def test_order3_apply_matches_its_golden_sums(name):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+# Edge forms: an exponential death with a constant birth, and parts that
+# are declared but zero or scaled by 0.
+_EDGE_FORMS = {
+    "exp_death_const_birth": ComponentForm(1.2, 0.4, death_pot=_STEP(0.3, 1.0)),
+    "exp_birth_zero_activity": ComponentForm(1.2, 0.0, death_pot=_STEP(0.3, 1.0),
+                                             birth_pot=_STEP(0.5, 1.0)),
+    "zero_potentials": ComponentForm(1.2, 0.4, death_pot=Potential.zero(),
+                                     birth_pot=Potential.zero()),
+    "zero_kernel_scale": ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0),
+                                       birth_kernel=_STEP(0.2, 1.0), birth_kernel_scale=0.0),
+}
+_APPLY_FORMS = {**{name: form for name, (form, _) in _GOLDEN_FORMS.items()}, **_EDGE_FORMS}
+
+
 @pytest.mark.parametrize("closure", ["poisson", "zero"])
 @pytest.mark.parametrize("order", [1, 2, 3])
-@pytest.mark.parametrize("name", sorted(_GOLDEN_FORMS))
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FORMS) + sorted(_EDGE_FORMS))
 @pytest.mark.parametrize("dim,side,n", [(2, 4.0, 8), (1, 4.5, 9)])
 def test_apply_matches_the_reference_formulas_entry_by_entry(dim, side, n, name, order,
                                                              closure):
-    form = _GOLDEN_FORMS[name][0]
+    form = _APPLY_FORMS[name]
     grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(11)
@@ -245,6 +259,54 @@ def test_free_relaxation_follows_the_exact_exponential():
     assert np.max(np.abs(traj.density - exact)) <= 1e-6
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(4.0, abs=1e-9)
+
+
+def test_evolution_ends_at_t_final_when_dt_does_not_divide_it():
+    # dt 0.3 steps three times, then shortens the fourth step to 0.1
+    z, rho0 = 0.5, 2.0
+    form = component_form(_free_env(z), "environment")
+    init = CorrelationTable.poisson(GRID, 1, rho0)
+    traj = evolve_hierarchy(init, form, t_final=1.0, dt=0.3, record_every=1)
+    assert traj.times[-1] == 1.0
+    np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], rtol=1e-15)
+    exact = z + (rho0 - z) * np.exp(-traj.times)
+    assert np.max(np.abs(traj.density - exact)) <= 1e-4
+    sparse = evolve_hierarchy(init, form, t_final=0.123, dt=0.01, record_every=5)
+    assert list(sparse.times) == pytest.approx([0.0, 0.05, 0.1, 0.123], rel=1e-15)
+    assert sparse.times[-1] == 0.123
+
+
+def test_evolution_refuses_a_record_interval_below_one_step():
+    form = component_form(_free_env(0.5), "environment")
+    init = CorrelationTable.poisson(GRID, 1, 1.0)
+    with pytest.raises(ConfigError):
+        evolve_hierarchy(init, form, t_final=0.1, dt=0.05, record_every=0)
+
+
+# For a constant death rate, l_delta_apply's order-n output reads only
+# k0..kn, so the truncated hierarchy is lower block-triangular: the density
+# is z / (1 + z beta) at every order, first order in the Mayer mass, and
+# the density trajectory does not depend on the order.
+@pytest.mark.parametrize("z,psi,grid", [
+    # the hierarchy benchmark's environment: 2D 16x16
+    (0.5, Potential.step(0.5, 1.0), GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)),
+    (1.5, Potential.step(3.0, 1.0), GRID),
+    (0.8, Potential.exponential(1.0, 0.5, 2.0), GRID),
+])
+def test_constant_death_density_is_first_order_in_the_mayer_mass_at_every_order(z, psi, grid):
+    m = GlauberGlauber(z_minus=z, psi=psi, z_plus=0.3,
+                       phi_minus=Potential.zero(), phi_plus=Potential.zero())
+    form = component_form(m, "environment")
+    assert form.death_const == 1.0 and form.death_pot is None and form.death_kernel is None
+    beta = potential_functionals(psi, grid.torus.dim).beta
+    want = z / (1.0 + z * beta)
+    for order in (1, 2, 3):
+        assert ks_solve(form, grid, order=order).table.k1 == pytest.approx(want, rel=1e-10)
+    densities = [evolve_hierarchy(CorrelationTable.poisson(grid, order, 1.0), form,
+                                  t_final=0.5, dt=0.05, record_every=1).density
+                 for order in (1, 2, 3)]
+    for d in densities[1:]:
+        np.testing.assert_allclose(d, densities[0], rtol=1e-12, atol=0.0)
 
 
 def test_relaxation_from_above_contracts_the_weighted_norm():
