@@ -136,7 +136,8 @@ def _solve(form, grid, section: dict):
 
 def _section_form(m, torus, section: dict):
     """(form, grid) of the component a hierarchy section names; 'averaged'
-    first solves the environment and integrates it out."""
+    first solves the environment at the section's order (lambda-bar reads
+    its k2 and k3) and integrates it out."""
     grid = GridSpec(torus=torus, points_per_axis=section["grid_points"])
     form = component_form(m, "environment")
     if section["component"] != "environment":
@@ -223,7 +224,10 @@ def _cmd_evolve(cfg: dict, m, torus, out_dir: str):
     _bind("hierarchy", "tables")
     section = _section(cfg, "evolve")
     form, grid = _section_form(m, torus, section)
-    initial = CorrelationTable.poisson(grid, section["order"], section["initial_density"])
+    # a constant-death form's density reads no order above the first
+    # (ComponentForm.constant_death), so only the density is integrated
+    order = 1 if form.constant_death else section["order"]
+    initial = CorrelationTable.poisson(grid, order, section["initial_density"])
     traj = evolve_hierarchy(initial, form, section["t_final"], dt=section["dt"],
                             record_every=section["record_every"],
                             closure=section["closure"])

@@ -35,10 +35,13 @@ balance equation: with M(eta) = |eta| * death_const,
     k = k + (L k) / M  + forcing,     forcing = birth_const/death_const on
                                       singletons, from the order-0 pin k0=1.
 
-ks_solve finds this fixed point by Anderson mixing of the map, starting
-at the forcing after two plain Picard steps.  For the free
-(non-interacting) case Picard is exact after `order` steps, so the solve
-still stops within `order` iterations there.
+ks_solve finds this fixed point by Anderson mixing of the map, after two
+plain Picard steps; a form with a constant death rate it solves order by
+order (see ks_solve).  For the free (non-interacting) case Picard is exact
+after `order` steps, so the solve still stops within `order` iterations
+there.  evolve_hierarchy integrates the table it is given; for a
+constant-death form the CLI hands it an order-1 table, since no higher
+order feeds the density.
 
 Memory layout.  ks_solve and evolve_hierarchy keep their state as one flat
 vector in the CorrelationTable layout [k0, k1, k2, k3 row-major] and hand
@@ -319,9 +322,10 @@ def ks_apply(table: CorrelationTable, bundle: StencilBundle,
 @dataclass
 class KsSolution:
     table: CorrelationTable
-    iterations: int
-    residuals: List[float]
+    iterations: int            # of the solve at the requested order
+    residuals: List[float]     # of the solve at the requested order
     converged: bool
+    evaluations: int           # kernel evaluations, lower-order stages included
 
 
 # Each history vector of the mixing holds all P^2 + P + 2 table entries, so
@@ -338,7 +342,36 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
              tol: float = 1e-12, max_iter: int = 500,
              closure: str = "poisson") -> KsSolution:
     """Invariant correlation table: the fixed point of G(x) = ks_apply(x) +
-    forcing, by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011).
+    forcing, by Anderson mixing (_mix).
+
+    For a constant-death form (ComponentForm.constant_death) the order-n
+    map reads only k0..kn, so the order-(n-1) fixed point already holds
+    the lower blocks of the order-n one.  Such a form is solved order by order,
+    each order from the fixed point below it with kn = 0 and order 1 from
+    the forcing; any other form is solved at `order` from the forcing.
+    tol and max_iter apply to each stage.  iterations and residuals are
+    those of the stage at `order`; evaluations counts the kernel
+    evaluations of every stage.
+    """
+    bundle = build_stencils(grid, form, order)
+    forcing = form.birth_const / form.death_const
+    x = np.array([0.0, forcing])
+    evaluations = 0
+    for n in range(1 if form.constant_death else order, order + 1):
+        template = CorrelationTable(grid, n, 0.0, 0.0)
+        template.vec[:x.size] = x
+        x, residuals = _mix(template, bundle, forcing, tol, max_iter, closure)
+        evaluations += len(residuals)
+    x[0] = 1.0
+    return KsSolution(table=CorrelationTable.from_vector(template, x),
+                      iterations=len(residuals), residuals=residuals,
+                      converged=True, evaluations=evaluations)
+
+
+def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
+         tol: float, max_iter: int, closure: str) -> Tuple[np.ndarray, List[float]]:
+    """Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011) of G at the
+    order of start, from start; (the fixed point with k0 = 0, residuals).
 
     Each step evaluates g = G(x) and f = g - x and records max|f| in
     residuals.  The first _WARMUP_STEPS steps are plain Picard steps x = g,
@@ -348,27 +381,22 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
     and gamma solves (dF^T dF) gamma = dF^T f.  StabilityError is raised
     when g or the mixed x is not finite or exceeds _GUARD.
     """
-    bundle = build_stencils(grid, form, order)
-    forcing = form.birth_const / form.death_const
-    template = CorrelationTable(grid, order, 0.0, forcing)
-    x = template.vec
+    x = start.vec
     d_f = np.empty((x.size, _MIX_DEPTH), order="F")
     d_g = np.empty((x.size, _MIX_DEPTH), order="F")
     f, f_prev, mixed, scratch = (np.empty_like(x) for _ in range(4))
     g_prev = None
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
-        # g is a new vector on every step, so g_prev and the returned table
+        # g is a new vector on every step, so g_prev and the returned vector
         # never share memory with a later step
-        g = ks_apply(CorrelationTable.from_vector(template, x), bundle, closure=closure).vec
+        g = ks_apply(CorrelationTable.from_vector(start, x), bundle, closure=closure).vec
         g[1] += forcing
         np.subtract(g, x, out=f)
         residuals.append(_max_abs(f, scratch))
         _check_stable(g, it, scratch)
         if residuals[-1] <= tol:
-            g[0] = 1.0
-            return KsSolution(table=CorrelationTable.from_vector(template, g),
-                              iterations=it, residuals=residuals, converged=True)
+            return g, residuals
         if g_prev is not None:
             slot = (it - 2) % _MIX_DEPTH
             np.subtract(f, f_prev, out=d_f[:, slot])
@@ -385,7 +413,7 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
         f, f_prev = f_prev, f
     raise ConvergenceError(
         f"balance iteration did not reach tol={tol} in {max_iter} steps "
-        f"(last residual {residuals[-1]:.3e})")
+        f"at order {start.order} (last residual {residuals[-1]:.3e})")
 
 
 def _max_abs(vec: np.ndarray, scratch: np.ndarray) -> float:
@@ -502,14 +530,22 @@ class LenardCheck:
 
 
 _PAIRING_MASSES = (-1.2, -1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0, 1.2)
+# Bump widths as fractions of the torus side: the first ten draws of
+# np.random.default_rng(20240117).uniform(0.08, 0.45), written out so that
+# the check does not import numpy.random.
+_PAIRING_WIDTHS = (0.32288300387366115, 0.2348871084441022, 0.4073621458556034,
+                   0.12246128989549863, 0.4490565223036195, 0.10811525525696883,
+                   0.20318910024106857, 0.20111212337614004, 0.3887602699976431,
+                   0.3803719663260995)
 
 
 def _pairing_values(table: CorrelationTable) -> list:
     """Truncated expectations S(g) (tables.product_expectation) of product
     observables prod (1 + g(x)) over sampled radial profiles g >= -0.9.
 
-    Each profile is a Gaussian bump of random width scaled so the first
-    order mass sum g k1 dv lands on a fixed ladder of values; amplitudes
+    Each profile is a Gaussian bump of a fixed, randomly drawn width
+    (_PAIRING_WIDTHS) scaled so the first order mass sum g k1 dv lands on
+    a fixed ladder of values (_PAIRING_MASSES); amplitudes
     are capped at -0.9 so the observable itself is nonnegative.  The mass
     ladder stays inside [-1.2, 1.2], where the truncation at orders 2 and 3
     keeps S positive for Poisson and weakly correlated data while a
@@ -523,9 +559,8 @@ def _pairing_values(table: CorrelationTable) -> list:
     dv = grid.cell_volume
     r = grid.distances
     k2m = table.k2[grid.diff_index]  # k2 at offset_j - offset_l
-    rng = np.random.default_rng(20240117)
-    for target in _PAIRING_MASSES:
-        width = rng.uniform(0.08, 0.45) * grid.torus.side
+    for target, width in zip(_PAIRING_MASSES, _PAIRING_WIDTHS):
+        width *= grid.torus.side
         raw = np.exp(-((r / width) ** 2))
         u0 = rho * float(np.sum(raw)) * dv
         if u0 <= 0:

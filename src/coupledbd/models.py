@@ -112,6 +112,13 @@ class ComponentForm:
         return self.autonomous and not any(map(_live, self.potentials().values()))
 
     @cached_property
+    def constant_death(self) -> bool:
+        """No live own or cross death term: every point dies at death_const,
+        so the form's hierarchy is block lower-triangular (hierarchy.py)."""
+        (own, _), (cross, _) = self.pair_terms
+        return own is None and cross is None
+
+    @cached_property
     def pair_terms(self) -> Tuple[Tuple[Optional[Potential], Optional[Potential]], ...]:
         """Potentials through which a neighbour enters the death sum and the
         parent sum of a point: pair_terms[0] for a neighbour in the point's

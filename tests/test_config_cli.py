@@ -28,7 +28,9 @@ from coupledbd.config import (
     validate_config,
 )
 from coupledbd.errors import ConfigError, EvaluationError
+from coupledbd.hierarchy import component_form, evolve_hierarchy
 from coupledbd.models import BdlpInGlauber, BranchingInGlauber, GlauberGlauber, TwoBdlp
+from coupledbd.tables import CorrelationTable, GridSpec
 
 
 def _step(height, cutoff):
@@ -398,6 +400,86 @@ def test_cli_evolve_ends_at_a_t_final_the_step_does_not_divide(tmp_path):
     assert json.loads((out / "summary.json").read_text())["t_final"] == 0.123
 
 
+def _evolve_and_expect(tmp_path, cfg, component):
+    """Run `evolve` on cfg; (its trajectory.csv, the same file written from
+    evolve_hierarchy at the section's order, the orders the CLI integrated)."""
+    orders = []
+    real = cli.evolve_hierarchy
+
+    def spy(initial, *args, **kwargs):
+        orders.append(initial.order)
+        return real(initial, *args, **kwargs)
+
+    out = tmp_path / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "evolve_hierarchy", spy)
+        assert main(["evolve", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    run = resolve_config(cfg)
+    section = run["evolve"]
+    grid = GridSpec(torus=torus_from_config(run), points_per_axis=section["grid_points"])
+    traj = evolve_hierarchy(CorrelationTable.poisson(grid, section["order"], section["initial_density"]),
+                            component_form(model_from_config(run), component),
+                            section["t_final"], dt=section["dt"],
+                            record_every=section["record_every"])
+    cli._write_csv(str(tmp_path / "want.csv"), ["t", "density"], zip(traj.times, traj.density))
+    return ((out / "trajectory.csv").read_bytes(), (tmp_path / "want.csv").read_bytes(),
+            orders)
+
+
+def _hierarchy_config(variant, params, dim, side, grid_points):
+    return {"model": {"variant": variant, "params": params},
+            "torus": {"dim": dim, "side": side},
+            "evolve": {"grid_points": grid_points, "order": 3, "t_final": 0.5,
+                       "dt": 0.05, "record_every": 1}}
+
+
+# Constant-death environments: the hierarchy benchmark's 2D one, a strong 1D
+# step and a 1D exponential psi.
+@pytest.mark.parametrize("params,dim,side,grid_points", [
+    ({"z_minus": 0.5, "psi": _step(0.5, 1.0), "z_plus": 0.3}, 2, 4.0, 16),
+    ({"z_minus": 1.5, "psi": _step(3.0, 1.0), "z_plus": 0.3}, 1, 10.0, 64),
+    ({"z_minus": 0.8, "z_plus": 0.3,
+      "psi": {"kind": "exponential", "amplitude": 1.0, "decay": 0.5, "cutoff": 2.0}}, 1, 10.0, 64),
+])
+def test_cli_evolve_of_a_constant_death_form_writes_the_configured_order_trajectory(
+        tmp_path, params, dim, side, grid_points):
+    cfg = _hierarchy_config("glauber_glauber", params, dim, side, grid_points)
+    got, want, _ = _evolve_and_expect(tmp_path, cfg, "environment")
+    assert got == want
+
+
+def test_cli_evolve_of_a_constant_death_form_integrates_the_density_alone(tmp_path):
+    cfg = _hierarchy_config("glauber_glauber", _gg_config()["model"]["params"], 1, 10.0, 32)
+    got, want, orders = _evolve_and_expect(tmp_path, cfg, "environment")
+    assert orders == [1]
+    assert got == want
+
+
+def test_cli_evolve_of_an_additive_death_form_integrates_the_configured_order(tmp_path):
+    params = {"z": 0.5, "m_minus": 1.0, "m_plus": 1.0,
+              "a_minus": _step(0.3, 1.0), "b_minus": _step(0.3, 1.0)}
+    cfg = _hierarchy_config("two_bdlp", params, 1, 10.0, 32)
+    got, want, orders = _evolve_and_expect(tmp_path, cfg, "environment")
+    assert orders == [3]
+    assert got == want
+
+
+def test_cli_evolve_of_the_averaged_interacting_system_keeps_its_trajectory(tmp_path):
+    # lambda-bar reads k2 and k3 of the environment, so the environment solve
+    # under the averaged system keeps the section's order
+    cfg = _hierarchy_config("glauber_glauber", _gg_config()["model"]["params"], 1, 10.0, 32)
+    cfg["evolve"]["component"] = "averaged"
+    out = tmp_path / "out"
+    assert main(["evolve", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 0], 0.05 * np.arange(11))
+    np.testing.assert_allclose(rows[:, 1], [
+        1.0, 0.9540135197143574, 0.9106922234285538, 0.8698816482285137,
+        0.8314362832244216, 0.7952190507288501, 0.7611008175036311,
+        0.7289599343328154, 0.6986818022800558, 0.670158464083899,
+        0.6432882192340952], rtol=1e-12, atol=0.0)
+
+
 def test_cli_simulate_artifacts_and_seed_override(tmp_path):
     cfg = _gg_config()
     cfg["simulate"] = {"t_end": 2.0, "n_replicas": 3, "n_times": 5,
@@ -557,8 +639,8 @@ def _every_command_config():
     """A config small enough for all six commands; ergodicity derives its
     target density by a hierarchy solve and its bound from c_minus."""
     cfg = _gg_config(c_minus=0.5, c_plus=1.0)
-    cfg["invariant"] = {"grid_points": 32, "order": 1}
-    cfg["evolve"] = {"t_final": 0.1, "dt": 0.05, "grid_points": 32, "order": 1}
+    cfg["invariant"] = {"grid_points": 32, "order": 2}
+    cfg["evolve"] = {"t_final": 0.1, "dt": 0.05, "grid_points": 32, "order": 3}
     cfg["simulate"] = {"t_end": 0.5, "n_replicas": 1, "n_times": 3, "seed": 5}
     cfg["ergodicity"] = {"n_replicas": 10, "t_end": 2.0, "n_times": 17,
                          "initial_density": 3.0, "grid_points": 32,
@@ -569,11 +651,13 @@ def _every_command_config():
     return cfg
 
 
-# Package modules a command must not import, because it runs none of them.
+# Modules a command must not import, because it runs none of them: the
+# package's by their short names, others by their full names.  numpy.random
+# costs a fresh interpreter 14-16 ms.
 _MODULES_NOT_RUN = {
     "check": {"simulate", "hierarchy", "tables", "experiments"},
-    "invariant": {"conditions", "simulate", "experiments"},
-    "evolve": {"conditions", "simulate", "experiments"},
+    "invariant": {"conditions", "simulate", "experiments", "numpy.random"},
+    "evolve": {"conditions", "simulate", "experiments", "numpy.random"},
     "simulate": {"conditions", "hierarchy", "tables", "experiments"},
     "ergodicity": set(),
     "averaging": {"conditions"},
@@ -606,7 +690,7 @@ def test_each_command_runs_in_a_fresh_interpreter_without_the_modules_it_does_no
     code, modules, err = _run_fresh([command, _write(tmp_path, _every_command_config()),
                                      "--out", str(tmp_path / "out")])
     assert code == "0", err
-    modules = {m.split('.')[1] for m in modules if m.startswith('coupledbd.')}
+    modules |= {m.split('.')[1] for m in modules if m.startswith('coupledbd.')}
     assert not _MODULES_NOT_RUN[command] & modules
 
 

@@ -235,7 +235,9 @@ def test_solve_and_evolve_call_the_module_kernel_once_per_evaluation(monkeypatch
     monkeypatch.setattr(hierarchy, "l_delta_apply", counted)
     form = component_form(gg_model(), "environment")
     sol = ks_solve(form, GRID, order=3)
-    assert len(calls) == sol.iterations
+    # the constant-death form is solved order by order: the lower-order
+    # stages evaluate the kernel too
+    assert len(calls) == sol.evaluations > sol.iterations
     calls.clear()
     evolve_hierarchy(CorrelationTable.poisson(GRID, 3, 0.5), form, t_final=0.3, dt=0.05)
     assert len(calls) == 4 * 6
@@ -283,20 +285,28 @@ def test_evolution_refuses_a_record_interval_below_one_step():
         evolve_hierarchy(init, form, t_final=0.1, dt=0.05, record_every=0)
 
 
-# For a constant death rate, l_delta_apply's order-n output reads only
-# k0..kn, so the truncated hierarchy is lower block-triangular: the density
-# is z / (1 + z beta) at every order, first order in the Mayer mass, and
-# the density trajectory does not depend on the order.
-@pytest.mark.parametrize("z,psi,grid", [
+# Glauber environments, whose death rate is constant: (z, psi, grid).
+_CONSTANT_DEATH_CASES = [
     # the hierarchy benchmark's environment: 2D 16x16
     (0.5, Potential.step(0.5, 1.0), GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)),
     (1.5, Potential.step(3.0, 1.0), GRID),
     (0.8, Potential.exponential(1.0, 0.5, 2.0), GRID),
-])
-def test_constant_death_density_is_first_order_in_the_mayer_mass_at_every_order(z, psi, grid):
+]
+
+
+def _constant_death_form(z, psi):
     m = GlauberGlauber(z_minus=z, psi=psi, z_plus=0.3,
                        phi_minus=Potential.zero(), phi_plus=Potential.zero())
-    form = component_form(m, "environment")
+    return component_form(m, "environment")
+
+
+# For a constant death rate, l_delta_apply's order-n output reads only
+# k0..kn, so the truncated hierarchy is lower block-triangular: the density
+# is z / (1 + z beta) at every order, first order in the Mayer mass, and
+# the density trajectory does not depend on the order.
+@pytest.mark.parametrize("z,psi,grid", _CONSTANT_DEATH_CASES)
+def test_constant_death_density_is_first_order_in_the_mayer_mass_at_every_order(z, psi, grid):
+    form = _constant_death_form(z, psi)
     assert form.death_const == 1.0 and form.death_pot is None and form.death_kernel is None
     beta = potential_functionals(psi, grid.torus.dim).beta
     want = z / (1.0 + z * beta)
@@ -308,6 +318,30 @@ def test_constant_death_density_is_first_order_in_the_mayer_mass_at_every_order(
     for d in densities[1:]:
         np.testing.assert_allclose(d, densities[0], rtol=1e-12, atol=0.0)
 
+
+
+# The order-3 invariant of each case, solved from the forcing at all orders
+# at once: density, sup_by_order[2:] and the Lenard check's min_entry and
+# min_pairing.
+_CONSTANT_DEATH_INVARIANTS = [
+    (0.30901198961658227, 0.10171847533840545, 0.035207793321081045,
+     0.008076664449162786, 0.2380097423967756),
+    (0.38954575588593565, 0.2713791149791831, 0.16926844344605346,
+     4.9149915542034926e-05, 0.23759695506289324),
+    (0.3236379441725167, 0.1204321986914684, 0.0442815531114867,
+     0.004512084239040922, 0.2389663043209609),
+]
+
+
+@pytest.mark.parametrize("case,want", zip(_CONSTANT_DEATH_CASES, _CONSTANT_DEATH_INVARIANTS))
+def test_constant_death_order3_invariant_keeps_its_values(case, want):
+    z, psi, grid = case
+    sol = ks_solve(_constant_death_form(z, psi), grid, order=3)
+    lenard = lenard_spot_check(sol.table)
+    sup = sol.table.sup_by_order()
+    assert sup[:2] == (1.0, sol.table.k1)
+    got = (sol.table.k1, *sup[2:], lenard.min_entry, lenard.min_pairing)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 def test_relaxation_from_above_contracts_the_weighted_norm():
     form = component_form(gg_model(), "environment")

@@ -479,6 +479,20 @@ def test_system_forms_reject_cross_terms_that_mix_structures():
         assert not rate_form(build(), "system").autonomous
 
 
+def test_constant_death_marks_the_forms_without_a_live_death_term():
+    # the three Glauber-family environments and the glauber_glauber system
+    # die at death_const; an additive death kernel or a cross death does not
+    for build in ALL_MODELS:
+        m = build()
+        am = build_averaged_model(m, _poisson_table(0.5), TORUS1)
+        assert component_form(m).constant_death == (build is not two_bdlp_model)
+        assert component_form(am, "system").constant_death == (build is gg_model)
+        assert rate_form(m, "system").constant_death == (build is gg_model)
+    s = Potential.step(0.5, 1.0)
+    assert ComponentForm(death_const=1.0, birth_const=0.5, death_pot=Potential.zero()).constant_death
+    assert not ComponentForm(death_const=1.0, birth_const=0.5, death_pot=s).constant_death
+    assert not ComponentForm(death_const=1.0, birth_const=0.5, cross_death_kernel=s).constant_death
+
 def test_component_forms_are_derived_once_per_model():
     for build in ALL_MODELS:
         m = build()
