@@ -38,9 +38,6 @@ from .errors import (
     ConvergenceError,
     EvaluationError,
     ExplosionGuardError,
-    InfeasibleRegimeError,
-    ModelError,
-    SizeLimitError,
     StabilityError,
 )
 from .geometry import MarkedConfiguration
@@ -417,12 +414,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         run = resolve_config(cfg)
         seeded = _seeded(run, args.command)
+        # a run with an applied --seed defaults to a directory of its own
+        suffix = ""
         if args.seed is not None and seeded is not None:
             seeded["seed"] = args.seed
+            suffix = f"_seed{args.seed}"
         m = model_from_config(run)
         torus = torus_from_config(run)
         validate_model_on_torus(m, torus)
-        out_dir = args.out or f"runs/{args.command}_{config_hash(cfg)}"
+        out_dir = args.out or f"runs/{args.command}_{config_hash(cfg)}{suffix}"
         os.makedirs(out_dir, exist_ok=True)
         code, outputs, summary = _COMMANDS[args.command](run, m, torus, out_dir)
         _write_json(os.path.join(out_dir, "manifest.json"), {
@@ -440,12 +440,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             EvaluationError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return _RUNTIME_EXIT
-    except (ConfigError, ModelError, SizeLimitError, ValueError) as e:
+    # ConfigError, ModelError and SizeLimitError subclass ValueError too
+    except ValueError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return _CONFIG_EXIT
-    except InfeasibleRegimeError as e:
-        print(f"infeasible regime: {e}", file=sys.stderr)
-        return _INFEASIBLE_EXIT
 
 
 if __name__ == "__main__":

@@ -22,8 +22,12 @@ rate form (models.ComponentForm), around the points of its own component
 with the other component given, at the weights (c_own, c_other).  The
 system is its form weighted (c_plus, c_minus); the environment is its form,
 which has no cross terms, with an empty other component and weights
-(c_minus, 1.0).  They branch on the shape of the form only, never on the
-variant or the component.
+(c_minus, 1.0).  The closed and Monte Carlo masses are built per part, as
+the rates are: an additive or exponential death part beside an exponential
+or additive birth part.  Only the contraction constants (_constants,
+averaged_constants, growth_bounds) branch on the joint shape of the form,
+because they are the paper's closed-form bounds; only averaged_constants
+branches on the variant, and nothing on the component.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .geometry import (
     Torus,
     _sample_ball,
     ball_volume,
-    min_image_diff,
+    distances_from,
     pairwise_distances,
 )
 from .models import (
@@ -49,11 +53,11 @@ from .models import (
     RateModel,
     TwoBdlp,
     _form_death_vector,
+    _parent_sums,
     _row_interaction,
     component_form,
     model_potentials,
     rate_form,
-    relative_energy,
     validate_model_on_torus,
     variant_name,
 )
@@ -121,11 +125,10 @@ class ComponentConstants:
     details: Dict[str, float] = field(default_factory=dict)
 
 
-# A rate form has one of three shapes: births damped by exponential own and
-# cross energies (the Glauber environments, GlauberGlauber's system),
-# additive own and cross kernels for death and birth (the other systems and
-# TwoBdlp's environment), or death amplified by an exponential own energy
-# with births around parents damped by the other component
+# The closed-form constants know three joint shapes of a form: births damped
+# by exponential energies (the Glauber components), additive kernels for
+# death and birth (the other systems, TwoBdlp's environment), and death
+# amplified by an exponential energy with births around damped parents
 # (BranchingInGlauber's system).  The details name each term by the model
 # field behind it (m.ENV_TERMS, m.SYS_TERMS).
 
@@ -312,78 +315,63 @@ def growth_bounds(m: RateModel, dim: int) -> Dict[str, GrowthBound]:
 # ---------------------------------------------------------------------------
 # exact weighted expansion masses (closed forms, for the numeric cross-check)
 
+def _closed_death(f: ComponentForm, own: np.ndarray, other: np.ndarray,
+                  c_own: float, c_other: float, torus: Torus) -> float:
+    """Closed weighted mass of the death part of f around the points own:
+    the death rates amplified by exp(c_own * beta_neg) of an exponential
+    death_pot, or raised by the weighted masses of the additive kernels."""
+    rates = _form_death_vector(f, own, other, torus)
+    if f.death_pot is not None:
+        return _mass_term(float(np.sum(rates)),
+                          c_own * _functionals(f, "death_pot", torus.dim).beta_neg)
+    l1 = (c_own * _functionals(f, "death_kernel", torus.dim).l1
+          + c_other * _functionals(f, "cross_death_kernel", torus.dim).l1)
+    return float(np.sum(rates + l1))
+
+
+def _closed_birth(f: ComponentForm, own: np.ndarray, other: np.ndarray,
+                  c_own: float, c_other: float, torus: Torus) -> float:
+    """Closed weighted mass of the birth part of f around the points own,
+    divided by c_own: the damped birth rates amplified by exp(c_own * beta +
+    c_other * beta_cross) of an exponential damping, or the additive terms,
+    the kernel around each parent amplified by exp(c_other * beta(parent_pot))."""
+    dim = torus.dim
+    if f.damping is not None:
+        energy = (_row_interaction(own, own, f.birth_pot, torus, exclude_self=True)
+                  + _row_interaction(own, other, f.cross_birth_pot, torus))
+        return _mass_term(f.birth_const / c_own * float(np.sum(np.exp(-energy))),
+                          c_own * _functionals(f, "birth_pot", dim).beta
+                          + c_other * _functionals(f, "cross_birth_pot", dim).beta)
+    l1 = {t: _functionals(f, t, dim).l1 for t in ("birth_kernel", "cross_birth_kernel")}
+    free = float(np.sum(f.birth_const + c_other * l1["cross_birth_kernel"]
+                        + _row_interaction(own, other, f.cross_birth_kernel, torus)))
+    # the kernel is symmetric, so each parent's damping weights its own row sum
+    around = float(np.sum(np.exp(-_parent_sums(f, own, other, torus))
+                          * _row_interaction(own, own, f.birth_kernel, torus, exclude_self=True)
+                          + c_own * l1["birth_kernel"]))
+    return (free + _mass_term(f.birth_kernel_scale * around,
+                              c_other * _functionals(f, "parent_pot", dim).beta)) / c_own
+
+
 def _closed_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfiguration,
                  c_own: float, c_other: float, torus: Torus) -> Tuple[float, bool]:
     """Closed-form weighted expansion mass of the kernels of f around own,
-    the other component being other.
+    the other component being other: its death part plus its birth part.
 
-    Returns (value, exact).  For births around parents damped by a nonempty
-    other component one integral has no closed form and is replaced by its
-    upper bound, flagged exact=False.
+    Returns (value, exact).  With parent_pot the value is an upper bound,
+    flagged exact=False, when other is nonempty (the integral over a
+    candidate parent has no closed form) or when a cross birth kernel meets
+    an own parent (on one other candidate their kernels partly cancel).
     """
-    n = own.size
-    dim = torus.dim
-    pts, opts = own.points, other.points
-    if f.birth_pot is not None:
-        bo = _functionals(f, "birth_pot", dim).beta
-        bc = _functionals(f, "cross_birth_pot", dim).beta
-        tot = n * f.death_const
-        pref = _mass_term(f.birth_const / c_own, c_own * bo + c_other * bc)
-        for i in range(n):
-            x = pts[i]
-            rest = own.remove_index(i).points
-            tot += pref * math.exp(-relative_energy(x, rest, f.birth_pot, torus)
-                                   - relative_energy(x, opts, f.cross_birth_pot, torus))
-        return tot, True
-    if n == 0:
-        return 0.0, True
-    if f.death_pot is None:
-        l1 = {t: _functionals(f, t, dim).l1 for t in _ADDITIVE}
-
-        def part(own_term: str, cross_term: str, const: float) -> float:
-            own_pot, cross_pot = getattr(f, own_term), getattr(f, cross_term)
-            return float(np.sum(const + _row_interaction(pts, pts, own_pot, torus, exclude_self=True)
-                                + _row_interaction(pts, opts, cross_pot, torus)
-                                + c_own * l1[own_term] + c_other * l1[cross_term]))
-
-        return (part("death_kernel", "cross_death_kernel", f.death_const)
-                + part("birth_kernel", "cross_birth_kernel", f.birth_const) / c_own), True
-    fk = _functionals(f, "death_pot", dim)
-    x_phi = c_other * _functionals(f, "parent_pot", dim).beta
-    l1a = _functionals(f, "birth_kernel", dim).l1
-    damp = np.array([math.exp(-relative_energy(y, opts, f.parent_pot, torus)) for y in pts])
-    tot = 0.0
-    for i in range(n):
-        x = pts[i]
-        rest = own.remove_index(i)
-        tot += f.death_const * _safe_exp(c_own * fk.beta_neg) * _safe_exp(
-            relative_energy(x, rest.points, f.death_pot, torus))
-        if n > 1 and not f.birth_kernel.is_zero:
-            d = pairwise_distances(x[None, :], rest.points, torus)[0]
-            w = np.delete(damp, i)
-            tot += _mass_term(float(np.sum(w * f.birth_kernel(d))) / c_own, x_phi)
-        # candidate-parent integral; exact only without other points
-        tot += _mass_term(l1a, x_phi)
-    return tot, other.size == 0
+    args = (f, own.points, other.points, c_own, c_other, torus)
+    return (_closed_death(*args) + _closed_birth(*args),
+            f.parent_pot is None
+            or (other.size == 0 and (own.size < 2 or f.birth_groups[1] is None)))
 
 
 # ---------------------------------------------------------------------------
 # numeric expansion masses (truncated Monte Carlo over candidate points,
 # kernel values obtained by explicit subset enumeration)
-
-def _dists_to(x: np.ndarray, block: np.ndarray, torus: Torus) -> np.ndarray:
-    """block (S, n, dim) -> (S, n) distances to x."""
-    S, n, d = block.shape
-    if n == 0:
-        return np.zeros((S, 0))
-    return pairwise_distances(block.reshape(S * n, d), x[None, :], torus).reshape(S, n)
-
-
-def _rowwise_dist(a: np.ndarray, b: np.ndarray, torus: Torus) -> np.ndarray:
-    """Distance between paired rows of a and b, minimal image."""
-    delta = min_image_diff(a - b, torus.side)
-    return np.sqrt(np.sum(delta ** 2, axis=-1))
-
 
 def _subset_product_sum(vals: np.ndarray) -> np.ndarray:
     """(S, k) -> (S,): per row, the sum over all subsets of the product of
@@ -399,11 +387,20 @@ def _subset_product_sum(vals: np.ndarray) -> np.ndarray:
     return tot
 
 
+def _subset_sum(pot: Potential, y: np.ndarray, cfg: FiniteConfiguration, torus: Torus) -> float:
+    """Sum over the subsets of cfg of the product of the Mayer factors of pot at y."""
+    if not cfg.size:
+        return 1.0
+    return _subset_product_sum(mayer(pot, pairwise_distances(y[None, :], cfg.points, torus)))[0]
+
+
 class _Part(NamedTuple):
     """The death (0) or birth (1) part of the expansion around one point:
-    its batch evaluator, the largest number of own and other candidates, the
-    sampling radii of those candidates around the point (None: the whole
-    torus, 0.0: none) and an upper bound on the mass beyond the caps."""
+    its batch evaluator, mapping candidate blocks (xi_own (S,nO,dim),
+    xi_other (S,nX,dim)) to |sum over subset pairs of the kernel at the
+    point|, the largest number of own and other candidates, their sampling
+    radii around the point (None: the whole torus, 0.0: none) and an upper
+    bound on the mass beyond the caps."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     caps: Tuple[int, int]
@@ -411,127 +408,106 @@ class _Part(NamedTuple):
     tail: float = 0.0
 
 
-def _expansion(f: ComponentForm, x: np.ndarray, rest: FiniteConfiguration,
-               other: FiniteConfiguration, c_own: float, c_other: float,
-               order_cap: int, torus: Torus) -> Tuple[_Part, _Part]:
-    """Death and birth parts of the expansion of the kernels of f at x, rest
-    being the rest of x's component and other the other component.  Each
-    evaluator maps candidate blocks (xi_own (S,nO,dim), xi_other (S,nX,dim))
-    to |sum over subset pairs of the kernel of f at x|."""
-    dim = torus.dim
-    rp = pairwise_distances(x[None, :], rest.points, torus)[0] if rest.size else np.zeros(0)
-    rm = pairwise_distances(x[None, :], other.points, torus)[0] if other.size else np.zeros(0)
-
-    def subset_sum(pot: Potential, y: np.ndarray, cfg: FiniteConfiguration) -> float:
-        if not cfg.size:
-            return 1.0
-        return _subset_product_sum(
-            mayer(pot, pairwise_distances(y[None, :], cfg.points, torus)))[0]
-
-    def cap(pot: Potential, order: int = 1) -> int:
-        return 0 if pot.is_zero else order
-
-    def radius(pot: Potential) -> Optional[float]:
-        return _capped_radius(pot.cutoff, torus)
-
-    if f.birth_pot is not None:
-        own_pot, cross = f.birth_pot, _term(f, "cross_birth_pot")
-        s0p = subset_sum(own_pot, x, rest)
-        s0m = subset_sum(cross, x, other)
-
-        def death(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-            S = xp.shape[0]
-            return (np.full(S, f.death_const) if (xp.shape[1] == 0 and xm.shape[1] == 0)
-                    else np.zeros(S))
-
-        def birth(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-            tp = mayer(own_pot, _dists_to(x, xp, torus))
-            tm = mayer(cross, _dists_to(x, xm, torus))
-            return np.abs(f.birth_const * s0p * s0m * np.prod(tp, axis=1) * np.prod(tm, axis=1))
-
-        bp = potential_functionals(own_pot, dim).beta
-        bm = potential_functionals(cross, dim).beta
-        cp, cm = cap(own_pot, order_cap), cap(cross, order_cap)
-        partial = sum((c_own * bp) ** a / math.factorial(a)
-                      * (c_other * bm) ** b / math.factorial(b)
-                      for a in range(cp + 1) for b in range(cm + 1))
-        pref = (f.birth_const / c_own) * _abs_mayer_products(x, rest, own_pot, torus) \
-            * _abs_mayer_products(x, other, cross, torus)
-        return (_Part(death, (0, 0), (0.0, 0.0)),
-                _Part(birth, (cp, cm), (radius(own_pot), radius(cross)),
-                      pref * max(0.0, _safe_exp(c_own * bp + c_other * bm) - partial)))
-
-    if f.death_pot is None:
-        def additive(const: float, pot_p: Potential, pot_m: Potential) -> _Part:
-            base = const + float(np.sum(pot_p(rp))) + float(np.sum(pot_m(rm)))
-
-            def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-                S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
-                if nP == 0 and nM == 0:
-                    return np.full(S, abs(base))
-                if nP == 1 and nM == 0:
-                    return np.abs(pot_p(_dists_to(x, xp, torus)[:, 0]))
-                if nP == 0 and nM == 1:
-                    return np.abs(pot_m(_dists_to(x, xm, torus)[:, 0]))
-                return np.zeros(S)
-            return _Part(fn, (cap(pot_p), cap(pot_m)), (radius(pot_p), radius(pot_m)))
-
-        return (additive(f.death_const, f.death_kernel, _term(f, "cross_death_kernel")),
-                additive(f.birth_const, f.birth_kernel, _term(f, "cross_birth_kernel")))
-
-    kappa, phi, a_plus = f.death_pot, f.parent_pot, f.birth_kernel
-    su0 = _subset_product_sum(np.expm1(kappa(rp))[None, :])[0]
-    # per fixed parent y in rest: damping subset sum over other and kernel value
+def _additive_part(x: np.ndarray, rest: FiniteConfiguration, other: FiniteConfiguration,
+                   torus: Torus, const: float, kernel: Potential, cross: Potential, scale=1.0,
+                   phi: Optional[Potential] = None, order_cap=0, weights=(1.0, 1.0)) -> _Part:
+    """Part const + scale * sum over own parents y of kernel(|x - y|) *
+    exp(-sum of phi around y over the other component) + sum of cross over
+    the other component, at x; phi None for an undamped kernel, whose Mayer
+    factors otherwise reach up to order_cap other candidates."""
     parents = rest.points
-    a_vals = a_plus(rp)
-    sphi = np.array([subset_sum(phi, y, other) for y in parents])
+    k_vals = scale * kernel(distances_from(x, parents, torus))
+    damp = (np.ones(len(parents)) if phi is None
+            else np.array([_subset_sum(phi, y, other, torus) for y in parents]))
+    rm = distances_from(x, other.points, torus)
+    base = const + float(np.sum(k_vals * damp)) + float(np.sum(cross(rm)))
 
-    def death(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
+    def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
         S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
-        if nM > 0:
+        if nP > 1 or (nP and nM and phi is None):
             return np.zeros(S)
-        u = np.expm1(kappa(_dists_to(x, xp, torus)))
+        if nP:
+            y = xp[:, 0, :]  # candidate parent per sample
+            val = scale * kernel(distances_from(x, y, torus))
+            if phi is not None and other.size:
+                val *= _subset_product_sum(mayer(phi, pairwise_distances(y, other.points, torus)))
+            if nM:
+                val *= np.prod(mayer(phi, distances_from(y[:, None, :], xm, torus)), axis=1)
+            return np.abs(val)
+        if nM == 0:
+            return np.full(S, abs(base))
+        tot = cross(distances_from(x, xm[:, 0], torus)) if nM == 1 else np.zeros(S)
+        if phi is not None:
+            for y, k, s in zip(parents, k_vals, damp):
+                if k != 0.0:
+                    tot = tot + k * s * np.prod(mayer(phi, distances_from(y, xm, torus)), axis=1)
+        return np.abs(tot)
+
+    cap_other, r_other, tail = 0 if cross.is_zero else 1, cross.cutoff, 0.0
+    if phi is not None:
+        c_own, c_other = weights
+        cap_other = max(cap_other, order_cap)
+        r_other = max(r_other, kernel.cutoff + phi.cutoff)
+        # 2 ** other.size bounds the damping's subset sums over other
+        rem = 2.0 ** other.size * _remainder_exp(
+            c_other * potential_functionals(phi, torus.dim).beta, cap_other)
+        l1 = scale * potential_functionals(kernel, torus.dim).l1
+        tail = (float(np.sum(k_vals)) * rem + c_own * l1 * rem) / c_own
+    return _Part(fn, (0 if kernel.is_zero else 1, cap_other),
+                 (_capped_radius(kernel.cutoff, torus), _capped_radius(r_other, torus)), tail)
+
+
+def _death_part(f: ComponentForm, x: np.ndarray, rest: FiniteConfiguration,
+                other: FiniteConfiguration, c_own: float, order_cap: int, torus: Torus) -> _Part:
+    """Death part of the expansion of f at x: the positive Mayer products of
+    an exponential death_pot over own candidates, or the additive part."""
+    kappa = f.death_pot
+    if kappa is None:
+        return _additive_part(x, rest, other, torus, f.death_const,
+                              _term(f, "death_kernel"), _term(f, "cross_death_kernel"))
+    su0 = _subset_product_sum(np.expm1(kappa(distances_from(x, rest.points, torus)))[None, :])[0]
+
+    def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
+        if xm.shape[1]:
+            return np.zeros(xp.shape[0])
+        u = np.expm1(kappa(distances_from(x, xp, torus)))
         return np.abs(f.death_const * su0 * np.prod(u, axis=1))
 
-    def birth(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-        S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
-        if nP > 1:
-            return np.zeros(S)
-        if nP == 0:
-            tot = np.zeros(S)
-            for j in range(len(parents)):
-                if a_vals[j] == 0.0:
-                    continue
-                tphi = mayer(phi, _dists_to(parents[j], xm, torus))
-                tot = tot + a_vals[j] * sphi[j] * np.prod(tphi, axis=1)
-            return np.abs(tot)
-        y = xp[:, 0, :]  # candidate parent per sample
-        av = a_plus(_dists_to(x, xp, torus)[:, 0])
-        if other.size:
-            dye = pairwise_distances(y, other.points, torus)
-            sy = _subset_product_sum(mayer(phi, dye))
-        else:
-            sy = np.ones(S)
-        prod_t = np.ones(S)
-        for j in range(nM):
-            prod_t = prod_t * mayer(phi, _rowwise_dist(y, xm[:, j, :], torus))
-        return np.abs(av * sy * prod_t)
+    cap = 0 if kappa.is_zero else order_cap
+    tail = f.death_const * _abs_mayer_products(x, rest, kappa, torus, positive=True) \
+        * _remainder_exp(c_own * potential_functionals(kappa, torus.dim).beta_neg, cap)
+    return _Part(fn, (cap, 0), (_capped_radius(kappa.cutoff, torus), 0.0), tail)
 
-    cp_d = cap(kappa, order_cap)
-    cm_b = 0 if (phi.is_zero or a_plus.is_zero) else order_cap
-    death_tail = f.death_const * _abs_mayer_products(x, rest, kappa, torus, positive=True) \
-        * _remainder_exp(c_own * potential_functionals(kappa, dim).beta_neg, cp_d)
-    birth_tail = 0.0
-    if not a_plus.is_zero:
-        env_prod = 2.0 ** other.size
-        rem = _remainder_exp(c_other * potential_functionals(phi, dim).beta, cm_b)
-        parent_mass = float(np.sum(a_vals))
-        birth_tail = (parent_mass * env_prod * rem
-                      + c_own * potential_functionals(a_plus, dim).l1 * env_prod * rem) / c_own
-    return (_Part(death, (cp_d, 0), (radius(kappa), 0.0), death_tail),
-            _Part(birth, (cap(a_plus), cm_b),
-                  (radius(a_plus), _capped_radius(a_plus.cutoff + phi.cutoff, torus)),
-                  birth_tail))
+
+def _birth_part(f: ComponentForm, x: np.ndarray, rest: FiniteConfiguration,
+                other: FiniteConfiguration, c_own: float, c_other: float, order_cap: int,
+                torus: Torus) -> _Part:
+    """Birth part of the expansion of f at x (weighted 1/c_own in
+    _numeric_mass): the Mayer products of an exponential damping over own
+    and other candidates, or the additive part, damped by parent_pot."""
+    if f.damping is None:
+        return _additive_part(x, rest, other, torus, f.birth_const, _term(f, "birth_kernel"),
+                              _term(f, "cross_birth_kernel"), f.birth_kernel_scale,
+                              f.pair_terms[1][1], order_cap, (c_own, c_other))
+    own_pot, cross = _term(f, "birth_pot"), _term(f, "cross_birth_pot")
+    s0 = f.birth_const * _subset_sum(own_pot, x, rest, torus) * _subset_sum(cross, x, other, torus)
+
+    def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
+        tp = mayer(own_pot, distances_from(x, xp, torus))
+        tm = mayer(cross, distances_from(x, xm, torus))
+        return np.abs(s0 * np.prod(tp, axis=1) * np.prod(tm, axis=1))
+
+    bp = potential_functionals(own_pot, torus.dim).beta
+    bm = potential_functionals(cross, torus.dim).beta
+    cp, cm = (0 if p.is_zero else order_cap for p in (own_pot, cross))
+    partial = sum((c_own * bp) ** a / math.factorial(a)
+                  * (c_other * bm) ** b / math.factorial(b)
+                  for a in range(cp + 1) for b in range(cm + 1))
+    pref = (f.birth_const / c_own) * _abs_mayer_products(x, rest, own_pot, torus) \
+        * _abs_mayer_products(x, other, cross, torus)
+    tail = pref * max(0.0, _safe_exp(c_own * bp + c_other * bm) - partial)
+    return _Part(fn, (cp, cm), (_capped_radius(own_pot.cutoff, torus),
+                                _capped_radius(cross.cutoff, torus)), tail)
 
 
 def _remainder_exp(u: float, cap: int) -> float:
@@ -616,7 +592,9 @@ def _numeric_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfi
     tail = 0.0
     for i in range(own.size):
         x = own.points[i]
-        parts = _expansion(f, x, own.remove_index(i), other, c_own, c_other, order_cap, torus)
+        rest = own.remove_index(i)
+        parts = (_death_part(f, x, rest, other, c_own, order_cap, torus),
+                 _birth_part(f, x, rest, other, c_own, c_other, order_cap, torus))
         for p, (part, w) in enumerate(zip(parts, (1.0, 1.0 / c_own))):
             v, e = _marked_mc(part, (c_own, c_other), torus, x, samples, seeds(i, p))
             total += w * v

@@ -1,7 +1,9 @@
 """Error types shared across the package.
 
-The CLI maps these to exit statuses: config/schema problems -> 2,
-infeasible regime -> 3, convergence / stability / explosion -> 4.
+The CLI maps these to exit statuses: config/schema problems (the ValueError
+subclasses but EvaluationError) -> 2; convergence, stability, explosion and
+evaluation failures -> 4.  An infeasible regime is not an error: the check
+command reports it and exits 3 itself.
 """
 
 
@@ -19,10 +21,6 @@ class ModelError(ValueError):
 
 class ConfigError(ValueError):
     """Experiment configuration failed schema or consistency validation."""
-
-
-class InfeasibleRegimeError(RuntimeError):
-    """No regime parameters satisfy the contraction conditions."""
 
 
 class ConvergenceError(RuntimeError):

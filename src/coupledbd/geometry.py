@@ -115,7 +115,9 @@ def squared_distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.n
 
 
 def distances_from(x: np.ndarray, pts: np.ndarray, torus: Torus) -> np.ndarray:
-    """Minimal-image distances from the point x to each row of pts."""
+    """Minimal-image distances from the point x to each row of pts.  Leading
+    axes broadcast: x (dim,) against a block pts (S, n, dim) gives (S, n),
+    paired rows x (S, dim) and pts (S, dim) give (S,)."""
     return np.sqrt(squared_distances_from(x, pts, torus))
 
 

@@ -25,8 +25,15 @@ from coupledbd.conditions import (
 )
 from coupledbd.errors import ConfigError, EvaluationError
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration
-from coupledbd.models import GlauberGlauber, env_death_vector, rate_form, sys_death_vector
-from coupledbd.potentials import Potential
+from coupledbd.models import (
+    ComponentForm,
+    GlauberGlauber,
+    _form_death_vector,
+    env_death_vector,
+    rate_form,
+    sys_death_vector,
+)
+from coupledbd.potentials import Potential, potential_functionals
 
 from coupledbd import conditions
 from conftest import (
@@ -37,6 +44,7 @@ from conftest import (
     branching_model,
     gg_model,
     marked,
+    step,
     two_bdlp_model,
 )
 from regime_golden import FACTORIES, REGIME, SPOT, SPOT_2D, SPOT_3D, SPOT_TORI
@@ -188,6 +196,61 @@ def test_branching_closed_mass_is_flagged_inexact_with_environment():
     bare = marked([1.0, 1.4], [])
     _, exact = _sys_closed(m, bare, 1.0, 1.0)
     assert exact
+
+
+def _masses(f, own, other, c_own, c_other, samples=4000):
+    """(numeric, stderr, tail, closed, exact) of the expansion of f around own."""
+    own, other = (FiniteConfiguration(np.reshape(p, (-1, 1))) if len(p)
+                  else FiniteConfiguration.empty(1) for p in (own, other))
+    num, err, tail = conditions._numeric_mass(f, own, other, c_own, c_other, TORUS1, 3,
+                                              samples, lambda i, p: 41 + 7 * i + p)
+    return (num, err, tail) + _closed_mass(f, own, other, c_own, c_other, TORUS1)
+
+
+def _agree(num, err, tail, closed):
+    return abs(num - closed) <= 4.0 * err + tail + 1e-9 * (1 + abs(closed))
+
+
+def test_the_closed_mass_keeps_an_exponential_death_beside_an_exponential_birth():
+    # no variant pairs these two parts; the closed mass used to count each
+    # point's death at death_const and dropped death_pot: 3.78 against 9.90
+    f = ComponentForm(death_const=1.0, birth_const=0.3, death_pot=step(0.4, 0.5),
+                      birth_pot=step(0.5, 1.0))
+    own = [1.0, 1.2, 1.4]
+    num, err, tail, closed, exact = _masses(f, own, [], 0.8, 1.0)
+    rates = _form_death_vector(f, np.reshape(own, (-1, 1)), np.zeros((0, 1)), TORUS1)
+    death = math.exp(0.8 * potential_functionals(f.death_pot, 1).beta_neg) * float(np.sum(rates))
+    assert death == pytest.approx(9.90, abs=0.01)
+    assert exact and closed >= death
+    assert _agree(num, err, tail, closed)
+
+
+def test_numeric_masses_confirm_a_damped_parent_beside_a_cross_birth_kernel():
+    f = ComponentForm(death_const=1.0, birth_const=0.2, death_kernel=step(0.3, 0.5),
+                      birth_kernel=step(0.4, 0.6), birth_kernel_scale=0.7,
+                      cross_birth_kernel=step(0.25, 0.5), parent_pot=step(0.5, 0.7))
+    c_own, c_other = 0.8, 1.5
+    beta_phi = 1.4 * (1.0 - math.exp(-0.5))
+    num, err, tail, closed, exact = _masses(f, [1.0], [], c_own, c_other)
+    # death: the rate 1 plus the own kernel mass; birth: immigration, the
+    # cross kernel mass and the scaled kernel around a candidate parent, damped
+    birth = (0.2 + c_other * 0.25 + 0.7 * c_own * 0.48 * math.exp(c_other * beta_phi)) / c_own
+    assert exact
+    assert closed == pytest.approx(1.0 + c_own * 0.3 + birth, rel=1e-12)
+    assert _agree(num, err, tail, closed)
+    # with an own parent, or with other points, the closed mass bounds it above
+    for own, other in (([1.0, 1.3], []), ([1.0], [1.5, 0.6]), ([1.0, 1.3], [1.5, 0.6])):
+        num, err, tail, closed, exact = _masses(f, own, other, c_own, c_other)
+        assert not exact
+        assert num <= closed + 4.0 * err
+    num, err, tail, closed, exact = _masses(f, [1.0, 1.3], [], c_own, c_other)
+    birth = (2 * (0.2 + c_other * 0.25)
+             + 0.7 * (2 * 0.4 + 2 * c_own * 0.48) * math.exp(c_other * beta_phi)) / c_own
+    assert closed == pytest.approx(2 * (1.3 + c_own * 0.3) + birth, rel=1e-12)
+    # without the cross kernel the two parents' closed mass is exact
+    num, err, tail, closed, exact = _masses(replace(f, cross_birth_kernel=None), [1.0, 1.3], [],
+                                            c_own, c_other)
+    assert exact and _agree(num, err, tail, closed)
 
 
 @pytest.mark.parametrize("build", ALL_MODELS, ids=lambda b: b.__name__)

@@ -497,6 +497,28 @@ def test_cli_simulate_artifacts_and_seed_override(tmp_path):
     assert ev["n_replicas"] == 3 and ev["total_events"] > 0
 
 
+def test_seed_overrides_default_to_their_own_run_directories(tmp_path, monkeypatch):
+    # runs/simulate_{hash} used to hold the last of the two runs, its
+    # manifest saying seed 2 and the first run's artifacts overwritten
+    cfg = _gg_config()
+    cfg["simulate"] = {"t_end": 1.0, "n_replicas": 2, "seed": 5}
+    cfg["invariant"] = {"grid_points": 32, "order": 1}
+    path = _write(tmp_path, cfg)
+    monkeypatch.chdir(tmp_path)
+    for seed in ("1", "2"):
+        assert main(["simulate", path, "--seed", seed]) == 0
+        assert main(["invariant", path, "--seed", seed]) == 0
+    assert main(["simulate", path]) == 0
+    h = config_hash(cfg)
+    assert sorted(os.listdir("runs")) == [f"invariant_{h}", f"simulate_{h}",
+                                          f"simulate_{h}_seed1", f"simulate_{h}_seed2"]
+    for name, seed in ((f"simulate_{h}_seed1", 1), (f"simulate_{h}_seed2", 2),
+                       (f"simulate_{h}", 5)):
+        man = json.loads((tmp_path / "runs" / name / "manifest.json").read_text())
+        assert man["config"]["simulate"]["seed"] == seed
+        assert man["config_hash"] == h
+
+
 @pytest.mark.parametrize("command, seed_at", [
     ("simulate", ("simulate",)),
     ("check", ("check", "spot_check")),

@@ -15,6 +15,7 @@ from coupledbd.geometry import (
     QuadratureSpec,
     Torus,
     ball_volume,
+    distances_from,
     k_inverse,
     lp_integral,
     min_image_diff,
@@ -135,6 +136,15 @@ def test_pairwise_distances_matches_scalar_route():
         for j in range(6):
             assert mat[i, j] == pytest.approx(
                 torus_distance(a[i], b[j], t), abs=1e-12)
+    # leading axes broadcast, bit for bit: a point against an (S, n, dim)
+    # block, and paired (S, dim) rows
+    block = t.uniform(rng, 12).reshape(2, 6, 3)
+    got = distances_from(a[0], block, t)
+    assert got.shape == (2, 6)
+    assert np.array_equal(got, pairwise_distances(a[:1], block.reshape(12, 3), t).reshape(2, 6))
+    rows = distances_from(a, b[:4], t)
+    assert rows.shape == (4,)
+    assert np.array_equal(rows, np.diag(pairwise_distances(a, b[:4], t)))
 
 
 # sides whose multiples and halves are and are not exact in binary
