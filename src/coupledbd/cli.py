@@ -40,7 +40,6 @@ from .errors import (
     ExplosionGuardError,
     StabilityError,
 )
-from .geometry import MarkedConfiguration
 from .models import build_averaged_model, validate_model_on_torus
 
 # The names the commands call from the modules only some commands run.  A
@@ -57,7 +56,7 @@ _LAZY = {
                   "ks_solve", "lenard_spot_check"),
     "simulate": ("COMPONENTS", "EVENT_KINDS", "SimulationSettings",
                  "acceptance_ratio", "estimate_density",
-                 "poisson_configuration", "replicate"),
+                 "poisson_pair", "replicate"),
     "tables": ("CorrelationTable", "GridSpec"),
 }
 
@@ -250,13 +249,8 @@ def _cmd_simulate(cfg: dict, m, torus, out_dir: str):
         t_end=t_end, epsilon=section["epsilon"], master_seed=section["seed"],
         record_times=tuple(np.linspace(0.0, t_end, section["n_times"])),
         max_events=section["max_events"])
-    sys_rho = section["sys_density"] if "system" in components else 0.0
-    env_rho = section["env_density"] if "environment" in components else 0.0
-
-    def factory(rng):
-        return MarkedConfiguration(plus=poisson_configuration(rng, torus, sys_rho),
-                                   minus=poisson_configuration(rng, torus, env_rho))
-
+    factory = poisson_pair(torus, section["sys_density"] if "system" in components else 0.0,
+                           section["env_density"] if "environment" in components else 0.0)
     records = replicate(m, torus, factory, settings, section["n_replicas"], components)
     est = estimate_density(records, torus)
     _write_csv(os.path.join(out_dir, "densities.csv"),

@@ -26,14 +26,16 @@ which has no cross terms, with an empty other component and weights
 the rates are: an additive or exponential death part beside an exponential
 or additive birth part.  Only the contraction constants (_constants,
 averaged_constants, growth_bounds) branch on the joint shape of the form,
-because they are the paper's closed-form bounds; only averaged_constants
-branches on the variant, and nothing on the component.
+because they are the paper's closed-form bounds, and they refuse a form
+whose death and birth parts are both exponential, for which none is
+stated; only averaged_constants branches on the variant, and nothing on
+the component.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,6 +155,16 @@ def _term(f: ComponentForm, term: str) -> Potential:
     return _ZERO if pot is None else pot
 
 
+def _exponential_birth(f: ComponentForm) -> bool:
+    """True when f's births are damped by birth_pot, the shape whose bounds
+    assume a constant death.  No bound is stated for it beside a death_pot,
+    so such a form is refused."""
+    if f.birth_pot is not None and f.death_pot is not None:
+        raise ModelError("no contraction bound for a form with both an exponential "
+                         "death part (death_pot) and an exponential birth part (birth_pot)")
+    return f.birth_pot is not None
+
+
 def _functionals(f: ComponentForm, term: str, dim: int):
     return potential_functionals(_term(f, term), dim)
 
@@ -174,7 +186,7 @@ def _constants(f: ComponentForm, c_own: float, c_other: float, dim: int, labels:
     their detail names, and "ratios" to the names of the domination ratios;
     an unlabelled term is left out of the details, an additive kernel's l1
     mass is named l1_prefix + its label."""
-    if f.birth_pot is not None:
+    if _exponential_birth(f):
         betas = {t: _functionals(f, t, dim).beta for t in ("birth_pot", "cross_birth_pot")}
         a = 1.0 + _mass_term(f.birth_const / c_own / f.death_const,
                              c_own * betas["birth_pot"] + c_other * betas["cross_birth_pot"])
@@ -233,7 +245,7 @@ def averaged_constants(m: RateModel, c_minus: float, c_plus: float, dim: int,
     out.  For TwoBdlp the exact constant needs the invariant density; without
     it a density-free upper bound is returned."""
     f, names = _system(m)
-    if f.birth_pot is not None:
+    if _exponential_birth(f):
         return sys_constants(m, c_minus, c_plus, dim)
     if f.death_pot is not None:
         fk = _functionals(f, "death_pot", dim)
@@ -301,7 +313,7 @@ def growth_bounds(m: RateModel, dim: int) -> Dict[str, GrowthBound]:
         return v
 
     def bound(f: ComponentForm) -> GrowthBound:
-        if f.birth_pot is not None:
+        if _exponential_birth(f):
             return GrowthBound(max(1.0, f.birth_const) + f.death_const, 0, 0.0)
         amp = f.death_const + f.birth_const
         for t in _ADDITIVE:
@@ -644,17 +656,11 @@ class SpotCheckRow:
     ok_inequality: Optional[bool]
     ok_equality: Optional[bool]
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class SpotCheckReport:
     rows: List[SpotCheckRow]
     ok: bool
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "rows": [r.as_dict() for r in self.rows]}
 
 
 def _cluster_points(rng: np.random.Generator, torus: Torus, n: int,
@@ -750,27 +756,12 @@ class RegimeReport:
     spot: Optional[SpotCheckReport] = None
 
     def as_dict(self) -> dict:
-        def comp(c: ComponentConstants) -> dict:
-            return {"a": c.a, "m_star": c.m_star, "feasible": c.feasible,
-                    "details": dict(c.details)}
-
-        out = {
-            "variant": self.variant,
-            "c_minus_weight": self.c_minus_weight,
-            "c_plus_weight": self.c_plus_weight,
-            "environment": comp(self.environment),
-            "system": comp(self.system),
-            "averaged": comp(self.averaged),
-            "gap_env": self.gap_env,
-            "angle_env": self.angle_env,
-            "gap_averaged": self.gap_averaged,
-            "angle_averaged": self.angle_averaged,
-            "growth": {k: {"amplitude": g.amplitude, "degree": g.degree,
-                           "exponent": g.exponent} for k, g in self.growth.items()},
-            "feasible": self.feasible,
-        }
-        if self.spot is not None:
-            out["spot_check"] = self.spot.as_dict()
+        """The fields, nested reports as dicts; the spot check, when run,
+        under "spot_check"."""
+        out = asdict(self)
+        spot = out.pop("spot")
+        if spot is not None:
+            out["spot_check"] = spot
         return out
 
     def summary_lines(self) -> List[str]:

@@ -13,14 +13,14 @@ import numpy as np
 
 from .config import FIT_DISCARD_FRAC, FIT_MIN_POINTS
 from .errors import ConvergenceError
-from .geometry import FiniteConfiguration, MarkedConfiguration, Torus
+from .geometry import Torus
 from .hierarchy import component_form, ks_solve
 from .models import RateModel, build_averaged_model
 from .simulate import (
     DensityEstimate,
     SimulationSettings,
     estimate_density,
-    poisson_configuration,
+    poisson_pair,
     replicate,
 )
 from .tables import GridSpec
@@ -133,15 +133,8 @@ def ergodicity_experiment(
     times = tuple(np.linspace(0.0, t_end, n_times))
     settings = SimulationSettings(t_end=t_end, master_seed=master_seed,
                                   record_times=times)
-
-    def factory(rng: np.random.Generator) -> MarkedConfiguration:
-        return MarkedConfiguration(
-            plus=FiniteConfiguration.empty(torus.dim),
-            minus=poisson_configuration(rng, torus, initial_density),
-        )
-
-    records = replicate(m, torus, factory, settings, n_replicas,
-                        components=("environment",))
+    records = replicate(m, torus, poisson_pair(torus, 0.0, initial_density), settings,
+                        n_replicas, components=("environment",))
     est = estimate_density(records, torus)
     gaps = np.abs(est.mean_minus - target_density)
     late = est.se_minus[len(times) // 2:]
@@ -201,22 +194,10 @@ def averaging_experiment(
 
     times = tuple(np.linspace(0.0, t_end, n_times))
 
-    def coupled_factory(rng: np.random.Generator) -> MarkedConfiguration:
-        return MarkedConfiguration(
-            plus=poisson_configuration(rng, torus, sys_density0),
-            minus=poisson_configuration(rng, torus, env_density0),
-        )
-
-    def averaged_factory(rng: np.random.Generator) -> MarkedConfiguration:
-        return MarkedConfiguration(
-            plus=poisson_configuration(rng, torus, sys_density0),
-            minus=FiniteConfiguration.empty(torus.dim),
-        )
-
     avg_settings = SimulationSettings(t_end=t_end, master_seed=master_seed ^ 0xAE5,
                                       record_times=times)
-    avg_records = replicate(am, torus, averaged_factory, avg_settings, n_replicas,
-                            components=("system",))
+    avg_records = replicate(am, torus, poisson_pair(torus, sys_density0, 0.0), avg_settings,
+                            n_replicas, components=("system",))
     avg_est = estimate_density(avg_records, torus)
 
     distances = np.zeros(eps.size)
@@ -227,7 +208,8 @@ def averaging_experiment(
         settings = SimulationSettings(t_end=t_end, epsilon=float(e),
                                       master_seed=master_seed + 7919 * (i + 1),
                                       record_times=times)
-        recs = replicate(m, torus, coupled_factory, settings, n_replicas)
+        recs = replicate(m, torus, poisson_pair(torus, sys_density0, env_density0),
+                         settings, n_replicas)
         est = estimate_density(recs, torus)
         coupled[float(e)] = est
         gap = np.abs(est.mean_plus - avg_est.mean_plus)

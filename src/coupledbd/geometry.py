@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,11 +42,6 @@ class Torus:
     @property
     def volume(self) -> float:
         return self.side ** self.dim
-
-    @property
-    def max_distance(self) -> float:
-        """Largest attainable minimal-image distance, side*sqrt(dim)/2."""
-        return 0.5 * self.side * math.sqrt(self.dim)
 
     def wrap(self, coords) -> np.ndarray:
         """Map coordinates into [0, side) componentwise."""
@@ -168,12 +163,6 @@ class FiniteConfiguration:
         return cls(np.empty((0, dim)), check=False)
 
     @classmethod
-    def _unchecked(cls, points: np.ndarray) -> "FiniteConfiguration":
-        """Internal: a configuration of a copy of points, without the
-        coincidence check."""
-        return cls(points, check=False)
-
-    @classmethod
     def _adopt(cls, points: np.ndarray) -> "FiniteConfiguration":
         """Internal: wrap a float array of shape (n, dim) without a copy or a
         check.  The array is made read-only; it must be one the caller built
@@ -210,15 +199,6 @@ class FiniteConfiguration:
         keep = np.delete(self.points, i, axis=0)
         return FiniteConfiguration(keep, check=False)
 
-    def subset(self, indices: Sequence[int]) -> "FiniteConfiguration":
-        return FiniteConfiguration(self.points[list(indices)], check=False)
-
-    def reordered(self, perm: Sequence[int]) -> "FiniteConfiguration":
-        perm = list(perm)
-        if sorted(perm) != list(range(self.size)):
-            raise ValueError("perm must be a permutation of the point indices")
-        return FiniteConfiguration(self.points[perm], check=False)
-
 
 @dataclass(frozen=True)
 class MarkedConfiguration:
@@ -234,10 +214,6 @@ class MarkedConfiguration:
     @property
     def dim(self) -> int:
         return self.plus.dim
-
-    @property
-    def total_size(self) -> int:
-        return self.plus.size + self.minus.size
 
 
 def _check_enumeration_size(n: int):

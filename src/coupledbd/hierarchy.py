@@ -69,10 +69,7 @@ from .potentials import Potential
 from .tables import (
     CorrelationTable,
     GridSpec,
-    kernel_stencil,
-    mayer_stencil,
-    pointwise_stencil,
-    positive_mayer_stencil,
+    corrected_stencil,
     product_expectation,
     radial_profile,
     validate_grid_for_model,
@@ -114,17 +111,16 @@ class StencilBundle:
     work: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
-def _part(grid: GridSpec, pot: Optional[Potential], scale: float, sign: float = 0.0) -> Optional[StencilPart]:
+def _part(grid: GridSpec, pot: Optional[Potential], scale: float, sign: int = 0) -> Optional[StencilPart]:
     """The additive part scale * pot (sign 0), or the exponential part
     scale * (e^{sign pot} - 1) dressed by e^{sign pot}; None when pot is
     absent or zero, or scale is 0."""
     if pot is None or pot.is_zero or scale == 0.0:
         return None
-    cw = grid.cell_volume
+    cw, corrected = grid.cell_volume, corrected_stencil(grid, pot, sign)
     if not sign:
-        return StencilPart(pointwise_stencil(grid, pot) * scale, kernel_stencil(grid, pot) * cw * scale)
+        return StencilPart(pot(grid.distances) * scale, corrected * cw * scale)
     mayer = np.expm1(sign * pot(grid.distances))
-    corrected = positive_mayer_stencil(grid, pot) if sign > 0 else mayer_stencil(grid, pot)
     return StencilPart(scale * mayer, scale * corrected * cw, 1.0 + mayer)
 
 
@@ -135,9 +131,9 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
     m, z = form.death_const, form.birth_const
     b = StencilBundle(grid=grid, form=form, order=order)
     b.death = (_part(grid, form.death_kernel, 1.0) if form.death_pot is None
-               else _part(grid, form.death_pot, m, +1.0))
+               else _part(grid, form.death_pot, m, +1))
     b.birth = (_part(grid, form.birth_kernel, form.birth_kernel_scale) if form.birth_pot is None
-               else _part(grid, form.birth_pot, z, -1.0))
+               else _part(grid, form.birth_pot, z, -1))
 
     if order >= 2:
         di = grid.diff_index

@@ -173,6 +173,17 @@ def poisson_configuration(rng: np.random.Generator, torus: Torus,
     return FiniteConfiguration._adopt(torus.uniform(rng, n))
 
 
+def poisson_pair(torus: Torus, plus_density: float,
+                 minus_density: float) -> Callable[[np.random.Generator], MarkedConfiguration]:
+    """The initial_factory of replicate that draws Poisson system points,
+    then Poisson environment points, at the given densities.  A density of
+    0 draws nothing from the stream."""
+    def factory(rng: np.random.Generator) -> MarkedConfiguration:
+        return MarkedConfiguration(plus=poisson_configuration(rng, torus, plus_density),
+                                   minus=poisson_configuration(rng, torus, minus_density))
+    return factory
+
+
 def _pick_index(rng: np.random.Generator, weights: np.ndarray, total: float) -> int:
     i = int(weights.cumsum().searchsorted(total * rng.random(), side="right"))
     return min(i, len(weights) - 1)
@@ -262,8 +273,8 @@ class _PairState:
     def configuration(self, minus: Optional[np.ndarray] = None) -> MarkedConfiguration:
         """The pair now; minus replaces the environment's points when given."""
         return MarkedConfiguration(
-            plus=FiniteConfiguration._unchecked(self.points[0]),
-            minus=FiniteConfiguration._unchecked(self.points[1] if minus is None else minus))
+            plus=FiniteConfiguration(self.points[0], check=False),
+            minus=FiniteConfiguration(self.points[1] if minus is None else minus, check=False))
 
     def recompute(self):
         """Rebuild the sums from scratch, and the rates and proposals through

@@ -9,17 +9,21 @@ grid over the torus.  Orders up to 3 are supported:
     k2[j]       pair function at separation offsets[j]
     k3[j, l]    triple function at separations (offsets[j], offsets[l])
 
-Integrals against radial factors use midpoint values rescaled so the total
-lattice mass matches the exact radial integral (mass correction).  Values at
-fixed separations stay pointwise.  That split keeps constant-table integrals
-exact, which the averaging identities rely on.
+The grid builds its offsets, their distances and the index of offset
+differences on first use and keeps them, read-only, for its own lifetime.
+
+Integrals against a radial factor (pot, e^{-pot} - 1 or e^{+pot} - 1) use
+midpoint values rescaled so the total lattice mass matches the exact radial
+integral (mass correction, corrected_stencil).  Values at fixed separations
+stay pointwise.  That split keeps constant-table integrals exact, which the
+averaging identities rely on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,6 +39,9 @@ MAX_GRID_CELLS = 4096
 
 @dataclass(frozen=True)
 class GridSpec:
+    """A grid of points_per_axis cells per axis over the torus.  Its lattice
+    arrays are built on first use and kept with the grid, read-only."""
+
     torus: Torus
     points_per_axis: int
 
@@ -58,60 +65,37 @@ class GridSpec:
     def num_cells(self) -> int:
         return self.points_per_axis ** self.torus.dim
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return _offsets(self)
+    @cached_property
+    def _lattice(self) -> np.ndarray:
+        n, d = self.points_per_axis, self.torus.dim
+        mesh = np.meshgrid(*[np.arange(n)] * d, indexing="ij")
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
-    @property
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return _read_only(self._lattice.astype(float) * self.h)
+
+    @cached_property
     def distances(self) -> np.ndarray:
         """Minimal-image distance of each offset from the origin."""
-        return _distances(self)
+        # fold the integer offsets into [-n/2, n/2) before scaling, so that the
+        # offsets k and -k have the same distance to the last bit
+        n = self.points_per_axis
+        delta = ((self._lattice + n // 2) % n - n // 2) * self.h
+        return _read_only(np.sqrt(np.sum(delta * delta, axis=1)))
 
-    @property
+    @cached_property
     def diff_index(self) -> np.ndarray:
         """diff_index[j, l] is the flat index of offset[j] - offset[l]."""
-        return _diff_index(self)
+        lat, n, d = self._lattice, self.points_per_axis, self.torus.dim
+        diff = np.mod(lat[:, None, :] - lat[None, :, :], n)
+        return _read_only(np.ravel_multi_index(
+            tuple(diff[..., i] for i in range(d)), (n,) * d).astype(np.int32))
 
 
-@lru_cache(maxsize=64)
-def _lattice(grid: GridSpec) -> np.ndarray:
-    n, d = grid.points_per_axis, grid.torus.dim
-    axes = [np.arange(n)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    out = np.stack([m.ravel() for m in mesh], axis=1)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=64)
-def _offsets(grid: GridSpec) -> np.ndarray:
-    out = _lattice(grid).astype(float) * grid.h
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=64)
-def _distances(grid: GridSpec) -> np.ndarray:
-    # fold the integer offsets into [-n/2, n/2) before scaling, so that the
-    # offsets k and -k have the same distance to the last bit
-    n = grid.points_per_axis
-    delta = ((_lattice(grid) + n // 2) % n - n // 2) * grid.h
-    out = np.sqrt(np.sum(delta * delta, axis=1))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=16)
-def _diff_index(grid: GridSpec) -> np.ndarray:
-    lat = _lattice(grid)
-    n = grid.points_per_axis
-    diff = np.mod(lat[:, None, :] - lat[None, :, :], n)
-    flat = np.ravel_multi_index(
-        tuple(diff[..., i] for i in range(grid.torus.dim)),
-        (n,) * grid.torus.dim,
-    ).astype(np.int32)
-    flat.flags.writeable = False
-    return flat
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def validate_grid_for_model(grid: GridSpec, potentials: dict):
@@ -130,47 +114,24 @@ def validate_grid_for_model(grid: GridSpec, potentials: dict):
 # ---------------------------------------------------------------------------
 # stencils
 
-def pointwise_stencil(grid: GridSpec, pot: Potential) -> np.ndarray:
-    """pot evaluated at the offset distances; for fixed-separation factors."""
-    return pot(grid.distances)
-
-
-def _corrected(grid: GridSpec, raw: np.ndarray, target: float) -> np.ndarray:
+def corrected_stencil(grid: GridSpec, pot: Potential, sign: int = 0) -> np.ndarray:
+    """The factor pot (sign 0), e^{-pot} - 1 (sign -1) or e^{+pot} - 1 (sign
+    +1) at the offset distances, rescaled so that its lattice mass equals the
+    exact integral: the L1 norm, -beta or the positive Mayer integral."""
+    raw = pot(grid.distances)
+    if pot.is_zero:
+        return raw
+    fn = potential_functionals(pot, grid.torus.dim)
+    if sign > 0 and not math.isfinite(fn.beta_neg):
+        raise EvaluationError("positive Mayer mass diverges for this profile")
+    if sign:
+        raw = np.expm1(sign * raw)
+    target = fn.l1 if not sign else (fn.beta_neg if sign > 0 else -fn.beta)
     mass = float(np.sum(raw)) * grid.cell_volume
     scale_floor = 1e-12 * (float(np.max(np.abs(raw))) + 1.0) * grid.cell_volume * len(raw)
     if abs(mass) <= scale_floor:
         return raw
     return raw * (target / mass)
-
-
-def kernel_stencil(grid: GridSpec, pot: Potential) -> np.ndarray:
-    """pot at offset distances, rescaled so lattice mass equals the L1 norm."""
-    raw = pot(grid.distances)
-    if pot.is_zero:
-        return raw
-    target = potential_functionals(pot, grid.torus.dim).l1
-    return _corrected(grid, raw, target)
-
-
-def mayer_stencil(grid: GridSpec, pot: Potential) -> np.ndarray:
-    """exp(-pot) - 1 at offset distances; lattice mass equals -beta exactly."""
-    raw = np.expm1(-pot(grid.distances))
-    if pot.is_zero:
-        return raw
-    target = -potential_functionals(pot, grid.torus.dim).beta
-    return _corrected(grid, raw, target)
-
-
-def positive_mayer_stencil(grid: GridSpec, pot: Potential) -> np.ndarray:
-    """exp(+pot) - 1 at offset distances; lattice mass equals the positive
-    Mayer integral."""
-    raw = np.expm1(pot(grid.distances))
-    if pot.is_zero:
-        return raw
-    target = potential_functionals(pot, grid.torus.dim).beta_neg
-    if not math.isfinite(target):
-        raise EvaluationError("positive Mayer mass diverges for this profile")
-    return _corrected(grid, raw, target)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +194,6 @@ class CorrelationTable:
         self.vec[1] = value
 
     # -- factories ---------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, grid: GridSpec, order: int) -> "CorrelationTable":
-        return cls(grid, order, k0=0.0, k1=0.0)
-
-    @classmethod
-    def delta_empty(cls, grid: GridSpec, order: int) -> "CorrelationTable":
-        """Correlation data of the empty-configuration state."""
-        return cls(grid, order, k0=1.0, k1=0.0)
 
     @classmethod
     def poisson(cls, grid: GridSpec, order: int, rho: float) -> "CorrelationTable":
@@ -371,7 +323,7 @@ def exp_mayer_functional(table: CorrelationTable, pot: Potential) -> Tuple[float
     grid = table.grid
     if pot.is_zero:
         return 1.0, 0.0
-    w = mayer_stencil(grid, pot) * grid.cell_volume
+    w = corrected_stencil(grid, pot, -1) * grid.cell_volume
     beta_hat = abs(float(np.sum(w)))
     value = product_expectation(table, w)
 

@@ -9,13 +9,7 @@ compare it with this oracle entry by entry.
 
 import numpy as np
 
-from coupledbd.tables import (
-    CorrelationTable,
-    kernel_stencil,
-    mayer_stencil,
-    pointwise_stencil,
-    positive_mayer_stencil,
-)
+from coupledbd.tables import CorrelationTable, corrected_stencil
 
 
 def _rebased_triple_integral(k3, weights, di):
@@ -36,22 +30,22 @@ def oracle_l_delta_apply(table, form, closure="poisson"):
     am_p = am_cw = u_p = u_cw = t_p = t_cw = ab_p = ab_cw = None
     am_mass = u_mass = t_mass = ab_mass = 0.0
     if form.death_kernel is not None and not form.death_kernel.is_zero:
-        am_p = pointwise_stencil(grid, form.death_kernel)
-        am_cw = kernel_stencil(grid, form.death_kernel) * cw
+        am_p = form.death_kernel(grid.distances)
+        am_cw = corrected_stencil(grid, form.death_kernel) * cw
         am_mass = float(np.sum(am_cw))
     if form.death_pot is not None and not form.death_pot.is_zero:
         u_p = np.expm1(form.death_pot(grid.distances))
-        u_cw = positive_mayer_stencil(grid, form.death_pot) * cw
+        u_cw = corrected_stencil(grid, form.death_pot, 1) * cw
         u_mass = float(np.sum(u_cw))
     if form.birth_pot is not None and not form.birth_pot.is_zero:
         t_p = np.expm1(-form.birth_pot(grid.distances))
-        t_cw = mayer_stencil(grid, form.birth_pot) * cw
+        t_cw = corrected_stencil(grid, form.birth_pot, -1) * cw
         t_mass = float(np.sum(t_cw))
     if (form.birth_kernel is not None and not form.birth_kernel.is_zero
             and form.birth_kernel_scale != 0.0):
         s = form.birth_kernel_scale
-        ab_p = pointwise_stencil(grid, form.birth_kernel) * s
-        ab_cw = kernel_stencil(grid, form.birth_kernel) * cw * s
+        ab_p = form.birth_kernel(grid.distances) * s
+        ab_cw = corrected_stencil(grid, form.birth_kernel) * cw * s
         ab_mass = float(np.sum(ab_cw))
 
     k0, k1 = table.k0, table.k1

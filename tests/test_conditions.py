@@ -4,7 +4,7 @@ of the weighted expansion masses."""
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from coupledbd.conditions import (
     spot_check_regime,
     sys_constants,
 )
-from coupledbd.errors import ConfigError, EvaluationError
+from coupledbd.errors import ConfigError, EvaluationError, ModelError
 from coupledbd.geometry import FiniteConfiguration, MarkedConfiguration
 from coupledbd.models import (
     ComponentForm,
@@ -300,6 +300,22 @@ def test_regime_report_aggregates_feasibility():
         check_regime(gg_model(), 1.0, 1.0)
 
 
+def test_the_bounds_refuse_a_form_with_exponential_death_and_birth(monkeypatch):
+    # the closed forms of exponential births drop death_pot: on this form
+    # _constants gave a = 3.35 at c_own 0.8 while the closed mass of points
+    # at 1.0, 1.2 and 1.4 is 979, above a * M; no variant pairs these parts
+    f = ComponentForm(death_const=1.0, birth_const=1.0, death_pot=step(1.5, 0.5),
+                      birth_pot=step(0.5, 1.0))
+    monkeypatch.setattr(conditions, "component_form", lambda m, component="environment": f)
+    monkeypatch.setattr(conditions, "rate_form", lambda m, component: f)
+    for bound in (lambda: env_constants(gg_model(), 0.8, 1),
+                  lambda: sys_constants(gg_model(), 1.0, 0.8, 1),
+                  lambda: averaged_constants(gg_model(), 1.0, 0.8, 1),
+                  lambda: growth_bounds(gg_model(), 1)):
+        with pytest.raises(ModelError, match="death_pot.*birth_pot"):
+            bound()
+
+
 def test_regime_report_serializes_and_summarizes():
     rep = check_regime(gg_model(), 0.5, 1.0, dim=1)
     d = rep.as_dict()
@@ -402,9 +418,9 @@ def test_spot_check_report_is_the_same_on_one_and_two_workers(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    one = _spot_on_cpus(monkeypatch, 1).as_dict()
+    one = asdict(_spot_on_cpus(monkeypatch, 1))
     assert not forks
-    two = _spot_on_cpus(monkeypatch, 2).as_dict()
+    two = asdict(_spot_on_cpus(monkeypatch, 2))
     assert len(forks) == 1
     assert len(one["rows"]) == 14
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)

@@ -60,8 +60,8 @@ def _marked_subsets(eta):
         ip = [i for i in range(np_) if mp >> i & 1]
         for mm in range(1 << nm):
             im = [i for i in range(nm) if mm >> i & 1]
-            yield MarkedConfiguration(plus=eta.plus.subset(ip),
-                                      minus=eta.minus.subset(im))
+            yield MarkedConfiguration(plus=FiniteConfiguration(eta.plus.points[ip]),
+                                      minus=FiniteConfiguration(eta.minus.points[im]))
 
 
 def _clustered_cases(rng, sizes):
@@ -374,7 +374,7 @@ def test_exponential_averaging_matches_poisson_closed_form():
 
 def test_averaging_from_the_empty_environment_is_trivial():
     grid = GridSpec(torus=TORUS1, points_per_axis=48)
-    empty = CorrelationTable.delta_empty(grid, 3)
+    empty = CorrelationTable(grid, 3, 1.0, 0.0)
     assert build_averaged_model(gg_model(), empty, TORUS1).lambda_bar == 1.0
     am = build_averaged_model(bdlp_model(), empty, TORUS1)
     assert am.lambda_bar == 0.0 and am.m_bar == 0.0
@@ -460,8 +460,8 @@ def test_form_kernel_subset_sums_reproduce_the_averaged_rates(build):
         n = gp.size
         sums = np.zeros(2)
         for k in range(1 << n):
-            sums += _form_kernels(x, gp.subset([i for i in range(n) if k >> i & 1]),
-                                  form, torus)
+            sums += _form_kernels(
+                x, FiniteConfiguration(gp.points[[i for i in range(n) if k >> i & 1]]), form, torus)
         want = averaged_rates(x, gp, am, torus)
         assert sums == pytest.approx(want, rel=1e-10, abs=1e-10)
 

@@ -46,6 +46,7 @@ from coupledbd.simulate import (
     acceptance_ratio,
     estimate_density,
     poisson_configuration,
+    poisson_pair,
     replica_rng,
     replicate,
     simulate,
@@ -263,6 +264,20 @@ def test_poisson_configuration_sampling():
         poisson_configuration(rng, TORUS1, -1.0)
 
 
+def test_the_pair_factory_draws_nothing_for_an_empty_component():
+    # the ergodicity and averaged ensembles start one component at density
+    # 0; its stream must be where drawing the other component alone leaves
+    # it, since a moved draw changes every replica of both ensembles
+    for densities in ((0.0, 1.5), (1.5, 0.0)):
+        pair_rng, alone_rng = replica_rng(9, 2), replica_rng(9, 2)
+        pair = poisson_pair(TORUS1, *densities)(pair_rng)
+        alone = poisson_configuration(alone_rng, TORUS1, 1.5)
+        empty, drawn = (pair.plus, pair.minus) if densities[0] == 0.0 else (pair.minus, pair.plus)
+        assert empty.points.shape == (0, 1)
+        assert np.array_equal(drawn.points, alone.points)
+        assert np.array_equal(pair_rng.random(8), alone_rng.random(8))
+
+
 def test_estimate_density_rejects_mismatched_records():
     s1 = SimulationSettings(t_end=1.0, master_seed=1, record_times=(0.5, 1.0))
     s2 = SimulationSettings(t_end=1.0, master_seed=1, record_times=(0.2, 1.0))
@@ -308,7 +323,7 @@ def test_records_count_events_per_component():
     assert c["system"]["births"] - c["system"]["deaths"] == rec.final.plus.size - 3
     assert (c["environment"]["births"] - c["environment"]["deaths"]
             == rec.final.minus.size - 2)
-    assert rec.peak_population >= max(5, rec.final.total_size)
+    assert rec.peak_population >= max(5, rec.final.plus.size + rec.final.minus.size)
     frozen = simulate(gg_model(), TORUS1, init, s, components=("environment",))
     assert frozen.counts["system"] == {"births": 0, "deaths": 0, "virtual": 0}
     assert frozen.acceptance["system"] is None

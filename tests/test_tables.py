@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coupledbd.errors import ConfigError, SizeLimitError
+from coupledbd.errors import ConfigError, EvaluationError, SizeLimitError
 from coupledbd.geometry import Torus, min_image_diff
 from coupledbd.potentials import Potential, potential_functionals
 from coupledbd.tables import (
@@ -15,10 +15,8 @@ from coupledbd.tables import (
     CorrelationTable,
     GridSpec,
     _triple_sum,
+    corrected_stencil,
     exp_mayer_functional,
-    kernel_stencil,
-    mayer_stencil,
-    pointwise_stencil,
     product_expectation,
     radial_profile,
     validate_grid_for_model,
@@ -33,6 +31,10 @@ def test_diff_index_encodes_lattice_subtraction():
     g = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=5)
     off = g.offsets
     di = g.diff_index
+    for name in ("offsets", "distances", "diff_index"):
+        arr = getattr(g, name)
+        assert not arr.flags.writeable
+        assert getattr(g, name) is arr
     rng = np.random.default_rng(0)
     for j, l in rng.integers(0, g.num_cells, size=(20, 2)):
         want = np.mod(off[j] - off[l], g.torus.side)
@@ -58,7 +60,7 @@ def test_poisson_factory_fills_constant_powers():
     assert t.k0 == 1.0 and t.k1 == 0.8
     assert np.all(t.k2 == 0.8 ** 2)
     assert np.all(t.k3 == 0.8 ** 3)
-    d = CorrelationTable.delta_empty(GRID, 2)
+    d = CorrelationTable(GRID, 2, 1.0, 0.0)
     assert d.k0 == 1.0 and d.k1 == 0.0 and np.all(d.k2 == 0.0)
 
 
@@ -117,19 +119,25 @@ def test_kc_norm_weights_orders_geometrically():
 
 
 def test_mayer_stencil_mass_matches_the_exact_functional():
+    # the factors pot, e^{-pot} - 1 and e^{+pot} - 1 carry the masses l1,
+    # -beta and beta_neg, in 1D and 2D
     pot = Potential.step(0.7, 1.3)
-    w = mayer_stencil(GRID, pot)
-    beta = potential_functionals(pot, 1).beta
-    assert float(np.sum(w)) * GRID.cell_volume == pytest.approx(-beta, rel=1e-12)
-    k = kernel_stencil(GRID, pot)
-    assert float(np.sum(k)) * GRID.cell_volume == pytest.approx(
-        potential_functionals(pot, 1).l1, rel=1e-12)
+    for grid in (GRID, GridSpec(torus=Torus(dim=2, side=6.0), points_per_axis=24)):
+        f = potential_functionals(pot, grid.torus.dim)
+        for sign, mass in ((0, f.l1), (-1, -f.beta), (1, f.beta_neg)):
+            w = corrected_stencil(grid, pot, sign)
+            assert float(np.sum(w)) * grid.cell_volume == pytest.approx(mass, rel=1e-12)
+    with pytest.raises(EvaluationError):
+        corrected_stencil(GRID, Potential.step(800.0, 1.0), 1)
 
 
-def test_pointwise_stencil_keeps_raw_values():
+def test_corrected_stencil_is_the_raw_factor_rescaled():
     pot = Potential.step(0.7, 1.3)
-    w = pointwise_stencil(GRID, pot)
-    assert np.allclose(w, pot(GRID.distances))
+    raw = pot(GRID.distances)
+    for sign in (0, -1, 1):
+        factor = np.expm1(sign * raw) if sign else raw
+        w = corrected_stencil(GRID, pot, sign)
+        assert np.allclose(w, factor * (w[0] / factor[0]), rtol=1e-14, atol=0.0)
 
 
 def test_radial_profile_recovers_distance_functions():
@@ -178,7 +186,7 @@ def test_exp_mayer_tail_shrinks_with_order():
 
 
 def test_exp_mayer_on_empty_state_is_exact():
-    t = CorrelationTable.delta_empty(GRID, 3)
+    t = CorrelationTable(GRID, 3, 1.0, 0.0)
     val, tail = exp_mayer_functional(t, Potential.step(2.0, 1.0))
     assert val == 1.0
     assert tail == 0.0
