@@ -22,14 +22,15 @@ rate form (models.ComponentForm), around the points of its own component
 with the other component given, at the weights (c_own, c_other).  The
 system is its form weighted (c_plus, c_minus); the environment is its form,
 which has no cross terms, with an empty other component and weights
-(c_minus, 1.0).  The closed and Monte Carlo masses are built per part, as
-the rates are: an additive or exponential death part beside an exponential
-or additive birth part.  Only the contraction constants (_constants,
-averaged_constants, growth_bounds) branch on the joint shape of the form,
-because they are the paper's closed-form bounds, and they refuse a form
-whose death and birth parts are both exponential, for which none is
-stated; only averaged_constants branches on the variant, and nothing on
-the component.
+(c_minus, 1.0).  The closed and Monte Carlo masses loop over the form's
+death part and birth part (ComponentForm.parts), weighted 1 and 1/c_own,
+with one builder per shape on each side: _closed_part, and
+_exponential_part or _additive_part.  Only the contraction constants
+(_constants, averaged_constants, growth_bounds) branch on the joint shape
+of the form, because they are the paper's closed-form bounds, and they
+refuse an exponential birth part beside a live death term (death_pot,
+death_kernel or cross_death_kernel), for which none is stated; only
+averaged_constants branches on the variant, and nothing on the component.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from .geometry import (
 )
 from .models import (
     ComponentForm,
+    FormPart,
     RateModel,
     TwoBdlp,
     _form_death_vector,
-    _parent_sums,
     _row_interaction,
     component_form,
     model_potentials,
@@ -127,10 +128,11 @@ class ComponentConstants:
     details: Dict[str, float] = field(default_factory=dict)
 
 
-# The closed-form constants know three joint shapes of a form: births damped
-# by exponential energies (the Glauber components), additive kernels for
-# death and birth (the other systems, TwoBdlp's environment), and death
-# amplified by an exponential energy with births around damped parents
+# The closed-form constants know three joint shapes of a form, read from its
+# parts (ComponentForm.parts): births damped by exponential energies beside
+# a constant death (the Glauber components), additive kernels for death and
+# birth (the other systems, TwoBdlp's environment), and death amplified by
+# an exponential energy with births around damped parents
 # (BranchingInGlauber's system).  The details name each term by the model
 # field behind it (m.ENV_TERMS, m.SYS_TERMS).
 
@@ -149,34 +151,34 @@ def _system(m: RateModel) -> Tuple[ComponentForm, dict]:
 _ZERO = Potential.zero()
 
 
-def _term(f: ComponentForm, term: str) -> Potential:
-    """The potential of a term of f; an absent cross term is a zero potential."""
-    pot = getattr(f, term)
-    return _ZERO if pot is None else pot
-
-
 def _exponential_birth(f: ComponentForm) -> bool:
-    """True when f's births are damped by birth_pot, the shape whose bounds
-    assume a constant death.  No bound is stated for it beside a death_pot,
+    """True when f's birth part is exponential, the shape whose bounds assume
+    a constant death.  No bound is stated for it beside a live death term,
     so such a form is refused."""
-    if f.birth_pot is not None and f.death_pot is not None:
-        raise ModelError("no contraction bound for a form with both an exponential "
-                         "death part (death_pot) and an exponential birth part (birth_pot)")
-    return f.birth_pot is not None
-
-
-def _functionals(f: ComponentForm, term: str, dim: int):
-    return potential_functionals(_term(f, term), dim)
+    exponential = f.parts[1].exponential
+    if exponential and not f.constant_death:
+        raise ModelError("no contraction bound for a form with a live death term (death_pot, "
+                         "death_kernel or cross_death_kernel) beside an exponential birth part "
+                         "(birth_pot or cross_birth_pot): that bound assumes a constant death")
+    return exponential
 
 
 def _ratio_term(v: float, c: float) -> float:
     return v / c if math.isfinite(v) else math.inf
 
 
-def _additive_ratios(f: ComponentForm) -> Tuple[float, float]:
-    """Domination of the death kernels over the birth kernels, own and cross."""
-    return (domination_ratio(f.birth_kernel, f.death_kernel),
-            domination_ratio(_term(f, "cross_birth_kernel"), _term(f, "cross_death_kernel")))
+def _additive_terms(f: ComponentForm) -> Tuple[Potential, ...]:
+    """The kernels of the additive parts of f in the order of _ADDITIVE, a
+    zero potential for each term of an exponential part."""
+    death, birth = ((_ZERO, _ZERO) if p.exponential else (p.own, p.other) for p in f.parts)
+    return death[0], birth[0], death[1], birth[1]
+
+
+def _additive_ratios(kernels: Tuple[Potential, ...]) -> Tuple[float, float]:
+    """Domination of the death kernels over the birth kernels, own and cross,
+    given the _additive_terms of a form."""
+    death, birth, cross_death, cross_birth = kernels
+    return domination_ratio(birth, death), domination_ratio(cross_birth, cross_death)
 
 
 def _constants(f: ComponentForm, c_own: float, c_other: float, dim: int, labels: dict,
@@ -186,22 +188,24 @@ def _constants(f: ComponentForm, c_own: float, c_other: float, dim: int, labels:
     their detail names, and "ratios" to the names of the domination ratios;
     an unlabelled term is left out of the details, an additive kernel's l1
     mass is named l1_prefix + its label."""
+    death, birth = f.parts
     if _exponential_birth(f):
-        betas = {t: _functionals(f, t, dim).beta for t in ("birth_pot", "cross_birth_pot")}
+        betas = {t: potential_functionals(p, dim).beta
+                 for t, p in (("birth_pot", birth.own), ("cross_birth_pot", birth.other))}
         a = 1.0 + _mass_term(f.birth_const / c_own / f.death_const,
                              c_own * betas["birth_pot"] + c_other * betas["cross_birth_pot"])
         return ComponentConstants(a=a, m_star=f.death_const, feasible=a < 2.0,
                                   details={"beta_" + labels[t]: v for t, v in betas.items()
                                            if t in labels})
-    if f.death_pot is not None:
-        fk = _functionals(f, "death_pot", dim)
+    if death.exponential:
+        fk = potential_functionals(death.own, dim)
         kappa = "beta_neg_" + labels["death_pot"]
         if not math.isfinite(fk.beta_neg):
             return ComponentConstants(a=math.inf, m_star=f.death_const, feasible=False,
                                       details={kappa: math.inf})
-        bphi = _functionals(f, "parent_pot", dim).beta
-        l1a = _functionals(f, "birth_kernel", dim).l1
-        vth = domination_ratio(f.birth_kernel, f.death_pot)
+        bphi = potential_functionals(birth.parent_pot or _ZERO, dim).beta
+        l1a = potential_functionals(birth.own, dim).l1
+        vth = domination_ratio(birth.own, death.own)
         if math.isfinite(vth):
             a = _safe_exp(c_own * fk.beta_neg) + _mass_term(
                 max(c_own * l1a, vth) / (f.death_const * c_own), c_other * bphi)
@@ -213,8 +217,9 @@ def _constants(f: ComponentForm, c_own: float, c_other: float, dim: int, labels:
                                            "beta_" + labels["parent_pot"]: bphi,
                                            "l1_" + labels["birth_kernel"]: l1a,
                                            labels["ratios"][0]: vth})
-    l1 = {t: _functionals(f, t, dim).l1 for t in _ADDITIVE}
-    ratios = _additive_ratios(f)
+    kernels = _additive_terms(f)
+    l1 = {t: potential_functionals(p, dim).l1 for t, p in zip(_ADDITIVE, kernels)}
+    ratios = _additive_ratios(kernels)
     bulk = (c_own * l1["death_kernel"] + c_other * l1["cross_death_kernel"]
             + f.birth_const / c_own + l1["birth_kernel"]
             + (c_other / c_own) * l1["cross_birth_kernel"]) / f.death_const
@@ -247,10 +252,11 @@ def averaged_constants(m: RateModel, c_minus: float, c_plus: float, dim: int,
     f, names = _system(m)
     if _exponential_birth(f):
         return sys_constants(m, c_minus, c_plus, dim)
-    if f.death_pot is not None:
-        fk = _functionals(f, "death_pot", dim)
-        l1a = _functionals(f, "birth_kernel", dim).l1
-        vth = domination_ratio(f.birth_kernel, f.death_pot)
+    death, birth = f.parts
+    if death.exponential:
+        fk = potential_functionals(death.own, dim)
+        l1a = potential_functionals(birth.own, dim).l1
+        vth = domination_ratio(birth.own, death.own)
         if math.isfinite(fk.beta_neg) and math.isfinite(vth):
             a = _safe_exp(c_plus * fk.beta_neg) + max(l1a, vth / c_plus) / f.death_const
         else:
@@ -258,14 +264,14 @@ def averaged_constants(m: RateModel, c_minus: float, c_plus: float, dim: int,
         return ComponentConstants(a=a, m_star=f.death_const,
                                   feasible=math.isfinite(a) and a < 2.0,
                                   details={names["ratios"][0]: vth})
-    l1_dk = _functionals(f, "death_kernel", dim).l1
-    l1_bk = _functionals(f, "birth_kernel", dim).l1
-    ratios = _additive_ratios(f)
+    kernels = _additive_terms(f)
+    l1_dk, l1_bk, l1_cdk, l1_cbk = (potential_functionals(p, dim).l1 for p in kernels)
+    ratios = _additive_ratios(kernels)
     m_star = f.death_const
     if rho_inv is not None:
-        m_star += rho_inv * _functionals(f, "cross_death_kernel", dim).l1
+        m_star += rho_inv * l1_cdk
     if rho_inv is not None and isinstance(m, TwoBdlp):
-        lam = rho_inv * _functionals(f, "cross_birth_kernel", dim).l1
+        lam = rho_inv * l1_cbk
         terms = [(c_plus * l1_dk + lam / c_plus + l1_bk) / m_star,
                  _ratio_term(ratios[0], c_plus)]
     else:
@@ -316,10 +322,10 @@ def growth_bounds(m: RateModel, dim: int) -> Dict[str, GrowthBound]:
         if _exponential_birth(f):
             return GrowthBound(max(1.0, f.birth_const) + f.death_const, 0, 0.0)
         amp = f.death_const + f.birth_const
-        for t in _ADDITIVE:
-            if getattr(f, t) is not None:
-                amp += sup(getattr(f, t))
-        return GrowthBound(amp, 1, 0.0 if f.death_pot is None else sup(f.death_pot))
+        for pot in _additive_terms(f):
+            amp += sup(pot)
+        death = f.parts[0]
+        return GrowthBound(amp, 1, sup(death.own) if death.exponential else 0.0)
 
     return {"environment": bound(component_form(m)), "system": bound(_system(m)[0])}
 
@@ -327,58 +333,46 @@ def growth_bounds(m: RateModel, dim: int) -> Dict[str, GrowthBound]:
 # ---------------------------------------------------------------------------
 # exact weighted expansion masses (closed forms, for the numeric cross-check)
 
-def _closed_death(f: ComponentForm, own: np.ndarray, other: np.ndarray,
-                  c_own: float, c_other: float, torus: Torus) -> float:
-    """Closed weighted mass of the death part of f around the points own:
-    the death rates amplified by exp(c_own * beta_neg) of an exponential
-    death_pot, or raised by the weighted masses of the additive kernels."""
-    rates = _form_death_vector(f, own, other, torus)
-    if f.death_pot is not None:
-        return _mass_term(float(np.sum(rates)),
-                          c_own * _functionals(f, "death_pot", torus.dim).beta_neg)
-    l1 = (c_own * _functionals(f, "death_kernel", torus.dim).l1
-          + c_other * _functionals(f, "cross_death_kernel", torus.dim).l1)
-    return float(np.sum(rates + l1))
-
-
-def _closed_birth(f: ComponentForm, own: np.ndarray, other: np.ndarray,
-                  c_own: float, c_other: float, torus: Torus) -> float:
-    """Closed weighted mass of the birth part of f around the points own,
-    divided by c_own: the damped birth rates amplified by exp(c_own * beta +
-    c_other * beta_cross) of an exponential damping, or the additive terms,
-    the kernel around each parent amplified by exp(c_other * beta(parent_pot))."""
-    dim = torus.dim
-    if f.damping is not None:
-        energy = (_row_interaction(own, own, f.birth_pot, torus, exclude_self=True)
-                  + _row_interaction(own, other, f.cross_birth_pot, torus))
-        return _mass_term(f.birth_const / c_own * float(np.sum(np.exp(-energy))),
-                          c_own * _functionals(f, "birth_pot", dim).beta
-                          + c_other * _functionals(f, "cross_birth_pot", dim).beta)
-    l1 = {t: _functionals(f, t, dim).l1 for t in ("birth_kernel", "cross_birth_kernel")}
-    free = float(np.sum(f.birth_const + c_other * l1["cross_birth_kernel"]
-                        + _row_interaction(own, other, f.cross_birth_kernel, torus)))
+def _closed_part(part: FormPart, own: np.ndarray, other: np.ndarray, c_own: float,
+                 c_other: float, div: float, torus: Torus) -> float:
+    """Closed weighted mass of one part of a form around the points own,
+    divided by div: the rates of an exponential part amplified by
+    exp(c_own * beta_own + c_other * beta_other) of its Mayer factors, or the
+    terms of an additive part, the kernel around each parent amplified by
+    exp(c_other * beta(parent_pot))."""
+    own_sums = _row_interaction(own, own, part.own, torus, exclude_self=True)
+    other_sums = _row_interaction(own, other, part.other, torus)
+    fo, fx = (potential_functionals(p, torus.dim) for p in (part.own, part.other))
+    if part.exponential:
+        # past the float range a death rate is infinite, and so is the mass
+        with np.errstate(over="ignore"):
+            pref = part.const / div * float(np.sum(np.exp(part.sign * (own_sums + other_sums))))
+        bo, bx = (fo.beta_neg, fx.beta_neg) if part.sign > 0 else (fo.beta, fx.beta)
+        return _mass_term(pref, c_own * bo + c_other * bx)
+    free = float(np.sum(part.const + c_other * fx.l1 + other_sums))
     # the kernel is symmetric, so each parent's damping weights its own row sum
-    around = float(np.sum(np.exp(-_parent_sums(f, own, other, torus))
-                          * _row_interaction(own, own, f.birth_kernel, torus, exclude_self=True)
-                          + c_own * l1["birth_kernel"]))
-    return (free + _mass_term(f.birth_kernel_scale * around,
-                              c_other * _functionals(f, "parent_pot", dim).beta)) / c_own
+    damping = np.exp(-_row_interaction(own, other, part.parent_pot, torus))
+    around = float(np.sum(damping * own_sums + c_own * fo.l1))
+    phi = potential_functionals(part.parent_pot or _ZERO, torus.dim)
+    return (free + _mass_term(part.scale * around, c_other * phi.beta)) / div
 
 
 def _closed_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfiguration,
                  c_own: float, c_other: float, torus: Torus) -> Tuple[float, bool]:
     """Closed-form weighted expansion mass of the kernels of f around own,
-    the other component being other: its death part plus its birth part.
+    the other component being other: its death part plus its birth part
+    divided by c_own.
 
     Returns (value, exact).  With parent_pot the value is an upper bound,
     flagged exact=False, when other is nonempty (the integral over a
     candidate parent has no closed form) or when a cross birth kernel meets
     an own parent (on one other candidate their kernels partly cancel).
     """
-    args = (f, own.points, other.points, c_own, c_other, torus)
-    return (_closed_death(*args) + _closed_birth(*args),
-            f.parent_pot is None
-            or (other.size == 0 and (own.size < 2 or f.birth_groups[1] is None)))
+    value = sum(_closed_part(part, own.points, other.points, c_own, c_other, div, torus)
+                for part, div in zip(f.parts, (1.0, c_own)))
+    birth = f.parts[1]
+    exact = other.size == 0 and (own.size < 2 or birth.other.is_zero)
+    return value, birth.parent_pot is None or exact
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +393,6 @@ def _subset_product_sum(vals: np.ndarray) -> np.ndarray:
     return tot
 
 
-def _subset_sum(pot: Potential, y: np.ndarray, cfg: FiniteConfiguration, torus: Torus) -> float:
-    """Sum over the subsets of cfg of the product of the Mayer factors of pot at y."""
-    if not cfg.size:
-        return 1.0
-    return _subset_product_sum(mayer(pot, pairwise_distances(y[None, :], cfg.points, torus)))[0]
-
-
 class _Part(NamedTuple):
     """The death (0) or birth (1) part of the expansion around one point:
     its batch evaluator, mapping candidate blocks (xi_own (S,nO,dim),
@@ -420,19 +407,20 @@ class _Part(NamedTuple):
     tail: float = 0.0
 
 
-def _additive_part(x: np.ndarray, rest: FiniteConfiguration, other: FiniteConfiguration,
-                   torus: Torus, const: float, kernel: Potential, cross: Potential, scale=1.0,
-                   phi: Optional[Potential] = None, order_cap=0, weights=(1.0, 1.0)) -> _Part:
-    """Part const + scale * sum over own parents y of kernel(|x - y|) *
-    exp(-sum of phi around y over the other component) + sum of cross over
-    the other component, at x; phi None for an undamped kernel, whose Mayer
-    factors otherwise reach up to order_cap other candidates."""
+def _additive_part(part: FormPart, x: np.ndarray, rest: FiniteConfiguration,
+                   other: FiniteConfiguration, torus: Torus, order_cap: int,
+                   weights: Tuple[float, float], div: float) -> _Part:
+    """Additive part (models.FormPart) of the expansion at x: its constant,
+    its own kernel around each own parent, damped by parent_pot, whose Mayer
+    factors then reach up to order_cap other candidates, and its other
+    kernel over the other component.  The tail is weighted 1/div."""
+    kernel, cross, scale, phi = part.own, part.other, part.scale, part.parent_pot
     parents = rest.points
     k_vals = scale * kernel(distances_from(x, parents, torus))
     damp = (np.ones(len(parents)) if phi is None
-            else np.array([_subset_sum(phi, y, other, torus) for y in parents]))
+            else _subset_product_sum(mayer(phi, pairwise_distances(parents, other.points, torus))))
     rm = distances_from(x, other.points, torus)
-    base = const + float(np.sum(k_vals * damp)) + float(np.sum(cross(rm)))
+    base = part.const + float(np.sum(k_vals * damp)) + float(np.sum(cross(rm)))
 
     def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
         S, nP, nM = xp.shape[0], xp.shape[1], xm.shape[1]
@@ -464,62 +452,41 @@ def _additive_part(x: np.ndarray, rest: FiniteConfiguration, other: FiniteConfig
         rem = 2.0 ** other.size * _remainder_exp(
             c_other * potential_functionals(phi, torus.dim).beta, cap_other)
         l1 = scale * potential_functionals(kernel, torus.dim).l1
-        tail = (float(np.sum(k_vals)) * rem + c_own * l1 * rem) / c_own
+        tail = (float(np.sum(k_vals)) * rem + c_own * l1 * rem) / div
     return _Part(fn, (0 if kernel.is_zero else 1, cap_other),
                  (_capped_radius(kernel.cutoff, torus), _capped_radius(r_other, torus)), tail)
 
 
-def _death_part(f: ComponentForm, x: np.ndarray, rest: FiniteConfiguration,
-                other: FiniteConfiguration, c_own: float, order_cap: int, torus: Torus) -> _Part:
-    """Death part of the expansion of f at x: the positive Mayer products of
-    an exponential death_pot over own candidates, or the additive part."""
-    kappa = f.death_pot
-    if kappa is None:
-        return _additive_part(x, rest, other, torus, f.death_const,
-                              _term(f, "death_kernel"), _term(f, "cross_death_kernel"))
-    su0 = _subset_product_sum(np.expm1(kappa(distances_from(x, rest.points, torus)))[None, :])[0]
+def _exponential_part(part: FormPart, x: np.ndarray, rest: FiniteConfiguration,
+                      other: FiniteConfiguration, torus: Torus, order_cap: int,
+                      weights: Tuple[float, float], div: float) -> _Part:
+    """Exponential part (models.FormPart) of the expansion at x: its constant
+    times the Mayer factors e^{sign pot} - 1 of its own and other terms over
+    own and other candidates, each product summed over the subsets of rest
+    and of other.  The tail is weighted 1/div."""
+    c_own, c_other = weights
+    pots = (part.own, part.other)
+    fixed = [np.expm1(part.sign * p(distances_from(x, cfg.points, torus)))
+             for p, cfg in zip(pots, (rest, other))]
+    s0 = (part.const * _subset_product_sum(fixed[0][None, :])[0]
+          * _subset_product_sum(fixed[1][None, :])[0])
 
     def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-        if xm.shape[1]:
-            return np.zeros(xp.shape[0])
-        u = np.expm1(kappa(distances_from(x, xp, torus)))
-        return np.abs(f.death_const * su0 * np.prod(u, axis=1))
-
-    cap = 0 if kappa.is_zero else order_cap
-    tail = f.death_const * _abs_mayer_products(x, rest, kappa, torus, positive=True) \
-        * _remainder_exp(c_own * potential_functionals(kappa, torus.dim).beta_neg, cap)
-    return _Part(fn, (cap, 0), (_capped_radius(kappa.cutoff, torus), 0.0), tail)
-
-
-def _birth_part(f: ComponentForm, x: np.ndarray, rest: FiniteConfiguration,
-                other: FiniteConfiguration, c_own: float, c_other: float, order_cap: int,
-                torus: Torus) -> _Part:
-    """Birth part of the expansion of f at x (weighted 1/c_own in
-    _numeric_mass): the Mayer products of an exponential damping over own
-    and other candidates, or the additive part, damped by parent_pot."""
-    if f.damping is None:
-        return _additive_part(x, rest, other, torus, f.birth_const, _term(f, "birth_kernel"),
-                              _term(f, "cross_birth_kernel"), f.birth_kernel_scale,
-                              f.pair_terms[1][1], order_cap, (c_own, c_other))
-    own_pot, cross = _term(f, "birth_pot"), _term(f, "cross_birth_pot")
-    s0 = f.birth_const * _subset_sum(own_pot, x, rest, torus) * _subset_sum(cross, x, other, torus)
-
-    def fn(xp: np.ndarray, xm: np.ndarray) -> np.ndarray:
-        tp = mayer(own_pot, distances_from(x, xp, torus))
-        tm = mayer(cross, distances_from(x, xm, torus))
+        tp, tm = (np.expm1(part.sign * p(distances_from(x, xi, torus)))
+                  for p, xi in zip(pots, (xp, xm)))
         return np.abs(s0 * np.prod(tp, axis=1) * np.prod(tm, axis=1))
 
-    bp = potential_functionals(own_pot, torus.dim).beta
-    bm = potential_functionals(cross, torus.dim).beta
-    cp, cm = (0 if p.is_zero else order_cap for p in (own_pot, cross))
-    partial = sum((c_own * bp) ** a / math.factorial(a)
-                  * (c_other * bm) ** b / math.factorial(b)
-                  for a in range(cp + 1) for b in range(cm + 1))
-    pref = (f.birth_const / c_own) * _abs_mayer_products(x, rest, own_pot, torus) \
-        * _abs_mayer_products(x, other, cross, torus)
-    tail = pref * max(0.0, _safe_exp(c_own * bp + c_other * bm) - partial)
-    return _Part(fn, (cp, cm), (_capped_radius(own_pot.cutoff, torus),
-                                _capped_radius(cross.cutoff, torus)), tail)
+    fo, fx = (potential_functionals(p, torus.dim) for p in pots)
+    bo, bx = (fo.beta_neg, fx.beta_neg) if part.sign > 0 else (fo.beta, fx.beta)
+    co, cx = (0 if p.is_zero else order_cap for p in pots)
+    partial = sum((c_own * bo) ** a / math.factorial(a)
+                  * (c_other * bx) ** b / math.factorial(b)
+                  for a in range(co + 1) for b in range(cx + 1))
+    # prod of (1 + |Mayer factor|) over the points bounds each subset sum
+    pref = (part.const / div) * float(np.prod(1.0 + np.abs(fixed[0]))) \
+        * float(np.prod(1.0 + np.abs(fixed[1])))
+    tail = pref * max(0.0, _safe_exp(c_own * bo + c_other * bx) - partial)
+    return _Part(fn, (co, cx), tuple(_capped_radius(p.cutoff, torus) for p in pots), tail)
 
 
 def _remainder_exp(u: float, cap: int) -> float:
@@ -578,16 +545,6 @@ def _marked_mc(part: _Part, weights: Tuple[float, float], torus: Torus, x: np.nd
     return total, math.sqrt(var)
 
 
-def _abs_mayer_products(x: np.ndarray, cfg: FiniteConfiguration, pot: Potential,
-                        torus: Torus, positive: bool = False) -> float:
-    """prod over cfg of (1 + |mayer factor|), an upper envelope for subset sums."""
-    if cfg.size == 0:
-        return 1.0
-    r = pairwise_distances(x[None, :], cfg.points, torus)[0]
-    f = np.expm1(pot(r)) if positive else mayer(pot, r)
-    return float(np.prod(1.0 + np.abs(f)))
-
-
 def _numeric_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfiguration,
                   c_own: float, c_other: float, torus: Torus, order_cap: int,
                   samples: int, seeds: Callable[[int, int], int]) -> Tuple[float, float, float]:
@@ -605,13 +562,15 @@ def _numeric_mass(f: ComponentForm, own: FiniteConfiguration, other: FiniteConfi
     for i in range(own.size):
         x = own.points[i]
         rest = own.remove_index(i)
-        parts = (_death_part(f, x, rest, other, c_own, order_cap, torus),
-                 _birth_part(f, x, rest, other, c_own, c_other, order_cap, torus))
-        for p, (part, w) in enumerate(zip(parts, (1.0, 1.0 / c_own))):
-            v, e = _marked_mc(part, (c_own, c_other), torus, x, samples, seeds(i, p))
+        # the death part weighs 1, the birth part 1/c_own
+        for p, (part, div) in enumerate(zip(f.parts, (1.0, c_own))):
+            build = _exponential_part if part.exponential else _additive_part
+            built = build(part, x, rest, other, torus, order_cap, (c_own, c_other), div)
+            w = 1.0 / div
+            v, e = _marked_mc(built, (c_own, c_other), torus, x, samples, seeds(i, p))
             total += w * v
             var += (w * e) ** 2
-            tail += part.tail
+            tail += built.tail
     return total, math.sqrt(var), tail
 
 

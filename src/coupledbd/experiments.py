@@ -184,6 +184,9 @@ def averaging_experiment(
     eps = np.asarray(sorted(epsilons, reverse=True), dtype=float)
     if eps.size == 0 or np.any(eps <= 0):
         raise ValueError("epsilons must be positive")
+    # the coupled ensembles are keyed by epsilon
+    if np.any(eps[1:] == eps[:-1]):
+        raise ValueError("epsilons must be distinct")
     grid = GridSpec(torus=torus, points_per_axis=grid_points)
     form = component_form(m, "environment")
     k_inv = ks_solve(form, grid, order=3).table

@@ -19,15 +19,15 @@ closed by the mean-field substitution
 or by zero.  The dropped terms carry products of two or more Mayer masses,
 below the closure error for the activity ranges of interest.
 
-Beyond its constants a form has at most one death and one birth part,
-additive (a kernel) or exponential (const * (e^{+-pot} - 1)).  An
-exponential part is the additive one with that kernel, each term that
-carries a fixed pair multiplied by the dressing e^{+-pot}.  A StencilPart
-holds one part with its constant (death_const, birth_const or
-birth_kernel_scale) folded in, so orders 1 and 2 have one death path and
-one birth path.  With a constant death rate the order-n output reads only
-k0..kn, and the density z / (death_const + z beta) is the same at every
-order.
+A form has one death part and one birth part (ComponentForm.parts), each
+additive (a kernel) or exponential (const * (e^{+-pot} - 1)); build_stencils
+reads their shapes there.  An exponential part is the additive one with
+that kernel, each term that carries a fixed pair multiplied by the dressing
+e^{+-pot}.  A StencilPart holds one part on the grid with its constant
+(death_const, birth_const or birth_kernel_scale) folded in, so orders 1
+and 2 have one death path and one birth path.  With a constant death rate
+the order-n output reads only k0..kn, and the density
+z / (death_const + z beta) is the same at every order.
 
 The invariant state is computed as the fixed point of the rearranged
 balance equation: with M(eta) = |eta| * death_const,
@@ -64,8 +64,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, ModelError, StabilityError
-from .models import ComponentForm, component_form
-from .potentials import Potential
+from .models import ComponentForm, FormPart, component_form
 from .tables import (
     CorrelationTable,
     GridSpec,
@@ -111,11 +110,13 @@ class StencilBundle:
     work: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
-def _part(grid: GridSpec, pot: Optional[Potential], scale: float, sign: int = 0) -> Optional[StencilPart]:
-    """The additive part scale * pot (sign 0), or the exponential part
-    scale * (e^{sign pot} - 1) dressed by e^{sign pot}; None when pot is
-    absent or zero, or scale is 0."""
-    if pot is None or pot.is_zero or scale == 0.0:
+def _part(grid: GridSpec, part: FormPart) -> Optional[StencilPart]:
+    """The additive part scale * own, or the exponential part
+    const * (e^{sign own} - 1) dressed by e^{sign own}; None when its term
+    is zero or its constant is 0."""
+    pot, sign = part.own, (part.sign if part.exponential else 0)
+    scale = part.const if sign else part.scale
+    if pot.is_zero or scale == 0.0:
         return None
     cw, corrected = grid.cell_volume, corrected_stencil(grid, pot, sign)
     if not sign:
@@ -130,10 +131,7 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
     validate_grid_for_model(grid, form.potentials())
     m, z = form.death_const, form.birth_const
     b = StencilBundle(grid=grid, form=form, order=order)
-    b.death = (_part(grid, form.death_kernel, 1.0) if form.death_pot is None
-               else _part(grid, form.death_pot, m, +1))
-    b.birth = (_part(grid, form.birth_kernel, form.birth_kernel_scale) if form.birth_pot is None
-               else _part(grid, form.birth_pot, z, -1))
+    b.death, b.birth = (_part(grid, part) for part in form.parts)
 
     if order >= 2:
         di = grid.diff_index

@@ -13,7 +13,11 @@ reads the environment but never writes it.
 
 ComponentForm, defined here, describes the rates of one component: constant,
 additive-kernel or exponential death and birth parts, plus cross terms that
-read the other component.  Each variant is declared once: its NAME, the
+read the other component.  ComponentForm.parts decides the shape of each
+part once, as a FormPart; the views of the form, the kernel expansions, the
+death vectors, the hierarchy stencils and the regime checker all read it,
+and only the pointwise reference rates (_form_rates) and the averaging map
+read the fields themselves.  Each variant is declared once: its NAME, the
 terms of its environment and system forms (ENV_TERMS, SYS_TERMS, each term
 mapped to the model field that fills it or to a constant) and the names of
 its domination ratios (RATIOS).  Both forms, the checks of the activities
@@ -57,6 +61,25 @@ from .geometry import (
 from .potentials import Potential, potential_functionals, sample_kernel_offsets
 
 
+class FormPart(NamedTuple):
+    """The death part (sign +1) or the birth part (sign -1) of a
+    ComponentForm, whose docstring gives both rates.  own is the term read
+    over the own component (death_pot, death_kernel, birth_pot or
+    birth_kernel), other the cross term; each is a zero potential when
+    absent.  An exponential part is const * exp(sign * its pair sums); an
+    additive one adds its kernels to const, the own one scaled by scale and
+    around parents damped by parent_pot, which is None unless it and that
+    kernel are live."""
+
+    exponential: bool
+    const: float
+    own: Potential
+    other: Potential
+    sign: int
+    scale: float = 1.0
+    parent_pot: Optional[Potential] = None
+
+
 @dataclass(frozen=True)
 class ComponentForm:
     """Birth-death structure of one component.
@@ -73,7 +96,7 @@ class ComponentForm:
 
     The cross terms read the other component; a form without them is
     autonomous.  Environments and averaged systems are autonomous, the
-    system of a full model is not.
+    system of a full model is not.  parts decides the shape of each part.
     """
 
     death_const: float
@@ -112,6 +135,20 @@ class ComponentForm:
         return self.autonomous and not any(map(_live, self.potentials().values()))
 
     @cached_property
+    def parts(self) -> Tuple[FormPart, FormPart]:
+        """The death part and the birth part of the form (FormPart).
+        __post_init__ lets at most one field of each `or` chain be set."""
+        death = FormPart(self.death_pot is not None, self.death_const,
+                         self.death_pot or self.death_kernel or _ZERO,
+                         self.cross_death_kernel or _ZERO, +1)
+        birth = FormPart(self.birth_pot is not None or self.cross_birth_pot is not None,
+                         self.birth_const, self.birth_pot or self.birth_kernel or _ZERO,
+                         self.cross_birth_pot or self.cross_birth_kernel or _ZERO, -1,
+                         self.birth_kernel_scale,
+                         _live(self.parent_pot) if _live(self.birth_kernel) else None)
+        return death, birth
+
+    @cached_property
     def constant_death(self) -> bool:
         """No live own or cross death term: every point dies at death_const,
         so the form's hierarchy is block lower-triangular (hierarchy.py)."""
@@ -125,22 +162,19 @@ class ComponentForm:
         own component, pair_terms[1] for one in the other component; None
         where there is no such term.
 
-        The death sum is the exponent under death_pot, otherwise the pair
-        part of the additive death rate.  The parent sum damps the mass of
-        the point as a parent of births.
+        The death sum is the exponent of an exponential death part,
+        otherwise the pair part of the additive death rate.  The parent sum
+        damps the mass of the point as a parent of births.
         """
-        own = (_live(self.death_kernel if self.death_pot is None else self.death_pot), None)
-        other = (_live(self.cross_death_kernel),
-                 _live(self.parent_pot) if _live(self.birth_kernel) else None)
-        return own, other
+        death, birth = self.parts
+        return (_live(death.own), None), (_live(death.other), birth.parent_pot)
 
     @cached_property
     def damping(self) -> Optional[Tuple[Optional[Potential], Optional[Potential]]]:
-        """Potentials of an exponential birth part, (birth_pot, cross_birth_pot),
-        each None when absent or zero; None for an additive birth part."""
-        if self.birth_pot is None and self.cross_birth_pot is None:
-            return None
-        return _live(self.birth_pot), _live(self.cross_birth_pot)
+        """Potentials of an exponential birth part, own and other, each None
+        when absent or zero; None for an additive birth part."""
+        birth = self.parts[1]
+        return (_live(birth.own), _live(birth.other)) if birth.exponential else None
 
     @cached_property
     def birth_groups(self) -> Tuple[Optional[Potential], Optional[Potential]]:
@@ -148,7 +182,8 @@ class ComponentForm:
         around the points of the own component, birth_groups[1] around those
         of the other one; None where there is no such term.  The birth mass
         moves with the parents of each group."""
-        return _live(self.birth_kernel), _live(self.cross_birth_kernel)
+        birth = self.parts[1]
+        return (None, None) if birth.exponential else (_live(birth.own), _live(birth.other))
 
     def potentials(self) -> dict:
         out = {}
@@ -160,6 +195,7 @@ class ComponentForm:
 
 
 _CROSS_TERMS = ("cross_death_kernel", "cross_birth_pot", "cross_birth_kernel", "parent_pot")
+_ZERO = Potential.zero()
 
 
 class _Variant:
@@ -362,48 +398,46 @@ def sys_rates(x, gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> Tupl
 def _mayer_product(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus,
                    sign: float = -1.0) -> float:
     """Product of (exp(sign * pot(|x - y|)) - 1) over the rows y of pts: 1 on
-    the empty set, 0 on a nonempty one when the term is absent."""
+    the empty set, 0 on a nonempty one when the term is absent or zero."""
     if len(pts) == 0:
         return 1.0
-    if pot is None:
+    if pot is None or pot.is_zero:
         return 0.0
     return float(np.prod(np.expm1(sign * pot(distances_from(x, pts, torus)))))
 
 
-def _singleton(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) -> float:
-    """pot(|x - y|) when pts holds one point y; 0 otherwise or without pot."""
-    if pot is None or len(pts) != 1:
+def _singleton(x, pts: np.ndarray, pot: Potential, torus: Torus) -> float:
+    """pot(|x - y|) when pts holds one point y; 0 otherwise."""
+    if len(pts) != 1:
         return 0.0
     return float(pot(distances_from(x, pts, torus))[0])
+
+
+def _part_kernel(part: FormPart, x, own: np.ndarray, other: np.ndarray, torus: Torus) -> float:
+    """Kernel of one part of a form at x on the points own and other, not
+    both empty.  An exponential part gives its constant times the Mayer
+    products over both; an additive one its kernels on singletons, a
+    parent's weighted by its damping's Mayer product over the other points."""
+    if part.exponential:
+        return (part.const * _mayer_product(x, own, part.own, torus, part.sign)
+                * _mayer_product(x, other, part.other, torus, part.sign))
+    if len(own) == 1:
+        return (part.scale * _singleton(x, own, part.own, torus)
+                * _mayer_product(own[0], other, part.parent_pot, torus))
+    return 0.0 if len(own) else _singleton(x, other, part.other, torus)
 
 
 def _form_kernels(x, eta: FiniteConfiguration, f: ComponentForm, torus: Torus,
                   other: Optional[FiniteConfiguration] = None) -> Tuple[float, float]:
     """(D, B) kernels at x of form f on eta, its own points, and other, the
-    other component's (empty when not given).  An exponential part gives
-    Mayer products, an additive one its constant on the empty pair and its
-    kernels on singletons, a parent's weighted by its damping's Mayer
-    product over the other points."""
+    other component's (empty when not given); on the empty pair they are
+    the constants of the parts."""
     x = np.asarray(x, dtype=float)
     own = eta.points
     other = own[:0] if other is None else other.points
     if len(own) + len(other) == 0:
         return f.death_const, f.birth_const
-    if f.death_pot is not None:
-        death = 0.0 if len(other) else f.death_const * _mayer_product(x, own, f.death_pot, torus, 1.0)
-    elif len(other):
-        death = 0.0 if len(own) else _singleton(x, other, f.cross_death_kernel, torus)
-    else:
-        death = _singleton(x, own, f.death_kernel, torus)
-    if f.damping is not None:
-        birth = (f.birth_const * _mayer_product(x, own, f.birth_pot, torus)
-                 * _mayer_product(x, other, f.cross_birth_pot, torus))
-    elif len(own) == 1:
-        birth = (f.birth_kernel_scale * _singleton(x, own, f.birth_kernel, torus)
-                 * _mayer_product(own[0], other, f.parent_pot, torus))
-    else:
-        birth = 0.0 if len(own) else _singleton(x, other, f.cross_birth_kernel, torus)
-    return death, birth
+    return tuple(_part_kernel(p, x, own, other, torus) for p in f.parts)
 
 
 def decomposition_kernels(m: RateModel, x, eta: MarkedConfiguration, torus: Torus):
@@ -447,7 +481,7 @@ def _parent_sums(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: To
 
 
 def _death_rates(f: ComponentForm, death_sums: np.ndarray) -> np.ndarray:
-    if f.death_pot is not None:
+    if f.parts[0].exponential:
         # past the float range the rate is infinite, which the event loop's
         # guard reports
         with np.errstate(over="ignore"):

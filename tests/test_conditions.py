@@ -316,6 +316,54 @@ def test_the_bounds_refuse_a_form_with_exponential_death_and_birth(monkeypatch):
             bound()
 
 
+def test_the_bounds_read_the_birth_shape_from_the_parts(monkeypatch):
+    # births damped by cross_birth_pot alone are exponential, and a form
+    # without pair terms is additive with zero kernels; the bounds used to
+    # read birth_pot alone and raised AttributeError on both
+    f = ComponentForm(death_const=1.0, birth_const=0.5, cross_birth_pot=step(1.0, 0.5))
+    monkeypatch.setattr(conditions, "rate_form", lambda m, component: f)
+    a = sys_constants(gg_model(), 1.5, 0.8, 1).a
+    assert a == pytest.approx(1.0 + 0.5 / 0.8 * math.exp(1.5 * (1.0 - math.exp(-1.0))), rel=1e-12)
+    assert a == pytest.approx(2.6131, abs=1e-4)
+    # one point with the other component out of reach: M = 1, and the
+    # bound is the closed mass, which the sampled mass and its tail reach
+    num, err, tail, closed, exact = _masses(f, [1.0], [6.0], 0.8, 1.5)
+    assert exact and closed == pytest.approx(a, rel=1e-12)
+    assert num == pytest.approx(2.587, abs=1e-3) and tail == pytest.approx(0.026, abs=1e-3)
+    assert _agree(num, err, tail, closed)
+    free = ComponentForm(death_const=1.0, birth_const=0.5)
+    monkeypatch.setattr(conditions, "rate_form", lambda m, component: free)
+    assert sys_constants(gg_model(), 1.5, 0.8, 1).a == 1.0 + 0.5 / 0.8
+
+
+def test_a_parent_damping_that_acts_on_nothing_leaves_the_closed_mass_exact():
+    # a zero phi, or a phi around a zero kernel, damps no birth: the closed
+    # mass is exact with environment points, and the sampled mass agrees
+    for m in (replace(branching_model(), phi=Potential.zero()),
+              replace(branching_model(), a_plus=Potential.zero())):
+        rep = spot_check_regime(m, 1.5, 0.8, TORUS1, SpotCheckSettings(samples=500))
+        assert rep.ok and all(r.closed_exact and r.ok_equality for r in rep.rows)
+
+
+def test_the_bounds_refuse_an_exponential_birth_beside_a_live_death_term(monkeypatch):
+    # the exponential-birth bound assumes a constant death: on this form it
+    # gave a = 1.704 at c_own 0.8, feasible, while the closed mass of one
+    # point, whose death mass M is 1, is 2.504
+    f = ComponentForm(death_const=1.0, birth_const=0.3, death_kernel=step(0.5, 1.0),
+                      birth_pot=step(0.5, 1.0))
+    *_, closed, exact = _masses(f, [1.0], [], 0.8, 1.0)
+    assert exact and closed == pytest.approx(2.504, abs=1e-3)
+    for form in (f, replace(f, death_kernel=None, cross_death_kernel=step(0.5, 1.0))):
+        monkeypatch.setattr(conditions, "component_form", lambda m, component="environment": form)
+        monkeypatch.setattr(conditions, "rate_form", lambda m, component: form)
+        for bound in (lambda: env_constants(gg_model(), 0.8, 1),
+                      lambda: sys_constants(gg_model(), 1.0, 0.8, 1),
+                      lambda: averaged_constants(gg_model(), 1.0, 0.8, 1),
+                      lambda: growth_bounds(gg_model(), 1)):
+            with pytest.raises(ModelError, match="death_pot.*birth_pot"):
+                bound()
+
+
 def test_regime_report_serializes_and_summarizes():
     rep = check_regime(gg_model(), 0.5, 1.0, dim=1)
     d = rep.as_dict()

@@ -657,6 +657,18 @@ def test_cli_averaging_runs_a_small_sweep(tmp_path):
     assert (out / "distances.csv").exists()
 
 
+def test_cli_averaging_exits_2_on_a_repeated_epsilon(tmp_path, capsys):
+    # densities.csv used to write the second ensemble's columns twice while
+    # distances.csv kept the first ensemble's gap
+    cfg = _gg_config()
+    cfg["averaging"] = {"epsilons": [0.5, 0.5], "n_replicas": 2, "t_end": 0.5,
+                        "sys_density": 0.3, "n_times": 3, "seed": 3, "grid_points": 32}
+    out = tmp_path / "out"
+    assert main(["averaging", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "configuration error: epsilons must be distinct" in capsys.readouterr().err
+    assert not (out / "densities.csv").exists()
+
+
 def _every_command_config():
     """A config small enough for all six commands; ergodicity derives its
     target density by a hierarchy solve and its bound from c_minus."""

@@ -105,3 +105,11 @@ def test_averaging_experiment_rejects_bad_epsilons():
     with pytest.raises(ValueError):
         averaging_experiment(_free_env(), TORUS1, epsilons=(0.5, -1.0),
                              n_replicas=2, t_end=1.0, sys_density0=0.1)
+
+
+def test_averaging_experiment_refuses_a_repeated_epsilon():
+    # the coupled ensembles are keyed by epsilon, so a repeat overwrote the
+    # first ensemble while its distance was kept
+    with pytest.raises(ValueError, match="epsilons must be distinct"):
+        averaging_experiment(_free_env(), TORUS1, epsilons=(0.5, 1.0, 0.5),
+                             n_replicas=2, t_end=0.5, sys_density0=0.1, grid_points=16)

@@ -493,6 +493,66 @@ def test_constant_death_marks_the_forms_without_a_live_death_term():
     assert not ComponentForm(death_const=1.0, birth_const=0.5, death_pot=s).constant_death
     assert not ComponentForm(death_const=1.0, birth_const=0.5, cross_death_kernel=s).constant_death
 
+
+# The derived views of each form of the conftest models, as the forms read
+# them before ComponentForm.parts: pair_terms, damping and birth_groups name the model field behind
+# each potential (None where the view has no term), then constant_death and
+# free.
+_VIEWS = {
+    (gg_model, "environment"): (((None, None), (None, None)), ("psi", None), (None, None), True, False),
+    (gg_model, "system"): (((None, None), (None, None)), ("phi_plus", "phi_minus"), (None, None),
+                           True, False),
+    (gg_model, "averaged"): (((None, None), (None, None)), ("phi_plus", None), (None, None),
+                             True, False),
+    (bdlp_model, "environment"): (((None, None), (None, None)), ("psi", None), (None, None),
+                                  True, False),
+    (bdlp_model, "system"): ((("a_minus", None), ("b_minus", None)), None, ("a_plus", "b_plus"),
+                             False, False),
+    (bdlp_model, "averaged"): ((("a_minus", None), (None, None)), None, ("a_plus", None),
+                               False, False),
+    (branching_model, "environment"): (((None, None), (None, None)), ("psi", None), (None, None),
+                                       True, False),
+    (branching_model, "system"): ((("kappa", None), (None, "phi")), None, ("a_plus", None),
+                                  False, False),
+    (branching_model, "averaged"): ((("kappa", None), (None, None)), None, ("a_plus", None),
+                                    False, False),
+    (two_bdlp_model, "environment"): ((("a_minus", None), (None, None)), None, ("a_plus", None),
+                                      False, False),
+    (two_bdlp_model, "system"): ((("b_minus", None), ("vphi_minus", None)), None,
+                                 ("b_plus", "vphi_plus"), False, False),
+    (two_bdlp_model, "averaged"): ((("b_minus", None), (None, None)), None, ("b_plus", None),
+                                   False, False),
+}
+
+
+def test_the_derived_views_of_every_form_are_pinned():
+    def named(m, want):
+        if isinstance(want, tuple):
+            return tuple(named(m, w) for w in want)
+        return None if want is None else getattr(m, want)
+
+    def same(got, want):
+        if isinstance(want, tuple):
+            return isinstance(got, tuple) and len(got) == len(want) and all(map(same, got, want))
+        return got is want
+
+    for (build, label), (pairs, damping, groups, constant, free) in _VIEWS.items():
+        m = build()
+        am = build_averaged_model(m, _poisson_table(0.5), TORUS1)
+        f = {"environment": component_form(m), "system": rate_form(m, "system"),
+             "averaged": component_form(am, "system")}[label]
+        assert same(f.pair_terms, named(m, pairs)), (build.__name__, label)
+        assert same(f.damping, named(m, damping)), (build.__name__, label)
+        assert same(f.birth_groups, named(m, groups)), (build.__name__, label)
+        assert (f.constant_death, f.free) == (constant, free), (build.__name__, label)
+    # a zero psi leaves the environment free, its damping without a live term
+    zero = Potential.zero()
+    f = component_form(GlauberGlauber(z_minus=0.5, psi=zero, z_plus=0.3, phi_minus=zero,
+                                      phi_plus=zero))
+    assert f.pair_terms == ((None, None), (None, None)) and f.damping == (None, None)
+    assert f.birth_groups == (None, None) and f.constant_death and f.free
+
+
 def test_component_forms_are_derived_once_per_model():
     for build in ALL_MODELS:
         m = build()
