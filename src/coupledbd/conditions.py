@@ -64,15 +64,9 @@ from .models import (
     validate_model_on_torus,
     variant_name,
 )
-from .potentials import _EXP_CLIP, Potential, mayer, potential_functionals
+from .potentials import Potential, _remainder_exp, _safe_exp, mayer, potential_functionals
 
 _RATIO_SAMPLES = 4096
-
-
-def _safe_exp(x: float) -> float:
-    # math.exp raises OverflowError past ~709; a huge exponent just means an
-    # infinite constant here
-    return math.inf if x > _EXP_CLIP else math.exp(x)
 
 
 def _mass_term(pref: float, exponent: float) -> float:
@@ -487,12 +481,6 @@ def _exponential_part(part: FormPart, x: np.ndarray, rest: FiniteConfiguration,
         * float(np.prod(1.0 + np.abs(fixed[1])))
     tail = pref * max(0.0, _safe_exp(c_own * bo + c_other * bx) - partial)
     return _Part(fn, (co, cx), tuple(_capped_radius(p.cutoff, torus) for p in pots), tail)
-
-
-def _remainder_exp(u: float, cap: int) -> float:
-    """exp(u) minus its Taylor polynomial through order cap (nonnegative)."""
-    s = sum(u ** n / math.factorial(n) for n in range(cap + 1))
-    return max(0.0, _safe_exp(u) - s)
 
 
 def _capped_radius(r: float, torus: Torus) -> Optional[float]:

@@ -24,10 +24,13 @@ its domination ratios (RATIOS).  Both forms, the checks of the activities
 and death masses, the config parameters (config.py) and the regime labels
 (conditions.py) follow from it; VARIANTS maps each NAME to its class.
 
-The environment of every variant, and the system of an AveragedModel, have
-no cross terms and so are autonomous one-component dynamics; component_form
-returns those forms and hierarchy.py re-exports both.  The system of a full
-model has cross terms; rate_form returns every form.  The pointwise rates,
+rate_form is the one lookup of a form: it returns a model's _sys_form or
+_env_form, and an AveragedModel answers it as a model without an
+environment.  The environment of every variant, and the system of an
+AveragedModel, have no cross terms and so are autonomous one-component
+dynamics; component_form is rate_form refusing the system of a full model,
+whose cross terms read the environment, and hierarchy.py re-exports it for
+the hierarchy, which solves autonomous forms only.  The pointwise rates,
 their kernel expansions, the death vectors and the birth proposals of every
 component are derived from its form, the event loop updates its rates by
 the same terms, and the averaged model replaces the cross terms of the
@@ -58,7 +61,7 @@ from .geometry import (
     squared_distances_from,
     squared_pairwise_distances,
 )
-from .potentials import Potential, potential_functionals, sample_kernel_offsets
+from .potentials import Potential, _safe_exp, potential_functionals, sample_kernel_offsets
 
 
 class FormPart(NamedTuple):
@@ -344,14 +347,6 @@ def relative_energy(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) 
     return float(pot.sum_squared(squared_distances_from(np.asarray(x, dtype=float), pts, torus)))
 
 
-def _exp(v: float) -> float:
-    """math.exp, inf past the float range like np.exp."""
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
 def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
                 torus: Torus) -> Tuple[float, float]:
     """(death, birth) rate at x of a component with form f, given the points
@@ -359,7 +354,7 @@ def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
     x = np.asarray(x, dtype=float)
     death = f.death_const
     if f.death_pot is not None:
-        death *= _exp(relative_energy(x, own, f.death_pot, torus))
+        death *= _safe_exp(relative_energy(x, own, f.death_pot, torus))
     else:
         death += relative_energy(x, own, f.death_kernel, torus)
         death += relative_energy(x, other, f.cross_death_kernel, torus)
@@ -691,7 +686,7 @@ class AveragedModel:
     m_bar: float = 0.0
 
     @cached_property
-    def _system_form(self) -> ComponentForm:
+    def _sys_form(self) -> ComponentForm:
         f = rate_form(self.base, "system")
         death_const, birth_const, scale = f.death_const, f.birth_const, f.birth_kernel_scale
         if f.cross_death_kernel is not None:
@@ -706,37 +701,28 @@ class AveragedModel:
                        birth_kernel_scale=scale, **dict.fromkeys(_CROSS_TERMS))
 
 
-def component_form(m: Union[RateModel, AveragedModel], component: str = "environment") -> ComponentForm:
-    """Extract the autonomous one-component structure.
-
-    component="environment" works for every full model; the system of a full
-    model is not autonomous, so component="system" requires an AveragedModel.
-    The form is derived once per model object and then reused.
-    """
-    if isinstance(m, AveragedModel):
-        if component != "system":
-            raise ModelError("an averaged model only has a system component")
-        return m._system_form
-    if component == "system":
-        raise ModelError("the system component is not autonomous; build an averaged model first")
-    if component != "environment":
+def rate_form(m: Union[RateModel, AveragedModel], component: str) -> ComponentForm:
+    """Rate description of one component of m: its _sys_form or _env_form,
+    derived once per model object and then reused.  The system of a full
+    model has cross terms that read the environment; an AveragedModel is a
+    model without an environment."""
+    if component not in ("system", "environment"):
         raise ValueError(f"component must be 'system' or 'environment', got {component!r}")
     try:
-        return m._env_form
+        return getattr(m, "_sys_form" if component == "system" else "_env_form")
     except AttributeError:
-        raise ModelError(f"unknown model type {type(m).__name__}") from None
+        raise ModelError(f"{type(m).__name__} has no {component} component") from None
 
 
-def rate_form(m: Union[RateModel, "AveragedModel"], component: str) -> ComponentForm:
-    """Rate description of one component of m.  Unlike component_form this
-    also returns the system of a full model, whose form has cross terms that
-    read the environment."""
-    if component == "system" and not isinstance(m, AveragedModel):
-        try:
-            return m._sys_form
-        except AttributeError:
-            raise ModelError(f"unknown model type {type(m).__name__}") from None
-    return component_form(m, component)
+def component_form(m: Union[RateModel, AveragedModel], component: str = "environment") -> ComponentForm:
+    """The autonomous one-component form: rate_form, refused when it has
+    cross terms.  The system of a full model is not autonomous, so
+    component="system" requires an AveragedModel."""
+    f = rate_form(m, component)
+    if not f.autonomous:
+        raise ModelError(f"the {component} component of {type(m).__name__} is not "
+                         f"autonomous; build an averaged model first")
+    return f
 
 
 def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:

@@ -6,6 +6,12 @@ beta(f) = integral over R^d of |exp(-f(|x|)) - 1| dx and
 beta_neg(f) = integral of (exp(f(|x|)) - 1) dx, together with the L1 and
 sup norms of the profile itself.  Radial integrals are evaluated over full
 d-space, not the torus; usage on a torus of side L requires cutoff <= L/2.
+
+The package's overflow rule lives here too: _safe_exp is e^x, inf past the
+float range as np.exp behaves, for the regime checker's constants and the
+pointwise rates; _remainder_exp is the Taylor remainder of e^u, inf past
+that range, for the truncation tails of the regime checker and of the
+averaged birth factor.
 """
 
 from __future__ import annotations
@@ -20,7 +26,24 @@ import numpy as np
 from .errors import ModelError
 
 _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
-_EXP_CLIP = 700.0  # exp overflow guard
+_EXP_CLIP = 700.0  # past this height the beta_neg quadrature would overflow
+
+
+def _safe_exp(x: float) -> float:
+    """math.exp, or inf past the float range, as np.exp behaves."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _remainder_exp(u: float, cap: int) -> float:
+    """e^u minus its Taylor polynomial through order cap: nonnegative, and
+    inf when e^u is past the float range."""
+    e = _safe_exp(u)
+    if e == math.inf:
+        return e
+    return max(0.0, e - sum(u ** n / math.factorial(n) for n in range(cap + 1)))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, EvaluationError, SizeLimitError
 from .geometry import Torus
-from .potentials import Potential, potential_functionals
+from .potentials import Potential, _remainder_exp, potential_functionals
 
 # Most cells P a grid may have: its difference index has P x P entries and
 # an order-3 table P^2 values, 134 MB at the 2D default of 64 points per axis.
@@ -250,32 +250,27 @@ def radial_profile(grid: GridSpec, values: np.ndarray):
     """Average a lattice field over shells of equal separation distance.
 
     Returns (r, mean, count) arrays for the nonempty shells, sorted by r.
-    Exact-distance grouping is used when few distinct distances exist.
+    Each distinct distance is its own shell when there are at most
+    _PROFILE_BINS of them; otherwise the shells are _PROFILE_BINS equal bins
+    and r is the mean distance in each.
     """
     d = grid.distances
-    vals = np.asarray(values, dtype=float)
+    rounded = np.round(d, 12)
     # sort and dedupe: np.unique imports numpy.ma, tens of ms per command
-    rounded = np.sort(np.round(d, 12))
-    uniq = rounded[np.concatenate(([True], rounded[1:] != rounded[:-1]))]
-    if len(uniq) <= _PROFILE_BINS:
-        r, mean, count = [], [], []
-        for u in uniq:
-            sel = np.isclose(d, u, atol=1e-10)
-            r.append(u)
-            mean.append(float(np.mean(vals[sel])))
-            count.append(int(np.sum(sel)))
-        return np.array(r), np.array(mean), np.array(count)
-    edges = np.linspace(0.0, float(np.max(d)) + 1e-12, _PROFILE_BINS + 1)
-    idx = np.clip(np.digitize(d, edges) - 1, 0, _PROFILE_BINS - 1)
-    r, mean, count = [], [], []
-    for b in range(_PROFILE_BINS):
-        sel = idx == b
-        if not np.any(sel):
-            continue
-        r.append(float(np.mean(d[sel])))
-        mean.append(float(np.mean(vals[sel])))
-        count.append(int(np.sum(sel)))
-    return np.array(r), np.array(mean), np.array(count)
+    uniq = np.sort(rounded)
+    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
+    exact = len(uniq) <= _PROFILE_BINS
+    if exact:
+        shell = np.searchsorted(uniq, rounded)
+    else:
+        edges = np.linspace(0.0, float(np.max(d)) + 1e-12, _PROFILE_BINS + 1)
+        shell = np.clip(np.digitize(d, edges) - 1, 0, _PROFILE_BINS - 1)
+    count = np.bincount(shell)
+    keep = count > 0
+    count = count[keep]
+    mean = np.bincount(shell, weights=np.asarray(values, dtype=float))[keep] / count
+    r = uniq if exact else np.bincount(shell, weights=d)[keep] / count
+    return r, mean, count
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +330,4 @@ def exp_mayer_functional(table: CorrelationTable, pot: Potential) -> Tuple[float
     if c <= 0 or beta_hat <= 0:
         return value, 0.0
     big_k = max(s / c ** n for n, s in enumerate(sups))
-    x = c * beta_hat
-    partial = sum(x ** n / math.factorial(n) for n in range(table.order + 1))
-    tail = big_k * (math.exp(x) - partial)
-    return value, tail
+    return value, big_k * _remainder_exp(c * beta_hat, table.order)

@@ -669,6 +669,19 @@ def test_cli_averaging_exits_2_on_a_repeated_epsilon(tmp_path, capsys):
     assert not (out / "densities.csv").exists()
 
 
+def test_cli_averaging_exits_2_when_the_truncated_expansion_turns_negative(tmp_path, capsys):
+    # a dense environment: the order-3 expansion of lambda_bar is negative
+    # and its tail bound overflows, which used to raise OverflowError
+    cfg = _gg_config()
+    cfg["model"]["params"].update(z_minus=400.0, psi={"kind": "zero"},
+                                  phi_minus=_step(5.0, 1.0))
+    cfg["averaging"] = {"epsilons": [1.0, 0.5], "n_replicas": 2, "t_end": 0.01,
+                        "sys_density": 0.3, "n_times": 3}
+    assert main(["averaging", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "lambda_bar" in err and "is negative (truncation tail bound inf)" in err
+
+
 def _every_command_config():
     """A config small enough for all six commands; ergodicity derives its
     target density by a hierarchy solve and its bound from c_minus."""

@@ -458,9 +458,15 @@ def _poisson_gof(counts, mu):
     upper = max(int(counts.max()) + 1, int(mu + 10 * math.sqrt(mu)))
     probs = stats.poisson.pmf(np.arange(upper + 1), mu)
     probs[-1] += stats.poisson.sf(upper, mu)
-    obs = np.bincount(counts, minlength=upper + 1)
+    return _pooled_chi2_p(np.bincount(counts, minlength=upper + 1), probs * counts.size)
+
+
+def _pooled_chi2_p(obs, expected):
+    """Chi-square p-value of observed bin counts against expected ones,
+    bins merged in order until each expects at least 5 (the leftover tail
+    joins the last bin)."""
     bins, acc_o, acc_e = [], 0.0, 0.0
-    for o, e in zip(obs, probs * counts.size):
+    for o, e in zip(obs, expected):
         acc_o, acc_e = acc_o + o, acc_e + e
         if acc_e >= 5.0:
             bins.append([acc_o, acc_e])
@@ -519,6 +525,49 @@ def test_joint_loop_reproduces_the_poisson_law_of_a_free_environment():
     counts = np.concatenate([_joint(m, TORUS1, _empty(), s, r).minus_counts
                              for r in range(150)])
     assert _poisson_gof(counts, 10.0 * (1.0 - math.exp(-8.0))) > 0.01
+
+
+def test_the_environment_draws_the_hard_rod_law_on_a_ring():
+    # psi = step(40, r) makes the environment a gas of hard rods of length r
+    # on the ring of side L; its birth-death dynamics is reversible for the
+    # Gibbs law P(N = n) ~ z^n / n! * L (L - n r)^(n - 1) for n >= 1 (Tonks)
+    side, r, z = 5.0, 0.6, 3.0
+    zero = Potential.zero()
+    m = GlauberGlauber(z_minus=z, psi=Potential.step(40.0, r), z_plus=0.5,
+                       phi_minus=zero, phi_plus=zero)
+    s = SimulationSettings(t_end=6.0, master_seed=31337, record_times=(6.0,))
+    recs = replicate(m, Torus(dim=1, side=side), lambda rng: _empty(), s,
+                     n_replicas=1000, components=("environment",))
+    counts = np.array([rec.minus_counts[0] for rec in recs])
+    n = np.arange(int(side / r) + 1)
+    weights = np.array([1.0] + [z ** k / math.factorial(k) * side * (side - k * r) ** (k - 1)
+                                for k in n[1:]])
+    obs = np.bincount(counts, minlength=n.size)
+    assert obs.size == n.size  # no more rods than fit on the ring
+    assert _pooled_chi2_p(obs, weights / weights.sum() * counts.size) > 1e-3
+
+
+def test_a_system_in_a_frozen_environment_draws_its_poisson_law():
+    # with phi_plus zero and the environment frozen, system births at x come
+    # at rate z_plus exp(-U(x)) independently of the system, so from an
+    # empty start the count at t is Poisson(z_plus (1 - e^{-t}) int e^{-U})
+    zero, cutoff, height = Potential.zero(), 0.5, 1.0
+    m = GlauberGlauber(z_minus=0.5, psi=zero, z_plus=1.5,
+                       phi_minus=Potential.step(height, cutoff), phi_plus=zero)
+    frozen = np.array([1.0, 1.6, 4.0, 7.2, 7.5])
+    # U is height times the number of frozen points within the cutoff; it
+    # is constant between the ends of their intervals, none of which wraps
+    ends = np.sort(np.concatenate([frozen - cutoff, frozen + cutoff, [0.0, TORUS1.side]]))
+    depth = np.sum(np.abs((ends[1:] + ends[:-1])[:, None] / 2 - frozen) <= cutoff, axis=1)
+    t, n_rep = 3.0, 1000
+    mu = 1.5 * (1.0 - math.exp(-t)) * float(np.sum(np.diff(ends) * np.exp(-height * depth)))
+    s = SimulationSettings(t_end=t, master_seed=27182, record_times=(t,))
+    recs = replicate(m, TORUS1, lambda rng: marked([], frozen), s, n_replicas=n_rep,
+                     components=("system",))
+    counts = np.array([rec.plus_counts[0] for rec in recs])
+    assert all(np.array_equal(rec.final.minus.points[:, 0], frozen) for rec in recs)
+    assert _poisson_gof(counts, mu) > 1e-3
+    assert abs(counts.mean() - mu) <= stats.norm.isf(5e-4) * math.sqrt(mu / n_rep)
 
 
 def test_bulk_path_records_keep_their_meaning():

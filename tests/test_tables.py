@@ -185,6 +185,15 @@ def test_exp_mayer_tail_shrinks_with_order():
     assert tails[0] > tails[1] > tails[2] > 0.0
 
 
+def test_exp_mayer_on_a_dense_table_has_an_infinite_tail():
+    # x = c * beta_hat is about 795 here, past the float range of e^x: the
+    # tail bound is inf, not an OverflowError
+    t = CorrelationTable.poisson(GridSpec(Torus(1, 10.0), 64), 3, 400.0)
+    val, tail = exp_mayer_functional(t, Potential.step(5.0, 1.0))
+    assert math.isfinite(val)
+    assert tail == math.inf
+
+
 def test_exp_mayer_on_empty_state_is_exact():
     t = CorrelationTable(GRID, 3, 1.0, 0.0)
     val, tail = exp_mayer_functional(t, Potential.step(2.0, 1.0))
