@@ -343,6 +343,7 @@ def _cmd_averaging(cfg: dict, m, torus, out_dir: str):
         "monotone_ok": result.monotone_ok,
         "smallest_within_se": result.smallest_within_se,
         "lambda_bar": result.lambda_bar,
+        "lambda_bar_tail": result.lambda_bar_tail,
         "env_density": result.env_density,
     }
     _write_json(os.path.join(out_dir, "result.json"), out)

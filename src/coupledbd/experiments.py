@@ -155,6 +155,7 @@ class AveragingResult:
     averaged: DensityEstimate
     coupled: Dict[float, DensityEstimate]
     lambda_bar: float
+    lambda_bar_tail: float
     env_density: float
     monotone_ok: bool
     smallest_within_se: bool
@@ -238,6 +239,7 @@ def averaging_experiment(
         averaged=avg_est,
         coupled=coupled,
         lambda_bar=am.lambda_bar,
+        lambda_bar_tail=am.lambda_bar_tail,
         env_density=env_density,
         monotone_ok=monotone_ok,
         smallest_within_se=smallest_ok,

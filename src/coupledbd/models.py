@@ -732,7 +732,8 @@ def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
     Exponential damping factors are computed by the truncated expansion in
     the table's order; additive couplings reduce exactly to rho_inv times
     the kernel mass.  A negative averaged birth factor, which a truncated
-    expansion can produce for strong coupling, raises ModelError.
+    expansion can produce for strong coupling, raises ModelError, and so
+    does a positive one that its truncation tail bound reaches.
     """
     from .tables import exp_mayer_functional
 
@@ -748,13 +749,12 @@ def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
     else:
         damping = f.parent_pot if f.cross_birth_pot is None else f.cross_birth_pot
         lam, tail = exp_mayer_functional(k_inv, damping)
-    am = AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail, m_bar=m_bar)
-    if am.lambda_bar < 0:
+    if lam < 0 or 0.0 < tail >= lam:
         raise ModelError(
-            f"averaged birth factor lambda_bar = {am.lambda_bar:.6g} is negative "
-            f"(truncation tail bound {am.lambda_bar_tail:.3g}); the order-{k_inv.order} "
-            f"expansion does not resolve this coupling")
-    return am
+            f"averaged birth factor lambda_bar = {lam:.6g} is "
+            f"{'negative' if lam < 0 else 'at most its tail'} (truncation tail bound "
+            f"{tail:.3g}); the order-{k_inv.order} expansion does not resolve this coupling")
+    return AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail, m_bar=m_bar)
 
 
 def averaged_rates(x, gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> Tuple[float, float]:

@@ -65,6 +65,11 @@ class GridSpec:
     def num_cells(self) -> int:
         return self.points_per_axis ** self.torus.dim
 
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        """Cells per axis: the flat cell index is row-major in this shape."""
+        return (self.points_per_axis,) * self.torus.dim
+
     @cached_property
     def _lattice(self) -> np.ndarray:
         n, d = self.points_per_axis, self.torus.dim
@@ -276,33 +281,67 @@ def radial_profile(grid: GridSpec, values: np.ndarray):
 # ---------------------------------------------------------------------------
 # exponential Mayer functional
 
-def _triple_sum(k3: np.ndarray, w: np.ndarray, di: np.ndarray) -> float:
-    """sum over cells p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1].
+def k3_spectrum(table: CorrelationTable) -> Tuple[np.ndarray, np.ndarray]:
+    """The lattice Fourier transform of table.k3 over both of its offsets,
+    which the triple sums of product_expectation contract: (spec, plus).
 
-    Substituting p2 = p1 + j, p3 = p1 + l gives sum_jl k3[j, l] T[j, l] with
-    T[j, l] = sum_a w[a] w[a + j] w[a + l], one gather and one matrix product.
+    With K(p, q) = sum_jl k3[j, l] e^{-i (p.j + q.l)}, spec[p, q] is the
+    conjugate of K for every frequency p and the frequencies q that a real
+    transform keeps (the last axis up to n/2), doubled on the columns whose
+    mirror -q is not kept, so that the real part of a sum over the kept
+    columns is the sum over all of them.  plus[p, q] is the flat index of
+    frequency p + q.
     """
-    shifted = w[di[:, di[0]]]        # shifted[a, j] = w(offset_a + offset_j)
-    triple = (shifted * w[:, None]).T @ shifted
-    return float(np.sum(triple * k3))
+    grid = table.grid
+    shape, n = grid.shape, grid.points_per_axis
+    last = np.arange(n // 2 + 1)
+    spec = np.fft.rfftn(table.k3.reshape(shape + shape))
+    np.conjugate(spec, out=spec)
+    spec *= np.where((last == 0) | (2 * last == n), 1.0, 2.0)
+    kept = np.arange(grid.num_cells).reshape(shape)[..., :last.size].ravel()
+    di = grid.diff_index
+    return spec.reshape(grid.num_cells, -1), np.take(di, di[0, kept], axis=1)
+
+
+def _triple_sum(spectrum: Tuple[np.ndarray, np.ndarray], w: np.ndarray,
+                shape: Tuple[int, ...]) -> float:
+    """sum over cells p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1],
+    from k3's spectrum (k3_spectrum) and the transform W of w on the grid of
+    the given shape: sum over p, q of K(p, q) W(-p) W(-q) W(p + q) / P^2.
+    W(-p) is the conjugate of W(p), since w is real."""
+    spec, plus = spectrum
+    w_hat = np.fft.fftn(w.reshape(shape)).ravel()
+    w_neg = np.conj(w_hat)
+    terms = w_hat[plus]                       # W(p + q)
+    terms *= w_neg[plus[0]]                   # W(-q)
+    terms *= w_neg[:, None]                   # W(-p)
+    # spec is conj(K), so Re(K terms) = spec.re terms.re + spec.im terms.im:
+    # one real dot product of the interleaved parts
+    total = np.dot(spec.view(np.float64).ravel(), terms.view(np.float64).ravel())
+    return float(total) / w_hat.size ** 2
 
 
 def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0,
-                        k2m: Optional[np.ndarray] = None) -> float:
+                        k2m: Optional[np.ndarray] = None,
+                        k3s: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> float:
     """Expectation of the product over the points x of (1 + g(x)) for a
     lattice field g of cell weight dv, truncated at the table's order:
 
         k0 + k1 sum g dv + (1/2) sum g(x) g(y) k2(y - x) dv^2
            + (1/6) sum g(x) g(y) g(z) k3(y - x, z - x) dv^3
 
-    k2m, table.k2[grid.diff_index], is gathered here unless given."""
+    k2m, table.k2[grid.diff_index], and k3s, k3_spectrum(table), are
+    computed here unless given; a caller that takes several expectations
+    of one table passes them."""
     value = table.k0 + table.k1 * float(np.sum(g)) * dv
     if table.order >= 2:
         if k2m is None:
             k2m = table.k2[table.grid.diff_index]
         value += 0.5 * float(g @ k2m @ g) * dv ** 2
     if table.order >= 3:
-        value += _triple_sum(table.k3, g, table.grid.diff_index) * dv ** 3 / 6.0
+        if k3s is None:
+            k3s = k3_spectrum(table)
+        value += _triple_sum(k3s, g, table.grid.shape) * dv ** 3 / 6.0
     return value
 
 

@@ -4,12 +4,25 @@ These are the order-1, order-2 and order-3 formulas of
 ``hierarchy.l_delta_apply`` written out directly, each term from its own
 stencil, with fresh arrays and no precomputed factors.  The production
 kernel folds factors together and works in place; the differential tests
-compare it with this oracle entry by entry.
+compare it with this oracle entry by entry.  dense_triple_sum is the
+lattice triple sum of ``tables.product_expectation`` as a dense product,
+the reference for its Fourier-space form.
 """
 
 import numpy as np
 
 from coupledbd.tables import CorrelationTable, corrected_stencil
+
+
+def dense_triple_sum(k3, w, di):
+    """sum over cells p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1].
+
+    Substituting p2 = p1 + j, p3 = p1 + l gives sum_jl k3[j, l] T[j, l] with
+    T[j, l] = sum_a w[a] w[a + j] w[a + l], one gather and one matrix product.
+    """
+    shifted = w[di[:, di[0]]]        # shifted[a, j] = w(offset_a + offset_j)
+    triple = (shifted * w[:, None]).T @ shifted
+    return float(np.sum(triple * k3))
 
 
 def _rebased_triple_integral(k3, weights, di):

@@ -651,6 +651,7 @@ def test_cli_averaging_runs_a_small_sweep(tmp_path):
     assert res["epsilons"] == [1.0, 0.5]
     assert len(res["distances"]) == 2
     assert 0.0 < res["lambda_bar"] <= 1.0
+    assert 0.0 < res["lambda_bar_tail"] < res["lambda_bar"]
     lines = (out / "densities.csv").read_text().strip().splitlines()
     assert lines[0] == "t,averaged_mean,averaged_se,eps1_mean,eps1_se,eps0.5_mean,eps0.5_se"
     assert len(lines) == 6
@@ -680,6 +681,21 @@ def test_cli_averaging_exits_2_when_the_truncated_expansion_turns_negative(tmp_p
     assert main(["averaging", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "lambda_bar" in err and "is negative (truncation tail bound inf)" in err
+
+
+def test_cli_averaging_exits_2_when_the_tail_bound_reaches_lambda_bar(tmp_path, capsys):
+    # lambda_bar 0.0626 with a tail bound of 0.294 (the exact factor is
+    # 0.223) used to be accepted and written without its tail
+    cfg = _gg_config()
+    cfg["model"]["params"].update(z_minus=0.755, psi={"kind": "zero"},
+                                  phi_minus=_step(5.0, 1.0))
+    cfg["averaging"] = {"epsilons": [1.0, 0.5], "n_replicas": 2, "t_end": 0.01,
+                        "sys_density": 0.3, "n_times": 3}
+    out = tmp_path / "out"
+    assert main(["averaging", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "lambda_bar = 0.0626" in err and "at most its tail (truncation tail bound 0.294)" in err
+    assert not (out / "result.json").exists()
 
 
 def _every_command_config():

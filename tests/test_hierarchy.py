@@ -1,7 +1,9 @@
 """Truncated correlation hierarchies: fixed points, time evolution, and
 positivity diagnostics."""
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +103,48 @@ def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
     for rebased in (_gathered_triple_integral, _rebased_triple_integral):
         got = rebased(k3, w, grid.diff_index)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _fft_and_dense_bundles(grid, form):
+    """The bundle of form on grid, which takes the birth part's lattice
+    products by FFT on this many cells, and a copy that takes them dense."""
+    fft = build_stencils(grid, form, 3)
+    assert fft.birth.hat is not None and fft.birth.cw2 is None
+    dense = copy.copy(fft)
+    dense.birth = copy.copy(fft.birth)
+    dense.birth.cw2, dense.birth.hat = fft.birth.cw[grid.diff_index], None
+    dense.work = tuple(np.empty_like(w) for w in fft.work)
+    return fft, dense
+
+
+@pytest.mark.parametrize("dim,side,n", [(1, 10.0, 1024), (2, 4.0, 32), (3, 4.0, 11)])
+def test_fft_stencil_product_matches_the_dense_product(dim, side, n):
+    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+    assert grid.num_cells >= hierarchy._FFT_CELLS
+    form = ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0), birth_pot=_STEP(0.5, 1.0))
+    fft, dense = _fft_and_dense_bundles(grid, form)
+    p = grid.num_cells
+    rng = np.random.default_rng(dim)
+    k3 = rng.uniform(0.5, 1.5, (p, p))        # neither symmetric nor radial
+    k2 = rng.uniform(0.5, 1.5, p)
+    for a in (k3, k2):
+        want = dense.birth.cw2 @ a.T
+        got = hierarchy._stencil_product(fft.birth, grid.shape, a, np.empty_like(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["exp_death_exp_birth", "add_death_add_birth"])
+def test_apply_agrees_between_the_fft_and_the_dense_products(name):
+    form = _GOLDEN_FORMS[name][0]
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
+    fft, dense = _fft_and_dense_bundles(grid, form)
+    p = grid.num_cells
+    rng = np.random.default_rng(31)
+    table = CorrelationTable(grid, 3, 1.0, 0.8, rng.uniform(0.5, 1.5, p),
+                             rng.uniform(0.5, 1.5, (p, p)))
+    want = l_delta_apply(table, dense).as_vector()
+    got = l_delta_apply(table, fft).as_vector()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # l_delta_apply on a fixed random symmetric order-3 table, one form per
@@ -440,6 +484,64 @@ def test_solver_stops_on_a_non_finite_iterate(monkeypatch):
     monkeypatch.setattr(hierarchy, "l_delta_apply", poisoned)
     with pytest.raises(StabilityError):
         ks_solve(component_form(gg_model(), "environment"), GRID, order=2)
+
+
+def test_solver_stops_on_a_nan_in_the_third_order_block(monkeypatch):
+    real = hierarchy.l_delta_apply
+    calls = []
+
+    def poisoned(table, bundle, closure="poisson"):
+        out = real(table, bundle, closure=closure)
+        calls.append(table.order)
+        if table.order == 3 and calls.count(3) == 4:
+            out.k3[5, 7] = math.nan           # in a mixed step, deep in the vector
+        return out
+
+    monkeypatch.setattr(hierarchy, "l_delta_apply", poisoned)
+    with pytest.raises(StabilityError, match="after 4 steps"):
+        ks_solve(component_form(gg_model(), "environment"),
+                 GridSpec(torus=TORUS1, points_per_axis=32), order=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2e8])
+@pytest.mark.parametrize("where", [0, 1, 500, -1])
+def test_the_stability_guard_fails_on_any_bad_entry(where, bad):
+    vec = np.linspace(-1.0, 1.0, 1001)
+    hierarchy._check_stable(vec, 1)
+    vec[where] = bad
+    with pytest.raises(StabilityError):
+        hierarchy._check_stable(vec, 1)
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the arrays a stencil bundle holds, its parts' included."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, tuple):
+        return sum(_array_bytes(o) for o in obj)
+    if isinstance(obj, (hierarchy.StencilBundle, hierarchy.StencilPart)):
+        return sum(_array_bytes(o) for o in vars(obj).values())
+    return 0
+
+
+def test_solve_holds_the_mixing_history_and_at_most_four_more_state_vectors():
+    # the environment of the hierarchy benchmark: 2D 16 x 16, order 3
+    model = GlauberGlauber(z_minus=0.5, psi=Potential.step(0.5, 1.0), z_plus=0.3,
+                           phi_minus=Potential.zero(), phi_plus=Potential.zero())
+    form = component_form(model, "environment")
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
+    bundle_bytes = _array_bytes(build_stencils(grid, form, 3))   # warms the grid's arrays
+    vector_bytes = CorrelationTable(grid, 3, 0.0, 0.0).vec.nbytes
+    tracemalloc.start()
+    try:
+        ks_solve(form, grid, order=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = (2 * hierarchy._MIX_DEPTH + 4) * vector_bytes + bundle_bytes
+    assert peak <= limit, (
+        f"peak {peak / vector_bytes:.2f} state vectors, "
+        f"limit {limit / vector_bytes:.2f} (bundle {bundle_bytes / vector_bytes:.2f})")
 
 
 def test_solver_guards_against_runaway_expansions():

@@ -445,6 +445,17 @@ def test_negative_averaged_birth_factor_is_rejected():
         build_averaged_model(m, _poisson_table(3.0, points=64), TORUS1)
 
 
+def test_an_averaged_birth_factor_inside_its_tail_bound_is_rejected():
+    # a Poisson environment of density 0.755 under phi_minus step(5, 1): the
+    # order-3 expansion gives lambda_bar 0.0626 with a tail bound of 0.294,
+    # while the exact damping factor is exp(-0.755 * 2 * (1 - e^-5)) = 0.223
+    m = GlauberGlauber(z_minus=0.755, psi=Potential.zero(), z_plus=0.3,
+                       phi_minus=Potential.step(5.0, 1.0), phi_plus=Potential.zero())
+    with pytest.raises(ModelError, match=r"lambda_bar = 0\.0626\d* is at most its tail "
+                                         r"\(truncation tail bound 0\.294\)"):
+        build_averaged_model(m, _poisson_table(0.755, points=64), TORUS1)
+
+
 @pytest.mark.parametrize("build", ALL_MODELS, ids=lambda b: b.__name__)
 def test_form_kernel_subset_sums_reproduce_the_averaged_rates(build):
     am = build_averaged_model(build(), _poisson_table(0.5), TORUS1)

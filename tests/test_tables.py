@@ -17,12 +17,14 @@ from coupledbd.tables import (
     _triple_sum,
     corrected_stencil,
     exp_mayer_functional,
+    k3_spectrum,
     product_expectation,
     radial_profile,
     validate_grid_for_model,
 )
 
 from conftest import TORUS1
+from hierarchy_oracle import dense_triple_sum
 
 GRID = GridSpec(torus=TORUS1, points_per_axis=50)
 
@@ -218,8 +220,31 @@ def test_triple_sum_matches_the_brute_force_sum(dim, n):
 
     expected = sum(w[p1] * w[p2] * w[p3] * k3[diff(p2, p1), diff(p3, p1)]
                    for p1 in range(p) for p2 in range(p) for p3 in range(p))
-    got = _triple_sum(k3, w, grid.diff_index)
-    assert abs(got - expected) <= 1e-12 * abs(expected)
+    table = CorrelationTable(grid, 3, 1.0, 0.5, np.zeros(p), k3)
+    for got in (_triple_sum(k3_spectrum(table), w, grid.shape),
+                dense_triple_sum(k3, w, grid.diff_index)):
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 9), (2, 6), (2, 7), (3, 4), (3, 5)])
+def test_fourier_triple_sum_matches_the_dense_sum(dim, n, symmetric):
+    # even and odd sides: the real transform keeps a Nyquist column only
+    # for even n
+    grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
+    p = grid.num_cells
+    rng = np.random.default_rng(100 * dim + n)
+    k3 = rng.normal(size=(p, p))
+    if symmetric:
+        k3 = k3 + k3.T
+    table = CorrelationTable(grid, 3, 1.0, 0.5, np.zeros(p), k3)
+    spectrum = k3_spectrum(table)
+    di = grid.diff_index
+    for _ in range(3):
+        w = rng.normal(size=p)
+        want = dense_triple_sum(k3, w, di)
+        scale = dense_triple_sum(np.abs(k3), np.abs(w), di)
+        assert abs(_triple_sum(spectrum, w, grid.shape) - want) <= 1e-13 * scale
 
 
 def test_product_expectation_matches_the_brute_force_sums():
@@ -245,7 +270,8 @@ def test_product_expectation_matches_the_brute_force_sums():
         got = product_expectation(t, g, dv)
         assert got == pytest.approx(sum(partial[:order + 1]), rel=1e-12)
         if order >= 2:
-            assert product_expectation(t, g, dv, t.k2[grid.diff_index]) == got
+            k3s = k3_spectrum(t) if order >= 3 else None
+            assert product_expectation(t, g, dv, t.k2[grid.diff_index], k3s) == got
 
 
 def test_a_grid_above_the_cell_cap_is_refused_naming_grid_points():
