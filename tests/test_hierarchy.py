@@ -2,6 +2,7 @@
 positivity diagnostics."""
 
 import copy
+import itertools
 import math
 import tracemalloc
 
@@ -232,6 +233,83 @@ def test_apply_matches_the_reference_formulas_entry_by_entry(dim, side, n, name,
     want = want.as_vector()
     np.testing.assert_allclose(got.as_vector(), want, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(want)))
+
+
+def _vector_maps(grid):
+    """Flat index maps of cells under -1, a reflection of axis 0 and, in 2D
+    and 3D, every axis permutation, from integer lattice coordinates."""
+    n, shape = grid.points_per_axis, grid.shape
+    lat = np.array(np.unravel_index(np.arange(grid.num_cells), shape)).T
+
+    def flat(v):
+        return np.ravel_multi_index(tuple(np.mod(v, n).T), shape)
+
+    refl = lat.copy()
+    refl[:, 0] *= -1
+    perms = [flat(lat[:, list(s)]) for s in itertools.permutations(range(grid.torus.dim))]
+    return flat(-lat), flat(refl), perms
+
+
+def _k3_generators(grid):
+    """The swap (j, l) -> (l, j), the rebase {0, a, b} -> {-a, 0, b - a}, a
+    reflection and, in 2D and 3D, an axis swap, as maps of a P x P table."""
+    neg, refl, perms = _vector_maps(grid)
+    rebase = (neg[:, None], grid.diff_index.T)     # b - a is offset[l] - offset[j]
+    gens = {"swap": lambda k: k.T, "rebase": lambda k: k[rebase],
+            "reflection": lambda k: k[refl[:, None], refl]}
+    if len(perms) > 1:
+        gens["axis swap"] = lambda k: k[perms[1][:, None], perms[1]]
+    return gens
+
+
+def _symmetrised_table(grid, seed):
+    """A random order-3 table averaged over S3 x the lattice point group:
+    over S3 as its six compositions of the swap and the rebase, over the
+    point group as the reflections of each axis, then the axis permutations."""
+    p, d = grid.num_cells, grid.torus.dim
+    rng = np.random.default_rng(seed)
+    k2, k3 = rng.uniform(0.5, 1.5, p), rng.uniform(0.5, 1.5, (p, p))
+    gens = _k3_generators(grid)
+    s, r = gens["swap"], gens["rebase"]
+    k3 = (k3 + s(k3) + r(k3) + s(r(k3)) + r(s(k3)) + s(r(s(k3)))) / 6.0
+    _, _, perms = _vector_maps(grid)
+    lat = np.array(np.unravel_index(np.arange(p), grid.shape)).T
+    for axis in range(d):
+        flipped = lat.copy()
+        flipped[:, axis] *= -1
+        f = np.ravel_multi_index(tuple(np.mod(flipped, grid.points_per_axis).T), grid.shape)
+        k2, k3 = 0.5 * (k2 + k2[f]), 0.5 * (k3 + k3[f[:, None], f])
+    k2 = sum(k2[q] for q in perms) / len(perms)
+    k3 = sum(k3[q[:, None], q] for q in perms) / len(perms)
+    return CorrelationTable(grid, 3, 1.0, 0.8, k2, k3)
+
+
+_EQUIVARIANCE_FORMS = {
+    "glauber_environment": component_form(gg_model(), "environment"),
+    "add_death_kernel_birth": _GOLDEN_FORMS["add_death_add_birth"][0],
+    "exp_death_const_birth": _EDGE_FORMS["exp_death_const_birth"],
+}
+
+
+@pytest.mark.parametrize("dim,side,n", [(1, 10.0, 40), (2, 4.0, 16), (2, 4.0, 32),
+                                        (3, 4.0, 8)])
+def test_apply_maps_a_symmetric_table_to_a_symmetric_one(dim, side, n):
+    # a translation-reduced k3[j, l] is the correlation of {0, x_j, x_l}, so
+    # correlation data are invariant under S3 and the lattice point group;
+    # the kernel must keep them so, on the dense (16 x 16) and the FFT
+    # (32 x 32) product paths alike
+    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+    table = _symmetrised_table(grid, seed=n)
+    gens = _k3_generators(grid)
+    _, refl, perms = _vector_maps(grid)
+    for name, form in _EQUIVARIANCE_FORMS.items():
+        out = l_delta_apply(table, build_stencils(grid, form, 3))
+        scale = np.max(np.abs(out.k3))
+        for gen, apply in gens.items():
+            defect = np.max(np.abs(apply(out.k3) - out.k3))
+            assert defect <= 1e-13 * scale, (name, gen, defect / scale)
+        for q in [refl] + perms[1:]:
+            assert np.max(np.abs(out.k2[q] - out.k2)) <= 1e-13 * np.max(np.abs(out.k2))
 
 
 def test_results_stay_independent_of_later_calls():
