@@ -57,13 +57,16 @@ dressings or shifted rates of each part; the factor both dressings share
 is formed in the output instead) and keeps two P x P scratch arrays, the
 workspace the order-3 step assembles its terms in.  On P >= _FFT_CELLS
 cells the birth part keeps the transform of its stencil, not the P x P
-cw2.  The mixing solver (_mix) holds 2 _MIX_DEPTH + 2 state vectors: the
-histories dF and dG, whose slot due next also keeps the last f and g;
-the table it was started from, whose vector holds x, then f = g - x, then
-the next x; and g, the kernel's result, released before the next kernel
-call.  evolve_hierarchy holds the state, one stage input, the weighted
-sum of the step's derivatives and the latest derivative.  The solvers
-copy a state only when they record or return it.
+cw2.  The mixing solver (_mix) holds two state vectors: the table it was
+started from, whose vector holds x, then f = g - x, then the next x; and
+g, the kernel's result, released before the next kernel call.  Its
+histories dF and dG, whose slot due next also keeps the last f and g, are
+2 _MIX_DEPTH vectors of orbit values: k0, k1, k2 and one k3 value per
+orbit of S3 x the lattice point group (GridSpec.k3_orbits, whose P x P
+int32 labels the grid keeps), about 1/37 of a state vector at 16 x 16
+and 1/47 at 64 x 64.  evolve_hierarchy holds the state, one stage input,
+the weighted sum of the step's derivatives and the latest derivative.
+The solvers copy a state only when they record or return it.
 """
 
 from __future__ import annotations
@@ -379,10 +382,15 @@ class KsSolution:
     evaluations: int           # kernel evaluations, lower-order stages included
 
 
-# Each history vector of the mixing holds all P^2 + P + 2 table entries, so
-# the depth is kept small for peak memory.
+# Each history vector of the mixing holds k0, k1, k2 and one value per k3
+# orbit, 2.9 MB at 64 x 64 where a state vector is 134 MB.  A deeper
+# history would cost little memory, but it changes the iteration and kernel
+# call counts that CI pins.
 _MIX_DEPTH = 3
 _WARMUP_STEPS = 2
+# Order-3 entries _mix expands from orbit values at a time: np.take copies
+# the int32 labels of a block into an index array of this many entries.
+_ORBIT_BLOCK = 1 << 14
 # Largest entry a balance iterate may reach before StabilityError.
 _GUARD = 1e8
 # Largest entry a hierarchy state may reach before StabilityError.
@@ -430,17 +438,32 @@ def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
     stops within `order` iterations.  After them x = g - dG gamma, where dF
     and dG hold the differences of f and g over the last _MIX_DEPTH steps
     and gamma solves (dF^T dF) gamma = dF^T f.  StabilityError is raised
-    when g or the mixed x is not finite or exceeds _GUARD.
+    when g or the mixed x is not finite or exceeds _GUARD; the residual and
+    both guards read every entry.
 
-    Memory: the history dF, dG (2 _MIX_DEPTH vectors), start.vec, which
-    holds x, then f, then the next x, and g, the kernel's result, released
-    before the next kernel call.  f and g wait for the next step's
-    differences in the history slot that step overwrites, which the
-    current step has read by the time they are stored.
+    The order-3 block of a correlation table is invariant under S3 and the
+    lattice point group (GridSpec.k3_orbits), and so is the kernel's output
+    for such a table, to round-off.  The history therefore keeps that
+    block on orbit representatives (_Orbits): k0, k1 and k2 in full, then
+    one value per orbit, weighted in dF by the square root of the orbit's
+    size, so that dF^T dF and dF^T f keep the values of the full vectors,
+    and unweighted in dG.  The mixed x is g - dG gamma on the
+    representatives, expanded to every entry of their orbits, so it is
+    exactly symmetric: the map has unstable directions off the symmetric
+    tables (for a 1D Glauber environment at z = 1.5, psi step(3, 1), a
+    round-off asymmetry of g grew 1.7-fold a step when x took g's own
+    entries), and the expansion drops what the kernel adds along them.
+
+    Memory: the history dF, dG (2 _MIX_DEPTH vectors of orbit values),
+    start.vec, which holds x, then f, then the next x, and g, the kernel's
+    result, released before the next kernel call.  f and g wait for the
+    next step's differences in the history slot that step overwrites,
+    which the current step has read by the time they are stored.
     """
     x = start.vec
-    d_f = np.empty((x.size, _MIX_DEPTH), order="F")
-    d_g = np.empty((x.size, _MIX_DEPTH), order="F")
+    orbits = _Orbits(start)
+    d_f = np.empty((orbits.size, _MIX_DEPTH), order="F")
+    d_g = np.empty((orbits.size, _MIX_DEPTH), order="F")
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
         g = ks_apply(CorrelationTable.from_vector(start, x), bundle, closure=closure).vec
@@ -450,26 +473,64 @@ def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
         _check_stable(g, it)
         if residuals[-1] <= tol:
             return g, residuals
+        f_rep, g_rep = orbits.pack(f, weighted=True), orbits.pack(g)
         if it > 1:
             slot = (it - 2) % _MIX_DEPTH       # holds f and g of the step before
-            np.subtract(f, d_f[:, slot], out=d_f[:, slot])
-            np.subtract(g, d_g[:, slot], out=d_g[:, slot])
+            np.subtract(f_rep, d_f[:, slot], out=d_f[:, slot])
+            np.subtract(g_rep, d_g[:, slot], out=d_g[:, slot])
         keep = (it - 1) % _MIX_DEPTH           # the slot the next step overwrites
         if it <= _WARMUP_STEPS:
-            d_f[:, keep] = f
             x[:] = g
         else:
             df = d_f[:, :min(it - 1, _MIX_DEPTH)]
-            gamma = np.linalg.lstsq(df.T @ df, df.T @ f, rcond=1e-14)[0]
-            d_f[:, keep] = f
-            np.matmul(d_g[:, :gamma.size], gamma, out=x)
-            np.subtract(g, x, out=x)
+            gamma = np.linalg.lstsq(df.T @ df, df.T @ f_rep, rcond=1e-14)[0]
+            mixed = g_rep - d_g[:, :gamma.size] @ gamma
+            orbits.expand(mixed, out=x)
             _check_stable(x, it)
-        d_g[:, keep] = g
+        d_f[:, keep] = f_rep
+        d_g[:, keep] = g_rep
         del g
     raise ConvergenceError(
         f"balance iteration did not reach tol={tol} in {max_iter} steps "
         f"at order {start.order} (last residual {residuals[-1]:.3e})")
+
+
+class _Orbits:
+    """A state vector's entries k0, k1, k2, then, at order 3, one entry per
+    orbit of the k3 block (GridSpec.k3_orbits): the layout of _mix's
+    history."""
+
+    def __init__(self, template: CorrelationTable):
+        self.head = template.vec.size
+        self.orbits = None
+        if template.order == 3:
+            self.orbits = template.grid.k3_orbits
+            self.head -= template.k3.size
+            self.weight = np.sqrt(self.orbits.sizes)
+        self.size = self.head + (0 if self.orbits is None else self.orbits.reps.size)
+
+    def pack(self, vec: np.ndarray, weighted: bool = False) -> np.ndarray:
+        """vec's head and its k3 entries at the orbit representatives, these
+        weighted by the square roots of the orbit sizes when asked."""
+        if self.orbits is None:
+            return vec.copy()
+        h = self.head
+        out = np.concatenate((vec[:h], vec[h:][self.orbits.reps]))
+        if weighted:
+            out[h:] *= self.weight
+        return out
+
+    def expand(self, packed: np.ndarray, out: np.ndarray) -> None:
+        """The vector whose k3 entries take the value of their orbit in
+        packed, into out; the k3 block _ORBIT_BLOCK entries at a time."""
+        h = self.head
+        out[:h] = packed[:h]
+        if self.orbits is None:
+            return
+        labels, rep = self.orbits.labels.ravel(), packed[h:]
+        for lo in range(0, labels.size, _ORBIT_BLOCK):
+            hi = lo + _ORBIT_BLOCK
+            np.take(rep, labels[lo:hi], out=out[h + lo:h + hi], mode="clip")
 
 
 def _max_abs(vec: np.ndarray) -> float:

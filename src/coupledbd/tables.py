@@ -21,10 +21,11 @@ averaging identities rely on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -92,10 +93,115 @@ class GridSpec:
     @cached_property
     def diff_index(self) -> np.ndarray:
         """diff_index[j, l] is the flat index of offset[j] - offset[l]."""
-        lat, n, d = self._lattice, self.points_per_axis, self.torus.dim
-        diff = np.mod(lat[:, None, :] - lat[None, :, :], n)
-        return _read_only(np.ravel_multi_index(
-            tuple(diff[..., i] for i in range(d)), (n,) * d).astype(np.int32))
+        n, d = self.points_per_axis, self.torus.dim
+        a = np.arange(n, dtype=np.int32)
+        step = np.mod(a[:, None] - a, n)
+        out = np.empty((self.num_cells,) * 2, dtype=np.int32)
+        _axis_sum([step * n ** (d - 1 - i) for i in range(d)], out.reshape((n,) * 2 * d))
+        return _read_only(out)
+
+    @cached_property
+    def k3_orbits(self) -> "K3Orbits":
+        """The orbits of the order-3 entries [j, l] under S3 x the lattice
+        point group (K3Orbits).
+
+        k3[j, l] is the correlation of the triple {0, offset[j], offset[l]},
+        so it is unchanged by the permutations of the triple (the swap
+        (a, b) -> (b, a) and the rebase (a, b) -> (-a, b - a), with a and b
+        the two offsets) and by the reflections and axis permutations of the
+        lattice, all of which act on a and b together.  An orbit's smallest
+        image is the least flat index j' P + l' among the images of any of
+        its entries.  Per axis, the six S3 images of the coordinates
+        (a_i, b_i) are taken modulo n and the reflection of that axis picks
+        the lesser of (x, y) and (-x, -y); an axis permutation then orders
+        the axes, and the least image is the least of the 6 d! sums of
+        per-axis keys weighted by the axes' places (_axis_sum), taken over
+        blocks of rows.  Orbits are numbered by their smallest images, in
+        increasing order.
+        """
+        n, d, p = self.points_per_axis, self.torus.dim, self.num_cells
+        a = np.arange(n, dtype=np.int32)
+        inner = _column_keys(a[:, None], a, n, p) if d > 1 else None
+        places = list(itertools.permutations([n ** (d - 1 - i) for i in range(d)]))
+        out = np.empty((p, p), dtype=np.int32)
+        flat, blocks = out.ravel(), out.reshape((n,) * 2 * d)
+        rows = max(1, _LABEL_BLOCK * n // (p * p))
+        reps, work, count = [], None, 0
+        for lo in range(0, n, rows):
+            block = blocks[lo:lo + rows]
+            first = _column_keys(a[lo:lo + rows, None], a, n, p)
+            if work is None or work.shape != block.shape:
+                work = np.empty_like(block)
+            images = ((s, w) for s in range(6) for w in places)
+            for i, (s, weight) in enumerate(images):
+                keys = [first[s]] + ([inner[s]] * (d - 1) if d > 1 else [])
+                _axis_sum([k * w for k, w in zip(keys, weight)], block if i == 0 else work)
+                if i:
+                    np.minimum(block, work, out=block)
+            # number the orbits: an entry whose smallest image is itself
+            # starts one; every other entry copies the number of its
+            # smallest image, an earlier entry already numbered
+            start = lo * (p * p // n)
+            labels = flat[start:start + block.size]
+            own = labels == np.arange(start, start + labels.size)
+            smallest = labels[~own]
+            labels[own] = np.arange(count, count + np.count_nonzero(own))
+            labels[~own] = flat[smallest]
+            reps.append(np.flatnonzero(own) + start)
+            count += reps[-1].size
+        reps = np.concatenate(reps).astype(np.int32)
+        sizes = np.zeros(count, dtype=np.int64)
+        for lo in range(0, flat.size, _LABEL_BLOCK):
+            np.add.at(sizes, flat[lo:lo + _LABEL_BLOCK], 1)
+        return K3Orbits(_read_only(out), _read_only(reps), _read_only(sizes))
+
+
+class K3Orbits(NamedTuple):
+    """The orbits of a grid's order-3 entries (GridSpec.k3_orbits).
+
+    labels[j, l] is the number of the orbit of entry [j, l] (int32, P x P);
+    reps[o] is the flat index of orbit o's smallest image, an entry of the
+    orbit, in increasing order; sizes[o] counts its entries."""
+    labels: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+
+
+# Entries of the label build's row blocks (GridSpec.k3_orbits): a block and
+# its work array stay in cache.
+_LABEL_BLOCK = 1 << 16
+
+
+def _axis_sum(tables, out: np.ndarray) -> None:
+    """out[j, l] = sum over axes i of tables[i][j_i, l_i], where j_i and l_i
+    are the lattice coordinates of cells j and l and out is the (n,) * 2d
+    view of a P x P array, or a block of its leading axis, whose rows
+    tables[0] then holds."""
+    d = len(tables)
+    terms = []
+    for i, t in enumerate(tables):
+        shape = [1] * (2 * d)
+        shape[i], shape[d + i] = t.shape
+        terms.append(t.reshape(shape))
+    if d == 1:
+        np.copyto(out, terms[0])
+        return
+    np.add(terms[0], terms[1], out=out)
+    for t in terms[2:]:
+        out += t
+
+
+def _column_keys(a: np.ndarray, b: np.ndarray, n: int, p: int):
+    """For one axis with coordinates a and b of the two offsets, the key
+    x p + y of that axis in each of the six S3 images (x, y) of the triple
+    {0, a, b}, reflected where that makes (x, y) lexicographically less."""
+    keys = []
+    for x, y in ((a, b), (b, a), (-a, b - a), (b - a, -a), (-b, a - b), (a - b, -b)):
+        x, y = np.broadcast_arrays(np.mod(x, n), np.mod(y, n))
+        rx, ry = np.mod(-x, n), np.mod(-y, n)
+        flip = (rx < x) | ((rx == x) & (ry < y))
+        keys.append(np.where(flip, rx * p + ry, x * p + y).astype(np.int32))
+    return keys
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

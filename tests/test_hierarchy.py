@@ -312,6 +312,48 @@ def test_apply_maps_a_symmetric_table_to_a_symmetric_one(dim, side, n):
             assert np.max(np.abs(out.k2[q] - out.k2)) <= 1e-13 * np.max(np.abs(out.k2))
 
 
+def _smallest_images(grid):
+    """The least flat index j' P + l' over the images of every entry [j, l]
+    under S3 x the point group, by enumerating the group's 6 2^d d!
+    elements on lattice coordinates."""
+    n, d, p = grid.points_per_axis, grid.torus.dim, grid.num_cells
+    lat = np.array(np.unravel_index(np.arange(p), grid.shape)).T
+    a, b = np.repeat(lat, p, axis=0), np.tile(lat, (p, 1))
+    best = np.full(p * p, p * p)
+    for x, y in ((a, b), (b, a), (-a, b - a), (b - a, -a), (-b, a - b), (a - b, -b)):
+        for axes in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                xs, ys = (np.mod(v[:, list(axes)] * signs, n) for v in (x, y))
+                flat = (np.ravel_multi_index(tuple(xs.T), grid.shape) * p
+                        + np.ravel_multi_index(tuple(ys.T), grid.shape))
+                np.minimum(best, flat, out=best)
+    return best.reshape(p, p)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 7), (1, 8), (2, 5), (2, 6), (3, 3), (3, 4)])
+def test_orbit_labels_number_the_smallest_images(dim, n):
+    grid = GridSpec(torus=Torus(dim=dim, side=4.0), points_per_axis=n)
+    labels, reps, sizes = grid.k3_orbits
+    assert labels.dtype == np.int32 and not labels.flags.writeable
+    assert np.array_equal(reps[labels], _smallest_images(grid))
+    assert np.all(np.diff(reps) > 0)
+    assert np.array_equal(labels.ravel()[reps], np.arange(reps.size))
+
+
+@pytest.mark.parametrize("dim,n,count", [(1, 9, None), (1, 40, None), (2, 7, None),
+                                         (2, 16, 1516), (3, 5, None), (3, 8, None)])
+def test_every_generator_fixes_every_orbit_label(dim, n, count):
+    grid = GridSpec(torus=Torus(dim=dim, side=4.0), points_per_axis=n)
+    labels, reps, sizes = grid.k3_orbits
+    assert grid.k3_orbits is grid.k3_orbits
+    for gen, apply in _k3_generators(grid).items():
+        assert np.array_equal(apply(labels), labels), gen
+    assert np.array_equal(sizes, np.bincount(labels.ravel()))
+    assert sizes.sum() == grid.num_cells ** 2
+    if count is not None:
+        assert reps.size == count
+
+
 def test_results_stay_independent_of_later_calls():
     # the order-3 step works in scratch arrays the bundle keeps; no result
     # may share memory with them, with its input or with another result
@@ -602,24 +644,30 @@ def _array_bytes(obj) -> int:
     return 0
 
 
-def test_solve_holds_the_mixing_history_and_at_most_four_more_state_vectors():
-    # the environment of the hierarchy benchmark: 2D 16 x 16, order 3
+def test_solve_holds_four_state_vectors_the_orbit_labels_and_the_orbit_history():
+    # the environment of the hierarchy benchmark: 2D 16 x 16, order 3; the
+    # grid's orbit labels are built inside the solve
     model = GlauberGlauber(z_minus=0.5, psi=Potential.step(0.5, 1.0), z_plus=0.3,
                            phi_minus=Potential.zero(), phi_plus=Potential.zero())
     form = component_form(model, "environment")
     grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
     bundle_bytes = _array_bytes(build_stencils(grid, form, 3))   # warms the grid's arrays
     vector_bytes = CorrelationTable(grid, 3, 0.0, 0.0).vec.nbytes
+    assert "k3_orbits" not in vars(grid)
     tracemalloc.start()
     try:
         ks_solve(form, grid, order=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    limit = (2 * hierarchy._MIX_DEPTH + 4) * vector_bytes + bundle_bytes
+    orbits = grid.k3_orbits
+    label_bytes = sum(a.nbytes for a in orbits)
+    history_bytes = 2 * hierarchy._MIX_DEPTH * 8 * (2 + grid.num_cells + orbits.reps.size)
+    limit = 4 * vector_bytes + bundle_bytes + label_bytes + history_bytes
     assert peak <= limit, (
         f"peak {peak / vector_bytes:.2f} state vectors, "
-        f"limit {limit / vector_bytes:.2f} (bundle {bundle_bytes / vector_bytes:.2f})")
+        f"limit {limit / vector_bytes:.2f} (bundle {bundle_bytes / vector_bytes:.2f}, "
+        f"labels {label_bytes / vector_bytes:.2f}, history {history_bytes / vector_bytes:.2f})")
 
 
 def test_solver_guards_against_runaway_expansions():

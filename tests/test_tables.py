@@ -1,6 +1,7 @@
 """Lattice-reduced correlation tables and their integral functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,28 @@ def test_diff_index_encodes_lattice_subtraction():
         want = np.mod(off[j] - off[l], g.torus.side)
         got = off[di[j, l]]
         assert np.allclose(min_image_diff(got - want, g.torus.side), 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6), (3, 4)])
+def test_diff_index_matches_the_lattice_subtraction_on_every_pair(dim, n):
+    g = GridSpec(torus=Torus(dim=dim, side=4.0), points_per_axis=n)
+    lat = np.array(np.unravel_index(np.arange(g.num_cells), g.shape)).T
+    want = np.ravel_multi_index(tuple(np.mod(lat[:, None] - lat[None, :], n).T), g.shape).T
+    assert g.diff_index.dtype == np.int32
+    assert np.array_equal(g.diff_index, want)
+
+
+def test_diff_index_builds_without_a_temporary_larger_than_itself():
+    # per axis in int32: a 2D 32 x 32 index is 4 MB, and a build through
+    # P x P x d int64 coordinates peaked at 32 MB
+    g = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
+    tracemalloc.start()
+    try:
+        di = g.diff_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * di.nbytes, f"peak {peak / di.nbytes:.2f} times the index"
 
 
 @pytest.mark.parametrize("side, n", [(3.0, 30), (10.0, 7), (4.0, 16)])
