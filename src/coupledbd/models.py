@@ -447,20 +447,35 @@ def decomposition_kernels(m: RateModel, x, eta: MarkedConfiguration, torus: Toru
 # ---------------------------------------------------------------------------
 # vectorized rate vectors for the event loop (equal to the pointwise contract)
 
+# Pairs _row_interaction takes at a time: it sums the rows of points_a in
+# blocks of about this many pairs, so that its memory grows as the number
+# of points, not as its square.
+_PAIR_BLOCK = 1 << 18
+
+
 def _row_interaction(points_a: np.ndarray, points_b, pot: Optional[Potential], torus: Torus,
                      exclude_self: bool = False) -> np.ndarray:
-    """For each x in points_a: sum of pot(|x-y|) over y in points_b."""
+    """For each x in points_a: sum of pot(|x-y|) over y in points_b (with
+    exclude_self, points_b is points_a and y = x is left out).  Each row is
+    summed whole, in one block of rows, so the sums do not depend on the
+    blocks."""
     n = len(points_a)
     if n == 0:
         return np.zeros(0)
     if not _live(pot) or len(points_b) == 0:
         return np.zeros(n)
-    d2 = squared_pairwise_distances(points_a, points_b, torus)
-    if not exclude_self:
-        return pot.sum_squared(d2, axis=1)
-    vals = pot.at_squared(d2)
-    np.fill_diagonal(vals, 0.0)
-    return np.sum(vals, axis=1)
+    out = np.empty(n)
+    step = max(1, _PAIR_BLOCK // len(points_b))
+    for lo in range(0, n, step):
+        d2 = squared_pairwise_distances(points_a[lo:lo + step], points_b, torus)
+        if not exclude_self:
+            out[lo:lo + step] = pot.sum_squared(d2, axis=1)
+            continue
+        vals = pot.at_squared(d2)
+        rows = np.arange(len(vals))
+        vals[rows, rows + lo] = 0.0
+        out[lo:lo + step] = np.sum(vals, axis=1)
+    return out
 
 
 def _death_sums(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: Torus) -> np.ndarray:

@@ -23,10 +23,14 @@ from scipy import stats
 import coupledbd
 from coupledbd import errors
 from coupledbd.errors import ExplosionGuardError, ModelError
-from coupledbd.geometry import MarkedConfiguration, Torus
+from coupledbd.geometry import MarkedConfiguration, Torus, min_image_diff
 from coupledbd.models import (
     AveragedModel,
+    BdlpInGlauber,
     BranchingInGlauber,
+    ComponentForm,
+    _death_sums,
+    _row_interaction,
     GlauberGlauber,
     averaged_death_vector,
     birth_proposal,
@@ -184,6 +188,57 @@ def test_guard_errors_report_where_the_run_stopped():
         simulate(_free_env(z_minus=2.0), TORUS1, _empty(), s,
                  components=("environment",))
     assert info.value.events >= 6
+    assert 0.0 < info.value.time_reached < s.t_end
+
+
+def test_one_recompute_of_the_pair_sums_stays_in_bounded_memory():
+    # a full recompute sums the pair death kernel over every pair of points;
+    # on 4000 points of a 2D torus the n x n x d differences alone are 244 MiB
+    torus = Torus(dim=2, side=10.0)
+    pts = np.random.default_rng(0).uniform(0.0, 10.0, (4000, 2))
+    form = ComponentForm(death_const=1.0, birth_const=0.0,
+                         death_kernel=Potential.step(0.1, 1.0))
+    tracemalloc.start()
+    try:
+        sums = _death_sums(form, pts, pts[:0], torus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+    d2 = np.sum(np.square(min_image_diff(pts[:50, None] - pts, 10.0)), axis=-1)
+    want = 0.1 * (np.count_nonzero(d2 <= 1.0, axis=1) - 1)
+    assert np.allclose(sums[:50], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("block", [1, 37, 4000])
+def test_pair_sums_do_not_depend_on_the_row_blocks(monkeypatch, block):
+    # each row is summed whole, so the sampler's rates, and its draws, are
+    # the same whatever the block size
+    rng = np.random.default_rng(2)
+    torus = Torus(dim=2, side=10.0)
+    a, b = rng.uniform(0.0, 10.0, (90, 2)), rng.uniform(0.0, 10.0, (120, 2))
+    pots = [Potential.step(0.3, 1.0), Potential.exponential(1.0, 0.5, 2.0)]
+    whole = [(_row_interaction(a, b, p, torus), _row_interaction(a, a, p, torus, True))
+             for p in pots]
+    monkeypatch.setattr(coupledbd.models, "_PAIR_BLOCK", block)
+    for p, (cross, own) in zip(pots, whole):
+        assert np.array_equal(_row_interaction(a, b, p, torus), cross)
+        assert np.array_equal(_row_interaction(a, a, p, torus, True), own)
+
+
+def test_a_birth_explosion_beside_a_pair_death_trips_the_population_guard():
+    # a contact birth of height 800 explodes at once; the population guard
+    # must stop it before any recompute of the pair death sums runs out of
+    # memory (at the default cap of 100000 points one such recompute would
+    # have asked for 160 GB in 2D)
+    zero = Potential.zero()
+    m = BdlpInGlauber(z_minus=1.0, psi=zero, m_plus=1.0, a_minus=Potential.step(0.1, 1.0),
+                      a_plus=Potential.step(800.0, 2.0), b_minus=zero, b_plus=zero)
+    torus = Torus(dim=2, side=10.0)
+    init = poisson_pair(torus, 1.0, 1.0)(np.random.default_rng(3))
+    s = SimulationSettings(t_end=0.3, master_seed=5, max_particles=3000)
+    with pytest.raises(ExplosionGuardError, match="population 3001 exceeds 3000") as info:
+        simulate(m, torus, init, s)
     assert 0.0 < info.value.time_reached < s.t_end
 
 
