@@ -444,10 +444,10 @@ def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
     The order-3 block of a correlation table is invariant under S3 and the
     lattice point group (GridSpec.k3_orbits), and so is the kernel's output
     for such a table, to round-off.  The history therefore keeps that
-    block on orbit representatives (_Orbits): k0, k1 and k2 in full, then
-    one value per orbit, weighted in dF by the square root of the orbit's
-    size, so that dF^T dF and dF^T f keep the values of the full vectors,
-    and unweighted in dG.  The mixed x is g - dG gamma on the
+    block on orbit representatives (_OrbitLayout): k0, k1 and k2 in full,
+    then one value per orbit, weighted in dF by the square root of the
+    orbit's size, so that dF^T dF and dF^T f keep the values of the full
+    vectors, and unweighted in dG.  The mixed x is g - dG gamma on the
     representatives, expanded to every entry of their orbits, so it is
     exactly symmetric: the map has unstable directions off the symmetric
     tables (for a 1D Glauber environment at z = 1.5, psi step(3, 1), a
@@ -461,7 +461,7 @@ def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
     which the current step has read by the time they are stored.
     """
     x = start.vec
-    orbits = _Orbits(start)
+    orbits = _OrbitLayout(start)
     d_f = np.empty((orbits.size, _MIX_DEPTH), order="F")
     d_g = np.empty((orbits.size, _MIX_DEPTH), order="F")
     residuals: List[float] = []
@@ -495,7 +495,7 @@ def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
         f"at order {start.order} (last residual {residuals[-1]:.3e})")
 
 
-class _Orbits:
+class _OrbitLayout:
     """A state vector's entries k0, k1, k2, then, at order 3, one entry per
     orbit of the k3 block (GridSpec.k3_orbits): the layout of _mix's
     history."""

@@ -9,8 +9,10 @@ grid over the torus.  Orders up to 3 are supported:
     k2[j]       pair function at separation offsets[j]
     k3[j, l]    triple function at separations (offsets[j], offsets[l])
 
-The grid builds its offsets, their distances and the index of offset
-differences on first use and keeps them, read-only, for its own lifetime.
+The grid builds its offsets, their distances, the index of offset
+differences and the orbits of the order-3 entries under the symmetries of
+correlation data (k3_orbits) on first use and keeps them, read-only, for
+its own lifetime.
 
 Integrals against a radial factor (pot, e^{-pot} - 1 or e^{+pot} - 1) use
 midpoint values rescaled so the total lattice mass matches the exact radial
@@ -111,39 +113,41 @@ class GridSpec:
         the two offsets) and by the reflections and axis permutations of the
         lattice, all of which act on a and b together.  An orbit's smallest
         image is the least flat index j' P + l' among the images of any of
-        its entries.  Per axis, the six S3 images of the coordinates
-        (a_i, b_i) are taken modulo n and the reflection of that axis picks
-        the lesser of (x, y) and (-x, -y); an axis permutation then orders
-        the axes, and the least image is the least of the 6 d! sums of
-        per-axis keys weighted by the axes' places (_axis_sum), taken over
-        blocks of rows.  Orbits are numbered by their smallest images, in
+        its entries.  Per axis, the six S3 images (x, y) of the coordinates
+        (a_i, b_i) are taken modulo n, and the axis' reflection keeps the
+        lesser of (x, y) and (-x, -y), its best choice under any order of
+        the axes (_column_key).  With the key x P + y per axis, the flat
+        index of an image is the sum of its axes' keys, each weighted by
+        n^(d - 1 - its place in the image's order of axes), so the smallest
+        image is the least of 6 d! such sums (_axis_sum), formed a block of
+        rows at a time.  Orbits are numbered by their smallest images, in
         increasing order.
         """
         n, d, p = self.points_per_axis, self.torus.dim, self.num_cells
         a = np.arange(n, dtype=np.int32)
-        inner = _column_keys(a[:, None], a, n, p) if d > 1 else None
         places = list(itertools.permutations([n ** (d - 1 - i) for i in range(d)]))
         out = np.empty((p, p), dtype=np.int32)
         flat, blocks = out.ravel(), out.reshape((n,) * 2 * d)
         rows = max(1, _LABEL_BLOCK * n // (p * p))
-        reps, work, count = [], None, 0
+        # the keys of axes 1..d-1 over all their coordinates, of axis 0 per block
+        inner = [_column_key(a[:, None], a, image, n, p) if d > 1 else None
+                 for image in _S3_IMAGES]
+        reps, count = [], 0
         for lo in range(0, n, rows):
             block = blocks[lo:lo + rows]
-            first = _column_keys(a[lo:lo + rows, None], a, n, p)
-            if work is None or work.shape != block.shape:
-                work = np.empty_like(block)
-            images = ((s, w) for s in range(6) for w in places)
-            for i, (s, weight) in enumerate(images):
-                keys = [first[s]] + ([inner[s]] * (d - 1) if d > 1 else [])
-                _axis_sum([k * w for k, w in zip(keys, weight)], block if i == 0 else work)
-                if i:
+            work = np.empty_like(block)
+            block.fill(p * p)                 # above every flat index
+            for s, image in enumerate(_S3_IMAGES):
+                keys = [_column_key(a[lo:lo + rows, None], a, image, n, p)] + [inner[s]] * (d - 1)
+                for weight in places:
+                    _axis_sum([k * w for k, w in zip(keys, weight)], work)
                     np.minimum(block, work, out=block)
             # number the orbits: an entry whose smallest image is itself
             # starts one; every other entry copies the number of its
             # smallest image, an earlier entry already numbered
             start = lo * (p * p // n)
             labels = flat[start:start + block.size]
-            own = labels == np.arange(start, start + labels.size)
+            own = labels == np.arange(start, start + labels.size, dtype=np.int32)
             smallest = labels[~own]
             labels[own] = np.arange(count, count + np.count_nonzero(own))
             labels[~own] = flat[smallest]
@@ -167,9 +171,9 @@ class K3Orbits(NamedTuple):
     sizes: np.ndarray
 
 
-# Entries of the label build's row blocks (GridSpec.k3_orbits): a block and
-# its work array stay in cache.
-_LABEL_BLOCK = 1 << 16
+# Entries per block of the label build (GridSpec.k3_orbits), or the rows of
+# one first coordinate where those are more: the blocks bound its temporaries.
+_LABEL_BLOCK = 1 << 14
 
 
 def _axis_sum(tables, out: np.ndarray) -> None:
@@ -191,17 +195,22 @@ def _axis_sum(tables, out: np.ndarray) -> None:
         out += t
 
 
-def _column_keys(a: np.ndarray, b: np.ndarray, n: int, p: int):
+# The six permutations of the triple {0, a, b} as the offset pairs (x, y)
+# they give, x = c0 a + c1 b and y = c2 a + c3 b: (a, b), (b, a), (-a, b - a),
+# (b - a, -a), (-b, a - b) and (a - b, -b).
+_S3_IMAGES = ((1, 0, 0, 1), (0, 1, 1, 0), (-1, 0, -1, 1), (-1, 1, -1, 0),
+              (0, -1, 1, -1), (1, -1, 0, -1))
+
+
+def _column_key(a: np.ndarray, b: np.ndarray, image, n: int, p: int) -> np.ndarray:
     """For one axis with coordinates a and b of the two offsets, the key
-    x p + y of that axis in each of the six S3 images (x, y) of the triple
-    {0, a, b}, reflected where that makes (x, y) lexicographically less."""
-    keys = []
-    for x, y in ((a, b), (b, a), (-a, b - a), (b - a, -a), (-b, a - b), (a - b, -b)):
-        x, y = np.broadcast_arrays(np.mod(x, n), np.mod(y, n))
-        rx, ry = np.mod(-x, n), np.mod(-y, n)
-        flip = (rx < x) | ((rx == x) & (ry < y))
-        keys.append(np.where(flip, rx * p + ry, x * p + y).astype(np.int32))
-    return keys
+    x p + y of that axis in the S3 image (x, y) of _S3_IMAGES, taken modulo
+    n and reflected where that makes (x, y) lexicographically less."""
+    c0, c1, c2, c3 = image
+    x, y = np.mod(c0 * a + c1 * b, n), np.mod(c2 * a + c3 * b, n)
+    rx, ry = np.mod(-x, n), np.mod(-y, n)
+    flip = (rx < x) | ((rx == x) & (ry < y))
+    return np.where(flip, rx * p + ry, x * p + y)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
