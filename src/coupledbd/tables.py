@@ -115,8 +115,8 @@ class GridSpec:
         image is the least flat index j' P + l' among the images of any of
         its entries.  Per axis, the six S3 images (x, y) of the coordinates
         (a_i, b_i) are taken modulo n, and the axis' reflection keeps the
-        lesser of (x, y) and (-x, -y), its best choice under any order of
-        the axes (_column_key).  With the key x P + y per axis, the flat
+        lexicographically lesser of (x, y) and (-x, -y), its best choice
+        under any order of the axes (_column_key).  With the key x P + y per axis, the flat
         index of an image is the sum of its axes' keys, each weighted by
         n^(d - 1 - its place in the image's order of axes), so the smallest
         image is the least of 6 d! such sums (_axis_sum), formed a block of
@@ -154,9 +154,11 @@ class GridSpec:
             reps.append(np.flatnonzero(own) + start)
             count += reps[-1].size
         reps = np.concatenate(reps).astype(np.int32)
-        sizes = np.zeros(count, dtype=np.int64)
-        for lo in range(0, flat.size, _LABEL_BLOCK):
-            np.add.at(sizes, flat[lo:lo + _LABEL_BLOCK], 1)
+        # chunks of at least as many entries as orbits keep the counting
+        # passes over the sizes to about the mean orbit size
+        sizes, step = np.zeros(count, dtype=np.int64), max(_LABEL_BLOCK, count)
+        for lo in range(0, flat.size, step):
+            sizes += np.bincount(flat[lo:lo + step], minlength=count)
         return K3Orbits(_read_only(out), _read_only(reps), _read_only(sizes))
 
 
@@ -205,12 +207,11 @@ _S3_IMAGES = ((1, 0, 0, 1), (0, 1, 1, 0), (-1, 0, -1, 1), (-1, 1, -1, 0),
 def _column_key(a: np.ndarray, b: np.ndarray, image, n: int, p: int) -> np.ndarray:
     """For one axis with coordinates a and b of the two offsets, the key
     x p + y of that axis in the S3 image (x, y) of _S3_IMAGES, taken modulo
-    n and reflected where that makes (x, y) lexicographically less."""
+    n and reflected where that makes it less; since y < n <= p, the lesser
+    key is the lexicographically lesser pair."""
     c0, c1, c2, c3 = image
     x, y = np.mod(c0 * a + c1 * b, n), np.mod(c2 * a + c3 * b, n)
-    rx, ry = np.mod(-x, n), np.mod(-y, n)
-    flip = (rx < x) | ((rx == x) & (ry < y))
-    return np.where(flip, rx * p + ry, x * p + y)
+    return np.minimum(x * p + y, np.mod(-x, n) * p + np.mod(-y, n))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
