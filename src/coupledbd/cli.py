@@ -207,6 +207,8 @@ def _cmd_invariant(cfg: dict, m, torus, out_dir: str):
         "min_entry": lenard.min_entry,
         "symmetry_defect": lenard.symmetry_defect,
         "min_pairing": lenard.min_pairing,
+        "evaluations": sol.evaluations,
+        "residuals": list(sol.residuals),
     }
     _write_json(os.path.join(out_dir, "summary.json"), out)
     print(f"invariant density: {summ.density:.8g} "

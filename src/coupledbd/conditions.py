@@ -587,8 +587,8 @@ class SpotCheckSettings:
 @dataclass
 class SpotCheckRow:
     """One sampled configuration of one component.  ok_inequality is None
-    when the bound is infinite, ok_equality when the closed mass is not
-    exact or it or the tail is infinite: such a flag was not checked."""
+    when the bound is past _CHECK_SCALE, ok_equality when the closed mass is
+    not exact or finite or the tail is past it: such a flag was not checked."""
 
     component: str
     n_plus: int
@@ -619,14 +619,21 @@ def _cluster_points(rng: np.random.Generator, torus: Torus, n: int,
     return np.vstack([center[None, :], torus.wrap(center[None, :] + offs)])
 
 
+# Largest bound or tail a spot row is checked against, the square root of
+# the float range.  One past it is an e^x of the weights with x > 345, and
+# the sampled mass sums at most order_cap <= 6 orders, each a power of x:
+# 2.4e12 at x = 345, so no sample can come near such a bound or tail.
+_CHECK_SCALE = 1e150
+
+
 def _check_row(component, n_plus, n_minus, numeric, err, tail, closed, exact,
                mass, a, sigma) -> SpotCheckRow:
     bound = a * mass if math.isfinite(a) else math.inf
     ok_ineq = ok_eq = None
-    if math.isfinite(bound):
+    if abs(bound) <= _CHECK_SCALE:
         slack = sigma * err + 1e-9 * (1.0 + abs(bound))
         ok_ineq = numeric <= bound + slack
-    if exact and math.isfinite(closed) and math.isfinite(tail):
+    if exact and math.isfinite(closed) and tail <= _CHECK_SCALE:
         ok_eq = abs(numeric - closed) <= sigma * err + tail + 1e-9 * (1.0 + abs(closed))
     return SpotCheckRow(component, n_plus, n_minus, numeric, err, tail, closed,
                         exact, mass, bound, ok_ineq, ok_eq)

@@ -51,20 +51,21 @@ vector in the CorrelationTable layout [k0, k1, k2, k3 row-major] and hand
 l_delta_apply tables whose entries are views into it
 (CorrelationTable.from_vector).  Each l_delta_apply call allocates one
 vector, its result; every other array it touches is preallocated, apart
-from the spectra of _FFT_BLOCK table entries on the FFT path.
+from the spectra of _FFT_BLOCK table entries in the lattice products.
 build_stencils computes the table-independent order-3 factors once (the
 dressings or shifted rates of each part; the factor both dressings share
 is formed in the output instead) and keeps two P x P scratch arrays, the
-workspace the order-3 step assembles its terms in.  On P >= _FFT_CELLS
-cells the birth part keeps the transform of its stencil, not the P x P
-cw2.  The mixing solver (_mix) holds two state vectors: the table it was
-started from, whose vector holds x, then f = g - x, then the next x; and
-g, the kernel's result, released before the next kernel call.  Its
-histories dF and dG, whose slot due next also keeps the last f and g, are
-2 _MIX_DEPTH vectors of orbit values: k0, k1, k2 and one k3 value per
-orbit of S3 x the lattice point group (GridSpec.k3_orbits, whose P x P
-int32 labels the grid keeps), about 1/37 of a state vector at 16 x 16
-and 1/47 at 64 x 64.  evolve_hierarchy holds the state, one stage input,
+workspace the order-3 step assembles its terms in.  The birth part's
+lattice products are FFT convolutions (_stencil_product); only the death
+part keeps a P x P cw2, for its order-3 row sums.  The mixing solver
+(_mix) holds two state vectors: the table it was started from, whose
+vector holds x, then f = g - x, then the next x; and g, the kernel's
+result, released before the next kernel call.  Its histories dF and dG,
+whose slot due next also keeps the last f and g, are 2 _MIX_DEPTH vectors
+of orbit values: k0, k1, k2 and one k3 value per orbit of S3 x the
+lattice point group (GridSpec.k3_orbits, whose P x P int32 labels the
+grid keeps), about 1/37 of a state vector at 16 x 16 and 1/47 at
+64 x 64.  evolve_hierarchy holds the state, one stage input,
 the weighted sum of the step's derivatives and the latest derivative.
 The solvers copy a state only when they record or return it.
 """
@@ -102,11 +103,8 @@ class StencilPart:
     p: np.ndarray                         # pair factor at the offsets
     cw: np.ndarray                        # mass-corrected factor * cell volume
     dress: Optional[np.ndarray] = None    # e^{+-pot} at the offsets; None if additive
-    # cw at offset[j] - offset[l], [j, l]: the death part's (order 3) and the
-    # birth part's (order >= 2) below _FFT_CELLS cells, where the birth part
-    # keeps hat, the rfftn of cw on the grid, instead (_stencil_product)
-    cw2: Optional[np.ndarray] = None
-    hat: Optional[np.ndarray] = None
+    cw2: Optional[np.ndarray] = None      # death: cw at offset[j] - offset[l], [j, l] (order 3)
+    hat: Optional[np.ndarray] = None      # birth: rfftn of cw on the grid (order >= 2)
 
     def __post_init__(self):
         self.mass = float(np.sum(self.cw))
@@ -129,12 +127,10 @@ class StencilBundle:
     work: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
 
-# Cell count from which the birth part's lattice products are FFT
-# convolutions; below it the dense P x P product is as fast and cw2 is kept.
-_FFT_CELLS = 1024
-# Table entries transformed at a time on the FFT path: blocks of rows that
-# bound its spectra and stay in cache (2 MB).
-_FFT_BLOCK = 1 << 18
+# Table entries _stencil_product transforms at a time: blocks of rows whose
+# spectra and inverse transforms, about 0.13 MB each, stay in cache and do not
+# raise the solver's peak at P = 256.
+_FFT_BLOCK = 1 << 14
 
 
 def _part(grid: GridSpec, part: FormPart) -> Optional[StencilPart]:
@@ -161,10 +157,7 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
     b.death, b.birth = (_part(grid, part) for part in form.parts)
 
     if order >= 2 and b.birth is not None:
-        if grid.num_cells >= _FFT_CELLS:
-            b.birth.hat = np.fft.rfftn(b.birth.cw.reshape(grid.shape))
-        else:
-            b.birth.cw2 = b.birth.cw[grid.diff_index]
+        b.birth.hat = np.fft.rfftn(b.birth.cw.reshape(grid.shape))
     if order >= 3:
         di = grid.diff_index
         if b.death is not None:
@@ -192,14 +185,12 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
 
 def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-    """part.cw2 @ a.T into out, for a vector a or a P x P table a:
-    out[j, i] = sum_l cw at offset[j] - offset[l] times a[i, l].
+    """out[j, i] = sum_l cw at offset[j] - offset[l] times a[i, l], for a
+    vector a or a P x P table a, into out.
 
     On the torus this is the lattice convolution of each row of a with cw,
-    so on the FFT path (part.hat) it is irfftn(rfftn(row) * hat) on the
-    grid of the given shape, _FFT_BLOCK entries of a at a time."""
-    if part.cw2 is not None:
-        return np.matmul(part.cw2, a.T, out=out)
+    irfftn(rfftn(row) * part.hat) on the grid of the given shape, taken
+    _FFT_BLOCK entries of a at a time."""
     p = a.shape[-1]
     rows, cols = a.reshape(-1, p), out.reshape(p, -1)
     axes, step = tuple(range(1, len(shape) + 1)), max(1, _FFT_BLOCK // p)
@@ -669,8 +660,8 @@ def _pairing_values(table: CorrelationTable) -> list:
     ladder stays inside [-1.2, 1.2], where the truncation at orders 2 and 3
     keeps S positive for Poisson and weakly correlated data while a
     vanishing pair function paired with a large density drives S below
-    zero.  The profiles share k2 at the offset differences and the
-    spectrum of k3 (tables.k3_spectrum), so each pairing mass costs O(P^2)."""
+    zero.  The profiles share the spectrum of k3 (tables.k3_spectrum), so
+    each pairing mass costs O(P^2)."""
     vals = [float(table.k0)]         # g = 0 observable
     rho = float(table.k1)
     if table.order < 2 or rho <= 0:
@@ -678,7 +669,6 @@ def _pairing_values(table: CorrelationTable) -> list:
     grid = table.grid
     dv = grid.cell_volume
     r = grid.distances
-    k2m = table.k2[grid.diff_index]  # k2 at offset_j - offset_l
     k3s = k3_spectrum(table) if table.order >= 3 else None
     for target, width in zip(_PAIRING_MASSES, _PAIRING_WIDTHS):
         width *= grid.torus.side
@@ -689,7 +679,7 @@ def _pairing_values(table: CorrelationTable) -> list:
         c = target / u0
         if c < -0.9:                 # keep 1 + g(x) >= 0.1 pointwise
             c = -0.9
-        vals.append(product_expectation(table, c * raw, dv, k2m, k3s))
+        vals.append(product_expectation(table, c * raw, dv, k3s))
     return vals
 
 

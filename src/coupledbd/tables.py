@@ -419,14 +419,12 @@ def k3_spectrum(table: CorrelationTable) -> Tuple[np.ndarray, np.ndarray]:
     return spec.reshape(grid.num_cells, -1), np.take(di, di[0, kept], axis=1)
 
 
-def _triple_sum(spectrum: Tuple[np.ndarray, np.ndarray], w: np.ndarray,
-                shape: Tuple[int, ...]) -> float:
+def _triple_sum(spectrum: Tuple[np.ndarray, np.ndarray], w_hat: np.ndarray) -> float:
     """sum over cells p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1],
-    from k3's spectrum (k3_spectrum) and the transform W of w on the grid of
-    the given shape: sum over p, q of K(p, q) W(-p) W(-q) W(p + q) / P^2.
-    W(-p) is the conjugate of W(p), since w is real."""
+    from k3's spectrum (k3_spectrum) and the transform W of w on the grid,
+    flattened: sum over p, q of K(p, q) W(-p) W(-q) W(p + q) / P^2.  W(-p)
+    is the conjugate of W(p), since w is real."""
     spec, plus = spectrum
-    w_hat = np.fft.fftn(w.reshape(shape)).ravel()
     w_neg = np.conj(w_hat)
     terms = w_hat[plus]                       # W(p + q)
     terms *= w_neg[plus[0]]                   # W(-q)
@@ -438,7 +436,6 @@ def _triple_sum(spectrum: Tuple[np.ndarray, np.ndarray], w: np.ndarray,
 
 
 def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0,
-                        k2m: Optional[np.ndarray] = None,
                         k3s: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> float:
     """Expectation of the product over the points x of (1 + g(x)) for a
     lattice field g of cell weight dv, truncated at the table's order:
@@ -446,18 +443,19 @@ def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0,
         k0 + k1 sum g dv + (1/2) sum g(x) g(y) k2(y - x) dv^2
            + (1/6) sum g(x) g(y) g(z) k3(y - x, z - x) dv^3
 
-    k2m, table.k2[grid.diff_index], and k3s, k3_spectrum(table), are
-    computed here unless given; a caller that takes several expectations
-    of one table passes them."""
+    Both sums are taken in Fourier space from the transform W of g: the
+    pair sum is sum_p |W(p)|^2 Re K2(p) / P, with K2 the transform of k2,
+    and the triple sum contracts the same W with the spectrum of k3
+    (_triple_sum).  k3s, k3_spectrum(table), is computed here unless given;
+    a caller that takes several expectations of one table passes it."""
     value = table.k0 + table.k1 * float(np.sum(g)) * dv
     if table.order >= 2:
-        if k2m is None:
-            k2m = table.k2[table.grid.diff_index]
-        value += 0.5 * float(g @ k2m @ g) * dv ** 2
+        w_hat, k2_hat = (np.fft.fftn(a.reshape(table.grid.shape)).ravel() for a in (g, table.k2))
+        value += 0.5 * float((w_hat * w_hat.conj()).real @ k2_hat.real) / w_hat.size * dv ** 2
     if table.order >= 3:
         if k3s is None:
             k3s = k3_spectrum(table)
-        value += _triple_sum(k3s, g, table.grid.shape) * dv ** 3 / 6.0
+        value += _triple_sum(k3s, w_hat) * dv ** 3 / 6.0
     return value
 
 

@@ -282,6 +282,38 @@ def test_spot_rows_with_an_infinite_bound_are_unchecked():
     assert rep.summary_lines()[-1] == "spot check: ok (14 rows, 0 violations, 8 unchecked)"
 
 
+def test_spot_rows_against_a_bound_past_the_check_scale_are_unchecked():
+    # weights with c * beta = 705 on gg_model's environment (psi) and system
+    # (phi_minus and phi_plus) and on branching_model's kappa: since e^x is
+    # finite up to x = 709.78, bounds, tails and closed masses reach 5e302 to
+    # 6e306, which no sampled mass near 1e4 to 1e8 can reach
+    gg, br = gg_model(), branching_model()
+
+    def beta(pot):
+        return potential_functionals(pot, 1).beta
+
+    weights = {
+        "gg environment": (gg, 705.0 / beta(gg.psi), 1.0),
+        "gg system": (gg, 1.0, (705.0 - beta(gg.phi_minus)) / beta(gg.phi_plus)),
+        "branching kappa": (br, 1.0, 705.0 / potential_functionals(br.kappa, 1).beta_neg),
+    }
+    settings = SpotCheckSettings(samples=200, max_points=2, configs_per_size=1, seed=5)
+    past = 0
+    for m, c_minus, c_plus in weights.values():
+        report = spot_check_regime(m, c_minus, c_plus, TORUS1, settings)
+        assert report.ok
+        for r in report.rows:
+            assert math.isfinite(r.bound) and math.isfinite(r.numeric)
+            if r.bound > conditions._CHECK_SCALE:
+                past += 1
+                assert r.tail > conditions._CHECK_SCALE
+                assert r.ok_inequality is None and r.ok_equality is None
+            else:
+                assert r.bound < 10.0
+                assert r.ok_inequality is True and r.ok_equality is True
+    assert past == 11
+
+
 def test_regime_report_aggregates_feasibility():
     rep = check_regime(gg_model(), 0.5, 1.0, dim=1)
     assert rep.variant == "glauber_glauber"

@@ -28,7 +28,7 @@ from coupledbd.config import (
     validate_config,
 )
 from coupledbd.errors import ConfigError, EvaluationError
-from coupledbd.hierarchy import component_form, evolve_hierarchy
+from coupledbd.hierarchy import component_form, evolve_hierarchy, ks_solve
 from coupledbd.models import BdlpInGlauber, BranchingInGlauber, GlauberGlauber, TwoBdlp
 from coupledbd.tables import CorrelationTable, GridSpec
 
@@ -359,6 +359,26 @@ def test_cli_invariant_writes_summary_and_correlations(tmp_path):
     lines = (out / "correlations.csv").read_text().strip().splitlines()
     assert lines[0] == "r,pair_correlation"
     assert len(lines) > 2
+
+
+def test_cli_invariant_writes_the_evaluations_and_the_residual_history(tmp_path):
+    # the hierarchy benchmark's environment: a constant-death form, solved
+    # at orders 1 and 2 before the 12 iterations at order 3
+    cfg = _gg_config()
+    cfg["model"]["params"]["z_minus"] = 0.5
+    cfg["torus"] = {"side": 4.0, "dim": 2}
+    cfg["invariant"] = {"grid_points": 16, "order": 3}
+    out = tmp_path / "out"
+    code = main(["invariant", _write(tmp_path, cfg), "--out", str(out)])
+    assert code == 0
+    summ = json.loads((out / "summary.json").read_text())
+    m = model_from_config(resolve_config(cfg))
+    sol = ks_solve(component_form(m, "environment"),
+                   GridSpec(torus=torus_from_config(cfg), points_per_axis=16), order=3)
+    assert summ["evaluations"] == sol.evaluations == 29
+    assert summ["residuals"] == sol.residuals
+    assert len(summ["residuals"]) == summ["iterations"] == 12
+    assert summ["residuals"][-1] == summ["final_residual"] <= 1e-12
 
 
 def test_cli_invariant_of_the_averaged_additive_system_at_order3(tmp_path):

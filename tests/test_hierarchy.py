@@ -1,7 +1,6 @@
 """Truncated correlation hierarchies: fixed points, time evolution, and
 positivity diagnostics."""
 
-import copy
 import itertools
 import math
 import tracemalloc
@@ -106,46 +105,26 @@ def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _fft_and_dense_bundles(grid, form):
-    """The bundle of form on grid, which takes the birth part's lattice
-    products by FFT on this many cells, and a copy that takes them dense."""
-    fft = build_stencils(grid, form, 3)
-    assert fft.birth.hat is not None and fft.birth.cw2 is None
-    dense = copy.copy(fft)
-    dense.birth = copy.copy(fft.birth)
-    dense.birth.cw2, dense.birth.hat = fft.birth.cw[grid.diff_index], None
-    dense.work = tuple(np.empty_like(w) for w in fft.work)
-    return fft, dense
-
-
-@pytest.mark.parametrize("dim,side,n", [(1, 10.0, 1024), (2, 4.0, 32), (3, 4.0, 11)])
-def test_fft_stencil_product_matches_the_dense_product(dim, side, n):
+@pytest.mark.parametrize("block", ["default", "whole table"])
+@pytest.mark.parametrize("dim,side,n", [(1, 10.0, 64), (2, 4.0, 16), (3, 4.0, 8),
+                                        (1, 10.0, 1024), (2, 4.0, 32), (3, 4.0, 11)])
+def test_fft_stencil_product_matches_the_dense_product(dim, side, n, block, monkeypatch):
+    # the default block splits every table here but the 1D P = 64 one into
+    # several, the 3D 11^3 one with a short last block
+    if block == "whole table":
+        monkeypatch.setattr(hierarchy, "_FFT_BLOCK", n ** (2 * dim))
     grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
-    assert grid.num_cells >= hierarchy._FFT_CELLS
     form = ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0), birth_pot=_STEP(0.5, 1.0))
-    fft, dense = _fft_and_dense_bundles(grid, form)
+    birth = build_stencils(grid, form, 2).birth
+    cw2 = birth.cw[grid.diff_index]           # cw at offset[j] - offset[l]
     p = grid.num_cells
     rng = np.random.default_rng(dim)
     k3 = rng.uniform(0.5, 1.5, (p, p))        # neither symmetric nor radial
     k2 = rng.uniform(0.5, 1.5, p)
     for a in (k3, k2):
-        want = dense.birth.cw2 @ a.T
-        got = hierarchy._stencil_product(fft.birth, grid.shape, a, np.empty_like(want))
+        want = cw2 @ a.T
+        got = hierarchy._stencil_product(birth, grid.shape, a, np.empty_like(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("name", ["exp_death_exp_birth", "add_death_add_birth"])
-def test_apply_agrees_between_the_fft_and_the_dense_products(name):
-    form = _GOLDEN_FORMS[name][0]
-    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
-    fft, dense = _fft_and_dense_bundles(grid, form)
-    p = grid.num_cells
-    rng = np.random.default_rng(31)
-    table = CorrelationTable(grid, 3, 1.0, 0.8, rng.uniform(0.5, 1.5, p),
-                             rng.uniform(0.5, 1.5, (p, p)))
-    want = l_delta_apply(table, dense).as_vector()
-    got = l_delta_apply(table, fft).as_vector()
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # l_delta_apply on a fixed random symmetric order-3 table, one form per
@@ -198,6 +177,34 @@ def test_order3_apply_matches_its_golden_sums(name):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _square_arrays(obj, name, p):
+    """The names of the arrays of at least P^2 entries that a stencil
+    bundle holds, its parts' included, as "field" or "part.field"."""
+    if isinstance(obj, np.ndarray):
+        return {name} if obj.size >= p * p else set()
+    if isinstance(obj, tuple):
+        return set().union(*(_square_arrays(o, name, p) for o in obj))
+    if isinstance(obj, (hierarchy.StencilBundle, hierarchy.StencilPart)):
+        return set().union(*(_square_arrays(v, f"{name}.{key}".lstrip("."), p)
+                             for key, v in vars(obj).items()))
+    return set()
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("name", ["exp_death_exp_birth", "add_death_add_birth",
+                                  "glauber_environment"])
+def test_order3_bundle_keeps_no_square_array_but_its_factors_and_workspace(name, n):
+    # the birth part's lattice products are FFT convolutions at every grid
+    # size, so only the death part keeps its stencil at the offset differences
+    form = (component_form(gg_model(), "environment") if name == "glauber_environment"
+            else _GOLDEN_FORMS[name][0])
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=n)
+    bundle = build_stencils(grid, form, 3)
+    assert (bundle.death is None) == (name == "glauber_environment")
+    kept = _square_arrays(bundle, "", grid.num_cells)
+    assert kept <= {"work", "death3", "birth3", "gather3", "death.cw2"}, kept
+
+
 # Edge forms: an exponential death with a constant birth, and parts that
 # are declared but zero or scaled by 0.
 _EDGE_FORMS = {
@@ -233,6 +240,20 @@ def test_apply_matches_the_reference_formulas_entry_by_entry(dim, side, n, name,
     want = want.as_vector()
     np.testing.assert_allclose(got.as_vector(), want, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["exp_death_exp_birth", "add_death_add_birth"])
+def test_apply_matches_the_reference_formulas_on_a_table_of_many_fft_blocks(name):
+    form = _GOLDEN_FORMS[name][0]
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
+    assert grid.num_cells ** 2 > hierarchy._FFT_BLOCK
+    p = grid.num_cells
+    rng = np.random.default_rng(31)
+    table = CorrelationTable(grid, 3, 1.0, 0.8, rng.uniform(0.5, 1.5, p),
+                             rng.uniform(0.5, 1.5, (p, p)))
+    got = l_delta_apply(table, build_stencils(grid, form, 3)).as_vector()
+    want = oracle_l_delta_apply(table, form).as_vector()
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 def _vector_maps(grid):
@@ -296,8 +317,8 @@ _EQUIVARIANCE_FORMS = {
 def test_apply_maps_a_symmetric_table_to_a_symmetric_one(dim, side, n):
     # a translation-reduced k3[j, l] is the correlation of {0, x_j, x_l}, so
     # correlation data are invariant under S3 and the lattice point group;
-    # the kernel must keep them so, on the dense (16 x 16) and the FFT
-    # (32 x 32) product paths alike
+    # the kernel must keep them so, on tables of one FFT block (1D) and of
+    # many
     grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
     table = _symmetrised_table(grid, seed=n)
     gens = _k3_generators(grid)

@@ -226,6 +226,11 @@ def test_exp_mayer_on_empty_state_is_exact():
     assert tail == 0.0
 
 
+def _transform(grid, w):
+    """The flat transform of a lattice field that _triple_sum contracts."""
+    return np.fft.fftn(w.reshape(grid.shape)).ravel()
+
+
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
 def test_triple_sum_matches_the_brute_force_sum(dim, n):
     # sum over p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1], with the
@@ -244,7 +249,7 @@ def test_triple_sum_matches_the_brute_force_sum(dim, n):
     expected = sum(w[p1] * w[p2] * w[p3] * k3[diff(p2, p1), diff(p3, p1)]
                    for p1 in range(p) for p2 in range(p) for p3 in range(p))
     table = CorrelationTable(grid, 3, 1.0, 0.5, np.zeros(p), k3)
-    for got in (_triple_sum(k3_spectrum(table), w, grid.shape),
+    for got in (_triple_sum(k3_spectrum(table), _transform(grid, w)),
                 dense_triple_sum(k3, w, grid.diff_index)):
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
@@ -267,22 +272,24 @@ def test_fourier_triple_sum_matches_the_dense_sum(dim, n, symmetric):
         w = rng.normal(size=p)
         want = dense_triple_sum(k3, w, di)
         scale = dense_triple_sum(np.abs(k3), np.abs(w), di)
-        assert abs(_triple_sum(spectrum, w, grid.shape) - want) <= 1e-13 * scale
+        assert abs(_triple_sum(spectrum, _transform(grid, w)) - want) <= 1e-13 * scale
 
 
-def test_product_expectation_matches_the_brute_force_sums():
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 4), (3, 3)])
+def test_product_expectation_matches_the_brute_force_sums(dim, n):
     # k0 + k1 sum g dv + 1/2 sum g g k2 dv^2 + 1/6 sum g g g k3 dv^3, with
-    # the offset differences taken on the lattice, not from diff_index
-    n, dv = 4, 0.3
-    grid = GridSpec(torus=Torus(dim=2, side=float(n)), points_per_axis=n)
+    # the offset differences taken on the lattice, not from diff_index, and
+    # k2 and k3 without the symmetries of correlation data
+    dv = 0.3
+    grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(5)
     table = CorrelationTable(grid, 3, 1.0, 0.7, rng.normal(size=p), rng.normal(size=(p, p)))
     g = rng.normal(size=p)
-    lat = np.array(np.unravel_index(np.arange(p), (n, n))).T
+    lat = np.array(np.unravel_index(np.arange(p), grid.shape)).T
 
     def diff(a, b):
-        return int(np.ravel_multi_index(tuple(np.mod(lat[a] - lat[b], n)), (n, n)))
+        return int(np.ravel_multi_index(tuple(np.mod(lat[a] - lat[b], n)), grid.shape))
 
     pair = sum(g[a] * g[b] * table.k2[diff(b, a)] for a in range(p) for b in range(p))
     triple = sum(g[a] * g[b] * g[c] * table.k3[diff(b, a), diff(c, a)]
@@ -292,9 +299,8 @@ def test_product_expectation_matches_the_brute_force_sums():
         t = CorrelationTable(grid, order, 1.0, 0.7, table.k2, table.k3)
         got = product_expectation(t, g, dv)
         assert got == pytest.approx(sum(partial[:order + 1]), rel=1e-12)
-        if order >= 2:
-            k3s = k3_spectrum(t) if order >= 3 else None
-            assert product_expectation(t, g, dv, t.k2[grid.diff_index], k3s) == got
+        if order >= 3:
+            assert product_expectation(t, g, dv, k3_spectrum(t)) == got
 
 
 def test_a_grid_above_the_cell_cap_is_refused_naming_grid_points():
