@@ -7,7 +7,14 @@ kernel folds factors together and works in place; the differential tests
 compare it with this oracle entry by entry.  dense_triple_sum is the
 lattice triple sum of ``tables.product_expectation`` as a dense product,
 the reference for its Fourier-space form.
+
+Both production routines take correlation data: k3 invariant under S3 x
+the lattice point group, k2 and the profile of product_expectation
+invariant under the point group.  symmetrised_table and radial_field
+draw such inputs.
 """
+
+import itertools
 
 import numpy as np
 
@@ -23,6 +30,69 @@ def dense_triple_sum(k3, w, di):
     shifted = w[di[:, di[0]]]        # shifted[a, j] = w(offset_a + offset_j)
     triple = (shifted * w[:, None]).T @ shifted
     return float(np.sum(triple * k3))
+
+
+def vector_maps(grid):
+    """Flat index maps of cells under -1, a reflection of axis 0 and, in 2D
+    and 3D, every axis permutation, from integer lattice coordinates."""
+    n, shape = grid.points_per_axis, grid.shape
+    lat = np.array(np.unravel_index(np.arange(grid.num_cells), shape)).T
+
+    def flat(v):
+        return np.ravel_multi_index(tuple(np.mod(v, n).T), shape)
+
+    refl = lat.copy()
+    refl[:, 0] *= -1
+    perms = [flat(lat[:, list(s)]) for s in itertools.permutations(range(grid.torus.dim))]
+    return flat(-lat), flat(refl), perms
+
+
+def k3_generators(grid):
+    """The swap (j, l) -> (l, j), the rebase {0, a, b} -> {-a, 0, b - a}, a
+    reflection and, in 2D and 3D, an axis swap, as maps of a P x P table."""
+    neg, refl, perms = vector_maps(grid)
+    rebase = (neg[:, None], grid.diff_index.T)     # b - a is offset[l] - offset[j]
+    gens = {"swap": lambda k: k.T, "rebase": lambda k: k[rebase],
+            "reflection": lambda k: k[refl[:, None], refl]}
+    if len(perms) > 1:
+        gens["axis swap"] = lambda k: k[perms[1][:, None], perms[1]]
+    return gens
+
+
+def symmetrised(grid, k2, k3, s3=True):
+    """k2 and k3 averaged over the lattice point group, k3 first over S3
+    when s3: over S3 as its six compositions of the swap and the rebase,
+    over the point group as the reflections of each axis, then the axis
+    permutations."""
+    if s3:
+        gens = k3_generators(grid)
+        s, r = gens["swap"], gens["rebase"]
+        k3 = (k3 + s(k3) + r(k3) + s(r(k3)) + r(s(k3)) + s(r(s(k3)))) / 6.0
+    _, _, perms = vector_maps(grid)
+    lat = np.array(np.unravel_index(np.arange(grid.num_cells), grid.shape)).T
+    for axis in range(grid.torus.dim):
+        flipped = lat.copy()
+        flipped[:, axis] *= -1
+        f = np.ravel_multi_index(tuple(np.mod(flipped, grid.points_per_axis).T), grid.shape)
+        k2, k3 = 0.5 * (k2 + k2[f]), 0.5 * (k3 + k3[f[:, None], f])
+    k2 = sum(k2[q] for q in perms) / len(perms)
+    k3 = sum(k3[q[:, None], q] for q in perms) / len(perms)
+    return k2, k3
+
+
+def symmetrised_table(grid, seed):
+    """A random order-3 table averaged over S3 x the lattice point group."""
+    p = grid.num_cells
+    rng = np.random.default_rng(seed)
+    k2, k3 = symmetrised(grid, rng.uniform(0.5, 1.5, p), rng.uniform(0.5, 1.5, (p, p)))
+    return CorrelationTable(grid, 3, 1.0, 0.8, k2, k3)
+
+
+def radial_field(grid, rng):
+    """A random lattice field that depends on the offset distance only,
+    one normal draw per distinct distance."""
+    shell = np.unique(np.round(grid.distances, 12), return_inverse=True)[1]
+    return rng.normal(size=shell.max() + 1)[shell]
 
 
 def _rebased_triple_integral(k3, weights, di):

@@ -28,7 +28,13 @@ from coupledbd.potentials import Potential, potential_functionals
 from coupledbd.tables import CorrelationTable, GridSpec
 
 from conftest import TORUS1, bdlp_model, gg_model, two_bdlp_model
-from hierarchy_oracle import _rebased_triple_integral, oracle_l_delta_apply
+from hierarchy_oracle import (
+    _rebased_triple_integral,
+    k3_generators,
+    oracle_l_delta_apply,
+    symmetrised_table,
+    vector_maps,
+)
 
 GRID = GridSpec(torus=TORUS1, points_per_axis=64)
 
@@ -127,35 +133,43 @@ def test_fft_stencil_product_matches_the_dense_product(dim, side, n, block, monk
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-# l_delta_apply on a fixed random symmetric order-3 table, one form per
-# combination of death and birth paths.  Per form: the order-1 output, the
-# sum and a weighted sum of the order-2 output, and the same of the order-3
-# output; captured before the table-independent factors moved into
-# build_stencils.
+# l_delta_apply on a fixed random order-3 table symmetrised over S3 x the
+# lattice point group, one form per combination of death and birth shapes.
+# Per form: the order-1 output, the sum and a weighted sum of the order-2
+# output, and the same of the order-3 output; captured with the kernel that
+# computed every P^2 entry of the order-3 step.
 _STEP = Potential.step
 _GOLDEN_FORMS = {
     "exp_death_exp_birth": (
         ComponentForm(1.2, 0.4, death_pot=_STEP(0.3, 1.0), birth_pot=_STEP(0.5, 1.0)),
-        (-2.405661905412222, -365.2219625193517, -336.06092447145295,
-         -32790.056417395586, -32914.50352147348)),
+        (-2.405661905412222, -365.04275937462194, -368.2735196273096,
+         -32790.522068966544, -32871.007628273655)),
     "add_death_add_birth": (
         ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0),
                       birth_kernel=_STEP(0.2, 1.0), birth_kernel_scale=0.7),
-        (-1.2443477648014758, -182.13449749956368, -167.5638135468966,
-         -14526.782001534473, -14575.664577704349)),
+        (-1.2443477648014758, -181.986311163864, -184.34892119310052,
+         -14526.782001534473, -14590.818619913338)),
     "exp_death_add_birth": (
         ComponentForm(1.2, 0.4, death_pot=_STEP(0.3, 1.0),
                       birth_kernel=_STEP(0.2, 1.0), birth_kernel_scale=0.7),
-        (-1.6582450037750889, -245.8044499424628, -226.22002672874697,
-         -20808.988905066923, -20881.471108329737)),
+        (-1.6582450037750887, -245.62524679773318, -249.21514741936085,
+         -20808.98890506692, -20893.49669730236)),
     "add_death_exp_birth": (
         ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0), birth_pot=_STEP(0.5, 1.0)),
-        (-1.9917646664386088, -301.5520100764526, -277.4047112896025,
-         -26507.849513863133, -26608.696990848097)),
+        (-1.9917646664386088, -301.40382374075284, -303.4072934010493,
+         -26508.315165434105, -26568.32955088463)),
+    "const_death_exp_birth": (
+        ComponentForm(1.2, 0.4, birth_pot=_STEP(0.5, 1.0)),
+        (-0.9555585244350763, -172.0088717871522, -173.9433674294022,
+         -15750.199863619604, -15782.738016204064)),
+    "const_death_add_birth": (
+        ComponentForm(1.2, 0.4, birth_kernel=_STEP(0.2, 1.0), birth_kernel_scale=0.7),
+        (-0.20814162279794313, -52.591359210263334, -54.88499522145339,
+         -3768.6666997199727, -3805.227085232771)),
     "const_birth": (
         ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0)),
-        (-1.5962061420035325, -240.85823568486379, -221.57824789927548,
-         -20620.28231911819, -20695.57593525322)),
+        (-1.5962061420035325, -240.7100493491641, -243.1625326833244,
+         -20620.28231911819, -20683.229516250194)),
 }
 
 
@@ -165,14 +179,9 @@ def test_order3_apply_matches_its_golden_sums(name):
     grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=8)
     p = grid.num_cells
     rng = np.random.default_rng(7)
-    k2 = rng.uniform(0.5, 1.5, p)
-    k2 = 0.5 * (k2 + k2[grid.diff_index[0]])
-    k3 = rng.uniform(0.5, 1.5, (p, p))
-    k3 = 0.5 * (k3 + k3.T)
     w2 = rng.uniform(0.5, 1.5, p)
     w3 = rng.uniform(0.5, 1.5, (p, p))
-    out = l_delta_apply(CorrelationTable(grid, 3, 1.0, 0.8, k2, k3),
-                        build_stencils(grid, form, 3))
+    out = l_delta_apply(symmetrised_table(grid, seed=7), build_stencils(grid, form, 3))
     got = (out.k1, np.sum(out.k2), w2 @ out.k2, np.sum(out.k3), np.sum(w3 * out.k3))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -227,12 +236,10 @@ def test_apply_matches_the_reference_formulas_entry_by_entry(dim, side, n, name,
                                                              closure):
     form = _APPLY_FORMS[name]
     grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
-    p = grid.num_cells
-    rng = np.random.default_rng(11)
-    # neither k2 nor k3 has the exchange symmetries of correlation data
-    k2 = rng.uniform(0.5, 1.5, p) if order >= 2 else None
-    k3 = rng.uniform(0.5, 1.5, (p, p)) if order >= 3 else None
-    table = CorrelationTable(grid, order, 1.0, 0.8, k2, k3)
+    # correlation data: k2 and k3 have the symmetries the kernel requires
+    full = symmetrised_table(grid, seed=11)
+    table = CorrelationTable(grid, order, 1.0, 0.8, full.k2 if order >= 2 else None,
+                             full.k3 if order >= 3 else None)
     got = l_delta_apply(table, build_stencils(grid, form, order), closure=closure)
     want = oracle_l_delta_apply(table, form, closure)
     assert got.order == order
@@ -247,62 +254,10 @@ def test_apply_matches_the_reference_formulas_on_a_table_of_many_fft_blocks(name
     form = _GOLDEN_FORMS[name][0]
     grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
     assert grid.num_cells ** 2 > hierarchy._FFT_BLOCK
-    p = grid.num_cells
-    rng = np.random.default_rng(31)
-    table = CorrelationTable(grid, 3, 1.0, 0.8, rng.uniform(0.5, 1.5, p),
-                             rng.uniform(0.5, 1.5, (p, p)))
+    table = symmetrised_table(grid, seed=31)
     got = l_delta_apply(table, build_stencils(grid, form, 3)).as_vector()
     want = oracle_l_delta_apply(table, form).as_vector()
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
-
-
-def _vector_maps(grid):
-    """Flat index maps of cells under -1, a reflection of axis 0 and, in 2D
-    and 3D, every axis permutation, from integer lattice coordinates."""
-    n, shape = grid.points_per_axis, grid.shape
-    lat = np.array(np.unravel_index(np.arange(grid.num_cells), shape)).T
-
-    def flat(v):
-        return np.ravel_multi_index(tuple(np.mod(v, n).T), shape)
-
-    refl = lat.copy()
-    refl[:, 0] *= -1
-    perms = [flat(lat[:, list(s)]) for s in itertools.permutations(range(grid.torus.dim))]
-    return flat(-lat), flat(refl), perms
-
-
-def _k3_generators(grid):
-    """The swap (j, l) -> (l, j), the rebase {0, a, b} -> {-a, 0, b - a}, a
-    reflection and, in 2D and 3D, an axis swap, as maps of a P x P table."""
-    neg, refl, perms = _vector_maps(grid)
-    rebase = (neg[:, None], grid.diff_index.T)     # b - a is offset[l] - offset[j]
-    gens = {"swap": lambda k: k.T, "rebase": lambda k: k[rebase],
-            "reflection": lambda k: k[refl[:, None], refl]}
-    if len(perms) > 1:
-        gens["axis swap"] = lambda k: k[perms[1][:, None], perms[1]]
-    return gens
-
-
-def _symmetrised_table(grid, seed):
-    """A random order-3 table averaged over S3 x the lattice point group:
-    over S3 as its six compositions of the swap and the rebase, over the
-    point group as the reflections of each axis, then the axis permutations."""
-    p, d = grid.num_cells, grid.torus.dim
-    rng = np.random.default_rng(seed)
-    k2, k3 = rng.uniform(0.5, 1.5, p), rng.uniform(0.5, 1.5, (p, p))
-    gens = _k3_generators(grid)
-    s, r = gens["swap"], gens["rebase"]
-    k3 = (k3 + s(k3) + r(k3) + s(r(k3)) + r(s(k3)) + s(r(s(k3)))) / 6.0
-    _, _, perms = _vector_maps(grid)
-    lat = np.array(np.unravel_index(np.arange(p), grid.shape)).T
-    for axis in range(d):
-        flipped = lat.copy()
-        flipped[:, axis] *= -1
-        f = np.ravel_multi_index(tuple(np.mod(flipped, grid.points_per_axis).T), grid.shape)
-        k2, k3 = 0.5 * (k2 + k2[f]), 0.5 * (k3 + k3[f[:, None], f])
-    k2 = sum(k2[q] for q in perms) / len(perms)
-    k3 = sum(k3[q[:, None], q] for q in perms) / len(perms)
-    return CorrelationTable(grid, 3, 1.0, 0.8, k2, k3)
 
 
 _EQUIVARIANCE_FORMS = {
@@ -320,9 +275,9 @@ def test_apply_maps_a_symmetric_table_to_a_symmetric_one(dim, side, n):
     # the kernel must keep them so, on tables of one FFT block (1D) and of
     # many
     grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
-    table = _symmetrised_table(grid, seed=n)
-    gens = _k3_generators(grid)
-    _, refl, perms = _vector_maps(grid)
+    table = symmetrised_table(grid, seed=n)
+    gens = k3_generators(grid)
+    _, refl, perms = vector_maps(grid)
     for name, form in _EQUIVARIANCE_FORMS.items():
         out = l_delta_apply(table, build_stencils(grid, form, 3))
         scale = np.max(np.abs(out.k3))
@@ -367,7 +322,7 @@ def test_every_generator_fixes_every_orbit_label(dim, n, count):
     grid = GridSpec(torus=Torus(dim=dim, side=4.0), points_per_axis=n)
     labels, reps, sizes = grid.k3_orbits
     assert grid.k3_orbits is grid.k3_orbits
-    for gen, apply in _k3_generators(grid).items():
+    for gen, apply in k3_generators(grid).items():
         assert np.array_equal(apply(labels), labels), gen
     assert np.array_equal(sizes, np.bincount(labels.ravel()))
     assert sizes.sum() == grid.num_cells ** 2

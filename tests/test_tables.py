@@ -25,7 +25,7 @@ from coupledbd.tables import (
 )
 
 from conftest import TORUS1
-from hierarchy_oracle import dense_triple_sum
+from hierarchy_oracle import dense_triple_sum, radial_field, symmetrised, symmetrised_table
 
 GRID = GridSpec(torus=TORUS1, points_per_axis=50)
 
@@ -234,12 +234,13 @@ def _transform(grid, w):
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
 def test_triple_sum_matches_the_brute_force_sum(dim, n):
     # sum over p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1], with the
-    # offset differences taken on the lattice, not from diff_index
+    # offset differences taken on the lattice, not from diff_index; k3 has
+    # the symmetries of correlation data and w is radial
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(10 + dim)
-    k3 = rng.normal(size=(p, p))
-    w = rng.normal(size=p)
+    k3 = symmetrised_table(grid, seed=10 + dim).k3
+    w = radial_field(grid, rng)
     shape = (n,) * dim
     lat = np.array(np.unravel_index(np.arange(p), shape)).T
 
@@ -258,18 +259,19 @@ def test_triple_sum_matches_the_brute_force_sum(dim, n):
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 9), (2, 6), (2, 7), (3, 4), (3, 5)])
 def test_fourier_triple_sum_matches_the_dense_sum(dim, n, symmetric):
     # even and odd sides: the real transform keeps a Nyquist column only
-    # for even n
+    # for even n.  k3 is invariant under the lattice point group, and also
+    # under the swap when symmetric; every w is radial
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(100 * dim + n)
-    k3 = rng.normal(size=(p, p))
+    k3 = symmetrised(grid, np.zeros(p), rng.normal(size=(p, p)), s3=False)[1]
     if symmetric:
         k3 = k3 + k3.T
     table = CorrelationTable(grid, 3, 1.0, 0.5, np.zeros(p), k3)
     spectrum = k3_spectrum(table)
     di = grid.diff_index
     for _ in range(3):
-        w = rng.normal(size=p)
+        w = radial_field(grid, rng)
         want = dense_triple_sum(k3, w, di)
         scale = dense_triple_sum(np.abs(k3), np.abs(w), di)
         assert abs(_triple_sum(spectrum, _transform(grid, w)) - want) <= 1e-13 * scale
@@ -278,14 +280,15 @@ def test_fourier_triple_sum_matches_the_dense_sum(dim, n, symmetric):
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 4), (3, 3)])
 def test_product_expectation_matches_the_brute_force_sums(dim, n):
     # k0 + k1 sum g dv + 1/2 sum g g k2 dv^2 + 1/6 sum g g g k3 dv^3, with
-    # the offset differences taken on the lattice, not from diff_index, and
-    # k2 and k3 without the symmetries of correlation data
+    # the offset differences taken on the lattice, not from diff_index, k2
+    # and k3 with the symmetries of correlation data and g radial
     dv = 0.3
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(5)
-    table = CorrelationTable(grid, 3, 1.0, 0.7, rng.normal(size=p), rng.normal(size=(p, p)))
-    g = rng.normal(size=p)
+    full = symmetrised_table(grid, seed=5)
+    table = CorrelationTable(grid, 3, 1.0, 0.7, full.k2, full.k3)
+    g = radial_field(grid, rng)
     lat = np.array(np.unravel_index(np.arange(p), grid.shape)).T
 
     def diff(a, b):
