@@ -88,8 +88,7 @@ def _write_csv(path: str, header: List[str], rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _strict(obj):
@@ -131,15 +130,17 @@ def _solve(form, grid, section: dict):
 
 
 def _section_form(m, torus, section: dict):
-    """(form, grid) of the component a hierarchy section names; 'averaged'
-    first solves the environment at the section's order (lambda-bar reads
-    its k2 and k3) and integrates it out."""
+    """(form, grid, evaluations) of the component a hierarchy section
+    names; 'averaged' first solves the environment at the section's order
+    (lambda-bar reads its k2 and k3), in evaluations kernel evaluations,
+    and integrates it out."""
     grid = GridSpec(torus=torus, points_per_axis=section["grid_points"])
-    form = component_form(m, "environment")
+    form, evaluations = component_form(m, "environment"), 0
     if section["component"] != "environment":
         env_sol = _solve(form, grid, section)
         form = component_form(build_averaged_model(m, env_sol.table, torus), "system")
-    return form, grid
+        evaluations = env_sol.evaluations
+    return form, grid, evaluations
 
 
 def _cmd_check(cfg: dict, m, torus, out_dir: str):
@@ -190,7 +191,7 @@ def _cmd_check(cfg: dict, m, torus, out_dir: str):
 def _cmd_invariant(cfg: dict, m, torus, out_dir: str):
     _bind("hierarchy", "tables")
     section = _section(cfg, "invariant")
-    form, grid = _section_form(m, torus, section)
+    form, grid, env_evaluations = _section_form(m, torus, section)
     sol = _solve(form, grid, section)
     summ = invariant_summary(sol.table)
     lenard = lenard_spot_check(sol.table)
@@ -207,7 +208,7 @@ def _cmd_invariant(cfg: dict, m, torus, out_dir: str):
         "min_entry": lenard.min_entry,
         "symmetry_defect": lenard.symmetry_defect,
         "min_pairing": lenard.min_pairing,
-        "evaluations": sol.evaluations,
+        "evaluations": env_evaluations + sol.evaluations,
         "residuals": list(sol.residuals),
     }
     _write_json(os.path.join(out_dir, "summary.json"), out)
@@ -221,7 +222,7 @@ def _cmd_invariant(cfg: dict, m, torus, out_dir: str):
 def _cmd_evolve(cfg: dict, m, torus, out_dir: str):
     _bind("hierarchy", "tables")
     section = _section(cfg, "evolve")
-    form, grid = _section_form(m, torus, section)
+    form, grid, _ = _section_form(m, torus, section)
     # a constant-death form's density reads no order above the first
     # (ComponentForm.constant_death), so only the density is integrated
     order = 1 if form.constant_death else section["order"]
@@ -339,9 +340,9 @@ def _cmd_averaging(cfg: dict, m, torus, out_dir: str):
     _write_csv(os.path.join(out_dir, "densities.csv"), header,
                list(zip(*cols)))
     out = {
-        "epsilons": [float(e) for e in result.epsilons],
-        "distances": [float(d) for d in result.distances],
-        "distance_ses": [float(s) for s in result.distance_ses],
+        "epsilons": result.epsilons.tolist(),
+        "distances": result.distances.tolist(),
+        "distance_ses": result.distance_ses.tolist(),
         "monotone_ok": result.monotone_ok,
         "smallest_within_se": result.smallest_within_se,
         "lambda_bar": result.lambda_bar,

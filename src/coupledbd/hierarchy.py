@@ -49,24 +49,21 @@ order feeds the density.
 Memory layout.  ks_solve and evolve_hierarchy keep their state as one flat
 vector in the CorrelationTable layout [k0, k1, k2, k3 row-major] and hand
 l_delta_apply tables whose entries are views into it
-(CorrelationTable.from_vector).  Each l_delta_apply call allocates one
-vector, its result; every other array it touches is preallocated, apart
-from the spectra of _FFT_BLOCK table entries in the lattice products.
-build_stencils computes the table-independent order-3 factors once (the
-dressings or shifted rates of each part; the factor both dressings share
-is formed in the output instead) and keeps two P x P scratch arrays, the
-workspace the order-3 step assembles its terms in.  The birth part's
-lattice products are FFT convolutions (_stencil_product); only the death
-part keeps a P x P cw2, for its order-3 row sums.  The mixing solver
-(_mix) holds two state vectors: the table it was started from, whose
-vector holds x, then f = g - x, then the next x; and g, the kernel's
-result, released before the next kernel call.  Its histories dF and dG,
-whose slot due next also keeps the last f and g, are 2 _MIX_DEPTH vectors
-of orbit values: k0, k1, k2 and one k3 value per orbit of S3 x the
-lattice point group (GridSpec.k3_orbits, whose P x P int32 labels the
-grid keeps), about 1/37 of a state vector at 16 x 16 and 1/47 at
-64 x 64.  evolve_hierarchy holds the state, one stage input,
-the weighted sum of the step's derivatives and the latest derivative.
+(CorrelationTable.from_vector).  No array of the order-3 step has P x P
+entries but the result: it is computed on the R orbit representatives of
+S3 x the lattice point group (GridSpec.k3_orbits, whose P x P int32
+labels the grid keeps; R is about P^2/37 at 16 x 16 and P^2/47 at
+64 x 64) and expanded through the labels.  Its lattice product is an FFT
+convolution (_stencil_product) of k3's representative rows under the
+point group (GridSpec.cell_orbits, about P/8 in 2D) with the birth
+stencil, and build_stencils keeps the indices and coefficients of the R
+values.  The mixing solver (_mix) holds two state vectors: the table it
+was started from, whose vector holds x, then f = g - x, then the next x;
+and g, the kernel's result, released before the next kernel call.  Its
+histories dF and dG, whose slot due next also keeps the last f and g, are
+2 _MIX_DEPTH vectors of k0, k1, k2 and the R orbit values.
+evolve_hierarchy holds the state, one stage input, the weighted sum of the
+step's derivatives and the latest derivative.
 The solvers copy a state only when they record or return it.
 """
 
@@ -84,7 +81,6 @@ from .tables import (
     CorrelationTable,
     GridSpec,
     corrected_stencil,
-    k3_spectrum,
     product_expectation,
     radial_profile,
     validate_grid_for_model,
@@ -103,7 +99,6 @@ class StencilPart:
     p: np.ndarray                         # pair factor at the offsets
     cw: np.ndarray                        # mass-corrected factor * cell volume
     dress: Optional[np.ndarray] = None    # e^{+-pot} at the offsets; None if additive
-    cw2: Optional[np.ndarray] = None      # death: cw at offset[j] - offset[l], [j, l] (order 3)
     hat: Optional[np.ndarray] = None      # birth: rfftn of cw on the grid (order >= 2)
 
     def __post_init__(self):
@@ -113,23 +108,27 @@ class StencilPart:
 @dataclass(eq=False)
 class StencilBundle:
     """A form's death and birth parts on a grid (None where the term is
-    absent, zero, or scaled by 0), plus the order-3 factors and workspace."""
+    absent, zero, or scaled by 0), plus the order-3 data on the R orbit
+    representatives (j, l) of GridSpec.k3_orbits.  Coefficients are arrays
+    over the representatives or scalars."""
     grid: GridSpec
     form: ComponentForm
     order: int
     death: Optional[StencilPart] = None   # constant m folded into an exponential death
     birth: Optional[StencilPart] = None   # z (exponential) or birth_kernel_scale folded in
-    # table-independent order-3 factors, indexed [j, l] (order 3)
-    death3: Optional[np.ndarray] = None   # minus the pair factor: dressings or additive rates
-    birth3: Optional[np.ndarray] = None   # dressing f_j or rate s_j of the new point next to j
-    gather3: Optional[np.ndarray] = None  # _rebase_gather of diff_index
-    # two P x P scratch arrays the order-3 step writes into (order 3)
-    work: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    neg: Optional[np.ndarray] = None      # index of -offset[j] (order >= 2)
+    # order 3: the death coefficient of k3 is death3[0] + rho death3[1]
+    death3: Optional[Tuple] = None
+    # order 3, per birth term [l - j, l, j]: the indices of k2 at that offset
+    # and of the lattice product r1 that term reads (l_delta_apply), and the
+    # coefficients of both
+    k2_index: Optional[np.ndarray] = None
+    r1_index: Optional[np.ndarray] = None
+    birth3: Optional[Tuple] = None        # (of r1, of k2)
 
 
 # Table entries _stencil_product transforms at a time: blocks of rows whose
-# spectra and inverse transforms, about 0.13 MB each, stay in cache and do not
-# raise the solver's peak at P = 256.
+# spectra and inverse transforms, about 0.13 MB each, stay in cache.
 _FFT_BLOCK = 1 << 14
 
 
@@ -155,38 +154,65 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
     m, z = form.death_const, form.birth_const
     b = StencilBundle(grid=grid, form=form, order=order)
     b.death, b.birth = (_part(grid, part) for part in form.parts)
+    death, birth = b.death, b.birth
 
-    if order >= 2 and b.birth is not None:
-        b.birth.hat = np.fft.rfftn(b.birth.cw.reshape(grid.shape))
+    if order >= 2:
+        b.neg = grid.flat(-grid.lattice)
+        if birth is not None:
+            birth.hat = np.fft.rfftn(birth.cw.reshape(grid.shape))
     if order >= 3:
-        di = grid.diff_index
-        if b.death is not None:
-            b.death.cw2 = b.death.cw[di]
-        # Every stencil is radial, so its values at offsets k and -k are
-        # equal to the last bit: the [j, l] factors below are symmetric or
-        # come in transposed pairs, which the kernel relies on.
-        if b.death is not None and b.death.dress is not None:
-            e, e2 = b.death.dress, b.death.dress[di]
-            b.death3 = -(e[:, None] * e[None, :] + e[:, None] * e2 + e[None, :] * e2)
-        elif b.death is not None:
-            a = b.death.p
-            b.death3 = -(3.0 * m + 2.0 * (a[:, None] + a[None, :] + a[di]))
-        if b.birth is not None and b.birth.dress is not None:
-            t = b.birth.dress
-            b.birth3 = t[:, None] * t[di]
-        elif b.birth is not None:
-            a = b.birth.p
-            b.birth3 = z + a[:, None] + a[di]
-        b.gather3 = _rebase_gather(di)
-        p = grid.num_cells
-        b.work = (np.empty((p, p)), np.empty((p, p)))
+        # the representatives (j, l) and the offset l - j, from lattice
+        # coordinates; every stencil is radial, so its values at l - j and
+        # j - l are equal to the last bit
+        j, l = np.divmod(grid.k3_orbits.reps.astype(np.intp), grid.num_cells)
+        x, y = grid.lattice[j], grid.lattice[l]
+        lj = grid.flat(y - x)
+        b.k2_index = np.stack((lj, l, j))
+        if death is None:
+            b.death3 = (-3.0 * m, 0.0)
+        elif death.dress is not None:
+            e = death.dress
+            e3 = -(e[j] * e[l] + (e[j] + e[l]) * e[lj])
+            b.death3 = (m * e3, death.mass * e3)
+        else:
+            a = death.p
+            b.death3 = (-(3.0 * m + 2.0 * (a[j] + a[l] + a[lj])), -3.0 * death.mass)
+        if birth is None:
+            b.birth3 = (0.0, z)
+            return b
+        # r1[f, c] for a representative row f of GridSpec.cell_orbits is
+        # entry c * |F| + f of the product; r1[u, v] = r1[g u, g v] for the
+        # point-group element g that takes u to its representative
+        b.r1_index = np.stack([_row_image(grid, u, v) for u, v in
+                               ((y - x, -x), (y, x), (x, y))])
+        if birth.dress is not None:
+            t = birth.dress
+            coef = np.stack((t[j] * t[l], t[j] * t[lj], t[l] * t[lj]))
+            b.birth3 = (coef, z * coef)
+        else:
+            a = birth.p
+            b.birth3 = (1.0, z + np.stack((a[j] + a[l], a[j] + a[lj], a[l] + a[lj])))
     return b
+
+
+def _row_image(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """For cells at lattice coordinates u and v (R x d), the index in the
+    order-3 product of l_delta_apply of r1[f, g v], with g the point-group
+    element that folds u into [0, n/2] per axis and then sorts it into f,
+    the representative of u's orbit (GridSpec.cell_orbits)."""
+    n, orbits = grid.points_per_axis, grid.cell_orbits
+    u, v = np.mod(u, n), np.mod(v, n)
+    flip = u > n - u
+    v = np.where(flip, -v, v)
+    order = np.argsort(np.where(flip, n - u, u), axis=1, kind="stable")
+    image = grid.flat(np.take_along_axis(v, order, axis=1))
+    return image * orbits.reps.size + orbits.labels[grid.flat(u)]
 
 
 def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
     """out[j, i] = sum_l cw at offset[j] - offset[l] times a[i, l], for a
-    vector a or a P x P table a, into out.
+    vector a or a table a of P columns, into out.
 
     On the torus this is the lattice convolution of each row of a with cw,
     irfftn(rfftn(row) * part.hat) on the grid of the given shape, taken
@@ -201,29 +227,15 @@ def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
     return out
 
 
-def _rebase_gather(di: np.ndarray) -> np.ndarray:
-    """gather[j, l], the flat index of (di[0, j], di[l, j]) in a P x P array;
-    di[0, j] is the index of -offset[j].
-
-    It rebases the third-order table onto a removed base point:
-    sum_r w[r] * k3[di[l, j], di[r, j]] is, with b = offset[r] - offset[j],
-    (k3 @ w[di].T)[di[l, j], c] at the cell c with offset[c] = -offset[j],
-    so one matrix product and this gather give it for every (j, l).
-    l_delta_apply forms the product transposed, w[di] @ k3.T for radial
-    weights, so that the gather reads along rows.
-    """
-    p = di.shape[0]
-    return di[0].astype(np.intp)[:, None] * p + di.T.astype(np.intp, order="C")
-
-
 def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
                   closure: str = "poisson") -> CorrelationTable:
     """Apply the truncated generator dual to a correlation table.
 
-    Returns a new table; its order-0 slot is zero, since the
-    empty-configuration entry is conserved by the dynamics.  The order-3
-    step works in the bundle's scratch arrays, so one bundle serves one
-    call at a time.
+    The table must have the symmetries of correlation data: k3 invariant
+    under S3 x the lattice point group (GridSpec.k3_orbits), k2 under the
+    point group.  Every table the solvers make has them.  Returns a new
+    table, itself symmetric; its order-0 slot is zero, since the
+    empty-configuration entry is conserved by the dynamics.
     """
     if closure not in _CLOSURES:
         raise ConfigError(f"closure must be one of {_CLOSURES}")
@@ -253,16 +265,22 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
 
     # ----- order 2 --------------------------------------------------------
     # Radial weights w give sum_l k2 at offset[l]-offset[j] times w[l] as
-    # (w2 @ k2)[-j], where w2 @ k2 is the other birth term.
-    neg = grid.diff_index[0]                  # index of -offset[j]
+    # (w2 @ k2)[-j], where w2 @ k2 is the other birth term.  k3's rows are
+    # equal on each orbit of GridSpec.cell_orbits, and so is every row
+    # reduction with a radial weight: they are taken on the representative
+    # rows k3f and expanded by the orbit labels.
+    rows = grid.cell_orbits
+    k3f = k3[rows.reps] if n_ord >= 3 else None
     out2 = out.k2
     if death is None:
         np.multiply(k2, -2.0 * m, out=out2)
     else:
         np.multiply(m + death.p, -2.0 * k2, out=out2)
         if n_ord >= 3:
-            rows = np.multiply(death.cw2, k3, out=bundle.work[1]).sum(axis=1)
-            integrated = k3 @ death.cw + rows
+            # the two integrals sum_l k3[j, l] cw at offset[l] and at
+            # offset[j] - offset[l] are equal, since the rebase maps k3[j, l]
+            # to k3[-j, l - j]
+            integrated = 2.0 * (k3f @ death.cw)[rows.labels]
         else:
             integrated = 2.0 * rho * death.mass * k2
         if death.dress is not None:
@@ -272,7 +290,7 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
         out2 += 2.0 * z * k1
     else:
         v = _stencil_product(birth, grid.shape, k2, np.empty_like(k2))
-        v += v[neg]
+        v += v[bundle.neg]
         if birth.dress is not None:
             v *= birth.dress
         out2 += 2.0 * k1 * (z + birth.p)
@@ -281,65 +299,23 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
         return out
 
     # ----- order 3 --------------------------------------------------------
-    # out3 collects the death term (_death_term), then the birth terms.  The
-    # two birth terms that put the new point next to point j or point l are
-    # transposes of each other, Y and Y.T.  k2 at offset[l]-offset[j] and
-    # the rebased integral x0 both come out of one gather of r1.T + z k2[None, :],
-    # where r1[j, l] = sum_r k3[j, r] w at offset[r]-offset[l].  Every gather
-    # index is in range, and a mode other than "raise" lets np.take write
-    # into its out array without a buffer.
-    out3 = out.k3
-    r, scratch = bundle.work
-    k2l = k2[None, :]                         # k2[l] broadcast over j
-    if birth is None:
-        _death_term(bundle, k3, rho, out3)
-        np.copyto(r, k2l)
-        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j]
-        scratch += k2[:, None]
-        scratch += k2l
-        scratch *= z
-        out3 += scratch
-    elif birth.dress is not None:
-        t = birth.dress
-        _stencil_product(birth, grid.shape, k3, r)             # r1.T
-        r += z * k2l
-        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # z k2 at offset[l]-offset[j], plus x0
-        # here the dressed x0 term comes first: out3 holds f_0[j, l] = t_j t_l
-        # until it is multiplied in, so f_0 needs no array of its own
-        np.multiply(t[:, None], t, out=out3)
-        out3 *= scratch
-        _death_term(bundle, k3, rho, scratch)
-        out3 += scratch
-        r *= bundle.birth3                    # Y.T
-        out3 += r
-        out3 += r.T
-    else:
-        _death_term(bundle, k3, rho, out3)
-        _stencil_product(birth, grid.shape, k3, r)
-        out3 += np.take(r, bundle.gather3, out=scratch, mode="wrap")   # x0
-        r += np.multiply(bundle.birth3, k2l, out=scratch)              # Y.T
-        out3 += r
-        out3 += r.T
-        np.copyto(r, k2l)
-        np.take(r, bundle.gather3, out=scratch, mode="wrap")   # k2 at offset[l]-offset[j]
-        a = birth.p
-        scratch *= np.add(z + a[:, None], a, out=r)            # rate s_0 = z + a_j + a_l
-        out3 += scratch
+    # At each representative (j, l), with r1[u, v] = sum_r k3[u, r] w at
+    # offset[r] - offset[v], w the birth stencil, the three birth terms put
+    # the new point next to each point of the triple {0, offset[j],
+    # offset[l]}: r1[l - j, -j] (rebased onto the removed point 0),
+    # r1[l, j] and r1[j, l], each with k2 at the two other points' offset.
+    # r1 is formed on the representative rows only; the output is expanded
+    # to every entry of the representatives' orbits.
+    orbits = grid.k3_orbits
+    death3, (coef_r1, coef_k2) = bundle.death3, bundle.birth3
+    value = k3.ravel()[orbits.reps]
+    value *= death3[0] + rho * death3[1]
+    value += (coef_k2 * k2[bundle.k2_index]).sum(axis=0)
+    if birth is not None:
+        r1 = _stencil_product(birth, grid.shape, k3f, np.empty((k3f.shape[1], k3f.shape[0])))
+        value += (coef_r1 * np.take(r1, bundle.r1_index)).sum(axis=0)
+    _expand(value, orbits.labels.ravel(), out.k3.ravel())
     return out
-
-
-def _death_term(bundle: StencilBundle, k3: np.ndarray, rho: float, out: np.ndarray) -> None:
-    """The order-3 death term into out: an exponential closure scales the
-    dressings, an additive one shifts the rates."""
-    death, m = bundle.death, bundle.form.death_const
-    if death is None:
-        np.multiply(k3, -3.0 * m, out=out)
-    elif death.dress is not None:
-        np.multiply(bundle.death3, k3, out=out)
-        out *= m + rho * death.mass
-    else:
-        np.subtract(bundle.death3, 3.0 * rho * death.mass, out=out)
-        out *= k3
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +355,8 @@ class KsSolution:
 # call counts that CI pins.
 _MIX_DEPTH = 3
 _WARMUP_STEPS = 2
-# Order-3 entries _mix expands from orbit values at a time: np.take copies
-# the int32 labels of a block into an index array of this many entries.
+# Order-3 entries expanded from orbit values (_expand) or checked against
+# them (lenard_spot_check) at a time.
 _ORBIT_BLOCK = 1 << 14
 # Largest entry a balance iterate may reach before StabilityError.
 _GUARD = 1e8
@@ -513,15 +489,19 @@ class _OrbitLayout:
 
     def expand(self, packed: np.ndarray, out: np.ndarray) -> None:
         """The vector whose k3 entries take the value of their orbit in
-        packed, into out; the k3 block _ORBIT_BLOCK entries at a time."""
+        packed, into out."""
         h = self.head
         out[:h] = packed[:h]
-        if self.orbits is None:
-            return
-        labels, rep = self.orbits.labels.ravel(), packed[h:]
-        for lo in range(0, labels.size, _ORBIT_BLOCK):
-            hi = lo + _ORBIT_BLOCK
-            np.take(rep, labels[lo:hi], out=out[h + lo:h + hi], mode="clip")
+        if self.orbits is not None:
+            _expand(packed[h:], self.orbits.labels.ravel(), out[h:])
+
+
+def _expand(values: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = values[labels[i]], _ORBIT_BLOCK entries at a time: np.take
+    copies the int32 labels of a block into an index array."""
+    for lo in range(0, labels.size, _ORBIT_BLOCK):
+        hi = lo + _ORBIT_BLOCK
+        np.take(values, labels[lo:hi], out=out[lo:hi], mode="clip")
 
 
 def _max_abs(vec: np.ndarray) -> float:
@@ -584,7 +564,7 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
     v = initial.as_vector()
     stage = np.empty_like(v)
     times = [0.0]
-    tables = [initial.copy()]
+    tables = [CorrelationTable.from_vector(initial, v.copy())]
     for step in range(1, n_steps + 1):
         h = dt if step < n_steps else last_h
         acc = deriv(v)
@@ -660,8 +640,8 @@ def _pairing_values(table: CorrelationTable) -> list:
     ladder stays inside [-1.2, 1.2], where the truncation at orders 2 and 3
     keeps S positive for Poisson and weakly correlated data while a
     vanishing pair function paired with a large density drives S below
-    zero.  The profiles share the spectrum of k3 (tables.k3_spectrum), so
-    each pairing mass costs O(P^2)."""
+    zero.  Each triple sum takes one FFT row per orbit of cells under the
+    lattice point group (tables._triple_sum)."""
     vals = [float(table.k0)]         # g = 0 observable
     rho = float(table.k1)
     if table.order < 2 or rho <= 0:
@@ -669,7 +649,6 @@ def _pairing_values(table: CorrelationTable) -> list:
     grid = table.grid
     dv = grid.cell_volume
     r = grid.distances
-    k3s = k3_spectrum(table) if table.order >= 3 else None
     for target, width in zip(_PAIRING_MASSES, _PAIRING_WIDTHS):
         width *= grid.torus.side
         raw = np.exp(-((r / width) ** 2))
@@ -679,26 +658,36 @@ def _pairing_values(table: CorrelationTable) -> list:
         c = target / u0
         if c < -0.9:                 # keep 1 + g(x) >= 0.1 pointwise
             c = -0.9
-        vals.append(product_expectation(table, c * raw, dv, k3s))
+        vals.append(product_expectation(table, c * raw, dv))
     return vals
 
 
 def lenard_spot_check(table: CorrelationTable, tol: float = 1e-8) -> LenardCheck:
     """Necessary positivity conditions for correlation data of a point
-    process: nonnegative entries, the exchange symmetries the reduction
-    must respect, and sampled product observables whose truncated
-    expectations must stay nonnegative.  The pairing check catches
-    internally inconsistent data, such as a large density with a vanishing
-    pair function, that entrywise checks cannot see."""
+    process: nonnegative entries, the symmetries of correlation data, and
+    sampled product observables whose truncated expectations must stay
+    nonnegative.  The pairing check catches internally inconsistent data,
+    such as a large density with a vanishing pair function, that entrywise
+    checks cannot see.
+
+    symmetry_defect is the largest distance of a k2 entry from the value at
+    its orbit's representative under the lattice point group, and of a k3
+    entry from that under S3 x the point group (GridSpec.cell_orbits and
+    k3_orbits): the symmetries product_expectation requires."""
+    grid = table.grid
     entries = [table.k0, table.k1]
     sym = 0.0
     if table.order >= 2:
         entries.append(float(np.min(table.k2)) if table.k2.size else 0.0)
-        neg = table.grid.diff_index[0]       # index of -offset[j]
-        sym = float(np.max(np.abs(table.k2 - table.k2[neg])))
+        rows = grid.cell_orbits
+        sym = _max_abs(table.k2 - table.k2[rows.reps[rows.labels]])
     if table.order >= 3:
         entries.append(float(np.min(table.k3)) if table.k3.size else 0.0)
-        sym = max(sym, float(np.max(np.abs(table.k3 - table.k3.T))))
+        labels, k3 = grid.k3_orbits.labels.ravel(), table.k3.ravel()
+        rep = k3[grid.k3_orbits.reps]
+        for lo in range(0, k3.size, _ORBIT_BLOCK):
+            hi = lo + _ORBIT_BLOCK
+            sym = max(sym, _max_abs(k3[lo:hi] - rep[labels[lo:hi]]))
     scale = max(1.0, table.max_abs())
     min_entry = min(entries)
     min_pairing = min(_pairing_values(table))

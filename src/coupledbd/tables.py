@@ -10,7 +10,8 @@ grid over the torus.  Orders up to 3 are supported:
     k3[j, l]    triple function at separations (offsets[j], offsets[l])
 
 The grid builds its offsets, their distances, the index of offset
-differences and the orbits of the order-3 entries under the symmetries of
+differences, the orbits of the cells under the lattice point group
+(cell_orbits) and those of the order-3 entries under the symmetries of
 correlation data (k3_orbits) on first use and keeps them, read-only, for
 its own lifetime.
 
@@ -30,13 +31,14 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, EvaluationError, SizeLimitError
 from .geometry import Torus
 from .potentials import Potential, _remainder_exp, potential_functionals
 
-# Most cells P a grid may have: its difference index has P x P entries and
-# an order-3 table P^2 values, 134 MB at the 2D default of 64 points per axis.
+# Most cells P a grid may have: an order-3 table has P^2 values, 134 MB at
+# the 2D default of 64 points per axis, and its orbit labels P^2 int32.
 MAX_GRID_CELLS = 4096
 
 
@@ -74,14 +76,20 @@ class GridSpec:
         return (self.points_per_axis,) * self.torus.dim
 
     @cached_property
-    def _lattice(self) -> np.ndarray:
+    def lattice(self) -> np.ndarray:
+        """Integer lattice coordinates of the cells, P x d."""
         n, d = self.points_per_axis, self.torus.dim
         mesh = np.meshgrid(*[np.arange(n)] * d, indexing="ij")
         return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
+    def flat(self, coords: np.ndarray) -> np.ndarray:
+        """Flat indices of the cells at integer coordinates (..., d), taken
+        modulo the points per axis."""
+        return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), self.shape, mode="wrap")
+
     @cached_property
     def offsets(self) -> np.ndarray:
-        return _read_only(self._lattice.astype(float) * self.h)
+        return _read_only(self.lattice.astype(float) * self.h)
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -89,7 +97,7 @@ class GridSpec:
         # fold the integer offsets into [-n/2, n/2) before scaling, so that the
         # offsets k and -k have the same distance to the last bit
         n = self.points_per_axis
-        delta = ((self._lattice + n // 2) % n - n // 2) * self.h
+        delta = ((self.lattice + n // 2) % n - n // 2) * self.h
         return _read_only(np.sqrt(np.sum(delta * delta, axis=1)))
 
     @cached_property
@@ -103,9 +111,22 @@ class GridSpec:
         return _read_only(out)
 
     @cached_property
-    def k3_orbits(self) -> "K3Orbits":
+    def cell_orbits(self) -> "Orbits":
+        """The orbits of the cells under the lattice point group, the
+        reflections and axis permutations (Orbits).  A cell's smallest image
+        has its coordinates folded into [0, n/2] and sorted."""
+        n = self.points_per_axis
+        folded = np.minimum(self.lattice, n - self.lattice)
+        smallest = self.flat(np.sort(folded, axis=1))
+        own = smallest == np.arange(self.num_cells)
+        labels = (np.cumsum(own) - 1)[smallest]
+        return Orbits(_read_only(labels), _read_only(np.flatnonzero(own)),
+                      _read_only(np.bincount(labels)))
+
+    @cached_property
+    def k3_orbits(self) -> "Orbits":
         """The orbits of the order-3 entries [j, l] under S3 x the lattice
-        point group (K3Orbits).
+        point group (Orbits, labels int32 and P x P).
 
         k3[j, l] is the correlation of the triple {0, offset[j], offset[l]},
         so it is unchanged by the permutations of the triple (the swap
@@ -159,22 +180,24 @@ class GridSpec:
         sizes, step = np.zeros(count, dtype=np.int64), max(_LABEL_BLOCK, count)
         for lo in range(0, flat.size, step):
             sizes += np.bincount(flat[lo:lo + step], minlength=count)
-        return K3Orbits(_read_only(out), _read_only(reps), _read_only(sizes))
+        return Orbits(_read_only(out), _read_only(reps), _read_only(sizes))
 
 
-class K3Orbits(NamedTuple):
-    """The orbits of a grid's order-3 entries (GridSpec.k3_orbits).
+class Orbits(NamedTuple):
+    """The orbits of a grid's cells (GridSpec.cell_orbits) or order-3
+    entries (GridSpec.k3_orbits).
 
-    labels[j, l] is the number of the orbit of entry [j, l] (int32, P x P);
-    reps[o] is the flat index of orbit o's smallest image, an entry of the
-    orbit, in increasing order; sizes[o] counts its entries."""
+    labels holds the number of each element's orbit; reps[o] is the flat
+    index of orbit o's smallest image, an element of the orbit, in
+    increasing order; sizes[o] counts its elements."""
     labels: np.ndarray
     reps: np.ndarray
     sizes: np.ndarray
 
 
 # Entries per block of the label build (GridSpec.k3_orbits), or the rows of
-# one first coordinate where those are more: the blocks bound its temporaries.
+# one first coordinate where those are more, and of the triple sum of
+# product_expectation: the blocks bound their temporaries.
 _LABEL_BLOCK = 1 << 14
 
 
@@ -279,16 +302,12 @@ class CorrelationTable:
         self._wrap(grid, order, np.zeros(size))
         self.vec[0] = k0
         self.vec[1] = k1
-        if order >= 2 and k2 is not None:
-            k2 = np.asarray(k2, dtype=float)
-            if k2.shape != (p,):
-                raise ConfigError(f"k2 must have shape ({p},)")
-            self.k2[...] = k2
-        if order >= 3 and k3 is not None:
-            k3 = np.asarray(k3, dtype=float)
-            if k3.shape != (p, p):
-                raise ConfigError(f"k3 must have shape ({p}, {p})")
-            self.k3[...] = k3
+        for name, given, view in (("k2", k2, self.k2), ("k3", k3, self.k3)):
+            if view is not None and given is not None:
+                given = np.asarray(given, dtype=float)
+                if given.shape != view.shape:
+                    raise ConfigError(f"{name} must have shape {view.shape}")
+                view[...] = given
 
     def _wrap(self, grid: GridSpec, order: int, vec: np.ndarray) -> None:
         p = grid.num_cells
@@ -327,9 +346,6 @@ class CorrelationTable:
 
     # -- plumbing ----------------------------------------------------------
 
-    def copy(self) -> "CorrelationTable":
-        return CorrelationTable.from_vector(self, self.vec.copy())
-
     def as_vector(self) -> np.ndarray:
         """A copy of the flat vector."""
         return self.vec.copy()
@@ -345,12 +361,8 @@ class CorrelationTable:
         return t
 
     def sup_by_order(self) -> Tuple[float, ...]:
-        out = [abs(self.k0), abs(self.k1)]
-        if self.order >= 2:
-            out.append(float(np.max(np.abs(self.k2))) if self.k2.size else 0.0)
-        if self.order >= 3:
-            out.append(float(np.max(np.abs(self.k3))) if self.k3.size else 0.0)
-        return tuple(out)
+        blocks = (self.k2, self.k3)[:self.order - 1]
+        return (abs(self.k0), abs(self.k1)) + tuple(float(np.max(np.abs(k))) for k in blocks)
 
     def kc_norm(self, c: float) -> float:
         """Weighted sup norm: max over orders n of sup|k_n| / c^n."""
@@ -397,65 +409,36 @@ def radial_profile(grid: GridSpec, values: np.ndarray):
 # ---------------------------------------------------------------------------
 # exponential Mayer functional
 
-def k3_spectrum(table: CorrelationTable) -> Tuple[np.ndarray, np.ndarray]:
-    """The lattice Fourier transform of table.k3 over both of its offsets,
-    which the triple sums of product_expectation contract: (spec, plus).
-
-    With K(p, q) = sum_jl k3[j, l] e^{-i (p.j + q.l)}, spec[p, q] is the
-    conjugate of K for every frequency p and the frequencies q that a real
-    transform keeps (the last axis up to n/2), doubled on the columns whose
-    mirror -q is not kept, so that the real part of a sum over the kept
-    columns is the sum over all of them.  plus[p, q] is the flat index of
-    frequency p + q.
-    """
-    grid = table.grid
-    shape, n = grid.shape, grid.points_per_axis
-    last = np.arange(n // 2 + 1)
-    spec = np.fft.rfftn(table.k3.reshape(shape + shape))
-    np.conjugate(spec, out=spec)
-    spec *= np.where((last == 0) | (2 * last == n), 1.0, 2.0)
-    kept = np.arange(grid.num_cells).reshape(shape)[..., :last.size].ravel()
-    di = grid.diff_index
-    return spec.reshape(grid.num_cells, -1), np.take(di, di[0, kept], axis=1)
-
-
-def _triple_sum(spectrum: Tuple[np.ndarray, np.ndarray], w_hat: np.ndarray) -> float:
-    """sum over cells p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1],
-    from k3's spectrum (k3_spectrum) and the transform W of w on the grid,
-    flattened: sum over p, q of K(p, q) W(-p) W(-q) W(p + q) / P^2.  W(-p)
-    is the conjugate of W(p), since w is real."""
-    spec, plus = spectrum
-    w_neg = np.conj(w_hat)
-    terms = w_hat[plus]                       # W(p + q)
-    terms *= w_neg[plus[0]]                   # W(-q)
-    terms *= w_neg[:, None]                   # W(-p)
-    # spec is conj(K), so Re(K terms) = spec.re terms.re + spec.im terms.im:
-    # one real dot product of the interleaved parts
-    total = np.dot(spec.view(np.float64).ravel(), terms.view(np.float64).ravel())
-    return float(total) / w_hat.size ** 2
-
-
-def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0,
-                        k3s: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> float:
+def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0) -> float:
     """Expectation of the product over the points x of (1 + g(x)) for a
     lattice field g of cell weight dv, truncated at the table's order:
 
         k0 + k1 sum g dv + (1/2) sum g(x) g(y) k2(y - x) dv^2
            + (1/6) sum g(x) g(y) g(z) k3(y - x, z - x) dv^3
 
-    Both sums are taken in Fourier space from the transform W of g: the
-    pair sum is sum_p |W(p)|^2 Re K2(p) / P, with K2 the transform of k2,
-    and the triple sum contracts the same W with the spectrum of k3
-    (_triple_sum).  k3s, k3_spectrum(table), is computed here unless given;
-    a caller that takes several expectations of one table passes it."""
+    It requires k3 invariant under S3 x the lattice point group, and k2
+    and g under the point group.  The pair sum is sum_p |W(p)|^2 Re K2(p)
+    / P, W and K2 the transforms of g and k2.  The triple sum is sum_jl
+    k3[j, l] T[j, l], T[j, l] = sum_a g[a] g[a + j] g[a + l], whose row
+    sums are equal on each orbit of GridSpec.cell_orbits: it is taken on
+    the representative rows f, weighted by the orbit sizes, with T[f] by
+    FFT, _LABEL_BLOCK entries at a time."""
+    grid, shape = table.grid, table.grid.shape
     value = table.k0 + table.k1 * float(np.sum(g)) * dv
     if table.order >= 2:
-        w_hat, k2_hat = (np.fft.fftn(a.reshape(table.grid.shape)).ravel() for a in (g, table.k2))
+        w_hat, k2_hat = (np.fft.fftn(a.reshape(shape)).ravel() for a in (g, table.k2))
         value += 0.5 * float((w_hat * w_hat.conj()).real @ k2_hat.real) / w_hat.size * dv ** 2
     if table.order >= 3:
-        if k3s is None:
-            k3s = k3_spectrum(table)
-        value += _triple_sum(k3s, w_hat) * dv ** 3 / 6.0
+        _, reps, sizes = grid.cell_orbits
+        axes, step = tuple(range(1, len(shape) + 1)), max(1, _LABEL_BLOCK // g.size)
+        g = g.reshape(shape)
+        shifted = sliding_window_view(np.tile(g, (2,) * g.ndim), shape)   # [f][a]: g[a + f]
+        g_hat = np.fft.rfftn(g)
+        for lo in range(0, reps.size, step):
+            f = reps[lo:lo + step]
+            u = np.fft.rfftn(shifted[tuple(grid.lattice[f].T)] * g, axes=axes)
+            t = np.fft.irfftn(u.conj() * g_hat, shape, axes=axes).reshape(f.size, -1)
+            value += float(sizes[lo:lo + step] @ np.sum(t * table.k3[f], 1) * dv ** 3 / 6.0)
     return value
 
 

@@ -29,7 +29,13 @@ from coupledbd.config import (
 )
 from coupledbd.errors import ConfigError, EvaluationError
 from coupledbd.hierarchy import component_form, evolve_hierarchy, ks_solve
-from coupledbd.models import BdlpInGlauber, BranchingInGlauber, GlauberGlauber, TwoBdlp
+from coupledbd.models import (
+    BdlpInGlauber,
+    BranchingInGlauber,
+    GlauberGlauber,
+    TwoBdlp,
+    build_averaged_model,
+)
 from coupledbd.tables import CorrelationTable, GridSpec
 
 
@@ -389,6 +395,24 @@ def test_cli_invariant_of_the_averaged_additive_system_at_order3(tmp_path):
     assert code == 0
     summ = json.loads((out / "summary.json").read_text())
     assert summ["converged"] is True
+
+
+def test_cli_invariant_of_the_averaged_system_counts_the_environment_solve(tmp_path):
+    # lambda-bar reads the environment's order-3 solve, so its kernel
+    # evaluations are part of the command's
+    cfg = _bdlp_config()
+    cfg["invariant"] = {"component": "averaged", "order": 3, "grid_points": 64}
+    out = tmp_path / "out"
+    assert main(["invariant", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    summ = json.loads((out / "summary.json").read_text())
+    m = model_from_config(resolve_config(cfg))
+    torus = torus_from_config(cfg)
+    grid = GridSpec(torus=torus, points_per_axis=64)
+    env = ks_solve(component_form(m, "environment"), grid, order=3)
+    system = ks_solve(component_form(build_averaged_model(m, env.table, torus), "system"),
+                      grid, order=3)
+    assert summ["evaluations"] == env.evaluations + system.evaluations == 61
+    assert summ["iterations"] == system.iterations
 
 
 def test_cli_evolve_writes_a_trajectory(tmp_path):

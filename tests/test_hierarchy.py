@@ -13,7 +13,6 @@ from coupledbd.errors import ConfigError, ConvergenceError, ModelError, Stabilit
 from coupledbd.geometry import Torus
 from coupledbd.hierarchy import (
     ComponentForm,
-    _rebase_gather,
     build_stencils,
     component_form,
     evolve_hierarchy,
@@ -80,12 +79,6 @@ def test_fixed_point_annihilates_the_evolution_operator():
     assert np.max(np.abs(lk.k3)) <= 1e-9
 
 
-def _gathered_triple_integral(k3, w, di):
-    """out[j, l] = sum_r w[r] * k3[di[l, j], di[r, j]] the way l_delta_apply
-    forms it: one matrix product and one gather (_rebase_gather)."""
-    return np.take(w[di].T @ k3.T, _rebase_gather(di))
-
-
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
 def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
     # out[j, l] = sum_r w[r] * k3[offset[l] - offset[j], offset[r] - offset[j]],
@@ -106,9 +99,8 @@ def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
         for l in range(p):
             a = diff(l, j)
             expected[j, l] = sum(w[r] * k3[a, diff(r, j)] for r in range(p))
-    for rebased in (_gathered_triple_integral, _rebased_triple_integral):
-        got = rebased(k3, w, grid.diff_index)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    got = _rebased_triple_integral(k3, w, grid.diff_index)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("block", ["default", "whole table"])
@@ -202,16 +194,15 @@ def _square_arrays(obj, name, p):
 @pytest.mark.parametrize("n", [16, 32])
 @pytest.mark.parametrize("name", ["exp_death_exp_birth", "add_death_add_birth",
                                   "glauber_environment"])
-def test_order3_bundle_keeps_no_square_array_but_its_factors_and_workspace(name, n):
-    # the birth part's lattice products are FFT convolutions at every grid
-    # size, so only the death part keeps its stencil at the offset differences
+def test_order3_bundle_keeps_no_square_array(name, n):
+    # the order-3 data live on the orbit representatives, a few per cent of
+    # the P^2 entries, and the lattice products are FFT convolutions
     form = (component_form(gg_model(), "environment") if name == "glauber_environment"
             else _GOLDEN_FORMS[name][0])
     grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=n)
     bundle = build_stencils(grid, form, 3)
     assert (bundle.death is None) == (name == "glauber_environment")
-    kept = _square_arrays(bundle, "", grid.num_cells)
-    assert kept <= {"work", "death3", "birth3", "gather3", "death.cw2"}, kept
+    assert _square_arrays(bundle, "", grid.num_cells) == set()
 
 
 # Edge forms: an exponential death with a constant birth, and parts that
@@ -622,14 +613,16 @@ def _array_bytes(obj) -> int:
 
 def test_solve_holds_four_state_vectors_the_orbit_labels_and_the_orbit_history():
     # the environment of the hierarchy benchmark: 2D 16 x 16, order 3; the
-    # grid's orbit labels are built inside the solve
+    # grid's orbit labels are built with the first order-3 bundle, before
+    # the traced solve, which holds them besides its own arrays
     model = GlauberGlauber(z_minus=0.5, psi=Potential.step(0.5, 1.0), z_plus=0.3,
                            phi_minus=Potential.zero(), phi_plus=Potential.zero())
     form = component_form(model, "environment")
     grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
-    bundle_bytes = _array_bytes(build_stencils(grid, form, 3))   # warms the grid's arrays
-    vector_bytes = CorrelationTable(grid, 3, 0.0, 0.0).vec.nbytes
     assert "k3_orbits" not in vars(grid)
+    bundle_bytes = _array_bytes(build_stencils(grid, form, 3))   # warms the grid's arrays
+    assert "k3_orbits" in vars(grid)
+    vector_bytes = CorrelationTable(grid, 3, 0.0, 0.0).vec.nbytes
     tracemalloc.start()
     try:
         ks_solve(form, grid, order=3)
@@ -637,13 +630,12 @@ def test_solve_holds_four_state_vectors_the_orbit_labels_and_the_orbit_history()
     finally:
         tracemalloc.stop()
     orbits = grid.k3_orbits
-    label_bytes = sum(a.nbytes for a in orbits)
     history_bytes = 2 * hierarchy._MIX_DEPTH * 8 * (2 + grid.num_cells + orbits.reps.size)
-    limit = 4 * vector_bytes + bundle_bytes + label_bytes + history_bytes
+    limit = 4 * vector_bytes + bundle_bytes + history_bytes
     assert peak <= limit, (
         f"peak {peak / vector_bytes:.2f} state vectors, "
         f"limit {limit / vector_bytes:.2f} (bundle {bundle_bytes / vector_bytes:.2f}, "
-        f"labels {label_bytes / vector_bytes:.2f}, history {history_bytes / vector_bytes:.2f})")
+        f"history {history_bytes / vector_bytes:.2f})")
 
 
 def test_solver_guards_against_runaway_expansions():
@@ -748,4 +740,25 @@ def test_lenard_check_flags_inconsistent_density_and_pairs():
     assert c.min_entry >= 0.0
     assert c.symmetry_defect == 0.0
     assert c.min_pairing < -0.1
+    assert not c.ok
+
+
+def test_lenard_check_flags_a_table_that_breaks_only_a_reflection():
+    # k3 averaged over S3 alone, then exactly its own transpose: k3 - k3.T
+    # is zero, while the reflection x -> -x of the lattice moves it
+    grid = GridSpec(torus=Torus(dim=1, side=4.5), points_per_axis=9)
+    p = grid.num_cells
+    rng = np.random.default_rng(3)
+    gens = k3_generators(grid)
+    s, r = gens["swap"], gens["rebase"]
+    k3 = rng.uniform(0.5, 1.5, (p, p))
+    k3 = (k3 + s(k3) + r(k3) + s(r(k3)) + r(s(k3)) + s(r(s(k3)))) / 6.0
+    k3 = 0.5 * (k3 + k3.T)
+    assert np.array_equal(k3, k3.T)
+    assert np.max(np.abs(gens["reflection"](k3) - k3)) > 0.01
+    symmetric = symmetrised_table(grid, seed=3)
+    broken = CorrelationTable(grid, 3, 1.0, 0.8, symmetric.k2, k3)
+    assert lenard_spot_check(symmetric).symmetry_defect <= 1e-15
+    c = lenard_spot_check(broken)
+    assert c.symmetry_defect > 0.01
     assert not c.ok
