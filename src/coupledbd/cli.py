@@ -130,10 +130,9 @@ def _solve(form, grid, section: dict):
 
 
 def _section_form(m, torus, section: dict):
-    """(form, grid, evaluations) of the component a hierarchy section
-    names; 'averaged' first solves the environment at the section's order
-    (lambda-bar reads its k2 and k3), in evaluations kernel evaluations,
-    and integrates it out."""
+    """(form, grid, evaluations) of the section's component; 'averaged'
+    first solves the environment (lambda-bar reads its k2 and k3) in
+    evaluations kernel calls and integrates it out."""
     grid = GridSpec(torus=torus, points_per_axis=section["grid_points"])
     form, evaluations = component_form(m, "environment"), 0
     if section["component"] != "environment":
