@@ -52,7 +52,7 @@ l_delta_apply tables whose entries are views into it
 (CorrelationTable.from_vector).  No array of the order-3 step has P x P
 entries but the result: it is computed on the R orbit representatives of
 S3 x the lattice point group (GridSpec.k3_orbits, whose P x P int32
-labels the grid keeps; R is about P^2/37 at 16 x 16 and P^2/47 at
+labels the grid keeps; R is about P^2/43 at 16 x 16 and P^2/48 at
 64 x 64) and expanded through the labels.  Its lattice product is an FFT
 convolution (_stencil_product) of k3's representative rows under the
 point group (GridSpec.cell_orbits, about P/8 in 2D) with the birth
