@@ -46,25 +46,24 @@ there.  evolve_hierarchy integrates the table it is given; for a
 constant-death form the CLI hands it an order-1 table, since no higher
 order feeds the density.
 
-Memory layout.  ks_solve and evolve_hierarchy keep their state as one flat
-vector in the CorrelationTable layout [k0, k1, k2, k3 row-major] and hand
-l_delta_apply tables whose entries are views into it
-(CorrelationTable.from_vector).  No array of the order-3 step has P x P
-entries but the result: it is computed on the R orbit representatives of
-S3 x the lattice point group (GridSpec.k3_orbits, whose P x P int32
-labels the grid keeps; R is about P^2/43 at 16 x 16 and P^2/48 at
-64 x 64) and expanded through the labels.  Its lattice product is an FFT
-convolution (_stencil_product) of k3's representative rows under the
-point group (GridSpec.cell_orbits, about P/8 in 2D) with the birth
+Memory layout.  The kernel and the solvers work on packed tables
+(PackedTable): one flat vector [k0, k1, k2, one k3 value per orbit] with
+the order-3 block on the R orbit representatives of S3 x the lattice
+point group (GridSpec.k3_orbits, whose P x P int32 labels the grid keeps;
+R is about P^2/43 at 16 x 16 and P^2/48 at 64 x 64).  No array of theirs
+has P x P entries but the tables they return or record, expanded from
+the packed state through the labels; a full CorrelationTable handed to
+l_delta_apply is packed on entry and its result expanded.  The lattice
+product of the order-3 step is an FFT convolution (_stencil_product) of
+k3's representative rows under the point group (GridSpec.cell_orbits,
+about P/8 in 2D), gathered from the orbit values, with the birth
 stencil, and build_stencils keeps the indices and coefficients of the R
-values.  The mixing solver (_mix) holds two state vectors: the table it
-was started from, whose vector holds x, then f = g - x, then the next x;
-and g, the kernel's result, released before the next kernel call.  Its
-histories dF and dG, whose slot due next also keeps the last f and g, are
-2 _MIX_DEPTH vectors of k0, k1, k2 and the R orbit values.
-evolve_hierarchy holds the state, one stage input, the weighted sum of the
-step's derivatives and the latest derivative.
-The solvers copy a state only when they record or return it.
+values.  The mixing solver (_mix) holds the packed vector it was started
+from, which holds x, then f = g - x, then the next x; g, the kernel's
+result; and the histories dF and dG, 2 _MIX_DEPTH packed vectors whose
+slot due next also keeps the last f and g.  evolve_hierarchy holds the
+packed state, one stage input, the weighted sum of the step's
+derivatives and the latest derivative.
 """
 
 from __future__ import annotations
@@ -83,6 +82,7 @@ from .tables import (
     corrected_stencil,
     product_expectation,
     radial_profile,
+    sup_abs,
     validate_grid_for_model,
 )
 
@@ -180,9 +180,10 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
         if birth is None:
             b.birth3 = (0.0, z)
             return b
-        # r1[f, c] for a representative row f of GridSpec.cell_orbits is
-        # entry c * |F| + f of the product; r1[u, v] = r1[g u, g v] for the
-        # point-group element g that takes u to its representative
+        # r1[f, c] for the representative row f of orbit o of
+        # GridSpec.cell_orbits is entry o P + c of the product; r1[u, v] =
+        # r1[g u, g v] for the point-group element g that takes u to its
+        # representative
         b.r1_index = np.stack([_row_image(grid, u, v) for u, v in
                                ((y - x, -x), (y, x), (x, y))])
         if birth.dress is not None:
@@ -200,57 +201,128 @@ def _row_image(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     order-3 product of l_delta_apply of r1[f, g v], with g the point-group
     element that folds u into [0, n/2] per axis and then sorts it into f,
     the representative of u's orbit (GridSpec.cell_orbits)."""
-    n, orbits = grid.points_per_axis, grid.cell_orbits
+    n = grid.points_per_axis
     u, v = np.mod(u, n), np.mod(v, n)
     flip = u > n - u
     v = np.where(flip, -v, v)
     order = np.argsort(np.where(flip, n - u, u), axis=1, kind="stable")
     image = grid.flat(np.take_along_axis(v, order, axis=1))
-    return image * orbits.reps.size + orbits.labels[grid.flat(u)]
+    return grid.cell_orbits.labels[grid.flat(u)] * grid.num_cells + image
 
 
 def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-    """out[j, i] = sum_l cw at offset[j] - offset[l] times a[i, l], for a
-    vector a or a table a of P columns, into out.
+    """out[i, j] = sum_l cw at offset[j] - offset[l] times a[i, l], for a
+    vector a or a table a of P columns, into out of a's shape.
 
     On the torus this is the lattice convolution of each row of a with cw,
     irfftn(rfftn(row) * part.hat) on the grid of the given shape, taken
     _FFT_BLOCK entries of a at a time."""
     p = a.shape[-1]
-    rows, cols = a.reshape(-1, p), out.reshape(p, -1)
+    rows, out_rows = a.reshape(-1, p), out.reshape(-1, p)
     axes, step = tuple(range(1, len(shape) + 1)), max(1, _FFT_BLOCK // p)
     for i in range(0, rows.shape[0], step):
         spec = np.fft.rfftn(rows[i:i + step].reshape((-1,) + shape), axes=axes)
         spec *= part.hat
-        cols[:, i:i + step] = np.fft.irfftn(spec, shape, axes=axes).reshape(-1, p).T
+        out_rows[i:i + step] = np.fft.irfftn(spec, shape, axes=axes).reshape(-1, p)
     return out
 
 
-def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
-                  closure: str = "poisson") -> CorrelationTable:
-    """Apply the truncated generator dual to a correlation table.
+class PackedTable:
+    """Correlation data with the order-3 block on the orbit representatives
+    of S3 x the lattice point group (GridSpec.k3_orbits): the flat vector
+    [k0, k1, k2 (P entries), one k3 value per orbit (R entries)], the layout
+    the kernel and the solvers compute in.  k2 and k3 are views into vec.
+    pack reads a CorrelationTable's k3 at the representatives; expand makes
+    the CorrelationTable whose k3 entries take the value of their orbit.
+    At orders 1 and 2 both layouts are the same."""
+
+    __slots__ = ("grid", "order", "vec", "k2", "k3")
+
+    def __init__(self, grid: GridSpec, order: int, vec: Optional[np.ndarray] = None):
+        head = _head(grid, order)
+        size = head + (grid.k3_orbits.reps.size if order == 3 else 0)
+        vec = np.zeros(size) if vec is None else vec
+        if vec.shape != (size,) or vec.dtype != np.float64:
+            raise ConfigError(f"vector must be float with shape {(size,)}")
+        self.grid, self.order, self.vec = grid, order, vec
+        self.k2 = vec[2:head] if order >= 2 else None
+        self.k3 = vec[head:] if order == 3 else None
+
+    @property
+    def k0(self) -> float:
+        return float(self.vec[0])
+
+    @property
+    def k1(self) -> float:
+        return float(self.vec[1])
+
+    @classmethod
+    def pack(cls, table: CorrelationTable) -> "PackedTable":
+        """table's k0, k1, k2 and its k3 at the orbit representatives, in a
+        new vector."""
+        head = table.vec[:_head(table.grid, table.order)]
+        if table.order < 3:
+            return cls(table.grid, table.order, head.copy())
+        reps = table.grid.k3_orbits.reps
+        return cls(table.grid, 3, np.concatenate((head, table.k3.ravel()[reps])))
+
+    def expand(self) -> CorrelationTable:
+        """A new full table: k0, k1, k2, and every k3 entry at the value of
+        its orbit."""
+        out = CorrelationTable(self.grid, self.order, 0.0, 0.0)
+        head = _head(self.grid, self.order)
+        out.vec[:head] = self.vec[:head]
+        if self.order == 3:
+            _expand(self.k3, self.grid.k3_orbits.labels.ravel(), out.k3.ravel())
+        return out
+
+
+def _head(grid: GridSpec, order: int) -> int:
+    """Entries k0, k1 and k2 of a table of the given order."""
+    return 2 + (grid.num_cells if order >= 2 else 0)
+
+
+def _expand(values: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = values[labels[i]], _ORBIT_BLOCK entries at a time: np.take
+    copies the int32 labels of a block into an index array."""
+    for lo in range(0, labels.size, _ORBIT_BLOCK):
+        hi = lo + _ORBIT_BLOCK
+        np.take(values, labels[lo:hi], out=out[lo:hi], mode="clip")
+
+
+def l_delta_apply(table: PackedTable | CorrelationTable, bundle: StencilBundle,
+                  closure: str = "poisson") -> PackedTable | CorrelationTable:
+    """Apply the truncated generator dual to a correlation table, a
+    PackedTable or a full CorrelationTable.
 
     The table must have the symmetries of correlation data: k3 invariant
     under S3 x the lattice point group (GridSpec.k3_orbits), k2 under the
-    point group.  Every table the solvers make has them.  Returns a new
-    table, itself symmetric; its order-0 slot is zero, since the
-    empty-configuration entry is conserved by the dynamics.
+    point group.  Every table the solvers make has them.  The step is
+    computed on the packed layout: a full table is packed on entry, its k3
+    read at the orbit representatives, and the result expanded.  Returns a
+    new table of the kind given, itself symmetric; its order-0 slot is
+    zero, since the empty-configuration entry is conserved by the dynamics.
     """
     if closure not in _CLOSURES:
         raise ConfigError(f"closure must be one of {_CLOSURES}")
-    grid = table.grid
-    if grid is not bundle.grid and grid != bundle.grid:
+    if table.grid is not bundle.grid and table.grid != bundle.grid:
         raise ConfigError("table and stencil bundle use different grids")
-    n_ord = table.order
-    if n_ord > bundle.order:
-        raise ConfigError(f"an order-{n_ord} table needs a bundle of order {n_ord}")
-    rho = table.k1 if closure == "poisson" else 0.0
+    if table.order > bundle.order:
+        raise ConfigError(f"an order-{table.order} table needs a bundle of order {table.order}")
+    state = table if isinstance(table, PackedTable) else PackedTable.pack(table)
+    out = _packed_apply(state, bundle, state.k1 if closure == "poisson" else 0.0)
+    return out if state is table else out.expand()
+
+
+def _packed_apply(table: PackedTable, bundle: StencilBundle, rho: float) -> PackedTable:
+    """l_delta_apply on a packed table, rho the density of the closure."""
+    grid, n_ord = table.grid, table.order
     m, z = bundle.form.death_const, bundle.form.birth_const
     death, birth = bundle.death, bundle.birth
 
     k0, k1, k2, k3 = table.k0, table.k1, table.k2, table.k3
-    out = CorrelationTable.from_vector(table, np.empty_like(table.vec))
+    out = PackedTable(grid, n_ord, np.empty_like(table.vec))
 
     # ----- order 1 --------------------------------------------------------
     out1 = z * k0 - m * k1
@@ -258,8 +330,7 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
         out1 -= float(death.cw @ k2) if n_ord >= 2 else rho * k1 * death.mass
     if birth is not None:
         out1 += k1 * birth.mass
-    out.k0 = 0.0
-    out.k1 = out1
+    out.vec[:2] = 0.0, out1
     if n_ord == 1:
         return out
 
@@ -268,15 +339,16 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     # (w2 @ k2)[-j], where w2 @ k2 is the other birth term.  k3's rows are
     # equal on each orbit of GridSpec.cell_orbits, and so is every row
     # reduction with a radial weight: they are taken on the representative
-    # rows k3f and expanded by the orbit labels.
+    # rows k3f, gathered from the orbit values, and expanded by the row
+    # labels.
     rows = grid.cell_orbits
-    k3f = k3[rows.reps] if n_ord >= 3 else None
+    k3f = k3[grid.k3_orbits.labels[rows.reps]] if n_ord == 3 else None
     out2 = out.k2
     if death is None:
         np.multiply(k2, -2.0 * m, out=out2)
     else:
         np.multiply(m + death.p, -2.0 * k2, out=out2)
-        if n_ord >= 3:
+        if n_ord == 3:
             # the two integrals sum_l k3[j, l] cw at offset[l] and at
             # offset[j] - offset[l] are equal, since the rebase maps k3[j, l]
             # to k3[-j, l - j]
@@ -304,37 +376,33 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     # the new point next to each point of the triple {0, offset[j],
     # offset[l]}: r1[l - j, -j] (rebased onto the removed point 0),
     # r1[l, j] and r1[j, l], each with k2 at the two other points' offset.
-    # r1 is formed on the representative rows only; the output is expanded
-    # to every entry of the representatives' orbits.
-    orbits = grid.k3_orbits
+    # r1 is formed on the representative rows only.
     death3, (coef_r1, coef_k2) = bundle.death3, bundle.birth3
-    value = k3.ravel()[orbits.reps]
-    value *= death3[0] + rho * death3[1]
+    value = np.multiply(k3, death3[0] + rho * death3[1], out=out.k3)
     value += (coef_k2 * k2[bundle.k2_index]).sum(axis=0)
     if birth is not None:
-        r1 = _stencil_product(birth, grid.shape, k3f, np.empty((k3f.shape[1], k3f.shape[0])))
+        r1 = _stencil_product(birth, grid.shape, k3f, np.empty_like(k3f))
         value += (coef_r1 * np.take(r1, bundle.r1_index)).sum(axis=0)
-    _expand(value, orbits.labels.ravel(), out.k3.ravel())
     return out
 
 
 # ---------------------------------------------------------------------------
 # invariant state
 
-def ks_apply(table: CorrelationTable, bundle: StencilBundle,
-             closure: str = "poisson") -> CorrelationTable:
-    """One application of the rearranged balance operator (without forcing).
+def ks_apply(table: PackedTable | CorrelationTable, bundle: StencilBundle,
+             closure: str = "poisson") -> PackedTable | CorrelationTable:
+    """One application of the rearranged balance operator (without forcing)
+    to a PackedTable or a CorrelationTable; returns a table of that kind.
 
-    Input and output have k0 = 0; the order-0 pin enters through the forcing
-    added by the solver.
+    The table is read with k0 = 0 and the output has k0 = 0; the order-0
+    pin enters through the forcing added by the solver.
     """
-    work = table if table.k0 == 0.0 else CorrelationTable(
-        table.grid, table.order, 0.0, table.k1, table.k2, table.k3)
-    out = l_delta_apply(work, bundle, closure=closure)
+    out = l_delta_apply(table, bundle, closure=closure)
     m = bundle.form.death_const
-    out.k1 = work.k1 + out.k1 / m
-    for n, lk, k in ((2, out.k2, work.k2), (3, out.k3, work.k3)):
-        if n <= work.order:
+    # k0 enters the kernel's output only as z k0, in its order-1 entry
+    out.vec[1] = table.k1 + (out.vec[1] - bundle.form.birth_const * table.k0) / m
+    for n, lk, k in ((2, out.k2, table.k2), (3, out.k3, table.k3)):
+        if n <= table.order:
             lk /= n * m
             lk += k
     return out
@@ -349,12 +417,16 @@ class KsSolution:
     evaluations: int           # kernel evaluations, lower-order stages included
 
 
-# Each history vector of the mixing holds k0, k1, k2 and one value per k3
-# orbit, 2.9 MB at 64 x 64 where a state vector is 134 MB.  A deeper
-# history would cost little memory, but it changes the iteration and kernel
-# call counts that CI pins.
+# Each history vector of the mixing is a packed state vector (PackedTable),
+# 2.9 MB at 64 x 64.  A deeper history would cost little memory, but it
+# changes the iteration and kernel call counts that CI pins.
 _MIX_DEPTH = 3
 _WARMUP_STEPS = 2
+# A history column whose pivot in the Gram matrix dF^T dF falls to this
+# fraction of the matrix's largest diagonal entry depends on the columns
+# taken before it and is left out of the step (_gram_solve): the level at
+# which an rcond of 1e-14 cuts the singular values of that matrix.
+_MIX_CUT = 1e-14
 # Order-3 entries expanded from orbit values (_expand) or checked against
 # them (lenard_spot_check) at a time.
 _ORBIT_BLOCK = 1 << 14
@@ -377,142 +449,129 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
     the forcing; any other form is solved at `order` from the forcing.
     tol and max_iter apply to each stage.  iterations and residuals are
     those of the stage at `order`; evaluations counts the kernel
-    evaluations of every stage.
+    evaluations of every stage.  The stages work on packed tables
+    (PackedTable); only the returned table is expanded.
     """
     bundle = build_stencils(grid, form, order)
     forcing = form.birth_const / form.death_const
     x = np.array([0.0, forcing])
     evaluations = 0
     for n in range(1 if form.constant_death else order, order + 1):
-        template = CorrelationTable(grid, n, 0.0, 0.0)
-        template.vec[:x.size] = x
-        x, residuals = _mix(template, bundle, forcing, tol, max_iter, closure)
+        start = PackedTable(grid, n)
+        start.vec[:x.size] = x
+        x, residuals = _mix(start, bundle, forcing, tol, max_iter, closure)
         evaluations += len(residuals)
     x[0] = 1.0
-    return KsSolution(table=CorrelationTable.from_vector(template, x),
+    return KsSolution(table=PackedTable(grid, order, x).expand(),
                       iterations=len(residuals), residuals=residuals,
                       converged=True, evaluations=evaluations)
 
 
-def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
+def _mix(start: PackedTable, bundle: StencilBundle, forcing: float,
          tol: float, max_iter: int, closure: str) -> Tuple[np.ndarray, List[float]]:
     """Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011) of G at the
-    order of start, from start; (the fixed point with k0 = 0, residuals).
+    order of start, from start; (the packed fixed point with k0 = 0,
+    residuals).
 
     Each step evaluates g = G(x) and f = g - x and records max|f| in
     residuals.  The first _WARMUP_STEPS steps are plain Picard steps x = g,
     so the free case, where Picard is exact after `order` steps, still
     stops within `order` iterations.  After them x = g - dG gamma, where dF
     and dG hold the differences of f and g over the last _MIX_DEPTH steps
-    and gamma solves (dF^T dF) gamma = dF^T f.  StabilityError is raised
-    when g or the mixed x is not finite or exceeds _GUARD; the residual and
-    both guards read every entry.
+    and gamma solves (dF^T dF) gamma = dF^T f (_gram_solve).  StabilityError
+    is raised when g or the mixed x is not finite or exceeds _GUARD.
 
-    The order-3 block of a correlation table is invariant under S3 and the
-    lattice point group (GridSpec.k3_orbits), and so is the kernel's output
-    for such a table, to round-off.  The history therefore keeps that
-    block on orbit representatives (_OrbitLayout): k0, k1 and k2 in full,
-    then one value per orbit, weighted in dF by the square root of the
-    orbit's size, so that dF^T dF and dF^T f keep the values of the full
-    vectors, and unweighted in dG.  The mixed x is g - dG gamma on the
-    representatives, expanded to every entry of their orbits, so it is
-    exactly symmetric: the map has unstable directions off the symmetric
-    tables (for a 1D Glauber environment at z = 1.5, psi step(3, 1), a
-    round-off asymmetry of g grew 1.7-fold a step when x took g's own
-    entries), and the expansion drops what the kernel adds along them.
+    The state is packed (PackedTable): the order-3 block of a correlation
+    table is invariant under S3 and the lattice point group
+    (GridSpec.k3_orbits), and so is the kernel's output for such a table,
+    so x, f and g hold one value per orbit, and the residual and the
+    guards read every entry's value.  In dF these values are weighted by
+    the square root of the orbit's size, so that dF^T dF and dF^T f keep
+    the values of the full vectors; dG is unweighted.  A packed state is
+    exactly symmetric, and must be: the map has unstable directions off the
+    symmetric tables (for a 1D Glauber environment at z = 1.5, psi
+    step(3, 1), a round-off asymmetry of g grew 1.7-fold a step when x
+    took a full g's own entries), and the packed layout has no entries
+    along them.
 
-    Memory: the history dF, dG (2 _MIX_DEPTH vectors of orbit values),
-    start.vec, which holds x, then f, then the next x, and g, the kernel's
-    result, released before the next kernel call.  f and g wait for the
-    next step's differences in the history slot that step overwrites,
-    which the current step has read by the time they are stored.
+    Memory: packed vectors only, the history dF, dG (2 _MIX_DEPTH
+    vectors), start.vec, which holds x, then the weighted f, then the next
+    x, and g, the kernel's result.  f and g wait for the next step's
+    differences in the history slot that step overwrites, which the
+    current step has read by the time they are stored.
     """
     x = start.vec
-    orbits = _OrbitLayout(start)
-    d_f = np.empty((orbits.size, _MIX_DEPTH), order="F")
-    d_g = np.empty((orbits.size, _MIX_DEPTH), order="F")
+    head = _head(start.grid, start.order)
+    weight = np.sqrt(start.grid.k3_orbits.sizes) if start.order == 3 else None
+    d_f = np.empty((x.size, _MIX_DEPTH), order="F")
+    d_g = np.empty((x.size, _MIX_DEPTH), order="F")
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
-        g = ks_apply(CorrelationTable.from_vector(start, x), bundle, closure=closure).vec
+        g = ks_apply(start, bundle, closure=closure).vec
         g[1] += forcing
         f = np.subtract(g, x, out=x)
-        residuals.append(_max_abs(f))
+        residuals.append(sup_abs(f))
         _check_stable(g, it)
         if residuals[-1] <= tol:
             return g, residuals
-        f_rep, g_rep = orbits.pack(f, weighted=True), orbits.pack(g)
+        if weight is not None:
+            f[head:] *= weight
         if it > 1:
             slot = (it - 2) % _MIX_DEPTH       # holds f and g of the step before
-            np.subtract(f_rep, d_f[:, slot], out=d_f[:, slot])
-            np.subtract(g_rep, d_g[:, slot], out=d_g[:, slot])
+            np.subtract(f, d_f[:, slot], out=d_f[:, slot])
+            np.subtract(g, d_g[:, slot], out=d_g[:, slot])
         keep = (it - 1) % _MIX_DEPTH           # the slot the next step overwrites
-        if it <= _WARMUP_STEPS:
-            x[:] = g
-        else:
+        nxt = g
+        if it > _WARMUP_STEPS:
             df = d_f[:, :min(it - 1, _MIX_DEPTH)]
-            gamma = np.linalg.lstsq(df.T @ df, df.T @ f_rep, rcond=1e-14)[0]
-            mixed = g_rep - d_g[:, :gamma.size] @ gamma
-            orbits.expand(mixed, out=x)
-            _check_stable(x, it)
-        d_f[:, keep] = f_rep
-        d_g[:, keep] = g_rep
-        del g
+            gamma = _gram_solve(df.T @ df, df.T @ f)
+            nxt = g - d_g[:, :gamma.size] @ gamma
+            _check_stable(nxt, it)
+        d_f[:, keep] = f
+        d_g[:, keep] = g
+        x[:] = nxt
     raise ConvergenceError(
         f"balance iteration did not reach tol={tol} in {max_iter} steps "
         f"at order {start.order} (last residual {residuals[-1]:.3e})")
 
 
-class _OrbitLayout:
-    """A state vector's entries k0, k1, k2, then, at order 3, one entry per
-    orbit of the k3 block (GridSpec.k3_orbits): the layout of _mix's
-    history."""
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gamma with gram gamma = rhs for the k x k Gram matrix gram = dF^T dF
+    and rhs = dF^T f of the mixing (k <= _MIX_DEPTH), by an LDL^T
+    factorisation with symmetric pivoting in Python floats.  Each step
+    takes the column of largest remaining diagonal entry and stops when
+    that entry falls to _MIX_CUT of the largest diagonal entry of gram;
+    the gamma of the columns left, which depend on those taken, is 0.
 
-    def __init__(self, template: CorrelationTable):
-        self.head = template.vec.size
-        self.orbits = None
-        if template.order == 3:
-            self.orbits = template.grid.k3_orbits
-            self.head -= template.k3.size
-            self.weight = np.sqrt(self.orbits.sizes)
-        self.size = self.head + (0 if self.orbits is None else self.orbits.reps.size)
-
-    def pack(self, vec: np.ndarray, weighted: bool = False) -> np.ndarray:
-        """vec's head and its k3 entries at the orbit representatives, these
-        weighted by the square roots of the orbit sizes when asked."""
-        if self.orbits is None:
-            return vec.copy()
-        h = self.head
-        out = np.concatenate((vec[:h], vec[h:][self.orbits.reps]))
-        if weighted:
-            out[h:] *= self.weight
-        return out
-
-    def expand(self, packed: np.ndarray, out: np.ndarray) -> None:
-        """The vector whose k3 entries take the value of their orbit in
-        packed, into out."""
-        h = self.head
-        out[:h] = packed[:h]
-        if self.orbits is not None:
-            _expand(packed[h:], self.orbits.labels.ravel(), out[h:])
-
-
-def _expand(values: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = values[labels[i]], _ORBIT_BLOCK entries at a time: np.take
-    copies the int32 labels of a block into an index array."""
-    for lo in range(0, labels.size, _ORBIT_BLOCK):
-        hi = lo + _ORBIT_BLOCK
-        np.take(values, labels[lo:hi], out=out[lo:hi], mode="clip")
-
-
-def _max_abs(vec: np.ndarray) -> float:
-    """max |vec| from its largest and smallest entries, without a
-    temporary; NaN when vec holds a NaN, since both of those are NaN."""
-    return float(max(vec.max(), -vec.min()))
+    Walker & Ni factor dF itself (QR), which squares no condition number;
+    the normal equations keep the step within round-off of a least-squares
+    solve here (_MIX_CUT cuts dF's columns at 1e-7 of the largest), and
+    they need no LAPACK routine, whose first call maps about 1 MB of
+    library pages into the process."""
+    a, b = gram.tolist(), rhs.tolist()
+    cut = _MIX_CUT * max(a[i][i] for i in range(len(b)))
+    left, taken = list(range(len(b))), []
+    while left:
+        p = max(left, key=lambda i: a[i][i])
+        if not a[p][p] > cut:
+            break
+        left.remove(p)
+        taken.append(p)
+        for i in left:
+            factor = a[i][p] / a[p][p]
+            b[i] -= factor * b[p]
+            for j in left:
+                a[i][j] -= factor * a[p][j]
+    gamma = [0.0] * len(b)
+    for t in reversed(range(len(taken))):
+        p = taken[t]
+        gamma[p] = (b[p] - sum(a[p][j] * gamma[j] for j in taken[t + 1:])) / a[p][p]
+    return np.array(gamma)
 
 
 def _check_stable(vec: np.ndarray, it: int) -> None:
     # written so that a NaN entry fails the comparison too
-    if not _max_abs(vec) <= _GUARD:
+    if not sup_abs(vec) <= _GUARD:
         raise StabilityError(
             f"balance iteration left the stable range after {it} steps")
 
@@ -542,7 +601,8 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
 
     Records the state every record_every steps (and always the endpoints).
     When dt does not divide t_final, the last step is shortened so the run
-    ends at t_final.
+    ends at t_final.  The state is packed (PackedTable): initial's k3 is
+    read at the orbit representatives, and each later record is expanded.
     """
     if dt <= 0 or t_final < 0:
         raise ConfigError("need dt > 0 and t_final >= 0")
@@ -556,15 +616,16 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
         last_h, t_end = t_final - (n_steps - 1) * dt, t_final
 
     def deriv(vec: np.ndarray) -> np.ndarray:
-        t = CorrelationTable.from_vector(initial, vec)
+        t = PackedTable(initial.grid, initial.order, vec)
         return l_delta_apply(t, bundle, closure=closure).vec
 
     # v is the state; each stage input is formed in `stage`, and the
     # weighted sum of the four derivatives builds up in the first one
-    v = initial.as_vector()
+    state = PackedTable.pack(initial)
+    v = state.vec
     stage = np.empty_like(v)
     times = [0.0]
-    tables = [CorrelationTable.from_vector(initial, v.copy())]
+    tables = [CorrelationTable.from_vector(initial, initial.as_vector())]
     for step in range(1, n_steps + 1):
         h = dt if step < n_steps else last_h
         acc = deriv(v)
@@ -579,12 +640,12 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
         acc *= h / 6.0
         v += acc
         t = step * dt if step < n_steps else t_end
-        if not _max_abs(v) <= _STABILITY_CAP:
+        if not sup_abs(v) <= _STABILITY_CAP:
             raise StabilityError(
                 f"hierarchy blew past the stability cap at t={t:.4g}")
         if step % record_every == 0 or step == n_steps:
             times.append(t)
-            tables.append(CorrelationTable.from_vector(initial, v.copy()))
+            tables.append(state.expand())
     return HierarchyTrajectory(times=np.array(times), tables=tables)
 
 
@@ -680,14 +741,14 @@ def lenard_spot_check(table: CorrelationTable, tol: float = 1e-8) -> LenardCheck
     if table.order >= 2:
         entries.append(float(np.min(table.k2)) if table.k2.size else 0.0)
         rows = grid.cell_orbits
-        sym = _max_abs(table.k2 - table.k2[rows.reps[rows.labels]])
+        sym = sup_abs(table.k2 - table.k2[rows.reps[rows.labels]])
     if table.order >= 3:
         entries.append(float(np.min(table.k3)) if table.k3.size else 0.0)
         labels, k3 = grid.k3_orbits.labels.ravel(), table.k3.ravel()
         rep = k3[grid.k3_orbits.reps]
         for lo in range(0, k3.size, _ORBIT_BLOCK):
             hi = lo + _ORBIT_BLOCK
-            sym = max(sym, _max_abs(k3[lo:hi] - rep[labels[lo:hi]]))
+            sym = max(sym, sup_abs(k3[lo:hi] - rep[labels[lo:hi]]))
     scale = max(1.0, table.max_abs())
     min_entry = min(entries)
     min_pairing = min(_pairing_values(table))

@@ -237,6 +237,12 @@ def _column_key(a: np.ndarray, b: np.ndarray, image, n: int, p: int) -> np.ndarr
     return np.minimum(x * p + y, np.mod(-x, n) * p + np.mod(-y, n))
 
 
+def sup_abs(a: np.ndarray) -> float:
+    """max |a| from the largest and smallest entries of a, without a
+    temporary; NaN when a holds a NaN, since both of those are NaN."""
+    return abs(float(max(a.max(), -a.min())))
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -362,7 +368,7 @@ class CorrelationTable:
 
     def sup_by_order(self) -> Tuple[float, ...]:
         blocks = (self.k2, self.k3)[:self.order - 1]
-        return (abs(self.k0), abs(self.k1)) + tuple(float(np.max(np.abs(k))) for k in blocks)
+        return (abs(self.k0), abs(self.k1)) + tuple(sup_abs(k) for k in blocks)
 
     def kc_norm(self, c: float) -> float:
         """Weighted sup norm: max over orders n of sup|k_n| / c^n."""

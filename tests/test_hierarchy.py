@@ -120,7 +120,7 @@ def test_fft_stencil_product_matches_the_dense_product(dim, side, n, block, monk
     k3 = rng.uniform(0.5, 1.5, (p, p))        # neither symmetric nor radial
     k2 = rng.uniform(0.5, 1.5, p)
     for a in (k3, k2):
-        want = cw2 @ a.T
+        want = a @ cw2.T                      # row by row: want[i] = cw2 @ a[i]
         got = hierarchy._stencil_product(birth, grid.shape, a, np.empty_like(want))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -176,6 +176,21 @@ def test_order3_apply_matches_its_golden_sums(name):
     out = l_delta_apply(symmetrised_table(grid, seed=7), build_stencils(grid, form, 3))
     got = (out.k1, np.sum(out.k2), w2 @ out.k2, np.sum(out.k3), np.sum(w3 * out.k3))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_FORMS))
+@pytest.mark.parametrize("dim,side,n", [(1, 4.5, 9), (2, 4.0, 8), (3, 4.0, 8)])
+def test_packed_apply_is_the_packed_full_apply(dim, side, n, name):
+    # one kernel: a full table is packed on entry and its result expanded,
+    # so packing that result gives the packed call's vector bit for bit
+    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+    table = symmetrised_table(grid, seed=n)
+    bundle = build_stencils(grid, _GOLDEN_FORMS[name][0], 3)
+    full = l_delta_apply(table, bundle)
+    packed = l_delta_apply(hierarchy.PackedTable.pack(table), bundle)
+    assert isinstance(full, CorrelationTable) and isinstance(packed, hierarchy.PackedTable)
+    assert np.array_equal(hierarchy.PackedTable.pack(full).vec, packed.vec)
+    assert np.array_equal(packed.expand().vec, full.vec)
 
 
 def _square_arrays(obj, name, p):
@@ -560,20 +575,9 @@ def test_mixed_solve_reaches_the_picard_fixed_point(model, grid):
     assert np.max(np.abs(got[1:] - ref.as_vector()[1:])) <= 1e-10 * scale
 
 
-def test_solver_stops_on_a_non_finite_iterate(monkeypatch):
-    real = hierarchy.l_delta_apply
-
-    def poisoned(table, bundle, closure="poisson"):
-        out = real(table, bundle, closure=closure)
-        out.k1 = math.nan
-        return out
-
-    monkeypatch.setattr(hierarchy, "l_delta_apply", poisoned)
-    with pytest.raises(StabilityError):
-        ks_solve(component_form(gg_model(), "environment"), GRID, order=2)
-
-
-def test_solver_stops_on_a_nan_in_the_third_order_block(monkeypatch):
+def _poison_the_fourth_order3_evaluation(monkeypatch, where, bad):
+    """Rebind the kernel so that its fourth order-3 evaluation, in a mixed
+    step, writes bad into its packed order-3 block at index where."""
     real = hierarchy.l_delta_apply
     calls = []
 
@@ -581,13 +585,47 @@ def test_solver_stops_on_a_nan_in_the_third_order_block(monkeypatch):
         out = real(table, bundle, closure=closure)
         calls.append(table.order)
         if table.order == 3 and calls.count(3) == 4:
-            out.k3[5, 7] = math.nan           # in a mixed step, deep in the vector
+            assert isinstance(out, hierarchy.PackedTable)
+            out.k3[where] = bad
         return out
 
     monkeypatch.setattr(hierarchy, "l_delta_apply", poisoned)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_solver_stops_on_a_non_finite_iterate(monkeypatch, bad):
+    _poison_the_fourth_order3_evaluation(monkeypatch, -1, bad)   # the last orbit value
     with pytest.raises(StabilityError, match="after 4 steps"):
         ks_solve(component_form(gg_model(), "environment"),
                  GridSpec(torus=TORUS1, points_per_axis=32), order=3)
+
+
+def test_solver_stops_on_a_nan_in_the_third_order_block(monkeypatch):
+    _poison_the_fourth_order3_evaluation(monkeypatch, 57, math.nan)   # deep in the vector
+    with pytest.raises(StabilityError, match="after 4 steps"):
+        ks_solve(component_form(gg_model(), "environment"),
+                 GridSpec(torus=TORUS1, points_per_axis=32), order=3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gram_solve_matches_a_least_squares_solve(k):
+    # the mixing's step gamma minimises |dF gamma - f|; np.linalg.lstsq on
+    # dF is the reference, on well-conditioned columns to 1e-10, and on a
+    # column that is a multiple of another to the same residual norm, with
+    # that column left out
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        df = rng.normal(size=(40, k)) * rng.uniform(1e-3, 1e3, k)
+        f = rng.normal(size=40)
+        got = hierarchy._gram_solve(df.T @ df, df.T @ f)
+        want = np.linalg.lstsq(df, f, rcond=None)[0]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
+    df = np.column_stack([df, 3.0 * df[:, 0]])
+    got = hierarchy._gram_solve(df.T @ df, df.T @ f)
+    assert got[0] == 0.0 or got[k] == 0.0
+    want = np.linalg.lstsq(df, f, rcond=None)[0]
+    assert np.linalg.norm(df @ got - f) == pytest.approx(np.linalg.norm(df @ want - f), rel=1e-12)
+    assert not np.any(hierarchy._gram_solve(np.zeros((k, k)), np.zeros(k)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2e8])
@@ -611,31 +649,29 @@ def _array_bytes(obj) -> int:
     return 0
 
 
-def test_solve_holds_four_state_vectors_the_orbit_labels_and_the_orbit_history():
-    # the environment of the hierarchy benchmark: 2D 16 x 16, order 3; the
-    # grid's orbit labels are built with the first order-3 bundle, before
-    # the traced solve, which holds them besides its own arrays
+def test_solve_holds_one_square_array_the_orbit_labels_and_its_bundle():
+    # the solver keeps its state on the k3 orbit representatives and expands
+    # only the table it returns: at its peak it holds that table's P^2
+    # floats, the grid's P^2 int32 orbit labels and the arrays of its
+    # stencil bundle, which it builds, and packed vectors and FFT rows
+    # within a slack of an eighth of the table
     model = GlauberGlauber(z_minus=0.5, psi=Potential.step(0.5, 1.0), z_plus=0.3,
                            phi_minus=Potential.zero(), phi_plus=Potential.zero())
     form = component_form(model, "environment")
-    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
     assert "k3_orbits" not in vars(grid)
-    bundle_bytes = _array_bytes(build_stencils(grid, form, 3))   # warms the grid's arrays
-    assert "k3_orbits" in vars(grid)
-    vector_bytes = CorrelationTable(grid, 3, 0.0, 0.0).vec.nbytes
     tracemalloc.start()
     try:
-        ks_solve(form, grid, order=3)
+        sol = ks_solve(form, grid, order=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    orbits = grid.k3_orbits
-    history_bytes = 2 * hierarchy._MIX_DEPTH * 8 * (2 + grid.num_cells + orbits.reps.size)
-    limit = 4 * vector_bytes + bundle_bytes + history_bytes
+    table_bytes, label_bytes = sol.table.vec.nbytes, grid.k3_orbits.labels.nbytes
+    bundle_bytes = _array_bytes(build_stencils(grid, form, 3))
+    limit = table_bytes + label_bytes + bundle_bytes + table_bytes // 8
     assert peak <= limit, (
-        f"peak {peak / vector_bytes:.2f} state vectors, "
-        f"limit {limit / vector_bytes:.2f} (bundle {bundle_bytes / vector_bytes:.2f}, "
-        f"history {history_bytes / vector_bytes:.2f})")
+        f"peak {peak / table_bytes:.2f} tables, limit {limit / table_bytes:.2f} "
+        f"(labels {label_bytes / table_bytes:.2f}, bundle {bundle_bytes / table_bytes:.2f})")
 
 
 def test_solver_guards_against_runaway_expansions():

@@ -141,6 +141,28 @@ def test_kc_norm_weights_orders_geometrically():
         t.kc_norm(0.0)
 
 
+def test_sup_by_order_reads_each_block_without_a_copy():
+    # max |k| per order from each block's largest and smallest entries: no
+    # temporary of the block's size, a NaN propagates, and -0.0 reads 0.0
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
+    p = grid.num_cells
+    rng = np.random.default_rng(5)
+    t = CorrelationTable(grid, 3, 1.0, -0.4, rng.normal(size=p), rng.normal(size=(p, p)))
+    want = (1.0, 0.4, float(np.max(np.abs(t.k2))), float(np.max(np.abs(t.k3))))
+    tracemalloc.start()
+    try:
+        got = t.sup_by_order()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < t.k3.nbytes // 16
+    t.k3[3, 4] = math.nan
+    assert math.isnan(t.sup_by_order()[3])
+    zero = CorrelationTable(grid, 2, 0.0, 0.0, np.full(p, -0.0))
+    assert math.copysign(1.0, zero.sup_by_order()[2]) == 1.0
+
+
 def test_mayer_stencil_mass_matches_the_exact_functional():
     # the factors pot, e^{-pot} - 1 and e^{+pot} - 1 carry the masses l1,
     # -beta and beta_neg, in 1D and 2D
