@@ -46,24 +46,21 @@ there.  evolve_hierarchy integrates the table it is given; for a
 constant-death form the CLI hands it an order-1 table, since no higher
 order feeds the density.
 
-Memory layout.  The kernel and the solvers work on packed tables
-(PackedTable): one flat vector [k0, k1, k2, one k3 value per orbit] with
-the order-3 block on the R orbit representatives of S3 x the lattice
-point group (GridSpec.k3_orbits, whose P x P int32 labels the grid keeps;
-R is about P^2/43 at 16 x 16 and P^2/48 at 64 x 64).  No array of theirs
-has P x P entries but the tables they return or record, expanded from
-the packed state through the labels; a full CorrelationTable handed to
-l_delta_apply is packed on entry and its result expanded.  The lattice
-product of the order-3 step is an FFT convolution (_stencil_product) of
-k3's representative rows under the point group (GridSpec.cell_orbits,
-about P/8 in 2D), gathered from the orbit values, with the birth
-stencil, and build_stencils keeps the indices and coefficients of the R
-values.  The mixing solver (_mix) holds the packed vector it was started
-from, which holds x, then f = g - x, then the next x; g, the kernel's
-result; and the histories dF and dG, 2 _MIX_DEPTH packed vectors whose
-slot due next also keeps the last f and g.  evolve_hierarchy holds the
-packed state, one stage input, the weighted sum of the step's
-derivatives and the latest derivative.
+Memory layout.  A table (CorrelationTable) is one flat vector [k0, k1,
+k2, one k3 value per orbit], its order-3 block on the R orbits of S3 x
+the lattice point group (GridSpec.k3_orbits, whose P x P int32 labels
+the grid keeps; R is about P^2/43 at 16 x 16 and P^2/48 at 64 x 64), so
+no float array of the kernel or the solvers has P x P entries.  The
+lattice product of the order-3 step is an FFT convolution
+(_stencil_product) of k3's representative rows under the point group
+(GridSpec.cell_orbits, about P/8 in 2D), gathered from the orbit values,
+with the birth stencil, and build_stencils keeps the int32 indices and
+the coefficients of the R values.  The mixing solver (_mix) holds the vector
+it was started from, which holds x, then f = g - x, then the next x; g,
+the kernel's result; and the histories dF and dG, 2 _MIX_DEPTH vectors
+whose slot due next also keeps the last f and g.  evolve_hierarchy holds
+the state, one stage input, the weighted sum of the step's derivatives
+and the latest derivative.
 """
 
 from __future__ import annotations
@@ -119,12 +116,13 @@ class StencilBundle:
     neg: Optional[np.ndarray] = None      # index of -offset[j] (order >= 2)
     # order 3: the death coefficient of k3 is death3[0] + rho death3[1]
     death3: Optional[Tuple] = None
-    # order 3, per birth term [l - j, l, j]: the indices of k2 at that offset
-    # and of the lattice product r1 that term reads (l_delta_apply), and the
-    # coefficients of both
+    # order 3, per birth term t = [l - j, l, j]: the int32 indices of k2 at
+    # that offset and of the lattice product r1 that term reads
+    # (l_delta_apply), and (a, s), 3 x R or 3 x 1 arrays: term t adds
+    # a[t] r1 + s[t] a[t] k2
     k2_index: Optional[np.ndarray] = None
     r1_index: Optional[np.ndarray] = None
-    birth3: Optional[Tuple] = None        # (of r1, of k2)
+    birth3: Optional[Tuple] = None
 
 
 # Table entries _stencil_product transforms at a time: blocks of rows whose
@@ -167,7 +165,7 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
         j, l = np.divmod(grid.k3_orbits.reps.astype(np.intp), grid.num_cells)
         x, y = grid.lattice[j], grid.lattice[l]
         lj = grid.flat(y - x)
-        b.k2_index = np.stack((lj, l, j))
+        b.k2_index = np.array((lj, l, j), dtype=np.int32)
         if death is None:
             b.death3 = (-3.0 * m, 0.0)
         elif death.dress is not None:
@@ -177,22 +175,22 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
         else:
             a = death.p
             b.death3 = (-(3.0 * m + 2.0 * (a[j] + a[l] + a[lj])), -3.0 * death.mass)
+        one = np.ones((3, 1))
         if birth is None:
-            b.birth3 = (0.0, z)
+            b.birth3 = (one, z * one)
             return b
         # r1[f, c] for the representative row f of orbit o of
         # GridSpec.cell_orbits is entry o P + c of the product; r1[u, v] =
         # r1[g u, g v] for the point-group element g that takes u to its
         # representative
-        b.r1_index = np.stack([_row_image(grid, u, v) for u, v in
-                               ((y - x, -x), (y, x), (x, y))])
+        b.r1_index = np.array([_row_image(grid, u, v) for u, v in
+                               ((y - x, -x), (y, x), (x, y))], dtype=np.int32)
         if birth.dress is not None:
             t = birth.dress
-            coef = np.stack((t[j] * t[l], t[j] * t[lj], t[l] * t[lj]))
-            b.birth3 = (coef, z * coef)
+            b.birth3 = (np.stack((t[j] * t[l], t[j] * t[lj], t[l] * t[lj])), z * one)
         else:
             a = birth.p
-            b.birth3 = (1.0, z + np.stack((a[j] + a[l], a[j] + a[lj], a[l] + a[lj])))
+            b.birth3 = (one, z + np.stack((a[j] + a[l], a[j] + a[lj], a[l] + a[lj])))
     return b
 
 
@@ -213,7 +211,8 @@ def _row_image(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
     """out[i, j] = sum_l cw at offset[j] - offset[l] times a[i, l], for a
-    vector a or a table a of P columns, into out of a's shape.
+    vector a or a table a of P columns, into out of a's shape, which may be
+    a itself.
 
     On the torus this is the lattice convolution of each row of a with cw,
     irfftn(rfftn(row) * part.hat) on the grid of the given shape, taken
@@ -228,81 +227,25 @@ def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
     return out
 
 
-class PackedTable:
-    """Correlation data with the order-3 block on the orbit representatives
-    of S3 x the lattice point group (GridSpec.k3_orbits): the flat vector
-    [k0, k1, k2 (P entries), one k3 value per orbit (R entries)], the layout
-    the kernel and the solvers compute in.  k2 and k3 are views into vec.
-    pack reads a CorrelationTable's k3 at the representatives; expand makes
-    the CorrelationTable whose k3 entries take the value of their orbit.
-    At orders 1 and 2 both layouts are the same."""
-
-    __slots__ = ("grid", "order", "vec", "k2", "k3")
-
-    def __init__(self, grid: GridSpec, order: int, vec: Optional[np.ndarray] = None):
-        head = _head(grid, order)
-        size = head + (grid.k3_orbits.reps.size if order == 3 else 0)
-        vec = np.zeros(size) if vec is None else vec
-        if vec.shape != (size,) or vec.dtype != np.float64:
-            raise ConfigError(f"vector must be float with shape {(size,)}")
-        self.grid, self.order, self.vec = grid, order, vec
-        self.k2 = vec[2:head] if order >= 2 else None
-        self.k3 = vec[head:] if order == 3 else None
-
-    @property
-    def k0(self) -> float:
-        return float(self.vec[0])
-
-    @property
-    def k1(self) -> float:
-        return float(self.vec[1])
-
-    @classmethod
-    def pack(cls, table: CorrelationTable) -> "PackedTable":
-        """table's k0, k1, k2 and its k3 at the orbit representatives, in a
-        new vector."""
-        head = table.vec[:_head(table.grid, table.order)]
-        if table.order < 3:
-            return cls(table.grid, table.order, head.copy())
-        reps = table.grid.k3_orbits.reps
-        return cls(table.grid, 3, np.concatenate((head, table.k3.ravel()[reps])))
-
-    def expand(self) -> CorrelationTable:
-        """A new full table: k0, k1, k2, and every k3 entry at the value of
-        its orbit."""
-        out = CorrelationTable(self.grid, self.order, 0.0, 0.0)
-        head = _head(self.grid, self.order)
-        out.vec[:head] = self.vec[:head]
-        if self.order == 3:
-            _expand(self.k3, self.grid.k3_orbits.labels.ravel(), out.k3.ravel())
-        return out
+def _term_sum(coefs, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The sum over the three birth terms t of coefs[t] values[index[t]],
+    added in the order of t, one term's gather at a time."""
+    terms = (c * np.take(values, i) for c, i in zip(coefs, index))
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
-def _head(grid: GridSpec, order: int) -> int:
-    """Entries k0, k1 and k2 of a table of the given order."""
-    return 2 + (grid.num_cells if order >= 2 else 0)
+def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
+                  closure: str = "poisson") -> CorrelationTable:
+    """Apply the truncated generator dual to a correlation table.
 
-
-def _expand(values: np.ndarray, labels: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = values[labels[i]], _ORBIT_BLOCK entries at a time: np.take
-    copies the int32 labels of a block into an index array."""
-    for lo in range(0, labels.size, _ORBIT_BLOCK):
-        hi = lo + _ORBIT_BLOCK
-        np.take(values, labels[lo:hi], out=out[lo:hi], mode="clip")
-
-
-def l_delta_apply(table: PackedTable | CorrelationTable, bundle: StencilBundle,
-                  closure: str = "poisson") -> PackedTable | CorrelationTable:
-    """Apply the truncated generator dual to a correlation table, a
-    PackedTable or a full CorrelationTable.
-
-    The table must have the symmetries of correlation data: k3 invariant
-    under S3 x the lattice point group (GridSpec.k3_orbits), k2 under the
-    point group.  Every table the solvers make has them.  The step is
-    computed on the packed layout: a full table is packed on entry, its k3
-    read at the orbit representatives, and the result expanded.  Returns a
-    new table of the kind given, itself symmetric; its order-0 slot is
-    zero, since the empty-configuration entry is conserved by the dynamics.
+    The table must have the symmetries of correlation data: k2 invariant
+    under the lattice point group, as every table the solvers make is; k3
+    is invariant under S3 x the point group by its layout.  Returns a new
+    table; its order-0 slot is zero, since the empty-configuration entry is
+    conserved by the dynamics.
     """
     if closure not in _CLOSURES:
         raise ConfigError(f"closure must be one of {_CLOSURES}")
@@ -310,19 +253,13 @@ def l_delta_apply(table: PackedTable | CorrelationTable, bundle: StencilBundle,
         raise ConfigError("table and stencil bundle use different grids")
     if table.order > bundle.order:
         raise ConfigError(f"an order-{table.order} table needs a bundle of order {table.order}")
-    state = table if isinstance(table, PackedTable) else PackedTable.pack(table)
-    out = _packed_apply(state, bundle, state.k1 if closure == "poisson" else 0.0)
-    return out if state is table else out.expand()
-
-
-def _packed_apply(table: PackedTable, bundle: StencilBundle, rho: float) -> PackedTable:
-    """l_delta_apply on a packed table, rho the density of the closure."""
     grid, n_ord = table.grid, table.order
     m, z = bundle.form.death_const, bundle.form.birth_const
     death, birth = bundle.death, bundle.birth
 
     k0, k1, k2, k3 = table.k0, table.k1, table.k2, table.k3
-    out = PackedTable(grid, n_ord, np.empty_like(table.vec))
+    rho = k1 if closure == "poisson" else 0.0
+    out = CorrelationTable.from_vector(table, np.empty_like(table.vec))
 
     # ----- order 1 --------------------------------------------------------
     out1 = z * k0 - m * k1
@@ -376,23 +313,23 @@ def _packed_apply(table: PackedTable, bundle: StencilBundle, rho: float) -> Pack
     # the new point next to each point of the triple {0, offset[j],
     # offset[l]}: r1[l - j, -j] (rebased onto the removed point 0),
     # r1[l, j] and r1[j, l], each with k2 at the two other points' offset.
-    # r1 is formed on the representative rows only.
-    death3, (coef_r1, coef_k2) = bundle.death3, bundle.birth3
+    # r1 is formed on the representative rows only, in place of k3f.
+    death3, (a, s) = bundle.death3, bundle.birth3
     value = np.multiply(k3, death3[0] + rho * death3[1], out=out.k3)
-    value += (coef_k2 * k2[bundle.k2_index]).sum(axis=0)
+    value += _term_sum((s_t * a_t for s_t, a_t in zip(s, a)), k2, bundle.k2_index)
     if birth is not None:
-        r1 = _stencil_product(birth, grid.shape, k3f, np.empty_like(k3f))
-        value += (coef_r1 * np.take(r1, bundle.r1_index)).sum(axis=0)
+        r1 = _stencil_product(birth, grid.shape, k3f, k3f)
+        value += _term_sum(a, r1.ravel(), bundle.r1_index)
     return out
 
 
 # ---------------------------------------------------------------------------
 # invariant state
 
-def ks_apply(table: PackedTable | CorrelationTable, bundle: StencilBundle,
-             closure: str = "poisson") -> PackedTable | CorrelationTable:
+def ks_apply(table: CorrelationTable, bundle: StencilBundle,
+             closure: str = "poisson") -> CorrelationTable:
     """One application of the rearranged balance operator (without forcing)
-    to a PackedTable or a CorrelationTable; returns a table of that kind.
+    to a correlation table; returns a new table.
 
     The table is read with k0 = 0 and the output has k0 = 0; the order-0
     pin enters through the forcing added by the solver.
@@ -417,7 +354,7 @@ class KsSolution:
     evaluations: int           # kernel evaluations, lower-order stages included
 
 
-# Each history vector of the mixing is a packed state vector (PackedTable),
+# Each history vector of the mixing is a table's vector, 2 + P + R floats,
 # 2.9 MB at 64 x 64.  A deeper history would cost little memory, but it
 # changes the iteration and kernel call counts that CI pins.
 _MIX_DEPTH = 3
@@ -427,9 +364,6 @@ _WARMUP_STEPS = 2
 # taken before it and is left out of the step (_gram_solve): the level at
 # which an rcond of 1e-14 cuts the singular values of that matrix.
 _MIX_CUT = 1e-14
-# Order-3 entries expanded from orbit values (_expand) or checked against
-# them (lenard_spot_check) at a time.
-_ORBIT_BLOCK = 1 << 14
 # Largest entry a balance iterate may reach before StabilityError.
 _GUARD = 1e8
 # Largest entry a hierarchy state may reach before StabilityError.
@@ -449,28 +383,27 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
     the forcing; any other form is solved at `order` from the forcing.
     tol and max_iter apply to each stage.  iterations and residuals are
     those of the stage at `order`; evaluations counts the kernel
-    evaluations of every stage.  The stages work on packed tables
-    (PackedTable); only the returned table is expanded.
+    evaluations of every stage.
     """
     bundle = build_stencils(grid, form, order)
     forcing = form.birth_const / form.death_const
     x = np.array([0.0, forcing])
     evaluations = 0
     for n in range(1 if form.constant_death else order, order + 1):
-        start = PackedTable(grid, n)
+        start = CorrelationTable(grid, n, 0.0, 0.0)
         start.vec[:x.size] = x
         x, residuals = _mix(start, bundle, forcing, tol, max_iter, closure)
         evaluations += len(residuals)
     x[0] = 1.0
-    return KsSolution(table=PackedTable(grid, order, x).expand(),
+    return KsSolution(table=CorrelationTable.from_vector(start, x),
                       iterations=len(residuals), residuals=residuals,
                       converged=True, evaluations=evaluations)
 
 
-def _mix(start: PackedTable, bundle: StencilBundle, forcing: float,
+def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
          tol: float, max_iter: int, closure: str) -> Tuple[np.ndarray, List[float]]:
     """Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011) of G at the
-    order of start, from start; (the packed fixed point with k0 = 0,
+    order of start, from start; (the vector of the fixed point with k0 = 0,
     residuals).
 
     Each step evaluates g = G(x) and f = g - x and records max|f| in
@@ -481,27 +414,24 @@ def _mix(start: PackedTable, bundle: StencilBundle, forcing: float,
     and gamma solves (dF^T dF) gamma = dF^T f (_gram_solve).  StabilityError
     is raised when g or the mixed x is not finite or exceeds _GUARD.
 
-    The state is packed (PackedTable): the order-3 block of a correlation
-    table is invariant under S3 and the lattice point group
-    (GridSpec.k3_orbits), and so is the kernel's output for such a table,
-    so x, f and g hold one value per orbit, and the residual and the
-    guards read every entry's value.  In dF these values are weighted by
-    the square root of the orbit's size, so that dF^T dF and dF^T f keep
-    the values of the full vectors; dG is unweighted.  A packed state is
-    exactly symmetric, and must be: the map has unstable directions off the
-    symmetric tables (for a 1D Glauber environment at z = 1.5, psi
-    step(3, 1), a round-off asymmetry of g grew 1.7-fold a step when x
-    took a full g's own entries), and the packed layout has no entries
-    along them.
+    The state is a table's vector, whose order-3 block holds one value per
+    orbit of S3 x the lattice point group (GridSpec.k3_orbits), so the
+    residual and the guards read every entry's value.  In dF these values
+    are weighted by the square root of the orbit's size, so that dF^T dF
+    and dF^T f keep the values over all P^2 entries; dG is unweighted.  The
+    state is exactly symmetric, and must be: the map has unstable
+    directions off the symmetric tables (for a 1D Glauber environment at
+    z = 1.5, psi step(3, 1), a round-off asymmetry of g grew 1.7-fold a
+    step when x took each of the P^2 entries of g), and the layout has no
+    entries along them.
 
-    Memory: packed vectors only, the history dF, dG (2 _MIX_DEPTH
+    Memory: table vectors only, the history dF, dG (2 _MIX_DEPTH
     vectors), start.vec, which holds x, then the weighted f, then the next
     x, and g, the kernel's result.  f and g wait for the next step's
     differences in the history slot that step overwrites, which the
     current step has read by the time they are stored.
     """
     x = start.vec
-    head = _head(start.grid, start.order)
     weight = np.sqrt(start.grid.k3_orbits.sizes) if start.order == 3 else None
     d_f = np.empty((x.size, _MIX_DEPTH), order="F")
     d_g = np.empty((x.size, _MIX_DEPTH), order="F")
@@ -515,7 +445,7 @@ def _mix(start: PackedTable, bundle: StencilBundle, forcing: float,
         if residuals[-1] <= tol:
             return g, residuals
         if weight is not None:
-            f[head:] *= weight
+            f[-weight.size:] *= weight
         if it > 1:
             slot = (it - 2) % _MIX_DEPTH       # holds f and g of the step before
             np.subtract(f, d_f[:, slot], out=d_f[:, slot])
@@ -601,8 +531,7 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
 
     Records the state every record_every steps (and always the endpoints).
     When dt does not divide t_final, the last step is shortened so the run
-    ends at t_final.  The state is packed (PackedTable): initial's k3 is
-    read at the orbit representatives, and each later record is expanded.
+    ends at t_final.
     """
     if dt <= 0 or t_final < 0:
         raise ConfigError("need dt > 0 and t_final >= 0")
@@ -616,13 +545,12 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
         last_h, t_end = t_final - (n_steps - 1) * dt, t_final
 
     def deriv(vec: np.ndarray) -> np.ndarray:
-        t = PackedTable(initial.grid, initial.order, vec)
+        t = CorrelationTable.from_vector(initial, vec)
         return l_delta_apply(t, bundle, closure=closure).vec
 
     # v is the state; each stage input is formed in `stage`, and the
     # weighted sum of the four derivatives builds up in the first one
-    state = PackedTable.pack(initial)
-    v = state.vec
+    v = initial.as_vector()
     stage = np.empty_like(v)
     times = [0.0]
     tables = [CorrelationTable.from_vector(initial, initial.as_vector())]
@@ -645,7 +573,7 @@ def evolve_hierarchy(initial: CorrelationTable, form: ComponentForm,
                 f"hierarchy blew past the stability cap at t={t:.4g}")
         if step % record_every == 0 or step == n_steps:
             times.append(t)
-            tables.append(state.expand())
+            tables.append(CorrelationTable.from_vector(initial, v.copy()))
     return HierarchyTrajectory(times=np.array(times), tables=tables)
 
 
@@ -732,9 +660,9 @@ def lenard_spot_check(table: CorrelationTable, tol: float = 1e-8) -> LenardCheck
     checks cannot see.
 
     symmetry_defect is the largest distance of a k2 entry from the value at
-    its orbit's representative under the lattice point group, and of a k3
-    entry from that under S3 x the point group (GridSpec.cell_orbits and
-    k3_orbits): the symmetries product_expectation requires."""
+    its orbit's representative under the lattice point group
+    (GridSpec.cell_orbits), the symmetry product_expectation requires of
+    k2; k3 has those of S3 x the point group by its layout."""
     grid = table.grid
     entries = [table.k0, table.k1]
     sym = 0.0
@@ -743,12 +671,7 @@ def lenard_spot_check(table: CorrelationTable, tol: float = 1e-8) -> LenardCheck
         rows = grid.cell_orbits
         sym = sup_abs(table.k2 - table.k2[rows.reps[rows.labels]])
     if table.order >= 3:
-        entries.append(float(np.min(table.k3)) if table.k3.size else 0.0)
-        labels, k3 = grid.k3_orbits.labels.ravel(), table.k3.ravel()
-        rep = k3[grid.k3_orbits.reps]
-        for lo in range(0, k3.size, _ORBIT_BLOCK):
-            hi = lo + _ORBIT_BLOCK
-            sym = max(sym, sup_abs(k3[lo:hi] - rep[labels[lo:hi]]))
+        entries.append(float(np.min(table.k3)))
     scale = max(1.0, table.max_abs())
     min_entry = min(entries)
     min_pairing = min(_pairing_values(table))

@@ -7,7 +7,14 @@ grid over the torus.  Orders up to 3 are supported:
     k0          scalar (1 for a state, 0 for increments)
     k1          scalar density
     k2[j]       pair function at separation offsets[j]
-    k3[j, l]    triple function at separations (offsets[j], offsets[l])
+    k3[o]       triple function on orbit o of GridSpec.k3_orbits
+
+The triple function at separations (offsets[j], offsets[l]) is the
+correlation of the triple {0, offsets[j], offsets[l]}, the same on each
+orbit of the entries [j, l] under S3 x the lattice point group, so a table
+keeps one value per orbit: R values, about P^2/43 at 16 x 16 and P^2/48 at
+64 x 64.  k3[k3_orbits.labels] would be the P x P array; the package
+never forms it.
 
 The grid builds its offsets, their distances, the index of offset
 differences, the orbits of the cells under the lattice point group
@@ -37,8 +44,8 @@ from .errors import ConfigError, EvaluationError, SizeLimitError
 from .geometry import Torus
 from .potentials import Potential, _remainder_exp, potential_functionals
 
-# Most cells P a grid may have: an order-3 table has P^2 values, 134 MB at
-# the 2D default of 64 points per axis, and its orbit labels P^2 int32.
+# Most cells P a grid may have: the orbit labels of the order-3 entries
+# are P^2 int32, 67 MB at the 2D default of 64 points per axis.
 MAX_GRID_CELLS = 4096
 
 
@@ -291,10 +298,10 @@ class CorrelationTable:
     """Translation-reduced correlation data up to a fixed order (1..3).
 
     The entries live in one flat vector ``vec`` laid out as
-    [k0, k1, k2 (P entries), k3 (P*P entries, row-major)].  k0 and k1 read
-    and write its first two entries; k2 and k3 are views into it.  The
-    constructor copies the arrays it is given; from_vector wraps a vector
-    without copying.
+    [k0, k1, k2 (P entries), k3 (R entries, one per orbit of
+    GridSpec.k3_orbits)].  k0 and k1 read and write its first two entries;
+    k2 and k3 are views into it.  The constructor copies the arrays it is
+    given; from_vector wraps a vector without copying.
     """
 
     __slots__ = ("grid", "order", "vec", "k2", "k3")
@@ -304,7 +311,7 @@ class CorrelationTable:
         if order not in (1, 2, 3):
             raise ConfigError("table order must be 1, 2 or 3")
         p = grid.num_cells
-        size = 2 + (p if order >= 2 else 0) + (p * p if order >= 3 else 0)
+        size = 2 + (p if order >= 2 else 0) + (grid.k3_orbits.reps.size if order >= 3 else 0)
         self._wrap(grid, order, np.zeros(size))
         self.vec[0] = k0
         self.vec[1] = k1
@@ -321,7 +328,7 @@ class CorrelationTable:
         self.order = order
         self.vec = vec
         self.k2 = vec[2:2 + p] if order >= 2 else None
-        self.k3 = vec[2 + p:].reshape(p, p) if order >= 3 else None
+        self.k3 = vec[2 + p:] if order >= 3 else None
 
     @property
     def k0(self) -> float:
@@ -422,13 +429,14 @@ def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0)
         k0 + k1 sum g dv + (1/2) sum g(x) g(y) k2(y - x) dv^2
            + (1/6) sum g(x) g(y) g(z) k3(y - x, z - x) dv^3
 
-    It requires k3 invariant under S3 x the lattice point group, and k2
-    and g under the point group.  The pair sum is sum_p |W(p)|^2 Re K2(p)
-    / P, W and K2 the transforms of g and k2.  The triple sum is sum_jl
-    k3[j, l] T[j, l], T[j, l] = sum_a g[a] g[a + j] g[a + l], whose row
-    sums are equal on each orbit of GridSpec.cell_orbits: it is taken on
-    the representative rows f, weighted by the orbit sizes, with T[f] by
-    FFT, _LABEL_BLOCK entries at a time."""
+    It requires k2 and g invariant under the lattice point group; k3 is
+    invariant under S3 x the point group by its layout.  The pair sum is
+    sum_p |W(p)|^2 Re K2(p) / P, W and K2 the transforms of g and k2.  The
+    triple sum is sum_jl k3(j, l) T[j, l], T[j, l] = sum_a g[a] g[a + j]
+    g[a + l], whose row sums are equal on each orbit of
+    GridSpec.cell_orbits: it is taken on the representative rows f,
+    gathered from the orbit values, weighted by the orbit sizes, with T[f]
+    by FFT, _LABEL_BLOCK entries at a time."""
     grid, shape = table.grid, table.grid.shape
     value = table.k0 + table.k1 * float(np.sum(g)) * dv
     if table.order >= 2:
@@ -436,6 +444,7 @@ def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0)
         value += 0.5 * float((w_hat * w_hat.conj()).real @ k2_hat.real) / w_hat.size * dv ** 2
     if table.order >= 3:
         _, reps, sizes = grid.cell_orbits
+        labels = grid.k3_orbits.labels
         axes, step = tuple(range(1, len(shape) + 1)), max(1, _LABEL_BLOCK // g.size)
         g = g.reshape(shape)
         shifted = sliding_window_view(np.tile(g, (2,) * g.ndim), shape)   # [f][a]: g[a + f]
@@ -444,7 +453,7 @@ def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0)
             f = reps[lo:lo + step]
             u = np.fft.rfftn(shifted[tuple(grid.lattice[f].T)] * g, axes=axes)
             t = np.fft.irfftn(u.conj() * g_hat, shape, axes=axes).reshape(f.size, -1)
-            value += float(sizes[lo:lo + step] @ np.sum(t * table.k3[f], 1) * dv ** 3 / 6.0)
+            value += float(sizes[lo:lo + step] @ np.sum(t * table.k3[labels[f]], 1) * dv ** 3 / 6.0)
     return value
 
 

@@ -8,12 +8,16 @@ compare it with this oracle entry by entry.  dense_triple_sum is the
 lattice triple sum of ``tables.product_expectation`` as a dense product,
 the reference for its Fourier-space form.
 
-Both production routines take correlation data: k3 invariant under S3 x
-the lattice point group, k2 and the profile of product_expectation
-invariant under the point group.  symmetrised_table and radial_field
-draw such inputs.
+Both production routines take correlation data: k2 and the profile of
+product_expectation invariant under the lattice point group, and k3, by
+its layout, one value per orbit of S3 x the point group.  The oracles
+work on P x P arrays: expanded(table) forms a table's k3 as one
+(values[grid.k3_orbits.labels]), and packed reads a symmetric P x P k3 at
+the orbit representatives.  symmetrised_table and radial_field draw such
+inputs.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -80,12 +84,39 @@ def symmetrised(grid, k2, k3, s3=True):
     return k2, k3
 
 
+def expanded(table):
+    """The P x P k3 of an order-3 table: each entry at its orbit's value."""
+    return table.k3[table.grid.k3_orbits.labels]
+
+
+def packed(grid, k3):
+    """The orbit values of a P x P k3 invariant under S3 x the point group:
+    its entries at the orbit representatives."""
+    return k3.ravel()[grid.k3_orbits.reps]
+
+
+def full_vector(table):
+    """A table's flat vector with k3 expanded to its P x P entries, the
+    layout of oracle_l_delta_apply's result."""
+    if table.order < 3:
+        return table.as_vector()
+    return np.concatenate((table.vec[:2 + table.grid.num_cells], expanded(table).ravel()))
+
+
 def symmetrised_table(grid, seed):
-    """A random order-3 table averaged over S3 x the lattice point group."""
+    """A random order-3 table averaged over S3 x the lattice point group,
+    a new table on each call."""
+    return CorrelationTable(grid, 3, 1.0, 0.8, *_symmetrised_draw(grid, seed))
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetrised_draw(grid, seed):
+    """k2 and the orbit values of k3 of symmetrised_table, drawn once per
+    grid and seed."""
     p = grid.num_cells
     rng = np.random.default_rng(seed)
     k2, k3 = symmetrised(grid, rng.uniform(0.5, 1.5, p), rng.uniform(0.5, 1.5, (p, p)))
-    return CorrelationTable(grid, 3, 1.0, 0.8, k2, k3)
+    return k2, packed(grid, k3)
 
 
 def radial_field(grid, rng):
@@ -104,6 +135,8 @@ def _rebased_triple_integral(k3, weights, di):
 
 
 def oracle_l_delta_apply(table, form, closure="poisson"):
+    """The kernel's result as a flat vector [k0, k1, k2, k3 (P x P entries,
+    row-major)] for orders 1 to 3, k3 read as expanded(table)."""
     grid = table.grid
     cw = grid.cell_volume
     n_ord = table.order
@@ -132,7 +165,7 @@ def oracle_l_delta_apply(table, form, closure="poisson"):
         ab_mass = float(np.sum(ab_cw))
 
     k0, k1 = table.k0, table.k1
-    k2, k3 = table.k2, table.k3
+    k2, k3 = table.k2, (expanded(table) if n_ord == 3 else None)
 
     # order 1
     out1 = 0.0
@@ -153,7 +186,7 @@ def oracle_l_delta_apply(table, form, closure="poisson"):
     else:
         out1 += z * k0 + k1 * ab_mass
     if n_ord == 1:
-        return CorrelationTable(grid, 1, 0.0, out1)
+        return np.array([0.0, out1])
 
     # order 2
     di = grid.diff_index
@@ -190,7 +223,7 @@ def oracle_l_delta_apply(table, form, closure="poisson"):
         if ab_p is not None:
             out2 += ab_cw[di] @ k2 + k2mat.T @ ab_cw
     if n_ord == 2:
-        return CorrelationTable(grid, 2, 0.0, out1, out2)
+        return np.concatenate(([0.0, out1], out2))
 
     # order 3
     out3 = np.zeros((p, p))
@@ -224,4 +257,4 @@ def oracle_l_delta_apply(table, form, closure="poisson"):
         out3 += s_l * k2j + s_j * k2l + s_0 * k2base + r1 + r1.T + x0
     else:
         out3 += z * (k2j + k2l + k2base)
-    return CorrelationTable(grid, 3, 0.0, out1, out2, out3)
+    return np.concatenate(([0.0, out1], out2, out3.ravel()))

@@ -1,6 +1,7 @@
 """Truncated correlation hierarchies: fixed points, time evolution, and
 positivity diagnostics."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -29,6 +30,8 @@ from coupledbd.tables import CorrelationTable, GridSpec
 from conftest import TORUS1, bdlp_model, gg_model, two_bdlp_model
 from hierarchy_oracle import (
     _rebased_triple_integral,
+    expanded,
+    full_vector,
     k3_generators,
     oracle_l_delta_apply,
     symmetrised_table,
@@ -128,8 +131,9 @@ def test_fft_stencil_product_matches_the_dense_product(dim, side, n, block, monk
 # l_delta_apply on a fixed random order-3 table symmetrised over S3 x the
 # lattice point group, one form per combination of death and birth shapes.
 # Per form: the order-1 output, the sum and a weighted sum of the order-2
-# output, and the same of the order-3 output; captured with the kernel that
-# computed every P^2 entry of the order-3 step.
+# output, and the same of the order-3 output over its P^2 entries (the
+# orbit values expanded); captured with the kernel that computed every P^2
+# entry of the order-3 step.
 _STEP = Potential.step
 _GOLDEN_FORMS = {
     "exp_death_exp_birth": (
@@ -174,23 +178,9 @@ def test_order3_apply_matches_its_golden_sums(name):
     w2 = rng.uniform(0.5, 1.5, p)
     w3 = rng.uniform(0.5, 1.5, (p, p))
     out = l_delta_apply(symmetrised_table(grid, seed=7), build_stencils(grid, form, 3))
-    got = (out.k1, np.sum(out.k2), w2 @ out.k2, np.sum(out.k3), np.sum(w3 * out.k3))
+    k3 = expanded(out)
+    got = (out.k1, np.sum(out.k2), w2 @ out.k2, np.sum(k3), np.sum(w3 * k3))
     assert got == pytest.approx(want, rel=1e-12)
-
-
-@pytest.mark.parametrize("name", sorted(_GOLDEN_FORMS))
-@pytest.mark.parametrize("dim,side,n", [(1, 4.5, 9), (2, 4.0, 8), (3, 4.0, 8)])
-def test_packed_apply_is_the_packed_full_apply(dim, side, n, name):
-    # one kernel: a full table is packed on entry and its result expanded,
-    # so packing that result gives the packed call's vector bit for bit
-    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
-    table = symmetrised_table(grid, seed=n)
-    bundle = build_stencils(grid, _GOLDEN_FORMS[name][0], 3)
-    full = l_delta_apply(table, bundle)
-    packed = l_delta_apply(hierarchy.PackedTable.pack(table), bundle)
-    assert isinstance(full, CorrelationTable) and isinstance(packed, hierarchy.PackedTable)
-    assert np.array_equal(hierarchy.PackedTable.pack(full).vec, packed.vec)
-    assert np.array_equal(packed.expand().vec, full.vec)
 
 
 def _square_arrays(obj, name, p):
@@ -234,14 +224,21 @@ _EDGE_FORMS = {
 _APPLY_FORMS = {**{name: form for name, (form, _) in _GOLDEN_FORMS.items()}, **_EDGE_FORMS}
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_grid(dim, side, n):
+    """One grid per shape for the many cases that read it: its lattice
+    arrays, the orbit labels among them, are built once."""
+    return GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+
+
 @pytest.mark.parametrize("closure", ["poisson", "zero"])
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(_GOLDEN_FORMS) + sorted(_EDGE_FORMS))
-@pytest.mark.parametrize("dim,side,n", [(2, 4.0, 8), (1, 4.5, 9)])
+@pytest.mark.parametrize("dim,side,n", [(2, 4.0, 8), (1, 4.5, 9), (3, 4.0, 8)])
 def test_apply_matches_the_reference_formulas_entry_by_entry(dim, side, n, name, order,
                                                              closure):
     form = _APPLY_FORMS[name]
-    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+    grid = _shared_grid(dim, side, n)
     # correlation data: k2 and k3 have the symmetries the kernel requires
     full = symmetrised_table(grid, seed=11)
     table = CorrelationTable(grid, order, 1.0, 0.8, full.k2 if order >= 2 else None,
@@ -249,9 +246,9 @@ def test_apply_matches_the_reference_formulas_entry_by_entry(dim, side, n, name,
     got = l_delta_apply(table, build_stencils(grid, form, order), closure=closure)
     want = oracle_l_delta_apply(table, form, closure)
     assert got.order == order
-    # entries where death and birth cancel are held to 1e-12 of the largest
-    want = want.as_vector()
-    np.testing.assert_allclose(got.as_vector(), want, rtol=1e-12,
+    # every P^2 entry of k3; entries where death and birth cancel are held
+    # to 1e-12 of the largest
+    np.testing.assert_allclose(full_vector(got), want, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -261,8 +258,8 @@ def test_apply_matches_the_reference_formulas_on_a_table_of_many_fft_blocks(name
     grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
     assert grid.num_cells ** 2 > hierarchy._FFT_BLOCK
     table = symmetrised_table(grid, seed=31)
-    got = l_delta_apply(table, build_stencils(grid, form, 3)).as_vector()
-    want = oracle_l_delta_apply(table, form).as_vector()
+    got = full_vector(l_delta_apply(table, build_stencils(grid, form, 3)))
+    want = oracle_l_delta_apply(table, form)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
@@ -277,19 +274,23 @@ _EQUIVARIANCE_FORMS = {
                                         (3, 4.0, 8)])
 def test_apply_maps_a_symmetric_table_to_a_symmetric_one(dim, side, n):
     # a translation-reduced k3[j, l] is the correlation of {0, x_j, x_l}, so
-    # correlation data are invariant under S3 and the lattice point group;
-    # the kernel must keep them so, on tables of one FFT block (1D) and of
-    # many
+    # correlation data are invariant under S3 and the lattice point group.
+    # The generator keeps them so: the reference formulas map the expanded
+    # table to a P x P k3 with those symmetries, which one value per orbit
+    # can hold, and the kernel keeps k2's, on tables of one FFT block (1D)
+    # and of many
     grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
     table = symmetrised_table(grid, seed=n)
     gens = k3_generators(grid)
     _, refl, perms = vector_maps(grid)
+    p = grid.num_cells
     for name, form in _EQUIVARIANCE_FORMS.items():
-        out = l_delta_apply(table, build_stencils(grid, form, 3))
-        scale = np.max(np.abs(out.k3))
+        k3 = oracle_l_delta_apply(table, form)[2 + p:].reshape(p, p)
+        scale = np.max(np.abs(k3))
         for gen, apply in gens.items():
-            defect = np.max(np.abs(apply(out.k3) - out.k3))
+            defect = np.max(np.abs(apply(k3) - k3))
             assert defect <= 1e-13 * scale, (name, gen, defect / scale)
+        out = l_delta_apply(table, build_stencils(grid, form, 3))
         for q in [refl] + perms[1:]:
             assert np.max(np.abs(out.k2[q] - out.k2)) <= 1e-13 * np.max(np.abs(out.k2))
 
@@ -577,7 +578,7 @@ def test_mixed_solve_reaches_the_picard_fixed_point(model, grid):
 
 def _poison_the_fourth_order3_evaluation(monkeypatch, where, bad):
     """Rebind the kernel so that its fourth order-3 evaluation, in a mixed
-    step, writes bad into its packed order-3 block at index where."""
+    step, writes bad into its order-3 block at orbit index where."""
     real = hierarchy.l_delta_apply
     calls = []
 
@@ -585,7 +586,7 @@ def _poison_the_fourth_order3_evaluation(monkeypatch, where, bad):
         out = real(table, bundle, closure=closure)
         calls.append(table.order)
         if table.order == 3 and calls.count(3) == 4:
-            assert isinstance(out, hierarchy.PackedTable)
+            assert out.k3.shape == (table.grid.k3_orbits.reps.size,)
             out.k3[where] = bad
         return out
 
@@ -649,12 +650,12 @@ def _array_bytes(obj) -> int:
     return 0
 
 
-def test_solve_holds_one_square_array_the_orbit_labels_and_its_bundle():
-    # the solver keeps its state on the k3 orbit representatives and expands
-    # only the table it returns: at its peak it holds that table's P^2
-    # floats, the grid's P^2 int32 orbit labels and the arrays of its
-    # stencil bundle, which it builds, and packed vectors and FFT rows
-    # within a slack of an eighth of the table
+def test_solve_holds_the_orbit_labels_its_bundle_and_no_square_float_array():
+    # the solver and the table it returns keep k3 on the orbits: at its
+    # peak it holds the grid's P^2 int32 orbit labels and the arrays of its
+    # stencil bundle, which it builds, and within a slack of 5/8 of P^2
+    # floats the mixing's table vectors (0.02 P^2 floats each), the
+    # kernel's representative rows of k3 (0.15) and their temporaries
     model = GlauberGlauber(z_minus=0.5, psi=Potential.step(0.5, 1.0), z_plus=0.3,
                            phi_minus=Potential.zero(), phi_plus=Potential.zero())
     form = component_form(model, "environment")
@@ -662,16 +663,48 @@ def test_solve_holds_one_square_array_the_orbit_labels_and_its_bundle():
     assert "k3_orbits" not in vars(grid)
     tracemalloc.start()
     try:
-        sol = ks_solve(form, grid, order=3)
+        ks_solve(form, grid, order=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table_bytes, label_bytes = sol.table.vec.nbytes, grid.k3_orbits.labels.nbytes
+    square_bytes, label_bytes = 8 * grid.num_cells ** 2, grid.k3_orbits.labels.nbytes
     bundle_bytes = _array_bytes(build_stencils(grid, form, 3))
-    limit = table_bytes + label_bytes + bundle_bytes + table_bytes // 8
+    limit = label_bytes + bundle_bytes + 5 * square_bytes // 8
     assert peak <= limit, (
-        f"peak {peak / table_bytes:.2f} tables, limit {limit / table_bytes:.2f} "
-        f"(labels {label_bytes / table_bytes:.2f}, bundle {bundle_bytes / table_bytes:.2f})")
+        f"peak {peak / square_bytes:.3f} P^2 floats, limit {limit / square_bytes:.3f} "
+        f"(labels {label_bytes / square_bytes:.3f}, bundle {bundle_bytes / square_bytes:.3f})")
+
+
+@pytest.mark.parametrize("dim,side,n", [(1, 10.0, 40), (2, 4.0, 16), (3, 4.0, 8)])
+def test_order3_tables_hold_one_k3_value_per_orbit(dim, side, n):
+    # a Poisson table, every record of an order-3 evolution and the solved
+    # table: 2 + P + R floats each
+    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+    size = 2 + grid.num_cells + grid.k3_orbits.reps.size
+    form = _GOLDEN_FORMS["exp_death_exp_birth"][0]
+    init = CorrelationTable.poisson(grid, 3, 0.6)
+    traj = evolve_hierarchy(init, form, t_final=0.1, dt=0.05, record_every=1)
+    tables = [init, *traj.tables, ks_solve(form, grid, order=3).table]
+    assert len(tables) == 5
+    for t in tables:
+        assert t.vec.shape == (size,) and t.vec.dtype == np.float64
+        assert t.k3.shape == (grid.k3_orbits.reps.size,)
+
+
+@pytest.mark.parametrize("form", ["exp_death_exp_birth", "add_death_add_birth",
+                                  "const_birth"])
+def test_order3_bundle_keeps_int32_indices_and_one_coefficient_array(form):
+    # every index is below P^2 <= 2^24; a dressed birth keeps its dressing
+    # products once, an additive one its rates
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
+    bundle = build_stencils(grid, _GOLDEN_FORMS[form][0], 3)
+    r = grid.k3_orbits.reps.size
+    indices = [bundle.k2_index] + ([bundle.r1_index] if bundle.birth is not None else [])
+    for index in indices:
+        assert index.dtype == np.int32 and index.shape == (3, r)
+        assert 0 <= index.min() and index.max() < grid.num_cells ** 2
+    width = r if bundle.birth is not None else 1
+    assert sorted(a.shape for a in bundle.birth3) == [(3, 1), (3, width)]
 
 
 def test_solver_guards_against_runaway_expansions():
@@ -779,22 +812,22 @@ def test_lenard_check_flags_inconsistent_density_and_pairs():
     assert not c.ok
 
 
-def test_lenard_check_flags_a_table_that_breaks_only_a_reflection():
-    # k3 averaged over S3 alone, then exactly its own transpose: k3 - k3.T
-    # is zero, while the reflection x -> -x of the lattice moves it
+@pytest.mark.parametrize("shape", ["P x P", "R + 1", "R x 1"])
+def test_an_order3_table_refuses_a_k3_that_is_not_one_value_per_orbit(shape):
     grid = GridSpec(torus=Torus(dim=1, side=4.5), points_per_axis=9)
-    p = grid.num_cells
-    rng = np.random.default_rng(3)
-    gens = k3_generators(grid)
-    s, r = gens["swap"], gens["rebase"]
-    k3 = rng.uniform(0.5, 1.5, (p, p))
-    k3 = (k3 + s(k3) + r(k3) + s(r(k3)) + r(s(k3)) + s(r(s(k3)))) / 6.0
-    k3 = 0.5 * (k3 + k3.T)
-    assert np.array_equal(k3, k3.T)
-    assert np.max(np.abs(gens["reflection"](k3) - k3)) > 0.01
-    symmetric = symmetrised_table(grid, seed=3)
-    broken = CorrelationTable(grid, 3, 1.0, 0.8, symmetric.k2, k3)
-    assert lenard_spot_check(symmetric).symmetry_defect <= 1e-15
-    c = lenard_spot_check(broken)
-    assert c.symmetry_defect > 0.01
-    assert not c.ok
+    p, r = grid.num_cells, grid.k3_orbits.reps.size
+    k3 = np.ones({"P x P": (p, p), "R + 1": (r + 1,), "R x 1": (r, 1)}[shape])
+    with pytest.raises(ConfigError, match=rf"k3 must have shape \({r},\)"):
+        CorrelationTable(grid, 3, 1.0, 0.8, np.ones(p), k3)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 6), (3, 4)])
+def test_an_expanded_table_has_every_symmetry_of_correlation_data(dim, n):
+    # whatever its orbit values, an order-3 table cannot break S3 or the
+    # lattice point group: its P x P expansion is fixed by every generator
+    grid = GridSpec(torus=Torus(dim=dim, side=4.0), points_per_axis=n)
+    rng = np.random.default_rng(n)
+    table = CorrelationTable(grid, 3, 1.0, 0.8, None, rng.normal(size=grid.k3_orbits.reps.size))
+    k3 = expanded(table)
+    for gen, apply in k3_generators(grid).items():
+        assert np.array_equal(apply(k3), k3), gen

@@ -23,7 +23,14 @@ from coupledbd.tables import (
 )
 
 from conftest import TORUS1
-from hierarchy_oracle import dense_triple_sum, radial_field, symmetrised, symmetrised_table
+from hierarchy_oracle import (
+    dense_triple_sum,
+    expanded,
+    packed,
+    radial_field,
+    symmetrised,
+    symmetrised_table,
+)
 
 GRID = GridSpec(torus=TORUS1, points_per_axis=50)
 
@@ -100,11 +107,11 @@ def test_table_rejects_wrong_shapes_and_orders():
 def test_vector_roundtrip_is_identity(order, seed):
     rng = np.random.default_rng(seed)
     g = GridSpec(torus=TORUS1, points_per_axis=8)
-    p = g.num_cells
+    p, r = g.num_cells, g.k3_orbits.reps.size
     t = CorrelationTable(
         g, order, rng.normal(), rng.normal(),
         rng.normal(size=p) if order >= 2 else None,
-        rng.normal(size=(p, p)) if order >= 3 else None)
+        rng.normal(size=r) if order >= 3 else None)
     back = CorrelationTable.from_vector(t, t.as_vector())
     assert back.k0 == t.k0 and back.k1 == t.k1
     if order >= 2:
@@ -115,18 +122,18 @@ def test_vector_roundtrip_is_identity(order, seed):
 
 def test_a_table_is_a_view_of_one_flat_vector():
     g = GridSpec(torus=TORUS1, points_per_axis=8)
-    p = g.num_cells
-    k2, k3 = np.arange(p, dtype=float), np.ones((p, p))
+    p, r = g.num_cells, g.k3_orbits.reps.size
+    k2, k3 = np.arange(p, dtype=float), np.ones(r)
     t = CorrelationTable(g, 3, 1.0, 0.5, k2, k3)
     assert not np.shares_memory(t.k2, k2) and not np.shares_memory(t.k3, k3)
     vec = t.as_vector()
-    assert vec.shape == (2 + p + p * p,) and not np.shares_memory(vec, t.vec)
+    assert vec.shape == (2 + p + r,) and not np.shares_memory(vec, t.vec)
     view = CorrelationTable.from_vector(t, vec)
     view.k0, view.k1 = 0.0, 2.0
     view.k2[1] = -1.0
-    view.k3[2, 3] = 7.0
+    view.k3[5] = 7.0
     assert vec[0] == 0.0 and vec[1] == 2.0 and vec[3] == -1.0
-    assert vec[2 + p + 2 * p + 3] == 7.0
+    assert vec[2 + p + 5] == 7.0
     assert t.k0 == 1.0 and t.k2[1] == 1.0
     with pytest.raises(ConfigError):
         CorrelationTable.from_vector(t, vec[:-1])
@@ -143,11 +150,13 @@ def test_kc_norm_weights_orders_geometrically():
 
 def test_sup_by_order_reads_each_block_without_a_copy():
     # max |k| per order from each block's largest and smallest entries: no
-    # temporary of the block's size, a NaN propagates, and -0.0 reads 0.0
-    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
+    # temporary of the block's size, a NaN propagates, and -0.0 reads 0.0;
+    # at 32 x 32, k3's 22 444 orbit values are 180 kB
+    grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
     p = grid.num_cells
     rng = np.random.default_rng(5)
-    t = CorrelationTable(grid, 3, 1.0, -0.4, rng.normal(size=p), rng.normal(size=(p, p)))
+    t = CorrelationTable(grid, 3, 1.0, -0.4, rng.normal(size=p),
+                         rng.normal(size=grid.k3_orbits.reps.size))
     want = (1.0, 0.4, float(np.max(np.abs(t.k2))), float(np.max(np.abs(t.k3))))
     tracemalloc.start()
     try:
@@ -157,7 +166,7 @@ def test_sup_by_order_reads_each_block_without_a_copy():
         tracemalloc.stop()
     assert got == want
     assert peak < t.k3.nbytes // 16
-    t.k3[3, 4] = math.nan
+    t.k3[7] = math.nan
     assert math.isnan(t.sup_by_order()[3])
     zero = CorrelationTable(grid, 2, 0.0, 0.0, np.full(p, -0.0))
     assert math.copysign(1.0, zero.sup_by_order()[2]) == 1.0
@@ -248,9 +257,11 @@ def test_exp_mayer_on_empty_state_is_exact():
 
 def _triple_sum(grid, k3, w):
     """The triple sum of product_expectation, from a table whose lower
-    orders are zero."""
+    orders are zero and whose k3 holds the orbit values of k3, a P x P
+    array invariant under S3 x the point group."""
     p = grid.num_cells
-    return 6.0 * product_expectation(CorrelationTable(grid, 3, 0.0, 0.0, np.zeros(p), k3), w)
+    table = CorrelationTable(grid, 3, 0.0, 0.0, np.zeros(p), packed(grid, k3))
+    return 6.0 * product_expectation(table, w)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
@@ -261,7 +272,7 @@ def test_triple_sum_matches_the_brute_force_sum(dim, n):
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(10 + dim)
-    k3 = symmetrised_table(grid, seed=10 + dim).k3
+    k3 = expanded(symmetrised_table(grid, seed=10 + dim))
     w = radial_field(grid, rng)
     shape = (n,) * dim
     lat = np.array(np.unravel_index(np.arange(p), shape)).T
@@ -275,18 +286,16 @@ def test_triple_sum_matches_the_brute_force_sum(dim, n):
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("dim,n", [(1, 16), (1, 9), (2, 6), (2, 7), (3, 4), (3, 5)])
-def test_fourier_triple_sum_matches_the_dense_sum(dim, n, symmetric):
+def test_fourier_triple_sum_matches_the_dense_sum(dim, n):
     # even and odd sides: the real transform keeps a Nyquist column only
-    # for even n.  k3 is invariant under the lattice point group, and also
-    # under the swap when symmetric; every w is radial
+    # for even n.  k3 is invariant under S3 x the lattice point group, as
+    # the table's layout holds it; every w is radial
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(100 * dim + n)
-    k3 = symmetrised(grid, np.zeros(p), rng.normal(size=(p, p)), s3=False)[1]
-    if symmetric:
-        k3 = k3 + k3.T
+    k3 = symmetrised(grid, np.zeros(p), rng.normal(size=(p, p)))[1]
+    k3 = packed(grid, k3)[grid.k3_orbits.labels]
     di = grid.diff_index
     for _ in range(3):
         w = radial_field(grid, rng)
@@ -313,7 +322,8 @@ def test_product_expectation_matches_the_brute_force_sums(dim, n):
         return int(np.ravel_multi_index(tuple(np.mod(lat[a] - lat[b], n)), grid.shape))
 
     pair = sum(g[a] * g[b] * table.k2[diff(b, a)] for a in range(p) for b in range(p))
-    triple = sum(g[a] * g[b] * g[c] * table.k3[diff(b, a), diff(c, a)]
+    k3 = expanded(table)
+    triple = sum(g[a] * g[b] * g[c] * k3[diff(b, a), diff(c, a)]
                  for a in range(p) for b in range(p) for c in range(p))
     partial = [1.0, 0.7 * g.sum() * dv, pair * dv ** 2 / 2, triple * dv ** 3 / 6]
     for order in (1, 2, 3):
