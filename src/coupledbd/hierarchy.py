@@ -48,19 +48,19 @@ order feeds the density.
 
 Memory layout.  A table (CorrelationTable) is one flat vector [k0, k1,
 k2, one k3 value per orbit], its order-3 block on the R orbits of S3 x
-the lattice point group (GridSpec.k3_orbits, whose P x P int32 labels
-the grid keeps; R is about P^2/43 at 16 x 16 and P^2/48 at 64 x 64), so
-no float array of the kernel or the solvers has P x P entries.  The
-lattice product of the order-3 step is an FFT convolution
-(_stencil_product) of k3's representative rows under the point group
-(GridSpec.cell_orbits, about P/8 in 2D), gathered from the orbit values,
-with the birth stencil, and build_stencils keeps the int32 indices and
-the coefficients of the R values.  The mixing solver (_mix) holds the vector
-it was started from, which holds x, then f = g - x, then the next x; g,
-the kernel's result; and the histories dF and dG, 2 _MIX_DEPTH vectors
-whose slot due next also keeps the last f and g.  evolve_hierarchy holds
-the state, one stage input, the weighted sum of the step's derivatives
-and the latest derivative.
+the lattice point group (GridSpec.k3_orbits; R is about P^2/43 at 16 x 16
+and P^2/48 at 64 x 64), so no array of the kernel or the solvers has
+P x P entries.  The lattice product of the order-3 step is an FFT
+convolution (_stencil_product) of k3's rows at the representatives under
+the point group (GridSpec.cell_orbits, |F| about P/8 in 2D), k3 indexed
+by the grid's |F| x P int32 orbit labels, with the birth stencil, and
+build_stencils keeps the int32 indices and the coefficients of the R
+values.  The mixing solver (_mix) holds the vector it was started from,
+which holds x, then f = g - x, then the next x; g, the kernel's result;
+and the histories dF and dG, 2 _MIX_DEPTH vectors whose slot due next
+also keeps the last f and g.  evolve_hierarchy holds the state, one stage
+input, the weighted sum of the step's derivatives and the latest
+derivative.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
     # rows k3f, gathered from the orbit values, and expanded by the row
     # labels.
     rows = grid.cell_orbits
-    k3f = k3[grid.k3_orbits.labels[rows.reps]] if n_ord == 3 else None
+    k3f = k3[grid.k3_orbits.labels] if n_ord == 3 else None
     out2 = out.k2
     if death is None:
         np.multiply(k2, -2.0 * m, out=out2)
@@ -630,7 +630,7 @@ def _pairing_values(table: CorrelationTable) -> list:
     keeps S positive for Poisson and weakly correlated data while a
     vanishing pair function paired with a large density drives S below
     zero.  Each triple sum takes one FFT row per orbit of cells under the
-    lattice point group (tables._triple_sum)."""
+    lattice point group (tables.product_expectation)."""
     vals = [float(table.k0)]         # g = 0 observable
     rho = float(table.k1)
     if table.order < 2 or rho <= 0:

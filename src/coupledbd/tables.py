@@ -13,8 +13,8 @@ The triple function at separations (offsets[j], offsets[l]) is the
 correlation of the triple {0, offsets[j], offsets[l]}, the same on each
 orbit of the entries [j, l] under S3 x the lattice point group, so a table
 keeps one value per orbit: R values, about P^2/43 at 16 x 16 and P^2/48 at
-64 x 64.  k3[k3_orbits.labels] would be the P x P array; the package
-never forms it.
+64 x 64.  k3[k3_orbits.labels] is k3 on the rows F of the point-group
+representatives (cell_orbits.reps), |F| x P; no command forms a P x P array.
 
 The grid builds its offsets, their distances, the index of offset
 differences, the orbits of the cells under the lattice point group
@@ -45,7 +45,7 @@ from .geometry import Torus
 from .potentials import Potential, _remainder_exp, potential_functionals
 
 # Most cells P a grid may have: the orbit labels of the order-3 entries
-# are P^2 int32, 67 MB at the 2D default of 64 points per axis.
+# are |F| P int32, 9.2 MB at the 2D default of 64 points per axis.
 MAX_GRID_CELLS = 4096
 
 
@@ -109,13 +109,16 @@ class GridSpec:
 
     @cached_property
     def diff_index(self) -> np.ndarray:
-        """diff_index[j, l] is the flat index of offset[j] - offset[l]."""
+        """diff_index[j, l] is the flat index of offset[j] - offset[l]: the
+        sum over the axes i of step[j_i, l_i] n^(d - 1 - i), with j_i and l_i
+        the lattice coordinates of cells j and l, formed on the (n,) * 2d
+        view."""
         n, d = self.points_per_axis, self.torus.dim
         a = np.arange(n, dtype=np.int32)
         step = np.mod(a[:, None] - a, n)
-        out = np.empty((self.num_cells,) * 2, dtype=np.int32)
-        _axis_sum([step * n ** (d - 1 - i) for i in range(d)], out.reshape((n,) * 2 * d))
-        return _read_only(out)
+        out = sum((step * n ** (d - 1 - i)).reshape(((1,) * i + (n,) + (1,) * (d - 1 - i)) * 2)
+                  for i in range(d))
+        return _read_only(out.reshape((self.num_cells,) * 2))
 
     @cached_property
     def cell_orbits(self) -> "Orbits":
@@ -133,7 +136,7 @@ class GridSpec:
     @cached_property
     def k3_orbits(self) -> "Orbits":
         """The orbits of the order-3 entries [j, l] under S3 x the lattice
-        point group (Orbits, labels int32 and P x P).
+        point group (Orbits; labels |F| x P int32, row o for cell F[o]).
 
         k3[j, l] is the correlation of the triple {0, offset[j], offset[l]},
         so it is unchanged by the permutations of the triple (the swap
@@ -141,90 +144,73 @@ class GridSpec:
         the two offsets) and by the reflections and axis permutations of the
         lattice, all of which act on a and b together.  An orbit's smallest
         image is the least flat index j' P + l' among the images of any of
-        its entries.  Per axis, the six S3 images (x, y) of the coordinates
-        (a_i, b_i) are taken modulo n, and the axis' reflection keeps the
-        lexicographically lesser of (x, y) and (-x, -y), its best choice
-        under any order of the axes (_column_key).  With the key x P + y per axis, the flat
-        index of an image is the sum of its axes' keys, each weighted by
-        n^(d - 1 - its place in the image's order of axes), so the smallest
-        image is the least of 6 d! such sums (_axis_sum), formed a block of
-        rows at a time.  Orbits are numbered by their smallest images, in
-        increasing order.
+        its entries, so j' is in F = cell_orbits.reps, the least cells of
+        their point-group orbits.  Per axis, the six S3 images (x, y) of the
+        coordinates (a_i, b_i) are taken modulo n, and the axis' reflection
+        keeps the lexicographically lesser of (x, y) and (-x, -y), its best
+        choice under any order of the axes (_column_key).  With the key
+        x P + y per axis, the flat index of an image is the sum of its axes'
+        keys, each weighted by n^(d - 1 - its place in the image's order of
+        axes), so the smallest image is the least of 6 d! such sums, formed
+        a block of rows f at a time.  Orbits are numbered by their smallest
+        images, in increasing order.  The rows of one cell orbit hold the
+        same labels, permuted, so sizes weights each row f by the size of
+        f's orbit.
         """
-        n, d, p = self.points_per_axis, self.torus.dim, self.num_cells
+        n, d, p, cells = self.points_per_axis, self.torus.dim, self.num_cells, self.cell_orbits
         a = np.arange(n, dtype=np.int32)
         places = list(itertools.permutations([n ** (d - 1 - i) for i in range(d)]))
-        out = np.empty((p, p), dtype=np.int32)
-        flat, blocks = out.ravel(), out.reshape((n,) * 2 * d)
-        rows = max(1, _LABEL_BLOCK * n // (p * p))
-        # the keys of axes 1..d-1 over all their coordinates, of axis 0 per block
-        inner = [_column_key(a[:, None], a, image, n, p) if d > 1 else None
-                 for image in _S3_IMAGES]
-        reps, count = [], 0
-        for lo in range(0, n, rows):
-            block = blocks[lo:lo + rows]
-            work = np.empty_like(block)
-            block.fill(p * p)                 # above every flat index
-            for s, image in enumerate(_S3_IMAGES):
-                keys = [_column_key(a[lo:lo + rows, None], a, image, n, p)] + [inner[s]] * (d - 1)
+        # a block's keys of axis i, one row per f, broadcast along axis i of l
+        shapes = [(-1,) + (1,) * i + (n,) + (1,) * (d - 1 - i) for i in range(d)]
+        # entry [j, l] of a representative row j is out.ravel()[j P + l + shift[j]]
+        shift = ((cells.labels - np.arange(p)) * p).astype(np.int32)
+        out, rows = np.empty((cells.reps.size, p), dtype=np.int32), max(1, _LABEL_BLOCK // p)
+        reps, sizes, count = [], np.zeros(0, dtype=np.int64), 0
+        for lo in range(0, cells.reps.size, rows):
+            f, block = cells.reps[lo:lo + rows], out[lo:lo + rows]
+            coords, view = self.lattice[f].astype(np.int32), block.reshape((-1,) + (n,) * d)
+            work = np.empty_like(view)
+            view.fill(p * p)                  # above every flat index
+            for image in _S3_IMAGES:
+                terms = [_column_key(coords[:, i, None], a, image, n, p).reshape(shapes[i])
+                         for i in range(d)]
                 for weight in places:
-                    _axis_sum([k * w for k, w in zip(keys, weight)], work)
-                    np.minimum(block, work, out=block)
+                    np.multiply(terms[0], weight[0], out=work)
+                    for t, w in zip(terms[1:], weight[1:]):
+                        work += t * w
+                    np.minimum(view, work, out=view)
             # number the orbits: an entry whose smallest image is itself
             # starts one; every other entry copies the number of its
-            # smallest image, an earlier entry already numbered
-            start = lo * (p * p // n)
-            labels = flat[start:start + block.size]
-            own = labels == np.arange(start, start + labels.size, dtype=np.int32)
-            smallest = labels[~own]
-            labels[own] = np.arange(count, count + np.count_nonzero(own))
-            labels[~own] = flat[smallest]
-            reps.append(np.flatnonzero(own) + start)
+            # smallest image, an earlier entry, numbered first
+            flat = (f[:, None] * p + np.arange(p)).astype(np.int32)
+            rest = block != flat
+            reps.append(flat[~rest])
+            smallest = block[rest]
+            block[~rest] = np.arange(count, count + reps[-1].size)
+            smallest += shift[smallest // p]
+            block[rest] = out.ravel()[smallest]
             count += reps[-1].size
-        reps = np.concatenate(reps).astype(np.int32)
-        # chunks of at least as many entries as orbits keep the counting
-        # passes over the sizes to about the mean orbit size
-        sizes, step = np.zeros(count, dtype=np.int64), max(_LABEL_BLOCK, count)
-        for lo in range(0, flat.size, step):
-            sizes += np.bincount(flat[lo:lo + step], minlength=count)
-        return Orbits(_read_only(out), _read_only(reps), _read_only(sizes))
+            sizes = np.pad(sizes, (0, count - sizes.size))
+            np.add.at(sizes, block.ravel(), np.repeat(cells.sizes[lo:lo + rows], p))
+        return Orbits(_read_only(out), _read_only(np.concatenate(reps)), _read_only(sizes))
 
 
 class Orbits(NamedTuple):
     """The orbits of a grid's cells (GridSpec.cell_orbits) or order-3
     entries (GridSpec.k3_orbits).
 
-    labels holds the number of each element's orbit; reps[o] is the flat
-    index of orbit o's smallest image, an element of the orbit, in
-    increasing order; sizes[o] counts its elements."""
+    labels holds the number of each element's orbit (k3_orbits': of the rows
+    cell_orbits.reps); reps[o] is the flat index of orbit o's smallest image,
+    an element of the orbit, in increasing order; sizes[o] counts them."""
     labels: np.ndarray
     reps: np.ndarray
     sizes: np.ndarray
 
 
-# Entries per block of the label build (GridSpec.k3_orbits), or the rows of
-# one first coordinate where those are more, and of the triple sum of
-# product_expectation: the blocks bound their temporaries.
-_LABEL_BLOCK = 1 << 14
-
-
-def _axis_sum(tables, out: np.ndarray) -> None:
-    """out[j, l] = sum over axes i of tables[i][j_i, l_i], where j_i and l_i
-    are the lattice coordinates of cells j and l and out is the (n,) * 2d
-    view of a P x P array, or a block of its leading axis, whose rows
-    tables[0] then holds."""
-    d = len(tables)
-    terms = []
-    for i, t in enumerate(tables):
-        shape = [1] * (2 * d)
-        shape[i], shape[d + i] = t.shape
-        terms.append(t.reshape(shape))
-    if d == 1:
-        np.copyto(out, terms[0])
-        return
-    np.add(terms[0], terms[1], out=out)
-    for t in terms[2:]:
-        out += t
+# Entries per block of the label build (GridSpec.k3_orbits), or one row
+# where that is more, and of the triple sum of product_expectation, whose
+# summation order its block fixes: the blocks bound their temporaries.
+_LABEL_BLOCK, _TRIPLE_BLOCK = 1 << 18, 1 << 14
 
 
 # The six permutations of the triple {0, a, b} as the offset pairs (x, y)
@@ -436,7 +422,7 @@ def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0)
     g[a + l], whose row sums are equal on each orbit of
     GridSpec.cell_orbits: it is taken on the representative rows f,
     gathered from the orbit values, weighted by the orbit sizes, with T[f]
-    by FFT, _LABEL_BLOCK entries at a time."""
+    by FFT, _TRIPLE_BLOCK entries at a time."""
     grid, shape = table.grid, table.grid.shape
     value = table.k0 + table.k1 * float(np.sum(g)) * dv
     if table.order >= 2:
@@ -445,15 +431,15 @@ def product_expectation(table: CorrelationTable, g: np.ndarray, dv: float = 1.0)
     if table.order >= 3:
         _, reps, sizes = grid.cell_orbits
         labels = grid.k3_orbits.labels
-        axes, step = tuple(range(1, len(shape) + 1)), max(1, _LABEL_BLOCK // g.size)
+        axes, step = tuple(range(1, len(shape) + 1)), max(1, _TRIPLE_BLOCK // g.size)
         g = g.reshape(shape)
         shifted = sliding_window_view(np.tile(g, (2,) * g.ndim), shape)   # [f][a]: g[a + f]
         g_hat = np.fft.rfftn(g)
         for lo in range(0, reps.size, step):
-            f = reps[lo:lo + step]
+            f, k3f = reps[lo:lo + step], table.k3[labels[lo:lo + step]]
             u = np.fft.rfftn(shifted[tuple(grid.lattice[f].T)] * g, axes=axes)
             t = np.fft.irfftn(u.conj() * g_hat, shape, axes=axes).reshape(f.size, -1)
-            value += float(sizes[lo:lo + step] @ np.sum(t * table.k3[labels[f]], 1) * dv ** 3 / 6.0)
+            value += float(sizes[lo:lo + step] @ np.sum(t * k3f, 1) * dv ** 3 / 6.0)
     return value
 
 

@@ -11,10 +11,11 @@ the reference for its Fourier-space form.
 Both production routines take correlation data: k2 and the profile of
 product_expectation invariant under the lattice point group, and k3, by
 its layout, one value per orbit of S3 x the point group.  The oracles
-work on P x P arrays: expanded(table) forms a table's k3 as one
-(values[grid.k3_orbits.labels]), and packed reads a symmetric P x P k3 at
-the orbit representatives.  symmetrised_table and radial_field draw such
-inputs.
+work on P x P arrays: full_labels expands the orbit labels the grid keeps
+on the representative rows to every entry, expanded(table) forms a
+table's k3 as one (values[full_labels(grid)]), and packed reads a
+symmetric P x P k3 at the orbit representatives.  symmetrised_table and
+radial_field draw such inputs.
 """
 
 import functools
@@ -22,6 +23,7 @@ import itertools
 
 import numpy as np
 
+from coupledbd.hierarchy import _row_image
 from coupledbd.tables import CorrelationTable, corrected_stencil
 
 
@@ -84,9 +86,21 @@ def symmetrised(grid, k2, k3, s3=True):
     return k2, k3
 
 
+@functools.lru_cache(maxsize=None)
+def full_labels(grid):
+    """The P x P orbit labels of the order-3 entries: entry [j, l] holds
+    the label of [f, g l] in GridSpec.k3_orbits' representative rows, g the
+    point-group element that takes j to its representative f."""
+    p, lat = grid.num_cells, grid.lattice
+    index = _row_image(grid, np.repeat(lat, p, axis=0), np.tile(lat, (p, 1)))
+    labels = grid.k3_orbits.labels.ravel()[index].reshape(p, p)
+    labels.flags.writeable = False   # one array per grid, shared by every call
+    return labels
+
+
 def expanded(table):
     """The P x P k3 of an order-3 table: each entry at its orbit's value."""
-    return table.k3[table.grid.k3_orbits.labels]
+    return table.k3[full_labels(table.grid)]
 
 
 def packed(grid, k3):

@@ -651,10 +651,10 @@ def test_cli_exits_2_naming_the_section_a_command_needs_when_it_is_missing(
 
 def test_grids_too_large_for_a_table_exit_2_naming_grid_points(tmp_path):
     # The default grid_points (64 per axis) on a 3D torus is P = 262144 cells,
-    # whose P x P difference index alone needs 1.5 TiB: numpy's MemoryError
-    # used to escape as a traceback (exit 1).  The commands run in a fresh
-    # interpreter under an address-space limit, so that a regression fails
-    # here instead of asking the machine for that memory.
+    # whose order-3 orbit labels alone (|F| P int32) need 6.9 GB: numpy's
+    # MemoryError used to escape as a traceback (exit 1).  The commands run
+    # in a fresh interpreter under an address-space limit, so that a
+    # regression fails here instead of asking the machine for that memory.
     cfg = _gg_config()
     cfg["torus"] = {"side": 4.0, "dim": 3}
     cfg["evolve"] = {"t_final": 0.1}

@@ -31,6 +31,7 @@ from conftest import TORUS1, bdlp_model, gg_model, two_bdlp_model
 from hierarchy_oracle import (
     _rebased_triple_integral,
     expanded,
+    full_labels,
     full_vector,
     k3_generators,
     oracle_l_delta_apply,
@@ -315,9 +316,14 @@ def _smallest_images(grid):
 
 @pytest.mark.parametrize("dim,n", [(1, 7), (1, 8), (2, 5), (2, 6), (3, 3), (3, 4)])
 def test_orbit_labels_number_the_smallest_images(dim, n):
+    # the grid keeps the labels of the representative rows only; their
+    # expansion to every entry numbers the smallest images
     grid = GridSpec(torus=Torus(dim=dim, side=4.0), points_per_axis=n)
-    labels, reps, sizes = grid.k3_orbits
-    assert labels.dtype == np.int32 and not labels.flags.writeable
+    kept, reps, sizes = grid.k3_orbits
+    assert kept.shape == (grid.cell_orbits.reps.size, grid.num_cells)
+    assert kept.dtype == np.int32 and not kept.flags.writeable
+    labels = full_labels(grid)
+    assert np.array_equal(labels[grid.cell_orbits.reps], kept)
     assert np.array_equal(reps[labels], _smallest_images(grid))
     assert np.all(np.diff(reps) > 0)
     assert np.array_equal(labels.ravel()[reps], np.arange(reps.size))
@@ -327,8 +333,9 @@ def test_orbit_labels_number_the_smallest_images(dim, n):
                                          (2, 16, 1516), (3, 5, None), (3, 8, None)])
 def test_every_generator_fixes_every_orbit_label(dim, n, count):
     grid = GridSpec(torus=Torus(dim=dim, side=4.0), points_per_axis=n)
-    labels, reps, sizes = grid.k3_orbits
+    _, reps, sizes = grid.k3_orbits
     assert grid.k3_orbits is grid.k3_orbits
+    labels = full_labels(grid)
     for gen, apply in k3_generators(grid).items():
         assert np.array_equal(apply(labels), labels), gen
     assert np.array_equal(sizes, np.bincount(labels.ravel()))
@@ -652,10 +659,11 @@ def _array_bytes(obj) -> int:
 
 def test_solve_holds_the_orbit_labels_its_bundle_and_no_square_float_array():
     # the solver and the table it returns keep k3 on the orbits: at its
-    # peak it holds the grid's P^2 int32 orbit labels and the arrays of its
-    # stencil bundle, which it builds, and within a slack of 5/8 of P^2
-    # floats the mixing's table vectors (0.02 P^2 floats each), the
-    # kernel's representative rows of k3 (0.15) and their temporaries
+    # peak it holds the grid's int32 orbit labels of the |F| representative
+    # rows (|F| P of them) and the arrays of its stencil bundle, which it
+    # builds, and within a slack of 5/8 of P^2 floats the mixing's table
+    # vectors (0.02 P^2 floats each), the kernel's representative rows of
+    # k3 (0.15) and their temporaries
     model = GlauberGlauber(z_minus=0.5, psi=Potential.step(0.5, 1.0), z_plus=0.3,
                            phi_minus=Potential.zero(), phi_plus=Potential.zero())
     form = component_form(model, "environment")
@@ -667,7 +675,8 @@ def test_solve_holds_the_orbit_labels_its_bundle_and_no_square_float_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    square_bytes, label_bytes = 8 * grid.num_cells ** 2, grid.k3_orbits.labels.nbytes
+    square_bytes = 8 * grid.num_cells ** 2
+    label_bytes = 4 * grid.cell_orbits.reps.size * grid.num_cells
     bundle_bytes = _array_bytes(build_stencils(grid, form, 3))
     limit = label_bytes + bundle_bytes + 5 * square_bytes // 8
     assert peak <= limit, (

@@ -26,6 +26,7 @@ from conftest import TORUS1
 from hierarchy_oracle import (
     dense_triple_sum,
     expanded,
+    full_labels,
     packed,
     radial_field,
     symmetrised,
@@ -295,7 +296,7 @@ def test_fourier_triple_sum_matches_the_dense_sum(dim, n):
     p = grid.num_cells
     rng = np.random.default_rng(100 * dim + n)
     k3 = symmetrised(grid, np.zeros(p), rng.normal(size=(p, p)))[1]
-    k3 = packed(grid, k3)[grid.k3_orbits.labels]
+    k3 = packed(grid, k3)[full_labels(grid)]
     di = grid.diff_index
     for _ in range(3):
         w = radial_field(grid, rng)
@@ -333,8 +334,8 @@ def test_product_expectation_matches_the_brute_force_sums(dim, n):
 
 
 def test_a_grid_above_the_cell_cap_is_refused_naming_grid_points():
-    # the default 64 points per axis is the cap in 2D; in 3D it asks for a
-    # P x P index of 1.5 TiB
+    # the default 64 points per axis is the cap in 2D; in 3D it would ask
+    # for 6.9 GB of order-3 orbit labels (|F| P int32, |F| = 6545)
     assert GridSpec(torus=Torus(dim=2, side=10.0), points_per_axis=64).num_cells == MAX_GRID_CELLS
     with pytest.raises(SizeLimitError, match="grid_points 64 in 3D gives P = 262144 cells"):
         GridSpec(torus=Torus(dim=3, side=4.0), points_per_axis=64)
