@@ -53,14 +53,15 @@ and P^2/48 at 64 x 64), so no array of the kernel or the solvers has
 P x P entries.  The lattice product of the order-3 step is an FFT
 convolution (_stencil_product) of k3's rows at the representatives under
 the point group (GridSpec.cell_orbits, |F| about P/8 in 2D), k3 indexed
-by the grid's |F| x P int32 orbit labels, with the birth stencil, and
-build_stencils keeps the int32 indices and the coefficients of the R
-values.  The mixing solver (_mix) holds the vector it was started from,
-which holds x, then f = g - x, then the next x; g, the kernel's result;
-and the histories dF and dG, 2 _MIX_DEPTH vectors whose slot due next
-also keeps the last f and g.  evolve_hierarchy holds the state, one stage
-input, the weighted sum of the step's derivatives and the latest
-derivative.
+by the grid's |F| x P int32 orbit labels, with the birth stencil.  The
+order-3 birth term is summed over each orbit on those rows and scattered
+by the same labels, and build_stencils keeps its coefficient there, one
+|F| x P float array, and the death coefficients of the R values.  The
+mixing solver (_mix) holds the vector it was started from, which holds x,
+then f = g - x, then the next x; g, the kernel's result; and the
+histories dF and dG, 2 _MIX_DEPTH vectors whose slot due next also keeps
+the last f and g.  evolve_hierarchy holds the state, one stage input, the
+weighted sum of the step's derivatives and the latest derivative.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ class StencilPart:
 @dataclass(eq=False)
 class StencilBundle:
     """A form's death and birth parts on a grid (None where the term is
-    absent, zero, or scaled by 0), plus the order-3 data on the R orbit
-    representatives (j, l) of GridSpec.k3_orbits.  Coefficients are arrays
-    over the representatives or scalars."""
+    absent, zero, or scaled by 0), plus the order-3 coefficients: of the
+    death term on the R orbit representatives (j, l) of GridSpec.k3_orbits,
+    arrays or scalars, and of the birth term on the representative rows of
+    GridSpec.cell_orbits."""
     grid: GridSpec
     form: ComponentForm
     order: int
@@ -116,13 +118,10 @@ class StencilBundle:
     neg: Optional[np.ndarray] = None      # index of -offset[j] (order >= 2)
     # order 3: the death coefficient of k3 is death3[0] + rho death3[1]
     death3: Optional[Tuple] = None
-    # order 3, per birth term t = [l - j, l, j]: the int32 indices of k2 at
-    # that offset and of the lattice product r1 that term reads
-    # (l_delta_apply), and (a, s), 3 x R or 3 x 1 arrays: term t adds
-    # a[t] r1 + s[t] a[t] k2
-    k2_index: Optional[np.ndarray] = None
-    r1_index: Optional[np.ndarray] = None
-    birth3: Optional[Tuple] = None
+    # order 3: the coefficient of the birth term T[f, c] on the rows f,
+    # |F| x P, or |F| x 1 without a birth stencil, times 3 times the size
+    # of f's orbit (l_delta_apply)
+    birth3: Optional[np.ndarray] = None
 
 
 # Table entries _stencil_product transforms at a time: blocks of rows whose
@@ -159,13 +158,30 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
         if birth is not None:
             birth.hat = np.fft.rfftn(birth.cw.reshape(grid.shape))
     if order >= 3:
-        # the representatives (j, l) and the offset l - j, from lattice
-        # coordinates; every stencil is radial, so its values at l - j and
-        # j - l are equal to the last bit
-        j, l = np.divmod(grid.k3_orbits.reps.astype(np.intp), grid.num_cells)
-        x, y = grid.lattice[j], grid.lattice[l]
-        lj = grid.flat(y - x)
-        b.k2_index = np.array((lj, l, j), dtype=np.int32)
+        # the birth term T[f, c] that puts the new point next to offset[c],
+        # at the representative rows f of GridSpec.cell_orbits, times 3
+        # times the size of f's orbit (l_delta_apply), f - c read from the
+        # row differences (GridSpec.diff_index)
+        p, rows, diff = grid.num_cells, grid.cell_orbits, grid.diff_index
+        weight = 3.0 * rows.sizes[:, None]
+        if birth is None:
+            b.birth3 = z * weight
+        elif birth.dress is not None:
+            t = birth.dress
+            b.birth3 = t[diff]
+            b.birth3 *= t
+            b.birth3 *= weight
+        else:
+            a = birth.p
+            b.birth3 = a[diff]
+            b.birth3 += a
+            b.birth3 += z
+            b.birth3 *= weight
+        # the R orbit representatives (j, l), j in F, whose j - l is in row
+        # cell_orbits.labels[j] of the row differences; every stencil is
+        # radial, so its values at l - j and j - l are equal to the last bit
+        j, l = np.divmod(grid.k3_orbits.reps, p)
+        lj = diff[rows.labels[j], l]
         if death is None:
             b.death3 = (-3.0 * m, 0.0)
         elif death.dress is not None:
@@ -175,37 +191,7 @@ def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBu
         else:
             a = death.p
             b.death3 = (-(3.0 * m + 2.0 * (a[j] + a[l] + a[lj])), -3.0 * death.mass)
-        one = np.ones((3, 1))
-        if birth is None:
-            b.birth3 = (one, z * one)
-            return b
-        # r1[f, c] for the representative row f of orbit o of
-        # GridSpec.cell_orbits is entry o P + c of the product; r1[u, v] =
-        # r1[g u, g v] for the point-group element g that takes u to its
-        # representative
-        b.r1_index = np.array([_row_image(grid, u, v) for u, v in
-                               ((y - x, -x), (y, x), (x, y))], dtype=np.int32)
-        if birth.dress is not None:
-            t = birth.dress
-            b.birth3 = (np.stack((t[j] * t[l], t[j] * t[lj], t[l] * t[lj])), z * one)
-        else:
-            a = birth.p
-            b.birth3 = (one, z + np.stack((a[j] + a[l], a[j] + a[lj], a[l] + a[lj])))
     return b
-
-
-def _row_image(grid: GridSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """For cells at lattice coordinates u and v (R x d), the index in the
-    order-3 product of l_delta_apply of r1[f, g v], with g the point-group
-    element that folds u into [0, n/2] per axis and then sorts it into f,
-    the representative of u's orbit (GridSpec.cell_orbits)."""
-    n = grid.points_per_axis
-    u, v = np.mod(u, n), np.mod(v, n)
-    flip = u > n - u
-    v = np.where(flip, -v, v)
-    order = np.argsort(np.where(flip, n - u, u), axis=1, kind="stable")
-    image = grid.flat(np.take_along_axis(v, order, axis=1))
-    return grid.cell_orbits.labels[grid.flat(u)] * grid.num_cells + image
 
 
 def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
@@ -225,16 +211,6 @@ def _stencil_product(part: StencilPart, shape: Tuple[int, ...], a: np.ndarray,
         spec *= part.hat
         out_rows[i:i + step] = np.fft.irfftn(spec, shape, axes=axes).reshape(-1, p)
     return out
-
-
-def _term_sum(coefs, values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The sum over the three birth terms t of coefs[t] values[index[t]],
-    added in the order of t, one term's gather at a time."""
-    terms = (c * np.take(values, i) for c, i in zip(coefs, index))
-    total = next(terms)
-    for term in terms:
-        total += term
-    return total
 
 
 def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
@@ -308,18 +284,37 @@ def l_delta_apply(table: CorrelationTable, bundle: StencilBundle,
         return out
 
     # ----- order 3 --------------------------------------------------------
-    # At each representative (j, l), with r1[u, v] = sum_r k3[u, r] w at
-    # offset[r] - offset[v], w the birth stencil, the three birth terms put
-    # the new point next to each point of the triple {0, offset[j],
-    # offset[l]}: r1[l - j, -j] (rebased onto the removed point 0),
-    # r1[l, j] and r1[j, l], each with k2 at the two other points' offset.
-    # r1 is formed on the representative rows only, in place of k3f.
-    death3, (a, s) = bundle.death3, bundle.birth3
+    # The three birth terms put the new point next to each point of the
+    # triple {0, offset[j], offset[l]}, and S3 permutes them.  The one that
+    # puts it next to offset[c], at the entry [f, c], is T[f, c] =
+    # t[c] t[f - c] (r1[f, c] + z k2[f]) for a birth dressed by t,
+    # r1[f, c] + (z + p[c] + p[f - c]) k2[f] for an additive birth of pair
+    # factor p and z k2[f] without a stencil, where r1[f, c] = sum_r
+    # k3[f, r] w at offset[r] - offset[c], w the birth stencil.  With k2
+    # invariant under the point group, as the docstring requires, T is too,
+    # and the output is the same on every entry of an orbit of S3 x the
+    # point group: on orbit o it is 3 / k3_orbits.sizes[o] times the sum of
+    # T over the orbit's entries.  The representative rows f hold them, each
+    # row standing for the cell_orbits.sizes[f] rows of its orbit; the
+    # bundle's coefficient carries 3 times that size.  r1 is formed in
+    # place of k3f.
+    death3, coef = bundle.death3, bundle.birth3
     value = np.multiply(k3, death3[0] + rho * death3[1], out=out.k3)
-    value += _term_sum((s_t * a_t for s_t, a_t in zip(s, a)), k2, bundle.k2_index)
-    if birth is not None:
-        r1 = _stencil_product(birth, grid.shape, k3f, k3f)
-        value += _term_sum(a, r1.ravel(), bundle.r1_index)
+    k2f = k2[rows.reps, None]
+    if birth is None:
+        term = np.multiply(coef, k2f, out=k3f)
+    else:
+        term = _stencil_product(birth, grid.shape, k3f, k3f)
+        if birth.dress is not None:
+            term += z * k2f
+            term *= coef
+        else:
+            term *= 3.0 * rows.sizes[:, None]
+            term += coef * k2f
+    births = np.zeros_like(value)
+    np.add.at(births, grid.k3_orbits.labels.ravel(), term.ravel())
+    births /= grid.k3_orbits.sizes
+    value += births
     return out
 
 

@@ -16,11 +16,12 @@ keeps one value per orbit: R values, about P^2/43 at 16 x 16 and P^2/48 at
 64 x 64.  k3[k3_orbits.labels] is k3 on the rows F of the point-group
 representatives (cell_orbits.reps), |F| x P; no command forms a P x P array.
 
-The grid builds its offsets, their distances, the index of offset
-differences, the orbits of the cells under the lattice point group
-(cell_orbits) and those of the order-3 entries under the symmetries of
-correlation data (k3_orbits) on first use and keeps them, read-only, for
-its own lifetime.
+The grid builds its offsets, their distances, the orbits of the cells under
+the lattice point group (cell_orbits) and those of the order-3 entries
+under the symmetries of correlation data (k3_orbits) on first use and keeps
+them, read-only, for its own lifetime.  The differences of the offsets,
+from the representative rows F to every cell (diff_index, |F| x P), it
+builds on each access and does not keep.
 
 Integrals against a radial factor (pot, e^{-pot} - 1 or e^{+pot} - 1) use
 midpoint values rescaled so the total lattice mass matches the exact radial
@@ -107,18 +108,20 @@ class GridSpec:
         delta = ((self.lattice + n // 2) % n - n // 2) * self.h
         return _read_only(np.sqrt(np.sum(delta * delta, axis=1)))
 
-    @cached_property
+    @property
     def diff_index(self) -> np.ndarray:
-        """diff_index[j, l] is the flat index of offset[j] - offset[l]: the
-        sum over the axes i of step[j_i, l_i] n^(d - 1 - i), with j_i and l_i
-        the lattice coordinates of cells j and l, formed on the (n,) * 2d
-        view."""
+        """The |F| x P int32 row differences: diff_index[o, l] is the flat
+        index of offset[f] - offset[l], f = cell_orbits.reps[o], the sum
+        over the axes i of (f_i - l_i) mod n times n^(d - 1 - i), formed on
+        the (n,) * d view of each row.  Built on each access, not kept."""
         n, d = self.points_per_axis, self.torus.dim
+        f = self.lattice[self.cell_orbits.reps].astype(np.int32)
         a = np.arange(n, dtype=np.int32)
-        step = np.mod(a[:, None] - a, n)
-        out = sum((step * n ** (d - 1 - i)).reshape(((1,) * i + (n,) + (1,) * (d - 1 - i)) * 2)
-                  for i in range(d))
-        return _read_only(out.reshape((self.num_cells,) * 2))
+        out = np.zeros((f.shape[0],) + self.shape, dtype=np.int32)
+        for i in range(d):
+            step = np.mod(f[:, i, None] - a, n) * n ** (d - 1 - i)
+            out += step.reshape((-1,) + (1,) * i + (n,) + (1,) * (d - 1 - i))
+        return _read_only(out.reshape(f.shape[0], self.num_cells))
 
     @cached_property
     def cell_orbits(self) -> "Orbits":

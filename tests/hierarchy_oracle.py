@@ -11,11 +11,13 @@ the reference for its Fourier-space form.
 Both production routines take correlation data: k2 and the profile of
 product_expectation invariant under the lattice point group, and k3, by
 its layout, one value per orbit of S3 x the point group.  The oracles
-work on P x P arrays: full_labels expands the orbit labels the grid keeps
-on the representative rows to every entry, expanded(table) forms a
-table's k3 as one (values[full_labels(grid)]), and packed reads a
-symmetric P x P k3 at the orbit representatives.  symmetrised_table and
-radial_field draw such inputs.
+work on P x P arrays: full_diff_index is the index of offset differences
+on every pair of cells (the grid forms only the representative rows),
+full_labels expands the orbit labels the grid keeps on the representative
+rows to every entry, expanded(table) forms a table's k3 as one
+(values[full_labels(grid)]), and packed reads a symmetric P x P k3 at the
+orbit representatives.  symmetrised_table and radial_field draw such
+inputs.
 """
 
 import functools
@@ -23,7 +25,6 @@ import itertools
 
 import numpy as np
 
-from coupledbd.hierarchy import _row_image
 from coupledbd.tables import CorrelationTable, corrected_stencil
 
 
@@ -57,7 +58,7 @@ def k3_generators(grid):
     """The swap (j, l) -> (l, j), the rebase {0, a, b} -> {-a, 0, b - a}, a
     reflection and, in 2D and 3D, an axis swap, as maps of a P x P table."""
     neg, refl, perms = vector_maps(grid)
-    rebase = (neg[:, None], grid.diff_index.T)     # b - a is offset[l] - offset[j]
+    rebase = (neg[:, None], full_diff_index(grid).T)   # b - a is offset[l] - offset[j]
     gens = {"swap": lambda k: k.T, "rebase": lambda k: k[rebase],
             "reflection": lambda k: k[refl[:, None], refl]}
     if len(perms) > 1:
@@ -84,6 +85,30 @@ def symmetrised(grid, k2, k3, s3=True):
     k2 = sum(k2[q] for q in perms) / len(perms)
     k3 = sum(k3[q[:, None], q] for q in perms) / len(perms)
     return k2, k3
+
+
+@functools.lru_cache(maxsize=None)
+def full_diff_index(grid):
+    """The P x P index of offset differences: entry [j, l] is the flat
+    index of offset[j] - offset[l], from lattice coordinates."""
+    lat = grid.lattice
+    di = grid.flat(lat[:, None] - lat[None, :]).astype(np.int32)
+    di.flags.writeable = False       # one array per grid, shared by every call
+    return di
+
+
+def _row_image(grid, u, v):
+    """For cells at lattice coordinates u and v (N x d), the flat index in
+    GridSpec.k3_orbits.labels of [f, g v], with g the point-group element
+    that folds u into [0, n/2] per axis and then sorts it into f, the
+    representative of u's orbit (GridSpec.cell_orbits)."""
+    n = grid.points_per_axis
+    u, v = np.mod(u, n), np.mod(v, n)
+    flip = u > n - u
+    v = np.where(flip, -v, v)
+    order = np.argsort(np.where(flip, n - u, u), axis=1, kind="stable")
+    image = grid.flat(np.take_along_axis(v, order, axis=1))
+    return grid.cell_orbits.labels[grid.flat(u)] * grid.num_cells + image
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,7 +228,7 @@ def oracle_l_delta_apply(table, form, closure="poisson"):
         return np.array([0.0, out1])
 
     # order 2
-    di = grid.diff_index
+    di = full_diff_index(grid)
     p = grid.num_cells
     k2mat = k2[di]                      # k2 at offset[j] - offset[l]
     out2 = np.zeros(p)

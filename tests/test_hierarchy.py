@@ -31,6 +31,7 @@ from conftest import TORUS1, bdlp_model, gg_model, two_bdlp_model
 from hierarchy_oracle import (
     _rebased_triple_integral,
     expanded,
+    full_diff_index,
     full_labels,
     full_vector,
     k3_generators,
@@ -86,7 +87,8 @@ def test_fixed_point_annihilates_the_evolution_operator():
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
 def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
     # out[j, l] = sum_r w[r] * k3[offset[l] - offset[j], offset[r] - offset[j]],
-    # with the offset differences taken on the lattice, not from diff_index
+    # with the offset differences taken on the lattice, not from
+    # full_diff_index
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
     rng = np.random.default_rng(dim)
@@ -103,7 +105,7 @@ def test_rebased_triple_integral_matches_the_brute_force_sum(dim, n):
         for l in range(p):
             a = diff(l, j)
             expected[j, l] = sum(w[r] * k3[a, diff(r, j)] for r in range(p))
-    got = _rebased_triple_integral(k3, w, grid.diff_index)
+    got = _rebased_triple_integral(k3, w, full_diff_index(grid))
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -118,7 +120,7 @@ def test_fft_stencil_product_matches_the_dense_product(dim, side, n, block, monk
     grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
     form = ComponentForm(1.2, 0.4, death_kernel=_STEP(0.3, 1.0), birth_pot=_STEP(0.5, 1.0))
     birth = build_stencils(grid, form, 2).birth
-    cw2 = birth.cw[grid.diff_index]           # cw at offset[j] - offset[l]
+    cw2 = birth.cw[full_diff_index(grid)]     # cw at offset[j] - offset[l]
     p = grid.num_cells
     rng = np.random.default_rng(dim)
     k3 = rng.uniform(0.5, 1.5, (p, p))        # neither symmetric nor radial
@@ -684,6 +686,28 @@ def test_solve_holds_the_orbit_labels_its_bundle_and_no_square_float_array():
         f"(labels {label_bytes / square_bytes:.3f}, bundle {bundle_bytes / square_bytes:.3f})")
 
 
+@pytest.mark.parametrize("form", ["exp_death_exp_birth", "add_death_add_birth",
+                                  "const_death_exp_birth"])
+@pytest.mark.parametrize("dim,side,n", [(1, 10.0, 256), (2, 4.0, 32), (3, 4.0, 10)])
+def test_order3_bundle_build_holds_one_row_array_and_the_row_differences(dim, side, n, form):
+    # above the arrays it returns, the order-3 build holds at most the int32
+    # row differences (4 |F| P bytes) and one float array on the
+    # representative rows (8 |F| P bytes).  A first build warms the grid's
+    # cached arrays and the potential functionals, which are not counted
+    grid = GridSpec(torus=Torus(dim=dim, side=side), points_per_axis=n)
+    form = _GOLDEN_FORMS[form][0]
+    build_stencils(grid, form, 3)
+    tracemalloc.start()
+    try:
+        bundle = build_stencils(grid, form, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = grid.cell_orbits.reps.size * grid.num_cells
+    transient = peak - _array_bytes(bundle)
+    assert transient <= 12 * rows, f"{transient / rows:.1f} |F| P bytes above the bundle"
+
+
 @pytest.mark.parametrize("dim,side,n", [(1, 10.0, 40), (2, 4.0, 16), (3, 4.0, 8)])
 def test_order3_tables_hold_one_k3_value_per_orbit(dim, side, n):
     # a Poisson table, every record of an order-3 evolution and the solved
@@ -703,17 +727,16 @@ def test_order3_tables_hold_one_k3_value_per_orbit(dim, side, n):
 @pytest.mark.parametrize("form", ["exp_death_exp_birth", "add_death_add_birth",
                                   "const_birth"])
 def test_order3_bundle_keeps_int32_indices_and_one_coefficient_array(form):
-    # every index is below P^2 <= 2^24; a dressed birth keeps its dressing
-    # products once, an additive one its rates
+    # the birth term's coefficient on the representative rows, one float
+    # array of |F| x P, or |F| x 1 without a birth stencil; the bundle keeps
+    # no index array
     grid = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=16)
     bundle = build_stencils(grid, _GOLDEN_FORMS[form][0], 3)
-    r = grid.k3_orbits.reps.size
-    indices = [bundle.k2_index] + ([bundle.r1_index] if bundle.birth is not None else [])
-    for index in indices:
-        assert index.dtype == np.int32 and index.shape == (3, r)
-        assert 0 <= index.min() and index.max() < grid.num_cells ** 2
-    width = r if bundle.birth is not None else 1
-    assert sorted(a.shape for a in bundle.birth3) == [(3, 1), (3, width)]
+    width = grid.num_cells if bundle.birth is not None else 1
+    assert bundle.birth3.dtype == np.float64
+    assert bundle.birth3.shape == (grid.cell_orbits.reps.size, width)
+    indices = [k for k, v in vars(bundle).items() if isinstance(v, np.ndarray) and v.dtype.kind != "f"]
+    assert indices == ["neg"]
 
 
 def test_solver_guards_against_runaway_expansions():

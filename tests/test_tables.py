@@ -26,6 +26,7 @@ from conftest import TORUS1
 from hierarchy_oracle import (
     dense_triple_sum,
     expanded,
+    full_diff_index,
     full_labels,
     packed,
     radial_field,
@@ -40,14 +41,16 @@ def test_diff_index_encodes_lattice_subtraction():
     g = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=5)
     off = g.offsets
     di = g.diff_index
-    for name in ("offsets", "distances", "diff_index"):
+    for name in ("offsets", "distances"):
         arr = getattr(g, name)
         assert not arr.flags.writeable
         assert getattr(g, name) is arr
+    assert not di.flags.writeable
+    assert di.shape == (g.cell_orbits.reps.size, g.num_cells)
     rng = np.random.default_rng(0)
-    for j, l in rng.integers(0, g.num_cells, size=(20, 2)):
-        want = np.mod(off[j] - off[l], g.torus.side)
-        got = off[di[j, l]]
+    for o, l in zip(rng.integers(0, di.shape[0], 20), rng.integers(0, g.num_cells, 20)):
+        want = np.mod(off[g.cell_orbits.reps[o]] - off[l], g.torus.side)
+        got = off[di[o, l]]
         assert np.allclose(min_image_diff(got - want, g.torus.side), 0.0, atol=1e-9)
 
 
@@ -57,12 +60,13 @@ def test_diff_index_matches_the_lattice_subtraction_on_every_pair(dim, n):
     lat = np.array(np.unravel_index(np.arange(g.num_cells), g.shape)).T
     want = np.ravel_multi_index(tuple(np.mod(lat[:, None] - lat[None, :], n).T), g.shape).T
     assert g.diff_index.dtype == np.int32
-    assert np.array_equal(g.diff_index, want)
+    assert np.array_equal(g.diff_index, want[g.cell_orbits.reps])
+    assert np.array_equal(full_diff_index(g), want)
 
 
 def test_diff_index_builds_without_a_temporary_larger_than_itself():
-    # per axis in int32: a 2D 32 x 32 index is 4 MB, and a build through
-    # P x P x d int64 coordinates peaked at 32 MB
+    # per axis in int32: the 2D 32 x 32 rows are 0.6 MB (153 rows of 1024
+    # cells), built with the grid's cell orbits
     g = GridSpec(torus=Torus(dim=2, side=4.0), points_per_axis=32)
     tracemalloc.start()
     try:
@@ -268,7 +272,7 @@ def _triple_sum(grid, k3, w):
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 5), (3, 3)])
 def test_triple_sum_matches_the_brute_force_sum(dim, n):
     # sum over p1, p2, p3 of w[p1] w[p2] w[p3] k3[p2 - p1, p3 - p1], with the
-    # offset differences taken on the lattice, not from diff_index; k3 has
+    # offset differences taken on the lattice, not from full_diff_index; k3 has
     # the symmetries of correlation data and w is radial
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
     p = grid.num_cells
@@ -283,7 +287,7 @@ def test_triple_sum_matches_the_brute_force_sum(dim, n):
 
     expected = sum(w[p1] * w[p2] * w[p3] * k3[diff(p2, p1), diff(p3, p1)]
                    for p1 in range(p) for p2 in range(p) for p3 in range(p))
-    for got in (_triple_sum(grid, k3, w), dense_triple_sum(k3, w, grid.diff_index)):
+    for got in (_triple_sum(grid, k3, w), dense_triple_sum(k3, w, full_diff_index(grid))):
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
@@ -297,7 +301,7 @@ def test_fourier_triple_sum_matches_the_dense_sum(dim, n):
     rng = np.random.default_rng(100 * dim + n)
     k3 = symmetrised(grid, np.zeros(p), rng.normal(size=(p, p)))[1]
     k3 = packed(grid, k3)[full_labels(grid)]
-    di = grid.diff_index
+    di = full_diff_index(grid)
     for _ in range(3):
         w = radial_field(grid, rng)
         want = dense_triple_sum(k3, w, di)
@@ -308,7 +312,7 @@ def test_fourier_triple_sum_matches_the_dense_sum(dim, n):
 @pytest.mark.parametrize("dim,n", [(1, 7), (2, 4), (3, 3)])
 def test_product_expectation_matches_the_brute_force_sums(dim, n):
     # k0 + k1 sum g dv + 1/2 sum g g k2 dv^2 + 1/6 sum g g g k3 dv^3, with
-    # the offset differences taken on the lattice, not from diff_index, k2
+    # the offset differences taken on the lattice, not from full_diff_index, k2
     # and k3 with the symmetries of correlation data and g radial
     dv = 0.3
     grid = GridSpec(torus=Torus(dim=dim, side=float(n)), points_per_axis=n)
