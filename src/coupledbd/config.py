@@ -315,7 +315,8 @@ def _check(value, schema: dict, path: str):
 
 
 def resolve_config(cfg: dict) -> dict:
-    """Check cfg as validate_config does; return a resolved copy (_check)."""
+    """Schema-check cfg, including the variant parameters, and return a
+    resolved copy (_check); cfg itself is left alone."""
     run = _check(cfg, CONFIG_SCHEMA, "")
     model = run["model"]
     model["params"] = _check(model["params"], _variant_schema(model["variant"]),
@@ -323,13 +324,8 @@ def resolve_config(cfg: dict) -> dict:
     return run
 
 
-def validate_config(cfg: dict) -> dict:
-    """Schema-check a configuration dict, including the variant parameters."""
-    resolve_config(cfg)
-    return cfg
-
-
 def load_config(path: str) -> dict:
+    """The config at path as written, once resolve_config has checked it."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -337,7 +333,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    return validate_config(cfg)
+    resolve_config(cfg)
+    return cfg
 
 
 def potential_from_config(d: Optional[dict]) -> Potential:
@@ -370,7 +367,10 @@ def model_from_config(cfg: dict) -> RateModel:
     for name in meta["activities"] + meta["masses"]:
         kwargs[name] = float(params[name])
     for name in meta["potentials"]:
-        kwargs[name] = potential_from_config(params.get(name))
+        try:
+            kwargs[name] = potential_from_config(params.get(name))
+        except ConfigError as e:
+            _fail(f"model.params.{name}", str(e))
     try:
         return VARIANTS[variant](**kwargs)
     except ValueError as e:

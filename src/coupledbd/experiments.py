@@ -42,19 +42,14 @@ class RateFit:
     log_intercept: float
     n_used: int
     used_times: np.ndarray
-    used_gaps: np.ndarray
 
 
-def fit_exponential_rate(
-    times: np.ndarray,
-    gaps: np.ndarray,
-    discard_frac: float = FIT_DISCARD_FRAC,
-    noise_floor: float = 0.0,
-    min_points: int = FIT_MIN_POINTS,
-) -> RateFit:
+def fit_exponential_rate(times: np.ndarray, gaps: np.ndarray,
+                         noise_floor: float = 0.0) -> RateFit:
     """Least-squares slope of log(gap) over the usable window.
 
-    The initial discard_frac of the time range is dropped (transient).  The
+    The initial FIT_DISCARD_FRAC of the time range is dropped (transient),
+    and the window must keep FIT_MIN_POINTS points (config.py).  The
     window then runs until the gap first touches noise_floor; later points
     are excluded even if they bounce back above the floor, since beyond the
     first crossing the curve is noise.
@@ -63,7 +58,7 @@ def fit_exponential_rate(
     g = np.asarray(gaps, dtype=float)
     if t.shape != g.shape or t.ndim != 1:
         raise ValueError("times and gaps must be matching 1d arrays")
-    t0 = t[0] + discard_frac * (t[-1] - t[0])
+    t0 = t[0] + FIT_DISCARD_FRAC * (t[-1] - t[0])
     mask = (t >= t0) & (g > max(noise_floor, 0.0))
     idx = np.where(mask)[0]
     if idx.size:
@@ -72,10 +67,10 @@ def fit_exponential_rate(
         end = start + below[0] if below.size else len(mask)
         mask[:start] = False
         mask[end:] = False
-    if int(np.sum(mask)) < min_points:
+    if int(np.sum(mask)) < FIT_MIN_POINTS:
         raise ConvergenceError(
             f"only {int(np.sum(mask))} usable points for the rate fit, "
-            f"need {min_points}")
+            f"need {FIT_MIN_POINTS}")
     tt = t[mask]
     yy = np.log(g[mask])
     n = len(tt)
@@ -90,7 +85,7 @@ def fit_exponential_rate(
     else:
         stderr = math.inf
     return RateFit(rate=-slope, stderr=stderr, log_intercept=intercept,
-                   n_used=n, used_times=tt, used_gaps=g[mask])
+                   n_used=n, used_times=tt)
 
 
 @dataclass

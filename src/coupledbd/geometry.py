@@ -295,7 +295,6 @@ class LpIntegralResult:
     value: float
     stderr: float
     per_order: np.ndarray
-    per_order_stderr: np.ndarray
 
 
 def ball_volume(dim: int, radius: float) -> float:
@@ -385,5 +384,4 @@ def lp_integral(
         value=float(np.sum(per_order)),
         stderr=float(np.sqrt(np.sum(per_err ** 2))),
         per_order=per_order,
-        per_order_stderr=per_err,
     )

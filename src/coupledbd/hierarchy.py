@@ -147,10 +147,11 @@ def _part(grid: GridSpec, part: FormPart) -> Optional[StencilPart]:
 def build_stencils(grid: GridSpec, form: ComponentForm, order: int) -> StencilBundle:
     if not form.autonomous:
         raise ModelError("the hierarchy needs an autonomous form, without cross terms")
-    validate_grid_for_model(grid, form.potentials())
+    death_part, birth_part = form.parts
+    validate_grid_for_model(grid, {"death": death_part.own, "birth": birth_part.own})
     m, z = form.death_const, form.birth_const
     b = StencilBundle(grid=grid, form=form, order=order)
-    b.death, b.birth = (_part(grid, part) for part in form.parts)
+    b.death, b.birth = _part(grid, death_part), _part(grid, birth_part)
     death, birth = b.death, b.birth
 
     if order >= 2:
@@ -342,10 +343,12 @@ def ks_apply(table: CorrelationTable, bundle: StencilBundle,
 
 @dataclass
 class KsSolution:
+    """A fixed point that met tol: ks_solve raises ConvergenceError (from
+    _mix) rather than return one that did not."""
+
     table: CorrelationTable
     iterations: int            # of the solve at the requested order
     residuals: List[float]     # of the solve at the requested order
-    converged: bool
     evaluations: int           # kernel evaluations, lower-order stages included
 
 
@@ -392,7 +395,7 @@ def ks_solve(form: ComponentForm, grid: GridSpec, order: int = 3,
     x[0] = 1.0
     return KsSolution(table=CorrelationTable.from_vector(start, x),
                       iterations=len(residuals), residuals=residuals,
-                      converged=True, evaluations=evaluations)
+                      evaluations=evaluations)
 
 
 def _mix(start: CorrelationTable, bundle: StencilBundle, forcing: float,
@@ -603,6 +606,10 @@ class LenardCheck:
     min_pairing: float
 
 
+# Relative tolerance of lenard_spot_check: an entry or a pairing value may
+# fall this far below zero, a k2 entry its square root from its orbit's
+# representative, both times the table's largest entry (at least 1).
+_LENARD_TOL = 1e-8
 _PAIRING_MASSES = (-1.2, -1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0, 1.2)
 # Bump widths as fractions of the torus side: the first ten draws of
 # np.random.default_rng(20240117).uniform(0.08, 0.45), written out so that
@@ -646,7 +653,7 @@ def _pairing_values(table: CorrelationTable) -> list:
     return vals
 
 
-def lenard_spot_check(table: CorrelationTable, tol: float = 1e-8) -> LenardCheck:
+def lenard_spot_check(table: CorrelationTable) -> LenardCheck:
     """Necessary positivity conditions for correlation data of a point
     process: nonnegative entries, the symmetries of correlation data, and
     sampled product observables whose truncated expectations must stay
@@ -670,8 +677,8 @@ def lenard_spot_check(table: CorrelationTable, tol: float = 1e-8) -> LenardCheck
     scale = max(1.0, table.max_abs())
     min_entry = min(entries)
     min_pairing = min(_pairing_values(table))
-    ok = (min_entry >= -tol * scale
-          and sym <= math.sqrt(tol) * scale
-          and min_pairing >= -tol * scale)
+    ok = (min_entry >= -_LENARD_TOL * scale
+          and sym <= math.sqrt(_LENARD_TOL) * scale
+          and min_pairing >= -_LENARD_TOL * scale)
     return LenardCheck(ok=ok, min_entry=min_entry,
                        symmetry_defect=sym, min_pairing=min_pairing)

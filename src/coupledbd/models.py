@@ -15,14 +15,16 @@ ComponentForm, defined here, describes the rates of one component: constant,
 additive-kernel or exponential death and birth parts, plus cross terms that
 read the other component.  ComponentForm.parts decides the shape of each
 part once, as a FormPart; the views of the form, the kernel expansions, the
-death vectors, the hierarchy stencils and the regime checker all read it,
-and only the pointwise reference rates (_form_rates) and the averaging map
-read the fields themselves.  Each variant is declared once: its NAME, the
-terms of its environment and system forms (ENV_TERMS, SYS_TERMS, each term
-mapped to the model field that fills it or to a constant) and the names of
-its domination ratios (RATIOS).  Both forms, the checks of the activities
-and death masses, the config parameters (config.py) and the regime labels
-(conditions.py) follow from it; VARIANTS maps each NAME to its class.
+death vectors, the birth proposals, the hierarchy stencils with their
+resolution check and the regime checker all read it.  Only the checks of
+__post_init__, autonomous, the pointwise reference rates (_form_rates) and
+the averaging map read the fields themselves.  Each variant is declared
+once: its NAME, the terms of its environment and system forms (ENV_TERMS,
+SYS_TERMS, each term mapped to the model field that fills it or to a
+constant) and the names of its domination ratios (RATIOS).  Both forms, the
+checks of the activities and death masses, the config parameters
+(config.py) and the regime labels (conditions.py) follow from it; VARIANTS
+maps each NAME to its class.
 
 rate_form is the one lookup of a form: it returns a model's _sys_form or
 _env_form, and an AveragedModel answers it as a model without an
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -135,7 +137,7 @@ class ComponentForm:
     @cached_property
     def free(self) -> bool:
         """No live pair term at all: births and deaths at constant rates."""
-        return self.autonomous and not any(map(_live, self.potentials().values()))
+        return self.autonomous and not any(_live(part.own) for part in self.parts)
 
     @cached_property
     def parts(self) -> Tuple[FormPart, FormPart]:
@@ -187,14 +189,6 @@ class ComponentForm:
         moves with the parents of each group."""
         birth = self.parts[1]
         return (None, None) if birth.exponential else (_live(birth.own), _live(birth.other))
-
-    def potentials(self) -> dict:
-        out = {}
-        for name in ("death_kernel", "death_pot", "birth_kernel", "birth_pot"):
-            p = getattr(self, name)
-            if p is not None:
-                out[name] = p
-        return out
 
 
 _CROSS_TERMS = ("cross_death_kernel", "cross_birth_pot", "cross_birth_kernel", "parent_pot")
@@ -530,16 +524,16 @@ class KernelGroup(NamedTuple):
 @dataclass(frozen=True)
 class BirthProposal:
     """Dominating birth mechanism: uniform immigration of total mass
-    uniform_mass plus kernel groups, and a pointwise acceptance probability.
+    uniform_mass plus kernel groups.
 
-    acceptance(x) * dominating_intensity(x) equals the true birth rate
-    density at x for the frozen configuration the proposal was built from.
+    While its masses are those of the points present now,
+    dominating_intensity(x) times the acceptance at x, _birth_acceptance on
+    those points, equals the true birth rate density at x.
     """
 
     torus: Torus
     uniform_mass: float
     groups: Tuple[KernelGroup, ...]
-    acceptance: Callable[[np.ndarray], float]
 
     @cached_property
     def _masses(self) -> np.ndarray:
@@ -627,7 +621,8 @@ def _birth_acceptance(f: ComponentForm, x: np.ndarray, own: np.ndarray, other: n
 
 def _parent_masses(f: ComponentForm, parent_sums: np.ndarray, dim: int) -> np.ndarray:
     """Masses of the kernel group around the component's own points."""
-    unit = f.birth_kernel_scale * potential_functionals(f.birth_kernel, dim).l1
+    birth = f.parts[1]
+    unit = birth.scale * potential_functionals(birth.own, dim).l1
     return unit * np.exp(-parent_sums)
 
 
@@ -640,12 +635,11 @@ def _form_proposal(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: 
     """Dominating birth mechanism of a component with form f, given the
     points own of that component and other of the other one.
 
-    Uniform immigration at birth_const, thinned by the acceptance when the
-    birth part is exponential.  An additive birth part adds groups[0] around
-    the own points, with masses from their parent sums (computed here when
-    not given), and groups[1] around the other points; either is empty
-    without its kernel.  The acceptance is _birth_acceptance on own and
-    other as handed in here.
+    Uniform immigration at birth_const, which _birth_acceptance thins when
+    the birth part is exponential.  An additive birth part adds groups[0]
+    around the own points, with masses from their parent sums (computed
+    here when not given), and groups[1] around the other points; either is
+    empty without its kernel.
     """
     own_kernel, other_kernel = f.birth_groups
     if own_kernel is None:
@@ -660,8 +654,7 @@ def _form_proposal(f: ComponentForm, own: np.ndarray, other: np.ndarray, torus: 
         l1 = potential_functionals(other_kernel, torus.dim).l1
         around_other = KernelGroup(other_kernel, other, np.full(len(other), l1))
     return BirthProposal(torus=torus, uniform_mass=f.birth_const * torus.volume,
-                         groups=(around_own, around_other),
-                         acceptance=lambda x: _birth_acceptance(f, x, own, other, torus)[0])
+                         groups=(around_own, around_other))
 
 
 def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) -> BirthProposal:
@@ -669,8 +662,7 @@ def birth_proposal(component: str, gamma: MarkedConfiguration, m, torus: Torus) 
 
     component is "system" or "environment"; m may also be an AveragedModel,
     in which case the averaged system rates are used and "environment" is
-    invalid.  The acceptance closure snapshots the configuration handed in
-    here.
+    invalid.  Its masses are those of gamma (_form_proposal).
     """
     f = rate_form(m, component)
     if component == "system":

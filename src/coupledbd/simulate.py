@@ -217,8 +217,8 @@ class _PairState:
     only the totals and proposals whose terms moved; recompute rebuilds
     all of it from the points alone.
 
-    A proposal is rebuilt only when its masses move, so its own acceptance
-    may read an older configuration; acceptance(k, x) reads the points now.
+    A proposal is rebuilt only when its masses move; acceptance(k, x) thins
+    it on the points now, which may have moved since it was built.
     """
 
     def __init__(self, m, torus: Torus, initial: MarkedConfiguration,

@@ -246,15 +246,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def validate_grid_for_model(grid: GridSpec, potentials: dict):
     """Resolution check: every finite-range profile must span at least two
-    cells, else its lattice footprint cannot represent the interaction."""
+    cells, else its lattice footprint cannot represent the interaction.
+    potentials maps a name for the error message to each profile."""
     for name, pot in potentials.items():
         if pot.is_zero:
             continue
         if pot.cutoff > 0 and grid.h > pot.cutoff / 2 + 1e-12:
             raise ConfigError(
-                f"grid spacing {grid.h:.6g} exceeds half the cutoff of potential "
-                f"{name} ({pot.cutoff:.6g}); refine the grid"
-            )
+                f"grid_points {grid.points_per_axis} gives a grid spacing of {grid.h:.6g}, "
+                f"more than half the cutoff of the {name} potential ({pot.cutoff:.6g}); "
+                f"raise grid_points")
 
 
 # ---------------------------------------------------------------------------

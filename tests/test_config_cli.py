@@ -25,7 +25,6 @@ from coupledbd.config import (
     potential_from_config,
     resolve_config,
     torus_from_config,
-    validate_config,
 )
 from coupledbd.errors import ConfigError, EvaluationError
 from coupledbd.hierarchy import component_form, evolve_hierarchy, ks_solve
@@ -79,38 +78,37 @@ def _write(tmp_path, cfg, name="config.json"):
 
 
 def test_validate_accepts_a_complete_config():
-    cfg = _gg_config(c_minus=0.5, c_plus=1.0)
-    assert validate_config(cfg) is cfg
+    resolve_config(_gg_config(c_minus=0.5, c_plus=1.0))
 
 
 def test_validate_rejects_unknown_keys_and_variants():
     cfg = _gg_config()
     cfg["extra"] = 1
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        resolve_config(cfg)
     cfg = _gg_config()
     cfg["model"]["params"]["z_wrong"] = 1.0
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        resolve_config(cfg)
     cfg = _gg_config()
     cfg["model"]["variant"] = "unknown"
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        resolve_config(cfg)
 
 
 def test_validate_rejects_out_of_range_values():
     cfg = _gg_config()
     cfg["model"]["params"]["z_minus"] = -0.1
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        resolve_config(cfg)
     cfg = _gg_config()
     cfg["torus"]["dim"] = 4
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        resolve_config(cfg)
     cfg = _gg_config()
     del cfg["torus"]
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        resolve_config(cfg)
 
 
 _NON_FINITE = [
@@ -155,15 +153,31 @@ def test_validate_names_the_dotted_path_of_the_offending_key():
     cfg = _gg_config()
     cfg["simulate"] = {"t_end": -1.0}
     with pytest.raises(ConfigError, match=r"simulate\.t_end"):
-        validate_config(cfg)
+        resolve_config(cfg)
     cfg = _gg_config()
     cfg["model"]["params"]["psi"]["radii"] = [0.0]
     with pytest.raises(ConfigError, match=r"model\.params\.psi\.radii"):
-        validate_config(cfg)
+        resolve_config(cfg)
     cfg = _gg_config()
     del cfg["model"]["params"]["z_plus"]
     with pytest.raises(ConfigError, match=r"model\.params\.z_plus"):
-        validate_config(cfg)
+        resolve_config(cfg)
+
+
+@pytest.mark.parametrize("psi, reason", [
+    (_step(0.5, 0.0), "step potential needs height >= 0 and cutoff > 0"),
+    ({"kind": "step", "cutoff": 1.0}, "potential spec missing field 'height'"),
+    ({"kind": "table", "radii": [0.0, 1.0], "values": [1.0, -1.0]},
+     "table values must be nonnegative"),
+])
+def test_a_bad_potential_exits_2_naming_its_key(tmp_path, capsys, psi, reason):
+    # the schema passes these; the potential's own check used to reject them
+    # without naming the key
+    cfg = _gg_config()
+    cfg["model"]["params"]["psi"] = psi
+    assert main(["check", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: invalid configuration: model.params.psi: {reason}\n")
 
 
 def test_potential_from_config_covers_all_kinds():
@@ -683,6 +697,19 @@ def test_grids_too_large_for_a_table_exit_2_naming_grid_points(tmp_path):
         assert "262144 cells" in line
 
 
+def test_a_grid_too_coarse_for_a_potential_exits_2_naming_grid_points(tmp_path, capsys):
+    # the hierarchy benchmark's 2D model at 4 points per axis: a spacing of 1
+    # against psi's cutoff of 1.0, which the birth part of the form reads
+    cfg = {"model": {"variant": "glauber_glauber",
+                     "params": {"z_minus": 0.5, "z_plus": 0.3, "psi": _step(0.5, 1.0)}},
+           "torus": {"side": 4.0, "dim": 2},
+           "invariant": {"grid_points": 4}}
+    assert main(["invariant", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: grid_points 4 gives a grid spacing of 1, more than half "
+        "the cutoff of the birth potential (1); raise grid_points\n")
+
+
 def test_cli_averaging_runs_a_small_sweep(tmp_path):
     cfg = _gg_config()
     cfg["averaging"] = {"epsilons": [1.0, 0.5], "n_replicas": 8,
@@ -891,7 +918,7 @@ def test_the_largest_accepted_seed_runs(tmp_path, command):
     assert main([command, path, "--out", str(tmp_path / "a")]) == 0
     assert main([command, path, "--out", str(tmp_path / "b"), "--seed", str(SEED_MAX)]) == 0
     with pytest.raises(ConfigError):
-        validate_config(_with_seed(command, SEED_MAX + 1))
+        resolve_config(_with_seed(command, SEED_MAX + 1))
 
 
 @pytest.mark.parametrize("n_times, code", [(8, 2), (9, 0)])
@@ -1027,7 +1054,7 @@ _EXITS = {0, 2, 3, 4}
 def test_every_command_on_a_schema_drawn_config_exits_with_a_documented_code(
         command, data, seed):
     cfg = data.draw(_cli_configs(command))
-    validate_config(cfg)
+    resolve_config(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as f:

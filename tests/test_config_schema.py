@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import coupledbd
 from coupledbd import config
-from coupledbd.config import CONFIG_SCHEMA, _PARAMS, _variant_schema, validate_config
+from coupledbd.config import CONFIG_SCHEMA, _PARAMS, _variant_schema, resolve_config
 from coupledbd.errors import ConfigError
 
 _SCHEMAS = [("config", CONFIG_SCHEMA)] + [(v, _variant_schema(v)) for v in _PARAMS]
@@ -48,7 +48,7 @@ def test_an_unimplemented_schema_keyword_makes_the_validator_raise(monkeypatch, 
                      "params": {"z_minus": 0.3, "z_plus": 0.3}},
            "torus": {"side": 10.0, "dim": 1}}
     with pytest.raises(NotImplementedError, match="torus.side"):
-        validate_config(cfg)
+        resolve_config(cfg)
 
 
 def test_load_config_does_not_import_jsonschema(tmp_path):
@@ -200,7 +200,7 @@ def _apply(cfg, mutant):
 
 def _agree(jsonschema, cfg):
     try:
-        validate_config(cfg)
+        resolve_config(cfg)
         accepted = True
     except ConfigError:
         accepted = False
@@ -217,7 +217,7 @@ def test_every_single_mutant_agrees_with_jsonschema(variant):
     # the optional sections do not depend on the variant: sweep them once
     jsonschema = pytest.importorskip("jsonschema")
     cfg = _valid_config(variant, sections=variant == "glauber_glauber")
-    validate_config(cfg)
+    resolve_config(cfg)
     for mutant in _mutants(cfg, _full_schema(variant)):
         assert _agree(jsonschema, _apply(cfg, mutant)), mutant
 
@@ -340,7 +340,6 @@ def test_resolving_leaves_the_input_alone_is_idempotent_and_types_every_number(
     before = copy.deepcopy(cfg)
     run = config.resolve_config(cfg)
     assert cfg == before and _same_types(cfg, before)
-    assert validate_config(cfg) is cfg
     assert config.resolve_config(run) == run
     _assert_resolved_types(run, CONFIG_SCHEMA)
     _assert_resolved_types(run["model"]["params"], _variant_schema(variant))

@@ -24,6 +24,7 @@ from coupledbd.models import (
     BranchingInGlauber,
     ComponentForm,
     GlauberGlauber,
+    _birth_acceptance,
     _form_kernels,
     birth_proposal,
     build_averaged_model,
@@ -52,6 +53,14 @@ from conftest import (
     random_marked,
     two_bdlp_model,
 )
+
+
+def _acceptance(m, component, gamma, x):
+    """The acceptance that thins the proposal of birth_proposal(component,
+    gamma, m), read on the points of gamma."""
+    own, other = ((gamma.plus, gamma.minus) if component == "system"
+                  else (gamma.minus, gamma.plus))
+    return _birth_acceptance(rate_form(m, component), x, own.points, other.points, TORUS1)[0]
 
 
 def _marked_subsets(eta):
@@ -164,7 +173,7 @@ def test_proposal_times_acceptance_equals_birth_density(build, component):
     gamma = random_marked(rng, TORUS1, 3, 3)
     prop = birth_proposal(component, gamma, m, TORUS1)
     for x in TORUS1.uniform(rng, 40):
-        acc = prop.acceptance(x)
+        acc = _acceptance(m, component, gamma, x)
         assert 0.0 <= acc <= 1.0 + 1e-12
         dom = prop.dominating_intensity(x)
         if component == "environment":
@@ -425,7 +434,7 @@ def test_averaged_proposal_identity_holds_per_variant():
         prop = birth_proposal("system", gamma, am, TORUS1)
         for x in TORUS1.uniform(rng, 25):
             _, b = averaged_rates(x, gp, am, TORUS1)
-            got = prop.acceptance(x) * prop.dominating_intensity(x)
+            got = _acceptance(am, "system", gamma, x) * prop.dominating_intensity(x)
             assert got == pytest.approx(b, rel=1e-10, abs=1e-10)
 
 

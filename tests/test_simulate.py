@@ -33,11 +33,14 @@ from coupledbd.models import (
     _row_interaction,
     GlauberGlauber,
     averaged_death_vector,
+    averaged_rates,
     birth_proposal,
     build_averaged_model,
     env_death_vector,
+    env_rates,
     rate_form,
     sys_death_vector,
+    sys_rates,
 )
 from coupledbd.potentials import Potential
 from coupledbd.simulate import (
@@ -430,10 +433,13 @@ def _assert_state_matches_recompute(state, m, torus, rng):
             continue
         if k == 1:
             want = env_death_vector(pair.minus, m, torus)
+            birth_rate = lambda x: env_rates(x, pair.minus, m, torus)[1]
         elif isinstance(m, AveragedModel):
             want = averaged_death_vector(pair.plus, m, torus)
+            birth_rate = lambda x: averaged_rates(x, pair.plus, m, torus)[1]
         else:
             want = sys_death_vector(pair, m, torus)
+            birth_rate = lambda x: sys_rates(x, pair, m, torus)[1]
         np.testing.assert_allclose(state.death[k], want, rtol=1e-12, atol=0.0)
         assert state.death_total[k] == pytest.approx(float(np.sum(want)), rel=1e-12)
         prop = birth_proposal(name, pair, m, torus)
@@ -444,10 +450,11 @@ def _assert_state_matches_recompute(state, m, torus, rng):
             np.testing.assert_allclose(g.masses, h.masses, rtol=1e-12, atol=0.0)
             np.testing.assert_array_equal(g.parents, h.parents)
         # the loop keeps a proposal until its masses move, so its acceptance
-        # must read the points now, not those the proposal was built from
+        # must read the points now, not those the proposal was built from:
+        # thinned by it, the proposal of the points now gives their birth rate
         for x in torus.uniform(rng, 3):
-            assert state.acceptance(k, x)[0] == pytest.approx(prop.acceptance(x),
-                                                              rel=1e-12, abs=0.0)
+            thinned = state.acceptance(k, x)[0] * prop.dominating_intensity(x)
+            assert thinned == pytest.approx(birth_rate(x), rel=1e-12, abs=0.0)
 
 
 def test_a_birth_on_a_point_is_refused_exactly_with_the_acceptance_row():
