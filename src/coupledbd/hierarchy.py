@@ -4,9 +4,9 @@ Both the environment of every model variant and the averaged system are
 one-component birth-death dynamics, so a single reduced description covers
 them: a ComponentForm holds the death and birth structure (constant,
 additive kernel, or exponential pair interaction).  ComponentForm and
-component_form live in models.py, where the pointwise rates, death vectors
-and birth proposals of these dynamics are derived from the same form; they
-are re-exported here.  The stencils below are derived from it too.
+component_form live in models.py, where the death vectors and birth
+proposals of these dynamics are derived from the same form; they are
+re-exported here.  The stencils below are derived from it too.
 
 The generator dual acting on correlation functions is discretized on
 translation-reduced tables (orders up to 3).  Expansion terms with at most

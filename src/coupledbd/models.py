@@ -1,4 +1,5 @@
-"""Rate models for the two-component dynamics and their kernel expansions.
+"""Rate models for the two-component dynamics: their forms, death vectors,
+birth proposals and averaged reduction.
 
 Four model families are provided.  The environment is autonomous; the system
 reads the environment but never writes it.
@@ -14,11 +15,10 @@ reads the environment but never writes it.
 ComponentForm, defined here, describes the rates of one component: constant,
 additive-kernel or exponential death and birth parts, plus cross terms that
 read the other component.  ComponentForm.parts decides the shape of each
-part once, as a FormPart; the views of the form, the kernel expansions, the
-death vectors, the birth proposals, the hierarchy stencils with their
-resolution check and the regime checker all read it.  Only the checks of
-__post_init__, autonomous, the pointwise reference rates (_form_rates) and
-the averaging map read the fields themselves.  Each variant is declared
+part once, as a FormPart; the views of the form, the death vectors, the
+birth proposals, the hierarchy stencils with their resolution check and the
+regime checker all read it.  Only the checks of __post_init__, autonomous
+and the averaging map read the fields themselves.  Each variant is declared
 once: its NAME, the terms of its environment and system forms (ENV_TERMS,
 SYS_TERMS, each term mapped to the model field that fills it or to a
 constant) and the names of its domination ratios (RATIOS).  Both forms, the
@@ -32,17 +32,15 @@ environment.  The environment of every variant, and the system of an
 AveragedModel, have no cross terms and so are autonomous one-component
 dynamics; component_form is rate_form refusing the system of a full model,
 whose cross terms read the environment, and hierarchy.py re-exports it for
-the hierarchy, which solves autonomous forms only.  The pointwise rates,
-their kernel expansions, the death vectors and the birth proposals of every
-component are derived from its form, the event loop updates its rates by
-the same terms, and the averaged model replaces the cross terms of the
-system form by their averages.
+the hierarchy, which solves autonomous forms only.  The death vectors and
+the birth proposals of every component are derived from its form, the
+event loop updates its rates by the same terms, and the averaged model
+replaces the cross terms of the system form by their averages.
 
-For each model the birth/death rates admit a finite-difference kernel
-expansion d(x, gamma) = sum over finite eta inside gamma of D(x, eta) (and
-likewise b against B); _form_kernels expands any form into those kernels
-and decomposition_kernels applies it to both components.  The subset-sum
-identity tying kernels to rates is enforced by tests.
+The rates here are computed for all points of a configuration at once.  The
+pointwise rates d(x, gamma) and b(x, gamma) that they must equal, and the
+finite-difference kernel expansion of those rates, are written out from the
+form's fields in tests/rates_oracle.py, the contract the tests hold them to.
 """
 
 from __future__ import annotations
@@ -59,11 +57,10 @@ from .geometry import (
     FiniteConfiguration,
     MarkedConfiguration,
     Torus,
-    distances_from,
     squared_distances_from,
     squared_pairwise_distances,
 )
-from .potentials import Potential, _safe_exp, potential_functionals, sample_kernel_offsets
+from .potentials import Potential, potential_functionals, sample_kernel_offsets
 
 
 class FormPart(NamedTuple):
@@ -333,113 +330,9 @@ def _live(pot: Optional[Potential]) -> Optional[Potential]:
     return None if pot is None or pot.is_zero else pot
 
 
-def relative_energy(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus) -> float:
-    """Sum of pot(|x - y|) over the rows y of pts (minimal image); 0 for an
-    absent or zero term."""
-    if not _live(pot) or len(pts) == 0:
-        return 0.0
-    return float(pot.sum_squared(squared_distances_from(np.asarray(x, dtype=float), pts, torus)))
-
-
-def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
-                torus: Torus) -> Tuple[float, float]:
-    """(death, birth) rate at x of a component with form f, given the points
-    own of that component and other of the other one."""
-    x = np.asarray(x, dtype=float)
-    death = f.death_const
-    if f.death_pot is not None:
-        death *= _safe_exp(relative_energy(x, own, f.death_pot, torus))
-    else:
-        death += relative_energy(x, own, f.death_kernel, torus)
-        death += relative_energy(x, other, f.cross_death_kernel, torus)
-    birth = f.birth_const
-    if f.birth_pot is not None or f.cross_birth_pot is not None:
-        birth *= math.exp(-(relative_energy(x, own, f.birth_pot, torus)
-                            + relative_energy(x, other, f.cross_birth_pot, torus)))
-    else:
-        if _live(f.birth_kernel) and len(own):
-            d = distances_from(x, own, torus)
-            weights = np.exp(-_row_interaction(own, other, f.parent_pot, torus))
-            birth += f.birth_kernel_scale * float(np.sum(weights * f.birth_kernel(d)))
-        birth += relative_energy(x, other, f.cross_birth_kernel, torus)
-    return death, birth
-
-
-def env_rates(x, gamma_minus: FiniteConfiguration, m: RateModel, torus: Torus) -> Tuple[float, float]:
-    """(death, birth) rate of the environment at x given gamma_minus.
-
-    For the death rate of an existing particle the caller passes the
-    configuration with that particle removed.
-    """
-    pts = gamma_minus.points
-    return _form_rates(x, pts, pts[:0], component_form(m), torus)
-
-
-def sys_rates(x, gamma: MarkedConfiguration, m: RateModel, torus: Torus) -> Tuple[float, float]:
-    """(death, birth) rate of the system at x given the pair configuration.
-
-    Same removal convention as env_rates: for a death rate, gamma.plus has
-    the particle at x already removed.
-    """
-    return _form_rates(x, gamma.plus.points, gamma.minus.points, rate_form(m, "system"), torus)
-
-
-def _mayer_product(x, pts: np.ndarray, pot: Optional[Potential], torus: Torus,
-                   sign: float = -1.0) -> float:
-    """Product of (exp(sign * pot(|x - y|)) - 1) over the rows y of pts: 1 on
-    the empty set, 0 on a nonempty one when the term is absent or zero."""
-    if len(pts) == 0:
-        return 1.0
-    if pot is None or pot.is_zero:
-        return 0.0
-    return float(np.prod(np.expm1(sign * pot(distances_from(x, pts, torus)))))
-
-
-def _singleton(x, pts: np.ndarray, pot: Potential, torus: Torus) -> float:
-    """pot(|x - y|) when pts holds one point y; 0 otherwise."""
-    if len(pts) != 1:
-        return 0.0
-    return float(pot(distances_from(x, pts, torus))[0])
-
-
-def _part_kernel(part: FormPart, x, own: np.ndarray, other: np.ndarray, torus: Torus) -> float:
-    """Kernel of one part of a form at x on the points own and other, not
-    both empty.  An exponential part gives its constant times the Mayer
-    products over both; an additive one its kernels on singletons, a
-    parent's weighted by its damping's Mayer product over the other points."""
-    if part.exponential:
-        return (part.const * _mayer_product(x, own, part.own, torus, part.sign)
-                * _mayer_product(x, other, part.other, torus, part.sign))
-    if len(own) == 1:
-        return (part.scale * _singleton(x, own, part.own, torus)
-                * _mayer_product(own[0], other, part.parent_pot, torus))
-    return 0.0 if len(own) else _singleton(x, other, part.other, torus)
-
-
-def _form_kernels(x, eta: FiniteConfiguration, f: ComponentForm, torus: Torus,
-                  other: Optional[FiniteConfiguration] = None) -> Tuple[float, float]:
-    """(D, B) kernels at x of form f on eta, its own points, and other, the
-    other component's (empty when not given); on the empty pair they are
-    the constants of the parts."""
-    x = np.asarray(x, dtype=float)
-    own = eta.points
-    other = own[:0] if other is None else other.points
-    if len(own) + len(other) == 0:
-        return f.death_const, f.birth_const
-    return tuple(_part_kernel(p, x, own, other, torus) for p in f.parts)
-
-
-def decomposition_kernels(m: RateModel, x, eta: MarkedConfiguration, torus: Torus):
-    """(D_minus, B_minus, D_plus, B_plus) at x and eta: the minus kernels read
-    eta.minus alone, the plus kernels the whole pair.  Summed over all
-    subconfigurations they reproduce the rates, their defining property."""
-    d_minus, b_minus = _form_kernels(x, eta.minus, component_form(m), torus)
-    d_plus, b_plus = _form_kernels(x, eta.plus, rate_form(m, "system"), torus, eta.minus)
-    return d_minus, b_minus, d_plus, b_plus
-
-
 # ---------------------------------------------------------------------------
-# vectorized rate vectors for the event loop (equal to the pointwise contract)
+# rate vectors for the event loop, every point at once (each entry equals
+# the pointwise rate of tests/rates_oracle.py)
 
 # Pairs _row_interaction takes at a time: it sums the rows of points_a in
 # blocks of about this many pairs, so that its memory grows as the number
@@ -526,9 +419,11 @@ class BirthProposal:
     """Dominating birth mechanism: uniform immigration of total mass
     uniform_mass plus kernel groups.
 
-    While its masses are those of the points present now,
-    dominating_intensity(x) times the acceptance at x, _birth_acceptance on
-    those points, equals the true birth rate density at x.
+    Its intensity at x is uniform_mass / volume plus, for each group, each
+    parent's mass spread by the group's kernel normalised to mass 1.  While
+    its masses are those of the points present now, that intensity times
+    the acceptance at x, _birth_acceptance on those points, equals the true
+    birth rate density at x.
     """
 
     torus: Torus
@@ -552,16 +447,6 @@ class BirthProposal:
     def total_mass(self) -> float:
         c = self._cumulative
         return float(c[-1]) if len(c) else 0.0
-
-    def dominating_intensity(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        total = self.uniform_mass / self.torus.volume
-        for g in self.groups:
-            if len(g.parents):
-                l1 = potential_functionals(g.kernel, self.torus.dim).l1
-                d = distances_from(x, g.parents, self.torus)
-                total += float(np.sum(g.masses / l1 * g.kernel(d)))
-        return total
 
     @cached_property
     def _grouped(self) -> bool:
@@ -602,8 +487,9 @@ def _birth_acceptance(f: ComponentForm, x: np.ndarray, own: np.ndarray, other: n
     birth part is additive (the proposal is then the birth rate itself).
 
     Returned with the squared distances from x to own, or None when the
-    damping did not need them.  The energies are those of relative_energy;
-    both populations are folded in one pass.
+    damping did not need them.  The energies are the sums of the damping
+    potentials over own and over other (minimal image); both populations are
+    folded in one pass.
     """
     if f.damping is None:
         return 1.0, None
@@ -762,12 +648,6 @@ def build_averaged_model(m: RateModel, k_inv, torus: Torus) -> AveragedModel:
             f"{'negative' if lam < 0 else 'at most its tail'} (truncation tail bound "
             f"{tail:.3g}); the order-{k_inv.order} expansion does not resolve this coupling")
     return AveragedModel(base=m, rho_inv=rho, lambda_bar=lam, lambda_bar_tail=tail, m_bar=m_bar)
-
-
-def averaged_rates(x, gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> Tuple[float, float]:
-    """(death, birth) rate of the averaged system at x."""
-    pts = gamma_plus.points
-    return _form_rates(x, pts, pts[:0], component_form(am, "system"), torus)
 
 
 def averaged_death_vector(gamma_plus: FiniteConfiguration, am: AveragedModel, torus: Torus) -> np.ndarray:

@@ -8,10 +8,9 @@ sup norms of the profile itself.  Radial integrals are evaluated over full
 d-space, not the torus; usage on a torus of side L requires cutoff <= L/2.
 
 The package's overflow rule lives here too: _safe_exp is e^x, inf past the
-float range as np.exp behaves, for the regime checker's constants and the
-pointwise rates; _remainder_exp is the Taylor remainder of e^u, inf past
-that range, for the truncation tails of the regime checker and of the
-averaged birth factor.
+float range as np.exp behaves, for the regime checker's constants;
+_remainder_exp is the Taylor remainder of e^u, inf past that range, for the
+truncation tails of the regime checker and of the averaged birth factor.
 """
 
 from __future__ import annotations

@@ -25,18 +25,13 @@ from coupledbd.models import (
     ComponentForm,
     GlauberGlauber,
     _birth_acceptance,
-    _form_kernels,
     birth_proposal,
     build_averaged_model,
     component_form,
-    averaged_rates,
     averaged_death_vector,
-    decomposition_kernels,
     env_death_vector,
-    env_rates,
     rate_form,
     sys_death_vector,
-    sys_rates,
     validate_model_on_torus,
     variant_name,
 )
@@ -52,6 +47,14 @@ from conftest import (
     marked,
     random_marked,
     two_bdlp_model,
+)
+from rates_oracle import (
+    _form_kernels,
+    averaged_rates,
+    decomposition_kernels,
+    dominating_intensity,
+    env_rates,
+    sys_rates,
 )
 
 
@@ -175,7 +178,7 @@ def test_proposal_times_acceptance_equals_birth_density(build, component):
     for x in TORUS1.uniform(rng, 40):
         acc = _acceptance(m, component, gamma, x)
         assert 0.0 <= acc <= 1.0 + 1e-12
-        dom = prop.dominating_intensity(x)
+        dom = dominating_intensity(prop, x)
         if component == "environment":
             _, b = env_rates(x, gamma.minus, m, TORUS1)
         else:
@@ -434,7 +437,7 @@ def test_averaged_proposal_identity_holds_per_variant():
         prop = birth_proposal("system", gamma, am, TORUS1)
         for x in TORUS1.uniform(rng, 25):
             _, b = averaged_rates(x, gp, am, TORUS1)
-            got = _acceptance(am, "system", gamma, x) * prop.dominating_intensity(x)
+            got = _acceptance(am, "system", gamma, x) * dominating_intensity(prop, x)
             assert got == pytest.approx(b, rel=1e-10, abs=1e-10)
 
 

@@ -21,7 +21,7 @@ from coupledbd.geometry import (
     squared_distances_from,
     squared_pairwise_distances,
 )
-from coupledbd.models import _row_interaction, relative_energy
+from coupledbd.models import _row_interaction
 from coupledbd.potentials import (
     Potential,
     mayer,
@@ -30,6 +30,7 @@ from coupledbd.potentials import (
 )
 
 from conftest import TORUS1
+from rates_oracle import relative_energy
 
 
 def _dense_radial(fn, pot, dim, n=200_001):

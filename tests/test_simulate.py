@@ -33,14 +33,11 @@ from coupledbd.models import (
     _row_interaction,
     GlauberGlauber,
     averaged_death_vector,
-    averaged_rates,
     birth_proposal,
     build_averaged_model,
     env_death_vector,
-    env_rates,
     rate_form,
     sys_death_vector,
-    sys_rates,
 )
 from coupledbd.potentials import Potential
 from coupledbd.simulate import (
@@ -69,6 +66,7 @@ from conftest import (
     marked,
     random_marked,
 )
+from rates_oracle import averaged_rates, dominating_intensity, env_rates, sys_rates
 
 
 def _free_env(z_minus=0.5, z_plus=0.3):
@@ -453,7 +451,7 @@ def _assert_state_matches_recompute(state, m, torus, rng):
         # must read the points now, not those the proposal was built from:
         # thinned by it, the proposal of the points now gives their birth rate
         for x in torus.uniform(rng, 3):
-            thinned = state.acceptance(k, x)[0] * prop.dominating_intensity(x)
+            thinned = state.acceptance(k, x)[0] * dominating_intensity(prop, x)
             assert thinned == pytest.approx(birth_rate(x), rel=1e-12, abs=0.0)
 
 
