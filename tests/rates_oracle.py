@@ -37,7 +37,6 @@ from coupledbd.models import (
     FormPart,
     RateModel,
     _live,
-    _row_interaction,
     component_form,
     rate_form,
 )
@@ -70,8 +69,8 @@ def _form_rates(x, own: np.ndarray, other: np.ndarray, f: ComponentForm,
     else:
         if _live(f.birth_kernel) and len(own):
             d = distances_from(x, own, torus)
-            weights = np.exp(-_row_interaction(own, other, f.parent_pot, torus))
-            birth += f.birth_kernel_scale * float(np.sum(weights * f.birth_kernel(d)))
+            parent = np.array([relative_energy(y, other, f.parent_pot, torus) for y in own])
+            birth += f.birth_kernel_scale * float(np.sum(np.exp(-parent) * f.birth_kernel(d)))
         birth += relative_energy(x, other, f.cross_birth_kernel, torus)
     return death, birth
 
