@@ -25,11 +25,14 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
+# main reads and resolves a config in two steps, to hash it as written;
+# load_config, both in one call, is re-exported for scripts
 from .config import (
     SEED_MAX,
     config_hash,
     load_config,
     model_from_config,
+    read_config,
     resolve_config,
     torus_from_config,
 )
@@ -408,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = read_config(args.config)
         run = resolve_config(cfg)
         seeded = _seeded(run, args.command)
         # a run with an applied --seed defaults to a directory of its own

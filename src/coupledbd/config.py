@@ -324,17 +324,20 @@ def resolve_config(cfg: dict) -> dict:
     return run
 
 
-def load_config(path: str) -> dict:
-    """The config at path as written, once resolve_config has checked it."""
+def read_config(path: str) -> dict:
+    """The config at path as written, not yet checked."""
     try:
         with open(path) as f:
-            cfg = json.load(f)
+            return json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    resolve_config(cfg)
-    return cfg
+
+
+def load_config(path: str) -> dict:
+    """The config at path, checked and resolved (resolve_config)."""
+    return resolve_config(read_config(path))
 
 
 def potential_from_config(d: Optional[dict]) -> Potential:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledbd import cli
+from coupledbd import cli, config
 from coupledbd.cli import main
 from coupledbd.config import (
     _PARAMS,
@@ -246,6 +246,26 @@ def test_load_config_error_paths(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+def test_one_cli_run_resolves_its_config_once(tmp_path, monkeypatch):
+    # load_config used to resolve the config and drop the copy, and main
+    # then resolved the same dict again for the run
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return resolve_config(cfg)
+
+    monkeypatch.setattr(config, "resolve_config", counted)
+    monkeypatch.setattr(cli, "resolve_config", counted)
+    cfg = _gg_config(c_minus=0.5, c_plus=1.0)
+    out = tmp_path / "out"
+    assert main(["check", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config_hash"] == config_hash(cfg)
+    assert man["config"] == resolve_config(cfg)
 
 
 # ---------------------------------------------------------------------------
