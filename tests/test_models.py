@@ -186,6 +186,55 @@ def test_proposal_times_acceptance_equals_birth_density(build, component):
         assert acc * dom == pytest.approx(b, rel=1e-10, abs=1e-10)
 
 
+# Sides that fit every cutoff of the conftest models (at most 1) in the
+# half box, small enough that most pairs of a few points interact.
+TORI_2D_3D = (Torus(dim=2, side=2.5), Torus(dim=3, side=2.5))
+
+
+def _model_on(build, averaged, torus):
+    """The model of build, or its averaged model against a Poisson
+    environment of density 0.5 tabulated on torus."""
+    m = build()
+    if not averaged:
+        return m
+    grid = GridSpec(torus=torus, points_per_axis={2: 16, 3: 12}[torus.dim])
+    return build_averaged_model(m, CorrelationTable.poisson(grid, 2, 0.5), torus)
+
+
+def _components(m, gamma, torus):
+    """(component, own points, other points, death vector on gamma, rates
+    at x given own points rest) for each component of m: the vectorised
+    death vector and the pointwise rates of rates_oracle."""
+    if isinstance(m, AveragedModel):
+        return [("system", gamma.plus, gamma.minus, averaged_death_vector(gamma.plus, m, torus),
+                 lambda x, rest: averaged_rates(x, rest, m, torus))]
+    return [("environment", gamma.minus, gamma.plus, env_death_vector(gamma.minus, m, torus),
+             lambda x, rest: env_rates(x, rest, m, torus)),
+            ("system", gamma.plus, gamma.minus, sys_death_vector(gamma, m, torus),
+             lambda x, rest: sys_rates(x, MarkedConfiguration(plus=rest, minus=gamma.minus),
+                                       m, torus))]
+
+
+@pytest.mark.parametrize("torus", TORI_2D_3D, ids=lambda t: f"{t.dim}d")
+@pytest.mark.parametrize("averaged", [False, True], ids=["full", "averaged"])
+@pytest.mark.parametrize("build", ALL_MODELS, ids=lambda b: b.__name__)
+def test_death_vectors_and_proposals_match_pointwise_rates_in_2d_and_3d(build, averaged, torus):
+    m = _model_on(build, averaged, torus)
+    rng = np.random.default_rng(37)
+    gamma = random_marked(rng, torus, 5, 0 if averaged else 4)
+    for component, own, other, death, rates in _components(m, gamma, torus):
+        for i in range(own.size):
+            d, _ = rates(own.points[i], own.remove_index(i))
+            assert death[i] == pytest.approx(d, rel=1e-12)
+        prop = birth_proposal(component, gamma, m, torus)
+        f = rate_form(m, component)
+        for x in torus.uniform(rng, 20):
+            acc = _birth_acceptance(f, x, own.points, other.points, torus)[0]
+            assert 0.0 <= acc <= 1.0 + 1e-12
+            _, b = rates(x, own)
+            assert acc * dominating_intensity(prop, x) == pytest.approx(b, rel=1e-10, abs=1e-10)
+
+
 def test_gg_environment_proposal_mass_is_activity_times_volume():
     m = gg_model()
     gamma = random_marked(np.random.default_rng(1), TORUS1, 0, 5)
