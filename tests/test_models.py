@@ -187,7 +187,7 @@ def test_proposal_times_acceptance_equals_birth_density(build, component):
 
 
 # Sides that fit every cutoff of the conftest models (at most 1) in the
-# half box, small enough that most pairs of a few points interact.
+# half box, small enough that many pairs of a few points interact.
 TORI_2D_3D = (Torus(dim=2, side=2.5), Torus(dim=3, side=2.5))
 
 
